@@ -6,88 +6,23 @@ derivative of x and coupling the two with quadratic penalties.  Each
 iteration computes the full convex subdifferential of the discretized
 objective node by node, takes the minimum-norm element over the grid,
 and performs an exact line search along its negative.
+
+The package namespace holds what a script needs to set up and run a
+solve, plus the errors it may catch; everything else is imported from
+its submodule.
 """
 
-from .convexgeom import (
-    Ball,
-    ConvexSet,
-    MinkowskiSum,
-    MinNormResult,
-    Polytope,
-    Scaled,
-    Singleton,
-    min_norm_point,
-    support,
-)
-from .functional import (
-    MinNormUncertified,
-    ProblemSpec,
-    SubgradField,
-    eval_I,
-    eval_J,
-    eval_phi,
-    eval_psi,
-    grad_phi,
-    grad_psi,
-    initial_pair,
-    min_norm_field,
-    penalty_values,
-    recovered_state,
-    stationarity_residual,
-    subdiff_I_at,
-    subdiff_I_nodes,
-)
-from .integrand import (
-    DomainError,
-    EvalPoint,
-    Expr,
-    ExprError,
-    ParseError,
-    SubdiffError,
-    directional_derivative,
-    eval_expr,
-    eval_expr_grid,
-    format_expr,
-    is_smooth,
-    parse_expr,
-    subdiff_expr,
-)
-from .solver import (
-    IterationRecord,
-    SolverConfig,
-    line_search,
-    solve,
-    steepest_direction,
-)
-from .trajectory import (
-    Grid,
-    PairTraj,
-    Traj,
-    cumulative_integral,
-    l2_inner,
-    pl_l2_norm_sq,
-    quadrature,
-    resample,
-    reverse_cumulative_integral,
-    trapezoid_weights,
-)
+from .functional import MinNormUncertified, ProblemSpec, initial_pair
+from .integrand import DomainError, ExprError, ParseError, SubdiffError, parse_expr
+from .solver import SolverConfig, solve
+from .trajectory import Grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "ConvexSet", "MinkowskiSum", "MinNormResult", "Polytope",
-    "Scaled", "Singleton", "min_norm_point", "support",
-    "MinNormUncertified", "ProblemSpec", "SubgradField", "eval_I", "eval_J",
-    "eval_phi", "eval_psi", "grad_phi", "grad_psi", "initial_pair",
-    "min_norm_field", "penalty_values", "recovered_state",
-    "stationarity_residual", "subdiff_I_at", "subdiff_I_nodes",
-    "DomainError", "EvalPoint", "Expr", "ExprError", "ParseError",
-    "SubdiffError", "directional_derivative", "eval_expr", "eval_expr_grid",
-    "format_expr", "is_smooth", "parse_expr", "subdiff_expr",
-    "IterationRecord", "SolverConfig", "line_search", "solve",
-    "steepest_direction",
-    "Grid", "PairTraj", "Traj", "cumulative_integral", "l2_inner",
-    "pl_l2_norm_sq", "quadrature", "resample", "reverse_cumulative_integral",
-    "trapezoid_weights",
+    "Grid", "ProblemSpec", "SolverConfig", "initial_pair", "parse_expr",
+    "solve",
+    "DomainError", "ExprError", "MinNormUncertified", "ParseError",
+    "SubdiffError",
     "__version__",
 ]

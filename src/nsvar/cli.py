@@ -15,7 +15,7 @@ expression per component (commas inside function calls are fine, the
 splitter tracks parentheses) and may use only t.  ``nsvar solve`` writes
 trajectory.csv, convergence.csv and summary.json into the output
 directory and exits 0 when the run converged, 2 when it exhausted its
-budget, 1 on any error.
+budget, 1 on bad input or a failed minimum-norm certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functional import ProblemSpec, recovered_state
+from .functional import MinNormUncertified, ProblemSpec, recovered_state
 from .integrand import ExprError, format_expr, parse_expr
 from .solver import IterationRecord, SolverConfig, solve
 
@@ -127,10 +127,6 @@ def builtin_config_overrides(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # problem files
 
-_KEYS = ("n", "T", "x0", "xT", "use_psi", "use_phi", "integrand",
-         "initial_x", "initial_z", "lambda0")
-
-
 def _split_top_level(text: str) -> list[str]:
     """Split on commas that are not inside parentheses."""
     parts = []
@@ -150,12 +146,36 @@ def _split_top_level(text: str) -> list[str]:
     return [s.strip() for s in parts]
 
 
-def _parse_bool(raw: str, lineno: int) -> bool:
+def _parse_bool(raw: str, n, lineno: int) -> bool:
     if raw == "true":
         return True
     if raw == "false":
         return False
     raise ProblemFileError(f"line {lineno}: expected true or false, got {raw!r}")
+
+
+def _floats(raw: str, n, lineno: int) -> list[float]:
+    return [float(s) for s in _split_top_level(raw)]
+
+
+def _time_exprs(raw: str, n: int, lineno: int) -> tuple:
+    return tuple(parse_expr(s, n, allow_vars=False) for s in _split_top_level(raw))
+
+
+# key -> (ProblemSpec field, converter(raw, n, lineno), required), in the
+# order the values are converted: the expressions need n first.
+_FIELDS = {
+    "n": ("n", lambda raw, n, lineno: int(raw), True),
+    "T": ("horizon", lambda raw, n, lineno: float(raw), True),
+    "x0": ("x0", _floats, True),
+    "xT": ("xT", _floats, False),
+    "use_psi": ("use_psi", _parse_bool, False),
+    "use_phi": ("use_phi", _parse_bool, False),
+    "integrand": ("integrand", lambda raw, n, lineno: parse_expr(raw, n), True),
+    "initial_x": ("initial_x", _time_exprs, False),
+    "initial_z": ("initial_z", _time_exprs, False),
+    "lambda0": ("lambda0", lambda raw, n, lineno: float(raw), False),
+}
 
 
 def load_problem(source: str) -> ProblemSpec:
@@ -177,64 +197,25 @@ def load_problem(source: str) -> ProblemSpec:
             raise ProblemFileError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ProblemFileError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = (value.strip(), lineno)
 
-    def take(key: str):
-        return raw.pop(key, (None, 0))
-
+    kw: dict = {"name": path.stem}
     try:
-        val, ln = take("n")
-        if val is None:
-            raise ProblemFileError("missing key 'n'")
-        n = int(val)
-        val, ln = take("T")
-        if val is None:
-            raise ProblemFileError("missing key 'T'")
-        horizon = float(val)
-        val, ln = take("x0")
-        if val is None:
-            raise ProblemFileError("missing key 'x0'")
-        x0 = [float(s) for s in _split_top_level(val)]
-        val, ln = take("xT")
-        xT = None if val is None else [float(s) for s in _split_top_level(val)]
-        val, ln = take("use_psi")
-        use_psi = None if val is None else _parse_bool(val, ln)
-        val, ln = take("use_phi")
-        use_phi = None if val is None else _parse_bool(val, ln)
-        val, ln = take("integrand")
-        if val is None:
-            raise ProblemFileError("missing key 'integrand'")
-        try:
-            integrand = parse_expr(val, n)
-        except ExprError as exc:
-            raise ProblemFileError(f"line {ln}: bad integrand: {exc}") from exc
-        val, ln = take("initial_x")
-        initial_x = None
-        if val is not None:
+        for key, (field, convert, required) in _FIELDS.items():
+            if key not in raw:
+                if required:
+                    raise ProblemFileError(f"missing key {key!r}")
+                continue
+            value, lineno = raw[key]
             try:
-                initial_x = tuple(parse_expr(s, n, allow_vars=False)
-                                  for s in _split_top_level(val))
+                kw[field] = convert(value, kw.get("n"), lineno)
             except ExprError as exc:
-                raise ProblemFileError(f"line {ln}: bad initial_x: {exc}") from exc
-        val, ln = take("initial_z")
-        initial_z = None
-        if val is not None:
-            try:
-                initial_z = tuple(parse_expr(s, n, allow_vars=False)
-                                  for s in _split_top_level(val))
-            except ExprError as exc:
-                raise ProblemFileError(f"line {ln}: bad initial_z: {exc}") from exc
-        val, ln = take("lambda0")
-        lambda0 = None if val is None else float(val)
-        return ProblemSpec(
-            n=n, horizon=horizon, x0=x0, xT=xT, use_psi=use_psi,
-            use_phi=use_phi, integrand=integrand, initial_x=initial_x,
-            initial_z=initial_z, lambda0=lambda0, name=path.stem,
-        )
+                raise ProblemFileError(f"line {lineno}: bad {key}: {exc}") from exc
+        return ProblemSpec(**kw)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ProblemFileError):
             raise
@@ -318,6 +299,18 @@ def _print_table(records: list[IterationRecord]) -> None:
               f"{r.vnorm:11.4e} {r.lam:9.4g} {r.gamma:11.4e} {r.npoints:5d}")
 
 
+# --flag destination -> SolverConfig field, for the flags that set one
+# directly; --grid is parsed on its own.
+_FLAG_FIELDS = {
+    "eps": "eps_bar",
+    "lambda0": "lambda0",
+    "lambda_factor": "lambda_factor",
+    "lambda_max": "lambda_max",
+    "constraint_tol": "constraint_tol",
+    "max_iters": "max_iters",
+}
+
+
 def _build_config(spec: ProblemSpec, args) -> SolverConfig:
     kw: dict = {}
     if spec.name in _BUILTINS:
@@ -329,18 +322,9 @@ def _build_config(spec: ProblemSpec, args) -> SolverConfig:
             kw["grid_sizes"] = tuple(int(s) for s in args.grid.split(","))
         except ValueError as exc:
             raise ProblemFileError(f"bad --grid value {args.grid!r}") from exc
-    if args.eps is not None:
-        kw["eps_bar"] = args.eps
-    if args.lambda0 is not None:
-        kw["lambda0"] = args.lambda0
-    if args.lambda_factor is not None:
-        kw["lambda_factor"] = args.lambda_factor
-    if args.lambda_max is not None:
-        kw["lambda_max"] = args.lambda_max
-    if args.constraint_tol is not None:
-        kw["constraint_tol"] = args.constraint_tol
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
+    for flag, field in _FLAG_FIELDS.items():
+        if getattr(args, flag) is not None:
+            kw[field] = getattr(args, flag)
     return SolverConfig(**kw)
 
 
@@ -411,7 +395,8 @@ def run(argv: list[str]) -> int:
         print(f"{spec.name}: {status} after {len(records)} iterations, "
               f"J = {last.J:.6g}, output in {outdir}")
         return 0 if status == "converged" else 2
-    except (ExprError, ProblemFileError, ValueError, OSError) as exc:
+    except (ExprError, ProblemFileError, ValueError, OSError,
+            MinNormUncertified) as exc:
         print(f"nsvar: error: {exc}", file=sys.stderr)
         return 1
 

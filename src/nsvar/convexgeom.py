@@ -2,8 +2,9 @@
 
 The sets that show up as pointwise subdifferentials are built from a
 handful of primitives: points, polytopes given by vertex lists, balls
-restricted to a coordinate subspace, Minkowski sums and nonnegative
-scalings.  Two queries matter:
+restricted to a coordinate subspace, and Minkowski sums.  Nonnegative
+scalings are applied eagerly to the primitives by ``scale``.  Two
+queries matter:
 
 * ``support(S, d)``: the support value max_{v in S} <v, d> together with
   a maximizing point, and
@@ -85,19 +86,7 @@ class MinkowskiSum:
         object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True, eq=False)
-class Scaled:
-    """factor * S with factor >= 0."""
-
-    factor: float
-    inner: "ConvexSet"
-
-    def __post_init__(self) -> None:
-        if self.factor < 0.0:
-            raise ValueError("Scaled factor must be nonnegative")
-
-
-ConvexSet = Union[Singleton, Polytope, Ball, MinkowskiSum, Scaled]
+ConvexSet = Union[Singleton, Polytope, Ball, MinkowskiSum]
 
 
 def dim(s: ConvexSet) -> int:
@@ -109,8 +98,6 @@ def dim(s: ConvexSet) -> int:
         return s.center.shape[0]
     if isinstance(s, MinkowskiSum):
         return dim(s.members[0])
-    if isinstance(s, Scaled):
-        return dim(s.inner)
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -124,8 +111,6 @@ def negate(s: ConvexSet) -> ConvexSet:
         return Ball(-s.center, s.radius, s.mask)
     if isinstance(s, MinkowskiSum):
         return MinkowskiSum(tuple(negate(m) for m in s.members))
-    if isinstance(s, Scaled):
-        return Scaled(s.factor, negate(s.inner))
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -141,8 +126,6 @@ def scale(c: float, s: ConvexSet) -> ConvexSet:
         return Ball(c * s.center, c * s.radius, s.mask)
     if isinstance(s, MinkowskiSum):
         return MinkowskiSum(tuple(scale(c, m) for m in s.members))
-    if isinstance(s, Scaled):
-        return scale(c * s.factor, s.inner)
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -178,9 +161,6 @@ def support(s: ConvexSet, d: np.ndarray) -> tuple[float, np.ndarray]:
             val += v
             w += p
         return val, w
-    if isinstance(s, Scaled):
-        v, p = support(s.inner, d)
-        return s.factor * v, s.factor * p
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -225,28 +205,23 @@ def _finish(s, x, atoms, weights, iters, tol) -> MinNormResult:
     )
 
 
-def _canonical(s: ConvexSet, mult: float, q: np.ndarray, polys: list, balls: list):
-    """Flatten into offset + scaled polytopes + scaled balls."""
+def _canonical(s: ConvexSet, q: np.ndarray, polys: list, balls: list):
+    """Flatten into offset + polytopes + balls."""
     if isinstance(s, Singleton):
-        q += mult * s.point
+        q += s.point
     elif isinstance(s, Polytope):
         if s.vertices.shape[0] == 1:
-            q += mult * s.vertices[0]
+            q += s.vertices[0]
         else:
-            polys.append(mult * s.vertices)
+            polys.append(s.vertices)
     elif isinstance(s, Ball):
         if s.radius == 0.0:
-            q += mult * s.center
+            q += s.center
         else:
-            balls.append((mult * s.center, mult * s.radius, s.mask))
+            balls.append((s.center, s.radius, s.mask))
     elif isinstance(s, MinkowskiSum):
         for m in s.members:
-            _canonical(m, mult, q, polys, balls)
-    elif isinstance(s, Scaled):
-        if s.factor == 0.0:
-            pass  # 0 * S = {0}
-        else:
-            _canonical(s.inner, mult * s.factor, q, polys, balls)
+            _canonical(m, q, polys, balls)
     else:
         raise TypeError(f"not a ConvexSet: {s!r}")
 
@@ -262,6 +237,27 @@ def _merge_polytopes(polys: list) -> np.ndarray | None:
             return None
         verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
     return verts
+
+
+def vertex_list(s: ConvexSet) -> np.ndarray | None:
+    """A (k, d) vertex list whose convex hull is S.
+
+    None when S holds a ball of positive radius, or when a Minkowski
+    sum's vertex product would exceed _VERTEX_PRODUCT_CAP.  Sums are
+    expanded in member order.
+    """
+    if isinstance(s, Singleton):
+        return s.point[None, :]
+    if isinstance(s, Polytope):
+        return s.vertices
+    if isinstance(s, Ball):
+        return s.center[None, :] if s.radius == 0.0 else None
+    if isinstance(s, MinkowskiSum):
+        lists = [vertex_list(m) for m in s.members]
+        if any(v is None for v in lists):
+            return None
+        return _merge_polytopes(lists)
+    raise TypeError(f"not a ConvexSet: {s!r}")
 
 
 def _merge_balls(balls: list) -> list:
@@ -287,7 +283,7 @@ def min_norm_point(s: ConvexSet, tol: float = 1e-10, max_iter: int | None = None
     q = np.zeros(d)
     polys: list = []
     balls: list = []
-    _canonical(s, 1.0, q, polys, balls)
+    _canonical(s, q, polys, balls)
     balls = _merge_balls(balls)
 
     if not balls:

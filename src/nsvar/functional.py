@@ -36,22 +36,15 @@ from .trajectory import (
     PairTraj,
     Traj,
     cumulative_integral,
-    pl_l2_norm_sq,
     quadrature,
     reverse_cumulative_integral,
 )
 
 __all__ = [
-    "ProblemSpec", "SubgradField", "initial_pair", "recovered_state",
+    "ProblemSpec", "MinNormUncertified", "initial_pair", "recovered_state",
     "eval_J", "eval_psi", "grad_psi", "eval_phi", "grad_phi", "eval_I",
-    "penalty_values", "subdiff_I_at", "subdiff_I_nodes",
-    "min_norm_field", "stationarity_residual",
+    "penalty_values", "subdiff_I_at", "subdiff_I_nodes", "min_norm_field",
 ]
-
-
-# Nodal subgradient selections are trajectories in R^(2n); downstream code
-# always reads them through their piecewise-linear interpolant.
-SubgradField = Traj
 
 
 @dataclass(eq=False)
@@ -284,12 +277,7 @@ def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int,
     """Pointwise subdifferential of I at node i (0-based)."""
     if not 0 <= i < xz.grid.npoints:
         raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    rows = _penalty_rows(p, xz, lam, 1.0, 1.0)
-    point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
-    s = subdiff_expr(p.integrand, point, tol_act)
-    if p.use_psi or p.use_phi:
-        s = MinkowskiSum((s, Singleton(rows[i])))
-    return s
+    return subdiff_I_nodes(p, xz, lam, tol_act)[i]
 
 
 class MinNormUncertified(RuntimeError):
@@ -303,8 +291,12 @@ class MinNormUncertified(RuntimeError):
 
 def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
                    tol_act: float = 1e-9, min_norm_tol: float = 1e-10,
-                   psi_weight: float = 1.0, phi_weight: float = 1.0) -> SubgradField:
-    """Nodal minimum-norm subgradients of I, as a 2n-component field."""
+                   psi_weight: float = 1.0, phi_weight: float = 1.0) -> Traj:
+    """Nodal minimum-norm subgradients of I, as a 2n-component field.
+
+    Downstream code reads the field through its piecewise-linear
+    interpolant.
+    """
     sets = subdiff_I_nodes(p, xz, lam, tol_act, psi_weight, phi_weight)
     out = np.empty((xz.grid.npoints, 2 * p.n))
     for i, s in enumerate(sets):
@@ -313,15 +305,3 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
             raise MinNormUncertified(i, res.gap)
         out[i] = res.point
     return Traj(xz.grid, out)
-
-
-def stationarity_residual(p: ProblemSpec, xz: PairTraj, lam: float,
-                          tol_act: float = 1e-9,
-                          min_norm_tol: float = 1e-10) -> float:
-    """Squared L2 norm of the interpolated minimum-norm subgradient field.
-
-    Zero exactly when 0 sits in the pointwise subdifferential at every
-    node; the descent loop stops once this drops below its threshold.
-    """
-    field = min_norm_field(p, xz, lam, tol_act, min_norm_tol)
-    return pl_l2_norm_sq(field)

@@ -34,11 +34,11 @@ from .convexgeom import (
     ConvexSet,
     MinkowskiSum,
     Polytope,
-    Scaled,
     Singleton,
     negate,
     scale,
     support,
+    vertex_list,
 )
 
 __all__ = [
@@ -554,29 +554,15 @@ def eval_expr(e: Expr, p: EvalPoint) -> float:
 # subdifferential
 
 
-def _hull_vertices(s: ConvexSet) -> np.ndarray:
+def _tie_vertices(s: ConvexSet) -> np.ndarray:
     """Vertex list generating s, for polytope-like sets only."""
-    if isinstance(s, Singleton):
-        return s.point[None, :]
-    if isinstance(s, Polytope):
-        return s.vertices
-    if isinstance(s, Ball):
-        if s.radius == 0.0:
-            return s.center[None, :]
+    verts = vertex_list(s)
+    if verts is None:
         raise SubdiffError(
-            "tie between ball-valued subdifferentials is not representable"
+            "tie between subdifferentials holding a ball or too many "
+            "vertices is not representable"
         )
-    if isinstance(s, MinkowskiSum):
-        verts = _hull_vertices(s.members[0])
-        for m in s.members[1:]:
-            extra = _hull_vertices(m)
-            if verts.shape[0] * extra.shape[0] > 4096:
-                raise SubdiffError("tie produced too many hull vertices")
-            verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
-        return verts
-    if isinstance(s, Scaled):
-        return s.factor * _hull_vertices(s.inner)
-    raise TypeError(f"not a ConvexSet: {s!r}")
+    return verts
 
 
 def _scale_signed(c: float, s: ConvexSet) -> ConvexSet:
@@ -587,7 +573,7 @@ def _as_gradient(s: ConvexSet, context: str = "smooth") -> np.ndarray:
     """Collapse a set to its unique point; fail if it is genuinely fat."""
     if isinstance(s, Singleton):
         return s.point
-    verts = _hull_vertices(s)
+    verts = _tie_vertices(s)
     if verts.shape[0] == 1:
         return verts[0]
     spread = np.max(np.abs(verts - verts[0]))
@@ -715,7 +701,7 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
                 return v, s
             if v < -act:
                 return -v, negate(s)
-            verts = np.vstack([_hull_vertices(s), _hull_vertices(negate(s))])
+            verts = np.vstack([_tie_vertices(s), _tie_vertices(negate(s))])
             return abs(v), Polytope(verts)
         if isinstance(node, Max):
             pairs = [rec(a) for a in node.args]
@@ -725,7 +711,7 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
             active = [s for (v, s), va in zip(pairs, vals) if va >= vmax - act]
             if len(active) == 1:
                 return vmax, active[0]
-            verts = np.vstack([_hull_vertices(s) for s in active])
+            verts = np.vstack([_tie_vertices(s) for s in active])
             return vmax, Polytope(verts)
         if isinstance(node, Norm):
             pairs = [rec(a) for a in node.args]

@@ -25,6 +25,7 @@ from .functional import (
     min_norm_field,
     penalty_values,
 )
+from .integrand import DomainError
 from .trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq, resample
 
 __all__ = ["SolverConfig", "IterationRecord", "steepest_direction",
@@ -105,18 +106,26 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
     """Approximate minimizer of gamma -> I(xz + gamma * direction).
 
     Brackets by doubling from ls_seed (halving first if the seed does not
-    decrease), then golden section.  Returns (0.0, False) when no probe
-    beats the current value, which callers treat as a stage boundary.
+    decrease), then golden section.  A probe outside the integrand's
+    domain counts as +inf, so it shrinks the bracket.  Returns
+    (0.0, False) when no probe beats the current value, which callers
+    treat as a stage boundary.
     """
     grid = xz.grid
     xv, zv = xz.x.values, xz.z.values
     gx, gz = direction.x.values, direction.z.values
 
-    def f(g: float) -> float:
+    def value(g: float) -> float:
         cand = PairTraj(Traj(grid, xv + g * gx), Traj(grid, zv + g * gz))
         return eval_I(p, cand, lam, cfg.psi_weight, cfg.phi_weight)
 
-    f0 = f(0.0)
+    def f(g: float) -> float:
+        try:
+            return value(g)
+        except DomainError:
+            return np.inf
+
+    f0 = value(0.0)
     g = cfg.ls_seed
     fg = f(g)
     for _ in range(60):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import nsvar.solver
 from nsvar.cli import (
     ProblemFileError,
     builtin_config_overrides,
@@ -14,6 +15,7 @@ from nsvar.cli import (
     run,
     write_problem,
 )
+from nsvar.functional import MinNormUncertified
 
 
 def _read_csv(path):
@@ -154,6 +156,31 @@ def test_run_missing_problem_is_error(tmp_path, capsys):
     assert run(["solve", str(tmp_path / "nope.prob"),
                 "--out", str(tmp_path / "o")]) == 1
     assert "no such problem" in capsys.readouterr().err
+
+
+def test_run_survives_line_search_probe_outside_domain(tmp_path):
+    # Long probes along the first descent direction push x1 below 0,
+    # where sqrt(x1) is undefined; they must shrink the bracket, not
+    # end the solve.
+    f = tmp_path / "sqrt.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 1\n"
+                 "integrand = pow(z1, 2) + sqrt(x1) + abs(x1 - 0.5)\n")
+    out = tmp_path / "sqrt_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert (out / "trajectory.csv").exists()
+    assert (out / "convergence.csv").exists()
+
+
+def test_run_uncertified_min_norm_is_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MinNormUncertified(3, 0.5)
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", fail)
+    assert run(["solve", "example1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nsvar: error: minimum-norm certificate failed at node 3")
 
 
 def test_run_bad_grid_is_error(tmp_path):

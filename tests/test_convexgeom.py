@@ -13,13 +13,13 @@ from nsvar.convexgeom import (
     Ball,
     MinkowskiSum,
     Polytope,
-    Scaled,
     Singleton,
     dim,
     min_norm_point,
     negate,
     scale,
     support,
+    vertex_list,
 )
 
 
@@ -36,7 +36,7 @@ def _random_set(rng, d, allow_mix=True):
             mask[rng.integers(0, d)] = True
         return Ball(rng.standard_normal(d), float(rng.random() + 0.1), mask)
     if kind == 3:
-        return Scaled(float(rng.random() * 2), _random_set(rng, d, False))
+        return scale(float(rng.random() * 2), _random_set(rng, d, False))
     n = int(rng.integers(2, 4))
     return MinkowskiSum(tuple(_random_set(rng, d, False) for _ in range(n)))
 
@@ -66,18 +66,12 @@ def test_minkowski_sum_validation():
         MinkowskiSum((Singleton(np.zeros(2)), Singleton(np.zeros(3))))
 
 
-def test_scaled_validation():
-    with pytest.raises(ValueError):
-        Scaled(-0.5, Singleton(np.zeros(2)))
-
-
 def test_dim():
     assert dim(Singleton([1.0, 2.0, 3.0])) == 3
     assert dim(Polytope(np.zeros((4, 2)))) == 2
     assert dim(Ball(np.zeros(5), 1.0)) == 5
     st = MinkowskiSum((Singleton(np.zeros(2)), Ball(np.zeros(2), 1.0)))
     assert dim(st) == 2
-    assert dim(Scaled(2.0, st)) == 2
 
 
 def test_scale_applies_eagerly():
@@ -88,6 +82,18 @@ def test_scale_applies_eagerly():
     assert ball.radius == 1.0 and np.array_equal(ball.center, [6.0])
     with pytest.raises(ValueError):
         scale(-1.0, Singleton([1.0]))
+
+
+def test_vertex_list_expands_sums_in_member_order():
+    a = Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    b = Polytope(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    s = MinkowskiSum((a, b, Singleton([2.0, 2.0]), Ball([0.0, 1.0], 0.0)))
+    assert np.array_equal(vertex_list(s),
+                          [[2.0, 3.0], [2.0, 4.0], [3.0, 3.0], [3.0, 4.0]])
+    assert vertex_list(MinkowskiSum((a, Ball([0.0, 0.0], 1.0)))) is None
+    k64 = Polytope(np.zeros((64, 2)))
+    assert vertex_list(MinkowskiSum((k64, k64))).shape == (4096, 2)
+    assert vertex_list(MinkowskiSum((k64, k64, a))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,7 @@ def test_min_norm_simplex_centroid():
 
 
 def test_min_norm_scaled_to_zero_collapses():
-    r = min_norm_point(Scaled(0.0, Ball([5.0, 5.0], 1.0)))
+    r = min_norm_point(scale(0.0, Ball([5.0, 5.0], 1.0)))
     assert np.array_equal(r.point, [0.0, 0.0])
     assert r.sqnorm == 0.0 and r.certified
 
@@ -332,6 +338,4 @@ def test_min_norm_scaling_equivariance():
         c = 0.5 + 1.5 * float(rng.random())
         base = min_norm_point(s)
         scaled = min_norm_point(scale(c, s))
-        wrapped = min_norm_point(Scaled(c, s))
         assert np.allclose(scaled.point, c * base.point, atol=1e-9)
-        assert np.allclose(wrapped.point, c * base.point, atol=1e-9)

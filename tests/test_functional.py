@@ -19,11 +19,11 @@ from nsvar.functional import (
     min_norm_field,
     penalty_values,
     recovered_state,
-    stationarity_residual,
     subdiff_I_at,
     subdiff_I_nodes,
 )
 from nsvar.integrand import EvalPoint, parse_expr, subdiff_expr
+from nsvar.solver import SolverConfig, steepest_direction
 from nsvar.trajectory import (
     Grid,
     PairTraj,
@@ -339,9 +339,10 @@ def test_min_norm_field_smooth_composition():
 def test_stationarity_residual_example1():
     p = load_problem("example1")
     xz = initial_pair(p, Grid(1.0, 3))
-    assert stationarity_residual(p, xz, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    _, vnorm = steepest_direction(p, xz, 1.0, SolverConfig())
+    assert vnorm ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
     flat = _pair(p, Grid(1.0, 3), np.zeros(3), np.zeros(3))
-    assert stationarity_residual(p, flat, 1.0) == 0.0
+    assert steepest_direction(p, flat, 1.0, SolverConfig()) == (None, 0.0)
 
 
 def test_min_norm_field_deterministic():
