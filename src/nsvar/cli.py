@@ -15,7 +15,9 @@ expression per component (commas inside function calls are fine, the
 splitter tracks parentheses) and may use only t.  ``nsvar solve`` writes
 trajectory.csv, convergence.csv and summary.json into the output
 directory and exits 0 when the run converged, 2 when it exhausted its
-budget, 1 on bad input or a failed minimum-norm certificate.
+budget, 1 on bad input or a failed minimum-norm certificate.  A solve
+that fails once the output directory exists leaves a summary.json with
+status "failed" and the reason.
 """
 
 from __future__ import annotations
@@ -360,7 +362,12 @@ def run(argv: list[str]) -> int:
 
         t0 = time.perf_counter()
         direction_log: list | None = [] if args.emit_plot_data else None
-        xz, records, status = solve(spec, cfg, direction_log=direction_log)
+        try:
+            xz, records, status = solve(spec, cfg, direction_log=direction_log)
+        except (ExprError, MinNormUncertified) as exc:
+            failed = {"problem": spec.name, "status": "failed", "reason": str(exc)}
+            (outdir / "summary.json").write_text(json.dumps(failed, indent=2) + "\n")
+            raise
         wall = time.perf_counter() - t0
 
         _print_table(records)

@@ -14,11 +14,19 @@ finite differences of the implemented functionals match the gradient
 fields to roundoff.  For phi this means the classic reverse-integral
 formula -int_t^T d(tau) dtau picks up O(h) end-node corrections; interior
 nodes match the textbook formula.
+
+eval_I is the line search's objective, so it makes one pass: it
+evaluates the compiled integrand, integrates z once and reads both
+penalties off that one antiderivative.  It is built from the same
+kernels as eval_J, eval_psi and eval_phi, in the same order, so
+eval_I == eval_J + lam*psi_weight*eval_psi + lam*phi_weight*eval_phi
+holds exactly, not just to roundoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from .integrand import (
     DomainError,
     EvalPoint,
     Expr,
+    compile_expr,
     eval_expr_grid,
     subdiff_expr,
     uses_var_z,
@@ -36,8 +45,9 @@ from .trajectory import (
     PairTraj,
     Traj,
     cumulative_integral,
-    quadrature,
+    cumulative_trapezoid,
     reverse_cumulative_integral,
+    trapezoid,
 )
 
 __all__ = [
@@ -69,6 +79,8 @@ class ProblemSpec:
     initial_z: tuple | None = None
     lambda0: float | None = None
     name: str = ""
+    # (integrand, its compiled grid evaluator), filled on first use
+    _compiled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -117,6 +129,16 @@ class ProblemSpec:
             and self.lambda0 == other.lambda0
         )
 
+    def integrand_grid(self) -> Callable:
+        """The integrand compiled into a grid evaluator f(x, z, t).
+
+        Compiled on first use and kept, keyed to the integrand object
+        itself, so assigning a new integrand compiles again.
+        """
+        if self._compiled is None or self._compiled[0] is not self.integrand:
+            self._compiled = (self.integrand, compile_expr(self.integrand))
+        return self._compiled[1]
+
 
 def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
     """The solution trajectory a run reports.
@@ -160,46 +182,55 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
 # functional values
 
 
+def _integrand_values(p: ProblemSpec, xz: PairTraj) -> np.ndarray:
+    """Nodal integrand values; DomainError at the first non-finite one."""
+    t = xz.grid.nodes
+    vals = p.integrand_grid()(xz.x.values, xz.z.values, t)
+    if not np.isfinite(vals).all():
+        i = int(np.argmax(~np.isfinite(vals)))
+        raise DomainError("integrand is not finite", float(t[i]), i)
+    return vals
+
+
+def _psi(p: ProblemSpec, xint: np.ndarray) -> float:
+    """psi from the nodal antiderivative xint = x0 + int z."""
+    r = xint[-1] - p.xT
+    return 0.5 * float(r @ r)
+
+
+def _phi(x: np.ndarray, xint: np.ndarray, h: float) -> float:
+    """phi from the x values and the nodal antiderivative of z."""
+    d = x - xint
+    return 0.5 * trapezoid(np.einsum("ij,ij->i", d, d), h)
+
+
+def _antiderivative(p: ProblemSpec, z: Traj) -> np.ndarray:
+    """Nodal x0 + int_0^t z."""
+    return cumulative_trapezoid(z.values, z.grid.h, p.x0)
+
+
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
-    t = xz.grid.nodes
-    vals = eval_expr_grid(p.integrand, xz.x.values, xz.z.values, t)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError("integrand is not finite", float(t[i]), i)
-    return quadrature(Traj(xz.grid, vals))
+    return trapezoid(_integrand_values(p, xz), xz.grid.h)
 
 
 def eval_psi(p: ProblemSpec, z: Traj) -> float:
     if not p.use_psi:
         return 0.0
-    r = _endpoint_residual(p, z)
-    return 0.5 * float(r @ r)
+    return _psi(p, _antiderivative(p, z))
 
 
 def grad_psi(p: ProblemSpec, z: Traj) -> np.ndarray:
     """Gateaux gradient of psi wrt z: the constant field x0 + int z - xT."""
     if not p.use_psi:
         return np.zeros(p.n)
-    return _endpoint_residual(p, z)
-
-
-def _endpoint_residual(p: ProblemSpec, z: Traj) -> np.ndarray:
-    end = cumulative_integral(z, p.x0).values[-1]
-    return end - p.xT
+    return _antiderivative(p, z)[-1] - p.xT
 
 
 def eval_phi(p: ProblemSpec, xz: PairTraj) -> float:
     if not p.use_phi:
         return 0.0
-    d = _consistency_defect(p, xz)
-    sq = np.einsum("ij,ij->i", d, d)
-    return 0.5 * quadrature(Traj(xz.grid, sq))
-
-
-def _consistency_defect(p: ProblemSpec, xz: PairTraj) -> np.ndarray:
-    return xz.x.values - cumulative_integral(xz.z, p.x0).values
+    return _phi(xz.x.values, _antiderivative(p, xz.z), xz.grid.h)
 
 
 def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
@@ -213,7 +244,7 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     out = np.zeros((grid.npoints, 2 * n))
     if not p.use_phi:
         return Traj(grid, out)
-    d = _consistency_defect(p, xz)
+    d = xz.x.values - _antiderivative(p, xz.z)
     out[:, :n] = d
     tail = reverse_cumulative_integral(Traj(grid, d)).values
     zpart = -tail
@@ -226,11 +257,15 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
 
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float,
            psi_weight: float = 1.0, phi_weight: float = 1.0) -> float:
-    total = eval_J(p, xz)
-    if p.use_psi:
-        total += lam * psi_weight * eval_psi(p, xz.z)
-    if p.use_phi:
-        total += lam * phi_weight * eval_phi(p, xz)
+    """I = J + lam * (psi_weight * psi + phi_weight * phi), in one pass."""
+    h = xz.grid.h
+    total = trapezoid(_integrand_values(p, xz), h)
+    if p.use_psi or p.use_phi:
+        xint = _antiderivative(p, xz.z)
+        if p.use_psi:
+            total += lam * psi_weight * _psi(p, xint)
+        if p.use_phi:
+            total += lam * phi_weight * _phi(xz.x.values, xint, h)
     return total
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
     "Const", "Time", "VarX", "VarZ", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
-    "parse_expr", "format_expr", "eval_expr", "eval_expr_grid",
+    "parse_expr", "format_expr", "eval_expr", "compile_expr", "eval_expr_grid",
     "subdiff_expr", "directional_derivative", "uses_var_z", "is_smooth",
 ]
 
@@ -483,65 +484,96 @@ def format_expr(e: Expr) -> str:
 # evaluation
 
 
-def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at N points: x, z have shape (N, n), t (N,)."""
+GridFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-    def ev(node: Expr) -> np.ndarray:
-        if isinstance(node, Const):
-            return np.full(t.shape, node.value)
-        if isinstance(node, Time):
-            return t
-        if isinstance(node, VarX):
-            return x[:, node.index - 1]
-        if isinstance(node, VarZ):
-            return z[:, node.index - 1]
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, Div):
-            den = ev(node.right)
+
+def compile_expr(e: Expr) -> GridFn:
+    """Compile e once into a grid evaluator f(x, z, t).
+
+    x, z have shape (N, n) and t shape (N,).  The evaluator is a tree of
+    closures that makes the numpy calls a recursive walk would, in the
+    same order, so its values are bit-for-bit those of the expression.
+    A zero divisor or a negative sqrt argument raises DomainError naming
+    the first offending node.
+    """
+    if isinstance(e, Const):
+        value = e.value
+        return lambda x, z, t: np.full(t.shape, value)
+    if isinstance(e, Time):
+        return lambda x, z, t: t
+    if isinstance(e, VarX):
+        j = e.index - 1
+        return lambda x, z, t: x[:, j]
+    if isinstance(e, VarZ):
+        j = e.index - 1
+        return lambda x, z, t: z[:, j]
+    if isinstance(e, Neg):
+        f = compile_expr(e.arg)
+        return lambda x, z, t: -f(x, z, t)
+    if isinstance(e, Add):
+        f, g = compile_expr(e.left), compile_expr(e.right)
+        return lambda x, z, t: f(x, z, t) + g(x, z, t)
+    if isinstance(e, Sub):
+        f, g = compile_expr(e.left), compile_expr(e.right)
+        return lambda x, z, t: f(x, z, t) - g(x, z, t)
+    if isinstance(e, Mul):
+        f, g = compile_expr(e.left), compile_expr(e.right)
+        return lambda x, z, t: f(x, z, t) * g(x, z, t)
+    if isinstance(e, Div):
+        f, g = compile_expr(e.left), compile_expr(e.right)
+
+        def div(x, z, t):
+            den = g(x, z, t)
             bad = den == 0.0
-            if np.any(bad):
+            if bad.any():
                 i = int(np.argmax(bad))
                 raise DomainError("division by zero", float(t[i]), i)
-            return ev(node.left) / den
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
-        if isinstance(node, Sin):
-            return np.sin(ev(node.arg))
-        if isinstance(node, Cos):
-            return np.cos(ev(node.arg))
-        if isinstance(node, Exp):
-            return np.exp(ev(node.arg))
-        if isinstance(node, Sqrt):
-            arg = ev(node.arg)
+            return f(x, z, t) / den
+        return div
+    if isinstance(e, Pow):
+        f, k = compile_expr(e.base), e.exponent
+        return lambda x, z, t: f(x, z, t) ** k
+    if isinstance(e, Sqrt):
+        f = compile_expr(e.arg)
+
+        def sqrt(x, z, t):
+            arg = f(x, z, t)
             bad = arg < 0.0
-            if np.any(bad):
+            if bad.any():
                 i = int(np.argmax(bad))
                 raise DomainError("sqrt of a negative value", float(t[i]), i)
             return np.sqrt(arg)
-        if isinstance(node, Abs):
-            return np.abs(ev(node.arg))
-        if isinstance(node, Max):
-            vals = [ev(a) for a in node.args]
+        return sqrt
+    if isinstance(e, (Sin, Cos, Exp, Abs)):
+        f = compile_expr(e.arg)
+        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}[type(e)]
+        return lambda x, z, t: ufunc(f(x, z, t))
+    if isinstance(e, Max):
+        fs = [compile_expr(a) for a in e.args]
+
+        def maximum(x, z, t):
+            vals = [f(x, z, t) for f in fs]
             out = vals[0]
             for v in vals[1:]:
                 out = np.maximum(out, v)
             return out
-        if isinstance(node, Norm):
+        return maximum
+    if isinstance(e, Norm):
+        fs = [compile_expr(a) for a in e.args]
+
+        def norm(x, z, t):
             acc = np.zeros_like(t)
-            for a in node.args:
-                v = ev(a)
+            for f in fs:
+                v = f(x, z, t)
                 acc = acc + v * v
             return np.sqrt(acc)
-        raise TypeError(f"not an Expr: {node!r}")
+        return norm
+    raise TypeError(f"not an Expr: {e!r}")
 
-    return ev(e)
+
+def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation at N points: x, z have shape (N, n), t (N,)."""
+    return compile_expr(e)(x, z, t)
 
 
 def eval_expr(e: Expr, p: EvalPoint) -> float:

@@ -8,7 +8,8 @@ by the dedicated piecewise-linear norm below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,12 @@ class Grid:
         if self.npoints < 2:
             raise ValueError(f"grid needs at least 2 nodes, got {self.npoints}")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.npoints)
+        """The node times, computed once per grid and read-only."""
+        t = np.linspace(0.0, self.horizon, self.npoints)
+        t.flags.writeable = False
+        return t
 
     @property
     def h(self) -> float:
@@ -54,7 +58,7 @@ class Traj:
                 f"values have {self.values.shape[0]} rows, grid has "
                 f"{self.grid.npoints} nodes"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("trajectory values must be finite")
 
     @property
@@ -94,6 +98,26 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
+def trapezoid(v: np.ndarray, h: float) -> float:
+    """Trapezoid integral of nodal values v, shape (N,), with spacing h."""
+    return float(h * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def cumulative_trapezoid(v: np.ndarray, h: float, x0: np.ndarray) -> np.ndarray:
+    """x0 + int_0^{t_i} of nodal values v, shape (N, m), node by node.
+
+    x0 has shape (m,).  Returns a new (N, m) array.
+    """
+    if x0.shape[0] != v.shape[1]:
+        raise ValueError("x0 length does not match the trajectory components")
+    steps = 0.5 * h * (v[:-1] + v[1:])
+    out = np.empty_like(v)
+    out[0] = 0.0
+    np.cumsum(steps, axis=0, out=out[1:])
+    out += x0
+    return out
+
+
 def quadrature(a: Traj) -> float:
     """Trapezoid integral of a scalar trajectory over [0, T].
 
@@ -102,23 +126,13 @@ def quadrature(a: Traj) -> float:
     """
     if a.ncomp != 1:
         raise ValueError("quadrature expects a scalar trajectory")
-    v = a.values[:, 0]
-    return float(a.grid.h * (v.sum() - 0.5 * (v[0] + v[-1])))
+    return trapezoid(a.values[:, 0], a.grid.h)
 
 
 def cumulative_integral(z: Traj, x0: np.ndarray) -> Traj:
     """x(t_i) = x0 + int_0^{t_i} z, by the cumulative trapezoid rule."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape[0] != z.ncomp:
-        raise ValueError("x0 length does not match the trajectory components")
-    v = z.values
-    h = z.grid.h
-    steps = 0.5 * h * (v[:-1] + v[1:])
-    out = np.empty_like(v)
-    out[0] = 0.0
-    np.cumsum(steps, axis=0, out=out[1:])
-    out += x0
-    return Traj(z.grid, out)
+    return Traj(z.grid, cumulative_trapezoid(z.values, z.grid.h, x0))
 
 
 def reverse_cumulative_integral(a: Traj) -> Traj:
@@ -138,8 +152,7 @@ def l2_inner(a: Traj, b: Traj) -> float:
         raise ValueError("trajectories live on different grids")
     if a.ncomp != b.ncomp:
         raise ValueError("component counts differ")
-    prod = np.einsum("ij,ij->i", a.values, b.values)
-    return float(a.grid.h * (prod.sum() - 0.5 * (prod[0] + prod[-1])))
+    return trapezoid(np.einsum("ij,ij->i", a.values, b.values), a.grid.h)
 
 
 def pl_l2_norm_sq(a: Traj) -> float:

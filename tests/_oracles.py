@@ -8,6 +8,7 @@ check and not a tautology.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -52,6 +53,59 @@ def fd_directional(f, alphas=(1e-4, 1e-5)):
         d2 = (f(a / 2.0) - f0) / (a / 2.0)
         est = 2.0 * d2 - d1
     return est
+
+
+# ---------------------------------------------------------------------------
+# scalar evaluation with the math module
+
+
+def scalar_eval(e, x, z, t) -> float:
+    """f(x, z, t) at one point, in Python floats and the math module.
+
+    Written from the grammar's definitions, with no numpy and no library
+    evaluator.  Outside the domain it raises what the math module or
+    Python arithmetic raises: ZeroDivisionError for a zero divisor,
+    ValueError for sqrt of a negative value, OverflowError for overflow.
+    """
+
+    def ev(e) -> float:
+        if isinstance(e, Const):
+            return float(e.value)
+        if isinstance(e, Time):
+            return float(t)
+        if isinstance(e, VarX):
+            return float(x[e.index - 1])
+        if isinstance(e, VarZ):
+            return float(z[e.index - 1])
+        if isinstance(e, Neg):
+            return -ev(e.arg)
+        if isinstance(e, Add):
+            return ev(e.left) + ev(e.right)
+        if isinstance(e, Sub):
+            return ev(e.left) - ev(e.right)
+        if isinstance(e, Mul):
+            return ev(e.left) * ev(e.right)
+        if isinstance(e, Div):
+            return ev(e.left) / ev(e.right)
+        if isinstance(e, Pow):
+            return ev(e.base) ** e.exponent
+        if isinstance(e, Sin):
+            return math.sin(ev(e.arg))
+        if isinstance(e, Cos):
+            return math.cos(ev(e.arg))
+        if isinstance(e, Exp):
+            return math.exp(ev(e.arg))
+        if isinstance(e, Sqrt):
+            return math.sqrt(ev(e.arg))
+        if isinstance(e, Abs):
+            return abs(ev(e.arg))
+        if isinstance(e, Max):
+            return max(ev(a) for a in e.args)
+        if isinstance(e, Norm):
+            return math.sqrt(sum(ev(a) ** 2 for a in e.args))
+        raise TypeError(f"not an Expr: {e!r}")
+
+    return ev(e)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,32 @@ def test_run_uncertified_min_norm_is_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("nsvar: error: minimum-norm certificate failed at node 3")
 
 
+def test_run_failed_solve_leaves_summary(tmp_path, capsys):
+    # The norm's Jacobian at its first zero is not coordinate-aligned, so
+    # the subdifferential calculus gives up mid-solve.
+    f = tmp_path / "skew.prob"
+    f.write_text("n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(z1 - x2, x1)\n")
+    out = tmp_path / "skew_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 1
+    reason = "norm vanishes but its Jacobian is not coordinate-aligned"
+    assert capsys.readouterr().err == f"nsvar: error: {reason}\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"problem": "skew", "status": "failed", "reason": reason}
+    assert sorted(q.name for q in out.iterdir()) == ["summary.json"]
+
+
+def test_run_uncertified_min_norm_leaves_summary(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MinNormUncertified(3, 0.5)
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", fail)
+    out = tmp_path / "o"
+    assert run(["solve", "example1", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    assert summary["reason"].startswith("minimum-norm certificate failed at node 3")
+
+
 def test_run_bad_grid_is_error(tmp_path):
     assert run(["solve", "example1", "--out", str(tmp_path / "o"),
                 "--grid", "21,11"]) == 1

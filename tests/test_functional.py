@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import nsvar.functional
+import nsvar.trajectory
 from _oracles import dual_gradient, fd_directional, random_expr, random_smooth_expr
 from nsvar.cli import load_problem
 from nsvar.convexgeom import Polytope, Singleton, support
@@ -22,7 +24,7 @@ from nsvar.functional import (
     subdiff_I_at,
     subdiff_I_nodes,
 )
-from nsvar.integrand import EvalPoint, parse_expr, subdiff_expr
+from nsvar.integrand import DomainError, EvalPoint, parse_expr, subdiff_expr
 from nsvar.solver import SolverConfig, steepest_direction
 from nsvar.trajectory import (
     Grid,
@@ -258,6 +260,89 @@ def test_eval_I_frozen_near_optimal_pair():
     z = np.stack([np.polyval(_Z1, t), np.polyval(_Z2, t)], axis=1)
     val = eval_I(p, _pair(p, g, x, z), 300.0)
     assert val == pytest.approx(-0.02175, abs=5e-4)
+
+
+def _one_pass_problems():
+    """The built-ins and the two benchmark reference problems."""
+    yield from (load_problem(f"example{k}") for k in (1, 2, 3, 4))
+    yield ProblemSpec(
+        n=2, horizon=1.0, x0=[0.0, 0.0], xT=[0.0, 0.0],
+        integrand=parse_expr("max(pow(z1, 2) - pow(x1, 2) - 2.0 * t * x1, x2)", 2))
+    yield ProblemSpec(
+        n=2, horizon=1.0, x0=[-1.0, 1.0],
+        integrand=parse_expr(
+            "abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6.0 * t))", 2))
+
+
+def test_eval_I_is_exactly_the_sum_of_its_terms():
+    rng = np.random.default_rng(17)
+    for p in _one_pass_problems():
+        for N in (2, 11, 201):
+            g = Grid(p.horizon, N)
+            for _ in range(5):
+                xz = _pair(p, g, rng.standard_normal((N, p.n)),
+                           rng.standard_normal((N, p.n)))
+                lam = float(rng.uniform(0.1, 500.0))
+                pw, fw = (float(w) for w in rng.uniform(0.1, 3.0, 2))
+                want = (eval_J(p, xz) + lam * pw * eval_psi(p, xz.z)
+                        + lam * fw * eval_phi(p, xz))
+                assert eval_I(p, xz, lam, pw, fw) == want
+
+
+@pytest.mark.parametrize("text, node, message", [
+    ("pow(z1, 2) + exp(x1)", 4, "integrand is not finite"),
+    ("pow(z1, 2) + sqrt(x1)", 2, "sqrt of a negative value"),
+    ("pow(z1, 2) + 1 / x1", 5, "division by zero"),
+])
+def test_eval_I_raises_the_domain_error_of_eval_J(text, node, message):
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], xT=[1.0],
+                    integrand=parse_expr(text, 1))
+    assert p.use_psi and p.use_phi
+    g = Grid(1.0, 7)
+    x = np.full((7, 1), 0.5)
+    x[node] = {"integrand is not finite": 1e3, "sqrt of a negative value": -1.0,
+               "division by zero": 0.0}[message]
+    xz = _pair(p, g, x, np.ones((7, 1)))
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
+        eval_J(p, xz)
+    with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
+        eval_I(p, xz, 20.0)
+    assert str(got.value) == str(want.value)
+    assert got.value.node_index == want.value.node_index == node
+
+
+def test_eval_I_hot_path_counts(monkeypatch):
+    p = load_problem("example3")
+    assert p.use_psi and p.use_phi
+    g = Grid(1.0, 21)
+    rng = np.random.default_rng(2)
+    xz = _pair(p, g, rng.standard_normal((21, 2)), rng.standard_normal((21, 2)))
+    counts = {"traj": 0, "cumulative": 0, "compile": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nsvar.trajectory.Traj, "__init__",
+                        counting("traj", nsvar.trajectory.Traj.__init__))
+    monkeypatch.setattr(nsvar.functional, "cumulative_trapezoid",
+                        counting("cumulative", nsvar.functional.cumulative_trapezoid))
+    monkeypatch.setattr(nsvar.functional, "compile_expr",
+                        counting("compile", nsvar.functional.compile_expr))
+    first = eval_I(p, xz, 20.0)
+    assert counts == {"traj": 0, "cumulative": 1, "compile": 1}
+    assert eval_I(p, xz, 20.0) == first
+    assert counts == {"traj": 0, "cumulative": 2, "compile": 1}
+
+    assert g.nodes is g.nodes
+    assert not g.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        g.nodes[0] = 1.0
+    fresh = Grid(1.0, 21)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert Grid(1.0, 5) != g
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from _oracles import (
     min_activity_margin,
     random_expr,
     random_smooth_expr,
+    scalar_eval,
 )
 from nsvar.convexgeom import Ball, MinkowskiSum, Polytope, Singleton, support
 from nsvar.integrand import (
@@ -120,6 +121,71 @@ def test_eval_grid_matches_scalar_loop():
             continue
         assert np.allclose(vec, ref, rtol=1e-14, atol=1e-14)
         done += 1
+
+
+def _check_against_scalar_oracle(e, x, z, t):
+    """eval_expr_grid agrees with the math-module oracle at every node.
+
+    Returns False when the point is outside the domain: then both raise.
+    """
+    try:
+        ref = [scalar_eval(e, x[i], z[i], t[i]) for i in range(t.shape[0])]
+    except (ZeroDivisionError, ValueError):
+        with pytest.raises(DomainError):
+            eval_expr_grid(e, x, z, t)
+        return False
+    vec = eval_expr_grid(e, x, z, t)
+    assert vec.shape == t.shape
+    assert vec == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    return True
+
+
+def test_eval_grid_matches_math_module_oracle():
+    rng = np.random.default_rng(11)
+    done = 0
+    while done < 200:
+        n = int(rng.integers(1, 4))
+        e = random_expr(rng, n)
+        x = rng.standard_normal((9, n))
+        z = rng.standard_normal((9, n))
+        t = np.linspace(0.0, 1.0, 9)
+        done += _check_against_scalar_oracle(e, x, z, t)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(x1 * x1 + 1) / (2 + cos(z1)) - exp(-t)",
+    "exp(sin(x2)) * cos(t) + norm(x1, z1 - t, 3) + abs(x1 - 0.5)",
+    "-max(x1, z2, t) + 2 * max(pow(z1, 3), -x2)",
+    "sqrt(x1) + z2 / x2",
+])
+def test_eval_grid_matches_oracle_on_every_node_type(text):
+    # random_expr draws no sqrt or exp and no unbounded divisor; these do.
+    e = parse_expr(text, 2)
+    rng = np.random.default_rng(3)
+    inside = 0
+    for _ in range(20):
+        x = rng.standard_normal((6, 2))
+        z = rng.standard_normal((6, 2))
+        t = np.linspace(0.0, 2.0, 6)
+        inside += _check_against_scalar_oracle(e, x, z, t)
+    assert inside >= 1
+
+
+def test_eval_grid_domain_errors_match_oracle():
+    e = parse_expr("sqrt(x1) + z2 / x2", 2)
+    x = np.ones((5, 2))
+    z = np.ones((5, 2))
+    t = np.linspace(0.0, 1.0, 5)
+    x[3, 1] = 0.0
+    assert not _check_against_scalar_oracle(e, x, z, t)
+    with pytest.raises(DomainError, match="division by zero") as exc:
+        eval_expr_grid(e, x, z, t)
+    assert exc.value.node_index == 3
+    x[1, 0] = -1.0
+    assert not _check_against_scalar_oracle(e, x, z, t)
+    with pytest.raises(DomainError, match="sqrt of a negative") as exc:
+        eval_expr_grid(e, x, z, t)
+    assert exc.value.node_index == 1
 
 
 def test_eval_grid_domain_error_reports_node():
