@@ -19,8 +19,8 @@ eval_I is the line search's objective, so it makes one pass: it
 evaluates the compiled integrand, integrates z once and reads both
 penalties off that one antiderivative.  It is built from the same
 kernels as eval_J, eval_psi and eval_phi, in the same order, so
-eval_I == eval_J + lam*psi_weight*eval_psi + lam*phi_weight*eval_phi
-holds exactly, not just to roundoff.
+eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly, not just
+to roundoff.
 """
 
 from __future__ import annotations
@@ -159,20 +159,30 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
     """Nodal starting trajectories.
 
     initial_x defaults to the constant x0.  A missing initial_z is filled
-    with nodal finite differences of the x samples.
+    with nodal finite differences of the x samples.  A guess that is not
+    finite at some node raises DomainError naming the component and node.
     """
     t = grid.nodes
     dummy = np.zeros((grid.npoints, p.n))
-    xvals = np.empty((grid.npoints, p.n))
-    for j in range(p.n):
-        if p.initial_x is None:
-            xvals[:, j] = p.x0[j]
-        else:
-            xvals[:, j] = eval_expr_grid(p.initial_x[j], dummy, dummy, t)
+
+    def sampled(label: str, exprs: tuple) -> np.ndarray:
+        vals = np.empty((grid.npoints, p.n))
+        for j, e in enumerate(exprs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals[:, j] = eval_expr_grid(e, dummy, dummy, t)
+            bad = ~np.isfinite(vals[:, j])
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DomainError(f"{label} component {j + 1} is not finite",
+                                  float(t[i]), i)
+        return vals
+
+    if p.initial_x is None:
+        xvals = np.tile(p.x0, (grid.npoints, 1))
+    else:
+        xvals = sampled("initial_x", p.initial_x)
     if p.initial_z is not None:
-        zvals = np.empty_like(xvals)
-        for j in range(p.n):
-            zvals[:, j] = eval_expr_grid(p.initial_z[j], dummy, dummy, t)
+        zvals = sampled("initial_z", p.initial_z)
     else:
         zvals = np.gradient(xvals, grid.h, axis=0)
     return PairTraj(Traj(grid, xvals), Traj(grid, zvals))
@@ -255,17 +265,16 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     return Traj(grid, out)
 
 
-def eval_I(p: ProblemSpec, xz: PairTraj, lam: float,
-           psi_weight: float = 1.0, phi_weight: float = 1.0) -> float:
-    """I = J + lam * (psi_weight * psi + phi_weight * phi), in one pass."""
+def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
+    """I = J + lam * (psi + phi), in one pass."""
     h = xz.grid.h
     total = trapezoid(_integrand_values(p, xz), h)
     if p.use_psi or p.use_phi:
         xint = _antiderivative(p, xz.z)
         if p.use_psi:
-            total += lam * psi_weight * _psi(p, xint)
+            total += lam * _psi(p, xint)
         if p.use_phi:
-            total += lam * phi_weight * _phi(xz.x.values, xint, h)
+            total += lam * _phi(xz.x.values, xint, h)
     return total
 
 
@@ -278,41 +287,38 @@ def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
 # pointwise subdifferential of I
 
 
-def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float,
-                  psi_weight: float, phi_weight: float) -> np.ndarray:
+def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
     """lam * gradient rows of (psi + phi) at every node, shape (N, 2n)."""
     n = p.n
     rows = np.zeros((xz.grid.npoints, 2 * n))
     if p.use_phi:
-        rows += lam * phi_weight * grad_phi(p, xz).values
+        rows += lam * grad_phi(p, xz).values
     if p.use_psi:
-        rows[:, n:] += lam * psi_weight * grad_psi(p, xz.z)
+        rows[:, n:] += lam * grad_psi(p, xz.z)
     return rows
 
 
-def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
-                    tol_act: float = 1e-9, psi_weight: float = 1.0,
-                    phi_weight: float = 1.0) -> list[ConvexSet]:
+def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj,
+                    lam: float) -> list[ConvexSet]:
     """Pointwise subdifferential of I at every grid node."""
-    rows = _penalty_rows(p, xz, lam, psi_weight, phi_weight)
+    rows = _penalty_rows(p, xz, lam)
     t = xz.grid.nodes
     xv, zv = xz.x.values, xz.z.values
     sets = []
     for i in range(xz.grid.npoints):
         point = EvalPoint(xv[i], zv[i], float(t[i]))
-        s = subdiff_expr(p.integrand, point, tol_act)
+        s = subdiff_expr(p.integrand, point)
         if p.use_psi or p.use_phi:
             s = MinkowskiSum((s, Singleton(rows[i])))
         sets.append(s)
     return sets
 
 
-def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int,
-                 tol_act: float = 1e-9) -> ConvexSet:
+def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int) -> ConvexSet:
     """Pointwise subdifferential of I at node i (0-based)."""
     if not 0 <= i < xz.grid.npoints:
         raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    return subdiff_I_nodes(p, xz, lam, tol_act)[i]
+    return subdiff_I_nodes(p, xz, lam)[i]
 
 
 class MinNormUncertified(RuntimeError):
@@ -324,18 +330,16 @@ class MinNormUncertified(RuntimeError):
         self.gap = gap
 
 
-def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
-                   tol_act: float = 1e-9, min_norm_tol: float = 1e-10,
-                   psi_weight: float = 1.0, phi_weight: float = 1.0) -> Traj:
+def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float) -> Traj:
     """Nodal minimum-norm subgradients of I, as a 2n-component field.
 
     Downstream code reads the field through its piecewise-linear
     interpolant.
     """
-    sets = subdiff_I_nodes(p, xz, lam, tol_act, psi_weight, phi_weight)
+    sets = subdiff_I_nodes(p, xz, lam)
     out = np.empty((xz.grid.npoints, 2 * p.n))
     for i, s in enumerate(sets):
-        res = min_norm_point(s, tol=min_norm_tol)
+        res = min_norm_point(s)
         if not res.certified:
             raise MinNormUncertified(i, res.gap)
         out[i] = res.point

@@ -333,42 +333,37 @@ class _Parser:
         raise ParseError(f"unknown function {name!r}", pos)
 
 
+def _args(e: Expr) -> tuple:
+    """The subexpressions of e, in order."""
+    if isinstance(e, (Const, Time, VarX, VarZ)):
+        return ()
+    if isinstance(e, (Neg, Sin, Cos, Exp, Sqrt, Abs)):
+        return (e.arg,)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Max, Norm)):
+        return e.args
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def is_smooth(e: Expr) -> bool:
     """True when the subtree contains no abs/max/norm node."""
-    if isinstance(e, (Abs, Max, Norm)):
-        return False
-    if isinstance(e, (Const, Time, VarX, VarZ)):
-        return True
-    if isinstance(e, Neg):
-        return is_smooth(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return is_smooth(e.left) and is_smooth(e.right)
-    if isinstance(e, Pow):
-        return is_smooth(e.base)
-    if isinstance(e, (Sin, Cos, Exp, Sqrt)):
-        return is_smooth(e.arg)
-    raise TypeError(f"not an Expr: {e!r}")
+    return not isinstance(e, (Abs, Max, Norm)) and all(map(is_smooth, _args(e)))
 
 
 def uses_var_z(e: Expr) -> bool:
-    if isinstance(e, VarZ):
-        return True
-    if isinstance(e, (Const, Time, VarX)):
-        return False
-    if isinstance(e, (Neg, Sin, Cos, Exp, Sqrt, Abs)):
-        return uses_var_z(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return uses_var_z(e.left) or uses_var_z(e.right)
-    if isinstance(e, Pow):
-        return uses_var_z(e.base)
-    if isinstance(e, (Max, Norm)):
-        return any(uses_var_z(a) for a in e.args)
-    raise TypeError(f"not an Expr: {e!r}")
+    return isinstance(e, VarZ) or any(map(uses_var_z, _args(e)))
 
 
-def _validate(e: Expr, n: int, allow_vars: bool, smooth_only: bool) -> None:
-    if isinstance(e, (Const, Time)):
-        return
+# Nodes whose arguments must be smooth, as the rejection names them.  A
+# product with a constant factor is exempt: it only scales the other side.
+_SMOOTH_ONLY = {Mul: "a product", Div: "a quotient", Pow: "pow", Sin: "sin",
+                Cos: "cos", Exp: "exp", Sqrt: "sqrt"}
+
+
+def _validate(e: Expr, n: int, allow_vars: bool) -> None:
     if isinstance(e, (VarX, VarZ)):
         if not allow_vars:
             raise ExprError("only t may appear in this expression")
@@ -376,64 +371,26 @@ def _validate(e: Expr, n: int, allow_vars: bool, smooth_only: bool) -> None:
             kind = "x" if isinstance(e, VarX) else "z"
             raise ExprError(f"variable {kind}{e.index} out of range 1..{n}")
         return
-    if isinstance(e, Neg):
-        _validate(e.arg, n, allow_vars, smooth_only)
-        return
-    if isinstance(e, (Add, Sub)):
-        _validate(e.left, n, allow_vars, smooth_only)
-        _validate(e.right, n, allow_vars, smooth_only)
-        return
+    args = _args(e)
+    context = _SMOOTH_ONLY.get(type(e))
     if isinstance(e, Mul):
-        left_const = isinstance(e.left, Const)
-        right_const = isinstance(e.right, Const)
-        if left_const or right_const:
-            c = e.left.value if left_const else e.right.value
-            other = e.right if left_const else e.left
-            if c < 0.0 and not is_smooth(other):
+        factor = next((a for a in args if isinstance(a, Const)), None)
+        if factor is not None:
+            if factor.value < 0.0 and not all(map(is_smooth, args)):
                 raise ExprError(
                     "nonsmooth subexpression scaled by a negative constant"
                 )
-            _validate(other, n, allow_vars, smooth_only)
-            return
-        for side in (e.left, e.right):
-            if not is_smooth(side):
-                raise ExprError("nonsmooth subexpression inside a product")
-            _validate(side, n, allow_vars, True)
-        return
-    if isinstance(e, Div):
-        for side in (e.left, e.right):
-            if not is_smooth(side):
-                raise ExprError("nonsmooth subexpression inside a quotient")
-            _validate(side, n, allow_vars, True)
-        return
-    if isinstance(e, Pow):
-        if not is_smooth(e.base):
-            raise ExprError("nonsmooth subexpression inside pow")
-        _validate(e.base, n, allow_vars, True)
-        return
-    if isinstance(e, (Sin, Cos, Exp, Sqrt)):
-        if not is_smooth(e.arg):
-            raise ExprError(
-                f"nonsmooth subexpression inside {type(e).__name__.lower()}"
-            )
-        _validate(e.arg, n, allow_vars, True)
-        return
-    if isinstance(e, (Abs, Max, Norm)):
-        if smooth_only:
-            raise ExprError(
-                f"{type(e).__name__.lower()} not allowed inside a smooth-only context"
-            )
-        args = e.args if isinstance(e, (Max, Norm)) else (e.arg,)
-        for a in args:
-            _validate(a, n, allow_vars, False)
-        return
-    raise TypeError(f"not an Expr: {e!r}")
+            context = None
+    for a in args:
+        if context is not None and not is_smooth(a):
+            raise ExprError(f"nonsmooth subexpression inside {context}")
+        _validate(a, n, allow_vars)
 
 
 def parse_expr(text: str, n: int, allow_vars: bool = True) -> Expr:
     """Parse and validate an integrand over x1..xn, z1..zn, t."""
     e = _Parser(text).parse()
-    _validate(e, n, allow_vars, False)
+    _validate(e, n, allow_vars)
     return e
 
 
@@ -656,7 +613,11 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
     return Ball(np.zeros(d), mags[0], mask)
 
 
-def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, ConvexSet]:
+# Relative activity tolerance of abs, max and norm; see subdiff_expr.
+_TOL_ACT = 1e-9
+
+
+def _value_and_set(e: Expr, p: EvalPoint) -> tuple[float, ConvexSet]:
     n = p.x.shape[0]
     d = 2 * n
 
@@ -728,7 +689,7 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
             return r, Singleton(_as_gradient(s) / (2.0 * r))
         if isinstance(node, Abs):
             v, s = rec(node.arg)
-            act = tol_act * (1.0 + abs(v))
+            act = _TOL_ACT * (1.0 + abs(v))
             if v > act:
                 return v, s
             if v < -act:
@@ -739,7 +700,7 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
             pairs = [rec(a) for a in node.args]
             vals = np.array([v for v, _ in pairs])
             vmax = float(vals.max())
-            act = tol_act * (1.0 + abs(vmax))
+            act = _TOL_ACT * (1.0 + abs(vmax))
             active = [s for (v, s), va in zip(pairs, vals) if va >= vmax - act]
             if len(active) == 1:
                 return vmax, active[0]
@@ -750,7 +711,7 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
             vals = np.array([v for v, _ in pairs])
             rows = np.vstack([_as_gradient(s, context="norm") for _, s in pairs])
             nrm = float(np.linalg.norm(vals))
-            act = tol_act * (1.0 + nrm)
+            act = _TOL_ACT * (1.0 + nrm)
             if nrm > act:
                 return nrm, Singleton(rows.T @ (vals / nrm))
             return nrm, _coordinate_ball(rows, d)
@@ -759,19 +720,18 @@ def _value_and_set(e: Expr, p: EvalPoint, tol_act: float) -> tuple[float, Convex
     return rec(e)
 
 
-def subdiff_expr(e: Expr, p: EvalPoint, tol_act: float = 1e-9) -> ConvexSet:
+def subdiff_expr(e: Expr, p: EvalPoint) -> ConvexSet:
     """Convex subdifferential of the integrand at p, as a set in R^(2n).
 
-    tol_act decides activity: a branch counts as tied when it is within
-    tol_act * (1 + |value|) of the deciding value.
+    A branch counts as tied when it is within _TOL_ACT * (1 + |value|)
+    of the deciding value.
     """
-    _, s = _value_and_set(e, p, tol_act)
+    _, s = _value_and_set(e, p)
     return s
 
 
-def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray,
-                           tol_act: float = 1e-9) -> float:
+def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray) -> float:
     """f'(p; g) = max over the subdifferential of <v, g>, g in R^(2n)."""
-    s = subdiff_expr(e, p, tol_act)
+    s = subdiff_expr(e, p)
     val, _ = support(s, np.asarray(g, float))
     return val

@@ -41,14 +41,6 @@ class SolverConfig:
     constraint_tol: float = 1e-5     # required psi + phi level at the end
     grid_sizes: tuple = (11, 21, 41)
     max_iters: int = 200             # inner iterations per stage
-    ls_seed: float = 1e-2
-    ls_growth: float = 2.0
-    ls_max_step: float = 1e3
-    ls_tol: float = 1e-13            # golden-section width, scaled by (1+gamma)
-    min_norm_tol: float = 1e-10
-    tol_act: float = 1e-9
-    psi_weight: float = 1.0
-    phi_weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.grid_sizes = tuple(int(m) for m in self.grid_sizes)
@@ -80,6 +72,13 @@ class IterationRecord:
 
 # Accepting a step requires at least this much decrease in I.
 _DECREASE_MARGIN = 1e-12
+# The line search's first probe, bracket growth factor and step cap.
+_LS_SEED = 1e-2
+_LS_GROWTH = 2.0
+_LS_MAX_STEP = 1e3
+# Golden-section width, scaled by (1 + gamma).  Precision is load-bearing:
+# at 1e-8, example3 exhausts its iteration budget instead of converging.
+_LS_TOL = 1e-13
 
 
 def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
@@ -89,8 +88,7 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
     Returns (None, ||v||) when ||v||^2 <= eps_bar, i.e. the iterate is
     already stationary to tolerance and no direction is defined.
     """
-    v = min_norm_field(p, xz, lam, cfg.tol_act, cfg.min_norm_tol,
-                       cfg.psi_weight, cfg.phi_weight)
+    v = min_norm_field(p, xz, lam)
     vsq = pl_l2_norm_sq(v)
     vnorm = float(np.sqrt(vsq))
     if vsq <= cfg.eps_bar:
@@ -101,11 +99,11 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
     return PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])), vnorm
 
 
-def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
-                cfg: SolverConfig) -> tuple[float, bool]:
+def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
+                lam: float) -> tuple[float, bool]:
     """Approximate minimizer of gamma -> I(xz + gamma * direction).
 
-    Brackets by doubling from ls_seed (halving first if the seed does not
+    Brackets by doubling from _LS_SEED (halving first if the seed does not
     decrease), then golden section.  A probe outside the integrand's
     domain counts as +inf, so it shrinks the bracket.  Returns
     (0.0, False) when no probe beats the current value, which callers
@@ -117,7 +115,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
 
     def value(g: float) -> float:
         cand = PairTraj(Traj(grid, xv + g * gx), Traj(grid, zv + g * gz))
-        return eval_I(p, cand, lam, cfg.psi_weight, cfg.phi_weight)
+        return eval_I(p, cand, lam)
 
     def f(g: float) -> float:
         try:
@@ -126,7 +124,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
             return np.inf
 
     f0 = value(0.0)
-    g = cfg.ls_seed
+    g = _LS_SEED
     fg = f(g)
     for _ in range(60):
         if fg < f0 - _DECREASE_MARGIN:
@@ -139,12 +137,12 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
     # expand until the value turns up (or the cap is hit)
     a = 0.0
     b, fb = g, fg
-    c = min(b * cfg.ls_growth, cfg.ls_max_step)
+    c = min(b * _LS_GROWTH, _LS_MAX_STEP)
     fc = f(c)
-    while fc < fb and c < cfg.ls_max_step:
+    while fc < fb and c < _LS_MAX_STEP:
         a = b
         b, fb = c, fc
-        c = min(c * cfg.ls_growth, cfg.ls_max_step)
+        c = min(c * _LS_GROWTH, _LS_MAX_STEP)
         fc = f(c)
 
     best_g, best_f = (b, fb) if fb <= fc else (c, fc)
@@ -158,7 +156,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj, lam: float,
     for x, fx in ((x1, f1), (x2, f2)):
         if fx < best_f:
             best_g, best_f = x, fx
-    while hi - lo > cfg.ls_tol * (1.0 + hi):
+    while hi - lo > _LS_TOL * (1.0 + hi):
         if f1 <= f2:
             hi = x2
             x2, f2 = x1, f1
@@ -202,7 +200,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     def snapshot(gamma: float, vnorm: float) -> IterationRecord:
         J = eval_J(p, xz)
         psi, phi = penalty_values(p, xz)
-        total = J + lam * (cfg.psi_weight * psi + cfg.phi_weight * phi)
+        total = J + lam * (psi + phi)
         return IterationRecord(
             k=k, I=total, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
             gamma=gamma, npoints=xz.grid.npoints,
@@ -218,7 +216,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                 stationary = True
                 records.append(snapshot(0.0, vnorm))
                 break
-            gamma, ok = line_search(p, xz, direction, lam, cfg)
+            gamma, ok = line_search(p, xz, direction, lam)
             records.append(snapshot(gamma, vnorm))
             if direction_log is not None:
                 direction_log.append(

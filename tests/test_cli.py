@@ -1,11 +1,14 @@
 """Problem files, the solve command, and its on-disk outputs."""
 
 import csv
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import nsvar.cli
 import nsvar.solver
 from nsvar.cli import (
     ProblemFileError,
@@ -16,6 +19,7 @@ from nsvar.cli import (
     write_problem,
 )
 from nsvar.functional import MinNormUncertified
+from nsvar.solver import SolverConfig
 
 
 def _read_csv(path):
@@ -197,6 +201,21 @@ def test_run_failed_solve_leaves_summary(tmp_path, capsys):
     assert sorted(q.name for q in out.iterdir()) == ["summary.json"]
 
 
+def test_run_non_finite_initial_guess_leaves_summary(tmp_path, capsys):
+    # exp(1000 t) overflows from t = 0.8 on the first grid of 11 nodes.
+    f = tmp_path / "blowup.prob"
+    f.write_text("n = 1\nT = 1.0\nx0 = 0\nintegrand = abs(x1)\n"
+                 "initial_x = exp(1000 * t)\n")
+    out = tmp_path / "blowup_run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check replaces numpy's warnings
+        assert run(["solve", str(f), "--out", str(out)]) == 1
+    reason = "initial_x component 1 is not finite at t=0.8 (node 8)"
+    assert capsys.readouterr().err == f"nsvar: error: {reason}\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"problem": "blowup", "status": "failed", "reason": reason}
+
+
 def test_run_uncertified_min_norm_leaves_summary(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise MinNormUncertified(3, 0.5)
@@ -237,3 +256,8 @@ def test_run_prints_table(tmp_path, capsys):
 def test_run_help_exits_cleanly():
     assert run(["--help"]) == 0
     assert run(["solve", "--help"]) == 0
+
+
+def test_every_solver_setting_is_reachable_from_the_command_line():
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == set(nsvar.cli._FLAG_FIELDS.values()) | {"grid_sizes"}

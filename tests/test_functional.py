@@ -283,10 +283,9 @@ def test_eval_I_is_exactly_the_sum_of_its_terms():
                 xz = _pair(p, g, rng.standard_normal((N, p.n)),
                            rng.standard_normal((N, p.n)))
                 lam = float(rng.uniform(0.1, 500.0))
-                pw, fw = (float(w) for w in rng.uniform(0.1, 3.0, 2))
-                want = (eval_J(p, xz) + lam * pw * eval_psi(p, xz.z)
-                        + lam * fw * eval_phi(p, xz))
-                assert eval_I(p, xz, lam, pw, fw) == want
+                want = (eval_J(p, xz) + lam * eval_psi(p, xz.z)
+                        + lam * eval_phi(p, xz))
+                assert eval_I(p, xz, lam) == want
 
 
 @pytest.mark.parametrize("text, node, message", [
@@ -439,11 +438,14 @@ def test_min_norm_field_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_min_norm_field_uncertified_raises():
+def test_min_norm_field_uncertified_raises(monkeypatch):
     p = load_problem("example4")
     xz = initial_pair(p, Grid(5.0, 51))
+    exact = nsvar.functional.min_norm_point
+    monkeypatch.setattr(nsvar.functional, "min_norm_point",
+                        lambda s: exact(s, tol=0.0))
     with pytest.raises(MinNormUncertified, match="certificate failed"):
-        min_norm_field(p, xz, 2.0, min_norm_tol=0.0)
+        min_norm_field(p, xz, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from nsvar.integrand import (
     EvalPoint,
     ExprError,
     Max,
+    Mul,
     ParseError,
+    Pow,
     SubdiffError,
     VarX,
     VarZ,
@@ -82,6 +84,31 @@ def test_parse_errors():
         parse_expr("", 1)
     with pytest.raises(ExprError, match="only t"):
         parse_expr("x1 + t", 1, allow_vars=False)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abs(x1) * x1", "nonsmooth subexpression inside a product"),
+    ("x1 * max(x1, 0)", "nonsmooth subexpression inside a product"),
+    ("x1 / abs(x1)", "nonsmooth subexpression inside a quotient"),
+    ("pow(norm(x1), 2)", "nonsmooth subexpression inside pow"),
+    ("-2 * abs(x1)", "nonsmooth subexpression scaled by a negative constant"),
+    ("abs(x1) * -0.5", "nonsmooth subexpression scaled by a negative constant"),
+])
+def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
+    with pytest.raises(ExprError) as info:
+        parse_expr(text, 1)
+    assert type(info.value) is ExprError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("2 * abs(x1)", Mul(Const(2.0), Abs(VarX(1)))),
+    ("abs(x1) * 0.5", Mul(Abs(VarX(1)), Const(0.5))),
+    ("-2 * pow(x1, 2)", Mul(Const(-2.0), Pow(VarX(1), 2))),
+    ("pow(x1, 2) * -2", Mul(Pow(VarX(1), 2), Const(-2.0))),
+])
+def test_parse_accepts_constant_factors(text, tree):
+    assert parse_expr(text, 1) == tree
 
 
 def test_error_hierarchy():

@@ -1,10 +1,15 @@
 """Descent loop: direction, line search, stage ladder, stopping."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import nsvar.integrand
+import nsvar.solver
 from _oracles import random_smooth_expr
 from nsvar.cli import load_problem
+from nsvar.convexgeom import min_norm_point
 from nsvar.functional import ProblemSpec, eval_I, initial_pair
 from nsvar.integrand import Max, format_expr
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
@@ -35,8 +40,9 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.eps_bar == 0.03
     assert cfg.grid_sizes == (11, 21, 41)
-    assert cfg.ls_tol == 1e-13
-    assert cfg.min_norm_tol == 1e-10
+    assert nsvar.solver._LS_TOL == 1e-13
+    assert nsvar.integrand._TOL_ACT == 1e-9
+    assert inspect.signature(min_norm_point).parameters["tol"].default == 1e-10
 
 
 def test_steepest_direction_example1():
@@ -82,7 +88,7 @@ def test_line_search_quadratic_minimizer():
     xz = _flat(1, 5)
     cfg = SolverConfig(grid_sizes=(5,))
     d, vnorm = steepest_direction(p, xz, 1.0, cfg)
-    gamma, accepted = line_search(p, xz, d, 1.0, cfg)
+    gamma, accepted = line_search(p, xz, d, 1.0)
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-9)
     stepped = PairTraj(Traj(xz.grid, xz.x.values + gamma * d.x.values),
@@ -94,7 +100,7 @@ def test_line_search_rejects_non_descent():
     p = load_problem("example1")
     xz = _flat(1, 3)
     up = PairTraj(Traj(xz.grid, np.ones((3, 1))), Traj(xz.grid, np.zeros((3, 1))))
-    gamma, accepted = line_search(p, xz, up, 1.0, SolverConfig(grid_sizes=(3,)))
+    gamma, accepted = line_search(p, xz, up, 1.0)
     assert gamma == 0.0 and not accepted
 
 
