@@ -15,9 +15,9 @@ expression per component (commas inside function calls are fine, the
 splitter tracks parentheses) and may use only t.  ``nsvar solve`` writes
 trajectory.csv, convergence.csv and summary.json into the output
 directory and exits 0 when the run converged, 2 when it exhausted its
-budget, 1 on bad input or a failed minimum-norm certificate.  A solve
-that fails once the output directory exists leaves a summary.json with
-status "failed" and the reason.
+budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
+A solve that fails once the output directory exists leaves a summary.json
+with status "failed" and the reason.
 """
 
 from __future__ import annotations
@@ -47,71 +47,44 @@ class ProblemFileError(ValueError):
 # built-in problems
 
 
-def _example1():
-    spec = ProblemSpec(
-        n=1, horizon=1.0, x0=[0.0],
-        integrand=parse_expr("abs(x1)", 1),
-        initial_x=(parse_expr("2 * t - 1", 1, allow_vars=False),),
-        name="example1",
-    )
-    return spec, {"grid_sizes": (3,)}
-
-
-def _example2():
-    spec = ProblemSpec(
-        n=1, horizon=1.0, x0=[0.0],
-        integrand=parse_expr("abs(x1 - max(t - 0.5, 0))", 1),
-        initial_x=(parse_expr("2 * t - 1", 1, allow_vars=False),),
-        name="example2",
-    )
-    return spec, {"grid_sizes": (11, 21, 41), "max_iters": 300}
-
-
-def _example3():
-    spec = ProblemSpec(
-        n=2, horizon=1.0, x0=[0.0, 0.0], xT=[0.0, 0.0],
-        integrand=parse_expr("max(pow(z1, 2) - pow(x1, 2) - 2 * t * x1, x2)", 2),
-        initial_x=tuple(parse_expr("0", 2, allow_vars=False) for _ in range(2)),
-        initial_z=tuple(parse_expr("0", 2, allow_vars=False) for _ in range(2)),
-        lambda0=20.0,
-        name="example3",
-    )
-    cfg = {
-        "grid_sizes": (11, 21),
-        "lambda_factor": 5.0,
-        "lambda_max": 300.0,
-        "eps_bar": 9e-3,
-        "constraint_tol": 5e-5,
-        "max_iters": 400,
-    }
-    return spec, cfg
-
-
-def _example4():
-    spec = ProblemSpec(
-        n=3, horizon=5.0, x0=[0.0, 0.0, 0.0],
-        integrand=parse_expr(
-            "norm(z1 - 1, x2) + pow(x1 - x3 - sin(t), 2)", 3),
-        initial_x=tuple(parse_expr("0", 3, allow_vars=False) for _ in range(3)),
-        initial_z=tuple(parse_expr(s, 3, allow_vars=False) for s in ("1", "0", "0")),
-        lambda0=2.0,
-        name="example4",
-    )
-    cfg = {
-        "grid_sizes": (51, 101, 201),
-        "lambda_max": 2.0,
-        "eps_bar": 1.2e-3,
-        "constraint_tol": 1e-3,
-        "max_iters": 400,
-    }
-    return spec, cfg
-
-
+# name -> (problem file text, tuned solver settings used when no flag
+# overrides them).  load_problem reads the text like any problem file.
 _BUILTINS = {
-    "example1": _example1,
-    "example2": _example2,
-    "example3": _example3,
-    "example4": _example4,
+    "example1": ("""
+        n = 1
+        T = 1
+        x0 = 0
+        integrand = abs(x1)
+        initial_x = 2 * t - 1
+        """, {"grid_sizes": (3,)}),
+    "example2": ("""
+        n = 1
+        T = 1
+        x0 = 0
+        integrand = abs(x1 - max(t - 0.5, 0))
+        initial_x = 2 * t - 1
+        """, {"grid_sizes": (11, 21, 41), "max_iters": 300}),
+    "example3": ("""
+        n = 2
+        T = 1
+        x0 = 0, 0
+        xT = 0, 0
+        integrand = max(pow(z1, 2) - pow(x1, 2) - 2 * t * x1, x2)
+        initial_x = 0, 0
+        initial_z = 0, 0
+        lambda0 = 20
+        """, {"grid_sizes": (11, 21), "lambda_factor": 5.0, "lambda_max": 300.0,
+              "eps_bar": 9e-3, "constraint_tol": 5e-5, "max_iters": 400}),
+    "example4": ("""
+        n = 3
+        T = 5
+        x0 = 0, 0, 0
+        integrand = norm(z1 - 1, x2) + pow(x1 - x3 - sin(t), 2)
+        initial_x = 0, 0, 0
+        initial_z = 1, 0, 0
+        lambda0 = 2
+        """, {"grid_sizes": (51, 101, 201), "lambda_max": 2.0,
+              "eps_bar": 1.2e-3, "constraint_tol": 1e-3, "max_iters": 400}),
 }
 
 
@@ -121,9 +94,7 @@ def builtin_names() -> tuple:
 
 def builtin_config_overrides(name: str) -> dict:
     """Per-problem solver settings used when no flag overrides them."""
-    if name not in _BUILTINS:
-        raise KeyError(name)
-    return dict(_BUILTINS[name]()[1])
+    return dict(_BUILTINS[name][1])
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +152,19 @@ _FIELDS = {
 
 
 def load_problem(source: str) -> ProblemSpec:
-    """Load a problem file, or return a built-in by name."""
+    """Load a problem file, or a built-in by name: both are problem text."""
     if source in _BUILTINS:
-        return _BUILTINS[source]()[0]
-    path = Path(source)
-    if not path.exists():
-        raise ProblemFileError(
-            f"no such problem file or built-in: {source!r} "
-            f"(built-ins: {', '.join(_BUILTINS)})"
-        )
+        text, name = _BUILTINS[source][0], source
+    else:
+        path = Path(source)
+        if not path.exists():
+            raise ProblemFileError(
+                f"no such problem file or built-in: {source!r} "
+                f"(built-ins: {', '.join(_BUILTINS)})"
+            )
+        text, name = path.read_text(), path.stem
     raw: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -205,7 +178,7 @@ def load_problem(source: str) -> ProblemSpec:
             raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = (value.strip(), lineno)
 
-    kw: dict = {"name": path.stem}
+    kw: dict = {"name": name}
     try:
         for key, (field, convert, required) in _FIELDS.items():
             if key not in raw:
@@ -315,8 +288,8 @@ _FLAG_FIELDS = {
 
 def _build_config(spec: ProblemSpec, args) -> SolverConfig:
     kw: dict = {}
-    if spec.name in _BUILTINS:
-        kw.update(builtin_config_overrides(spec.name))
+    if args.problem in _BUILTINS:
+        kw.update(builtin_config_overrides(args.problem))
     if spec.lambda0 is not None:
         kw["lambda0"] = spec.lambda0
     if args.grid is not None:
@@ -364,7 +337,7 @@ def run(argv: list[str]) -> int:
         direction_log: list | None = [] if args.emit_plot_data else None
         try:
             xz, records, status = solve(spec, cfg, direction_log=direction_log)
-        except (ExprError, MinNormUncertified) as exc:
+        except (ExprError, MinNormUncertified, FloatingPointError) as exc:
             failed = {"problem": spec.name, "status": "failed", "reason": str(exc)}
             (outdir / "summary.json").write_text(json.dumps(failed, indent=2) + "\n")
             raise
@@ -403,7 +376,7 @@ def run(argv: list[str]) -> int:
               f"J = {last.J:.6g}, output in {outdir}")
         return 0 if status == "converged" else 2
     except (ExprError, ProblemFileError, ValueError, OSError,
-            MinNormUncertified) as exc:
+            MinNormUncertified, FloatingPointError) as exc:
         print(f"nsvar: error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,6 +46,7 @@ from .trajectory import (
     Traj,
     cumulative_integral,
     cumulative_trapezoid,
+    require_finite,
     reverse_cumulative_integral,
     trapezoid,
 )
@@ -87,13 +88,16 @@ class ProblemSpec:
             raise ValueError("n must be >= 1")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        require_finite("horizon", self.horizon)
         self.x0 = np.atleast_1d(np.asarray(self.x0, float))
         if self.x0.shape != (self.n,):
             raise ValueError(f"x0 must have length n={self.n}")
+        require_finite("x0", self.x0)
         if self.xT is not None:
             self.xT = np.atleast_1d(np.asarray(self.xT, float))
             if self.xT.shape != (self.n,):
                 raise ValueError(f"xT must have length n={self.n}")
+            require_finite("xT", self.xT)
         if self.use_psi is None:
             self.use_psi = self.xT is not None
         if self.use_psi != (self.xT is not None):
@@ -108,8 +112,10 @@ class ProblemSpec:
             self.initial_z = tuple(self.initial_z)
             if len(self.initial_z) != self.n:
                 raise ValueError("initial_z needs one expression per component")
-        if self.lambda0 is not None and not self.lambda0 > 0.0:
-            raise ValueError("lambda0 must be positive")
+        if self.lambda0 is not None:
+            if not self.lambda0 > 0.0:
+                raise ValueError("lambda0 must be positive")
+            require_finite("lambda0", self.lambda0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProblemSpec):

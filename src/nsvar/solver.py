@@ -26,7 +26,8 @@ from .functional import (
     penalty_values,
 )
 from .integrand import DomainError
-from .trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq, resample
+from .trajectory import (Grid, PairTraj, Traj, require_finite,
+                         pl_l2_norm_sq, resample)
 
 __all__ = ["SolverConfig", "IterationRecord", "steepest_direction",
            "line_search", "solve"]
@@ -54,6 +55,13 @@ class SolverConfig:
             raise ValueError("lambda_factor must exceed 1")
         if self.eps_bar <= 0.0 or self.lambda0 <= 0.0:
             raise ValueError("eps_bar and lambda0 must be positive")
+        for name in ("eps_bar", "lambda0", "lambda_factor", "lambda_max",
+                     "constraint_tol"):
+            require_finite(name, getattr(self, name))
+        if self.constraint_tol < 0.0:
+            raise ValueError("constraint_tol must not be negative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -105,7 +113,8 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
 
     Brackets by doubling from _LS_SEED (halving first if the seed does not
     decrease), then golden section.  A probe outside the integrand's
-    domain counts as +inf, so it shrinks the bracket.  Returns
+    domain, or whose arithmetic overflows inside solve, counts as +inf, so
+    it shrinks the bracket.  Returns
     (0.0, False) when no probe beats the current value, which callers
     treat as a stage boundary.
     """
@@ -120,7 +129,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     def f(g: float) -> float:
         try:
             return value(g)
-        except DomainError:
+        except (DomainError, FloatingPointError):
             return np.inf
 
     f0 = value(0.0)
@@ -176,6 +185,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     return float(best_g), True
 
 
+@np.errstate(over="raise", invalid="raise")
 def solve(p: ProblemSpec, cfg: SolverConfig,
           direction_log: list | None = None
           ) -> tuple[PairTraj, list[IterationRecord], str]:
@@ -186,7 +196,9 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     psi + phi below constraint_tol, otherwise "exhausted".
 
     Deterministic: identical inputs reproduce the records exactly (the
-    wall_time field aside).
+    wall_time field aside).  Finite data too large for double precision
+    raises FloatingPointError at the first overflow instead of carrying
+    inf and nan on.
     """
     t_start = time.perf_counter()
     grid = Grid(p.horizon, cfg.grid_sizes[0])

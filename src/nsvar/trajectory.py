@@ -14,6 +14,12 @@ from functools import cached_property
 import numpy as np
 
 
+def require_finite(name: str, value) -> None:
+    """Reject a non-finite value from outside input, naming it."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid t_i = (i-1) * T / (N-1), i = 1..N."""
@@ -24,6 +30,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        require_finite("horizon", self.horizon)
         if self.npoints < 2:
             raise ValueError(f"grid needs at least 2 nodes, got {self.npoints}")
 
@@ -58,8 +65,6 @@ class Traj:
                 f"values have {self.values.shape[0]} rows, grid has "
                 f"{self.grid.npoints} nodes"
             )
-        if not np.isfinite(self.values).all():
-            raise ValueError("trajectory values must be finite")
 
     @property
     def ncomp(self) -> int:

@@ -1,12 +1,18 @@
 """Problem files, the solve command, and its on-disk outputs."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsvar.cli
 import nsvar.solver
@@ -177,6 +183,21 @@ def test_run_survives_line_search_probe_outside_domain(tmp_path):
     assert (out / "convergence.csv").exists()
 
 
+def test_run_survives_line_search_probe_that_overflows(tmp_path):
+    # Doubling the step from x = 0 overshoots x1 = 1.6, where the exp
+    # term overflows; that probe must count as +inf, like one outside the
+    # domain, and no numpy warning may escape.
+    f = tmp_path / "steep.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\n"
+                 "integrand = abs(x1 - 1) + exp(1000 * (x1 - 1.6))\n")
+    out = tmp_path / "steep_run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+
+
 def test_run_uncertified_min_norm_is_error(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise MinNormUncertified(3, 0.5)
@@ -226,6 +247,80 @@ def test_run_uncertified_min_norm_leaves_summary(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "failed"
     assert summary["reason"].startswith("minimum-norm certificate failed at node 3")
+
+
+def test_run_non_finite_x0_is_rejected_on_entry(tmp_path, capsys):
+    f = tmp_path / "bad.prob"
+    f.write_text("n = 1\nT = 1\nx0 = nan\nintegrand = abs(x1)\n")
+    out = tmp_path / "bad_run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", str(f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"nsvar: error: invalid problem file {str(f)!r}: x0 must be finite\n")
+    assert not out.exists()
+
+
+def test_run_zero_iteration_budget_is_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["solve", "example1", "--out", str(out), "--max-iters", "0"]) == 1
+    assert capsys.readouterr().err == "nsvar: error: max_iters must be at least 1\n"
+    assert not out.exists()
+
+
+def test_problem_file_named_like_a_builtin_gets_no_builtin_settings(tmp_path):
+    f = tmp_path / "example4.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1)\n")
+    out = tmp_path / "o"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "convergence.csv")
+    assert rows[0, 8] == SolverConfig().grid_sizes[0] == 11
+
+
+# Problem-file keys and flags the property test draws, at values that
+# solve; it replaces up to three with values drawn from _ODD (or, for the
+# integer --max-iters, _ODD_ITERS).
+_USUAL = {"x0": "0.5", "xT": "1", "T": "1", "lambda0": "20", "eps": "0.03",
+          "lambda-max": "100", "constraint-tol": "1e-3", "max-iters": "5"}
+_ODD = ("nan", "inf", "-inf", "0", "-1", "-1e300", "1e300")
+_ODD_ITERS = ("0", "-1", "1000000000")
+
+
+def _odd_value(key):
+    values = _ODD_ITERS if key == "max-iters" else _ODD
+    return st.tuples(st.just(key), st.sampled_from(values))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(odd=st.lists(st.sampled_from(sorted(_USUAL)).flatmap(_odd_value),
+                    max_size=3))
+def test_run_entry_point_solves_or_fails_cleanly(odd):
+    # Whatever the values, a run ends in a status with all three
+    # artifacts, or in an error message and at most a failed summary.
+    v = {**_USUAL, **dict(odd)}
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "drawn.prob"
+        f.write_text(f"n = 1\nT = {v['T']}\nx0 = {v['x0']}\nxT = {v['xT']}\n"
+                     "integrand = abs(x1 - 1) + pow(z1, 2)\n"
+                     f"lambda0 = {v['lambda0']}\n")
+        out = Path(tmp) / "out"
+        flags = [f"--{k}={v[k]}"
+                 for k in ("eps", "lambda-max", "constraint-tol", "max-iters")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run(["solve", str(f), "--out", str(out), "--grid", "3,5",
+                        *flags])
+        files = sorted(q.name for q in out.iterdir()) if out.exists() else None
+        if code == 1:
+            assert err.getvalue().startswith("nsvar: error: ")
+            if files is not None:
+                assert files == ["summary.json"]
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary["status"] == "failed"
+        else:
+            assert code in (0, 2)
+            assert files == ["convergence.csv", "summary.json", "trajectory.csv"]
 
 
 def test_run_bad_grid_is_error(tmp_path):

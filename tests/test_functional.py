@@ -61,6 +61,14 @@ def test_problem_validation():
         _simple(lambda0=-1.0)
     with pytest.raises(ValueError, match="one expression per component"):
         _simple(initial_x=(parse_expr("t", 1, allow_vars=False),) * 2)
+    with pytest.raises(ValueError, match="^x0 must be finite$"):
+        _simple(x0=np.array([np.nan]))
+    with pytest.raises(ValueError, match="^xT must be finite$"):
+        _simple(xT=np.array([np.inf]))
+    with pytest.raises(ValueError, match="^horizon must be finite$"):
+        _simple(horizon=np.inf)
+    with pytest.raises(ValueError, match="^lambda0 must be finite$"):
+        _simple(lambda0=np.inf)
 
 
 def test_problem_flag_inference():

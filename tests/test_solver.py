@@ -34,6 +34,15 @@ def test_config_validation():
         SolverConfig(grid_sizes=(21, 11))
     with pytest.raises(ValueError, match="exceed 1"):
         SolverConfig(lambda_factor=0.9)
+    for name in ("eps_bar", "lambda0", "lambda_factor", "lambda_max",
+                 "constraint_tol"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                SolverConfig(**{name: bad})
+    with pytest.raises(ValueError, match="^constraint_tol must not be negative$"):
+        SolverConfig(constraint_tol=-1.0)
+    with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
+        SolverConfig(max_iters=0)
 
 
 def test_config_defaults():
