@@ -257,21 +257,23 @@ def _write_trajectory(path: Path, state, z) -> None:
 
 
 def _write_convergence(path: Path, records: list[IterationRecord]) -> None:
-    rows = ["k,I,J,psi,phi,vnorm,lambda,gamma,N"]
+    rows = ["k,I,J,psi,phi,vnorm,lambda,gamma,N,eps"]
     for r in records:
         rows.append(",".join([
             str(r.k), _fmt(r.I), _fmt(r.J), _fmt(r.psi), _fmt(r.phi),
             _fmt(r.vnorm), _fmt(r.lam), _fmt(r.gamma), str(r.npoints),
+            _fmt(r.eps),
         ]))
     path.write_text("\n".join(rows) + "\n")
 
 
 def _print_table(records: list[IterationRecord]) -> None:
     print(f"{'k':>5} {'I':>14} {'J':>14} {'psi':>11} {'phi':>11} "
-          f"{'vnorm':>11} {'lambda':>9} {'gamma':>11} {'N':>5}")
+          f"{'vnorm':>11} {'lambda':>9} {'gamma':>11} {'N':>5} {'eps':>7}")
     for r in records:
         print(f"{r.k:5d} {r.I:14.6e} {r.J:14.6e} {r.psi:11.3e} {r.phi:11.3e} "
-              f"{r.vnorm:11.4e} {r.lam:9.4g} {r.gamma:11.4e} {r.npoints:5d}")
+              f"{r.vnorm:11.4e} {r.lam:9.4g} {r.gamma:11.4e} {r.npoints:5d} "
+              f"{r.eps:7.0e}")
 
 
 # --flag destination -> SolverConfig field, for the flags that set one
@@ -303,8 +305,15 @@ def _build_config(spec: ProblemSpec, args) -> SolverConfig:
     return SolverConfig(**kw)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line through run's own error path."""
+
+    def error(self, message: str):
+        raise ProblemFileError(message)
+
+
 def run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nsvar",
         description="Subdifferential descent for nonsmooth variational problems",
     )
@@ -324,10 +333,6 @@ def run(argv: list[str]) -> int:
                     help="also write per-iteration direction fields")
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-
-    try:
         spec = load_problem(args.problem)
         cfg = _build_config(spec, args)
         outdir = Path(args.out) if args.out else Path("runs") / spec.name
@@ -375,6 +380,8 @@ def run(argv: list[str]) -> int:
         print(f"{spec.name}: {status} after {len(records)} iterations, "
               f"J = {last.J:.6g}, output in {outdir}")
         return 0 if status == "converged" else 2
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
     except (ExprError, ProblemFileError, ValueError, OSError,
             MinNormUncertified, FloatingPointError) as exc:
         print(f"nsvar: error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .convexgeom import ConvexSet, MinkowskiSum, Singleton, min_norm_point
 from .integrand import (
+    _TOL_ACT,
     DomainError,
     EvalPoint,
     Expr,
@@ -304,16 +305,19 @@ def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
     return rows
 
 
-def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj,
-                    lam: float) -> list[ConvexSet]:
-    """Pointwise subdifferential of I at every grid node."""
+def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
+                    tol_act: float = _TOL_ACT) -> list[ConvexSet]:
+    """Pointwise subdifferential of I at every grid node.
+
+    tol_act is the integrand's tie tolerance; see subdiff_expr.
+    """
     rows = _penalty_rows(p, xz, lam)
     t = xz.grid.nodes
     xv, zv = xz.x.values, xz.z.values
     sets = []
     for i in range(xz.grid.npoints):
         point = EvalPoint(xv[i], zv[i], float(t[i]))
-        s = subdiff_expr(p.integrand, point)
+        s = subdiff_expr(p.integrand, point, tol_act)
         if p.use_psi or p.use_phi:
             s = MinkowskiSum((s, Singleton(rows[i])))
         sets.append(s)
@@ -336,13 +340,15 @@ class MinNormUncertified(RuntimeError):
         self.gap = gap
 
 
-def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float) -> Traj:
+def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
+                   tol_act: float = _TOL_ACT) -> Traj:
     """Nodal minimum-norm subgradients of I, as a 2n-component field.
 
     Downstream code reads the field through its piecewise-linear
-    interpolant.
+    interpolant.  tol_act is the integrand's tie tolerance; see
+    subdiff_expr.
     """
-    sets = subdiff_I_nodes(p, xz, lam)
+    sets = subdiff_I_nodes(p, xz, lam, tol_act)
     out = np.empty((xz.grid.npoints, 2 * p.n))
     for i, s in enumerate(sets):
         res = min_norm_point(s)

@@ -447,9 +447,10 @@ GridFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 def compile_expr(e: Expr) -> GridFn:
     """Compile e once into a grid evaluator f(x, z, t).
 
-    x, z have shape (N, n) and t shape (N,).  The evaluator is a tree of
-    closures that makes the numpy calls a recursive walk would, in the
-    same order, so its values are bit-for-bit those of the expression.
+    x, z have shape (N, n) and t shape (N,), and so does the result.  The
+    evaluator is a tree of closures that makes the numpy calls a
+    recursive walk would, in the same order, so its values are
+    bit-for-bit those of the expression.
     A zero divisor or a negative sqrt argument raises DomainError naming
     the first offending node.
     """
@@ -468,16 +469,16 @@ def compile_expr(e: Expr) -> GridFn:
         f = compile_expr(e.arg)
         return lambda x, z, t: -f(x, z, t)
     if isinstance(e, Add):
-        f, g = compile_expr(e.left), compile_expr(e.right)
+        f, g = _operands((e.left, e.right))
         return lambda x, z, t: f(x, z, t) + g(x, z, t)
     if isinstance(e, Sub):
-        f, g = compile_expr(e.left), compile_expr(e.right)
+        f, g = _operands((e.left, e.right))
         return lambda x, z, t: f(x, z, t) - g(x, z, t)
     if isinstance(e, Mul):
-        f, g = compile_expr(e.left), compile_expr(e.right)
+        f, g = _operands((e.left, e.right))
         return lambda x, z, t: f(x, z, t) * g(x, z, t)
     if isinstance(e, Div):
-        f, g = compile_expr(e.left), compile_expr(e.right)
+        f, g = _operands((e.left, e.right))
 
         def div(x, z, t):
             den = g(x, z, t)
@@ -506,7 +507,7 @@ def compile_expr(e: Expr) -> GridFn:
         ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}[type(e)]
         return lambda x, z, t: ufunc(f(x, z, t))
     if isinstance(e, Max):
-        fs = [compile_expr(a) for a in e.args]
+        fs = _operands(e.args)
 
         def maximum(x, z, t):
             vals = [f(x, z, t) for f in fs]
@@ -516,7 +517,7 @@ def compile_expr(e: Expr) -> GridFn:
             return out
         return maximum
     if isinstance(e, Norm):
-        fs = [compile_expr(a) for a in e.args]
+        fs = _operands(e.args)
 
         def norm(x, z, t):
             acc = np.zeros_like(t)
@@ -526,6 +527,24 @@ def compile_expr(e: Expr) -> GridFn:
             return np.sqrt(acc)
         return norm
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _operands(args: tuple) -> list[GridFn]:
+    """Compiled operands of an arithmetic, max or norm node.
+
+    A constant operand evaluates to a numpy scalar rather than an array
+    of copies; it gives the same bits.  When every operand is constant,
+    all of them stay arrays, so the node's result is still an array.
+    """
+    if all(isinstance(a, Const) for a in args):
+        return [compile_expr(a) for a in args]
+    return [_scalar(a.value) if isinstance(a, Const) else compile_expr(a)
+            for a in args]
+
+
+def _scalar(value: float) -> GridFn:
+    c = np.float64(value)
+    return lambda x, z, t: c
 
 
 def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -617,7 +636,8 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
 _TOL_ACT = 1e-9
 
 
-def _value_and_set(e: Expr, p: EvalPoint) -> tuple[float, ConvexSet]:
+def _value_and_set(e: Expr, p: EvalPoint,
+                   tol_act: float = _TOL_ACT) -> tuple[float, ConvexSet]:
     n = p.x.shape[0]
     d = 2 * n
 
@@ -689,7 +709,7 @@ def _value_and_set(e: Expr, p: EvalPoint) -> tuple[float, ConvexSet]:
             return r, Singleton(_as_gradient(s) / (2.0 * r))
         if isinstance(node, Abs):
             v, s = rec(node.arg)
-            act = _TOL_ACT * (1.0 + abs(v))
+            act = tol_act * (1.0 + abs(v))
             if v > act:
                 return v, s
             if v < -act:
@@ -700,7 +720,7 @@ def _value_and_set(e: Expr, p: EvalPoint) -> tuple[float, ConvexSet]:
             pairs = [rec(a) for a in node.args]
             vals = np.array([v for v, _ in pairs])
             vmax = float(vals.max())
-            act = _TOL_ACT * (1.0 + abs(vmax))
+            act = tol_act * (1.0 + abs(vmax))
             active = [s for (v, s), va in zip(pairs, vals) if va >= vmax - act]
             if len(active) == 1:
                 return vmax, active[0]
@@ -720,13 +740,18 @@ def _value_and_set(e: Expr, p: EvalPoint) -> tuple[float, ConvexSet]:
     return rec(e)
 
 
-def subdiff_expr(e: Expr, p: EvalPoint) -> ConvexSet:
+def subdiff_expr(e: Expr, p: EvalPoint,
+                 tol_act: float = _TOL_ACT) -> ConvexSet:
     """Convex subdifferential of the integrand at p, as a set in R^(2n).
 
-    A branch counts as tied when it is within _TOL_ACT * (1 + |value|)
-    of the deciding value.
+    An abs or max branch counts as active when it is within
+    tol_act * (1 + |value|) of the deciding value.  The default gives the
+    exact subdifferential up to roundoff; a larger tol_act gives the
+    epsilon-subdifferential of epsilon-steepest descent, which already
+    holds the gradients from the far side of a nearby kink.  norm always
+    tests its zero at _TOL_ACT: it stays exact.
     """
-    _, s = _value_and_set(e, p)
+    _, s = _value_and_set(e, p, tol_act)
     return s
 
 

@@ -4,10 +4,20 @@ Each iteration computes the minimum-norm point of the pointwise
 subdifferential of I at every grid node, interpolates those nodal
 subgradients piecewise-linearly, and walks along the normalized negative
 field with a derivative-free line search (bracketing by doubling, then
-golden section).  A stage ends when the squared L2 norm of the field
-drops below eps_bar or the iteration budget runs out; between stages the
-trajectory is resampled onto the next finer grid and the penalty weight
-is multiplied up while the penalty terms remain above constraint_tol.
+golden section).
+
+The subdifferential is widened to an epsilon-subdifferential, as in
+Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
+within eps * (1 + |value|) of the deciding value counts as active, so a
+node a hair off a kink already sees the gradients from its far side and
+the direction does not jam there.  Each stage walks _EPS_SCHEDULE from
+its start.  It moves one step down when the squared L2 norm of the field
+drops below eps_bar or the line search finds no decrease, and retakes
+the direction within the same iteration.  Only at the schedule's floor,
+the exact tie tolerance, do those two events end the stage, as does the
+iteration budget.  Between stages the trajectory is resampled onto the
+next finer grid and the penalty weight is multiplied up while the
+penalty terms remain above constraint_tol.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from .functional import (
     min_norm_field,
     penalty_values,
 )
-from .integrand import DomainError
+from .integrand import _TOL_ACT, DomainError
 from .trajectory import (Grid, PairTraj, Traj, require_finite,
                          pl_l2_norm_sq, resample)
 
@@ -76,6 +86,7 @@ class IterationRecord:
     gamma: float
     npoints: int
     wall_time: float  # seconds since solve() started
+    eps: float        # tie tolerance the iteration's direction was taken at
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -85,18 +96,24 @@ _LS_SEED = 1e-2
 _LS_GROWTH = 2.0
 _LS_MAX_STEP = 1e3
 # Golden-section width, scaled by (1 + gamma).  Precision is load-bearing:
-# at 1e-8, example3 exhausts its iteration budget instead of converging.
+# at 1e-8, abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6 * t)) exhausts its
+# iteration budget instead of converging.
 _LS_TOL = 1e-13
+# Tie tolerances a stage walks through, widest first.  Stationarity is
+# declared only at the last, exact one.
+_EPS_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, _TOL_ACT)
 
 
 def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
-                       cfg: SolverConfig) -> tuple[PairTraj | None, float]:
+                       cfg: SolverConfig, eps: float = _TOL_ACT
+                       ) -> tuple[PairTraj | None, float]:
     """Normalized descent direction G = -v/||v|| and the field norm ||v||.
 
-    Returns (None, ||v||) when ||v||^2 <= eps_bar, i.e. the iterate is
-    already stationary to tolerance and no direction is defined.
+    v is the minimum-norm field of the subdifferential at tie tolerance
+    eps.  Returns (None, ||v||) when ||v||^2 <= eps_bar, i.e. the iterate
+    is stationary to tolerance at that eps and no direction is defined.
     """
-    v = min_norm_field(p, xz, lam)
+    v = min_norm_field(p, xz, lam, eps)
     vsq = pl_l2_norm_sq(v)
     vnorm = float(np.sqrt(vsq))
     if vsq <= cfg.eps_bar:
@@ -209,27 +226,38 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     gi = 0
     status = "exhausted"
 
-    def snapshot(gamma: float, vnorm: float) -> IterationRecord:
+    def snapshot(gamma: float, vnorm: float, eps: float) -> IterationRecord:
         J = eval_J(p, xz)
         psi, phi = penalty_values(p, xz)
         total = J + lam * (psi + phi)
         return IterationRecord(
             k=k, I=total, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
             gamma=gamma, npoints=xz.grid.npoints,
-            wall_time=time.perf_counter() - t_start,
+            wall_time=time.perf_counter() - t_start, eps=eps,
         )
 
+    floor = len(_EPS_SCHEDULE) - 1
     while True:
         stationary = False
+        ei = 0
         for _ in range(cfg.max_iters):
             k += 1
-            direction, vnorm = steepest_direction(p, xz, lam, cfg)
+            # Retake the direction one tolerance down until it is a
+            # descent direction or the exact set has the last word.
+            while True:
+                eps = _EPS_SCHEDULE[ei]
+                direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
+                gamma, ok = 0.0, False
+                if direction is not None:
+                    gamma, ok = line_search(p, xz, direction, lam)
+                if ok or ei == floor:
+                    break
+                ei += 1
             if direction is None:
                 stationary = True
-                records.append(snapshot(0.0, vnorm))
+                records.append(snapshot(0.0, vnorm, eps))
                 break
-            gamma, ok = line_search(p, xz, direction, lam)
-            records.append(snapshot(gamma, vnorm))
+            records.append(snapshot(gamma, vnorm, eps))
             if direction_log is not None:
                 direction_log.append(
                     (k, xz.grid.nodes.copy(),

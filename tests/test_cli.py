@@ -114,7 +114,8 @@ def test_run_example1_outputs(tmp_path):
     assert np.max(np.abs(rows[:, 1])) <= 1e-12
 
     cheader, crows = _read_csv(out / "convergence.csv")
-    assert cheader == ["k", "I", "J", "psi", "phi", "vnorm", "lambda", "gamma", "N"]
+    assert cheader == ["k", "I", "J", "psi", "phi", "vnorm", "lambda", "gamma", "N",
+                       "eps"]
     # the summary mirrors the last convergence row
     assert summary["iterations"] == int(crows[-1, 0])
     assert summary["I"] == crows[-1, 1]
@@ -328,6 +329,20 @@ def test_run_bad_grid_is_error(tmp_path):
                 "--grid", "21,11"]) == 1
     assert run(["solve", "example1", "--out", str(tmp_path / "o2"),
                 "--grid", "a,b"]) == 1
+
+
+def test_run_bad_flag_value_reports_through_nsvar_error(tmp_path, capsys):
+    for flags, message in (
+            (["--max-iters", "nan"],
+             "argument --max-iters: invalid int value: 'nan'"),
+            (["--constraint-tol", "-inf"],
+             "argument --constraint-tol: expected one argument")):
+        out = tmp_path / "o"
+        assert run(["solve", "example1", "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"nsvar: error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_run_emit_plot_data(tmp_path):

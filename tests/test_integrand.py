@@ -223,6 +223,24 @@ def test_eval_grid_domain_error_reports_node():
         eval_expr_grid(e, x, z, np.linspace(0.0, 1.0, 4))
 
 
+def test_eval_grid_constant_operands():
+    # A constant operand is a scalar inside the evaluator; results are
+    # still one value per node, with the bits of a constant array.
+    t = np.linspace(0.0, 1.0, 4)
+    x = np.array([[0.5], [-1.0], [2.0], [0.25]])
+    z = np.zeros((4, 1))
+    got = eval_expr_grid(parse_expr("2 * t * x1", 1), x, z, t)
+    assert np.array_equal(got, np.full(4, 2.0) * t * x[:, 0])
+    for text in ("2", "1 + 2", "max(1, 2)", "norm(3, 4)", "max(x1, 0) - 1"):
+        assert eval_expr_grid(parse_expr(text, 1), x, z, t).shape == (4,)
+    for text, message in (("x1 / 0", "division by zero"),
+                          ("sqrt(-1)", "sqrt of a negative value")):
+        with pytest.raises(DomainError) as exc:
+            eval_expr_grid(parse_expr(text, 1), x, z, t)
+        assert str(exc.value) == f"{message} at t=0.0 (node 0)"
+        assert exc.value.node_index == 0
+
+
 def test_format_round_trip_builtins():
     for text, n in (("abs(x1)", 1), (EX2, 1), (EX3, 2), (EX4, 3)):
         e = parse_expr(text, n)
@@ -300,6 +318,31 @@ def test_subdiff_max_tie_hull():
     assert isinstance(s, Polytope)
     rows = sorted(s.vertices.tolist())
     assert np.allclose(rows, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("text, widened", [
+    ("abs(x1)", [[-1.0, 0.0], [1.0, 0.0]]),
+    ("max(x1, 0)", [[0.0, 0.0], [1.0, 0.0]]),
+])
+def test_subdiff_widened_tie(text, widened):
+    e = parse_expr(text, 1)
+    near = _pt([1e-5], [0.0])
+    s = subdiff_expr(e, near, tol_act=1e-3)
+    assert isinstance(s, Polytope)
+    assert sorted(s.vertices.tolist()) == widened
+    s = subdiff_expr(e, near)
+    assert isinstance(s, Singleton)
+    assert s.point.tolist() == [1.0, 0.0]
+
+
+def test_subdiff_norm_keeps_exact_zero_test():
+    e = parse_expr("norm(x1, x2)", 2)
+    near = _pt([1e-5, 0.0], [0.0, 0.0])
+    wide = subdiff_expr(e, near, tol_act=1e-3)
+    exact = subdiff_expr(e, near)
+    assert isinstance(wide, Singleton) and isinstance(exact, Singleton)
+    assert np.array_equal(wide.point, exact.point)
+    assert exact.point.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_subdiff_max_over_ball_tie_raises():

@@ -8,9 +8,9 @@ import pytest
 import nsvar.integrand
 import nsvar.solver
 from _oracles import random_smooth_expr
-from nsvar.cli import load_problem
+from nsvar.cli import builtin_config_overrides, load_problem
 from nsvar.convexgeom import min_norm_point
-from nsvar.functional import ProblemSpec, eval_I, initial_pair
+from nsvar.functional import ProblemSpec, eval_I, initial_pair, min_norm_field
 from nsvar.integrand import Max, format_expr
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
 from nsvar.trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq
@@ -51,6 +51,9 @@ def test_config_defaults():
     assert cfg.grid_sizes == (11, 21, 41)
     assert nsvar.solver._LS_TOL == 1e-13
     assert nsvar.integrand._TOL_ACT == 1e-9
+    schedule = nsvar.solver._EPS_SCHEDULE
+    assert schedule[-1] == nsvar.integrand._TOL_ACT
+    assert list(schedule) == sorted(schedule, reverse=True)
     assert inspect.signature(min_norm_point).parameters["tol"].default == 1e-10
 
 
@@ -221,3 +224,71 @@ def test_solve_direction_log():
     assert np.allclose(nodes, [0.0, 0.5, 1.0])
     assert values.shape == (3, 2)
     assert np.allclose(values[:, 0], [ROOT3, 0.0, -ROOT3], atol=1e-12)
+
+
+def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
+    calls = []
+
+    def counting_field(*args, **kwargs):
+        calls.append(args)
+        return min_norm_field(*args, **kwargs)
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", counting_field)
+    monkeypatch.setattr(nsvar.solver, "line_search",
+                        lambda p, xz, direction, lam: (0.0, False))
+    p = load_problem("example2")
+    _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)))
+    assert status == "exhausted"
+    assert recs[0].eps == nsvar.integrand._TOL_ACT
+    assert recs[0].gamma == 0.0
+    assert len(calls) == len(nsvar.solver._EPS_SCHEDULE)
+
+
+def _stages(recs):
+    out = []
+    for r in recs:
+        if out and (out[-1][-1].npoints, out[-1][-1].lam) == (r.npoints, r.lam):
+            out[-1].append(r)
+        else:
+            out.append([r])
+    return out
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_stages_end_stationary_only_at_the_exact_set(name):
+    p = load_problem(name)
+    kw = builtin_config_overrides(name)
+    if p.lambda0 is not None:
+        kw["lambda0"] = p.lambda0
+    cfg = SolverConfig(**kw)
+    _, recs, status = solve(p, cfg)
+    assert status == "converged"
+    schedule = nsvar.solver._EPS_SCHEDULE
+    stationary = 0
+    for stage in _stages(recs):
+        assert all(r.eps in schedule for r in stage)
+        eps = [r.eps for r in stage]
+        assert eps == sorted(eps, reverse=True)
+        last = stage[-1]
+        if last.vnorm ** 2 <= cfg.eps_bar:
+            stationary += 1
+            assert last.eps == schedule[-1]
+    assert stationary >= 1
+    if name == "example3":
+        assert len(recs) <= 100
+        assert recs[-1].J <= -0.0304796
+
+
+def test_penalty_ladder_member_does_not_jam():
+    # A member of the example3 family whose exact-set directions jam at a
+    # kink: it used to exhaust both 400-iteration stages.
+    c = 2.012899650019334
+    p = load_problem("example3")
+    p.integrand = nsvar.integrand.parse_expr(
+        f"max(pow(z1, 2) - pow(x1, 2) - {c!r} * t * x1, x2)", 2)
+    cfg = SolverConfig(grid_sizes=(11, 21), lambda0=20.0, lambda_factor=5.0,
+                       lambda_max=300.0, eps_bar=9e-3, constraint_tol=5e-5,
+                       max_iters=400)
+    _, recs, status = solve(p, cfg)
+    assert status == "converged"
+    assert recs[-1].J <= -0.020
