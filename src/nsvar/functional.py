@@ -20,7 +20,15 @@ evaluates the compiled integrand, integrates z once and reads both
 penalties off that one antiderivative.  It is built from the same
 kernels as eval_J, eval_psi and eval_phi, in the same order, so
 eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly, not just
-to roundoff.
+to roundoff.  penalty_values and the penalty rows of the nodal
+subdifferentials also integrate z once.
+
+min_norm_field, the steepest-descent generator, makes one compiled pass
+over the grid (compile_subdiff): every node's subdifferential comes out
+as a point plus segments, and where the segments are pairwise orthogonal
+its minimum-norm point is zonotope_min_norm's closed form.  Only the
+other nodes build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go
+through min_norm_point.
 """
 
 from __future__ import annotations
@@ -30,13 +38,21 @@ from typing import Callable
 
 import numpy as np
 
-from .convexgeom import ConvexSet, MinkowskiSum, Singleton, min_norm_point
+from .convexgeom import (
+    ConvexSet,
+    MinkowskiSum,
+    Singleton,
+    min_norm_point,
+    orthogonal_generators,
+    zonotope_min_norm,
+)
 from .integrand import (
     _TOL_ACT,
     DomainError,
     EvalPoint,
     Expr,
     compile_expr,
+    compile_subdiff,
     eval_expr_grid,
     subdiff_expr,
     uses_var_z,
@@ -81,7 +97,7 @@ class ProblemSpec:
     initial_z: tuple | None = None
     lambda0: float | None = None
     name: str = ""
-    # (integrand, its compiled grid evaluator), filled on first use
+    # (integrand, {compiler: its output}), filled on first use
     _compiled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,9 +158,19 @@ class ProblemSpec:
         Compiled on first use and kept, keyed to the integrand object
         itself, so assigning a new integrand compiles again.
         """
+        return self._compile(compile_expr)
+
+    def integrand_subdiff(self) -> Callable:
+        """The integrand compiled by compile_subdiff, kept like integrand_grid."""
+        return self._compile(compile_subdiff)
+
+    def _compile(self, compiler: Callable) -> Callable:
         if self._compiled is None or self._compiled[0] is not self.integrand:
-            self._compiled = (self.integrand, compile_expr(self.integrand))
-        return self._compiled[1]
+            self._compiled = (self.integrand, {})
+        done = self._compiled[1]
+        if compiler not in done:
+            done[compiler] = compiler(self.integrand)
+        return done[compiler]
 
 
 def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
@@ -256,12 +282,17 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     The z-part is the exact adjoint of the discrete phi: the reverse
     trapezoid tail integral with first/last node corrections of h/2 * d.
     """
+    if not p.use_phi:
+        return Traj(xz.grid, np.zeros((xz.grid.npoints, 2 * p.n)))
+    return Traj(xz.grid, _phi_rows(p, xz, _antiderivative(p, xz.z)))
+
+
+def _phi_rows(p: ProblemSpec, xz: PairTraj, xint: np.ndarray) -> np.ndarray:
+    """grad_phi's values from the nodal antiderivative xint = x0 + int z."""
     grid = xz.grid
     n = p.n
     out = np.zeros((grid.npoints, 2 * n))
-    if not p.use_phi:
-        return Traj(grid, out)
-    d = xz.x.values - _antiderivative(p, xz.z)
+    d = xz.x.values - xint
     out[:, :n] = d
     tail = reverse_cumulative_integral(Traj(grid, d)).values
     zpart = -tail
@@ -269,7 +300,7 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     zpart[0] += half_h * d[0]
     zpart[-1] = -half_h * d[-1]
     out[:, n:] = zpart
-    return Traj(grid, out)
+    return out
 
 
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
@@ -286,8 +317,16 @@ def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
 
 
 def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
-    """(psi, phi) without the lambda weighting."""
-    return eval_psi(p, xz.z), eval_phi(p, xz)
+    """(psi, phi) without the lambda weighting, from one integral of z.
+
+    The same kernels as eval_psi and eval_phi, so the same values.
+    """
+    if not (p.use_psi or p.use_phi):
+        return 0.0, 0.0
+    xint = _antiderivative(p, xz.z)
+    psi = _psi(p, xint) if p.use_psi else 0.0
+    phi = _phi(xz.x.values, xint, xz.grid.h) if p.use_phi else 0.0
+    return psi, phi
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +334,31 @@ def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
 
 
 def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
-    """lam * gradient rows of (psi + phi) at every node, shape (N, 2n)."""
+    """lam * gradient rows of (psi + phi) at every node, shape (N, 2n).
+
+    One integral of z serves both gradients; the values are grad_phi's
+    and grad_psi's.
+    """
     n = p.n
     rows = np.zeros((xz.grid.npoints, 2 * n))
+    if not (p.use_psi or p.use_phi):
+        return rows
+    xint = _antiderivative(p, xz.z)
     if p.use_phi:
-        rows += lam * grad_phi(p, xz).values
+        rows += lam * _phi_rows(p, xz, xint)
     if p.use_psi:
-        rows[:, n:] += lam * grad_psi(p, xz.z)
+        rows[:, n:] += lam * (xint[-1] - p.xT)
     return rows
+
+
+def _node_set(p: ProblemSpec, xz: PairTraj, rows: np.ndarray, i: int,
+              tol_act: float) -> ConvexSet:
+    """Subdifferential of I at node i, given the penalty rows."""
+    point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
+    s = subdiff_expr(p.integrand, point, tol_act)
+    if p.use_psi or p.use_phi:
+        s = MinkowskiSum((s, Singleton(rows[i])))
+    return s
 
 
 def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
@@ -312,23 +368,14 @@ def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
     tol_act is the integrand's tie tolerance; see subdiff_expr.
     """
     rows = _penalty_rows(p, xz, lam)
-    t = xz.grid.nodes
-    xv, zv = xz.x.values, xz.z.values
-    sets = []
-    for i in range(xz.grid.npoints):
-        point = EvalPoint(xv[i], zv[i], float(t[i]))
-        s = subdiff_expr(p.integrand, point, tol_act)
-        if p.use_psi or p.use_phi:
-            s = MinkowskiSum((s, Singleton(rows[i])))
-        sets.append(s)
-    return sets
+    return [_node_set(p, xz, rows, i, tol_act) for i in range(xz.grid.npoints)]
 
 
 def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int) -> ConvexSet:
     """Pointwise subdifferential of I at node i (0-based)."""
     if not 0 <= i < xz.grid.npoints:
         raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    return subdiff_I_nodes(p, xz, lam)[i]
+    return _node_set(p, xz, _penalty_rows(p, xz, lam), i, _TOL_ACT)
 
 
 class MinNormUncertified(RuntimeError):
@@ -347,12 +394,40 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
     Downstream code reads the field through its piecewise-linear
     interpolant.  tol_act is the integrand's tie tolerance; see
     subdiff_expr.
+
+    One compiled pass (compile_subdiff) gives every node's set as a
+    point plus segments.  Where the segments are pairwise orthogonal the
+    minimum-norm point is zonotope_min_norm's closed form, with its own
+    certificate; every other node, and every node compile_subdiff
+    masks, takes the per-node route of subdiff_I_nodes and
+    min_norm_point.  The route follows from the node's set alone.
+    Errors are the per-node route's: a DomainError or SubdiffError of
+    the lowest node that has one, else MinNormUncertified naming the
+    lowest node, over both routes, whose certificate fails.
     """
-    sets = subdiff_I_nodes(p, xz, lam, tol_act)
-    out = np.empty((xz.grid.npoints, 2 * p.n))
-    for i, s in enumerate(sets):
+    grid = xz.grid
+    _, q, gens, per_node = p.integrand_subdiff()(
+        xz.x.values, xz.z.values, grid.nodes, tol_act)
+    a = np.stack(gens, axis=1) if gens else np.zeros((grid.npoints, 0, 2 * p.n))
+    per_node = per_node | ~orthogonal_generators(a)
+    rows = _penalty_rows(p, xz, lam)
+    # (0 + q) + rows is the per-node path's order of summation, so even
+    # the signs of zeros match it.
+    q = 0.0 + q + rows
+    q[per_node] = 0.0
+    a[per_node] = 0.0
+    out, gaps, certified = zonotope_min_norm(q, a)
+    nodes = np.flatnonzero(per_node)
+    sets = [_node_set(p, xz, rows, i, tol_act) for i in nodes]
+    failed = np.flatnonzero(~(certified | per_node))
+    first = int(failed[0]) if failed.size else grid.npoints
+    for i, s in zip(nodes, sets):
+        if i > first:
+            break
         res = min_norm_point(s)
         if not res.certified:
-            raise MinNormUncertified(i, res.gap)
+            raise MinNormUncertified(int(i), res.gap)
         out[i] = res.point
-    return Traj(xz.grid, out)
+    if first < grid.npoints:
+        raise MinNormUncertified(first, float(gaps[first]))
+    return Traj(grid, out)

@@ -19,7 +19,9 @@ or ``sqrt`` are rejected when the expression is parsed, except for
 multiplication by a constant.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
-by the n z-partials.
+by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
+convex sets; ``compile_subdiff`` gives every grid node's set at once, as a
+point plus segments, and marks the nodes whose sets take another form.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ __all__ = [
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
     "parse_expr", "format_expr", "eval_expr", "compile_expr", "eval_expr_grid",
-    "subdiff_expr", "directional_derivative", "uses_var_z", "is_smooth",
+    "subdiff_expr", "compile_subdiff", "directional_derivative", "uses_var_z",
+    "is_smooth",
 ]
 
 
@@ -753,6 +756,225 @@ def subdiff_expr(e: Expr, p: EvalPoint,
     """
     _, s = _value_and_set(e, p, tol_act)
     return s
+
+
+# A subtree's subdifferential on the whole grid: values (N,), center q
+# (N, d), segment generators [(N, d), ...] and the nodes left to the
+# per-node route, bool (N,).
+SubdiffFn = Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]
+
+
+def compile_subdiff(e: Expr) -> SubdiffFn:
+    """Compile e once into a grid subdifferential f(x, z, t, tol_act).
+
+    x, z have shape (N, n) and t shape (N,).  The result is
+    (value, q, gens, per_node) for every node at once: the value, shape
+    (N,), equal to compile_expr's up to roundoff; a center q, shape
+    (N, 2n); a list of segment generators, each of shape (N, 2n); and a
+    bool mask, shape (N,).  At a node outside the mask, subdiff_expr's
+    set is the zonotope q + sum_k lambda_k gens[k] with lambda in
+    [-1, 1]^k.  Gradients are carried in forward mode (Griewank and
+    Walther, Evaluating Derivatives, 2008) with _value_and_set's
+    formulas, and its tie rules: an abs tie on a point g gives the
+    generator g, a two-way max tie on points g1, g2 gives the center
+    (g1 + g2)/2 and the generator (g1 - g2)/2.
+
+    The mask holds the nodes where the set is not such a zonotope, or
+    where subdiff_expr raises: norm at a zero, three or more active max
+    branches, a tie or a smooth operation over a set already carrying a
+    segment, a zero divisor, a sqrt argument <= 0, and anything not
+    finite.  Their rows mean nothing; subdiff_expr builds their sets.
+    """
+    rec = _compile_sd(e)
+
+    def subdiff(x, z, t, tol_act=_TOL_ACT):
+        v, q, gens, per_node = rec(x, z, t, tol_act)
+        gens = [a for a in gens if a.any()]
+        finite = np.isfinite(v) & np.isfinite(q).all(axis=1)
+        for a in gens:
+            finite &= np.isfinite(a).all(axis=1)
+        return v, q, gens, per_node | ~finite
+    return subdiff
+
+
+def _carries(gens: list, like: np.ndarray) -> np.ndarray:
+    """Nodes where some generator is nonzero; like is a node mask."""
+    out = np.zeros_like(like)
+    for a in gens:
+        out |= a.any(axis=1)
+    return out
+
+
+def _col(v: np.ndarray) -> np.ndarray:
+    return v[:, None]
+
+
+def _compile_sd(e: Expr):
+    if isinstance(e, (Const, Time, VarX, VarZ)):
+        return _sd_leaf(e)
+    if isinstance(e, Neg):
+        f = _compile_sd(e.arg)
+
+        def neg(x, z, t, tol):
+            v, q, gens, bad = f(x, z, t, tol)
+            return -v, -q, [-a for a in gens], bad
+        return neg
+    if isinstance(e, (Add, Sub)):
+        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        plus = isinstance(e, Add)
+
+        def add(x, z, t, tol):
+            v1, q1, gens1, bad1 = f(x, z, t, tol)
+            v2, q2, gens2, bad2 = g(x, z, t, tol)
+            bad = bad1 | bad2
+            if plus:
+                return v1 + v2, q1 + q2, gens1 + gens2, bad
+            return v1 - v2, q1 - q2, gens1 + [-a for a in gens2], bad
+        return add
+    if isinstance(e, Mul) and (isinstance(e.left, Const)
+                               or isinstance(e.right, Const)):
+        left = isinstance(e.left, Const)
+        c = e.left.value if left else e.right.value
+        f = _compile_sd(e.right if left else e.left)
+
+        def scaled(x, z, t, tol):
+            v, q, gens, bad = f(x, z, t, tol)
+            return c * v, c * q, [c * a for a in gens], bad
+        return scaled
+    if isinstance(e, (Mul, Div)):
+        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        div = isinstance(e, Div)
+
+        def product(x, z, t, tol):
+            v1, q1, gens1, bad1 = f(x, z, t, tol)
+            v2, q2, gens2, bad2 = g(x, z, t, tol)
+            bad = bad1 | bad2 | _carries(gens1 + gens2, bad1)
+            if not div:
+                return v1 * v2, _col(v1) * q2 + _col(v2) * q1, [], bad
+            zero = v2 == 0.0
+            den = np.where(zero, 1.0, v2)
+            grad = (q1 * _col(den) - _col(v1) * q2) / _col(den * den)
+            return v1 / den, grad, [], bad | zero
+        return product
+    if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
+        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
+        chain = _SD_CHAIN[type(e)]
+        k = e.exponent if isinstance(e, Pow) else None
+
+        def smooth(x, z, t, tol):
+            v, q, gens, bad = f(x, z, t, tol)
+            val, dq, undefined = chain(v, q, k)
+            return val, dq, [], bad | _carries(gens, bad) | undefined
+        return smooth
+    if isinstance(e, Abs):
+        f = _compile_sd(e.arg)
+
+        def absolute(x, z, t, tol):
+            v, q, gens, bad = f(x, z, t, tol)
+            act = tol * (1.0 + np.abs(v))
+            pos, neg = _col(v > act), _col(v < -act)
+            tie = ~(pos | neg)
+
+            def signed(a):
+                return np.where(pos, a, np.where(neg, -a, 0.0))
+            bad = bad | (tie[:, 0] & _carries(gens, bad))
+            return (np.abs(v), signed(q),
+                    [signed(a) for a in gens] + [np.where(tie, q, 0.0)], bad)
+        return absolute
+    if isinstance(e, Max):
+        fs = [_compile_sd(a) for a in e.args]
+
+        def maximum(x, z, t, tol):
+            parts = [f(x, z, t, tol) for f in fs]
+            vmax = parts[0][0]
+            for v, _, _, _ in parts[1:]:
+                vmax = np.maximum(vmax, v)
+            floor = vmax - tol * (1.0 + np.abs(vmax))
+            active = [v >= floor for v, _, _, _ in parts]
+            count = sum(m.astype(int) for m in active)
+            bad = (count < 1) | (count > 2)
+            # first and second active branch, in argument order
+            first = second = np.zeros_like(parts[0][1])
+            seen = np.zeros_like(count)
+            gens = []
+            for (_, q, branch_gens, branch_bad), m in zip(parts, active):
+                first = np.where(_col(m & (seen == 0)), q, first)
+                second = np.where(_col(m & (seen == 1)), q, second)
+                seen += m
+                bad |= branch_bad | (m & (count == 2)
+                                     & _carries(branch_gens, m))
+                sole = _col(m & (count == 1))
+                gens += [np.where(sole, a, 0.0) for a in branch_gens]
+            tie = _col(count == 2)
+            q = np.where(tie, (first + second) / 2.0, first)
+            gens.append(np.where(tie, (first - second) / 2.0, 0.0))
+            return vmax, q, gens, bad
+        return maximum
+    if isinstance(e, Norm):
+        fs = [_compile_sd(a) for a in e.args]
+
+        def norm(x, z, t, tol):
+            parts = [f(x, z, t, tol) for f in fs]
+            vals = np.stack([p[0] for p in parts], axis=1)
+            # Stacked matmul makes np.linalg.norm's dot call per node (and
+            # below, the matrix-vector product of _value_and_set), so the
+            # gradient has the per-node path's bits.
+            nrm = np.sqrt(np.matmul(vals[:, None, :], vals[:, :, None])[:, 0, 0])
+            smooth = nrm > _TOL_ACT * (1.0 + nrm)
+            bad = ~smooth
+            for _, _, gens, branch_bad in parts:
+                bad |= branch_bad | _carries(gens, bad)
+            w = vals / _col(np.where(smooth, nrm, 1.0))
+            rows = np.stack([p[1] for p in parts], axis=1)
+            grad = np.matmul(np.swapaxes(rows, 1, 2), w[:, :, None])[:, :, 0]
+            return nrm, grad, [], bad
+        return norm
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _sd_leaf(e: Expr):
+    def leaf(x, z, t, tol):
+        n = x.shape[1]
+        q = np.zeros((t.shape[0], 2 * n))
+        none = np.zeros(t.shape, bool)
+        if isinstance(e, Const):
+            return np.full(t.shape, e.value), q, [], none
+        if isinstance(e, Time):
+            return t, q, [], none
+        slot = e.index - 1 + (n if isinstance(e, VarZ) else 0)
+        q[:, slot] = 1.0
+        return (x if isinstance(e, VarX) else z)[:, e.index - 1], q, [], none
+    return leaf
+
+
+# The chain rule of each smooth function, as _value_and_set computes it:
+# (value, gradient, nodes outside the domain) from the argument's
+# value v, gradient q and, for pow, the exponent k.
+def _chain_pow(v, q, k):
+    return v ** k, _col(k * v ** (k - 1)) * q, False
+
+
+def _chain_sin(v, q, k):
+    return np.sin(v), _col(np.cos(v)) * q, False
+
+
+def _chain_cos(v, q, k):
+    return np.cos(v), _col(-np.sin(v)) * q, False
+
+
+def _chain_exp(v, q, k):
+    ev = np.exp(v)
+    return ev, _col(ev) * q, False
+
+
+def _chain_sqrt(v, q, k):
+    undefined = ~(v > 0.0)
+    r = np.sqrt(np.where(undefined, 1.0, v))
+    return r, q / _col(2.0 * r), undefined
+
+
+_SD_CHAIN = {Pow: _chain_pow, Sin: _chain_sin, Cos: _chain_cos,
+             Exp: _chain_exp, Sqrt: _chain_sqrt}
 
 
 def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray) -> float:

@@ -17,9 +17,11 @@ from nsvar.convexgeom import (
     dim,
     min_norm_point,
     negate,
+    orthogonal_generators,
     scale,
     support,
     vertex_list,
+    zonotope_min_norm,
 )
 
 
@@ -339,3 +341,70 @@ def test_min_norm_scaling_equivariance():
         base = min_norm_point(s)
         scaled = min_norm_point(scale(c, s))
         assert np.allclose(scaled.point, c * base.point, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# zonotopes, row by row
+
+
+def _zonotope_polytope(q, a):
+    """q + sum_i lambda_i a_i, lambda in [-1, 1]^k, as a vertex list."""
+    verts = q[None, :]
+    for g in a:
+        verts = np.vstack([verts + g, verts - g])
+    return Polytope(verts)
+
+
+def test_zonotope_min_norm_matches_polytope_route():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        k = int(rng.integers(0, min(d, 3) + 1))
+        # generators on disjoint coordinates are exactly orthogonal; some
+        # of them are zero
+        owner = rng.integers(0, k + 1, d)
+        a = np.array([np.where(owner == i, rng.standard_normal(d), 0.0)
+                      for i in range(k)]).reshape(k, d)
+        a *= (rng.random(k) < 0.8)[:, None]
+        q = rng.standard_normal(d) * rng.uniform(0.1, 4.0)
+        x, gap, certified = zonotope_min_norm(q[None, :], a[None, :, :])
+        assert orthogonal_generators(a[None, :, :])[0]
+        ref = min_norm_point(_zonotope_polytope(q, a))
+        assert ref.certified and certified[0]
+        assert np.allclose(x[0], ref.point, rtol=0.0,
+                           atol=1e-12 * (1.0 + np.linalg.norm(ref.point)))
+        assert -1e-12 <= gap[0] <= 1e-10 * (1.0 + x[0] @ x[0])
+
+
+def test_zonotope_min_norm_frozen_rows():
+    q = np.array([[2.0, 0.5], [0.5, 3.0], [0.0, 0.0]])
+    a = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 2.0], [0.0, 0.0]]])
+    x, gap, certified = zonotope_min_norm(q, a)
+    assert np.array_equal(x, [[1.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+    assert np.array_equal(gap, [0.0, 0.0, 0.0])
+    assert certified.all()
+
+
+def test_zonotope_certificate_reports_a_wrong_point():
+    # Non-orthogonal generators: the clip is not the minimizer, and the
+    # gap says so instead of certifying it.
+    a = np.array([[[1.0, 1.0], [1.0, 0.0]]])
+    assert not orthogonal_generators(a)[0]
+    q = np.array([[0.0, 1.0]])
+    x, gap, certified = zonotope_min_norm(q, a)
+    assert np.array_equal(x, [[-0.5, 0.5]])  # lambda = (-0.5, 0)
+    assert np.allclose(min_norm_point(_zonotope_polytope(q[0], a[0])).point, 0.0)
+    assert gap[0] == 0.5 and not certified[0]
+
+
+def test_orthogonal_generators_ignores_zero_generators():
+    a = np.array([
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ])
+    assert orthogonal_generators(a).tolist() == [True, False, True]
+    assert orthogonal_generators(np.zeros((4, 1, 3))).all()
+    assert orthogonal_generators(np.zeros((4, 0, 3))).all()

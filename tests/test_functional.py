@@ -7,7 +7,7 @@ import nsvar.functional
 import nsvar.trajectory
 from _oracles import dual_gradient, fd_directional, random_expr, random_smooth_expr
 from nsvar.cli import load_problem
-from nsvar.convexgeom import Polytope, Singleton, support
+from nsvar.convexgeom import Polytope, Singleton, min_norm_point, support
 from nsvar.functional import (
     MinNormUncertified,
     ProblemSpec,
@@ -24,7 +24,13 @@ from nsvar.functional import (
     subdiff_I_at,
     subdiff_I_nodes,
 )
-from nsvar.integrand import DomainError, EvalPoint, parse_expr, subdiff_expr
+from nsvar.integrand import (
+    DomainError,
+    EvalPoint,
+    SubdiffError,
+    parse_expr,
+    subdiff_expr,
+)
 from nsvar.solver import SolverConfig, steepest_direction
 from nsvar.trajectory import (
     Grid,
@@ -296,6 +302,24 @@ def test_eval_I_is_exactly_the_sum_of_its_terms():
                 assert eval_I(p, xz, lam) == want
 
 
+def test_penalties_from_one_integral_keep_their_bits():
+    """penalty_values and the penalty rows of the nodal sets integrate z
+    once, and give exactly what the public terms give."""
+    rng = np.random.default_rng(19)
+    for p in _one_pass_problems():
+        g = Grid(p.horizon, 21)
+        xz = _pair(p, g, rng.standard_normal((21, p.n)),
+                   rng.standard_normal((21, p.n)))
+        lam = float(rng.uniform(0.1, 500.0))
+        assert penalty_values(p, xz) == (eval_psi(p, xz.z), eval_phi(p, xz))
+        want = np.zeros((21, 2 * p.n))
+        if p.use_phi:
+            want += lam * grad_phi(p, xz).values
+        if p.use_psi:
+            want[:, p.n:] += lam * grad_psi(p, xz.z)
+        assert np.array_equal(nsvar.functional._penalty_rows(p, xz, lam), want)
+
+
 @pytest.mark.parametrize("text, node, message", [
     ("pow(z1, 2) + exp(x1)", 4, "integrand is not finite"),
     ("pow(z1, 2) + sqrt(x1)", 2, "sqrt of a negative value"),
@@ -454,6 +478,102 @@ def test_min_norm_field_uncertified_raises(monkeypatch):
                         lambda s: exact(s, tol=0.0))
     with pytest.raises(MinNormUncertified, match="certificate failed"):
         min_norm_field(p, xz, 2.0)
+
+
+def _per_node_field(p, xz, lam, tol_act):
+    """The reference field: min_norm_point on every nodal set."""
+    sets = subdiff_I_nodes(p, xz, lam, tol_act)
+    return np.array([min_norm_point(s).point for s in sets])
+
+
+def _assert_same_field(p, xz, lam, tol_act):
+    """min_norm_field agrees with the reference, or raises as it does."""
+    try:
+        want = _per_node_field(p, xz, lam, tol_act)
+    except (DomainError, SubdiffError) as exc:
+        with pytest.raises(type(exc)):
+            min_norm_field(p, xz, lam, tol_act)
+        return False
+    got = min_norm_field(p, xz, lam, tol_act).values
+    tol = 1e-12 * (1.0 + np.linalg.norm(want, axis=1))
+    assert (np.abs(got - want).max(axis=1) <= tol).all(), (got, want)
+    return True
+
+
+def _half_integer_pair(rng, n, N):
+    g = Grid(0.5 * (N - 1), N)   # nodes 0, 0.5, 1, ...
+    x = 0.5 * rng.integers(-4, 5, (N, n))
+    z = 0.5 * rng.integers(-4, 5, (N, n))
+    return g, x.astype(float), z.astype(float)
+
+
+@pytest.mark.parametrize("tol_act", [1e-9, 1e-3])
+@pytest.mark.parametrize("penalties", [False, True])
+def test_min_norm_field_matches_per_node_route(tol_act, penalties):
+    """At half-integer points, where ties are common, the grid pass plus
+    closed form gives the per-node route's field."""
+    rng = np.random.default_rng(41 + int(penalties))
+    compared = 0
+    for _ in range(80):
+        n = int(rng.integers(1, 3))
+        e = random_expr(rng, n)
+        g, x, z = _half_integer_pair(rng, n, 7)
+        kw = dict(xT=0.5 * rng.integers(-2, 3, n).astype(float), use_phi=True) \
+            if penalties else dict(use_phi=False)
+        p = ProblemSpec(n=n, horizon=g.horizon, x0=np.zeros(n), integrand=e, **kw)
+        compared += _assert_same_field(p, _pair(p, g, x, z), 3.0, tol_act)
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("text, node", [
+    ("norm(z1 - 1, x2)", [0.0, 0.0, 1.0, 1.0]),     # ball at its zero
+    ("max(x1, z1, t)", [0.5, 0.5, 0.5, 0.5]),       # three-way tie
+    ("abs(max(x1, z1))", [0.0, 0.0, 0.0, 0.0]),     # tie over a segment
+    ("abs(x1 + z1) + abs(x1)", [0.0, 0.0, 0.0, 0.0]),  # oblique segments
+    ("norm(z1 - x2, x1)", [0.0, 0.0, 0.0, 0.0]),    # SubdiffError
+    ("pow(z1, 2) + sqrt(x1)", [0.0, 1.0, 1.0, 1.0]),  # DomainError
+    ("pow(z1, 2) + 1 / x2", [1.0, 0.0, 1.0, 1.0]),  # DomainError
+])
+@pytest.mark.parametrize("penalties", [False, True])
+def test_min_norm_field_takes_per_node_route(monkeypatch, text, node, penalties):
+    """Sets that are not a point plus orthogonal segments go node by node."""
+    p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2),
+                    **(dict(xT=[1.0, 0.5]) if penalties else dict(use_phi=False)))
+    g = Grid(1.0, 3)
+    x = np.full((3, 2), 2.0)
+    z = np.full((3, 2), 3.0)
+    x[1], z[1] = node[:2], node[2:]
+    xz = _pair(p, g, x, z)
+    per_node = []
+    exact = nsvar.functional.min_norm_point
+
+    def spy(s):
+        per_node.append(s)
+        return exact(s)
+    monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
+    if _assert_same_field(p, xz, 2.0, 1e-9):
+        assert len(per_node) == 1
+
+
+@pytest.mark.parametrize("cut, node", [("closed form", 1), ("per node", 0)])
+def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
+    """MinNormUncertified names the lowest failing node over both routes.
+
+    Node 0 sits on a three-way tie (per-node route); the others take the
+    closed form.  A negative tolerance fails every certificate of the
+    route it is given to.
+    """
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], use_phi=False,
+                    integrand=parse_expr("max(x1, z1, t) + abs(x1 - 5)", 1))
+    xz = _pair(p, Grid(1.0, 4), np.array([0.0, 5.0, 5.0, 1.0]), np.zeros(4))
+    name = {"closed form": "zonotope_min_norm", "per node": "min_norm_point"}[cut]
+    exact = getattr(nsvar.functional, name)
+    monkeypatch.setattr(nsvar.functional, name,
+                        lambda *args: exact(*args, tol=-1.0))
+    with pytest.raises(MinNormUncertified) as err:
+        min_norm_field(p, xz, 1.0)
+    assert err.value.node == node
+    assert str(err.value).startswith(f"minimum-norm certificate failed at node {node} ")
 
 
 # ---------------------------------------------------------------------------

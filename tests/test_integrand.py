@@ -29,6 +29,7 @@ from nsvar.integrand import (
     SubdiffError,
     VarX,
     VarZ,
+    compile_subdiff,
     directional_derivative,
     eval_expr,
     eval_expr_grid,
@@ -380,6 +381,54 @@ def test_smooth_gradient_matches_dual_numbers():
         assert isinstance(s, Singleton)
         assert np.allclose(s.point, ref, rtol=1e-10, atol=1e-10)
         done += 1
+
+
+def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        e = random_smooth_expr(rng, n, 3)
+        x = rng.standard_normal((6, n))
+        z = rng.standard_normal((6, n))
+        t = rng.random(6)
+        value, q, gens, per_node = compile_subdiff(e)(x, z, t, 1e-9)
+        assert gens == [] and not per_node.any()
+        assert np.allclose(value, eval_expr_grid(e, x, z, t), rtol=1e-14, atol=0.0)
+        for i in range(6):
+            ref = dual_gradient(e, x[i], z[i], t[i])
+            assert np.allclose(q[i], ref, rtol=1e-10, atol=1e-10)
+
+
+def test_grid_subdiff_ties_are_a_point_plus_segments():
+    f = compile_subdiff(parse_expr("abs(x1) + 2 * max(x2, z1)", 2))
+    x = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
+    value, q, gens, per_node = f(x, z, np.zeros(3), 1e-9)
+    assert np.array_equal(value, [2.0, 3.0, 2.0])
+    assert not per_node.any()
+    # node 0: abs tie, x2 wins; node 1: max tie; node 2: neither
+    assert np.array_equal(q, [[0.0, 2.0, 0.0, 0.0],
+                              [1.0, 1.0, 1.0, 0.0],
+                              [-1.0, 2.0, 0.0, 0.0]])
+    assert len(gens) == 2
+    assert np.array_equal(gens[0], [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
+    assert np.array_equal(gens[1], [[0.0] * 4, [0.0, 1.0, -1.0, 0.0], [0.0] * 4])
+
+
+@pytest.mark.parametrize("text, x, z", [
+    ("norm(z1 - 1, x2)", [0.0, 0.0], [1.0, 0.0]),
+    ("max(x1, z1, t)", [0.0, 0.0], [0.0, 0.0]),
+    ("abs(max(x1, z1))", [0.0, 0.0], [0.0, 0.0]),
+    ("abs(abs(x1) + x2)", [0.0, 0.0], [0.0, 0.0]),
+    ("sqrt(x1)", [0.0, 0.0], [0.0, 0.0]),
+    ("1 / x1", [0.0, 0.0], [0.0, 0.0]),
+])
+def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
+    f = compile_subdiff(parse_expr(text, 2))
+    xs = np.array([x, [2.0, 3.0]])
+    zs = np.array([z, [4.0, 5.0]])
+    _, _, _, per_node = f(xs, zs, np.zeros(2), 1e-9)
+    assert per_node.tolist() == [True, False]
 
 
 def test_directional_derivative_examples():
