@@ -237,8 +237,13 @@ def _integrand_values(p: ProblemSpec, xz: PairTraj) -> np.ndarray:
 
 def _psi(p: ProblemSpec, xint: np.ndarray) -> float:
     """psi from the nodal antiderivative xint = x0 + int z."""
-    r = xint[-1] - p.xT
+    r = _psi_grad(p, xint)
     return 0.5 * float(r @ r)
+
+
+def _psi_grad(p: ProblemSpec, xint: np.ndarray) -> np.ndarray:
+    """grad_psi's constant value, the endpoint residual x0 + int z - xT."""
+    return xint[-1] - p.xT
 
 
 def _phi(x: np.ndarray, xint: np.ndarray, h: float) -> float:
@@ -267,7 +272,7 @@ def grad_psi(p: ProblemSpec, z: Traj) -> np.ndarray:
     """Gateaux gradient of psi wrt z: the constant field x0 + int z - xT."""
     if not p.use_psi:
         return np.zeros(p.n)
-    return _antiderivative(p, z)[-1] - p.xT
+    return _psi_grad(p, _antiderivative(p, z))
 
 
 def eval_phi(p: ProblemSpec, xz: PairTraj) -> float:
@@ -347,7 +352,7 @@ def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
     if p.use_phi:
         rows += lam * _phi_rows(p, xz, xint)
     if p.use_psi:
-        rows[:, n:] += lam * (xint[-1] - p.xT)
+        rows[:, n:] += lam * _psi_grad(p, xint)
     return rows
 
 

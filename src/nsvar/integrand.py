@@ -447,6 +447,16 @@ def format_expr(e: Expr) -> str:
 GridFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
+def _power(v, k: int) -> np.ndarray:
+    """v ** k by numpy's array kernel, for a grid or a single value.
+
+    Python's float ** (libm pow) differs from numpy's array power in the
+    last bit on a few percent of values, so the grid and per-node paths
+    both come here and a tie on a pow value is decided alike.
+    """
+    return np.asarray(v) ** k
+
+
 def compile_expr(e: Expr) -> GridFn:
     """Compile e once into a grid evaluator f(x, z, t).
 
@@ -493,7 +503,7 @@ def compile_expr(e: Expr) -> GridFn:
         return div
     if isinstance(e, Pow):
         f, k = compile_expr(e.base), e.exponent
-        return lambda x, z, t: f(x, z, t) ** k
+        return lambda x, z, t: _power(f(x, z, t), k)
     if isinstance(e, Sqrt):
         f = compile_expr(e.arg)
 
@@ -691,7 +701,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
             v, s = rec(node.base)
             g = _as_gradient(s)
             k = node.exponent
-            return v ** k, Singleton(k * v ** (k - 1) * g)
+            return float(_power(v, k)), Singleton(k * float(_power(v, k - 1)) * g)
         if isinstance(node, Sin):
             v, s = rec(node.arg)
             return float(np.sin(v)), Singleton(float(np.cos(v)) * _as_gradient(s))
@@ -783,12 +793,15 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     where subdiff_expr raises: norm at a zero, three or more active max
     branches, a tie or a smooth operation over a set already carrying a
     segment, a zero divisor, a sqrt argument <= 0, and anything not
-    finite.  Their rows mean nothing; subdiff_expr builds their sets.
+    finite.  A set carries a segment where a tie below it holds at that
+    node, as in subdiff_expr's tree, even when the generator is zero
+    (a max tie between branches of equal gradient).  Masked rows mean
+    nothing; subdiff_expr builds their sets.
     """
     rec = _compile_sd(e)
 
     def subdiff(x, z, t, tol_act=_TOL_ACT):
-        v, q, gens, per_node = rec(x, z, t, tol_act)
+        v, q, gens, per_node, _ = rec(x, z, t, tol_act)
         gens = [a for a in gens if a.any()]
         finite = np.isfinite(v) & np.isfinite(q).all(axis=1)
         for a in gens:
@@ -797,18 +810,13 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     return subdiff
 
 
-def _carries(gens: list, like: np.ndarray) -> np.ndarray:
-    """Nodes where some generator is nonzero; like is a node mask."""
-    out = np.zeros_like(like)
-    for a in gens:
-        out |= a.any(axis=1)
-    return out
-
-
 def _col(v: np.ndarray) -> np.ndarray:
     return v[:, None]
 
 
+# Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
+# nodes left to the per-node route, seg those where a tie in the subtree
+# holds, so that its set carries a segment there.
 def _compile_sd(e: Expr):
     if isinstance(e, (Const, Time, VarX, VarZ)):
         return _sd_leaf(e)
@@ -816,20 +824,20 @@ def _compile_sd(e: Expr):
         f = _compile_sd(e.arg)
 
         def neg(x, z, t, tol):
-            v, q, gens, bad = f(x, z, t, tol)
-            return -v, -q, [-a for a in gens], bad
+            v, q, gens, bad, seg = f(x, z, t, tol)
+            return -v, -q, [-a for a in gens], bad, seg
         return neg
     if isinstance(e, (Add, Sub)):
         f, g = _compile_sd(e.left), _compile_sd(e.right)
         plus = isinstance(e, Add)
 
         def add(x, z, t, tol):
-            v1, q1, gens1, bad1 = f(x, z, t, tol)
-            v2, q2, gens2, bad2 = g(x, z, t, tol)
-            bad = bad1 | bad2
+            v1, q1, gens1, bad1, seg1 = f(x, z, t, tol)
+            v2, q2, gens2, bad2, seg2 = g(x, z, t, tol)
+            bad, seg = bad1 | bad2, seg1 | seg2
             if plus:
-                return v1 + v2, q1 + q2, gens1 + gens2, bad
-            return v1 - v2, q1 - q2, gens1 + [-a for a in gens2], bad
+                return v1 + v2, q1 + q2, gens1 + gens2, bad, seg
+            return v1 - v2, q1 - q2, gens1 + [-a for a in gens2], bad, seg
         return add
     if isinstance(e, Mul) and (isinstance(e.left, Const)
                                or isinstance(e.right, Const)):
@@ -838,23 +846,24 @@ def _compile_sd(e: Expr):
         f = _compile_sd(e.right if left else e.left)
 
         def scaled(x, z, t, tol):
-            v, q, gens, bad = f(x, z, t, tol)
-            return c * v, c * q, [c * a for a in gens], bad
+            v, q, gens, bad, seg = f(x, z, t, tol)
+            return c * v, c * q, [c * a for a in gens], bad, seg
         return scaled
     if isinstance(e, (Mul, Div)):
         f, g = _compile_sd(e.left), _compile_sd(e.right)
         div = isinstance(e, Div)
 
         def product(x, z, t, tol):
-            v1, q1, gens1, bad1 = f(x, z, t, tol)
-            v2, q2, gens2, bad2 = g(x, z, t, tol)
-            bad = bad1 | bad2 | _carries(gens1 + gens2, bad1)
+            v1, q1, _, bad1, seg1 = f(x, z, t, tol)
+            v2, q2, _, bad2, seg2 = g(x, z, t, tol)
+            bad = bad1 | bad2 | seg1 | seg2
+            none = np.zeros_like(bad)
             if not div:
-                return v1 * v2, _col(v1) * q2 + _col(v2) * q1, [], bad
+                return v1 * v2, _col(v1) * q2 + _col(v2) * q1, [], bad, none
             zero = v2 == 0.0
             den = np.where(zero, 1.0, v2)
             grad = (q1 * _col(den) - _col(v1) * q2) / _col(den * den)
-            return v1 / den, grad, [], bad | zero
+            return v1 / den, grad, [], bad | zero, none
         return product
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
         f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
@@ -862,24 +871,24 @@ def _compile_sd(e: Expr):
         k = e.exponent if isinstance(e, Pow) else None
 
         def smooth(x, z, t, tol):
-            v, q, gens, bad = f(x, z, t, tol)
+            v, q, _, bad, seg = f(x, z, t, tol)
             val, dq, undefined = chain(v, q, k)
-            return val, dq, [], bad | _carries(gens, bad) | undefined
+            return val, dq, [], bad | seg | undefined, np.zeros_like(seg)
         return smooth
     if isinstance(e, Abs):
         f = _compile_sd(e.arg)
 
         def absolute(x, z, t, tol):
-            v, q, gens, bad = f(x, z, t, tol)
+            v, q, gens, bad, seg = f(x, z, t, tol)
             act = tol * (1.0 + np.abs(v))
             pos, neg = _col(v > act), _col(v < -act)
             tie = ~(pos | neg)
 
             def signed(a):
                 return np.where(pos, a, np.where(neg, -a, 0.0))
-            bad = bad | (tie[:, 0] & _carries(gens, bad))
             return (np.abs(v), signed(q),
-                    [signed(a) for a in gens] + [np.where(tie, q, 0.0)], bad)
+                    [signed(a) for a in gens] + [np.where(tie, q, 0.0)],
+                    bad | (tie[:, 0] & seg), seg | tie[:, 0])
         return absolute
     if isinstance(e, Max):
         fs = [_compile_sd(a) for a in e.args]
@@ -887,28 +896,29 @@ def _compile_sd(e: Expr):
         def maximum(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]
             vmax = parts[0][0]
-            for v, _, _, _ in parts[1:]:
-                vmax = np.maximum(vmax, v)
+            for part in parts[1:]:
+                vmax = np.maximum(vmax, part[0])
             floor = vmax - tol * (1.0 + np.abs(vmax))
-            active = [v >= floor for v, _, _, _ in parts]
+            active = [part[0] >= floor for part in parts]
             count = sum(m.astype(int) for m in active)
             bad = (count < 1) | (count > 2)
+            tie = count == 2
+            seg = tie.copy()
             # first and second active branch, in argument order
             first = second = np.zeros_like(parts[0][1])
             seen = np.zeros_like(count)
             gens = []
-            for (_, q, branch_gens, branch_bad), m in zip(parts, active):
+            for (_, q, branch_gens, branch_bad, branch_seg), m in zip(parts, active):
                 first = np.where(_col(m & (seen == 0)), q, first)
                 second = np.where(_col(m & (seen == 1)), q, second)
                 seen += m
-                bad |= branch_bad | (m & (count == 2)
-                                     & _carries(branch_gens, m))
-                sole = _col(m & (count == 1))
-                gens += [np.where(sole, a, 0.0) for a in branch_gens]
-            tie = _col(count == 2)
-            q = np.where(tie, (first + second) / 2.0, first)
-            gens.append(np.where(tie, (first - second) / 2.0, 0.0))
-            return vmax, q, gens, bad
+                bad |= branch_bad | (m & tie & branch_seg)
+                sole = m & (count == 1)
+                seg |= sole & branch_seg
+                gens += [np.where(_col(sole), a, 0.0) for a in branch_gens]
+            q = np.where(_col(tie), (first + second) / 2.0, first)
+            gens.append(np.where(_col(tie), (first - second) / 2.0, 0.0))
+            return vmax, q, gens, bad, seg
         return maximum
     if isinstance(e, Norm):
         fs = [_compile_sd(a) for a in e.args]
@@ -922,12 +932,12 @@ def _compile_sd(e: Expr):
             nrm = np.sqrt(np.matmul(vals[:, None, :], vals[:, :, None])[:, 0, 0])
             smooth = nrm > _TOL_ACT * (1.0 + nrm)
             bad = ~smooth
-            for _, _, gens, branch_bad in parts:
-                bad |= branch_bad | _carries(gens, bad)
+            for _, _, _, branch_bad, branch_seg in parts:
+                bad |= branch_bad | branch_seg
             w = vals / _col(np.where(smooth, nrm, 1.0))
             rows = np.stack([p[1] for p in parts], axis=1)
             grad = np.matmul(np.swapaxes(rows, 1, 2), w[:, :, None])[:, :, 0]
-            return nrm, grad, [], bad
+            return nrm, grad, [], bad, np.zeros_like(bad)
         return norm
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -938,12 +948,13 @@ def _sd_leaf(e: Expr):
         q = np.zeros((t.shape[0], 2 * n))
         none = np.zeros(t.shape, bool)
         if isinstance(e, Const):
-            return np.full(t.shape, e.value), q, [], none
+            return np.full(t.shape, e.value), q, [], none, none
         if isinstance(e, Time):
-            return t, q, [], none
+            return t, q, [], none, none
         slot = e.index - 1 + (n if isinstance(e, VarZ) else 0)
         q[:, slot] = 1.0
-        return (x if isinstance(e, VarX) else z)[:, e.index - 1], q, [], none
+        value = (x if isinstance(e, VarX) else z)[:, e.index - 1]
+        return value, q, [], none, none
     return leaf
 
 
@@ -951,7 +962,7 @@ def _sd_leaf(e: Expr):
 # (value, gradient, nodes outside the domain) from the argument's
 # value v, gradient q and, for pow, the exponent k.
 def _chain_pow(v, q, k):
-    return v ** k, _col(k * v ** (k - 1)) * q, False
+    return _power(v, k), _col(k * _power(v, k - 1)) * q, False
 
 
 def _chain_sin(v, q, k):

@@ -529,6 +529,7 @@ def test_min_norm_field_matches_per_node_route(tol_act, penalties):
     ("norm(z1 - 1, x2)", [0.0, 0.0, 1.0, 1.0]),     # ball at its zero
     ("max(x1, z1, t)", [0.5, 0.5, 0.5, 0.5]),       # three-way tie
     ("abs(max(x1, z1))", [0.0, 0.0, 0.0, 0.0]),     # tie over a segment
+    ("abs(x1 - max(t - 0.5, 0))", [0.0, 0.0, 0.0, 0.0]),  # over a zero segment
     ("abs(x1 + z1) + abs(x1)", [0.0, 0.0, 0.0, 0.0]),  # oblique segments
     ("norm(z1 - x2, x1)", [0.0, 0.0, 0.0, 0.0]),    # SubdiffError
     ("pow(z1, 2) + sqrt(x1)", [0.0, 1.0, 1.0, 1.0]),  # DomainError

@@ -420,6 +420,7 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     ("max(x1, z1, t)", [0.0, 0.0], [0.0, 0.0]),
     ("abs(max(x1, z1))", [0.0, 0.0], [0.0, 0.0]),
     ("abs(abs(x1) + x2)", [0.0, 0.0], [0.0, 0.0]),
+    ("abs(x1 - max(t, 0))", [0.0, 0.0], [0.0, 0.0]),   # tie over a zero segment
     ("sqrt(x1)", [0.0, 0.0], [0.0, 0.0]),
     ("1 / x1", [0.0, 0.0], [0.0, 0.0]),
 ])
@@ -429,6 +430,26 @@ def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
     zs = np.array([z, [4.0, 5.0]])
     _, _, _, per_node = f(xs, zs, np.zeros(2), 1e-9)
     assert per_node.tolist() == [True, False]
+
+
+def test_pow_ties_are_decided_alike_on_both_paths():
+    """At tol_act 0 an abs tie needs its argument to be exactly 0, so a
+    last-bit difference in pow between the grid pass and subdiff_expr
+    would put the node on a tie on one path only."""
+    v = np.random.default_rng(5).uniform(0.5, 2.0, 2000)
+    cubes = v ** 3
+    libm = np.array([float(a) ** 3 for a in v])
+    v, cubes = v[libm != cubes][:20], cubes[libm != cubes][:20]
+    assert v.size == 20
+    for a, c in zip(v, cubes):
+        e = parse_expr(f"abs(pow(x1, 3) - {float(c)!r})", 1)
+        value, q, gens, per_node = compile_subdiff(e)(
+            np.array([[a]]), np.zeros((1, 1)), np.zeros(1), 0.0)
+        assert value[0] == 0.0 and not per_node[0] and len(gens) == 1
+        s = subdiff_expr(e, _pt([a], [0.0]), 0.0)
+        assert isinstance(s, Polytope)
+        assert np.array_equal(np.abs(s.vertices), np.abs(gens[0]).repeat(2, 0))
+        assert eval_expr(parse_expr("pow(x1, 3)", 1), _pt([a], [0.0])) == c
 
 
 def test_directional_derivative_examples():
