@@ -17,7 +17,9 @@ trajectory.csv, convergence.csv and summary.json into the output
 directory and exits 0 when the run converged, 2 when it exhausted its
 budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
 A solve that fails once the output directory exists leaves a summary.json
-with status "failed" and the reason.
+with status "failed" and the reason; once it has a first pair, it also
+leaves that run's last pair in trajectory.csv and its records so far in
+convergence.csv (a header only when there are none).
 """
 
 from __future__ import annotations
@@ -257,12 +259,12 @@ def _write_trajectory(path: Path, state, z) -> None:
 
 
 def _write_convergence(path: Path, records: list[IterationRecord]) -> None:
-    rows = ["k,I,J,psi,phi,vnorm,lambda,gamma,N,eps"]
+    rows = ["k,I,J,psi,phi,vnorm,lambda,gamma,N,eps,ls_evals"]
     for r in records:
         rows.append(",".join([
             str(r.k), _fmt(r.I), _fmt(r.J), _fmt(r.psi), _fmt(r.phi),
             _fmt(r.vnorm), _fmt(r.lam), _fmt(r.gamma), str(r.npoints),
-            _fmt(r.eps),
+            _fmt(r.eps), str(r.ls_evals),
         ]))
     path.write_text("\n".join(rows) + "\n")
 
@@ -345,6 +347,13 @@ def run(argv: list[str]) -> int:
         except (ExprError, MinNormUncertified, FloatingPointError) as exc:
             failed = {"problem": spec.name, "status": "failed", "reason": str(exc)}
             (outdir / "summary.json").write_text(json.dumps(failed, indent=2) + "\n")
+            if hasattr(exc, "last_run"):
+                xz, records = exc.last_run
+                # The last pair may hold the inf that stopped the solve.
+                with np.errstate(all="ignore"):
+                    state = recovered_state(spec, xz)
+                _write_trajectory(outdir / "trajectory.csv", state, xz.z)
+                _write_convergence(outdir / "convergence.csv", records)
             raise
         wall = time.perf_counter() - t0
 

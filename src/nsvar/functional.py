@@ -15,13 +15,19 @@ fields to roundoff.  For phi this means the classic reverse-integral
 formula -int_t^T d(tau) dtau picks up O(h) end-node corrections; interior
 nodes match the textbook formula.
 
-eval_I is the line search's objective, so it makes one pass: it
-evaluates the compiled integrand, integrates z once and reads both
-penalties off that one antiderivative.  It is built from the same
-kernels as eval_J, eval_psi and eval_phi, in the same order, so
-eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly, not just
-to roundoff.  penalty_values and the penalty rows of the nodal
+eval_I makes one pass: it evaluates the compiled integrand, integrates z
+once and reads both penalties off that one antiderivative.  It is built
+from the same kernels as eval_J, eval_psi and eval_phi, in the same
+order, so eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly,
+not just to roundoff.  penalty_values and the penalty rows of the nodal
 subdifferentials also integrate z once.
+
+The line search's objective is eval_I_along: gamma -> I(xz + gamma * d).
+Both penalties are exact discrete quadratics, so along a line
+lam * (psi + phi) is one quadratic in gamma, built once per line from
+the antiderivatives of z and of d's z block.  Each probe then evaluates
+only the compiled integrand; it matches eval_I at the stepped pair to
+roundoff and raises the same DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -71,7 +77,8 @@ from .trajectory import (
 __all__ = [
     "ProblemSpec", "MinNormUncertified", "initial_pair", "recovered_state",
     "eval_J", "eval_psi", "grad_psi", "eval_phi", "grad_phi", "eval_I",
-    "penalty_values", "subdiff_I_at", "subdiff_I_nodes", "min_norm_field",
+    "eval_I_along", "penalty_values", "subdiff_I_at", "subdiff_I_nodes",
+    "min_norm_field",
 ]
 
 
@@ -225,10 +232,10 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
 # functional values
 
 
-def _integrand_values(p: ProblemSpec, xz: PairTraj) -> np.ndarray:
+def _integrand_values(p: ProblemSpec, x: np.ndarray, z: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
     """Nodal integrand values; DomainError at the first non-finite one."""
-    t = xz.grid.nodes
-    vals = p.integrand_grid()(xz.x.values, xz.z.values, t)
+    vals = p.integrand_grid()(x, z, t)
     if not np.isfinite(vals).all():
         i = int(np.argmax(~np.isfinite(vals)))
         raise DomainError("integrand is not finite", float(t[i]), i)
@@ -259,7 +266,8 @@ def _antiderivative(p: ProblemSpec, z: Traj) -> np.ndarray:
 
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
-    return trapezoid(_integrand_values(p, xz), xz.grid.h)
+    return trapezoid(_integrand_values(p, xz.x.values, xz.z.values,
+                                       xz.grid.nodes), xz.grid.h)
 
 
 def eval_psi(p: ProblemSpec, z: Traj) -> float:
@@ -311,7 +319,8 @@ def _phi_rows(p: ProblemSpec, xz: PairTraj, xint: np.ndarray) -> np.ndarray:
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
     """I = J + lam * (psi + phi), in one pass."""
     h = xz.grid.h
-    total = trapezoid(_integrand_values(p, xz), h)
+    total = trapezoid(_integrand_values(p, xz.x.values, xz.z.values,
+                                        xz.grid.nodes), h)
     if p.use_psi or p.use_phi:
         xint = _antiderivative(p, xz.z)
         if p.use_psi:
@@ -319,6 +328,44 @@ def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
         if p.use_phi:
             total += lam * _phi(xz.x.values, xint, h)
     return total
+
+
+def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
+                 lam: float) -> Callable[[float], float]:
+    """gamma -> I(xz + gamma * direction), the line search's objective.
+
+    Along a line lam * (psi + phi) is a quadratic in gamma.  Its three
+    coefficients come from one integral of each z block, once per line;
+    a probe then makes one pass of the compiled integrand, adds its
+    trapezoid sum and the quadratic, and builds no Traj.  A probe raises
+    DomainError where eval_I at the stepped pair would; it equals that
+    value to roundoff.
+    """
+    grid = xz.grid
+    h, t = grid.h, grid.nodes
+    xv, zv = xz.x.values, xz.z.values
+    gx, gz = direction.x.values, direction.z.values
+    c0 = c1 = c2 = 0.0
+    if p.use_psi or p.use_phi:
+        xint = _antiderivative(p, xz.z)
+        gint = cumulative_trapezoid(gz, h, np.zeros(p.n))
+        if p.use_psi:
+            r0, r1 = _psi_grad(p, xint), gint[-1]
+            c0 += 0.5 * float(r0 @ r0)
+            c1 += float(r0 @ r1)
+            c2 += 0.5 * float(r1 @ r1)
+        if p.use_phi:
+            d0, d1 = xv - xint, gx - gint
+            c0 += 0.5 * trapezoid(np.einsum("ij,ij->i", d0, d0), h)
+            c1 += trapezoid(np.einsum("ij,ij->i", d0, d1), h)
+            c2 += 0.5 * trapezoid(np.einsum("ij,ij->i", d1, d1), h)
+    c0, c1, c2 = lam * c0, lam * c1, lam * c2
+
+    def value(gamma: float) -> float:
+        vals = _integrand_values(p, xv + gamma * gx, zv + gamma * gz, t)
+        return trapezoid(vals, h) + (c0 + gamma * (c1 + gamma * c2))
+
+    return value
 
 
 def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:

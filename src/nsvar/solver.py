@@ -3,8 +3,11 @@
 Each iteration computes the minimum-norm point of the pointwise
 subdifferential of I at every grid node, interpolates those nodal
 subgradients piecewise-linearly, and walks along the normalized negative
-field with a derivative-free line search (bracketing by doubling, then
-golden section).
+field with a derivative-free line search: bracketing by doubling, then
+Brent's safeguarded parabolic search (Brent, Algorithms for Minimization
+without Derivatives, 1973), down to a bracket of _LS_TOL * (1 + gamma).
+Along the line the penalties are one quadratic in the step, so a probe
+costs one pass of the compiled integrand (eval_I_along).
 
 The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
@@ -22,20 +25,23 @@ penalty terms remain above constraint_tol.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functional import (
+    MinNormUncertified,
     ProblemSpec,
     eval_I,
+    eval_I_along,
     eval_J,
     initial_pair,
     min_norm_field,
     penalty_values,
 )
-from .integrand import _TOL_ACT, DomainError
+from .integrand import _TOL_ACT, DomainError, ExprError
 from .trajectory import (Grid, PairTraj, Traj, require_finite,
                          pl_l2_norm_sq, resample)
 
@@ -87,6 +93,7 @@ class IterationRecord:
     npoints: int
     wall_time: float  # seconds since solve() started
     eps: float        # tie tolerance the iteration's direction was taken at
+    ls_evals: int     # evaluations of I by the iteration's line searches
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -95,10 +102,13 @@ _DECREASE_MARGIN = 1e-12
 _LS_SEED = 1e-2
 _LS_GROWTH = 2.0
 _LS_MAX_STEP = 1e3
-# Golden-section width, scaled by (1 + gamma).  Precision is load-bearing:
-# at 1e-8, abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6 * t)) exhausts its
-# iteration budget instead of converging.
+# Line-search bracket width, scaled by (1 + gamma).  Precision is
+# load-bearing: at 1e-8, abs(x1 - max(t - a, 0)) + abs(x2 - sin(w * t))
+# for a, w near 0.5, 6 takes up to five times the ~80 iterations, and
+# some draws exhaust their iteration budget instead of converging.
 _LS_TOL = 1e-13
+# Brent's golden-section fraction, (3 - sqrt(5)) / 2.
+_CGOLD = 0.3819660112501051
 # Tie tolerances a stage walks through, widest first.  Stationarity is
 # declared only at the last, exact one.
 _EPS_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, _TOL_ACT)
@@ -125,46 +135,49 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
 
 
 def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
-                lam: float) -> tuple[float, bool]:
+                lam: float) -> tuple[float, bool, int]:
     """Approximate minimizer of gamma -> I(xz + gamma * direction).
 
     Brackets by doubling from _LS_SEED (halving first if the seed does not
-    decrease), then golden section.  A probe outside the integrand's
-    domain, or whose arithmetic overflows inside solve, counts as +inf, so
-    it shrinks the bracket.  Returns
-    (0.0, False) when no probe beats the current value, which callers
-    treat as a stage boundary.
+    decrease), then runs Brent's method on the bracket: a parabola through
+    the three best points where its vertex is safe, a golden-section step
+    where it is not, until the bracket is _LS_TOL * (1 + gamma) wide.  A
+    probe outside the integrand's domain, or whose arithmetic overflows
+    inside solve, counts as +inf, so it shrinks the bracket and never
+    enters a parabola.  Returns (gamma, accepted, evaluations of I);
+    gamma is 0.0 and accepted False when no probe beats the current
+    value, which callers treat as a stage boundary.
     """
-    grid = xz.grid
-    xv, zv = xz.x.values, xz.z.values
-    gx, gz = direction.x.values, direction.z.values
-
-    def value(g: float) -> float:
-        cand = PairTraj(Traj(grid, xv + g * gx), Traj(grid, zv + g * gz))
-        return eval_I(p, cand, lam)
+    along = eval_I_along(p, xz, direction, lam)
+    evals = 1
 
     def f(g: float) -> float:
+        nonlocal evals
+        evals += 1
         try:
-            return value(g)
+            return along(g)
         except (DomainError, FloatingPointError):
             return np.inf
 
-    f0 = value(0.0)
+    f0 = eval_I(p, xz, lam)
     g = _LS_SEED
     fg = f(g)
+    rejected = None
     for _ in range(60):
         if fg < f0 - _DECREASE_MARGIN:
             break
+        rejected = fg
         g *= 0.5
         fg = f(g)
     if fg >= f0 - _DECREASE_MARGIN:
-        return 0.0, False
+        return 0.0, False, evals
 
-    # expand until the value turns up (or the cap is hit)
+    # expand until the value turns up (or the cap is hit); after halving,
+    # the last rejected probe is already c = 2g
     a = 0.0
     b, fb = g, fg
     c = min(b * _LS_GROWTH, _LS_MAX_STEP)
-    fc = f(c)
+    fc = f(c) if rejected is None else rejected
     while fc < fb and c < _LS_MAX_STEP:
         a = b
         b, fb = c, fc
@@ -173,33 +186,67 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
 
     best_g, best_f = (b, fb) if fb <= fc else (c, fc)
 
-    # golden section on [a, c]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    # Brent's method on [a, c] from b: x is the best interior point, w the
+    # second best and v the previous w; d is the last step, e the one
+    # before it.
     lo, hi = a, c
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for x, fx in ((x1, f1), (x2, f2)):
-        if fx < best_f:
-            best_g, best_f = x, fx
-    while hi - lo > _LS_TOL * (1.0 + hi):
-        if f1 <= f2:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-            if f1 < best_f:
-                best_g, best_f = x1, f1
+    x = w = v = b
+    fx = fw = fv = fb
+    d = e = 0.0
+    while True:
+        width = _LS_TOL * (1.0 + x)
+        if hi - lo <= width:
+            break
+        # The smallest step from x: the last probes, x - step and
+        # x + step, then close a bracket well inside the width.
+        step = width / 4
+        mid = 0.5 * (lo + hi)
+        parabolic = False
+        if abs(e) > step and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            num = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                num = -num
+            q = abs(q)
+            # take the vertex if it lies inside the bracket and moves less
+            # than half the step before last
+            if (abs(num) < abs(0.5 * q * e)
+                    and q * (lo - x) < num < q * (hi - x)):
+                e, d = d, num / q
+                parabolic = True
+                u = x + d
+                if u - lo < 2.0 * step or hi - u < 2.0 * step:
+                    d = step if x < mid else -step
+        if not parabolic:
+            e = (lo - x) if x >= mid else (hi - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= step else (step if d > 0 else -step))
+        fu = f(u)
+        if fu < best_f:
+            best_g, best_f = u, fu
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
         else:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-            if f2 < best_f:
-                best_g, best_f = x2, f2
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     if best_f >= f0 - _DECREASE_MARGIN:
-        return 0.0, False
-    return float(best_g), True
+        return 0.0, False, evals
+    return float(best_g), True, evals
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -215,7 +262,9 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     Deterministic: identical inputs reproduce the records exactly (the
     wall_time field aside).  Finite data too large for double precision
     raises FloatingPointError at the first overflow instead of carrying
-    inf and nan on.
+    inf and nan on.  An ExprError, MinNormUncertified or
+    FloatingPointError raised after the initial pair is built leaves
+    with last_run = (the last pair, the records so far) set on it.
     """
     t_start = time.perf_counter()
     grid = Grid(p.horizon, cfg.grid_sizes[0])
@@ -226,7 +275,8 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     gi = 0
     status = "exhausted"
 
-    def snapshot(gamma: float, vnorm: float, eps: float) -> IterationRecord:
+    def snapshot(gamma: float, vnorm: float, eps: float,
+                 ls_evals: int) -> IterationRecord:
         J = eval_J(p, xz)
         psi, phi = penalty_values(p, xz)
         total = J + lam * (psi + phi)
@@ -234,57 +284,64 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
             k=k, I=total, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
             gamma=gamma, npoints=xz.grid.npoints,
             wall_time=time.perf_counter() - t_start, eps=eps,
+            ls_evals=ls_evals,
         )
 
     floor = len(_EPS_SCHEDULE) - 1
-    while True:
-        stationary = False
-        ei = 0
-        for _ in range(cfg.max_iters):
-            k += 1
-            # Retake the direction one tolerance down until it is a
-            # descent direction or the exact set has the last word.
-            while True:
-                eps = _EPS_SCHEDULE[ei]
-                direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
-                gamma, ok = 0.0, False
-                if direction is not None:
-                    gamma, ok = line_search(p, xz, direction, lam)
-                if ok or ei == floor:
+    try:
+        while True:
+            stationary = False
+            ei = 0
+            for _ in range(cfg.max_iters):
+                k += 1
+                ls_evals = 0
+                # Retake the direction one tolerance down until it is a
+                # descent direction or the exact set has the last word.
+                while True:
+                    eps = _EPS_SCHEDULE[ei]
+                    direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
+                    gamma, ok = 0.0, False
+                    if direction is not None:
+                        gamma, ok, evals = line_search(p, xz, direction, lam)
+                        ls_evals += evals
+                    if ok or ei == floor:
+                        break
+                    ei += 1
+                if direction is None:
+                    stationary = True
+                    records.append(snapshot(0.0, vnorm, eps, ls_evals))
                     break
-                ei += 1
-            if direction is None:
-                stationary = True
-                records.append(snapshot(0.0, vnorm, eps))
-                break
-            records.append(snapshot(gamma, vnorm, eps))
-            if direction_log is not None:
-                direction_log.append(
-                    (k, xz.grid.nodes.copy(),
-                     np.hstack([direction.x.values, direction.z.values]))
-                )
-            if not ok:
-                break
-            xz.x.values += gamma * direction.x.values
-            xz.z.values += gamma * direction.z.values
+                records.append(snapshot(gamma, vnorm, eps, ls_evals))
+                if direction_log is not None:
+                    direction_log.append(
+                        (k, xz.grid.nodes.copy(),
+                         np.hstack([direction.x.values, direction.z.values]))
+                    )
+                if not ok:
+                    break
+                xz.x.values += gamma * direction.x.values
+                xz.z.values += gamma * direction.z.values
 
-        psi, phi = penalty_values(p, xz)
-        pen = psi + phi
-        on_last_grid = gi + 1 == len(cfg.grid_sizes)
-        if stationary and on_last_grid and pen <= cfg.constraint_tol:
-            status = "converged"
-            break
-        advanced = False
-        if not on_last_grid:
-            # The grid ladder is a refinement schedule: a stationary
-            # coarse iterate warm-starts the next resolution.
-            gi += 1
-            finer = Grid(p.horizon, cfg.grid_sizes[gi])
-            xz = PairTraj(resample(xz.x, finer), resample(xz.z, finer))
-            advanced = True
-        if pen > cfg.constraint_tol and lam < cfg.lambda_max:
-            lam = min(lam * cfg.lambda_factor, cfg.lambda_max)
-            advanced = True
-        if not advanced:
-            break
+            psi, phi = penalty_values(p, xz)
+            pen = psi + phi
+            on_last_grid = gi + 1 == len(cfg.grid_sizes)
+            if stationary and on_last_grid and pen <= cfg.constraint_tol:
+                status = "converged"
+                break
+            advanced = False
+            if not on_last_grid:
+                # The grid ladder is a refinement schedule: a stationary
+                # coarse iterate warm-starts the next resolution.
+                gi += 1
+                finer = Grid(p.horizon, cfg.grid_sizes[gi])
+                xz = PairTraj(resample(xz.x, finer), resample(xz.z, finer))
+                advanced = True
+            if pen > cfg.constraint_tol and lam < cfg.lambda_max:
+                lam = min(lam * cfg.lambda_factor, cfg.lambda_max)
+                advanced = True
+            if not advanced:
+                break
+    except (ExprError, MinNormUncertified, FloatingPointError) as exc:
+        exc.last_run = (xz, records)
+        raise
     return xz, records, status

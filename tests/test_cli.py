@@ -24,7 +24,7 @@ from nsvar.cli import (
     run,
     write_problem,
 )
-from nsvar.functional import MinNormUncertified
+from nsvar.functional import MinNormUncertified, min_norm_field
 from nsvar.solver import SolverConfig
 
 
@@ -115,7 +115,7 @@ def test_run_example1_outputs(tmp_path):
 
     cheader, crows = _read_csv(out / "convergence.csv")
     assert cheader == ["k", "I", "J", "psi", "phi", "vnorm", "lambda", "gamma", "N",
-                       "eps"]
+                       "eps", "ls_evals"]
     # the summary mirrors the last convergence row
     assert summary["iterations"] == int(crows[-1, 0])
     assert summary["I"] == crows[-1, 1]
@@ -220,7 +220,42 @@ def test_run_failed_solve_leaves_summary(tmp_path, capsys):
     assert capsys.readouterr().err == f"nsvar: error: {reason}\n"
     summary = json.loads((out / "summary.json").read_text())
     assert summary == {"problem": "skew", "status": "failed", "reason": reason}
-    assert sorted(q.name for q in out.iterdir()) == ["summary.json"]
+    # It fails in the first direction, so the last pair is the initial one
+    # and there are no records yet.
+    assert sorted(q.name for q in out.iterdir()) == [
+        "convergence.csv", "summary.json", "trajectory.csv"]
+    assert (out / "convergence.csv").read_text() == (
+        "k,I,J,psi,phi,vnorm,lambda,gamma,N,eps,ls_evals\n")
+    header, rows = _read_csv(out / "trajectory.csv")
+    assert header == ["t", "x1", "x2", "z1", "z2"]
+    assert rows.shape == (11, 5)
+    assert np.all(rows[:, 1:] == 0.0)
+
+
+def test_run_failed_solve_keeps_its_last_pair_and_records(tmp_path, monkeypatch):
+    calls = []
+
+    def fail_on_fourth(*args, **kwargs):
+        calls.append(args[1].copy())
+        if len(calls) == 4:
+            raise MinNormUncertified(3, 0.5)
+        return min_norm_field(*args, **kwargs)
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", fail_on_fourth)
+    out = tmp_path / "o"
+    assert run(["solve", "example2", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    assert summary["reason"].startswith("minimum-norm certificate failed at node 3")
+    # three directions taken and stepped along, the fourth never came
+    _, crows = _read_csv(out / "convergence.csv")
+    assert crows[:, 0].tolist() == [1, 2, 3]
+    assert np.all(crows[:, 7] > 0) and np.all(crows[:, 10] > 0)
+    _, trows = _read_csv(out / "trajectory.csv")
+    last = calls[-1]
+    assert np.array_equal(trows[:, 0], last.grid.nodes)
+    assert np.array_equal(trows[:, 1], last.x.values[:, 0])
+    assert np.array_equal(trows[:, 2], last.z.values[:, 0])
 
 
 def test_run_non_finite_initial_guess_leaves_summary(tmp_path, capsys):
@@ -316,7 +351,8 @@ def test_run_entry_point_solves_or_fails_cleanly(odd):
         if code == 1:
             assert err.getvalue().startswith("nsvar: error: ")
             if files is not None:
-                assert files == ["summary.json"]
+                assert files == ["convergence.csv", "summary.json",
+                                 "trajectory.csv"]
                 summary = json.loads((out / "summary.json").read_text())
                 assert summary["status"] == "failed"
         else:

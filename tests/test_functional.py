@@ -12,6 +12,7 @@ from nsvar.functional import (
     MinNormUncertified,
     ProblemSpec,
     eval_I,
+    eval_I_along,
     eval_J,
     eval_phi,
     eval_psi,
@@ -368,6 +369,79 @@ def test_eval_I_hot_path_counts(monkeypatch):
     assert counts == {"traj": 0, "cumulative": 2, "compile": 1}
 
     assert g.nodes is g.nodes
+
+
+@pytest.mark.parametrize("name, N", [("example3", 11), ("example3", 21),
+                                     ("example4", 51)])
+def test_eval_I_along_is_eval_I_on_the_line(name, N):
+    """The penalties' quadratic in gamma plus one integrand pass is I."""
+    p = load_problem(name)
+    g = Grid(p.horizon, N)
+    rng = np.random.default_rng(23)
+    for lam in (1.0, 20.0, 300.0):
+        for _ in range(3):
+            xz = _pair(p, g, rng.standard_normal((N, p.n)),
+                       rng.standard_normal((N, p.n)))
+            d = _pair(p, g, rng.standard_normal((N, p.n)),
+                      rng.standard_normal((N, p.n)))
+            along = eval_I_along(p, xz, d, lam)
+            for gamma in (0.0, 1e-9, 1e-2, 1.0, 1e3):
+                stepped = _pair(p, g, xz.x.values + gamma * d.x.values,
+                                xz.z.values + gamma * d.z.values)
+                want = eval_I(p, stepped, lam)
+                assert abs(along(gamma) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("pow(z1, 2) + exp(x1)", "integrand is not finite"),
+    ("pow(z1, 2) + sqrt(x1)", "sqrt of a negative value"),
+    ("pow(z1, 2) + 1 / x1", "division by zero"),
+])
+def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], xT=[1.0],
+                    integrand=parse_expr(text, 1))
+    g = Grid(1.0, 7)
+    xz = _pair(p, g, np.full((7, 1), 0.5), np.ones((7, 1)))
+    bad = {"integrand is not finite": 1e3, "sqrt of a negative value": -1.0,
+           "division by zero": 0.0}[message]
+    dx = np.zeros((7, 1))
+    dx[3] = bad - 0.5
+    d = _pair(p, g, dx, np.zeros((7, 1)))
+    stepped = _pair(p, g, xz.x.values + dx, xz.z.values)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
+        eval_I(p, stepped, 20.0)
+    along = eval_I_along(p, xz, d, 20.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
+        along(1.0)
+    assert str(got.value) == str(want.value)
+    assert got.value.node_index == want.value.node_index == 3
+    inside = _pair(p, g, xz.x.values + 0.25 * dx, xz.z.values)
+    assert along(0.25) == pytest.approx(eval_I(p, inside, 20.0), rel=1e-12)
+
+
+def test_eval_I_along_probes_integrate_nothing(monkeypatch):
+    p = load_problem("example3")
+    g = Grid(1.0, 21)
+    rng = np.random.default_rng(3)
+    xz = _pair(p, g, rng.standard_normal((21, 2)), rng.standard_normal((21, 2)))
+    d = _pair(p, g, rng.standard_normal((21, 2)), rng.standard_normal((21, 2)))
+    counts = {"traj": 0, "cumulative": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nsvar.trajectory.Traj, "__init__",
+                        counting("traj", nsvar.trajectory.Traj.__init__))
+    monkeypatch.setattr(nsvar.functional, "cumulative_trapezoid",
+                        counting("cumulative", nsvar.functional.cumulative_trapezoid))
+    along = eval_I_along(p, xz, d, 20.0)
+    assert counts == {"traj": 0, "cumulative": 2}
+    for gamma in (0.0, 0.1, 1.0, 10.0):
+        along(gamma)
+    assert counts == {"traj": 0, "cumulative": 2}
     assert not g.nodes.flags.writeable
     with pytest.raises(ValueError):
         g.nodes[0] = 1.0

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+import nsvar.functional
 import nsvar.integrand
 import nsvar.solver
 from _oracles import random_smooth_expr
@@ -100,7 +101,7 @@ def test_line_search_quadratic_minimizer():
     xz = _flat(1, 5)
     cfg = SolverConfig(grid_sizes=(5,))
     d, vnorm = steepest_direction(p, xz, 1.0, cfg)
-    gamma, accepted = line_search(p, xz, d, 1.0)
+    gamma, accepted, _ = line_search(p, xz, d, 1.0)
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-9)
     stepped = PairTraj(Traj(xz.grid, xz.x.values + gamma * d.x.values),
@@ -112,7 +113,7 @@ def test_line_search_rejects_non_descent():
     p = load_problem("example1")
     xz = _flat(1, 3)
     up = PairTraj(Traj(xz.grid, np.ones((3, 1))), Traj(xz.grid, np.zeros((3, 1))))
-    gamma, accepted = line_search(p, xz, up, 1.0)
+    gamma, accepted, _ = line_search(p, xz, up, 1.0)
     assert gamma == 0.0 and not accepted
 
 
@@ -235,7 +236,7 @@ def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
 
     monkeypatch.setattr(nsvar.solver, "min_norm_field", counting_field)
     monkeypatch.setattr(nsvar.solver, "line_search",
-                        lambda p, xz, direction, lam: (0.0, False))
+                        lambda p, xz, direction, lam: (0.0, False, 0))
     p = load_problem("example2")
     _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)))
     assert status == "exhausted"
@@ -292,3 +293,118 @@ def test_penalty_ladder_member_does_not_jam():
     _, recs, status = solve(p, cfg)
     assert status == "converged"
     assert recs[-1].J <= -0.020
+
+
+def _line(text):
+    """A problem, the rest pair and the unit x direction: I(gamma) = f(gamma).
+
+    The integrand reads only x1, so neither penalty is on, and on the
+    constant pair x1 = gamma the trapezoid rule over [0, 1] gives
+    f(gamma) exactly.
+    """
+    p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1),
+                    integrand=nsvar.integrand.parse_expr(text, 1))
+    xz = _flat(1, 5)
+    up = PairTraj(Traj(xz.grid, np.ones((5, 1))), Traj(xz.grid, np.zeros((5, 1))))
+    return p, xz, up
+
+
+def _recording_probes(monkeypatch):
+    """Patch the line search's objective to log every gamma it is asked for.
+
+    Values come back as numpy scalars, so arithmetic on an inf or nan
+    among them warns (an error under the test settings) or raises under
+    solve's error state.
+    """
+    probes = []
+
+    def along(*args):
+        value = nsvar.functional.eval_I_along(*args)
+
+        def logged(gamma):
+            probes.append(gamma)
+            return np.float64(value(gamma))
+        return logged
+
+    monkeypatch.setattr(nsvar.solver, "eval_I_along", along)
+    return probes
+
+
+def test_line_search_pure_quadratic_within_probe_budget(monkeypatch):
+    probes = _recording_probes(monkeypatch)
+    p, xz, up = _line("pow(x1 - 1, 2)")
+    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+    assert accepted
+    assert gamma == pytest.approx(1.0, abs=1e-12)
+    # f0, nine bracketing probes (0.01 doubling to 2.56) and Brent's steps:
+    # the parabola through three points of a quadratic is exact.
+    assert evals == 1 + len(probes)
+    assert evals <= 18
+
+
+def test_line_search_lands_on_a_kink(monkeypatch):
+    probes = _recording_probes(monkeypatch)
+    p, xz, up = _line("abs(x1 - 1)")
+    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+    assert accepted
+    assert abs(gamma - 1.0) <= nsvar.solver._LS_TOL * (1.0 + gamma)
+    assert evals == 1 + len(probes)
+    assert len(set(probes)) == len(probes)
+
+
+def test_line_search_survives_probes_outside_the_domain(monkeypatch):
+    # sqrt(0.7 - x1) - x1 falls all the way to the edge of its domain at
+    # gamma = 0.7.  The bracket is (0.32, 0.64, 1.28), and Brent's first
+    # probe, at 0.88, already raises DomainError: it must count as +inf
+    # and never enter a parabola.
+    probes = _recording_probes(monkeypatch)
+    p, xz, up = _line("sqrt(0.7 - x1) - x1")
+    with np.errstate(over="raise", invalid="raise"):
+        gamma, accepted, evals = line_search(p, xz, up, 1.0)
+    assert accepted
+    assert np.isfinite(gamma) and 0.7 - 1e-6 <= gamma <= 0.7
+    assert all(np.isfinite(probes))
+    assert probes[7] == 1.28 and 0.7 < probes[8] < 1.28
+    assert len([g for g in probes if g > 0.7]) >= 3
+    assert evals == 1 + len(probes) <= 80
+
+
+def test_line_search_reuses_the_last_halved_probe(monkeypatch):
+    # f(0.01) = 0.007 does not beat f(0) = 0.003, so the seed is halved to
+    # 0.005; the bracket's right end 2 * 0.005 is that rejected probe.
+    probes = _recording_probes(monkeypatch)
+    p, xz, up = _line("abs(x1 - 0.003)")
+    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+    assert accepted
+    assert probes[:2] == [1e-2, 5e-3]
+    assert probes.count(1e-2) == 1
+    assert len(set(probes)) == len(probes)
+    assert abs(gamma - 0.003) <= nsvar.solver._LS_TOL * (1.0 + gamma)
+
+
+def test_records_count_every_line_search_probe(monkeypatch):
+    evals = []
+
+    def counted(*args):
+        result = line_search(*args)
+        evals.append(result[2])
+        return result
+
+    monkeypatch.setattr(nsvar.solver, "line_search", counted)
+    p = load_problem("example2")
+    _, recs, status = solve(p, SolverConfig(grid_sizes=(11, 21)))
+    assert status == "converged"
+    assert sum(r.ls_evals for r in recs) == sum(evals)
+    for r in recs:
+        if r.gamma > 0.0:
+            assert r.ls_evals >= 3   # f0, the accepted probe, the bracket end
+
+
+def test_records_count_the_probes_of_retaken_directions(monkeypatch):
+    # Every line search fails, so the first iteration takes one direction
+    # per schedule entry and its record counts all of their probes.
+    monkeypatch.setattr(nsvar.solver, "line_search",
+                        lambda p, xz, direction, lam: (0.0, False, 7))
+    p = load_problem("example2")
+    _, recs, _ = solve(p, SolverConfig(grid_sizes=(11,)))
+    assert [r.ls_evals for r in recs] == [7 * len(nsvar.solver._EPS_SCHEDULE)]
