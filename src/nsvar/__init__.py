@@ -4,8 +4,9 @@ The solver minimizes J(x, z) = int_0^T f(x, z, t) dt over piecewise
 linear nodal trajectories, treating z as an independent stand-in for the
 derivative of x and coupling the two with quadratic penalties.  Each
 iteration computes the full convex subdifferential of the discretized
-objective node by node, takes the minimum-norm element over the grid,
-and performs an exact line search along its negative.
+objective at every grid node, in one compiled pass over the grid,
+takes its minimum-norm element, and performs an exact line search
+along its negative.
 
 The package namespace holds what a script needs to set up and run a
 solve, plus the errors it may catch; everything else is imported from

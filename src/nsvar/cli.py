@@ -244,29 +244,26 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_trajectory(path: Path, state, z) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line, then one line per row of numbers, each written by _fmt."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _columns(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{j + 1}" for j in range(n)]
+
+
+def _write_run(outdir: Path, state, z, records: list[IterationRecord]) -> None:
+    """trajectory.csv (the reported state and z) and convergence.csv."""
     n = state.ncomp
-    header = "t," + ",".join(f"x{j + 1}" for j in range(n)) \
-        + "," + ",".join(f"z{j + 1}" for j in range(n))
-    rows = [header]
-    t = state.grid.nodes
-    for i in range(state.grid.npoints):
-        cells = [_fmt(t[i])]
-        cells += [_fmt(v) for v in state.values[i]]
-        cells += [_fmt(v) for v in z.values[i]]
-        rows.append(",".join(cells))
-    path.write_text("\n".join(rows) + "\n")
-
-
-def _write_convergence(path: Path, records: list[IterationRecord]) -> None:
-    rows = ["k,I,J,psi,phi,vnorm,lambda,gamma,N,eps,ls_evals"]
-    for r in records:
-        rows.append(",".join([
-            str(r.k), _fmt(r.I), _fmt(r.J), _fmt(r.psi), _fmt(r.phi),
-            _fmt(r.vnorm), _fmt(r.lam), _fmt(r.gamma), str(r.npoints),
-            _fmt(r.eps), str(r.ls_evals),
-        ]))
-    path.write_text("\n".join(rows) + "\n")
+    _write_csv(outdir / "trajectory.csv", ["t", *_columns("x", n), *_columns("z", n)],
+               np.column_stack([state.grid.nodes, state.values, z.values]))
+    _write_csv(outdir / "convergence.csv",
+               ["k", "I", "J", "psi", "phi", "vnorm", "lambda", "gamma", "N",
+                "eps", "ls_evals"],
+               [(r.k, r.I, r.J, r.psi, r.phi, r.vnorm, r.lam, r.gamma,
+                 r.npoints, r.eps, r.ls_evals) for r in records])
 
 
 def _print_table(records: list[IterationRecord]) -> None:
@@ -352,8 +349,7 @@ def run(argv: list[str]) -> int:
                 # The last pair may hold the inf that stopped the solve.
                 with np.errstate(all="ignore"):
                     state = recovered_state(spec, xz)
-                _write_trajectory(outdir / "trajectory.csv", state, xz.z)
-                _write_convergence(outdir / "convergence.csv", records)
+                _write_run(outdir, state, xz.z, records)
             raise
         wall = time.perf_counter() - t0
 
@@ -369,23 +365,16 @@ def run(argv: list[str]) -> int:
             lam=last.lam, npoints=last.npoints,
             endpoint_error=endpoint_error, wall_time=wall,
         )
-        _write_trajectory(outdir / "trajectory.csv", state, xz.z)
-        _write_convergence(outdir / "convergence.csv", records)
+        _write_run(outdir, state, xz.z, records)
         (outdir / "summary.json").write_text(
             json.dumps(asdict(summary), indent=2) + "\n")
         if direction_log is not None:
             plotdir = outdir / "plotdata"
             plotdir.mkdir(exist_ok=True)
-            n = spec.n
-            header = "t," + ",".join(f"gx{j + 1}" for j in range(n)) \
-                + "," + ",".join(f"gz{j + 1}" for j in range(n))
+            header = ["t", *_columns("gx", spec.n), *_columns("gz", spec.n)]
             for k, nodes, gmat in direction_log:
-                rows = [header]
-                for i in range(nodes.shape[0]):
-                    rows.append(",".join([_fmt(nodes[i])]
-                                         + [_fmt(v) for v in gmat[i]]))
-                (plotdir / f"direction_{k:04d}.csv").write_text(
-                    "\n".join(rows) + "\n")
+                _write_csv(plotdir / f"direction_{k:04d}.csv", header,
+                           np.column_stack([nodes, gmat]))
         print(f"{spec.name}: {status} after {len(records)} iterations, "
               f"J = {last.J:.6g}, output in {outdir}")
         return 0 if status == "converged" else 2

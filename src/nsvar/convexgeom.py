@@ -12,9 +12,10 @@ queries matter:
   which is the steepest-descent generator.
 
 ``min_norm_point`` picks the cheapest exact route available: direct
-formulas for points, segments and offset balls, Wolfe's minimum-norm
-algorithm for general polytopes, and an away-step conditional-gradient
-loop driven by the support oracle for everything else.  Every route
+formulas for points and offset balls, Wolfe's minimum-norm algorithm for
+polytopes (a polytope plus a full ball is a polytope's nearest point
+pulled in by the radius), and an away-step conditional-gradient loop
+driven by the support oracle for everything else.  Every route
 reports the duality gap <v, v> - min_{s in S} <v, s> so callers can check
 the answer without trusting the solver.
 
@@ -305,11 +306,6 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
         verts = _merge_polytopes(polys)
         if verts is not None:
             verts = verts + q
-            if verts.shape[0] == 1:
-                return _finish(s, verts[0], [verts[0]], [1.0], 0, tol)
-            if verts.shape[0] == 2:
-                x = _segment_min_norm(verts[0], verts[1])
-                return _finish(s, x, verts, _segment_weights(verts[0], verts[1], x), 0, tol)
             if max_iter is None:
                 max_iter = 10 * d * (verts.shape[0] + 10)
             return _wolfe(s, verts, tol, max_iter)
@@ -329,37 +325,16 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
         verts = _merge_polytopes(polys)
         if verts is not None:
             verts = verts + (q + c)
-            if verts.shape[0] == 2:
-                w = _segment_min_norm(verts[0], verts[1])
-                iters = 0
-            else:
-                inner_cap = 10 * d * (verts.shape[0] + 10) if max_iter is None else max_iter
-                inner = _wolfe(Polytope(verts), verts, tol, inner_cap)
-                w, iters = inner.point, inner.iterations
-            nm = float(np.linalg.norm(w))
-            x = np.zeros(d) if nm <= r else (1.0 - r / nm) * w
-            return _finish(s, x, [x], [1.0], iters, tol)
+            inner_cap = 10 * d * (verts.shape[0] + 10) if max_iter is None else max_iter
+            inner = _wolfe(Polytope(verts), verts, tol, inner_cap)
+            nm = float(np.linalg.norm(inner.point))
+            x = np.zeros(d) if nm <= r else (1.0 - r / nm) * inner.point
+            return _finish(s, x, [x], [1.0], inner.iterations, tol)
 
     if max_iter is None:
         nverts = sum(p.shape[0] for p in polys)
         max_iter = 10 * d * (nverts + 10 * max(1, len(balls)))
     return _away_step_cg(s, tol, max_iter)
-
-
-def _segment_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return a.copy()
-    t = min(1.0, max(0.0, -float(a @ ab) / denom))
-    return a + t * ab
-
-
-def _segment_weights(a, b, x) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float((x - a) @ ab) / denom
-    return np.array([1.0 - t, t])
 
 
 def _affine_min_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,10 @@ fields to roundoff.  For phi this means the classic reverse-integral
 formula -int_t^T d(tau) dtau picks up O(h) end-node corrections; interior
 nodes match the textbook formula.
 
-eval_I makes one pass: it evaluates the compiled integrand, integrates z
-once and reads both penalties off that one antiderivative.  It is built
-from the same kernels as eval_J, eval_psi and eval_phi, in the same
-order, so eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly,
-not just to roundoff.  penalty_values and the penalty rows of the nodal
+eval_I is eval_J plus the lambda-weighted penalty_values, which read
+both penalties off one integral of z with eval_psi's and eval_phi's
+kernels, so eval_I == eval_J + lam*eval_psi + lam*eval_phi holds
+exactly, not just to roundoff.  The penalty rows of the nodal
 subdifferentials also integrate z once.
 
 The line search's objective is eval_I_along: gamma -> I(xz + gamma * d).
@@ -317,17 +316,10 @@ def _phi_rows(p: ProblemSpec, xz: PairTraj, xint: np.ndarray) -> np.ndarray:
 
 
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
-    """I = J + lam * (psi + phi), in one pass."""
-    h = xz.grid.h
-    total = trapezoid(_integrand_values(p, xz.x.values, xz.z.values,
-                                        xz.grid.nodes), h)
-    if p.use_psi or p.use_phi:
-        xint = _antiderivative(p, xz.z)
-        if p.use_psi:
-            total += lam * _psi(p, xint)
-        if p.use_phi:
-            total += lam * _phi(xz.x.values, xint, h)
-    return total
+    """I = J + lam * psi + lam * phi."""
+    J = eval_J(p, xz)
+    psi, phi = penalty_values(p, xz)
+    return J + lam * psi + lam * phi
 
 
 def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,

@@ -686,40 +686,25 @@ def _value_and_set(e: Expr, p: EvalPoint,
                 return v1 * v2, _scale_signed(v1, s2)
             if isinstance(node.right, Const):
                 return v1 * v2, _scale_signed(v2, s1)
-            g1 = _as_gradient(s1)
-            g2 = _as_gradient(s2)
-            return v1 * v2, Singleton(v1 * g2 + v2 * g1)
+            v, g = _product(v1, _as_gradient(s1), v2, _as_gradient(s2))
+            return v, Singleton(g)
         if isinstance(node, Div):
             v1, s1 = rec(node.left)
             v2, s2 = rec(node.right)
             if v2 == 0.0:
                 raise DomainError("division by zero", p.t)
-            g1 = _as_gradient(s1)
-            g2 = _as_gradient(s2)
-            return v1 / v2, Singleton((g1 * v2 - v1 * g2) / (v2 * v2))
-        if isinstance(node, Pow):
-            v, s = rec(node.base)
-            g = _as_gradient(s)
-            k = node.exponent
-            return float(_power(v, k)), Singleton(k * float(_power(v, k - 1)) * g)
-        if isinstance(node, Sin):
-            v, s = rec(node.arg)
-            return float(np.sin(v)), Singleton(float(np.cos(v)) * _as_gradient(s))
-        if isinstance(node, Cos):
-            v, s = rec(node.arg)
-            return float(np.cos(v)), Singleton(-float(np.sin(v)) * _as_gradient(s))
-        if isinstance(node, Exp):
-            v, s = rec(node.arg)
-            ev = float(np.exp(v))
-            return ev, Singleton(ev * _as_gradient(s))
-        if isinstance(node, Sqrt):
-            v, s = rec(node.arg)
-            if v < 0.0:
-                raise DomainError("sqrt of a negative value", p.t)
-            if v == 0.0:
-                raise DomainError("sqrt not differentiable at 0", p.t)
-            r = float(np.sqrt(v))
-            return r, Singleton(_as_gradient(s) / (2.0 * r))
+            v, g = _quotient(v1, _as_gradient(s1), v2, _as_gradient(s2))
+            return v, Singleton(g)
+        if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
+            v, s = rec(node.base if isinstance(node, Pow) else node.arg)
+            if isinstance(node, Sqrt):
+                if v < 0.0:
+                    raise DomainError("sqrt of a negative value", p.t)
+                if v == 0.0:
+                    raise DomainError("sqrt not differentiable at 0", p.t)
+            k = node.exponent if isinstance(node, Pow) else None
+            val, g, _ = _SD_CHAIN[type(node)](v, _as_gradient(s), k)
+            return float(val), Singleton(g)
         if isinstance(node, Abs):
             v, s = rec(node.arg)
             act = tol_act * (1.0 + abs(v))
@@ -741,13 +726,11 @@ def _value_and_set(e: Expr, p: EvalPoint,
             return vmax, Polytope(verts)
         if isinstance(node, Norm):
             pairs = [rec(a) for a in node.args]
-            vals = np.array([v for v, _ in pairs])
             rows = np.vstack([_as_gradient(s, context="norm") for _, s in pairs])
-            nrm = float(np.linalg.norm(vals))
-            act = _TOL_ACT * (1.0 + nrm)
-            if nrm > act:
-                return nrm, Singleton(rows.T @ (vals / nrm))
-            return nrm, _coordinate_ball(rows, d)
+            nrm, g, nonzero = _norm(np.array([v for v, _ in pairs]), rows)
+            if nonzero:
+                return float(nrm), Singleton(g)
+            return float(nrm), _coordinate_ball(rows, d)
         raise TypeError(f"not an Expr: {node!r}")
 
     return rec(e)
@@ -784,10 +767,10 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     bool mask, shape (N,).  At a node outside the mask, subdiff_expr's
     set is the zonotope q + sum_k lambda_k gens[k] with lambda in
     [-1, 1]^k.  Gradients are carried in forward mode (Griewank and
-    Walther, Evaluating Derivatives, 2008) with _value_and_set's
-    formulas, and its tie rules: an abs tie on a point g gives the
-    generator g, a two-way max tie on points g1, g2 gives the center
-    (g1 + g2)/2 and the generator (g1 - g2)/2.
+    Walther, Evaluating Derivatives, 2008) by the value and gradient
+    rules _value_and_set also calls, and with its tie rules: an abs tie
+    on a point g gives the generator g, a two-way max tie on points g1,
+    g2 gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
 
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
@@ -810,8 +793,9 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     return subdiff
 
 
-def _col(v: np.ndarray) -> np.ndarray:
-    return v[:, None]
+def _col(v) -> np.ndarray:
+    """v with a trailing axis, to scale gradients: (N,) -> (N, 1), () -> (1,)."""
+    return np.asarray(v)[..., None]
 
 
 # Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
@@ -859,11 +843,10 @@ def _compile_sd(e: Expr):
             bad = bad1 | bad2 | seg1 | seg2
             none = np.zeros_like(bad)
             if not div:
-                return v1 * v2, _col(v1) * q2 + _col(v2) * q1, [], bad, none
+                return *_product(v1, q1, v2, q2), [], bad, none
             zero = v2 == 0.0
-            den = np.where(zero, 1.0, v2)
-            grad = (q1 * _col(den) - _col(v1) * q2) / _col(den * den)
-            return v1 / den, grad, [], bad | zero, none
+            v, grad = _quotient(v1, q1, np.where(zero, 1.0, v2), q2)
+            return v, grad, [], bad | zero, none
         return product
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
         f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
@@ -925,18 +908,11 @@ def _compile_sd(e: Expr):
 
         def norm(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]
-            vals = np.stack([p[0] for p in parts], axis=1)
-            # Stacked matmul makes np.linalg.norm's dot call per node (and
-            # below, the matrix-vector product of _value_and_set), so the
-            # gradient has the per-node path's bits.
-            nrm = np.sqrt(np.matmul(vals[:, None, :], vals[:, :, None])[:, 0, 0])
-            smooth = nrm > _TOL_ACT * (1.0 + nrm)
-            bad = ~smooth
+            nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1),
+                                       np.stack([p[1] for p in parts], axis=1))
+            bad = ~nonzero
             for _, _, _, branch_bad, branch_seg in parts:
                 bad |= branch_bad | branch_seg
-            w = vals / _col(np.where(smooth, nrm, 1.0))
-            rows = np.stack([p[1] for p in parts], axis=1)
-            grad = np.matmul(np.swapaxes(rows, 1, 2), w[:, :, None])[:, :, 0]
             return nrm, grad, [], bad, np.zeros_like(bad)
         return norm
     raise TypeError(f"not an Expr: {e!r}")
@@ -958,9 +934,38 @@ def _sd_leaf(e: Expr):
     return leaf
 
 
-# The chain rule of each smooth function, as _value_and_set computes it:
-# (value, gradient, nodes outside the domain) from the argument's
-# value v, gradient q and, for pow, the exponent k.
+# The value and gradient rules of the smooth operations, the one copy
+# both routes call: _value_and_set with a value and a (d,) gradient per
+# argument, _compile_sd with (N,) values and (N, d) gradients.  The same
+# numpy operations on the same numbers give both routes the same bits.
+
+
+def _product(v1, q1, v2, q2):
+    return v1 * v2, _col(v1) * q2 + _col(v2) * q1
+
+
+def _quotient(v1, q1, v2, q2):
+    """v1 / v2 and its gradient, for a nonzero v2."""
+    return v1 / v2, (q1 * _col(v2) - _col(v1) * q2) / _col(v2 * v2)
+
+
+def _norm(vals, rows):
+    """(norm, gradient, nonzero) of norm's arguments.
+
+    vals holds the arguments' values, shape (..., m), and rows their
+    gradients, shape (..., m, d).  Where the norm is zero (within
+    _TOL_ACT) the gradient means nothing: the set is a ball there.
+    """
+    nrm = np.sqrt(np.matmul(vals[..., None, :], vals[..., :, None])[..., 0, 0])
+    nonzero = nrm > _TOL_ACT * (1.0 + nrm)
+    w = vals / _col(np.where(nonzero, nrm, 1.0))
+    grad = np.matmul(np.swapaxes(rows, -1, -2), w[..., :, None])[..., 0]
+    return nrm, grad, nonzero
+
+
+# The chain rule of each smooth function: (value, gradient, where the
+# argument lies outside the domain) from the argument's value v,
+# gradient q and, for pow, the exponent k.
 def _chain_pow(v, q, k):
     return _power(v, k), _col(k * _power(v, k - 1)) * q, False
 
@@ -980,7 +985,7 @@ def _chain_exp(v, q, k):
 
 def _chain_sqrt(v, q, k):
     undefined = ~(v > 0.0)
-    r = np.sqrt(np.where(undefined, 1.0, v))
+    r = np.sqrt(np.where(v <= 0.0, 1.0, v))  # a nan argument gives a nan
     return r, q / _col(2.0 * r), undefined
 
 

@@ -5,6 +5,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -167,6 +170,29 @@ def test_run_missing_problem_is_error(tmp_path, capsys):
     assert run(["solve", str(tmp_path / "nope.prob"),
                 "--out", str(tmp_path / "o")]) == 1
     assert "no such problem" in capsys.readouterr().err
+
+
+def _python_m_nsvar(*args, cwd):
+    """Run ``python -m nsvar`` (which calls cli.main) on this checkout's source."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "nsvar", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_solves(tmp_path):
+    out = tmp_path / "example1"
+    done = _python_m_nsvar("solve", "example1", "--out", str(out), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert sorted(f.name for f in out.iterdir()) == [
+        "convergence.csv", "summary.json", "trajectory.csv"]
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    done = _python_m_nsvar("solve", "no-such-problem", cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("nsvar: error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_survives_line_search_probe_outside_domain(tmp_path):

@@ -181,6 +181,15 @@ def test_min_norm_two_vertices():
     assert r.sqnorm == pytest.approx(5.76, abs=1e-12)
     assert np.allclose(r.weights, [0.64, 0.36], atol=1e-12)
     assert r.certified
+    # Wolfe's degenerate segments: a repeated vertex, whose affine hull
+    # is a point, and a segment whose nearest point is an endpoint (the
+    # second vertex, so Wolfe does not simply keep its first)
+    for verts, point in [([[1.0, 2.0], [1.0, 2.0]], [1.0, 2.0]),
+                         ([[2.0, 3.0], [1.0, 1.0]], [1.0, 1.0])]:
+        r = min_norm_point(Polytope(np.array(verts)))
+        assert np.array_equal(r.point, point)
+        assert r.certified
+        assert np.array_equal(r.weights @ r.atoms, r.point)
 
 
 def test_min_norm_ball():
@@ -221,6 +230,16 @@ def test_min_norm_segment_plus_ball_flat_face():
     r = min_norm_point(st)
     assert np.allclose(r.point, [0.0, 1.5], atol=1e-9)
     assert r.certified
+    # the same degenerate segments under a full ball: the nearest point
+    # (1, 2), resp. the endpoint (1, 1), pulled toward the origin by 0.5
+    for verts, w in [([[1.0, 2.0], [1.0, 2.0]], [1.0, 2.0]),
+                     ([[2.0, 3.0], [1.0, 1.0]], [1.0, 1.0])]:
+        r = min_norm_point(MinkowskiSum((Polytope(np.array(verts)),
+                                         Ball([0.0, 0.0], 0.5))))
+        w = np.array(w)
+        assert np.allclose(r.point, (1.0 - 0.5 / np.linalg.norm(w)) * w, atol=1e-15)
+        assert r.certified
+        assert np.array_equal(r.weights @ r.atoms, r.point)
 
 
 def test_min_norm_polytope_plus_ball_shrinks_projection():

@@ -15,7 +15,9 @@ from _oracles import (
     random_smooth_expr,
     scalar_eval,
 )
-from nsvar.convexgeom import Ball, MinkowskiSum, Polytope, Singleton, support
+from nsvar.convexgeom import (
+    Ball, MinkowskiSum, Polytope, Singleton, support, vertex_list,
+)
 from nsvar.integrand import (
     Abs,
     Const,
@@ -29,6 +31,7 @@ from nsvar.integrand import (
     SubdiffError,
     VarX,
     VarZ,
+    _value_and_set,
     compile_subdiff,
     directional_derivative,
     eval_expr,
@@ -397,6 +400,35 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
         for i in range(6):
             ref = dual_gradient(e, x[i], z[i], t[i])
             assert np.allclose(q[i], ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("tol_act", [1e-9, 1e-3])
+@pytest.mark.parametrize("draw", [random_expr, random_smooth_expr])
+def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
+    """Where compile_subdiff gives a node a point and no segment, the
+    per-node route gives that node the same point and value, to the bit:
+    both call the same value and gradient rules.  Half the nodes sit on
+    a lattice of tenths, where ties hold exactly; a tie between equal
+    gradients (abs(t - 0.5) at t = 0.5) is a polytope whose vertices
+    all equal the point."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        e = random_smooth_expr(rng, n, 3) if draw is random_smooth_expr \
+            else random_expr(rng, n)
+        x, z = rng.standard_normal((2, 40, n))
+        t = rng.random(40)
+        x[::2], z[::2], t[::2] = (np.round(a[::2], 1) for a in (x, z, t))
+        value, q, gens, per_node = compile_subdiff(e)(x, z, t, tol_act)
+        for i in np.flatnonzero(~per_node):
+            if any(a[i].any() for a in gens):
+                continue
+            v, s = _value_and_set(e, EvalPoint(x[i], z[i], float(t[i])), tol_act)
+            assert v == value[i]
+            assert (vertex_list(s) == q[i]).all()
+            checked += 1
+    assert checked > 4000
 
 
 def test_grid_subdiff_ties_are_a_point_plus_segments():
