@@ -3,11 +3,13 @@
 Each iteration computes the minimum-norm point of the pointwise
 subdifferential of I at every grid node, interpolates those nodal
 subgradients piecewise-linearly, and walks along the normalized negative
-field with a derivative-free line search: bracketing by doubling, then
-Brent's safeguarded parabolic search (Brent, Algorithms for Minimization
-without Derivatives, 1973), down to a bracket of _LS_TOL * (1 + gamma).
-Along the line the penalties are one quadratic in the step, so a probe
-costs one pass of the compiled integrand (eval_I_along).
+field.  The step comes from a derivative-free search on a scalar
+function: bracketing by doubling, then Brent's safeguarded parabolic
+search (Brent, Algorithms for Minimization without Derivatives, 1973),
+down to a bracket of _LS_TOL * (1 + gamma).  solve measures J and the
+penalties once per iterate; that I is the iteration record's value and
+f0 for the search on eval_I_along, where a probe costs one pass of the
+compiled integrand.
 
 The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
@@ -28,13 +30,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .functional import (
     MinNormUncertified,
     ProblemSpec,
-    eval_I,
+    eval_I,  # noqa: F401  unused; perfbench's tracer checks it is restored here
     eval_I_along,
     eval_J,
     initial_pair,
@@ -43,7 +46,7 @@ from .functional import (
 )
 from .integrand import _TOL_ACT, DomainError, ExprError
 from .trajectory import (Grid, PairTraj, Traj, require_finite,
-                         pl_l2_norm_sq, resample)
+                         require_index, pl_l2_norm_sq, resample)
 
 __all__ = ["SolverConfig", "IterationRecord", "steepest_direction",
            "line_search", "solve"]
@@ -60,7 +63,8 @@ class SolverConfig:
     max_iters: int = 200             # inner iterations per stage
 
     def __post_init__(self) -> None:
-        self.grid_sizes = tuple(int(m) for m in self.grid_sizes)
+        self.grid_sizes = tuple(require_index(f"grid_sizes[{i}]", m)
+                                for i, m in enumerate(self.grid_sizes))
         if not self.grid_sizes:
             raise ValueError("grid_sizes must not be empty")
         if any(b <= a for a, b in zip(self.grid_sizes, self.grid_sizes[1:])):
@@ -76,6 +80,7 @@ class SolverConfig:
             require_finite(name, getattr(self, name))
         if self.constraint_tol < 0.0:
             raise ValueError("constraint_tol must not be negative")
+        self.max_iters = require_index("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -93,7 +98,7 @@ class IterationRecord:
     npoints: int
     wall_time: float  # seconds since solve() started
     eps: float        # tie tolerance the iteration's direction was taken at
-    ls_evals: int     # evaluations of I by the iteration's line searches
+    ls_evals: int     # probes of the iteration's line searches (f0 not counted)
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -134,55 +139,52 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
     return PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])), vnorm
 
 
-def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
-                lam: float) -> tuple[float, bool, int]:
-    """Approximate minimizer of gamma -> I(xz + gamma * direction).
+def line_search(f: Callable[[float], float], f0: float
+                ) -> tuple[float, bool, int]:
+    """Approximate minimizer of gamma -> f(gamma), given f0 = f(0).
 
     Brackets by doubling from _LS_SEED (halving first if the seed does not
     decrease), then runs Brent's method on the bracket: a parabola through
     the three best points where its vertex is safe, a golden-section step
     where it is not, until the bracket is _LS_TOL * (1 + gamma) wide.  A
-    probe outside the integrand's domain, or whose arithmetic overflows
-    inside solve, counts as +inf, so it shrinks the bracket and never
-    enters a parabola.  Returns (gamma, accepted, evaluations of I);
-    gamma is 0.0 and accepted False when no probe beats the current
-    value, which callers treat as a stage boundary.
+    probe that raises DomainError or FloatingPointError counts as +inf,
+    so it shrinks the bracket and never enters a parabola.  Returns
+    (gamma, accepted, calls of f); gamma is 0.0 and accepted False when
+    no probe beats f0, which callers treat as a stage boundary.
     """
-    along = eval_I_along(p, xz, direction, lam)
-    evals = 1
+    probes = 0
 
-    def f(g: float) -> float:
-        nonlocal evals
-        evals += 1
+    def probe(g: float) -> float:
+        nonlocal probes
+        probes += 1
         try:
-            return along(g)
+            return f(g)
         except (DomainError, FloatingPointError):
             return np.inf
 
-    f0 = eval_I(p, xz, lam)
     g = _LS_SEED
-    fg = f(g)
+    fg = probe(g)
     rejected = None
     for _ in range(60):
         if fg < f0 - _DECREASE_MARGIN:
             break
         rejected = fg
         g *= 0.5
-        fg = f(g)
+        fg = probe(g)
     if fg >= f0 - _DECREASE_MARGIN:
-        return 0.0, False, evals
+        return 0.0, False, probes
 
     # expand until the value turns up (or the cap is hit); after halving,
     # the last rejected probe is already c = 2g
     a = 0.0
     b, fb = g, fg
     c = min(b * _LS_GROWTH, _LS_MAX_STEP)
-    fc = f(c) if rejected is None else rejected
+    fc = probe(c) if rejected is None else rejected
     while fc < fb and c < _LS_MAX_STEP:
         a = b
         b, fb = c, fc
         c = min(c * _LS_GROWTH, _LS_MAX_STEP)
-        fc = f(c)
+        fc = probe(c)
 
     best_g, best_f = (b, fb) if fb <= fc else (c, fc)
 
@@ -223,7 +225,7 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
             e = (lo - x) if x >= mid else (hi - x)
             d = _CGOLD * e
         u = x + (d if abs(d) >= step else (step if d > 0 else -step))
-        fu = f(u)
+        fu = probe(u)
         if fu < best_f:
             best_g, best_f = u, fu
         if fu <= fx:
@@ -245,8 +247,8 @@ def line_search(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     if best_f >= f0 - _DECREASE_MARGIN:
-        return 0.0, False, evals
-    return float(best_g), True, evals
+        return 0.0, False, probes
+    return float(best_g), True, probes
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -274,26 +276,16 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     k = 0
     gi = 0
     status = "exhausted"
-
-    def snapshot(gamma: float, vnorm: float, eps: float,
-                 ls_evals: int) -> IterationRecord:
-        J = eval_J(p, xz)
-        psi, phi = penalty_values(p, xz)
-        total = J + lam * (psi + phi)
-        return IterationRecord(
-            k=k, I=total, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
-            gamma=gamma, npoints=xz.grid.npoints,
-            wall_time=time.perf_counter() - t_start, eps=eps,
-            ls_evals=ls_evals,
-        )
-
     floor = len(_EPS_SCHEDULE) - 1
     try:
         while True:
             stationary = False
             ei = 0
+            J = eval_J(p, xz)
+            psi, phi = penalty_values(p, xz)
             for _ in range(cfg.max_iters):
                 k += 1
+                I = J + lam * psi + lam * phi
                 ls_evals = 0
                 # Retake the direction one tolerance down until it is a
                 # descent direction or the exact set has the last word.
@@ -302,16 +294,21 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
                     gamma, ok = 0.0, False
                     if direction is not None:
-                        gamma, ok, evals = line_search(p, xz, direction, lam)
-                        ls_evals += evals
+                        gamma, ok, probes = line_search(
+                            eval_I_along(p, xz, direction, lam), I)
+                        ls_evals += probes
                     if ok or ei == floor:
                         break
                     ei += 1
+                records.append(IterationRecord(
+                    k=k, I=I, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
+                    gamma=gamma, npoints=xz.grid.npoints,
+                    wall_time=time.perf_counter() - t_start, eps=eps,
+                    ls_evals=ls_evals,
+                ))
                 if direction is None:
                     stationary = True
-                    records.append(snapshot(0.0, vnorm, eps, ls_evals))
                     break
-                records.append(snapshot(gamma, vnorm, eps, ls_evals))
                 if direction_log is not None:
                     direction_log.append(
                         (k, xz.grid.nodes.copy(),
@@ -321,8 +318,9 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     break
                 xz.x.values += gamma * direction.x.values
                 xz.z.values += gamma * direction.z.values
+                J = eval_J(p, xz)
+                psi, phi = penalty_values(p, xz)
 
-            psi, phi = penalty_values(p, xz)
             pen = psi + phi
             on_last_grid = gi + 1 == len(cfg.grid_sizes)
             if stationary and on_last_grid and pen <= cfg.constraint_tol:

@@ -8,6 +8,7 @@ by the dedicated piecewise-linear norm below).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,14 @@ def require_finite(name: str, value) -> None:
     """Reject a non-finite value from outside input, naming it."""
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
+
+
+def require_index(name: str, value) -> int:
+    """A Python or numpy integer from outside input, as an int, or reject it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class Grid:
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         require_finite("horizon", self.horizon)
+        object.__setattr__(self, "npoints",
+                           require_index("npoints", self.npoints))
         if self.npoints < 2:
             raise ValueError(f"grid needs at least 2 nodes, got {self.npoints}")
 

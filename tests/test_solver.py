@@ -1,6 +1,7 @@
 """Descent loop: direction, line search, stage ladder, stopping."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import nsvar.solver
 from _oracles import random_smooth_expr
 from nsvar.cli import builtin_config_overrides, load_problem
 from nsvar.convexgeom import min_norm_point
-from nsvar.functional import ProblemSpec, eval_I, initial_pair, min_norm_field
-from nsvar.integrand import Max, format_expr
+from nsvar.functional import (ProblemSpec, eval_I, eval_I_along, initial_pair,
+                              min_norm_field)
+from nsvar.integrand import DomainError, Max, format_expr
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
 from nsvar.trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq
 
@@ -44,6 +46,29 @@ def test_config_validation():
         SolverConfig(constraint_tol=-1.0)
     with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
         SolverConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SolverConfig(grid_sizes=(2.5, 5.9)),
+     r"^grid_sizes\[0\] must be an integer, got 2.5$"),
+    (lambda: SolverConfig(max_iters=2.5),
+     r"^max_iters must be an integer, got 2.5$"),
+    (lambda: SolverConfig(grid_sizes=(np.inf,)),
+     r"^grid_sizes\[0\] must be an integer, got inf$"),
+    (lambda: Grid(1.0, 2.5), r"^npoints must be an integer, got 2.5$"),
+], ids=["fractional_grid_sizes", "fractional_max_iters", "infinite_grid_size",
+        "fractional_npoints"])
+def test_sizes_must_be_integers(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_sizes_accept_numpy_integers():
+    cfg = SolverConfig(grid_sizes=(np.int64(3), np.int32(5)),
+                       max_iters=np.int64(4))
+    assert cfg.grid_sizes == (3, 5) and cfg.max_iters == 4
+    assert all(type(m) is int for m in (*cfg.grid_sizes, cfg.max_iters))
+    assert Grid(1.0, np.int64(3)) == Grid(1.0, 3)
 
 
 def test_config_defaults():
@@ -101,7 +126,8 @@ def test_line_search_quadratic_minimizer():
     xz = _flat(1, 5)
     cfg = SolverConfig(grid_sizes=(5,))
     d, vnorm = steepest_direction(p, xz, 1.0, cfg)
-    gamma, accepted, _ = line_search(p, xz, d, 1.0)
+    gamma, accepted, _ = line_search(eval_I_along(p, xz, d, 1.0),
+                                     eval_I(p, xz, 1.0))
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-9)
     stepped = PairTraj(Traj(xz.grid, xz.x.values + gamma * d.x.values),
@@ -113,7 +139,8 @@ def test_line_search_rejects_non_descent():
     p = load_problem("example1")
     xz = _flat(1, 3)
     up = PairTraj(Traj(xz.grid, np.ones((3, 1))), Traj(xz.grid, np.zeros((3, 1))))
-    gamma, accepted, _ = line_search(p, xz, up, 1.0)
+    gamma, accepted, _ = line_search(eval_I_along(p, xz, up, 1.0),
+                                     eval_I(p, xz, 1.0))
     assert gamma == 0.0 and not accepted
 
 
@@ -236,7 +263,7 @@ def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
 
     monkeypatch.setattr(nsvar.solver, "min_norm_field", counting_field)
     monkeypatch.setattr(nsvar.solver, "line_search",
-                        lambda p, xz, direction, lam: (0.0, False, 0))
+                        lambda f, f0: (0.0, False, 0))
     p = load_problem("example2")
     _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)))
     assert status == "exhausted"
@@ -295,22 +322,8 @@ def test_penalty_ladder_member_does_not_jam():
     assert recs[-1].J <= -0.020
 
 
-def _line(text):
-    """A problem, the rest pair and the unit x direction: I(gamma) = f(gamma).
-
-    The integrand reads only x1, so neither penalty is on, and on the
-    constant pair x1 = gamma the trapezoid rule over [0, 1] gives
-    f(gamma) exactly.
-    """
-    p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1),
-                    integrand=nsvar.integrand.parse_expr(text, 1))
-    xz = _flat(1, 5)
-    up = PairTraj(Traj(xz.grid, np.ones((5, 1))), Traj(xz.grid, np.zeros((5, 1))))
-    return p, xz, up
-
-
-def _recording_probes(monkeypatch):
-    """Patch the line search's objective to log every gamma it is asked for.
+def _recording(fn):
+    """fn as a line-search objective that logs every gamma it is asked for.
 
     Values come back as numpy scalars, so arithmetic on an inf or nan
     among them warns (an error under the test settings) or raises under
@@ -318,63 +331,61 @@ def _recording_probes(monkeypatch):
     """
     probes = []
 
-    def along(*args):
-        value = nsvar.functional.eval_I_along(*args)
-
-        def logged(gamma):
-            probes.append(gamma)
-            return np.float64(value(gamma))
-        return logged
-
-    monkeypatch.setattr(nsvar.solver, "eval_I_along", along)
-    return probes
+    def f(gamma):
+        probes.append(gamma)
+        return np.float64(fn(gamma))
+    return f, probes
 
 
-def test_line_search_pure_quadratic_within_probe_budget(monkeypatch):
-    probes = _recording_probes(monkeypatch)
-    p, xz, up = _line("pow(x1 - 1, 2)")
-    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+def test_line_search_pure_quadratic_within_probe_budget():
+    f, probes = _recording(lambda g: (g - 1.0) ** 2)
+    gamma, accepted, evals = line_search(f, 1.0)
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-12)
-    # f0, nine bracketing probes (0.01 doubling to 2.56) and Brent's steps:
+    # nine bracketing probes (0.01 doubling to 2.56) and Brent's steps:
     # the parabola through three points of a quadratic is exact.
-    assert evals == 1 + len(probes)
-    assert evals <= 18
+    assert evals == len(probes)
+    assert evals <= 17
 
 
-def test_line_search_lands_on_a_kink(monkeypatch):
-    probes = _recording_probes(monkeypatch)
-    p, xz, up = _line("abs(x1 - 1)")
-    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+def test_line_search_lands_on_a_kink():
+    f, probes = _recording(lambda g: abs(g - 1.0))
+    gamma, accepted, evals = line_search(f, 1.0)
     assert accepted
     assert abs(gamma - 1.0) <= nsvar.solver._LS_TOL * (1.0 + gamma)
-    assert evals == 1 + len(probes)
+    assert evals == len(probes)
     assert len(set(probes)) == len(probes)
 
 
-def test_line_search_survives_probes_outside_the_domain(monkeypatch):
-    # sqrt(0.7 - x1) - x1 falls all the way to the edge of its domain at
+def test_line_search_survives_probes_outside_the_domain():
+    # sqrt(0.7 - g) - g falls all the way to the edge of its domain at
     # gamma = 0.7.  The bracket is (0.32, 0.64, 1.28), and Brent's first
-    # probe, at 0.88, already raises DomainError: it must count as +inf
-    # and never enter a parabola.
-    probes = _recording_probes(monkeypatch)
-    p, xz, up = _line("sqrt(0.7 - x1) - x1")
-    with np.errstate(over="raise", invalid="raise"):
-        gamma, accepted, evals = line_search(p, xz, up, 1.0)
-    assert accepted
-    assert np.isfinite(gamma) and 0.7 - 1e-6 <= gamma <= 0.7
-    assert all(np.isfinite(probes))
-    assert probes[7] == 1.28 and 0.7 < probes[8] < 1.28
-    assert len([g for g in probes if g > 0.7]) >= 3
-    assert evals == 1 + len(probes) <= 80
+    # probe, at 0.88, already raises: a DomainError, or a
+    # FloatingPointError from an overflow, must count as +inf and never
+    # enter a parabola.
+    for error in (DomainError("sqrt of a negative value", 0.0),
+                  FloatingPointError("overflow encountered")):
+        def edge(g, error=error):
+            if g > 0.7:
+                raise error
+            return math.sqrt(0.7 - g) - g
+
+        f, probes = _recording(edge)
+        with np.errstate(over="raise", invalid="raise"):
+            gamma, accepted, evals = line_search(f, np.float64(math.sqrt(0.7)))
+        assert accepted
+        assert np.isfinite(gamma) and 0.7 - 1e-6 <= gamma <= 0.7
+        assert all(np.isfinite(probes))
+        assert probes[7] == 1.28 and 0.7 < probes[8] < 1.28
+        assert len([g for g in probes if g > 0.7]) >= 3
+        assert evals == len(probes) <= 79
 
 
-def test_line_search_reuses_the_last_halved_probe(monkeypatch):
+def test_line_search_reuses_the_last_halved_probe():
     # f(0.01) = 0.007 does not beat f(0) = 0.003, so the seed is halved to
     # 0.005; the bracket's right end 2 * 0.005 is that rejected probe.
-    probes = _recording_probes(monkeypatch)
-    p, xz, up = _line("abs(x1 - 0.003)")
-    gamma, accepted, evals = line_search(p, xz, up, 1.0)
+    f, probes = _recording(lambda g: abs(g - 0.003))
+    gamma, accepted, evals = line_search(f, 0.003)
     assert accepted
     assert probes[:2] == [1e-2, 5e-3]
     assert probes.count(1e-2) == 1
@@ -397,14 +408,63 @@ def test_records_count_every_line_search_probe(monkeypatch):
     assert sum(r.ls_evals for r in recs) == sum(evals)
     for r in recs:
         if r.gamma > 0.0:
-            assert r.ls_evals >= 3   # f0, the accepted probe, the bracket end
+            assert r.ls_evals >= 2   # the accepted probe, the bracket end
 
 
 def test_records_count_the_probes_of_retaken_directions(monkeypatch):
     # Every line search fails, so the first iteration takes one direction
     # per schedule entry and its record counts all of their probes.
     monkeypatch.setattr(nsvar.solver, "line_search",
-                        lambda p, xz, direction, lam: (0.0, False, 7))
+                        lambda f, f0: (0.0, False, 7))
     p = load_problem("example2")
     _, recs, _ = solve(p, SolverConfig(grid_sizes=(11,)))
     assert [r.ls_evals for r in recs] == [7 * len(nsvar.solver._EPS_SCHEDULE)]
+
+
+def test_solve_measures_each_iterate_once(monkeypatch):
+    # J and the penalties run once at each stage start and once after each
+    # accepted step; that measurement is the record's I and the f0 of the
+    # iterate's line searches, and the solver never calls eval_I.
+    calls = {"eval_J": 0, "penalty_values": 0}
+    for name in calls:
+        original = getattr(nsvar.functional, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(nsvar.functional, name, counted)
+        monkeypatch.setattr(nsvar.solver, name, counted)
+
+    def no_eval_I(*args):
+        raise AssertionError("eval_I called")
+    monkeypatch.setattr(nsvar.functional, "eval_I", no_eval_I)
+    monkeypatch.setattr(nsvar.solver, "eval_I", no_eval_I)
+
+    searches = []
+
+    def spied(f, f0):
+        result = line_search(f, f0)
+        searches.append((f0, result[2]))
+        return result
+    monkeypatch.setattr(nsvar.solver, "line_search", spied)
+
+    p = load_problem("example3")
+    kw = builtin_config_overrides("example3")
+    kw["lambda0"] = p.lambda0
+    _, recs, status = solve(p, SolverConfig(**kw))
+    assert status == "converged"
+    accepted = sum(1 for r in recs if r.gamma > 0.0)
+    assert calls == {"eval_J": len(_stages(recs)) + accepted,
+                     "penalty_values": len(_stages(recs)) + accepted}
+    # Each search makes at least one probe, so the records' ls_evals split
+    # the searches into iterations.  I is eval_I's sum, to the bit.
+    pending = iter(searches)
+    for r in recs:
+        assert r.I == r.J + r.lam * r.psi + r.lam * r.phi
+        probes = 0
+        while probes < r.ls_evals:
+            f0, n = next(pending)
+            assert f0 == r.I
+            probes += n
+        assert probes == r.ls_evals
+    assert next(pending, None) is None
