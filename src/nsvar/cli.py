@@ -16,6 +16,9 @@ splitter tracks parentheses) and may use only t.  ``nsvar solve`` writes
 trajectory.csv, convergence.csv and summary.json into the output
 directory and exits 0 when the run converged, 2 when it exhausted its
 budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
+summary.json lists the run's (grid, lambda) stages and why each ended:
+"stationary", "budget" (max_iters used up) or "ls_stall" (no decrease
+along the direction at the exact tie tolerance).
 A solve that fails once the output directory exists leaves a summary.json
 with status "failed" and the reason; once it has a first pair, it also
 leaves that run's last pair in trajectory.csv and its records so far in
@@ -238,6 +241,7 @@ class RunSummary:
     npoints: int
     endpoint_error: float | None
     wall_time: float
+    stages: list  # per (grid, lambda) stage: N, lambda, iterations, stop
 
 
 def _fmt(v: float) -> str:
@@ -339,8 +343,10 @@ def run(argv: list[str]) -> int:
 
         t0 = time.perf_counter()
         direction_log: list | None = [] if args.emit_plot_data else None
+        stage_log: list = []
         try:
-            xz, records, status = solve(spec, cfg, direction_log=direction_log)
+            xz, records, status = solve(spec, cfg, direction_log=direction_log,
+                                        stage_log=stage_log)
         except (ExprError, MinNormUncertified, FloatingPointError) as exc:
             failed = {"problem": spec.name, "status": "failed", "reason": str(exc)}
             (outdir / "summary.json").write_text(json.dumps(failed, indent=2) + "\n")
@@ -364,6 +370,9 @@ def run(argv: list[str]) -> int:
             J=last.J, I=last.I, psi=last.psi, phi=last.phi, vnorm=last.vnorm,
             lam=last.lam, npoints=last.npoints,
             endpoint_error=endpoint_error, wall_time=wall,
+            stages=[{"N": st.npoints, "lambda": st.lam,
+                     "iterations": st.iterations, "stop": st.stop}
+                    for st in stage_log],
         )
         _write_run(outdir, state, xz.z, records)
         (outdir / "summary.json").write_text(

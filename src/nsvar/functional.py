@@ -24,9 +24,12 @@ subdifferentials also integrate z once.
 The line search's objective is eval_I_along: gamma -> I(xz + gamma * d).
 Both penalties are exact discrete quadratics, so along a line
 lam * (psi + phi) is one quadratic in gamma, built once per line from
-the antiderivatives of z and of d's z block.  Each probe then evaluates
-only the compiled integrand; it matches eval_I at the stepped pair to
-roundoff and raises the same DomainError.
+the antiderivatives of z and of d's z block.  The integrand is folded
+along the line once too (compile_line): subtrees that are polynomials
+of degree <= 2 in gamma become coefficient arrays, and subtrees without
+x or z are evaluated then.  Each probe then evaluates only the compiled
+integrand's nodes that do not fold; it matches eval_I at the stepped
+pair to roundoff and raises the same DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -38,6 +41,7 @@ through min_norm_point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,10 +57,10 @@ from .convexgeom import (
 )
 from .integrand import (
     _TOL_ACT,
-    DomainError,
     EvalPoint,
     Expr,
-    compile_expr,
+    _raise_at_first,
+    compile_line,
     compile_subdiff,
     eval_expr_grid,
     subdiff_expr,
@@ -71,6 +75,7 @@ from .trajectory import (
     require_finite,
     reverse_cumulative_integral,
     trapezoid,
+    trapezoid_weights,
 )
 
 __all__ = [
@@ -158,16 +163,16 @@ class ProblemSpec:
             and self.lambda0 == other.lambda0
         )
 
-    def integrand_grid(self) -> Callable:
-        """The integrand compiled into a grid evaluator f(x, z, t).
+    def integrand_line(self) -> Callable:
+        """The integrand compiled into a pass along lines (compile_line).
 
         Compiled on first use and kept, keyed to the integrand object
         itself, so assigning a new integrand compiles again.
         """
-        return self._compile(compile_expr)
+        return self._compile(compile_line)
 
     def integrand_subdiff(self) -> Callable:
-        """The integrand compiled by compile_subdiff, kept like integrand_grid."""
+        """The integrand compiled by compile_subdiff, kept like integrand_line."""
         return self._compile(compile_subdiff)
 
     def _compile(self, compiler: Callable) -> Callable:
@@ -209,11 +214,8 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
         for j, e in enumerate(exprs):
             with np.errstate(over="ignore", invalid="ignore"):
                 vals[:, j] = eval_expr_grid(e, dummy, dummy, t)
-            bad = ~np.isfinite(vals[:, j])
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DomainError(f"{label} component {j + 1} is not finite",
-                                  float(t[i]), i)
+            _raise_at_first(~np.isfinite(vals[:, j]),
+                            f"{label} component {j + 1} is not finite", t)
         return vals
 
     if p.initial_x is None:
@@ -231,14 +233,9 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
 # functional values
 
 
-def _integrand_values(p: ProblemSpec, x: np.ndarray, z: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """Nodal integrand values; DomainError at the first non-finite one."""
-    vals = p.integrand_grid()(x, z, t)
-    if not np.isfinite(vals).all():
-        i = int(np.argmax(~np.isfinite(vals)))
-        raise DomainError("integrand is not finite", float(t[i]), i)
-    return vals
+def _check_finite(vals: np.ndarray, t: np.ndarray) -> None:
+    """DomainError at the first non-finite nodal integrand value."""
+    _raise_at_first(~np.isfinite(vals), "integrand is not finite", t)
 
 
 def _psi(p: ProblemSpec, xint: np.ndarray) -> float:
@@ -265,8 +262,10 @@ def _antiderivative(p: ProblemSpec, z: Traj) -> np.ndarray:
 
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
-    return trapezoid(_integrand_values(p, xz.x.values, xz.z.values,
-                                       xz.grid.nodes), xz.grid.h)
+    t = xz.grid.nodes
+    vals = p.integrand_line()(xz.x.values, xz.z.values, t)(0.0)
+    _check_finite(vals, t)
+    return trapezoid(vals, xz.grid.h)
 
 
 def eval_psi(p: ProblemSpec, z: Traj) -> float:
@@ -327,11 +326,18 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     """gamma -> I(xz + gamma * direction), the line search's objective.
 
     Along a line lam * (psi + phi) is a quadratic in gamma.  Its three
-    coefficients come from one integral of each z block, once per line;
-    a probe then makes one pass of the compiled integrand, adds its
-    trapezoid sum and the quadratic, and builds no Traj.  A probe raises
-    DomainError where eval_I at the stepped pair would; it equals that
-    value to roundoff.
+    coefficients come from one integral of each z block, once per line,
+    and the integrand is folded along the line once (compile_line).  Each
+    probe then evaluates only the compiled integrand's nodes that do not
+    fold, on Horner values of the rest, takes one trapezoid sum (a dot
+    product with the trapezoid weights), adds the quadratic, and builds
+    no Traj and no stepped copy of the pair.  Only a sum that is not
+    finite sends the probe through the nodal values, to name the first
+    one that is not.  A probe raises DomainError where eval_I at the
+    stepped pair would; it equals that value to roundoff.  A subtree
+    without x or z is evaluated once, when the line is built, so its
+    DomainError comes from this call; eval_I raises it at every point of
+    the line.
     """
     grid = xz.grid
     h, t = grid.h, grid.nodes
@@ -352,10 +358,16 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
             c1 += trapezoid(np.einsum("ij,ij->i", d0, d1), h)
             c2 += 0.5 * trapezoid(np.einsum("ij,ij->i", d1, d1), h)
     c0, c1, c2 = lam * c0, lam * c1, lam * c2
+    at = p.integrand_line()(xv, zv, t, gx, gz)
+    w = trapezoid_weights(grid)
 
     def value(gamma: float) -> float:
-        vals = _integrand_values(p, xv + gamma * gx, zv + gamma * gz, t)
-        return trapezoid(vals, h) + (c0 + gamma * (c1 + gamma * c2))
+        vals = at(gamma)
+        J = float(w.dot(vals))
+        if not math.isfinite(J):
+            # any nan or inf value makes the sum non-finite
+            _check_finite(vals, t)
+        return J + (c0 + gamma * (c1 + gamma * c2))
 
     return value
 

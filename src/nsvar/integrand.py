@@ -16,7 +16,9 @@ subdifferential is available at every point:
 
 Nonsmooth nodes inside ``*``, ``/``, ``pow``, ``sin``, ``cos``, ``exp``
 or ``sqrt`` are rejected when the expression is parsed, except for
-multiplication by a constant.
+multiplication by a constant.  So is any negation, by unary minus, as
+the right side of ``-`` or by a negative constant factor, of an operand
+holding an ``abs``, ``max`` or ``norm`` over x or z: it would be concave.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
 by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
@@ -26,6 +28,7 @@ point plus segments, and marks the nodes whose sets take another form.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -48,7 +51,7 @@ __all__ = [
     "Const", "Time", "VarX", "VarZ", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
-    "parse_expr", "format_expr", "eval_expr", "compile_expr", "eval_expr_grid",
+    "parse_expr", "format_expr", "eval_expr", "compile_line", "eval_expr_grid",
     "subdiff_expr", "compile_subdiff", "directional_derivative", "uses_var_z",
     "is_smooth",
 ]
@@ -360,10 +363,40 @@ def uses_var_z(e: Expr) -> bool:
     return isinstance(e, VarZ) or any(map(uses_var_z, _args(e)))
 
 
+def _uses_vars(e: Expr) -> bool:
+    return isinstance(e, (VarX, VarZ)) or any(map(_uses_vars, _args(e)))
+
+
+def _varies_nonsmoothly(e: Expr) -> bool:
+    """True when e holds an abs, max or norm node that reads x or z."""
+    if isinstance(e, (Abs, Max, Norm)) and _uses_vars(e):
+        return True
+    return any(map(_varies_nonsmoothly, _args(e)))
+
+
 # Nodes whose arguments must be smooth, as the rejection names them.  A
 # product with a constant factor is exempt: it only scales the other side.
 _SMOOTH_ONLY = {Mul: "a product", Div: "a quotient", Pow: "pow", Sin: "sin",
                 Cos: "cos", Exp: "exp", Sqrt: "sqrt"}
+
+
+def _negated(e: Expr) -> tuple:
+    """The operands e negates, and how the rejection names the negation.
+
+    A convex kink turned upside down is concave, and the set calculus
+    would give it the hull of both sides, which holds 0: the method would
+    stop on it.  So an operand that varies nonsmoothly in x or z may not
+    be negated, however the negation is spelled.
+    """
+    if isinstance(e, Neg):
+        return (e.arg,), "negated"
+    if isinstance(e, Sub):
+        return (e.right,), "subtracted"
+    if isinstance(e, Mul):
+        factor = next((a for a in _args(e) if isinstance(a, Const)), None)
+        if factor is not None and factor.value < 0.0:
+            return _args(e), "scaled by a negative constant"
+    return (), ""
 
 
 def _validate(e: Expr, n: int, allow_vars: bool) -> None:
@@ -376,14 +409,11 @@ def _validate(e: Expr, n: int, allow_vars: bool) -> None:
         return
     args = _args(e)
     context = _SMOOTH_ONLY.get(type(e))
-    if isinstance(e, Mul):
-        factor = next((a for a in args if isinstance(a, Const)), None)
-        if factor is not None:
-            if factor.value < 0.0 and not all(map(is_smooth, args)):
-                raise ExprError(
-                    "nonsmooth subexpression scaled by a negative constant"
-                )
-            context = None
+    if isinstance(e, Mul) and any(isinstance(a, Const) for a in args):
+        context = None
+    negated, how = _negated(e)
+    if any(map(_varies_nonsmoothly, negated)):
+        raise ExprError(f"nonsmooth subexpression {how}")
     for a in args:
         if context is not None and not is_smooth(a):
             raise ExprError(f"nonsmooth subexpression inside {context}")
@@ -444,9 +474,6 @@ def format_expr(e: Expr) -> str:
 # evaluation
 
 
-GridFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
 def _power(v, k: int) -> np.ndarray:
     """v ** k by numpy's array kernel, for a grid or a single value.
 
@@ -457,112 +484,241 @@ def _power(v, k: int) -> np.ndarray:
     return np.asarray(v) ** k
 
 
-def compile_expr(e: Expr) -> GridFn:
-    """Compile e once into a grid evaluator f(x, z, t).
+# Subtrees fold up to this degree in gamma.  Horner's rule on degree k
+# costs 2k array operations per probe, while pow(u, k) on an evaluated u
+# costs one.
+_LINE_DEGREE = 2
 
-    x, z have shape (N, n) and t shape (N,), and so does the result.  The
-    evaluator is a tree of closures that makes the numpy calls a
-    recursive walk would, in the same order, so its values are
-    bit-for-bit those of the expression.
+# A subtree folded along a line: its coefficient arrays (c0, .., ck) in
+# gamma, k <= _LINE_DEGREE, or, when it does not fold, the function
+# gamma -> its nodal values.
+Folded = tuple | Callable[[float], np.ndarray]
+
+
+def compile_line(e: Expr) -> Callable[..., Callable[[float], np.ndarray]]:
+    """Compile e once into a pass along lines, line(x, z, t, gx=None, gz=None).
+
+    x, z and the direction gx, gz have shape (N, n) and t shape (N,).  A
+    call returns at(gamma), the nodal values at x + gamma * gx,
+    z + gamma * gz, shape (N,).  The call folds every subtree that is a
+    polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
+    arrays, in truncated Taylor arithmetic (Griewank and Walther,
+    Evaluating Derivatives, 2008, ch. 13): a subtree without x or z is
+    evaluated there, once per line.  at(gamma) evaluates only the nodes
+    that do not fold (abs, max, norm, sqrt, smooth functions and division
+    by subtrees that change along the line, products and powers above
+    degree 2), on Horner values of their folded children, so it matches
+    the values at the stepped point to roundoff.
+
+    Without a direction every subtree has degree 0: the call makes the
+    numpy calls a recursive walk would, in the same order, and at returns
+    the values, bit-for-bit those of the expression, for any gamma.
+
     A zero divisor or a negative sqrt argument raises DomainError naming
-    the first offending node.
+    the first offending node: at(gamma) raises it, or the call itself
+    when the subtree does not change along the line (every subtree,
+    without a direction).
     """
+    fold = _compile_line(e)
+
+    def line(x, z, t, gx=None, gz=None):
+        return _at(fold(x, z, t, gx, gz))
+    return line
+
+
+def _at(r: Folded) -> Callable[[float], np.ndarray]:
+    """A folded subtree as a function of gamma: Horner's rule on its
+    coefficients."""
+    if callable(r):
+        return r
+    if len(r) == 1:
+        c0, = r
+        return lambda g: c0
+    if len(r) == 2:
+        c0, c1 = r
+        return lambda g: c0 + g * c1
+    c0, c1, c2 = r
+    return lambda g: c0 + g * (c1 + g * c2)
+
+
+def _constant(r: Folded) -> bool:
+    """True when a folded subtree does not change along the line."""
+    return not callable(r) and len(r) == 1
+
+
+def _apply(op: Callable, parts: list) -> Folded:
+    """op on the values of folded subtrees.
+
+    When none of them changes along the line, op runs now, once; else the
+    result is the function of gamma that runs op on their values there,
+    taken in argument order.
+    """
+    if all(map(_constant, parts)):
+        return (op(*[r[0] for r in parts]),)
+    fs = [_at(r) for r in parts]
+    if len(fs) == 1:
+        f, = fs
+        return lambda g: op(f(g))
+    if len(fs) == 2:
+        f1, f2 = fs
+        return lambda g: op(f1(g), f2(g))
+    return lambda g: op(*[f(g) for f in fs])
+
+
+def _compile_line(e: Expr):
+    """The fold of e: (x, z, t, gx, gz) -> Folded."""
     if isinstance(e, Const):
         value = e.value
-        return lambda x, z, t: np.full(t.shape, value)
+        return lambda x, z, t, gx, gz: (np.full(t.shape, value),)
     if isinstance(e, Time):
-        return lambda x, z, t: t
-    if isinstance(e, VarX):
-        j = e.index - 1
-        return lambda x, z, t: x[:, j]
-    if isinstance(e, VarZ):
-        j = e.index - 1
-        return lambda x, z, t: z[:, j]
-    if isinstance(e, Neg):
-        f = compile_expr(e.arg)
-        return lambda x, z, t: -f(x, z, t)
-    if isinstance(e, Add):
-        f, g = _operands((e.left, e.right))
-        return lambda x, z, t: f(x, z, t) + g(x, z, t)
-    if isinstance(e, Sub):
-        f, g = _operands((e.left, e.right))
-        return lambda x, z, t: f(x, z, t) - g(x, z, t)
-    if isinstance(e, Mul):
-        f, g = _operands((e.left, e.right))
-        return lambda x, z, t: f(x, z, t) * g(x, z, t)
-    if isinstance(e, Div):
-        f, g = _operands((e.left, e.right))
+        return lambda x, z, t, gx, gz: (t,)
+    if isinstance(e, (VarX, VarZ)):
+        j, on_z = e.index - 1, isinstance(e, VarZ)
 
-        def div(x, z, t):
-            den = g(x, z, t)
-            bad = den == 0.0
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DomainError("division by zero", float(t[i]), i)
-            return f(x, z, t) / den
+        def leaf(x, z, t, gx, gz):
+            v = (z if on_z else x)[:, j]
+            if gx is None:
+                return (v,)
+            return v, (gz if on_z else gx)[:, j]
+        return leaf
+    if isinstance(e, Neg):
+        f = _compile_line(e.arg)
+
+        def neg(*point):
+            r = f(*point)
+            return _apply(operator.neg, [r]) if callable(r) else tuple(-c for c in r)
+        return neg
+    if isinstance(e, (Add, Sub)):
+        f, g = _line_operands((e.left, e.right))
+        op = operator.add if isinstance(e, Add) else operator.sub
+
+        def add(*point):
+            r1, r2 = f(*point), g(*point)
+            if callable(r1) or callable(r2):
+                return _apply(op, [r1, r2])
+            # a coefficient only one side has is 0 on the other
+            m = min(len(r1), len(r2))
+            return (tuple(op(a, b) for a, b in zip(r1, r2)) + r1[m:]
+                    + tuple(op(0.0, b) for b in r2[m:]))
+        return add
+    if isinstance(e, Mul):
+        f, g = _line_operands((e.left, e.right))
+
+        def mul(*point):
+            r1, r2 = f(*point), g(*point)
+            if (callable(r1) or callable(r2)
+                    or len(r1) + len(r2) - 2 > _LINE_DEGREE):
+                return _apply(operator.mul, [r1, r2])
+            return _poly_mul(r1, r2)
+        return mul
+    if isinstance(e, Div):
+        f, g = _line_operands((e.left, e.right))
+
+        def div(x, z, t, gx, gz):
+            # the divisor first, as a walk of the expression takes it
+            r2 = g(x, z, t, gx, gz)
+            if _constant(r2):
+                den = r2[0]
+                _raise_at_first(den == 0.0, "division by zero", t)
+                r1 = f(x, z, t, gx, gz)
+                if callable(r1):
+                    return lambda gamma: r1(gamma) / den
+                return tuple(c / den for c in r1)
+            fden, fnum = _at(r2), _at(f(x, z, t, gx, gz))
+
+            def quotient(gamma):
+                den = fden(gamma)
+                _raise_at_first(den == 0.0, "division by zero", t)
+                return fnum(gamma) / den
+            return quotient
         return div
     if isinstance(e, Pow):
-        f, k = compile_expr(e.base), e.exponent
-        return lambda x, z, t: _power(f(x, z, t), k)
-    if isinstance(e, Sqrt):
-        f = compile_expr(e.arg)
+        f, k = _compile_line(e.base), e.exponent
 
-        def sqrt(x, z, t):
-            arg = f(x, z, t)
-            bad = arg < 0.0
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DomainError("sqrt of a negative value", float(t[i]), i)
-            return np.sqrt(arg)
-        return sqrt
-    if isinstance(e, (Sin, Cos, Exp, Abs)):
-        f = compile_expr(e.arg)
-        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}[type(e)]
-        return lambda x, z, t: ufunc(f(x, z, t))
-    if isinstance(e, Max):
-        fs = _operands(e.args)
+        def power(*point):
+            r = f(*point)
+            if callable(r) or (len(r) - 1) * k > _LINE_DEGREE:
+                return _apply(lambda v: _power(v, k), [r])
+            if len(r) == 1 or k == 1:
+                return tuple(_power(c, k) for c in r)
+            c0, c1 = r  # degree 1, squared
+            return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
+        return power
+    if isinstance(e, (Sqrt, Sin, Cos, Exp, Abs)):
+        f = _compile_line(e.arg)
+        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}.get(type(e))
 
-        def maximum(x, z, t):
-            vals = [f(x, z, t) for f in fs]
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.maximum(out, v)
-            return out
-        return maximum
-    if isinstance(e, Norm):
-        fs = _operands(e.args)
+        def elementwise(x, z, t, gx, gz):
+            op = ufunc or (lambda v: _checked_sqrt(v, t))
+            return _apply(op, [f(x, z, t, gx, gz)])
+        return elementwise
+    if isinstance(e, (Max, Norm)):
+        fs = _line_operands(e.args)
+        op = _maximum if isinstance(e, Max) else _norm_value
 
-        def norm(x, z, t):
-            acc = np.zeros_like(t)
-            for f in fs:
-                v = f(x, z, t)
-                acc = acc + v * v
-            return np.sqrt(acc)
-        return norm
+        def nary(*point):
+            return _apply(op, [f(*point) for f in fs])
+        return nary
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _operands(args: tuple) -> list[GridFn]:
-    """Compiled operands of an arithmetic, max or norm node.
+def _line_operands(args: tuple) -> list:
+    """Folds of the operands of an arithmetic, max or norm node.
 
-    A constant operand evaluates to a numpy scalar rather than an array
-    of copies; it gives the same bits.  When every operand is constant,
-    all of them stay arrays, so the node's result is still an array.
+    A constant operand folds to a numpy scalar rather than an array of
+    copies; it gives the same bits.  When every operand is constant, all
+    of them stay arrays, so the node's result is still an array.
     """
     if all(isinstance(a, Const) for a in args):
-        return [compile_expr(a) for a in args]
-    return [_scalar(a.value) if isinstance(a, Const) else compile_expr(a)
+        return [_compile_line(a) for a in args]
+    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a)
             for a in args]
 
 
-def _scalar(value: float) -> GridFn:
-    c = np.float64(value)
-    return lambda x, z, t: c
+def _scalar(value: float):
+    c = (np.float64(value),)
+    return lambda x, z, t, gx, gz: c
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    """Coefficients of the product of two polynomials in gamma."""
+    out = [None] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            term = ai * bj
+            out[i + j] = term if out[i + j] is None else out[i + j] + term
+    return tuple(out)
+
+
+def _raise_at_first(bad, message: str, t: np.ndarray) -> None:
+    """DomainError naming the first node where bad holds, if any does."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(message, float(t[i]), i)
+
+
+def _checked_sqrt(v, t: np.ndarray) -> np.ndarray:
+    _raise_at_first(v < 0.0, "sqrt of a negative value", t)
+    return np.sqrt(v)
+
+
+def _maximum(*vals) -> np.ndarray:
+    out = vals[0]
+    for v in vals[1:]:
+        out = np.maximum(out, v)
+    return out
+
+
+def _norm_value(*vals) -> np.ndarray:
+    acc = vals[0] * vals[0]
+    for v in vals[1:]:
+        acc = acc + v * v
+    return np.sqrt(acc)
 
 
 def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at N points: x, z have shape (N, n), t (N,)."""
-    return compile_expr(e)(x, z, t)
+    return compile_line(e)(x, z, t)(0.0)
 
 
 def eval_expr(e: Expr, p: EvalPoint) -> float:
@@ -762,7 +918,7 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
 
     x, z have shape (N, n) and t shape (N,).  The result is
     (value, q, gens, per_node) for every node at once: the value, shape
-    (N,), equal to compile_expr's up to roundoff; a center q, shape
+    (N,), equal to compile_line's up to roundoff; a center q, shape
     (N, 2n); a list of segment generators, each of shape (N, 2n); and a
     bool mask, shape (N,).  At a node outside the mask, subdiff_expr's
     set is the zonotope q + sum_k lambda_k gens[k] with lambda in

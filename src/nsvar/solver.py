@@ -8,8 +8,11 @@ function: bracketing by doubling, then Brent's safeguarded parabolic
 search (Brent, Algorithms for Minimization without Derivatives, 1973),
 down to a bracket of _LS_TOL * (1 + gamma).  solve measures J and the
 penalties once per iterate; that I is the iteration record's value and
-f0 for the search on eval_I_along, where a probe costs one pass of the
-compiled integrand.
+f0 for the search on eval_I_along.  That builds the line once: the
+penalties become one quadratic in the step, and the integrand is folded
+along the line (compile_line), so a probe evaluates only the integrand's
+nodes that do not fold (abs, max, norm, ...) on Horner values of the
+rest.
 
 The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
@@ -48,8 +51,8 @@ from .integrand import _TOL_ACT, DomainError, ExprError
 from .trajectory import (Grid, PairTraj, Traj, require_finite,
                          require_index, pl_l2_norm_sq, resample)
 
-__all__ = ["SolverConfig", "IterationRecord", "steepest_direction",
-           "line_search", "solve"]
+__all__ = ["SolverConfig", "IterationRecord", "StageRecord",
+           "steepest_direction", "line_search", "solve"]
 
 
 @dataclass
@@ -99,6 +102,21 @@ class IterationRecord:
     wall_time: float  # seconds since solve() started
     eps: float        # tie tolerance the iteration's direction was taken at
     ls_evals: int     # probes of the iteration's line searches (f0 not counted)
+
+
+@dataclass
+class StageRecord:
+    """One (grid, lambda) stage of a solve and why it ended.
+
+    stop is "stationary" when the field at the exact tie tolerance fell
+    below eps_bar, "ls_stall" when the line search found no decrease
+    there, and "budget" when the stage used its max_iters iterations.
+    """
+
+    npoints: int
+    lam: float
+    iterations: int
+    stop: str
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -253,13 +271,16 @@ def line_search(f: Callable[[float], float], f0: float
 
 @np.errstate(over="raise", invalid="raise")
 def solve(p: ProblemSpec, cfg: SolverConfig,
-          direction_log: list | None = None
+          direction_log: list | None = None,
+          stage_log: list | None = None
           ) -> tuple[PairTraj, list[IterationRecord], str]:
     """Run the continuation ladder to a stationary, feasible iterate.
 
     Returns the final pair, the per-iteration records, and a status:
     "converged" when a stage on the finest grid went stationary with
-    psi + phi below constraint_tol, otherwise "exhausted".
+    psi + phi below constraint_tol, otherwise "exhausted".  A given
+    stage_log receives one StageRecord per stage as it ends, and a given
+    direction_log (k, nodes, direction) for each direction taken.
 
     Deterministic: identical inputs reproduce the records exactly (the
     wall_time field aside).  Finite data too large for double precision
@@ -279,7 +300,8 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     floor = len(_EPS_SCHEDULE) - 1
     try:
         while True:
-            stationary = False
+            stop = "budget"
+            k_start = k
             ei = 0
             J = eval_J(p, xz)
             psi, phi = penalty_values(p, xz)
@@ -307,7 +329,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     ls_evals=ls_evals,
                 ))
                 if direction is None:
-                    stationary = True
+                    stop = "stationary"
                     break
                 if direction_log is not None:
                     direction_log.append(
@@ -315,15 +337,18 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                          np.hstack([direction.x.values, direction.z.values]))
                     )
                 if not ok:
+                    stop = "ls_stall"
                     break
                 xz.x.values += gamma * direction.x.values
                 xz.z.values += gamma * direction.z.values
                 J = eval_J(p, xz)
                 psi, phi = penalty_values(p, xz)
 
+            if stage_log is not None:
+                stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start, stop))
             pen = psi + phi
             on_last_grid = gi + 1 == len(cfg.grid_sizes)
-            if stationary and on_last_grid and pen <= cfg.constraint_tol:
+            if stop == "stationary" and on_last_grid and pen <= cfg.constraint_tol:
                 status = "converged"
                 break
             advanced = False

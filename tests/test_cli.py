@@ -166,6 +166,40 @@ def test_run_exhausted_exit_code(tmp_path):
     assert summary["status"] == "exhausted"
 
 
+# Without penalties, at 5 nodes, steepest descent on this weighted
+# quadratic converges linearly; with a stationarity threshold it never
+# reaches, the line search runs out of decrease first.
+_STALL = "n = 1\nT = 1\nx0 = 0\nintegrand = (1 + t) * pow(x1 - t, 2)\ninitial_x = 0\n"
+
+
+@pytest.mark.parametrize("problem, flags, stops", [
+    ("example3", [], ["stationary"] * 3),
+    ("example2", ["--eps", "1e-20", "--max-iters", "2"], ["budget"] * 3),
+    ("stall", ["--grid", "5", "--eps", "1e-300"], ["ls_stall"]),
+])
+def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
+    if problem == "stall":
+        problem = tmp_path / "stall.prob"
+        problem.write_text(_STALL)
+    out = tmp_path / "run"
+    code = run(["solve", str(problem), "--out", str(out), *flags])
+    assert code == (0 if stops[-1] == "stationary" else 2)
+    stages = json.loads((out / "summary.json").read_text())["stages"]
+    assert [s["stop"] for s in stages] == stops
+    # the stages split convergence.csv's rows in order
+    _, rows = _read_csv(out / "convergence.csv")
+    first = 0
+    for s in stages:
+        assert set(s) == {"N", "lambda", "iterations", "stop"}
+        part = rows[first:first + s["iterations"]]
+        assert len(part) == s["iterations"] >= 1
+        assert (part[:, 8] == s["N"]).all() and (part[:, 6] == s["lambda"]).all()
+        first += s["iterations"]
+    assert first == len(rows)
+    if stops == ["budget"] * 3:
+        assert [s["iterations"] for s in stages] == [2, 2, 2]
+
+
 def test_run_missing_problem_is_error(tmp_path, capsys):
     assert run(["solve", str(tmp_path / "nope.prob"),
                 "--out", str(tmp_path / "o")]) == 1

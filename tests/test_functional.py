@@ -1,5 +1,9 @@
 """Objective, penalty terms, and per-node subdifferential field."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -361,8 +365,8 @@ def test_eval_I_hot_path_counts(monkeypatch):
                         counting("traj", nsvar.trajectory.Traj.__init__))
     monkeypatch.setattr(nsvar.functional, "cumulative_trapezoid",
                         counting("cumulative", nsvar.functional.cumulative_trapezoid))
-    monkeypatch.setattr(nsvar.functional, "compile_expr",
-                        counting("compile", nsvar.functional.compile_expr))
+    monkeypatch.setattr(nsvar.functional, "compile_line",
+                        counting("compile", nsvar.functional.compile_line))
     first = eval_I(p, xz, 20.0)
     assert counts == {"traj": 0, "cumulative": 1, "compile": 1}
     assert eval_I(p, xz, 20.0) == first
@@ -371,11 +375,30 @@ def test_eval_I_hot_path_counts(monkeypatch):
     assert g.nodes is g.nodes
 
 
+def _reference_problem(name, tmp_path, monkeypatch):
+    """A built-in, or a benchmark workload's reference problem (seed 0)."""
+    if not name.startswith("workload:"):
+        return load_problem(name)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it loads
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    text, _ = workloads.generate(name.removeprefix("workload:"), 0)
+    f = tmp_path / "reference.prob"
+    f.write_text(text)
+    return load_problem(str(f))
+
+
 @pytest.mark.parametrize("name, N", [("example3", 11), ("example3", 21),
-                                     ("example4", 51)])
-def test_eval_I_along_is_eval_I_on_the_line(name, N):
-    """The penalties' quadratic in gamma plus one integrand pass is I."""
-    p = load_problem(name)
+                                     ("example4", 51), ("example2", 21),
+                                     ("workload:penalty_ladder", 21),
+                                     ("workload:kink_tracking", 51)])
+def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
+    """The penalties' quadratic in gamma plus the folded integrand is I."""
+    p = _reference_problem(name, tmp_path, monkeypatch)
     g = Grid(p.horizon, N)
     rng = np.random.default_rng(23)
     for lam in (1.0, 20.0, 300.0):
@@ -417,6 +440,24 @@ def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
     assert got.value.node_index == want.value.node_index == 3
     inside = _pair(p, g, xz.x.values + 0.25 * dx, xz.z.values)
     assert along(0.25) == pytest.approx(eval_I(p, inside, 20.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad_nodes", [(0,), (3,), (6,), (5, 2)])
+def test_eval_I_along_names_the_first_non_finite_node(bad_nodes):
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], integrand=parse_expr("exp(x1)", 1))
+    g = Grid(1.0, 7)
+    xz = _pair(p, g, np.zeros((7, 1)), np.zeros((7, 1)))
+    dx = np.zeros((7, 1))
+    dx[list(bad_nodes)] = 1e3
+    along = eval_I_along(p, xz, _pair(p, g, dx, np.zeros((7, 1))), 1.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
+        along(1.0)
+    i = min(bad_nodes)
+    assert str(got.value) == (
+        f"integrand is not finite at t={float(g.nodes[i])!r} (node {i})")
+    assert got.value.node_index == i
+    # values near the overflow threshold are still inside the domain
+    assert np.isfinite(along(0.709))
 
 
 def test_eval_I_along_probes_integrate_nothing(monkeypatch):

@@ -20,18 +20,23 @@ from nsvar.convexgeom import (
 )
 from nsvar.integrand import (
     Abs,
+    Add,
     Const,
     DomainError,
     EvalPoint,
     ExprError,
     Max,
     Mul,
+    Neg,
     ParseError,
     Pow,
+    Sub,
     SubdiffError,
+    Time,
     VarX,
     VarZ,
     _value_and_set,
+    compile_line,
     compile_subdiff,
     directional_derivative,
     eval_expr,
@@ -97,6 +102,11 @@ def test_parse_errors():
     ("pow(norm(x1), 2)", "nonsmooth subexpression inside pow"),
     ("-2 * abs(x1)", "nonsmooth subexpression scaled by a negative constant"),
     ("abs(x1) * -0.5", "nonsmooth subexpression scaled by a negative constant"),
+    ("pow(x1, 2) - abs(x1)", "nonsmooth subexpression subtracted"),
+    ("-abs(x1)", "nonsmooth subexpression negated"),
+    ("pow(x1, 2) + -1 * abs(x1)", "nonsmooth subexpression scaled by a negative constant"),
+    ("-(x1 + max(x1, t))", "nonsmooth subexpression negated"),
+    ("x1 - 2 * norm(x1, t)", "nonsmooth subexpression subtracted"),
 ])
 def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     with pytest.raises(ExprError) as info:
@@ -110,6 +120,11 @@ def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     ("abs(x1) * 0.5", Mul(Abs(VarX(1)), Const(0.5))),
     ("-2 * pow(x1, 2)", Mul(Const(-2.0), Pow(VarX(1), 2))),
     ("pow(x1, 2) * -2", Mul(Pow(VarX(1), 2), Const(-2.0))),
+    # a kink in t alone is no kink along any direction in x or z
+    ("-1 * max(t, 0)", Mul(Const(-1.0), Max((Time(), Const(0.0))))),
+    ("x1 - max(t - 0.5, 0)",
+     Sub(VarX(1), Max((Sub(Time(), Const(0.5)), Const(0.0))))),
+    ("-abs(t) + x1", Add(Neg(Abs(Time())), VarX(1))),
 ])
 def test_parse_accepts_constant_factors(text, tree):
     assert parse_expr(text, 1) == tree
@@ -183,12 +198,16 @@ def test_eval_grid_matches_math_module_oracle():
         done += _check_against_scalar_oracle(e, x, z, t)
 
 
-@pytest.mark.parametrize("text", [
+# Every node type, sqrt, exp and unbounded divisors included.
+NODE_TYPES = [
     "sqrt(x1 * x1 + 1) / (2 + cos(z1)) - exp(-t)",
     "exp(sin(x2)) * cos(t) + norm(x1, z1 - t, 3) + abs(x1 - 0.5)",
-    "-max(x1, z2, t) + 2 * max(pow(z1, 3), -x2)",
+    "2 * max(pow(z1, 3), -x2) + max(x1, z2, t) - max(t, 1)",
     "sqrt(x1) + z2 / x2",
-])
+]
+
+
+@pytest.mark.parametrize("text", NODE_TYPES)
 def test_eval_grid_matches_oracle_on_every_node_type(text):
     # random_expr draws no sqrt or exp and no unbounded divisor; these do.
     e = parse_expr(text, 2)
@@ -243,6 +262,94 @@ def test_eval_grid_constant_operands():
             eval_expr_grid(parse_expr(text, 1), x, z, t)
         assert str(exc.value) == f"{message} at t=0.0 (node 0)"
         assert exc.value.node_index == 0
+
+
+def _check_line_against_value_pass(e, x, z, t, gx, gz):
+    """compile_line's at(gamma) is eval_expr_grid at the stepped point.
+
+    Values agree to 1e-12 relative to their magnitude; outside the
+    domain both raise the same DomainError, naming the same node.
+    Returns how many of the three steps were inside the domain.
+    """
+    at = compile_line(e)(x, z, t, gx, gz)
+    inside = 0
+    for gamma in (0.0, 1e-3, 0.5):
+        try:
+            want = eval_expr_grid(e, x + gamma * gx, z + gamma * gz, t)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                at(gamma)
+            assert str(got.value) == str(exc)
+            assert got.value.node_index == exc.node_index
+            continue
+        got = at(gamma)
+        assert got.shape == t.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        inside += 1
+    return inside
+
+
+def test_line_pass_matches_value_pass_on_random_expressions():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        e = random_expr(rng, n)
+        x, z, gx, gz = rng.standard_normal((4, 9, n))
+        _check_line_against_value_pass(e, x, z, np.linspace(0.0, 1.0, 9), gx, gz)
+
+
+@pytest.mark.parametrize("text", NODE_TYPES)
+def test_line_pass_matches_value_pass_on_every_node_type(text):
+    e = parse_expr(text, 2)
+    rng = np.random.default_rng(19)
+    t = np.linspace(0.0, 2.0, 6)
+    inside = 0
+    for _ in range(20):
+        x, z, gx, gz = rng.standard_normal((4, 6, 2))
+        inside += _check_line_against_value_pass(e, x, z, t, gx, gz)
+    assert inside >= 1
+
+
+def test_line_pass_domain_errors_name_the_node_of_the_value_pass():
+    e = parse_expr("sqrt(x1) + z2 / x2", 2)
+    t = np.linspace(0.0, 1.0, 6)
+    # at gamma = 0.5, x2 + 0.5 * 2 is exactly 0 at node 4, then also
+    # x1 + 0.5 * -2 < 0 at node 1: the sqrt comes first in the walk
+    x, z, gx, gz = np.ones((4, 6, 2))
+    x[4, 1], gx[4, 1] = -1.0, 2.0
+    assert _check_line_against_value_pass(e, x, z, t, gx, gz) == 2
+    with pytest.raises(DomainError, match="division by zero at t=0.8 "):
+        compile_line(e)(x, z, t, gx, gz)(0.5)
+    x[1, 0], gx[1, 0] = 0.5, -2.0
+    assert _check_line_against_value_pass(e, x, z, t, gx, gz) == 2
+    with pytest.raises(DomainError, match="sqrt of a negative value at t=0.2 "):
+        compile_line(e)(x, z, t, gx, gz)(0.5)
+    # a quotient takes its divisor first
+    quotient = parse_expr("sqrt(x1) / x2", 2)
+    assert _check_line_against_value_pass(quotient, x, z, t, gx, gz) == 2
+    with pytest.raises(DomainError, match="division by zero at t=0.8 "):
+        compile_line(quotient)(x, z, t, gx, gz)(0.5)
+
+
+def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
+    calls = {"sin": 0, "abs": 0}
+
+    def counting(key, ufunc):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return ufunc(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+    monkeypatch.setattr(np, "abs", counting("abs", np.abs))
+    e = parse_expr("abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6.0 * t))", 2)
+    rng = np.random.default_rng(29)
+    x, z, gx, gz = rng.standard_normal((4, 51, 2))
+    at = compile_line(e)(x, z, np.linspace(0.0, 1.0, 51), gx, gz)
+    assert calls == {"sin": 1, "abs": 0}
+    for gamma in np.linspace(0.0, 2.0, 10):
+        at(gamma)
+    assert calls == {"sin": 1, "abs": 20}
 
 
 def test_format_round_trip_builtins():
