@@ -1,0 +1,86 @@
+"""Check that two source trees solve the same problems to the same bits.
+
+Usage, from anywhere:
+
+    python3 scripts/compare_runs.py OLD NEW
+
+OLD and NEW are the roots of two nsvar source trees.  With each tree's
+``src`` on the path, a fresh interpreter runs ``nsvar solve`` on the
+built-ins example1..example4 and on every pool member of each benchmark
+workload, with the workload's flags.  The workloads come from
+``perfbench/workloads.py`` next to this script.  For every run the script
+prints ``identical`` when both trees leave byte-identical trajectory.csv
+and convergence.csv and the same exit code, else ``differs``.  It exits 1
+when any run differs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILTINS = ("example1", "example2", "example3", "example4")
+ARTIFACTS = ("trajectory.csv", "convergence.csv")
+
+
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _runs(scratch: Path) -> list[tuple[str, list[str]]]:
+    """(label, solve arguments) for every run, problem files written to scratch."""
+    runs = [(name, [name]) for name in BUILTINS]
+    for w in _workloads().values():
+        for seed in range(w.pool_size):
+            path = scratch / f"{w.name}_{seed}.txt"
+            path.write_text(w.problem(w.params(seed)))
+            runs.append((f"{w.name} member {seed}", [str(path), *w.flags]))
+    return runs
+
+
+def _solve(tree: Path, args: list[str], out: Path) -> tuple:
+    """The exit code and artifact bytes of one solve with tree's src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = subprocess.run(
+        [sys.executable, "-m", "nsvar", "solve", *args, "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    files = tuple((out / name).read_bytes() if (out / name).exists() else None
+                  for name in ARTIFACTS)
+    return code, files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv)
+    for tree in (old, new):
+        if not (tree / "src" / "nsvar").is_dir():
+            print(f"{tree}: no src/nsvar", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for i, (label, args) in enumerate(_runs(scratch)):
+            sides = [_solve(tree, args, scratch / f"{i}_{side}")
+                     for side, tree in (("old", old), ("new", new))]
+            same = sides[0] == sides[1]
+            differ += not same
+            print(f"{label}: {'identical' if same else 'differs'}", flush=True)
+    print(f"{differ} of {i + 1} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

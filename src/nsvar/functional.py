@@ -26,10 +26,10 @@ Both penalties are exact discrete quadratics, so along a line
 lam * (psi + phi) is one quadratic in gamma, built once per line from
 the antiderivatives of z and of d's z block.  The integrand is folded
 along the line once too (compile_line): subtrees that are polynomials
-of degree <= 2 in gamma become coefficient arrays, and subtrees without
-x or z are evaluated then.  Each probe then evaluates only the compiled
-integrand's nodes that do not fold; it matches eval_I at the stepped
-pair to roundoff and raises the same DomainError.
+of degree <= 2 in gamma become coefficient arrays.  Each probe then
+evaluates only the compiled integrand's nodes that do not fold; it
+matches eval_I at the stepped pair to roundoff and raises the same
+DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -37,6 +37,11 @@ as a point plus segments, and where the segments are pairwise orthogonal
 its minimum-norm point is zonotope_min_norm's closed form.  Only the
 other nodes build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go
 through min_norm_point.
+
+Both compiled passes are kept on the ProblemSpec, and both evaluate
+subtrees without x or z once per grid (the subdifferential pass once per
+grid and tie tolerance): eval_J, every line and every min_norm_field on
+one grid reuse those values, since a Grid's nodes are read-only.
 """
 
 from __future__ import annotations
@@ -335,7 +340,7 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     finite sends the probe through the nodal values, to name the first
     one that is not.  A probe raises DomainError where eval_I at the
     stepped pair would; it equals that value to roundoff.  A subtree
-    without x or z is evaluated once, when the line is built, so its
+    without x or z is evaluated when the line is built, if at all, so its
     DomainError comes from this call; eval_I raises it at every point of
     the line.
     """

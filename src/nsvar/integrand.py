@@ -18,7 +18,8 @@ Nonsmooth nodes inside ``*``, ``/``, ``pow``, ``sin``, ``cos``, ``exp``
 or ``sqrt`` are rejected when the expression is parsed, except for
 multiplication by a constant.  So is any negation, by unary minus, as
 the right side of ``-`` or by a negative constant factor, of an operand
-holding an ``abs``, ``max`` or ``norm`` over x or z: it would be concave.
+holding an ``abs``, ``max`` or ``norm`` over x or z, and any such
+operand inside ``abs``: it would be concave.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
 by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
@@ -381,13 +382,17 @@ _SMOOTH_ONLY = {Mul: "a product", Div: "a quotient", Pow: "pow", Sin: "sin",
 
 
 def _negated(e: Expr) -> tuple:
-    """The operands e negates, and how the rejection names the negation.
+    """The operands e may negate, and how the rejection names the place.
 
     A convex kink turned upside down is concave, and the set calculus
     would give it the hull of both sides, which holds 0: the method would
     stop on it.  So an operand that varies nonsmoothly in x or z may not
-    be negated, however the negation is spelled.
+    be negated, however the negation is spelled, nor sit inside abs,
+    which negates it where it is negative: abs(abs(x1) - 1) is concave
+    on [-1, 1].
     """
+    if isinstance(e, Abs):
+        return (e.arg,), "inside abs"
     if isinstance(e, Neg):
         return (e.arg,), "negated"
     if isinstance(e, Sub):
@@ -518,6 +523,10 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], np.ndarray]]:
     the first offending node: at(gamma) raises it, or the call itself
     when the subtree does not change along the line (every subtree,
     without a direction).
+
+    The values of a subtree without x or z are kept, keyed on the array
+    t itself, and reused while later calls pass that t: once per grid.
+    Only a read-only t is kept, as a Grid's nodes are.
     """
     fold = _compile_line(e)
 
@@ -565,8 +574,38 @@ def _apply(op: Callable, parts: list) -> Folded:
     return lambda g: op(*[f(g) for f in fs])
 
 
-def _compile_line(e: Expr):
-    """The fold of e: (x, z, t, gx, gz) -> Folded."""
+def _compile_line(e: Expr, kept: bool = False):
+    """The fold of e: (x, z, t, gx, gz) -> Folded.
+
+    A largest subtree without x or z is kept per grid; kept says that an
+    enclosing one already is.
+    """
+    if kept or _uses_vars(e):
+        return _line_rule(e, kept)
+    return _per_grid(_line_rule(e, True), lambda x, gx, gz: None)
+
+
+def _per_grid(f: Callable, key: Callable) -> Callable:
+    """f(x, z, t, *rest) of a subtree without x or z, run once per grid.
+
+    One slot keeps the last result, for the array t itself and
+    key(x, *rest).  A writable t may change in place, so f runs on every
+    call with one.
+    """
+    slot = (None, None, None)
+
+    def once(x, z, t, *rest):
+        nonlocal slot
+        if t.flags.writeable:
+            return f(x, z, t, *rest)
+        k = key(x, *rest)
+        if slot[0] is not t or slot[1] != k:
+            slot = (t, k, f(x, z, t, *rest))
+        return slot[2]
+    return once
+
+
+def _line_rule(e: Expr, kept: bool):
     if isinstance(e, Const):
         value = e.value
         return lambda x, z, t, gx, gz: (np.full(t.shape, value),)
@@ -582,14 +621,14 @@ def _compile_line(e: Expr):
             return v, (gz if on_z else gx)[:, j]
         return leaf
     if isinstance(e, Neg):
-        f = _compile_line(e.arg)
+        f = _compile_line(e.arg, kept)
 
         def neg(*point):
             r = f(*point)
             return _apply(operator.neg, [r]) if callable(r) else tuple(-c for c in r)
         return neg
     if isinstance(e, (Add, Sub)):
-        f, g = _line_operands((e.left, e.right))
+        f, g = _line_operands((e.left, e.right), kept)
         op = operator.add if isinstance(e, Add) else operator.sub
 
         def add(*point):
@@ -602,7 +641,7 @@ def _compile_line(e: Expr):
                     + tuple(op(0.0, b) for b in r2[m:]))
         return add
     if isinstance(e, Mul):
-        f, g = _line_operands((e.left, e.right))
+        f, g = _line_operands((e.left, e.right), kept)
 
         def mul(*point):
             r1, r2 = f(*point), g(*point)
@@ -612,7 +651,7 @@ def _compile_line(e: Expr):
             return _poly_mul(r1, r2)
         return mul
     if isinstance(e, Div):
-        f, g = _line_operands((e.left, e.right))
+        f, g = _line_operands((e.left, e.right), kept)
 
         def div(x, z, t, gx, gz):
             # the divisor first, as a walk of the expression takes it
@@ -633,7 +672,7 @@ def _compile_line(e: Expr):
             return quotient
         return div
     if isinstance(e, Pow):
-        f, k = _compile_line(e.base), e.exponent
+        f, k = _compile_line(e.base, kept), e.exponent
 
         def power(*point):
             r = f(*point)
@@ -645,7 +684,7 @@ def _compile_line(e: Expr):
             return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
         return power
     if isinstance(e, (Sqrt, Sin, Cos, Exp, Abs)):
-        f = _compile_line(e.arg)
+        f = _compile_line(e.arg, kept)
         ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}.get(type(e))
 
         def elementwise(x, z, t, gx, gz):
@@ -653,7 +692,7 @@ def _compile_line(e: Expr):
             return _apply(op, [f(x, z, t, gx, gz)])
         return elementwise
     if isinstance(e, (Max, Norm)):
-        fs = _line_operands(e.args)
+        fs = _line_operands(e.args, kept)
         op = _maximum if isinstance(e, Max) else _norm_value
 
         def nary(*point):
@@ -662,7 +701,7 @@ def _compile_line(e: Expr):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _line_operands(args: tuple) -> list:
+def _line_operands(args: tuple, kept: bool) -> list:
     """Folds of the operands of an arithmetic, max or norm node.
 
     A constant operand folds to a numpy scalar rather than an array of
@@ -670,8 +709,8 @@ def _line_operands(args: tuple) -> list:
     of them stay arrays, so the node's result is still an array.
     """
     if all(isinstance(a, Const) for a in args):
-        return [_compile_line(a) for a in args]
-    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a)
+        return [_compile_line(a, kept) for a in args]
+    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a, kept)
             for a in args]
 
 
@@ -853,13 +892,14 @@ def _value_and_set(e: Expr, p: EvalPoint,
             return v, Singleton(g)
         if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
             v, s = rec(node.base if isinstance(node, Pow) else node.arg)
+            chain = _chain(node)
             if isinstance(node, Sqrt):
                 if v < 0.0:
                     raise DomainError("sqrt of a negative value", p.t)
-                if v == 0.0:
+                if v == 0.0 and chain is _chain_sqrt:
                     raise DomainError("sqrt not differentiable at 0", p.t)
             k = node.exponent if isinstance(node, Pow) else None
-            val, g, _ = _SD_CHAIN[type(node)](v, _as_gradient(s), k)
+            val, g, _ = chain(v, _as_gradient(s), k)
             return float(val), Singleton(g)
         if isinstance(node, Abs):
             v, s = rec(node.arg)
@@ -931,11 +971,17 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
     branches, a tie or a smooth operation over a set already carrying a
-    segment, a zero divisor, a sqrt argument <= 0, and anything not
-    finite.  A set carries a segment where a tie below it holds at that
-    node, as in subdiff_expr's tree, even when the generator is zero
-    (a max tie between branches of equal gradient).  Masked rows mean
-    nothing; subdiff_expr builds their sets.
+    segment, a zero divisor, a sqrt argument <= 0 (< 0 without x or z),
+    and anything not finite.  A set carries a segment where a tie below
+    it holds at that node, as in subdiff_expr's tree, even when the
+    generator is zero (a max tie between branches of equal gradient).
+    Masked rows mean nothing; subdiff_expr builds their sets.
+
+    A subtree without x or z has a zero center and no generators.  Its
+    values, center and masks are kept, keyed on the array t itself, n
+    and, when it holds a tie, tol_act, and reused while later calls pass
+    them: once per grid (and tolerance).  Only a read-only t is kept, as
+    a Grid's nodes are.
     """
     rec = _compile_sd(e)
 
@@ -956,19 +1002,32 @@ def _col(v) -> np.ndarray:
 
 # Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
 # nodes left to the per-node route, seg those where a tie in the subtree
-# holds, so that its set carries a segment there.
-def _compile_sd(e: Expr):
+# holds, so that its set carries a segment there.  As in _compile_line, a
+# largest subtree without x or z is kept per grid.
+def _compile_sd(e: Expr, kept: bool = False):
+    if kept or _uses_vars(e):
+        return _sd_rule(e, kept)
+    f = _sd_rule(e, True)
+
+    def constant(x, z, t, tol):
+        v, q, _, bad, seg = f(x, z, t, tol)
+        return v, q, [], bad, seg  # its generators are 0
+    ties = not is_smooth(e)  # only a tie reads tol
+    return _per_grid(constant, lambda x, tol: (tol if ties else None, x.shape[1]))
+
+
+def _sd_rule(e: Expr, kept: bool):
     if isinstance(e, (Const, Time, VarX, VarZ)):
         return _sd_leaf(e)
     if isinstance(e, Neg):
-        f = _compile_sd(e.arg)
+        f = _compile_sd(e.arg, kept)
 
         def neg(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
             return -v, -q, [-a for a in gens], bad, seg
         return neg
     if isinstance(e, (Add, Sub)):
-        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        f, g = _compile_sd(e.left, kept), _compile_sd(e.right, kept)
         plus = isinstance(e, Add)
 
         def add(x, z, t, tol):
@@ -983,14 +1042,14 @@ def _compile_sd(e: Expr):
                                or isinstance(e.right, Const)):
         left = isinstance(e.left, Const)
         c = e.left.value if left else e.right.value
-        f = _compile_sd(e.right if left else e.left)
+        f = _compile_sd(e.right if left else e.left, kept)
 
         def scaled(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
             return c * v, c * q, [c * a for a in gens], bad, seg
         return scaled
     if isinstance(e, (Mul, Div)):
-        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        f, g = _compile_sd(e.left, kept), _compile_sd(e.right, kept)
         div = isinstance(e, Div)
 
         def product(x, z, t, tol):
@@ -1005,8 +1064,8 @@ def _compile_sd(e: Expr):
             return v, grad, [], bad | zero, none
         return product
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
-        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
-        chain = _SD_CHAIN[type(e)]
+        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg, kept)
+        chain = _chain(e)
         k = e.exponent if isinstance(e, Pow) else None
 
         def smooth(x, z, t, tol):
@@ -1015,7 +1074,7 @@ def _compile_sd(e: Expr):
             return val, dq, [], bad | seg | undefined, np.zeros_like(seg)
         return smooth
     if isinstance(e, Abs):
-        f = _compile_sd(e.arg)
+        f = _compile_sd(e.arg, kept)
 
         def absolute(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
@@ -1030,7 +1089,7 @@ def _compile_sd(e: Expr):
                     bad | (tie[:, 0] & seg), seg | tie[:, 0])
         return absolute
     if isinstance(e, Max):
-        fs = [_compile_sd(a) for a in e.args]
+        fs = [_compile_sd(a, kept) for a in e.args]
 
         def maximum(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]
@@ -1060,7 +1119,7 @@ def _compile_sd(e: Expr):
             return vmax, q, gens, bad, seg
         return maximum
     if isinstance(e, Norm):
-        fs = [_compile_sd(a) for a in e.args]
+        fs = [_compile_sd(a, kept) for a in e.args]
 
         def norm(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]
@@ -1145,8 +1204,23 @@ def _chain_sqrt(v, q, k):
     return r, q / _col(2.0 * r), undefined
 
 
+def _chain_sqrt_of_t(v, q, k):
+    """sqrt of a subtree without x or z: with a zero gradient, 0 lies in
+    its domain, and its value is the value pass's."""
+    _, dq, _ = _chain_sqrt(v, q, k)
+    undefined = ~(v >= 0.0)
+    return np.sqrt(np.where(undefined, 0.0, v)), dq, undefined
+
+
 _SD_CHAIN = {Pow: _chain_pow, Sin: _chain_sin, Cos: _chain_cos,
              Exp: _chain_exp, Sqrt: _chain_sqrt}
+
+
+def _chain(e: Expr) -> Callable:
+    """The chain rule of a smooth node e."""
+    if isinstance(e, Sqrt) and not _uses_vars(e.arg):
+        return _chain_sqrt_of_t
+    return _SD_CHAIN[type(e)]
 
 
 def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray) -> float:

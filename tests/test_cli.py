@@ -244,6 +244,27 @@ def test_run_survives_line_search_probe_outside_domain(tmp_path):
     assert (out / "convergence.csv").exists()
 
 
+def test_run_solves_sqrt_of_t_through_its_zero(tmp_path):
+    # sqrt(t) has a zero gradient in x and z, so t = 0 is in its domain
+    f = tmp_path / "root.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 - sqrt(t))\n")
+    out = tmp_path / "root_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert 0.0 <= summary["J"] < 1e-6
+
+
+def test_run_rejects_abs_over_a_kink(tmp_path, capsys):
+    # |(|x1| - 1)| is concave on [-1, 1]: from x1 = 0 the set calculus
+    # would report a stationary point at J = 1, though x1 = 1 gives 0
+    f = tmp_path / "nested.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\nintegrand = abs(abs(x1) - 1)\n")
+    assert run(["solve", str(f), "--out", str(tmp_path / "nested_run")]) == 1
+    assert capsys.readouterr().err == (
+        "nsvar: error: line 4: bad integrand: nonsmooth subexpression inside abs\n")
+
+
 def test_run_survives_line_search_probe_that_overflows(tmp_path):
     # Doubling the step from x = 0 overshoots x1 = 1.6, where the exp
     # term overflows; that probe must count as +inf, like one outside the

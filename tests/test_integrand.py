@@ -18,6 +18,7 @@ from _oracles import (
 from nsvar.convexgeom import (
     Ball, MinkowskiSum, Polytope, Singleton, support, vertex_list,
 )
+from nsvar.functional import ProblemSpec, eval_J
 from nsvar.integrand import (
     Abs,
     Add,
@@ -35,6 +36,8 @@ from nsvar.integrand import (
     Time,
     VarX,
     VarZ,
+    _args,
+    _uses_vars,
     _value_and_set,
     compile_line,
     compile_subdiff,
@@ -47,6 +50,7 @@ from nsvar.integrand import (
     subdiff_expr,
     uses_var_z,
 )
+from nsvar.trajectory import Grid, PairTraj, Traj
 
 EX2 = "abs(x1 - max(t - 0.5, 0))"
 EX3 = "max(pow(z1, 2) - pow(x1, 2) - 2 * t * x1, x2)"
@@ -107,6 +111,8 @@ def test_parse_errors():
     ("pow(x1, 2) + -1 * abs(x1)", "nonsmooth subexpression scaled by a negative constant"),
     ("-(x1 + max(x1, t))", "nonsmooth subexpression negated"),
     ("x1 - 2 * norm(x1, t)", "nonsmooth subexpression subtracted"),
+    ("abs(abs(x1) - 1)", "nonsmooth subexpression inside abs"),
+    ("abs(max(x1, z1))", "nonsmooth subexpression inside abs"),
 ])
 def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     with pytest.raises(ExprError) as info:
@@ -332,6 +338,8 @@ def test_line_pass_domain_errors_name_the_node_of_the_value_pass():
 
 
 def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
+    """Subtrees without x or z run once per grid in each compiled pass, and
+    on every call with a writable t."""
     calls = {"sin": 0, "abs": 0}
 
     def counting(key, ufunc):
@@ -342,14 +350,76 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
 
     monkeypatch.setattr(np, "sin", counting("sin", np.sin))
     monkeypatch.setattr(np, "abs", counting("abs", np.abs))
-    e = parse_expr("abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6.0 * t))", 2)
+    text = "abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6.0 * t))"
+    p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2))
+    line, subdiff = p.integrand_line(), p.integrand_subdiff()
     rng = np.random.default_rng(29)
     x, z, gx, gz = rng.standard_normal((4, 51, 2))
-    at = compile_line(e)(x, z, np.linspace(0.0, 1.0, 51), gx, gz)
+    grid = Grid(1.0, 51)
+    at = line(x, z, grid.nodes, gx, gz)
     assert calls == {"sin": 1, "abs": 0}
     for gamma in np.linspace(0.0, 2.0, 10):
         at(gamma)
     assert calls == {"sin": 1, "abs": 20}
+    line(x, z, grid.nodes, -gx, gz)
+    eval_J(p, PairTraj(Traj(grid, x), Traj(grid, z)))
+    assert calls["sin"] == 1
+    for tol in (1e-9, 1e-3, 1e-9):
+        subdiff(x, z, grid.nodes, tol)
+    assert calls["sin"] == 2
+    other = Grid(1.0, 51)
+    line(x, z, other.nodes)
+    subdiff(x, z, other.nodes, 1e-9)
+    assert calls["sin"] == 4
+    # a writable t is evaluated on every call, so it can change in place
+    t = np.linspace(0.0, 1.0, 51)
+    for shift in (0.0, 0.25):
+        t += shift
+        assert np.array_equal(line(x, z, t)(0.0),
+                              eval_expr_grid(p.integrand, x, z, t.copy()))
+        fresh = compile_subdiff(p.integrand)(x, z, t.copy(), 1e-9)
+        _assert_same_bits(subdiff(x, z, t, 1e-9), fresh)
+
+
+def _assert_same_bits(got, want):
+    """Two (value, q, gens, per_node) results agree bit for bit."""
+    (v1, q1, gens1, bad1), (v2, q2, gens2, bad2) = got, want
+    assert len(gens1) == len(gens2)
+    for a, b in zip((v1, q1, bad1, *gens1), (v2, q2, bad2, *gens2)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _has_subtree_without_variables(e) -> bool:
+    return any((_args(a) and not _uses_vars(a)) or _has_subtree_without_variables(a)
+               for a in _args(e))
+
+
+def test_passes_kept_per_grid_match_fresh_passes():
+    """A compiled pass called again on one grid's nodes, at alternating
+    tolerances, gives a freshly compiled pass's bits."""
+    rng = np.random.default_rng(31)
+    t = Grid(1.0, 9).nodes
+    # at t = 0.5, x1 = 0 meets max(t - a, 0)'s kink: a tie over a segment
+    # for a = 0.5, and for a = 0.5005 at the looser tolerance only
+    kinks = [parse_expr(f"abs(x1 - max(t - {a}, 0))", 1) for a in (0.5, 0.5005)]
+    cases = [(e, np.zeros((9, n)), np.zeros((9, n))) for e in kinks for n in (1, 2)]
+    while len(cases) < 150:
+        n = int(rng.integers(1, 3))
+        e = random_expr(rng, n)
+        if _has_subtree_without_variables(e):
+            cases.append((e, *(0.5 * rng.integers(-2, 3, (2, 9, n)))))
+    for e, x, z in cases:
+        subdiff, line = compile_subdiff(e), compile_line(e)
+        for tol in (1e-9, 1e-3, 1e-9, 1e-3):
+            _assert_same_bits(subdiff(x, z, t, tol), compile_subdiff(e)(x, z, t, tol))
+            assert line(x, z, t)(0.0).tobytes() == compile_line(e)(x, z, t)(0.0).tobytes()
+    for e, masked in zip(kinks, ([True, True], [False, True])):
+        subdiff = compile_subdiff(e)
+        for tol, mask in zip((1e-9, 1e-3), masked):
+            for n in (1, 2, 1):
+                x = np.zeros((9, n))
+                assert subdiff(x, x, t, tol)[3][4] == mask
 
 
 def test_format_round_trip_builtins():
@@ -557,8 +627,8 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
 @pytest.mark.parametrize("text, x, z", [
     ("norm(z1 - 1, x2)", [0.0, 0.0], [1.0, 0.0]),
     ("max(x1, z1, t)", [0.0, 0.0], [0.0, 0.0]),
-    ("abs(max(x1, z1))", [0.0, 0.0], [0.0, 0.0]),
-    ("abs(abs(x1) + x2)", [0.0, 0.0], [0.0, 0.0]),
+    ("max(abs(x1), z1)", [0.0, 0.0], [0.0, 0.0]),
+    ("max(abs(x1) + x2, z1)", [0.0, 0.0], [0.0, 0.0]),
     ("abs(x1 - max(t, 0))", [0.0, 0.0], [0.0, 0.0]),   # tie over a zero segment
     ("sqrt(x1)", [0.0, 0.0], [0.0, 0.0]),
     ("1 / x1", [0.0, 0.0], [0.0, 0.0]),
@@ -568,6 +638,28 @@ def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
     xs = np.array([x, [2.0, 3.0]])
     zs = np.array([z, [4.0, 5.0]])
     _, _, _, per_node = f(xs, zs, np.zeros(2), 1e-9)
+    assert per_node.tolist() == [True, False]
+
+
+def test_sqrt_of_t_is_differentiable_at_its_zero():
+    """sqrt of a subtree without x or z has a zero gradient, so its zero
+    lies in the domain on both routes; a negative argument does not."""
+    e = parse_expr("abs(x1 - sqrt(t))", 1)
+    s = subdiff_expr(e, _pt([0.0], [0.0], 0.0))
+    assert np.array_equal(sorted(s.vertices.tolist()), [[-1.0, 0.0], [1.0, 0.0]])
+    t = np.array([0.0, 0.25])
+    value, q, gens, per_node = compile_subdiff(e)(np.zeros((2, 1)), np.zeros((2, 1)),
+                                                  t, 1e-9)
+    assert value.tolist() == [0.0, 0.5] and not per_node.any()
+    assert q.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
+    assert [a.tolist() for a in gens] == [[[1.0, 0.0], [0.0, 0.0]]]
+    with pytest.raises(DomainError, match="sqrt not differentiable at 0"):
+        subdiff_expr(parse_expr("sqrt(x1 - t)", 1), _pt([0.0], [0.0], 0.0))
+    shifted = parse_expr("abs(x1 - sqrt(t - 0.5))", 1)
+    with pytest.raises(DomainError, match="sqrt of a negative value at t=0.25"):
+        subdiff_expr(shifted, _pt([0.0], [0.0], 0.25))
+    _, _, _, per_node = compile_subdiff(shifted)(np.zeros((2, 1)), np.zeros((2, 1)),
+                                                 np.array([0.25, 0.5]), 1e-9)
     assert per_node.tolist() == [True, False]
 
 
