@@ -10,8 +10,11 @@ built-ins example1..example4 and on every pool member of each benchmark
 workload, with the workload's flags.  The workloads come from
 ``perfbench/workloads.py`` next to this script.  For every run the script
 prints ``identical`` when both trees leave byte-identical trajectory.csv
-and convergence.csv and the same exit code, else ``differs``.  It exits 1
-when any run differs.
+and convergence.csv and the same exit code, else ``differs`` followed by
+one line per tree: its exit code, iterations, final J and psi + phi, and
+the mean probes per line search over the rows that searched (the
+``ls_evals`` column of convergence.csv).  It exits 1 when any run
+differs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,23 @@ def _solve(tree: Path, args: list[str], out: Path) -> tuple:
     return code, files
 
 
+def _describe(code: int, files: tuple) -> str:
+    """One tree's side of a run: exit code and convergence.csv's summary."""
+    if files[1] is None:
+        return f"exit {code}, no convergence.csv"
+    header, *lines = files[1].decode().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(","))))
+            for line in lines]
+    if not rows:
+        return f"exit {code}, 0 iterations"
+    last = rows[-1]
+    searched = [r["ls_evals"] for r in rows if r["ls_evals"] > 0]
+    probes = sum(searched) / len(searched) if searched else 0.0
+    return (f"exit {code}, {len(rows)} iterations, J = {last['J']:.9g}, "
+            f"psi + phi = {last['psi'] + last['phi']:.3g}, "
+            f"{probes:.1f} probes per search")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -78,6 +98,9 @@ def main(argv: list[str]) -> int:
             same = sides[0] == sides[1]
             differ += not same
             print(f"{label}: {'identical' if same else 'differs'}", flush=True)
+            if not same:
+                for side, result in zip(("old", "new"), sides):
+                    print(f"  {side}: {_describe(*result)}", flush=True)
     print(f"{differ} of {i + 1} runs differ")
     return 1 if differ else 0
 

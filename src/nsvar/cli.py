@@ -18,7 +18,8 @@ directory and exits 0 when the run converged, 2 when it exhausted its
 budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
 summary.json lists the run's (grid, lambda) stages and why each ended:
 "stationary", "budget" (max_iters used up) or "ls_stall" (no decrease
-along the direction at the exact tie tolerance).
+along the direction at the exact tie tolerance), with the tie tolerance
+each reached and the directions it took, retakes included.
 A solve that fails once the output directory exists leaves a summary.json
 with status "failed" and the reason; once it has a first pair, it also
 leaves that run's last pair in trajectory.csv and its records so far in
@@ -241,7 +242,8 @@ class RunSummary:
     npoints: int
     endpoint_error: float | None
     wall_time: float
-    stages: list  # per (grid, lambda) stage: N, lambda, iterations, stop
+    # per (grid, lambda) stage: N, lambda, iterations, stop, eps, directions
+    stages: list
 
 
 def _fmt(v: float) -> str:
@@ -325,7 +327,7 @@ def run(argv: list[str]) -> int:
     sp.add_argument("problem", help="problem file path or built-in name")
     sp.add_argument("--grid", help="comma separated grid ladder, e.g. 11,21,41")
     sp.add_argument("--eps", type=float,
-                    help="stationarity threshold on the residual norm ||v||")
+                    help="stationarity threshold on the squared residual norm ||v||^2")
     sp.add_argument("--lambda0", type=float, help="initial penalty weight")
     sp.add_argument("--lambda-factor", type=float, dest="lambda_factor")
     sp.add_argument("--lambda-max", type=float, dest="lambda_max")
@@ -371,7 +373,8 @@ def run(argv: list[str]) -> int:
             lam=last.lam, npoints=last.npoints,
             endpoint_error=endpoint_error, wall_time=wall,
             stages=[{"N": st.npoints, "lambda": st.lam,
-                     "iterations": st.iterations, "stop": st.stop}
+                     "iterations": st.iterations, "stop": st.stop,
+                     "eps": st.eps, "directions": st.directions}
                     for st in stage_log],
         )
         _write_run(outdir, state, xz.z, records)

@@ -21,15 +21,16 @@ kernels, so eval_I == eval_J + lam*eval_psi + lam*eval_phi holds
 exactly, not just to roundoff.  The penalty rows of the nodal
 subdifferentials also integrate z once.
 
-The line search's objective is eval_I_along: gamma -> I(xz + gamma * d).
-Both penalties are exact discrete quadratics, so along a line
-lam * (psi + phi) is one quadratic in gamma, built once per line from
-the antiderivatives of z and of d's z block.  The integrand is folded
-along the line once too (compile_line): subtrees that are polynomials
-of degree <= 2 in gamma become coefficient arrays.  Each probe then
-evaluates only the compiled integrand's nodes that do not fold; it
-matches eval_I at the stepped pair to roundoff and raises the same
-DomainError.
+The line search's objective is eval_I_along: gamma -> I(xz + gamma * d)
+with its left and right derivatives in gamma.  Both penalties are exact
+discrete quadratics, so along a line lam * (psi + phi) is one quadratic
+in gamma, built once per line from the antiderivatives of z and of d's
+z block.  The integrand is folded along the line once too
+(compile_line): subtrees that are polynomials of degree <= 2 in gamma
+become coefficient arrays.  Each probe then evaluates only the compiled
+integrand's nodes that do not fold, with their one-sided slopes; its
+value matches eval_I at the stepped pair to roundoff, and it raises the
+same DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -268,7 +269,7 @@ def _antiderivative(p: ProblemSpec, z: Traj) -> np.ndarray:
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
     t = xz.grid.nodes
-    vals = p.integrand_line()(xz.x.values, xz.z.values, t)(0.0)
+    vals = p.integrand_line()(xz.x.values, xz.z.values, t)(0.0)[0]
     _check_finite(vals, t)
     return trapezoid(vals, xz.grid.h)
 
@@ -327,22 +328,25 @@ def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
 
 
 def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
-                 lam: float) -> Callable[[float], float]:
-    """gamma -> I(xz + gamma * direction), the line search's objective.
+                 lam: float) -> Callable[[float], tuple[float, float, float]]:
+    """gamma -> (I, I'(gamma-), I'(gamma+)) at xz + gamma * direction.
 
-    Along a line lam * (psi + phi) is a quadratic in gamma.  Its three
-    coefficients come from one integral of each z block, once per line,
-    and the integrand is folded along the line once (compile_line).  Each
-    probe then evaluates only the compiled integrand's nodes that do not
-    fold, on Horner values of the rest, takes one trapezoid sum (a dot
-    product with the trapezoid weights), adds the quadratic, and builds
-    no Traj and no stepped copy of the pair.  Only a sum that is not
-    finite sends the probe through the nodal values, to name the first
-    one that is not.  A probe raises DomainError where eval_I at the
-    stepped pair would; it equals that value to roundoff.  A subtree
-    without x or z is evaluated when the line is built, if at all, so its
-    DomainError comes from this call; eval_I raises it at every point of
-    the line.
+    The line search's objective: I's value and its left and right
+    derivatives along the line.  Along a line lam * (psi + phi) is a
+    quadratic c0 + c1 gamma + c2 gamma^2.  Its three coefficients come
+    from one integral of each z block, once per line, and the integrand
+    is folded along the line once (compile_line).  Each probe then
+    evaluates only the compiled integrand's nodes that do not fold, on
+    Horner values of the rest, with their one-sided slopes in the same
+    pass; it takes one trapezoid sum per quantity (a dot product with the
+    trapezoid weights, nonnegative, so each side stays a side), adds the
+    quadratic and its slope c1 + 2 c2 gamma, and builds no Traj and no
+    stepped copy of the pair.  Only a sum that is not finite sends the
+    probe through the nodal values, to name the first one that is not.
+    A probe raises DomainError where eval_I at the stepped pair would;
+    its value equals that one to roundoff.  A subtree without x or z is
+    evaluated when the line is built, if at all, so its DomainError comes
+    from this call; eval_I raises it at every point of the line.
     """
     grid = xz.grid
     h, t = grid.h, grid.nodes
@@ -366,15 +370,19 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     at = p.integrand_line()(xv, zv, t, gx, gz)
     w = trapezoid_weights(grid)
 
-    def value(gamma: float) -> float:
-        vals = at(gamma)
+    def probe(gamma: float) -> tuple[float, float, float]:
+        vals, left, right = at(gamma)
         J = float(w.dot(vals))
         if not math.isfinite(J):
             # any nan or inf value makes the sum non-finite
             _check_finite(vals, t)
-        return J + (c0 + gamma * (c1 + gamma * c2))
+        slope = c1 + 2.0 * c2 * gamma
+        dJ = float(w.dot(right))
+        dJ_left = dJ if left is right else float(w.dot(left))
+        return (J + (c0 + gamma * (c1 + gamma * c2)),
+                dJ_left + slope, dJ + slope)
 
-    return value
+    return probe
 
 
 def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:

@@ -29,6 +29,7 @@ point plus segments, and marks the nodes whose sets take another form.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -496,16 +497,20 @@ _LINE_DEGREE = 2
 
 # A subtree folded along a line: its coefficient arrays (c0, .., ck) in
 # gamma, k <= _LINE_DEGREE, or, when it does not fold, the function
-# gamma -> its nodal values.
-Folded = tuple | Callable[[float], np.ndarray]
+# gamma -> (values, left slopes, right slopes) at its nodes.  The slopes
+# are the one-sided derivatives in gamma; one array stands for both
+# sides wherever the subtree meets no kink at gamma.
+Folded = tuple | Callable[[float], tuple]
 
 
-def compile_line(e: Expr) -> Callable[..., Callable[[float], np.ndarray]]:
+def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     """Compile e once into a pass along lines, line(x, z, t, gx=None, gz=None).
 
     x, z and the direction gx, gz have shape (N, n) and t shape (N,).  A
-    call returns at(gamma), the nodal values at x + gamma * gx,
-    z + gamma * gz, shape (N,).  The call folds every subtree that is a
+    call returns at(gamma) = (values, left, right): the nodal values at
+    x + gamma * gx, z + gamma * gz and their left and right derivatives
+    in gamma, each of shape (N,); left is right (one array) where no node
+    meets a kink at gamma.  The call folds every subtree that is a
     polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
     arrays, in truncated Taylor arithmetic (Griewank and Walther,
     Evaluating Derivatives, 2008, ch. 13): a subtree without x or z is
@@ -515,9 +520,19 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], np.ndarray]]:
     degree 2), on Horner values of their folded children, so it matches
     the values at the stepped point to roundoff.
 
+    The slopes ride in the same pass, one left and one right array per
+    node that does not fold: a folded subtree's slope is c1 + 2 c2 gamma,
+    sums and smooth functions take the chain rule on each side, an abs at
+    zero gives -|u'(gamma-)| and |u'(gamma+)|, a max takes the min of its
+    tied branches' left slopes and the max of their right slopes, and a
+    norm at a zero gives -|u'(gamma-)| and |u'(gamma+)| of its argument
+    vector.  Ties are exact: a kink counts only where the values are
+    equal.  A sqrt at a zero of its argument has infinite slopes.
+
     Without a direction every subtree has degree 0: the call makes the
     numpy calls a recursive walk would, in the same order, and at returns
-    the values, bit-for-bit those of the expression, for any gamma.
+    the values, bit-for-bit those of the expression, and zero slopes, for
+    any gamma.
 
     A zero divisor or a negative sqrt argument raises DomainError naming
     the first offending node: at(gamma) raises it, or the call itself
@@ -531,47 +546,37 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], np.ndarray]]:
     fold = _compile_line(e)
 
     def line(x, z, t, gx=None, gz=None):
-        return _at(fold(x, z, t, gx, gz))
+        r = fold(x, z, t, gx, gz)
+        if _constant(r):
+            zero = np.zeros(t.shape)
+            return lambda g: (r[0], zero, zero)
+        return _at(r)
     return line
 
 
-def _at(r: Folded) -> Callable[[float], np.ndarray]:
+def _at(r: Folded) -> Callable[[float], tuple]:
     """A folded subtree as a function of gamma: Horner's rule on its
-    coefficients."""
+    coefficients, and their derivative c1 + 2 c2 gamma on both sides."""
     if callable(r):
         return r
     if len(r) == 1:
         c0, = r
-        return lambda g: c0
+        return lambda g: (c0, 0.0, 0.0)
     if len(r) == 2:
         c0, c1 = r
-        return lambda g: c0 + g * c1
+        return lambda g: (c0 + g * c1, c1, c1)
     c0, c1, c2 = r
-    return lambda g: c0 + g * (c1 + g * c2)
+
+    def quadratic(g):
+        u = c1 + g * c2
+        slope = u + g * c2
+        return c0 + g * u, slope, slope
+    return quadratic
 
 
 def _constant(r: Folded) -> bool:
     """True when a folded subtree does not change along the line."""
     return not callable(r) and len(r) == 1
-
-
-def _apply(op: Callable, parts: list) -> Folded:
-    """op on the values of folded subtrees.
-
-    When none of them changes along the line, op runs now, once; else the
-    result is the function of gamma that runs op on their values there,
-    taken in argument order.
-    """
-    if all(map(_constant, parts)):
-        return (op(*[r[0] for r in parts]),)
-    fs = [_at(r) for r in parts]
-    if len(fs) == 1:
-        f, = fs
-        return lambda g: op(f(g))
-    if len(fs) == 2:
-        f1, f2 = fs
-        return lambda g: op(f1(g), f2(g))
-    return lambda g: op(*[f(g) for f in fs])
 
 
 def _compile_line(e: Expr, kept: bool = False):
@@ -625,7 +630,9 @@ def _line_rule(e: Expr, kept: bool):
 
         def neg(*point):
             r = f(*point)
-            return _apply(operator.neg, [r]) if callable(r) else tuple(-c for c in r)
+            if callable(r):
+                return _smooth(operator.neg, lambda u, s: -s, r)
+            return tuple(-c for c in r)
         return neg
     if isinstance(e, (Add, Sub)):
         f, g = _line_operands((e.left, e.right), kept)
@@ -634,7 +641,7 @@ def _line_rule(e: Expr, kept: bool):
         def add(*point):
             r1, r2 = f(*point), g(*point)
             if callable(r1) or callable(r2):
-                return _apply(op, [r1, r2])
+                return _binary(op, lambda u1, u2, s1, s2: op(s1, s2), r1, r2)
             # a coefficient only one side has is 0 on the other
             m = min(len(r1), len(r2))
             return (tuple(op(a, b) for a, b in zip(r1, r2)) + r1[m:]
@@ -647,7 +654,8 @@ def _line_rule(e: Expr, kept: bool):
             r1, r2 = f(*point), g(*point)
             if (callable(r1) or callable(r2)
                     or len(r1) + len(r2) - 2 > _LINE_DEGREE):
-                return _apply(operator.mul, [r1, r2])
+                return _binary(operator.mul,
+                               lambda u1, u2, s1, s2: u1 * s2 + u2 * s1, r1, r2)
             return _poly_mul(r1, r2)
         return mul
     if isinstance(e, Div):
@@ -661,43 +669,57 @@ def _line_rule(e: Expr, kept: bool):
                 _raise_at_first(den == 0.0, "division by zero", t)
                 r1 = f(x, z, t, gx, gz)
                 if callable(r1):
-                    return lambda gamma: r1(gamma) / den
+                    return _smooth(lambda u: u / den, lambda u, s: s / den, r1)
                 return tuple(c / den for c in r1)
             fden, fnum = _at(r2), _at(f(x, z, t, gx, gz))
 
             def quotient(gamma):
-                den = fden(gamma)
+                den, dl, dr = fden(gamma)
                 _raise_at_first(den == 0.0, "division by zero", t)
-                return fnum(gamma) / den
+                num, nl, nr = fnum(gamma)
+                v = num / den
+                right = (nr - v * dr) / den
+                left = right if nl is nr and dl is dr else (nl - v * dl) / den
+                return v, left, right
             return quotient
         return div
     if isinstance(e, Pow):
         f, k = _compile_line(e.base, kept), e.exponent
+        slope = _chain_slope(e)
 
         def power(*point):
             r = f(*point)
             if callable(r) or (len(r) - 1) * k > _LINE_DEGREE:
-                return _apply(lambda v: _power(v, k), [r])
+                return _smooth(lambda u: _power(u, k), slope, r)
             if len(r) == 1 or k == 1:
                 return tuple(_power(c, k) for c in r)
             c0, c1 = r  # degree 1, squared
             return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
         return power
-    if isinstance(e, (Sqrt, Sin, Cos, Exp, Abs)):
+    if isinstance(e, (Sqrt, Sin, Cos, Exp)):
         f = _compile_line(e.arg, kept)
-        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp, Abs: np.abs}.get(type(e))
+        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp}.get(type(e))
+        slope = _chain_slope(e)
 
         def elementwise(x, z, t, gx, gz):
-            op = ufunc or (lambda v: _checked_sqrt(v, t))
-            return _apply(op, [f(x, z, t, gx, gz)])
+            op = ufunc or (lambda u: _checked_sqrt(u, t))
+            return _smooth(op, slope, f(x, z, t, gx, gz))
         return elementwise
-    if isinstance(e, (Max, Norm)):
+    if isinstance(e, Abs):
+        f = _compile_line(e.arg, kept)
+        return lambda *point: _abs(f(*point))
+    if isinstance(e, Max):
         fs = _line_operands(e.args, kept)
-        op = _maximum if isinstance(e, Max) else _norm_value
 
-        def nary(*point):
-            return _apply(op, [f(*point) for f in fs])
-        return nary
+        def maximum(*point):
+            out = fs[0](*point)
+            for f in fs[1:]:
+                out = _max2(out, f(*point))
+            return out
+        return maximum
+    if isinstance(e, Norm):
+        fs = _line_operands(e.args, kept)
+        return lambda *point: _norm_line([f(*point) for f in fs])
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -729,6 +751,117 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _smooth(op: Callable, slope: Callable, r: Folded) -> Folded:
+    """op of a folded subtree, with slope(u, u's slope) on each side."""
+    if _constant(r):
+        return (op(r[0]),)
+    f = _at(r)
+
+    def probe(g):
+        u, left, right = f(g)
+        v = op(u)
+        out = slope(u, right)
+        return v, (out if left is right else slope(u, left)), out
+    return probe
+
+
+def _chain_slope(e: Expr) -> Callable:
+    """slope(u, s) of a smooth node e along a line, by its chain rule
+    (_chain) on the argument's value u and slope s: infinite, with the
+    sign of s, where the rule leaves it undefined, sqrt at 0."""
+    chain, k = _chain(e), getattr(e, "exponent", None)
+
+    def slope(u, s):
+        _, ds, undefined = chain(u, _col(s), k)
+        return np.where(undefined, np.copysign(np.inf, s), ds[..., 0])
+    return slope
+
+
+def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
+    """op of two folded subtrees, at least one of them changing along the
+    line, with slope(u1, u2, u1's slope, u2's slope) on each side."""
+    f1, f2 = _at(r1), _at(r2)
+
+    def probe(g):
+        u1, l1, s1 = f1(g)
+        u2, l2, s2 = f2(g)
+        right = slope(u1, u2, s1, s2)
+        left = right if l1 is s1 and l2 is s2 else slope(u1, u2, l1, l2)
+        return op(u1, u2), left, right
+    return probe
+
+
+def _abs(r: Folded) -> Folded:
+    """abs of a folded subtree: its slopes times its sign, and at a zero
+    -|u'(gamma-)| on the left and |u'(gamma+)| on the right."""
+    if _constant(r):
+        return (np.abs(r[0]),)
+    f = _at(r)
+
+    def probe(g):
+        u, left, right = f(g)
+        sign = np.sign(u)
+        out = sign * right
+        out_left = out if left is right else sign * left
+        # sign * slope loses a slope only at a zero of u, and only then
+        # does it need the zero's rule
+        if np.count_nonzero(out) < np.count_nonzero(right) or (
+                out_left is not out
+                and np.count_nonzero(out_left) < np.count_nonzero(left)):
+            zero = sign == 0.0
+            out_left = np.where(zero, -np.abs(left), out_left)
+            out = np.where(zero, np.abs(right), out)
+        return np.abs(u), out_left, out
+    return probe
+
+
+def _max2(r1: Folded, r2: Folded) -> Folded:
+    """max of two folded subtrees: the slopes of the larger one, and where
+    they tie the min of both left slopes and the max of both right ones."""
+    if _constant(r1) and _constant(r2):
+        return (np.maximum(r1[0], r2[0]),)
+    f1, f2 = _at(r1), _at(r2)
+
+    def probe(g):
+        u1, l1, s1 = f1(g)
+        u2, l2, s2 = f2(g)
+        first = u1 > u2
+        right = np.where(first, s1, s2)
+        left = right if l1 is s1 and l2 is s2 else np.where(first, l1, l2)
+        tie = u1 == u2
+        if np.count_nonzero(tie):
+            left = np.where(tie, np.minimum(l1, l2), left)
+            right = np.where(tie, np.maximum(s1, s2), right)
+        return np.maximum(u1, u2), left, right
+    return probe
+
+
+def _norm_line(parts: list) -> Folded:
+    """norm of folded subtrees: u . u' / |u| on each side, and at a zero
+    -|u'(gamma-)| on the left and |u'(gamma+)| on the right, where u is
+    the vector of the arguments."""
+    if all(map(_constant, parts)):
+        return (_norm_value(*[r[0] for r in parts]),)
+    fs = [_at(r) for r in parts]
+
+    def probe(g):
+        tgs = [f(g) for f in fs]
+        vals = [tg[0] for tg in tgs]
+        nrm = _norm_value(*vals)
+        zero = nrm == 0.0
+        safe = np.where(zero, 1.0, nrm)
+
+        def side(sign, slopes):
+            dot = sum(u * s for u, s in zip(vals, slopes))
+            return np.where(zero, sign * _norm_value(*slopes), dot / safe)
+        right = side(1.0, [tg[2] for tg in tgs])
+        left = right
+        if zero.any() or not all(tg[1] is tg[2] for tg in tgs):
+            left = side(-1.0, [tg[1] for tg in tgs])
+        return nrm, left, right
+    return probe
+
+
 def _raise_at_first(bad, message: str, t: np.ndarray) -> None:
     """DomainError naming the first node where bad holds, if any does."""
     if bad.any():
@@ -741,13 +874,6 @@ def _checked_sqrt(v, t: np.ndarray) -> np.ndarray:
     return np.sqrt(v)
 
 
-def _maximum(*vals) -> np.ndarray:
-    out = vals[0]
-    for v in vals[1:]:
-        out = np.maximum(out, v)
-    return out
-
-
 def _norm_value(*vals) -> np.ndarray:
     acc = vals[0] * vals[0]
     for v in vals[1:]:
@@ -757,7 +883,7 @@ def _norm_value(*vals) -> np.ndarray:
 
 def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at N points: x, z have shape (N, n), t (N,)."""
-    return compile_line(e)(x, z, t)(0.0)
+    return compile_line(e)(x, z, t)(0.0)[0]
 
 
 def eval_expr(e: Expr, p: EvalPoint) -> float:
@@ -1136,23 +1262,34 @@ def _sd_rule(e: Expr, kept: bool):
 def _sd_leaf(e: Expr):
     def leaf(x, z, t, tol):
         n = x.shape[1]
-        q = np.zeros((t.shape[0], 2 * n))
         none = np.zeros(t.shape, bool)
-        if isinstance(e, Const):
-            return np.full(t.shape, e.value), q, [], none, none
-        if isinstance(e, Time):
-            return t, q, [], none, none
+        if isinstance(e, (Const, Time)):
+            value = np.full(t.shape, e.value) if isinstance(e, Const) else t
+            return value, _leaf_rows(t.shape[0], n, None), [], none, none
         slot = e.index - 1 + (n if isinstance(e, VarZ) else 0)
-        q[:, slot] = 1.0
         value = (x if isinstance(e, VarX) else z)[:, e.index - 1]
-        return value, q, [], none, none
+        return value, _leaf_rows(t.shape[0], n, slot), [], none, none
     return leaf
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_rows(npoints: int, n: int, slot: int | None) -> np.ndarray:
+    """A leaf's gradient rows, shape (npoints, 2n): zero, with a column of
+    ones at a variable's slot.  Built once per (npoints, n, slot) and
+    read-only, since every pass on such a grid shares it."""
+    q = np.zeros((npoints, 2 * n))
+    if slot is not None:
+        q[:, slot] = 1.0
+    q.flags.writeable = False
+    return q
 
 
 # The value and gradient rules of the smooth operations, the one copy
 # both routes call: _value_and_set with a value and a (d,) gradient per
 # argument, _compile_sd with (N,) values and (N, d) gradients.  The same
 # numpy operations on the same numbers give both routes the same bits.
+# The line pass takes its slopes from the chain rules too (_chain_slope),
+# with (N, 1) slopes for gradients.
 
 
 def _product(v1, q1, v2, q2):

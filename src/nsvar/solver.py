@@ -3,16 +3,17 @@
 Each iteration computes the minimum-norm point of the pointwise
 subdifferential of I at every grid node, interpolates those nodal
 subgradients piecewise-linearly, and walks along the normalized negative
-field.  The step comes from a derivative-free search on a scalar
-function: bracketing by doubling, then Brent's safeguarded parabolic
-search (Brent, Algorithms for Minimization without Derivatives, 1973),
-down to a bracket of _LS_TOL * (1 + gamma).  solve measures J and the
-penalties once per iterate; that I is the iteration record's value and
-f0 for the search on eval_I_along.  That builds the line once: the
-penalties become one quadratic in the step, and the integrand is folded
-along the line (compile_line), so a probe evaluates only the integrand's
-nodes that do not fold (abs, max, norm, ...) on Horner values of the
-rest.
+field.  The step comes from a line search on I's value and its left and
+right slopes along the direction (line_search), with the polyhedral and
+quadratic steps of Lemarechal and Mifflin (Math. Programming 24, 1982)
+and Mifflin (Math. Programming 28, 1984), down to a probe where 0 lies
+between the two slopes or a bracket of _LS_TOL * (1 + gamma).  solve
+measures J and the penalties once per iterate; that I is the iteration
+record's value and f0 for the search on eval_I_along.  That builds the
+line once: the penalties become one quadratic in the step, and the
+integrand is folded along the line (compile_line), so a probe evaluates
+only the integrand's nodes that do not fold (abs, max, norm, ...), with
+their one-sided slopes, on Horner values of the rest.
 
 The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
@@ -111,12 +112,17 @@ class StageRecord:
     stop is "stationary" when the field at the exact tie tolerance fell
     below eps_bar, "ls_stall" when the line search found no decrease
     there, and "budget" when the stage used its max_iters iterations.
+    eps is the tie tolerance the stage reached, that of its last
+    iteration, and directions counts its steepest_direction calls,
+    retakes at a smaller eps included.
     """
 
     npoints: int
     lam: float
     iterations: int
     stop: str
+    eps: float
+    directions: int
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -130,8 +136,9 @@ _LS_MAX_STEP = 1e3
 # for a, w near 0.5, 6 takes up to five times the ~80 iterations, and
 # some draws exhaust their iteration budget instead of converging.
 _LS_TOL = 1e-13
-# Brent's golden-section fraction, (3 - sqrt(5)) / 2.
-_CGOLD = 0.3819660112501051
+# The relative roundoff of a double: a bracket whose tangents allow no
+# lower value than this below its ends has nothing left to find.
+_EPS = float(np.finfo(float).eps)
 # Tie tolerances a stage walks through, widest first.  Stationarity is
 # declared only at the last, exact one.
 _EPS_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, _TOL_ACT)
@@ -157,116 +164,131 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
     return PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])), vnorm
 
 
-def line_search(f: Callable[[float], float], f0: float
+def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
                 ) -> tuple[float, bool, int]:
-    """Approximate minimizer of gamma -> f(gamma), given f0 = f(0).
+    """Approximate minimizer of gamma -> f(gamma)[0], given f0 = f(0)[0].
 
-    Brackets by doubling from _LS_SEED (halving first if the seed does not
-    decrease), then runs Brent's method on the bracket: a parabola through
-    the three best points where its vertex is safe, a golden-section step
-    where it is not, until the bracket is _LS_TOL * (1 + gamma) wide.  A
-    probe that raises DomainError or FloatingPointError counts as +inf,
-    so it shrinks the bracket and never enters a parabola.  Returns
-    (gamma, accepted, calls of f); gamma is 0.0 and accepted False when
-    no probe beats f0, which callers treat as a stage boundary.
+    f returns (value, left slope, right slope) at gamma.  The search
+    doubles from _LS_SEED while the value does not rise and the right
+    slope is negative, up to _LS_MAX_STEP; when the seed already rises,
+    the bracket is [0, _LS_SEED], and one probe at 0 gives its left
+    end's slope (none below 0 ends the search).  In a bracket [lo, hi]
+    with f'(lo+) < 0 each step comes from _step: a secant step on f'
+    where the chord's slope is within 0.1 (f'(hi-) - f'(lo+)) of the
+    mean of the two slopes, as on a quadratic, else where the two
+    tangents meet, the kink of a V; once an end of the bracket has moved,
+    its side's tangent is bent by the curvature its last two slopes show.
+    The search bisects when the bracket has not halved in two probes and
+    keeps each probe _LS_TOL * (1 + lo) / 2 inside the bracket.  It stops
+    at a probe u with f'(u-) <= 0 <= f'(u+), when the bracket is
+    _LS_TOL * (1 + lo) wide, or when the tangents leave no value below the
+    bracket's ends that a double could tell apart (_EPS).
+
+    A probe that raises DomainError or FloatingPointError counts as +inf
+    with no slopes, so it only shrinks the bracket.  Returns (gamma,
+    accepted, calls of f): gamma is the lowest probe, or 0.0 with
+    accepted False when no probe beats f0 by _DECREASE_MARGIN, which
+    callers treat as a stage boundary.
     """
     probes = 0
+    best = (0.0, f0 - _DECREASE_MARGIN)
 
-    def probe(g: float) -> float:
-        nonlocal probes
+    def probe(g: float) -> tuple[float, float, float, float]:
+        nonlocal probes, best
         probes += 1
         try:
-            return f(g)
+            v, left, right = map(float, f(g))
         except (DomainError, FloatingPointError):
-            return np.inf
+            return g, math.inf, math.nan, math.nan
+        if g > 0.0 and v < best[1]:
+            best = (g, v)
+        return g, v, left, right
 
-    g = _LS_SEED
-    fg = probe(g)
-    rejected = None
-    for _ in range(60):
-        if fg < f0 - _DECREASE_MARGIN:
-            break
-        rejected = fg
-        g *= 0.5
-        fg = probe(g)
-    if fg >= f0 - _DECREASE_MARGIN:
+    def result() -> tuple[float, bool, int]:
+        if best[0] > 0.0:
+            return best[0], True, probes
         return 0.0, False, probes
 
-    # expand until the value turns up (or the cap is hit); after halving,
-    # the last rejected probe is already c = 2g
-    a = 0.0
-    b, fb = g, fg
-    c = min(b * _LS_GROWTH, _LS_MAX_STEP)
-    fc = probe(c) if rejected is None else rejected
-    while fc < fb and c < _LS_MAX_STEP:
-        a = b
-        b, fb = c, fc
-        c = min(c * _LS_GROWTH, _LS_MAX_STEP)
-        fc = probe(c)
+    # Points are (gamma, value, left slope, right slope).
+    lo = None
+    x = probe(_LS_SEED)
+    while (x[1] <= (f0 if lo is None else lo[1]) and x[3] < 0.0
+           and x[0] < _LS_MAX_STEP):
+        lo = x
+        x = probe(min(x[0] * _LS_GROWTH, _LS_MAX_STEP))
+    if x[1] <= (f0 if lo is None else lo[1]) and (x[3] < 0.0 or x[2] <= 0.0):
+        return result()  # the cap, or a minimizer: f'(x-) <= 0 <= f'(x+)
+    hi = x
+    if lo is None:
+        lo = probe(0.0)
+        if not lo[3] < 0.0:
+            return result()
 
-    best_g, best_f = (b, fb) if fb <= fc else (c, fc)
-
-    # Brent's method on [a, c] from b: x is the best interior point, w the
-    # second best and v the previous w; d is the last step, e the one
-    # before it.
-    lo, hi = a, c
-    x = w = v = b
-    fx = fw = fv = fb
-    d = e = 0.0
-    while True:
-        width = _LS_TOL * (1.0 + x)
-        if hi - lo <= width:
+    widths = [hi[0] - lo[0]]
+    bends: list = [None, None]  # each side's curvature, from its last two slopes
+    while widths[-1] > _LS_TOL * (1.0 + lo[0]):
+        a, b = lo[0], hi[0]
+        u = 0.5 * (a + b)
+        step = _step(lo, hi, *bends)
+        if step is not None:
+            gain = min(lo[1], hi[1]) - step[1]
+            if 0.0 <= gain <= _EPS * abs(lo[1]):
+                break  # no probe could measure a lower value
+            if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+                u = step[0]
+        margin = 0.5 * _LS_TOL * (1.0 + a)
+        x = probe(min(max(u, a + margin), b - margin))
+        if x[1] <= lo[1] and x[3] < 0.0:
+            bends[0] = max((x[3] - lo[3]) / (x[0] - lo[0]), 0.0)
+            lo = x
+        elif x[1] <= lo[1] and x[2] <= 0.0 <= x[3]:
             break
-        # The smallest step from x: the last probes, x - step and
-        # x + step, then close a bracket well inside the width.
-        step = width / 4
-        mid = 0.5 * (lo + hi)
-        parabolic = False
-        if abs(e) > step and math.isfinite(fw) and math.isfinite(fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            num = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                num = -num
-            q = abs(q)
-            # take the vertex if it lies inside the bracket and moves less
-            # than half the step before last
-            if (abs(num) < abs(0.5 * q * e)
-                    and q * (lo - x) < num < q * (hi - x)):
-                e, d = d, num / q
-                parabolic = True
-                u = x + d
-                if u - lo < 2.0 * step or hi - u < 2.0 * step:
-                    d = step if x < mid else -step
-        if not parabolic:
-            e = (lo - x) if x >= mid else (hi - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= step else (step if d > 0 else -step))
-        fu = probe(u)
-        if fu < best_f:
-            best_g, best_f = u, fu
-        if fu <= fx:
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
         else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    if best_f >= f0 - _DECREASE_MARGIN:
-        return 0.0, False, probes
-    return float(best_g), True, probes
+            if math.isfinite(x[1]) and math.isfinite(hi[1]):
+                bends[1] = max((hi[2] - x[2]) / (hi[0] - x[0]), 0.0)
+            hi = x
+        widths.append(hi[0] - lo[0])
+    return result()
+
+
+def _step(lo: tuple, hi: tuple, bend_lo: float | None, bend_hi: float | None
+          ) -> tuple[float, float] | None:
+    """The next probe inside the bracket [lo, hi], and the lowest value
+    its two tangents allow, or None where the slopes give neither.
+
+    Each side of the bracket is modelled from its end's value and slope
+    and a curvature: the side's own, from the slopes of its last two
+    ends, once it has one; before that, where the chord's slope is within
+    0.1 (sb - sa) of the mean slope, as on a quadratic, (sb - sa) / w,
+    else 0.  The step minimizes the larger of the two models.  With
+    both curvatures from the chord that is the secant root of f', and
+    with both 0 it is where the tangents meet, the kink of a V.
+    """
+    a, fa, sa = lo[0], lo[1], lo[3]
+    b, fb, sb = hi[0], hi[1], hi[2]
+    if not (math.isfinite(fb) and -math.inf < sa < sb < math.inf):
+        return None
+    w = b - a
+    meet = (fb - fa - sb * w) / (sa - sb)  # where the tangents meet, from a
+    quadratic = abs((fb - fa) / w - 0.5 * (sa + sb)) <= 0.1 * (sb - sa)
+    c = (sb - sa) / w if quadratic else 0.0
+    cl = c if bend_lo is None else bend_lo
+    ch = c if bend_hi is None else bend_hi
+    # the models cross where qa x^2 + qb x + qc = 0, x from a
+    qa, qb = 0.5 * (cl - ch), sa - sb + ch * w
+    qc = fa - fb + sb * w - 0.5 * ch * w * w
+    x = meet
+    if qa != 0.0 and qb * qb >= 4.0 * qa * qc:
+        q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        x = q / qa if q == 0.0 or 0.0 <= q / qa <= w else qc / q
+    elif qa == 0.0 and qb != 0.0:
+        x = -qc / qb
+    # a model's own minimum, where it lies on its own side of the crossing
+    if cl > 0.0 and -sa / cl < x:
+        x = -sa / cl
+    elif ch > 0.0 and w - sb / ch > x:
+        x = w - sb / ch
+    return (a + x, fa + sa * meet) if math.isfinite(x) else None
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -303,6 +325,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
             stop = "budget"
             k_start = k
             ei = 0
+            directions = 0
             J = eval_J(p, xz)
             psi, phi = penalty_values(p, xz)
             for _ in range(cfg.max_iters):
@@ -314,6 +337,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                 while True:
                     eps = _EPS_SCHEDULE[ei]
                     direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
+                    directions += 1
                     gamma, ok = 0.0, False
                     if direction is not None:
                         gamma, ok, probes = line_search(
@@ -345,7 +369,8 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                 psi, phi = penalty_values(p, xz)
 
             if stage_log is not None:
-                stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start, stop))
+                stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start,
+                                             stop, eps, directions))
             pen = psi + phi
             on_last_grid = gi + 1 == len(cfg.grid_sizes)
             if stop == "stationary" and on_last_grid and pen <= cfg.constraint_tol:

@@ -190,10 +190,13 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
     _, rows = _read_csv(out / "convergence.csv")
     first = 0
     for s in stages:
-        assert set(s) == {"N", "lambda", "iterations", "stop"}
+        assert set(s) == {"N", "lambda", "iterations", "stop", "eps", "directions"}
         part = rows[first:first + s["iterations"]]
         assert len(part) == s["iterations"] >= 1
         assert (part[:, 8] == s["N"]).all() and (part[:, 6] == s["lambda"]).all()
+        # the tolerance reached is the last row's; every row took a direction
+        assert s["eps"] == part[-1, 9]
+        assert s["directions"] >= s["iterations"]
         first += s["iterations"]
     assert first == len(rows)
     if stops == ["budget"] * 3:
@@ -483,6 +486,13 @@ def test_run_prints_table(tmp_path, capsys):
 def test_run_help_exits_cleanly():
     assert run(["--help"]) == 0
     assert run(["solve", "--help"]) == 0
+
+
+def test_solve_help_says_eps_bounds_the_squared_norm(capsys):
+    # solve stops at ||v||^2 <= eps_bar, not at ||v|| <= eps_bar
+    assert run(["solve", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--eps EPS stationarity threshold on the squared residual norm ||v||^2" in text
 
 
 def test_every_solver_setting_is_reachable_from_the_command_line():

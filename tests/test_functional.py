@@ -412,7 +412,14 @@ def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
                 stepped = _pair(p, g, xz.x.values + gamma * d.x.values,
                                 xz.z.values + gamma * d.z.values)
                 want = eval_I(p, stepped, lam)
-                assert abs(along(gamma) - want) <= 1e-12 * (1.0 + abs(want))
+                value, left, right = along(gamma)
+                assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
+                # the slopes, penalties included, are the value's one-sided
+                # differences (no node meets a kink this close to gamma)
+                h = 1e-6 * (1.0 + gamma)
+                for slope, step in ((right, h), (left, -h)):
+                    diff = (along(gamma + step)[0] - value) / step
+                    assert abs(slope - diff) <= 1e-4 * (1.0 + abs(slope))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -439,7 +446,7 @@ def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
     assert str(got.value) == str(want.value)
     assert got.value.node_index == want.value.node_index == 3
     inside = _pair(p, g, xz.x.values + 0.25 * dx, xz.z.values)
-    assert along(0.25) == pytest.approx(eval_I(p, inside, 20.0), rel=1e-12)
+    assert along(0.25)[0] == pytest.approx(eval_I(p, inside, 20.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad_nodes", [(0,), (3,), (6,), (5, 2)])
@@ -456,8 +463,11 @@ def test_eval_I_along_names_the_first_non_finite_node(bad_nodes):
     assert str(got.value) == (
         f"integrand is not finite at t={float(g.nodes[i])!r} (node {i})")
     assert got.value.node_index == i
-    # values near the overflow threshold are still inside the domain
-    assert np.isfinite(along(0.709))
+    # values near the overflow threshold are still inside the domain; their
+    # slopes, exp(x1) times a step of 1e3, overflow
+    with np.errstate(over="ignore"):
+        value, left, right = along(0.709)
+    assert np.isfinite(value) and left == right == np.inf
 
 
 def test_eval_I_along_probes_integrate_nothing(monkeypatch):

@@ -37,6 +37,7 @@ from nsvar.integrand import (
     VarX,
     VarZ,
     _args,
+    _leaf_rows,
     _uses_vars,
     _value_and_set,
     compile_line,
@@ -288,7 +289,7 @@ def _check_line_against_value_pass(e, x, z, t, gx, gz):
             assert str(got.value) == str(exc)
             assert got.value.node_index == exc.node_index
             continue
-        got = at(gamma)
+        got = at(gamma)[0]
         assert got.shape == t.shape
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
         inside += 1
@@ -314,6 +315,71 @@ def test_line_pass_matches_value_pass_on_every_node_type(text):
         x, z, gx, gz = rng.standard_normal((4, 6, 2))
         inside += _check_line_against_value_pass(e, x, z, t, gx, gz)
     assert inside >= 1
+
+
+def _check_slopes_against_the_node_route(e, x, z, t, gx, gz):
+    """compile_line's left and right slopes are the per-node route's
+    one-sided directional derivatives: right f'(p; g) and left
+    -f'(p; -g), with g the direction at the node.
+
+    Steps outside the domain and nodes the per-node route cannot answer
+    (sqrt at 0, a ball it cannot represent) are skipped.  Returns how
+    many nodes were checked and how many of them sat on a kink.
+    """
+    at = compile_line(e)(x, z, t, gx, gz)
+    checked = kinks = 0
+    for gamma in (0.0, 0.5, 1.0):
+        try:
+            _, left, right = at(gamma)
+        except DomainError:
+            continue
+        for i in range(t.shape[0]):
+            g = np.concatenate([gx[i], gz[i]])
+            p = EvalPoint(x[i] + gamma * gx[i], z[i] + gamma * gz[i], float(t[i]))
+            try:
+                want_right = directional_derivative(e, p, g)
+                want_left = -directional_derivative(e, p, -g)
+            except (DomainError, SubdiffError):
+                continue
+            assert right[i] == pytest.approx(want_right, abs=1e-10 * (1.0 + abs(want_right)))
+            assert left[i] == pytest.approx(want_left, abs=1e-10 * (1.0 + abs(want_left)))
+            checked += 1
+            kinks += want_left != want_right
+    return checked, kinks
+
+
+def test_line_slopes_are_one_sided_directional_derivatives():
+    """On the random draws, at normal points and on a half-integer lattice,
+    where abs, max and norm sit exactly on their kinks."""
+    rng = np.random.default_rng(17)
+    kinks = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        e = random_expr(rng, n)
+        t = np.linspace(0.0, 1.0, 9)
+        x, z, gx, gz = rng.standard_normal((4, 9, n))
+        assert _check_slopes_against_the_node_route(e, x, z, t, gx, gz)[0] > 0
+        x, z, gx, gz = 0.5 * rng.integers(-2, 3, (4, 9, n))
+        kinks += _check_slopes_against_the_node_route(e, x, z, t, gx, gz)[1]
+    assert kinks >= 100
+
+
+@pytest.mark.parametrize("text", NODE_TYPES)
+def test_line_slopes_are_one_sided_directional_derivatives_on_every_node_type(text):
+    e = parse_expr(text, 2)
+    rng = np.random.default_rng(41)
+    t = np.linspace(0.0, 2.0, 6)
+    checked = kinks = 0
+    for _ in range(20):
+        # x >= 0 keeps sqrt(x1) inside its domain at gamma = 0
+        for points in (rng.standard_normal((4, 6, 2)),
+                       0.5 * rng.integers(-2, 3, (4, 6, 2))):
+            x, z, gx, gz = points
+            c, k = _check_slopes_against_the_node_route(e, np.abs(x), z, t, gx, gz)
+            checked, kinks = checked + c, kinks + k
+    assert checked >= 100
+    if not is_smooth(e):
+        assert kinks >= 1
 
 
 def test_line_pass_domain_errors_name_the_node_of_the_value_pass():
@@ -375,7 +441,7 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
     t = np.linspace(0.0, 1.0, 51)
     for shift in (0.0, 0.25):
         t += shift
-        assert np.array_equal(line(x, z, t)(0.0),
+        assert np.array_equal(line(x, z, t)(0.0)[0],
                               eval_expr_grid(p.integrand, x, z, t.copy()))
         fresh = compile_subdiff(p.integrand)(x, z, t.copy(), 1e-9)
         _assert_same_bits(subdiff(x, z, t, 1e-9), fresh)
@@ -413,13 +479,41 @@ def test_passes_kept_per_grid_match_fresh_passes():
         subdiff, line = compile_subdiff(e), compile_line(e)
         for tol in (1e-9, 1e-3, 1e-9, 1e-3):
             _assert_same_bits(subdiff(x, z, t, tol), compile_subdiff(e)(x, z, t, tol))
-            assert line(x, z, t)(0.0).tobytes() == compile_line(e)(x, z, t)(0.0).tobytes()
+            assert line(x, z, t)(0.0)[0].tobytes() == compile_line(e)(x, z, t)(0.0)[0].tobytes()
     for e, masked in zip(kinks, ([True, True], [False, True])):
         subdiff = compile_subdiff(e)
         for tol, mask in zip((1e-9, 1e-3), masked):
             for n in (1, 2, 1):
                 x = np.zeros((9, n))
                 assert subdiff(x, x, t, tol)[3][4] == mask
+
+
+def test_leaf_rows_kept_per_grid_give_a_fresh_pass_bits():
+    """A compiled pass called on two grids with both n, in turn, gives the
+    bits of a pass compiled and run with no leaf rows kept."""
+    rng = np.random.default_rng(37)
+    grids = (Grid(1.0, 9).nodes, Grid(1.0, 21).nodes)
+    for _ in range(40):
+        e = random_expr(rng, 1)
+        subdiff = compile_subdiff(e)
+        for t, n in ((grids[0], 1), (grids[1], 2), (grids[0], 2), (grids[1], 1)):
+            x, z = rng.standard_normal((2, t.shape[0], n))
+            got = subdiff(x, z, t, 1e-9)
+            _leaf_rows.cache_clear()
+            _assert_same_bits(got, compile_subdiff(e)(x, z, t, 1e-9))
+
+
+def test_leaf_rows_are_built_once_and_read_only():
+    rows = _leaf_rows(9, 2, 3)
+    assert _leaf_rows(9, 2, 3) is rows
+    assert np.array_equal(rows, np.eye(4)[[3] * 9])
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    # a bare variable's pass hands the kept rows out as its center
+    t = Grid(1.0, 9).nodes
+    _, q, _, _ = compile_subdiff(parse_expr("z2", 2))(np.zeros((9, 2)), np.zeros((9, 2)), t)
+    assert q is rows
 
 
 def test_format_round_trip_builtins():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nsvar.functional
 import nsvar.integrand
@@ -265,11 +267,15 @@ def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
     monkeypatch.setattr(nsvar.solver, "line_search",
                         lambda f, f0: (0.0, False, 0))
     p = load_problem("example2")
-    _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)))
+    stages = []
+    _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)), stage_log=stages)
     assert status == "exhausted"
     assert recs[0].eps == nsvar.integrand._TOL_ACT
     assert recs[0].gamma == 0.0
     assert len(calls) == len(nsvar.solver._EPS_SCHEDULE)
+    # one iteration, one direction per tolerance of the schedule
+    assert [(st.iterations, st.directions, st.eps, st.stop) for st in stages] == [
+        (1, len(calls), nsvar.integrand._TOL_ACT, "ls_stall")]
 
 
 def _stages(recs):
@@ -322,47 +328,58 @@ def test_penalty_ladder_member_does_not_jam():
     assert recs[-1].J <= -0.020
 
 
-def _recording(fn):
-    """fn as a line-search objective that logs every gamma it is asked for.
+def _recording(fn, slope):
+    """fn with its slope as a line-search objective that logs every gamma
+    it is asked for.
 
-    Values come back as numpy scalars, so arithmetic on an inf or nan
-    among them warns (an error under the test settings) or raises under
-    solve's error state.
+    slope(gamma) gives the (left, right) derivatives.  Values come back
+    as numpy scalars, so arithmetic on an inf or nan among them warns (an
+    error under the test settings) or raises under solve's error state.
     """
     probes = []
 
     def f(gamma):
         probes.append(gamma)
-        return np.float64(fn(gamma))
+        return (np.float64(fn(gamma)), *map(np.float64, slope(gamma)))
     return f, probes
 
 
+def _v_slopes(kink):
+    """The (left, right) slopes of abs(gamma - kink)."""
+    return lambda g: (-1.0 if g <= kink else 1.0, 1.0 if g >= kink else -1.0)
+
+
 def test_line_search_pure_quadratic_within_probe_budget():
-    f, probes = _recording(lambda g: (g - 1.0) ** 2)
+    f, probes = _recording(lambda g: (g - 1.0) ** 2,
+                           lambda g: (2.0 * (g - 1.0),) * 2)
     gamma, accepted, evals = line_search(f, 1.0)
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-12)
-    # nine bracketing probes (0.01 doubling to 2.56) and Brent's steps:
-    # the parabola through three points of a quadratic is exact.
+    # eight bracketing probes (0.01 doubling to 1.28, the first with a
+    # positive slope), then one secant step on f', which is exact on a
+    # quadratic and lands where f' is 0.
     assert evals == len(probes)
-    assert evals <= 17
+    assert probes[:8] == [0.01 * 2 ** k for k in range(8)]
+    assert evals <= 9
 
 
 def test_line_search_lands_on_a_kink():
-    f, probes = _recording(lambda g: abs(g - 1.0))
+    f, probes = _recording(lambda g: abs(g - 1.0), _v_slopes(1.0))
     gamma, accepted, evals = line_search(f, 1.0)
     assert accepted
     assert abs(gamma - 1.0) <= nsvar.solver._LS_TOL * (1.0 + gamma)
     assert evals == len(probes)
     assert len(set(probes)) == len(probes)
+    # the bracket (0.64, 1.28) has its kink near the middle, so a secant
+    # step goes to 0.96; the tangents of (0.96, 1.28) meet on the kink
+    assert probes[8:] == [0.96, 1.0]
 
 
 def test_line_search_survives_probes_outside_the_domain():
     # sqrt(0.7 - g) - g falls all the way to the edge of its domain at
-    # gamma = 0.7.  The bracket is (0.32, 0.64, 1.28), and Brent's first
-    # probe, at 0.88, already raises: a DomainError, or a
-    # FloatingPointError from an overflow, must count as +inf and never
-    # enter a parabola.
+    # gamma = 0.7.  Doubling ends at 1.28, which already raises: a
+    # DomainError, or a FloatingPointError from an overflow, must count
+    # as +inf with no slopes, so the search bisects towards the edge.
     for error in (DomainError("sqrt of a negative value", 0.0),
                   FloatingPointError("overflow encountered")):
         def edge(g, error=error):
@@ -370,27 +387,106 @@ def test_line_search_survives_probes_outside_the_domain():
                 raise error
             return math.sqrt(0.7 - g) - g
 
-        f, probes = _recording(edge)
+        def slopes(g):
+            if g == 0.7:
+                return -math.inf, -math.inf
+            return (-0.5 / math.sqrt(0.7 - g) - 1.0,) * 2
+
+        f, probes = _recording(edge, slopes)
         with np.errstate(over="raise", invalid="raise"):
             gamma, accepted, evals = line_search(f, np.float64(math.sqrt(0.7)))
         assert accepted
         assert np.isfinite(gamma) and 0.7 - 1e-6 <= gamma <= 0.7
         assert all(np.isfinite(probes))
-        assert probes[7] == 1.28 and 0.7 < probes[8] < 1.28
+        assert probes[7] == 1.28 and probes[8:11] == [0.96, 0.8, 0.72]
         assert len([g for g in probes if g > 0.7]) >= 3
-        assert evals == len(probes) <= 79
+        assert evals == len(probes) <= 50
 
 
-def test_line_search_reuses_the_last_halved_probe():
-    # f(0.01) = 0.007 does not beat f(0) = 0.003, so the seed is halved to
-    # 0.005; the bracket's right end 2 * 0.005 is that rejected probe.
-    f, probes = _recording(lambda g: abs(g - 0.003))
+def test_line_search_reuses_the_rejected_seed():
+    # f(0.01) = 0.007 does not beat f(0) = 0.003, so the bracket is
+    # [0, 0.01]: one probe at 0 gives its left slope, the rejected seed is
+    # its right end, and their tangents meet on the kink.
+    f, probes = _recording(lambda g: abs(g - 0.003), _v_slopes(0.003))
     gamma, accepted, evals = line_search(f, 0.003)
     assert accepted
-    assert probes[:2] == [1e-2, 5e-3]
+    assert probes[:2] == [1e-2, 0.0]
     assert probes.count(1e-2) == 1
-    assert len(set(probes)) == len(probes)
+    assert len(set(probes)) == len(probes) == evals <= 3
     assert abs(gamma - 0.003) <= nsvar.solver._LS_TOL * (1.0 + gamma)
+
+
+def test_line_search_stops_without_descent_at_zero():
+    # The seed does not decrease and f'(0+) >= 0: the search stops after
+    # the probe at 0.
+    f, probes = _recording(lambda g: abs(g), _v_slopes(0.0))
+    assert line_search(f, 0.0) == (0.0, False, 2)
+    assert probes == [1e-2, 0.0]
+
+
+def _convex_piecewise(pieces, a, b):
+    """f(g) = max over pieces (p, q, r) of p g^2 + q g + r, plus a |g - b|,
+    as a line-search objective with its one-sided slopes, and the
+    candidates for its minimizer: 0, each kink and each stationary point
+    of a smooth piece."""
+    def f(g):
+        vals = [p * g * g + q * g + r for p, q, r in pieces]
+        top = max(vals)
+        slopes = [2.0 * p * g + q for (p, q, _), v in zip(pieces, vals) if v == top]
+        left, right = min(slopes), max(slopes)
+        side = (g > b) - (g < b)
+        left += a if side > 0 else -a
+        right += -a if side < 0 else a
+        return top + a * abs(g - b), left, right
+
+    candidates = [0.0, b, nsvar.solver._LS_MAX_STEP]
+    for i, (p1, q1, r1) in enumerate(pieces):
+        for s in (-a, a):
+            if p1 > 0.0:
+                candidates.append(-(q1 + s) / (2.0 * p1))
+        for p2, q2, r2 in pieces[i + 1:]:
+            dp, dq, dr = p1 - p2, q1 - q2, r1 - r2
+            if dp == 0.0:
+                candidates += [-dr / dq] if dq != 0.0 else []
+            elif dq * dq - 4.0 * dp * dr >= 0.0:
+                root = math.sqrt(dq * dq - 4.0 * dp * dr)
+                candidates += [(-dq - root) / (2.0 * dp), (-dq + root) / (2.0 * dp)]
+    return f, [c for c in candidates if 0.0 <= c <= nsvar.solver._LS_MAX_STEP]
+
+
+_piece = st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+                   st.floats(-5.0, 5.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(pieces=st.lists(_piece, min_size=1, max_size=4),
+       a=st.floats(0.0, 3.0), b=st.floats(0.0, 3.0))
+# a kink between two parabolas, a V on a parabola, a kink below the
+# bracket's resolution, and values flat to roundoff
+@example([(1.125, 0.0, 0.8125), (1.375, 0.0, 0.625)], 2.0, 1.0)
+@example([(1.25, -3.125, 0.0)], 0.0625, 1.1875)
+@example([(0.0, 0.875, 0.0)], 1.0, 1.6716008916560036e-181)
+@example([(0.0, -1.192092896e-07, 0.0), (1.0, -5.78317767729365e-06, 0.0)], 0.0, 0.0)
+@example([(0.0, 0.0, 1.0)], 3.596929901626908e-19, 3.596929901626908e-19)
+def test_line_search_finds_the_minimum_of_convex_piecewise_quadratics(pieces, a, b):
+    f, candidates = _convex_piecewise(pieces, a, b)
+    f0 = f(0.0)[0]
+    low, argmin = min((f(c)[0], c) for c in candidates)
+    # the seed doubles to the minimizer, up to 8 probes to reach 1.28
+    assume(argmin <= 1.5)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return f(g)
+    gamma, accepted, evals = line_search(counted, f0)
+    value = f(gamma)[0]
+    assert evals == len(calls) <= 20
+    if accepted:
+        assert gamma > 0.0 and value < f0 - nsvar.solver._DECREASE_MARGIN
+    else:
+        assert gamma == 0.0
+    assert value - low <= 1e-12 * (1.0 + abs(low))
 
 
 def test_records_count_every_line_search_probe(monkeypatch):
