@@ -246,13 +246,15 @@ class RunSummary:
     stages: list
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """A header line, then one line per row of numbers, each written by _fmt."""
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    """A header line, then one line per row of numbers, each as %.17g.
+
+    One format string per row; % and format() share Python's
+    double-to-string conversion, so each value reads as f"{v:.17g}".
+    """
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [line % tuple(row)
+                                  for row in np.asarray(rows, float).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -21,10 +21,14 @@ the answer without trusting the solver.
 
 ``zonotope_min_norm`` works on a whole grid at once: the zonotopes
 q + sum_i lambda_i a_i, lambda in [-1, 1]^k, one per row, in the form
-``integrand.compile_subdiff`` gives nodal subdifferentials.  When a row's
-generators are pairwise orthogonal (``orthogonal_generators``) its
-minimum-norm point is a clip in closed form, certified by the same gap
-rule as ``min_norm_point``.
+``integrand.compile_subdiff`` gives nodal subdifferentials: a center q
+of shape (N, d) and a list of generators, each of shape (N, d).  When a
+row's generators are pairwise orthogonal (``orthogonal_generators``)
+its minimum-norm point is a clip in closed form, certified by the same
+gap rule as ``min_norm_point``.  Both take dot products of two (N, d)
+arrays row by row, and ``orthogonal_generators`` checks whole arrays
+first: a pair of generators is tested row by row only where it overlaps
+somewhere.
 """
 
 from __future__ import annotations
@@ -470,38 +474,58 @@ def _away_step_cg(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
 # zonotopes, row by row
 
 
-def orthogonal_generators(a: np.ndarray) -> np.ndarray:
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u[n], v[n]> for every row n of two (N, d) arrays."""
+    return np.einsum("ij,ij->i", u, v)
+
+
+def orthogonal_generators(gens: list) -> np.ndarray:
     """Rows whose nonzero generators are pairwise orthogonal.
 
-    a has shape (N, k, d): k generators in R^d per row.  A bool (N,).
+    gens is a list of k generators, each of shape (N, d).  Each pair is
+    checked on the whole array first: a pair whose product is zero
+    everywhere is orthogonal on every row, and only a pair that overlaps
+    somewhere takes a dot product per row.  The result broadcasts
+    against (N,): a bool array of shape () holding True when no pair
+    overlaps anywhere (always so for k < 2), else a bool (N,).
     """
-    k = a.shape[1]
-    if k < 2:
-        return np.ones(a.shape[0], bool)
-    gram = np.einsum("nid,njd->nij", a, a)
-    gram[:, np.arange(k), np.arange(k)] = 0.0
-    return ~gram.any(axis=(1, 2))
+    orthogonal = np.array(True)
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            if (a * b).any():
+                orthogonal = orthogonal & (_row_dots(a, b) == 0.0)
+    return orthogonal
 
 
-def zonotope_min_norm(q: np.ndarray, a: np.ndarray, tol: float = _CERT_TOL
+def zonotope_min_norm(q: np.ndarray, gens: list, tol: float = _CERT_TOL
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-norm points of the zonotopes q + sum_i lambda_i a_i, one per row.
 
-    q has shape (N, d), a shape (N, k, d), and lambda ranges over
-    [-1, 1]^k.  On rows whose generators are pairwise orthogonal (see
-    orthogonal_generators) ||x||^2 separates into one parabola per
-    lambda_i, so lambda_i = clip(-<q, a_i> / ||a_i||^2, -1, 1) is exact;
-    a zero generator gets lambda_i = 0.  Returns (points, gaps,
-    certified).  The gap ||x||^2 - <q, x> + sum_i |<a_i, x>| is
-    min_norm_point's <x, x> - min_{s in S} <x, s>, taken from the
-    zonotope's support function, and a row is certified under the same
-    rule: gap <= tol * (1 + ||x||^2).
+    q has shape (N, d), gens is a list of generators a_i, each of shape
+    (N, d), and lambda ranges over [-1, 1]^k.  On rows whose generators
+    are pairwise orthogonal (see orthogonal_generators) ||x||^2
+    separates into one parabola per lambda_i, so
+    lambda_i = min(max(-<q, a_i> / ||a_i||^2, -1), 1) is exact; a zero
+    generator gets lambda_i = 0.  The generators are taken one at a
+    time, through dot products of two (N, d) arrays row by row, with no
+    (N, k, d) stack.  Returns (points, gaps, certified).  The
+    gap ||x||^2 - <q, x> + sum_i |<a_i, x>| is min_norm_point's
+    <x, x> - min_{s in S} <x, s>, taken from the zonotope's support
+    function, and a row is certified under the same rule:
+    gap <= tol * (1 + ||x||^2).
     """
-    sq = np.einsum("nkd,nkd->nk", a, a)
-    qa = np.einsum("nd,nkd->nk", q, a)
-    lam = np.clip(-qa / np.where(sq > 0.0, sq, 1.0), -1.0, 1.0)
-    x = q + np.einsum("nk,nkd->nd", lam, a)
-    xx = np.einsum("nd,nd->n", x, x)
-    gap = (xx - np.einsum("nd,nd->n", q, x)
-           + np.abs(np.einsum("nkd,nd->nk", a, x)).sum(axis=1))
+    # The shift starts at +0, so a row whose terms are all zero gets +0
+    # whatever their signs, as it does with no generators at all.
+    shift = np.zeros_like(q)
+    for a in gens:
+        sq = _row_dots(a, a)
+        sq += sq == 0.0  # a zero generator divides by 1, for lambda = 0
+        lam = np.minimum(np.maximum(-_row_dots(q, a) / sq, -1.0), 1.0)
+        shift += lam[:, None] * a
+    x = q + shift
+    xx = _row_dots(x, x)
+    spread = 0.0
+    for a in gens:
+        spread = spread + np.abs(_row_dots(a, x))
+    gap = xx - _row_dots(q, x) + spread
     return x, gap, gap <= tol * (1.0 + xx)

@@ -34,8 +34,9 @@ same DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
-as a point plus segments, and where the segments are pairwise orthogonal
-its minimum-norm point is zonotope_min_norm's closed form.  Only the
+as a point plus a list of segment generators, and where the segments are
+pairwise orthogonal its minimum-norm point is zonotope_min_norm's closed
+form, dot products of (N, 2n) arrays row by row.  Only the
 other nodes build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go
 through min_norm_point.
 
@@ -465,11 +466,14 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
     subdiff_expr.
 
     One compiled pass (compile_subdiff) gives every node's set as a
-    point plus segments.  Where the segments are pairwise orthogonal the
-    minimum-norm point is zonotope_min_norm's closed form, with its own
-    certificate; every other node, and every node compile_subdiff
-    masks, takes the per-node route of subdiff_I_nodes and
-    min_norm_point.  The route follows from the node's set alone.
+    point plus a list of segment generators, each an (N, 2n) array.
+    Rows the pass masks, the non-finite ones included, are zeroed
+    before any product sees them (only when some row is masked).  Where
+    the segments are pairwise orthogonal the minimum-norm point is
+    zonotope_min_norm's closed form, with its own certificate; every
+    other node, and every node compile_subdiff masks, takes the
+    per-node route of subdiff_I_nodes and min_norm_point.  The route
+    follows from the node's set alone.
     Errors are the per-node route's: a DomainError or SubdiffError of
     the lowest node that has one, else MinNormUncertified naming the
     lowest node, over both routes, whose certificate fails.
@@ -477,15 +481,18 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
     grid = xz.grid
     _, q, gens, per_node = p.integrand_subdiff()(
         xz.x.values, xz.z.values, grid.nodes, tol_act)
-    a = np.stack(gens, axis=1) if gens else np.zeros((grid.npoints, 0, 2 * p.n))
-    per_node = per_node | ~orthogonal_generators(a)
     rows = _penalty_rows(p, xz, lam)
     # (0 + q) + rows is the per-node path's order of summation, so even
     # the signs of zeros match it.
     q = 0.0 + q + rows
-    q[per_node] = 0.0
-    a[per_node] = 0.0
-    out, gaps, certified = zonotope_min_norm(q, a)
+    if per_node.any():
+        # Masked rows mean nothing and may hold inf or nan: zero them
+        # before any product sees them.
+        keep = ~per_node[:, None]
+        q = np.where(keep, q, 0.0)
+        gens = [np.where(keep, a, 0.0) for a in gens]
+    per_node = per_node | ~orthogonal_generators(gens)
+    out, gaps, certified = zonotope_min_norm(q, gens)
     nodes = np.flatnonzero(per_node)
     sets = [_node_set(p, xz, rows, i, tol_act) for i in nodes]
     failed = np.flatnonzero(~(certified | per_node))

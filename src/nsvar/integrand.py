@@ -1098,7 +1098,8 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     where subdiff_expr raises: norm at a zero, three or more active max
     branches, a tie or a smooth operation over a set already carrying a
     segment, a zero divisor, a sqrt argument <= 0 (< 0 without x or z),
-    and anything not finite.  A set carries a segment where a tie below
+    and anything not finite (checked on whole arrays, and row by row only
+    when some value is not).  A set carries a segment where a tie below
     it holds at that node, as in subdiff_expr's tree, even when the
     generator is zero (a max tie between branches of equal gradient).
     Masked rows mean nothing; subdiff_expr builds their sets.
@@ -1114,6 +1115,8 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     def subdiff(x, z, t, tol_act=_TOL_ACT):
         v, q, gens, per_node, _ = rec(x, z, t, tol_act)
         gens = [a for a in gens if a.any()]
+        if all(np.isfinite(a).all() for a in (v, q, *gens)):
+            return v, q, gens, per_node
         finite = np.isfinite(v) & np.isfinite(q).all(axis=1)
         for a in gens:
             finite &= np.isfinite(a).all(axis=1)

@@ -180,8 +180,8 @@ def pl_l2_norm_sq(a: Traj) -> float:
     overestimate the norm of kinky fields.
     """
     v = a.values
-    uu = np.einsum("ij,ij->i", v[:-1], v[:-1])
-    vv = np.einsum("ij,ij->i", v[1:], v[1:])
+    sq = np.einsum("ij,ij->i", v, v)
+    uu, vv = sq[:-1], sq[1:]
     uv = np.einsum("ij,ij->i", v[:-1], v[1:])
     return float(a.grid.h / 3.0 * np.sum(uu + uv + vv))
 

@@ -476,6 +476,21 @@ def test_run_emit_plot_data(tmp_path):
     assert np.allclose(rows[:, 1], [np.sqrt(3.0), 0.0, -np.sqrt(3.0)], atol=1e-12)
 
 
+@pytest.mark.parametrize("as_array", [True, False])
+def test_csv_rows_are_written_as_each_value_formatted_alone(tmp_path, as_array):
+    """One format string per row gives the bytes of one f"{v:.17g}" per value."""
+    rows = [(-0.0, float("nan"), float("inf"), -float("inf")),
+            (5e-324, 2.2250738585072014e-308 / 3, 1e300, -1.7976931348623157e308),
+            (0.1, 1 / 3, 2.0 ** 53 + 2, -123456789.125),
+            (0, 7, -42, 2 ** 60 + 1)]
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    nsvar.cli._write_csv(path, header, np.array(rows) if as_array else rows)
+    want = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert "-0,nan,inf,-inf" in path.read_text()
+
+
 def test_run_prints_table(tmp_path, capsys):
     assert run(["solve", "example1", "--out", str(tmp_path / "r")]) == 0
     text = capsys.readouterr().out

@@ -374,6 +374,11 @@ def _zonotope_polytope(q, a):
     return Polytope(verts)
 
 
+def _gens(a):
+    """The generator list of an (N, k, d) stack: k arrays of shape (N, d)."""
+    return list(a.transpose(1, 0, 2))
+
+
 def test_zonotope_min_norm_matches_polytope_route():
     rng = np.random.default_rng(21)
     for _ in range(200):
@@ -386,8 +391,8 @@ def test_zonotope_min_norm_matches_polytope_route():
                       for i in range(k)]).reshape(k, d)
         a *= (rng.random(k) < 0.8)[:, None]
         q = rng.standard_normal(d) * rng.uniform(0.1, 4.0)
-        x, gap, certified = zonotope_min_norm(q[None, :], a[None, :, :])
-        assert orthogonal_generators(a[None, :, :])[0]
+        x, gap, certified = zonotope_min_norm(q[None, :], _gens(a[None, :, :]))
+        assert orthogonal_generators(_gens(a[None, :, :])).all()
         ref = min_norm_point(_zonotope_polytope(q, a))
         assert ref.certified and certified[0]
         assert np.allclose(x[0], ref.point, rtol=0.0,
@@ -400,7 +405,7 @@ def test_zonotope_min_norm_frozen_rows():
     a = np.array([[[1.0, 0.0], [0.0, 1.0]],
                   [[1.0, 0.0], [0.0, 0.0]],
                   [[0.0, 2.0], [0.0, 0.0]]])
-    x, gap, certified = zonotope_min_norm(q, a)
+    x, gap, certified = zonotope_min_norm(q, _gens(a))
     assert np.array_equal(x, [[1.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
     assert np.array_equal(gap, [0.0, 0.0, 0.0])
     assert certified.all()
@@ -410,9 +415,9 @@ def test_zonotope_certificate_reports_a_wrong_point():
     # Non-orthogonal generators: the clip is not the minimizer, and the
     # gap says so instead of certifying it.
     a = np.array([[[1.0, 1.0], [1.0, 0.0]]])
-    assert not orthogonal_generators(a)[0]
+    assert not orthogonal_generators(_gens(a))[0]
     q = np.array([[0.0, 1.0]])
-    x, gap, certified = zonotope_min_norm(q, a)
+    x, gap, certified = zonotope_min_norm(q, _gens(a))
     assert np.array_equal(x, [[-0.5, 0.5]])  # lambda = (-0.5, 0)
     assert np.allclose(min_norm_point(_zonotope_polytope(q[0], a[0])).point, 0.0)
     assert gap[0] == 0.5 and not certified[0]
@@ -424,6 +429,78 @@ def test_orthogonal_generators_ignores_zero_generators():
         [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     ])
-    assert orthogonal_generators(a).tolist() == [True, False, True]
-    assert orthogonal_generators(np.zeros((4, 1, 3))).all()
-    assert orthogonal_generators(np.zeros((4, 0, 3))).all()
+    assert orthogonal_generators(_gens(a)).tolist() == [True, False, True]
+    assert orthogonal_generators(_gens(np.zeros((4, 1, 3)))).all()
+    assert orthogonal_generators(_gens(np.zeros((4, 0, 3)))).all()
+
+
+def _stacked_min_norm(q, a, tol=1e-10):
+    """zonotope_min_norm on an (N, k, d) stack, by 3-D einsums."""
+    sq = np.einsum("nkd,nkd->nk", a, a)
+    qa = np.einsum("nd,nkd->nk", q, a)
+    lam = np.clip(-qa / np.where(sq > 0.0, sq, 1.0), -1.0, 1.0)
+    x = q + np.einsum("nk,nkd->nd", lam, a)
+    xx = np.einsum("nd,nd->n", x, x)
+    gap = (xx - np.einsum("nd,nd->n", q, x)
+           + np.abs(np.einsum("nkd,nd->nk", a, x)).sum(axis=1))
+    return x, gap, gap <= tol * (1.0 + xx)
+
+
+def test_zonotope_min_norm_keeps_the_stacked_bits():
+    """Generator by generator, the closed form gives the bits of the
+    stacked reference, the signs of zeros included."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, d, k = int(rng.integers(1, 40)), 2 * int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        q = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3])
+        a = rng.standard_normal((n, k, d))
+        for arr in (q, a):
+            arr[rng.random(arr.shape) < 0.4] = 0.0
+            arr[rng.random(arr.shape) < 0.2] = -0.0
+        got = zonotope_min_norm(q, _gens(a))
+        for g, w in zip(got, _stacked_min_norm(q, a)):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_orthogonal_generators_finds_one_skew_row_among_many():
+    # The generators overlap only on row 200, so the whole-array check
+    # falls back to the per-row test there.
+    rng = np.random.default_rng(5)
+    a = np.zeros((401, 3, 4))
+    a[:, 0, :2] = rng.standard_normal((401, 2))
+    a[:, 1, 2] = rng.standard_normal(401)
+    a[:, 2, 3] = rng.standard_normal(401)
+    a[200, 2, 0] = 0.25
+    got = orthogonal_generators(_gens(a))
+    assert got.shape == (401,) and got.dtype == bool
+    assert np.flatnonzero(~got).tolist() == [200]
+    # products that overlap but sum to zero leave the row orthogonal
+    a[200, 2, 0] = 0.0
+    a[7, 1, :2] = [a[7, 0, 1], -a[7, 0, 0]]
+    got = orthogonal_generators(_gens(a))
+    assert got.shape == (401,) and got.all()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_zonotope_min_norm_on_k_generators(k):
+    rng = np.random.default_rng(40 + k)
+    n, d = 30, 4
+    a = np.zeros((n, k, d))
+    for i in range(k):  # generator i lives on coordinate i
+        a[:, i, i] = rng.standard_normal(n) * (rng.random(n) < 0.8)
+    q = rng.standard_normal((n, d)) * 2.0
+    orthogonal = orthogonal_generators(_gens(a))
+    if k < 2:
+        # a bool, so that ~ flips it: ~True would be -2
+        assert orthogonal.shape == () and orthogonal.dtype == bool
+        assert not ~orthogonal
+    assert orthogonal.all()
+    x, gap, certified = zonotope_min_norm(q, _gens(a))
+    assert x.shape == (n, d) and gap.shape == (n,) and certified.all()
+    assert not np.shares_memory(x, q)
+    for row in range(n):
+        ref = min_norm_point(_zonotope_polytope(q[row], a[row]))
+        assert np.allclose(x[row], ref.point, rtol=0.0,
+                           atol=1e-12 * (1.0 + np.linalg.norm(ref.point)))
+    if k == 0:
+        assert np.array_equal(x, q) and np.array_equal(gap, np.zeros(n))

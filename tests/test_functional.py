@@ -702,6 +702,46 @@ def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
     assert str(err.value).startswith(f"minimum-norm certificate failed at node {node} ")
 
 
+def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
+    """Masked rows holding inf and nan reach no product of the closed form.
+
+    The pass's masked rows mean nothing, so their values are poisoned
+    here with inf and nan.  Under the solver's floating-point traps the
+    field must still come out, bit for bit as from the clean pass, with
+    exactly the masked rows sent node by node.
+    """
+    p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], xT=[1.0, 0.5],
+                    integrand=parse_expr("max(x1, z1, t) + abs(x1) + abs(x2 - z2)", 2))
+    g = Grid(1.0, 5)
+    x = np.array([[0.0, 1.0], [0.0, 2.0], [0.5, 1.0], [0.0, 3.0], [1.0, -1.0]])
+    z = np.array([[2.0, 1.0], [1.0, 2.0], [0.5, 1.0], [-1.0, 3.0], [1.0, -1.0]])
+    xz = _pair(p, g, x, z)
+    clean = p.integrand_subdiff()
+
+    def poisoned(*args):
+        v, q, gens, per_node = clean(*args)
+        assert len(gens) == 2 and per_node.tolist() == [False, False, True, False, True]
+        q, gens = q.copy(), [a.copy() for a in gens]
+        q[2], q[4] = [np.inf, np.nan, 0.0, -np.inf], [np.nan, 1.0, np.inf, 0.0]
+        gens[0][2], gens[1][2] = [np.inf, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]
+        gens[0][4], gens[1][4] = [0.0, -np.inf, np.inf, 0.0], [np.nan, 0.0, 0.0, 2.0]
+        return v, q, gens, per_node
+
+    per_node = []
+    exact = nsvar.functional.min_norm_point
+
+    def spy(s):
+        per_node.append(s)
+        return exact(s)
+    want = min_norm_field(p, xz, 2.0).values
+    monkeypatch.setattr(p, "integrand_subdiff", lambda: poisoned)
+    monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
+    with np.errstate(over="raise", invalid="raise"):
+        got = min_norm_field(p, xz, 2.0).values
+    assert got.tobytes() == want.tobytes()
+    assert len(per_node) == 2
+
+
 # ---------------------------------------------------------------------------
 # recovered state
 

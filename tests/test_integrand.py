@@ -735,6 +735,23 @@ def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
     assert per_node.tolist() == [True, False]
 
 
+def test_grid_subdiff_masks_rows_that_are_not_finite():
+    """Finiteness is checked on whole arrays first, and then row by row:
+    a row whose value, center or one generator is not finite is masked."""
+    f = compile_subdiff(parse_expr("max(1e308 * x1, -1e308 * x1) + pow(x2, 3)", 2))
+    x = np.array([[0.0, 1.0], [1e-300, 1.0], [1e-300, 1e120], [1e-300, np.nan],
+                  [-1e-300, 3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, q, gens, per_node = f(x, np.zeros((5, 2)), np.zeros(5), 1e-9)
+        # node 0 ties, and only the tie's generator (g1 - g2) / 2 overflows
+        assert np.isfinite(value[0]) and np.isfinite(q[0]).all()
+        assert np.isinf(gens[0][0, 0])
+        assert per_node.tolist() == [True, False, True, True, False]
+        # values and centers all finite: a generator alone masks node 0
+        _, _, _, per_node = f(x[[0, 1, 4]], np.zeros((3, 2)), np.zeros(3), 1e-9)
+        assert per_node.tolist() == [True, False, False]
+
+
 def test_sqrt_of_t_is_differentiable_at_its_zero():
     """sqrt of a subtree without x or z has a zero gradient, so its zero
     lies in the domain on both routes; a negative argument does not."""
