@@ -15,22 +15,23 @@ fields to roundoff.  For phi this means the classic reverse-integral
 formula -int_t^T d(tau) dtau picks up O(h) end-node corrections; interior
 nodes match the textbook formula.
 
-eval_I is eval_J plus the lambda-weighted penalty_values, which read
-both penalties off one integral of z with eval_psi's and eval_phi's
-kernels, so eval_I == eval_J + lam*eval_psi + lam*eval_phi holds
-exactly, not just to roundoff.  The penalty rows of the nodal
-subdifferentials also integrate z once.
+Both penalties are half squared norms of residuals affine in (x, z),
+r_psi = x0 + int_0^T z - xT and r_phi = x - x0 - int_0^t z, and one
+function, _residuals, takes both from one integral of z.  The penalty
+values, their gradients (r_psi, and _phi_rows, phi's adjoint, on r_phi)
+and the penalty rows of the nodal subdifferentials all read them, so
+eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly.
 
 The line search's objective is eval_I_along: gamma -> I(xz + gamma * d)
-with its left and right derivatives in gamma.  Both penalties are exact
-discrete quadratics, so along a line lam * (psi + phi) is one quadratic
-in gamma, built once per line from the antiderivatives of z and of d's
-z block.  The integrand is folded along the line once too
-(compile_line): subtrees that are polynomials of degree <= 2 in gamma
-become coefficient arrays.  Each probe then evaluates only the compiled
-integrand's nodes that do not fold, with their one-sided slopes; its
-value matches eval_I at the stepped pair to roundoff, and it raises the
-same DomainError.
+with its left and right derivatives in gamma.  Along the line the
+residuals are r0 + gamma * r1, r1 those of d with x0 = xT = 0, so
+lam * (psi + phi) is a quadratic in gamma whose coefficients, inner
+products of r0 and r1, are built once per line.  The integrand is
+folded along the line once too (compile_line): subtrees that are
+polynomials of degree <= 2 in gamma become coefficient arrays.  Each
+probe then evaluates only the compiled integrand's nodes that do not
+fold, with their one-sided slopes; its value matches eval_I at the
+stepped pair to roundoff, and it raises the same DomainError.
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -66,6 +67,7 @@ from .integrand import (
     _TOL_ACT,
     EvalPoint,
     Expr,
+    ExprError,
     _raise_at_first,
     compile_line,
     compile_subdiff,
@@ -187,7 +189,11 @@ class ProblemSpec:
             self._compiled = (self.integrand, {})
         done = self._compiled[1]
         if compiler not in done:
-            done[compiler] = compiler(self.integrand)
+            try:
+                done[compiler] = compiler(self.integrand)
+            except RecursionError:
+                raise ExprError(
+                    "integrand nested too deeply to compile") from None
         return done[compiler]
 
 
@@ -245,26 +251,38 @@ def _check_finite(vals: np.ndarray, t: np.ndarray) -> None:
     _raise_at_first(~np.isfinite(vals), "integrand is not finite", t)
 
 
-def _psi(p: ProblemSpec, xint: np.ndarray) -> float:
-    """psi from the nodal antiderivative xint = x0 + int z."""
-    r = _psi_grad(p, xint)
-    return 0.5 * float(r @ r)
+def _residuals(p: ProblemSpec, x: np.ndarray | None, z: np.ndarray, h: float,
+               x0: np.ndarray, xT) -> tuple:
+    """(r_psi, r_phi) at nodal x and z: shapes (n,) and (N, n).
+
+    An entry is None when p does not use that penalty, r_phi also when x
+    is None.  x0 + int_0^t z is taken here and nowhere else.
+    """
+    use_phi = p.use_phi and x is not None
+    if not (p.use_psi or use_phi):
+        return None, None
+    xint = cumulative_trapezoid(z, h, x0)
+    return (xint[-1] - xT if p.use_psi else None,
+            x - xint if use_phi else None)
 
 
-def _psi_grad(p: ProblemSpec, xint: np.ndarray) -> np.ndarray:
-    """grad_psi's constant value, the endpoint residual x0 + int z - xT."""
-    return xint[-1] - p.xT
+def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
+    """The psi and phi parts of <r, s> for residual pairs: a dot product
+    and the trapezoid integral of the row dots, 0.0 for a None entry."""
+    (r_psi, r_phi), (s_psi, s_phi) = r, s
+    psi = 0.0 if r_psi is None else float(r_psi @ s_psi)
+    phi = (0.0 if r_phi is None
+           else trapezoid(np.einsum("ij,ij->i", r_phi, s_phi), h))
+    return psi, phi
 
 
-def _phi(x: np.ndarray, xint: np.ndarray, h: float) -> float:
-    """phi from the x values and the nodal antiderivative of z."""
-    d = x - xint
-    return 0.5 * trapezoid(np.einsum("ij,ij->i", d, d), h)
-
-
-def _antiderivative(p: ProblemSpec, z: Traj) -> np.ndarray:
-    """Nodal x0 + int_0^t z."""
-    return cumulative_trapezoid(z.values, z.grid.h, p.x0)
+def _phi_rows(grid: Grid, d: np.ndarray) -> np.ndarray:
+    """grad_phi's values, the adjoint of the discrete phi at residual d."""
+    zpart = -reverse_cumulative_integral(Traj(grid, d)).values
+    half_h = 0.5 * grid.h
+    zpart[0] += half_h * d[0]
+    zpart[-1] = -half_h * d[-1]
+    return np.hstack([d, zpart])
 
 
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
@@ -276,22 +294,19 @@ def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
 
 
 def eval_psi(p: ProblemSpec, z: Traj) -> float:
-    if not p.use_psi:
-        return 0.0
-    return _psi(p, _antiderivative(p, z))
+    r = _residuals(p, None, z.values, z.grid.h, p.x0, p.xT)
+    return 0.5 * _inner(r, r, z.grid.h)[0]
 
 
 def grad_psi(p: ProblemSpec, z: Traj) -> np.ndarray:
     """Gateaux gradient of psi wrt z: the constant field x0 + int z - xT."""
-    if not p.use_psi:
-        return np.zeros(p.n)
-    return _psi_grad(p, _antiderivative(p, z))
+    r_psi = _residuals(p, None, z.values, z.grid.h, p.x0, p.xT)[0]
+    return np.zeros(p.n) if r_psi is None else r_psi
 
 
 def eval_phi(p: ProblemSpec, xz: PairTraj) -> float:
-    if not p.use_phi:
-        return 0.0
-    return _phi(xz.x.values, _antiderivative(p, xz.z), xz.grid.h)
+    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+    return 0.5 * _inner(r, r, xz.grid.h)[1]
 
 
 def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
@@ -302,23 +317,8 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     """
     if not p.use_phi:
         return Traj(xz.grid, np.zeros((xz.grid.npoints, 2 * p.n)))
-    return Traj(xz.grid, _phi_rows(p, xz, _antiderivative(p, xz.z)))
-
-
-def _phi_rows(p: ProblemSpec, xz: PairTraj, xint: np.ndarray) -> np.ndarray:
-    """grad_phi's values from the nodal antiderivative xint = x0 + int z."""
-    grid = xz.grid
-    n = p.n
-    out = np.zeros((grid.npoints, 2 * n))
-    d = xz.x.values - xint
-    out[:, :n] = d
-    tail = reverse_cumulative_integral(Traj(grid, d)).values
-    zpart = -tail
-    half_h = 0.5 * grid.h
-    zpart[0] += half_h * d[0]
-    zpart[-1] = -half_h * d[-1]
-    out[:, n:] = zpart
-    return out
+    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+    return Traj(xz.grid, _phi_rows(xz.grid, r[1]))
 
 
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
@@ -334,9 +334,10 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
 
     The line search's objective: I's value and its left and right
     derivatives along the line.  Along a line lam * (psi + phi) is a
-    quadratic c0 + c1 gamma + c2 gamma^2.  Its three coefficients come
-    from one integral of each z block, once per line, and the integrand
-    is folded along the line once (compile_line).  Each probe then
+    quadratic c0 + c1 gamma + c2 gamma^2, (c0, c1, c2) =
+    lam * (<r0, r0>/2, <r0, r1>, <r1, r1>/2) for the residuals r0 at xz
+    and r1 of the direction (x0 = xT = 0), once per line.  The integrand
+    is folded along the line once too (compile_line).  Each probe then
     evaluates only the compiled integrand's nodes that do not fold, on
     Horner values of the rest, with their one-sided slopes in the same
     pass; it takes one trapezoid sum per quantity (a dot product with the
@@ -353,21 +354,15 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     h, t = grid.h, grid.nodes
     xv, zv = xz.x.values, xz.z.values
     gx, gz = direction.x.values, direction.z.values
-    c0 = c1 = c2 = 0.0
-    if p.use_psi or p.use_phi:
-        xint = _antiderivative(p, xz.z)
-        gint = cumulative_trapezoid(gz, h, np.zeros(p.n))
-        if p.use_psi:
-            r0, r1 = _psi_grad(p, xint), gint[-1]
-            c0 += 0.5 * float(r0 @ r0)
-            c1 += float(r0 @ r1)
-            c2 += 0.5 * float(r1 @ r1)
-        if p.use_phi:
-            d0, d1 = xv - xint, gx - gint
-            c0 += 0.5 * trapezoid(np.einsum("ij,ij->i", d0, d0), h)
-            c1 += trapezoid(np.einsum("ij,ij->i", d0, d1), h)
-            c2 += 0.5 * trapezoid(np.einsum("ij,ij->i", d1, d1), h)
-    c0, c1, c2 = lam * c0, lam * c1, lam * c2
+    zero = np.zeros(p.n)
+    r0 = _residuals(p, xv, zv, h, p.x0, p.xT)
+    r1 = _residuals(p, gx, gz, h, zero, zero)
+
+    def coefficient(r, s, scale):
+        psi, phi = _inner(r, s, h)
+        return lam * (scale * psi + scale * phi)
+    c0, c1, c2 = (coefficient(r0, r0, 0.5), coefficient(r0, r1, 1.0),
+                  coefficient(r1, r1, 0.5))
     at = p.integrand_line()(xv, zv, t, gx, gz)
     w = trapezoid_weights(grid)
 
@@ -389,14 +384,11 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
 def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
     """(psi, phi) without the lambda weighting, from one integral of z.
 
-    The same kernels as eval_psi and eval_phi, so the same values.
+    Half the residuals' squared norms, as eval_psi and eval_phi take them.
     """
-    if not (p.use_psi or p.use_phi):
-        return 0.0, 0.0
-    xint = _antiderivative(p, xz.z)
-    psi = _psi(p, xint) if p.use_psi else 0.0
-    phi = _phi(xz.x.values, xint, xz.grid.h) if p.use_phi else 0.0
-    return psi, phi
+    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+    psi, phi = _inner(r, r, xz.grid.h)
+    return 0.5 * psi, 0.5 * phi
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +403,12 @@ def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
     """
     n = p.n
     rows = np.zeros((xz.grid.npoints, 2 * n))
-    if not (p.use_psi or p.use_phi):
-        return rows
-    xint = _antiderivative(p, xz.z)
-    if p.use_phi:
-        rows += lam * _phi_rows(p, xz, xint)
-    if p.use_psi:
-        rows[:, n:] += lam * _psi_grad(p, xint)
+    r_psi, r_phi = _residuals(p, xz.x.values, xz.z.values, xz.grid.h,
+                              p.x0, p.xT)
+    if r_phi is not None:
+        rows += lam * _phi_rows(xz.grid, r_phi)
+    if r_psi is not None:
+        rows[:, n:] += lam * r_psi
     return rows
 
 

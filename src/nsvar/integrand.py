@@ -326,7 +326,8 @@ class _Parser:
             if len(args) != 2:
                 raise ParseError("pow takes exactly 2 arguments", pos)
             exponent = args[1]
-            if not isinstance(exponent, Const) or exponent.value != int(exponent.value):
+            if not (isinstance(exponent, Const)
+                    and exponent.value.is_integer()):
                 raise ParseError("pow exponent must be an integer literal", pos)
             k = int(exponent.value)
             if k < 1:
@@ -428,8 +429,11 @@ def _validate(e: Expr, n: int, allow_vars: bool) -> None:
 
 def parse_expr(text: str, n: int, allow_vars: bool = True) -> Expr:
     """Parse and validate an integrand over x1..xn, z1..zn, t."""
-    e = _Parser(text).parse()
-    _validate(e, n, allow_vars)
+    try:
+        e = _Parser(text).parse()
+        _validate(e, n, allow_vars)
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     return e
 
 
@@ -579,15 +583,15 @@ def _constant(r: Folded) -> bool:
     return not callable(r) and len(r) == 1
 
 
-def _compile_line(e: Expr, kept: bool = False):
+def _compile_line(e: Expr):
     """The fold of e: (x, z, t, gx, gz) -> Folded.
 
-    A largest subtree without x or z is kept per grid; kept says that an
-    enclosing one already is.
+    Every subtree without x or z is kept per grid; one inside another is
+    not called while the outer one is kept.
     """
-    if kept or _uses_vars(e):
-        return _line_rule(e, kept)
-    return _per_grid(_line_rule(e, True), lambda x, gx, gz: None)
+    if _uses_vars(e):
+        return _line_rule(e)
+    return _per_grid(_line_rule(e), lambda x, gx, gz: None)
 
 
 def _per_grid(f: Callable, key: Callable) -> Callable:
@@ -610,7 +614,7 @@ def _per_grid(f: Callable, key: Callable) -> Callable:
     return once
 
 
-def _line_rule(e: Expr, kept: bool):
+def _line_rule(e: Expr):
     if isinstance(e, Const):
         value = e.value
         return lambda x, z, t, gx, gz: (np.full(t.shape, value),)
@@ -626,7 +630,7 @@ def _line_rule(e: Expr, kept: bool):
             return v, (gz if on_z else gx)[:, j]
         return leaf
     if isinstance(e, Neg):
-        f = _compile_line(e.arg, kept)
+        f = _compile_line(e.arg)
 
         def neg(*point):
             r = f(*point)
@@ -635,7 +639,7 @@ def _line_rule(e: Expr, kept: bool):
             return tuple(-c for c in r)
         return neg
     if isinstance(e, (Add, Sub)):
-        f, g = _line_operands((e.left, e.right), kept)
+        f, g = _line_operands((e.left, e.right))
         op = operator.add if isinstance(e, Add) else operator.sub
 
         def add(*point):
@@ -648,7 +652,7 @@ def _line_rule(e: Expr, kept: bool):
                     + tuple(op(0.0, b) for b in r2[m:]))
         return add
     if isinstance(e, Mul):
-        f, g = _line_operands((e.left, e.right), kept)
+        f, g = _line_operands((e.left, e.right))
 
         def mul(*point):
             r1, r2 = f(*point), g(*point)
@@ -659,7 +663,7 @@ def _line_rule(e: Expr, kept: bool):
             return _poly_mul(r1, r2)
         return mul
     if isinstance(e, Div):
-        f, g = _line_operands((e.left, e.right), kept)
+        f, g = _line_operands((e.left, e.right))
 
         def div(x, z, t, gx, gz):
             # the divisor first, as a walk of the expression takes it
@@ -684,7 +688,7 @@ def _line_rule(e: Expr, kept: bool):
             return quotient
         return div
     if isinstance(e, Pow):
-        f, k = _compile_line(e.base, kept), e.exponent
+        f, k = _compile_line(e.base), e.exponent
         slope = _chain_slope(e)
 
         def power(*point):
@@ -697,7 +701,7 @@ def _line_rule(e: Expr, kept: bool):
             return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
         return power
     if isinstance(e, (Sqrt, Sin, Cos, Exp)):
-        f = _compile_line(e.arg, kept)
+        f = _compile_line(e.arg)
         ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp}.get(type(e))
         slope = _chain_slope(e)
 
@@ -706,10 +710,10 @@ def _line_rule(e: Expr, kept: bool):
             return _smooth(op, slope, f(x, z, t, gx, gz))
         return elementwise
     if isinstance(e, Abs):
-        f = _compile_line(e.arg, kept)
+        f = _compile_line(e.arg)
         return lambda *point: _abs(f(*point))
     if isinstance(e, Max):
-        fs = _line_operands(e.args, kept)
+        fs = _line_operands(e.args)
 
         def maximum(*point):
             out = fs[0](*point)
@@ -718,12 +722,12 @@ def _line_rule(e: Expr, kept: bool):
             return out
         return maximum
     if isinstance(e, Norm):
-        fs = _line_operands(e.args, kept)
+        fs = _line_operands(e.args)
         return lambda *point: _norm_line([f(*point) for f in fs])
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _line_operands(args: tuple, kept: bool) -> list:
+def _line_operands(args: tuple) -> list:
     """Folds of the operands of an arithmetic, max or norm node.
 
     A constant operand folds to a numpy scalar rather than an array of
@@ -731,8 +735,8 @@ def _line_operands(args: tuple, kept: bool) -> list:
     of them stay arrays, so the node's result is still an array.
     """
     if all(isinstance(a, Const) for a in args):
-        return [_compile_line(a, kept) for a in args]
-    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a, kept)
+        return [_compile_line(a) for a in args]
+    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a)
             for a in args]
 
 
@@ -1131,12 +1135,12 @@ def _col(v) -> np.ndarray:
 
 # Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
 # nodes left to the per-node route, seg those where a tie in the subtree
-# holds, so that its set carries a segment there.  As in _compile_line, a
-# largest subtree without x or z is kept per grid.
-def _compile_sd(e: Expr, kept: bool = False):
-    if kept or _uses_vars(e):
-        return _sd_rule(e, kept)
-    f = _sd_rule(e, True)
+# holds, so that its set carries a segment there.  As in _compile_line,
+# every subtree without x or z is kept per grid.
+def _compile_sd(e: Expr):
+    if _uses_vars(e):
+        return _sd_rule(e)
+    f = _sd_rule(e)
 
     def constant(x, z, t, tol):
         v, q, _, bad, seg = f(x, z, t, tol)
@@ -1145,18 +1149,18 @@ def _compile_sd(e: Expr, kept: bool = False):
     return _per_grid(constant, lambda x, tol: (tol if ties else None, x.shape[1]))
 
 
-def _sd_rule(e: Expr, kept: bool):
+def _sd_rule(e: Expr):
     if isinstance(e, (Const, Time, VarX, VarZ)):
         return _sd_leaf(e)
     if isinstance(e, Neg):
-        f = _compile_sd(e.arg, kept)
+        f = _compile_sd(e.arg)
 
         def neg(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
             return -v, -q, [-a for a in gens], bad, seg
         return neg
     if isinstance(e, (Add, Sub)):
-        f, g = _compile_sd(e.left, kept), _compile_sd(e.right, kept)
+        f, g = _compile_sd(e.left), _compile_sd(e.right)
         plus = isinstance(e, Add)
 
         def add(x, z, t, tol):
@@ -1171,14 +1175,14 @@ def _sd_rule(e: Expr, kept: bool):
                                or isinstance(e.right, Const)):
         left = isinstance(e.left, Const)
         c = e.left.value if left else e.right.value
-        f = _compile_sd(e.right if left else e.left, kept)
+        f = _compile_sd(e.right if left else e.left)
 
         def scaled(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
             return c * v, c * q, [c * a for a in gens], bad, seg
         return scaled
     if isinstance(e, (Mul, Div)):
-        f, g = _compile_sd(e.left, kept), _compile_sd(e.right, kept)
+        f, g = _compile_sd(e.left), _compile_sd(e.right)
         div = isinstance(e, Div)
 
         def product(x, z, t, tol):
@@ -1193,7 +1197,7 @@ def _sd_rule(e: Expr, kept: bool):
             return v, grad, [], bad | zero, none
         return product
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
-        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg, kept)
+        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
         chain = _chain(e)
         k = e.exponent if isinstance(e, Pow) else None
 
@@ -1203,7 +1207,7 @@ def _sd_rule(e: Expr, kept: bool):
             return val, dq, [], bad | seg | undefined, np.zeros_like(seg)
         return smooth
     if isinstance(e, Abs):
-        f = _compile_sd(e.arg, kept)
+        f = _compile_sd(e.arg)
 
         def absolute(x, z, t, tol):
             v, q, gens, bad, seg = f(x, z, t, tol)
@@ -1218,7 +1222,7 @@ def _sd_rule(e: Expr, kept: bool):
                     bad | (tie[:, 0] & seg), seg | tie[:, 0])
         return absolute
     if isinstance(e, Max):
-        fs = [_compile_sd(a, kept) for a in e.args]
+        fs = [_compile_sd(a) for a in e.args]
 
         def maximum(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]
@@ -1248,7 +1252,7 @@ def _sd_rule(e: Expr, kept: bool):
             return vmax, q, gens, bad, seg
         return maximum
     if isinstance(e, Norm):
-        fs = [_compile_sd(a, kept) for a in e.args]
+        fs = [_compile_sd(a) for a in e.args]
 
         def norm(x, z, t, tol):
             parts = [f(x, z, t, tol) for f in fs]

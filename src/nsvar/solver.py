@@ -32,7 +32,6 @@ penalty terms remain above constraint_tol.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,7 +99,6 @@ class IterationRecord:
     lam: float
     gamma: float
     npoints: int
-    wall_time: float  # seconds since solve() started
     eps: float        # tie tolerance the iteration's direction was taken at
     ls_evals: int     # probes of the iteration's line searches (f0 not counted)
 
@@ -304,14 +302,13 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     stage_log receives one StageRecord per stage as it ends, and a given
     direction_log (k, nodes, direction) for each direction taken.
 
-    Deterministic: identical inputs reproduce the records exactly (the
-    wall_time field aside).  Finite data too large for double precision
-    raises FloatingPointError at the first overflow instead of carrying
-    inf and nan on.  An ExprError, MinNormUncertified or
-    FloatingPointError raised after the initial pair is built leaves
-    with last_run = (the last pair, the records so far) set on it.
+    Deterministic: identical inputs reproduce the records exactly.  Finite
+    data too large for double precision raises FloatingPointError at the
+    first overflow instead of carrying inf and nan on.  An ExprError,
+    MinNormUncertified or FloatingPointError raised after the initial
+    pair is built leaves with last_run = (the last pair, the records so
+    far) set on it.
     """
-    t_start = time.perf_counter()
     grid = Grid(p.horizon, cfg.grid_sizes[0])
     xz = initial_pair(p, grid)
     lam = float(cfg.lambda0)
@@ -348,8 +345,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     ei += 1
                 records.append(IterationRecord(
                     k=k, I=I, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
-                    gamma=gamma, npoints=xz.grid.npoints,
-                    wall_time=time.perf_counter() - t_start, eps=eps,
+                    gamma=gamma, npoints=xz.grid.npoints, eps=eps,
                     ls_evals=ls_evals,
                 ))
                 if direction is None:

@@ -268,6 +268,34 @@ def test_run_rejects_abs_over_a_kink(tmp_path, capsys):
         "nsvar: error: line 4: bad integrand: nonsmooth subexpression inside abs\n")
 
 
+@pytest.mark.parametrize("integrand, message", [
+    ("pow(x1, 1e400)", "pow exponent must be an integer literal"),
+    ("(" * 300 + "abs(x1)" + ")" * 300, "expression nested too deeply"),
+])
+def test_run_rejects_an_unparseable_integrand_cleanly(tmp_path, capsys,
+                                                      integrand, message):
+    f = tmp_path / "bad.prob"
+    f.write_text(f"n = 1\nT = 1\nx0 = 0\nintegrand = {integrand}\n")
+    assert run(["solve", str(f), "--out", str(tmp_path / "bad_run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nsvar: error: line 4: bad integrand: ")
+    assert message in err
+
+
+def test_run_too_deep_to_compile_leaves_a_failed_summary(tmp_path, capsys):
+    # A flat sum parses iteratively but nests one Add per term, and the
+    # compilers walk that tree recursively.
+    terms = " + ".join(f"abs(x1 - {k})" for k in range(300))
+    f = tmp_path / "long.prob"
+    f.write_text(f"n = 1\nT = 1\nx0 = 0\nintegrand = {terms}\n")
+    out = tmp_path / "long_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 1
+    reason = "integrand nested too deeply to compile"
+    assert capsys.readouterr().err == f"nsvar: error: {reason}\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"problem": "long", "status": "failed", "reason": reason}
+
+
 def test_run_survives_line_search_probe_that_overflows(tmp_path):
     # Doubling the step from x = 0 overshoots x1 = 1.6, where the exp
     # term overflows; that probe must count as +inf, like one outside the

@@ -281,9 +281,18 @@ def test_eval_I_frozen_near_optimal_pair():
     assert val == pytest.approx(-0.02175, abs=5e-4)
 
 
+def _psi_only():
+    """psi without phi: xT is given and the integrand reads no z."""
+    return ProblemSpec(n=2, horizon=1.0, x0=[0.0, 1.0], xT=[1.0, 0.5],
+                       integrand=parse_expr("abs(x1 - t) + pow(x2, 2)", 2))
+
+
 def _one_pass_problems():
-    """The built-ins and the two benchmark reference problems."""
+    """The built-ins, the two benchmark reference problems and psi alone."""
     yield from (load_problem(f"example{k}") for k in (1, 2, 3, 4))
+    p = _psi_only()
+    assert p.use_psi and not p.use_phi
+    yield p
     yield ProblemSpec(
         n=2, horizon=1.0, x0=[0.0, 0.0], xT=[0.0, 0.0],
         integrand=parse_expr("max(pow(z1, 2) - pow(x1, 2) - 2.0 * t * x1, x2)", 2))
@@ -376,7 +385,10 @@ def test_eval_I_hot_path_counts(monkeypatch):
 
 
 def _reference_problem(name, tmp_path, monkeypatch):
-    """A built-in, or a benchmark workload's reference problem (seed 0)."""
+    """A built-in, a benchmark workload's reference problem (seed 0), or
+    _psi_only."""
+    if name == "psi_only":
+        return _psi_only()
     if not name.startswith("workload:"):
         return load_problem(name)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -395,7 +407,8 @@ def _reference_problem(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name, N", [("example3", 11), ("example3", 21),
                                      ("example4", 51), ("example2", 21),
                                      ("workload:penalty_ladder", 21),
-                                     ("workload:kink_tracking", 51)])
+                                     ("workload:kink_tracking", 51),
+                                     ("psi_only", 21)])
 def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
     """The penalties' quadratic in gamma plus the folded integrand is I."""
     p = _reference_problem(name, tmp_path, monkeypatch)

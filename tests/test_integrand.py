@@ -90,6 +90,8 @@ def test_parse_errors():
         parse_expr("max(x1)", 1)
     with pytest.raises(ParseError, match="integer literal"):
         parse_expr("pow(x1, t)", 1)
+    with pytest.raises(ParseError, match="integer literal"):
+        parse_expr("pow(x1, 1e400)", 1)
     with pytest.raises(ParseError, match="position 7"):
         parse_expr("(x1 + 1", 1)
     with pytest.raises(ParseError, match="unknown identifier"):

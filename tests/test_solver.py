@@ -237,11 +237,7 @@ def test_solve_deterministic():
     assert s1 == s2
     assert np.array_equal(xz1.x.values, xz2.x.values)
     assert np.array_equal(xz1.z.values, xz2.z.values)
-    assert len(recs1) == len(recs2)
-    for a, b in zip(recs1, recs2):
-        assert (a.k, a.I, a.J, a.psi, a.phi, a.vnorm, a.lam, a.gamma,
-                a.npoints) == (b.k, b.I, b.J, b.psi, b.phi, b.vnorm, b.lam,
-                               b.gamma, b.npoints)
+    assert recs1 == recs2
 
 
 def test_solve_direction_log():
