@@ -6,9 +6,10 @@ Usage, from anywhere:
 
 OLD and NEW are the roots of two nsvar source trees.  With each tree's
 ``src`` on the path, a fresh interpreter runs ``nsvar solve`` on the
-built-ins example1..example4 and on every pool member of each benchmark
-workload, with the workload's flags.  The workloads come from
-``perfbench/workloads.py`` next to this script.  For every run the script
+built-ins example1..example4, on every pool member of each benchmark
+workload, with the workload's flags, and on the problems in ``EXTRA``.
+The workloads come from ``perfbench/workloads.py`` next to this script.
+For every run the script
 prints ``identical`` when both trees leave byte-identical trajectory.csv
 and convergence.csv and the same exit code, else ``differs`` followed by
 one line per tree: its exit code, iterations, final J and psi + phi, and
@@ -29,6 +30,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUILTINS = ("example1", "example2", "example3", "example4")
 ARTIFACTS = ("trajectory.csv", "convergence.csv")
+# Problems that reach a route no built-in or pool member does.  Node 0 of
+# norm_plus_segment holds norm at its zero plus the segment of abs, which
+# has no closed form and no vertex list, so min_norm_point solves it by
+# Wolfe's method over the support function.
+EXTRA = {
+    "norm_plus_segment": (
+        "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
+        " + pow(z1 - 1, 2) + pow(z2, 2)\n"),
+}
 
 
 def _workloads():
@@ -48,6 +58,10 @@ def _runs(scratch: Path) -> list[tuple[str, list[str]]]:
             path = scratch / f"{w.name}_{seed}.txt"
             path.write_text(w.problem(w.params(seed)))
             runs.append((f"{w.name} member {seed}", [str(path), *w.flags]))
+    for name, text in EXTRA.items():
+        path = scratch / f"{name}.txt"
+        path.write_text(text)
+        runs.append((name, [str(path)]))
     return runs
 
 

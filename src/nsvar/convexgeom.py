@@ -12,10 +12,12 @@ queries matter:
   which is the steepest-descent generator.
 
 ``min_norm_point`` picks the cheapest exact route available: direct
-formulas for points and offset balls, Wolfe's minimum-norm algorithm for
-polytopes (a polytope plus a full ball is a polytope's nearest point
-pulled in by the radius), and an away-step conditional-gradient loop
-driven by the support oracle for everything else.  Every route
+formulas for points and offset balls, and otherwise Wolfe's minimum-norm
+algorithm (Wolfe, Math. Programming 11, 1976), which needs only a linear
+minimizer over the set.  Over a polytope the minimizer scans its vertex
+list (a polytope plus a full ball is a polytope's nearest point pulled
+in by the radius); over any other set, such as a ball on a coordinate
+subspace plus a polytope, it is the support function.  Every route
 reports the duality gap <v, v> - min_{s in S} <v, s> so callers can check
 the answer without trusting the solver.
 
@@ -294,8 +296,14 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
                    max_iter: int | None = None) -> MinNormResult:
     """Minimum Euclidean norm point of a compact convex set.
 
-    tol controls the duality-gap certificate: the result is ``certified``
-    when gap <= tol * (1 + ||point||^2).
+    A point or a single ball has a formula.  A set with a vertex list of
+    at most _VERTEX_PRODUCT_CAP vertices, possibly plus one full ball,
+    takes Wolfe's method over that list; any other set takes Wolfe's
+    method over its support function, whose atoms are the points
+    ``support`` returns.  tol controls the duality-gap certificate: the
+    result is ``certified`` when gap <= tol * (1 + ||point||^2).
+    max_iter caps Wolfe's major iterations; the default grows with the
+    dimension and with the count of vertices and balls.
     """
     d = dim(s)
     q = np.zeros(d)
@@ -312,7 +320,7 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
             verts = verts + q
             if max_iter is None:
                 max_iter = 10 * d * (verts.shape[0] + 10)
-            return _wolfe(s, verts, tol, max_iter)
+            return _wolfe_vertices(s, verts, tol, max_iter)
     elif not polys and len(balls) == 1:
         c, r, m = balls[0]
         x = q + c
@@ -324,13 +332,13 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
     elif len(balls) == 1 and balls[0][2].all():
         # Summing a full ball is an r-neighborhood: shift the polytope by
         # the ball center, take its nearest point, and pull it toward the
-        # origin by r.  Exact, unlike the conditional-gradient fallback.
+        # origin by r.  Finite, unlike Wolfe's method over a ball's support.
         c, r, _ = balls[0]
         verts = _merge_polytopes(polys)
         if verts is not None:
             verts = verts + (q + c)
             inner_cap = 10 * d * (verts.shape[0] + 10) if max_iter is None else max_iter
-            inner = _wolfe(Polytope(verts), verts, tol, inner_cap)
+            inner = _wolfe_vertices(Polytope(verts), verts, tol, inner_cap)
             nm = float(np.linalg.norm(inner.point))
             x = np.zeros(d) if nm <= r else (1.0 - r / nm) * inner.point
             return _finish(s, x, [x], [1.0], inner.iterations, tol)
@@ -338,7 +346,7 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
     if max_iter is None:
         nverts = sum(p.shape[0] for p in polys)
         max_iter = 10 * d * (nverts + 10 * max(1, len(balls)))
-    return _away_step_cg(s, tol, max_iter)
+    return _wolfe_support(s, tol, max_iter)
 
 
 def _affine_min_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,30 +366,63 @@ def _affine_min_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w @ a, w
 
 
-def _wolfe(s: ConvexSet, verts: np.ndarray, tol: float, max_iter: int) -> MinNormResult:
-    """Wolfe's minimum-norm-point algorithm over conv(verts).
+def _wolfe_vertices(s: ConvexSet, verts: np.ndarray, tol: float,
+                    max_iter: int) -> MinNormResult:
+    """Wolfe's method over conv(verts), from the least-norm vertex.
 
-    Maintains a corral (an affinely independent active vertex set) whose
-    affine minimizer is the current iterate; finite in exact arithmetic.
+    The linear minimizer takes the lowest index among the argmins and
+    keys each vertex by its index.
     """
-    norms = np.einsum("ij,ij->i", verts, verts)
-    i0 = int(np.argmin(norms))
-    corral = [i0]
+    def lmo(x):
+        dots = verts @ x
+        j = int(np.argmin(dots))
+        return j, float(dots[j]), verts[j]
+
+    i0 = int(np.argmin(np.einsum("ij,ij->i", verts, verts)))
+    return _wolfe(s, lmo, i0, verts[i0], tol, max_iter)
+
+
+def _wolfe_support(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
+    """Wolfe's method over S's support function, from support(S, 0)'s point.
+
+    The linear minimizer is support(S, -x), and each atom is keyed by its
+    bytes.
+    """
+    def lmo(x):
+        sval, a = support(s, -x)
+        return a.tobytes(), -sval, a
+
+    _, atom = support(s, np.zeros(dim(s)))
+    return _wolfe(s, lmo, atom.tobytes(), atom, tol, max_iter)
+
+
+def _wolfe(s: ConvexSet, lmo, key, atom: np.ndarray, tol: float,
+           max_iter: int) -> MinNormResult:
+    """Wolfe's minimum-norm-point algorithm over a linear minimizer.
+
+    lmo(x) returns (key, <x, a>, a) for a point a of S minimizing <x, a>;
+    the run starts at the atom given with its key.  Maintains a corral
+    (an affinely independent active atom set) whose affine minimizer is
+    the current iterate; finite in exact arithmetic over a vertex list.
+    An atom already in the corral ends the loop.
+    """
+    keys = [key]
+    corral = [atom]
     w = np.array([1.0])
-    x = verts[i0].copy()
+    x = atom.copy()
     drop_eps = 1e-12
 
     iters = 0
     for iters in range(1, max_iter + 1):
-        dots = verts @ x
-        j = int(np.argmin(dots))
+        key, dot, atom = lmo(x)
         sq = float(x @ x)
-        if sq - float(dots[j]) <= tol * (1.0 + sq) or j in corral:
+        if sq - dot <= tol * (1.0 + sq) or key in keys:
             break
-        corral.append(j)
+        keys.append(key)
+        corral.append(atom)
         w = np.append(w, 0.0)
-        for _ in range(len(verts) + 2):  # minor cycle
-            sub = verts[corral]
+        for _ in range(len(corral) + 1):  # minor cycle; each pass drops an atom
+            sub = np.array(corral)
             y, alpha = _affine_min_norm(sub)
             if np.all(alpha > drop_eps):
                 x, w = y, alpha
@@ -391,83 +432,22 @@ def _wolfe(s: ConvexSet, verts: np.ndarray, tol: float, max_iter: int) -> MinNor
                 ratios = np.where(mask & (w > alpha), w / (w - alpha), np.inf)
             theta = float(min(1.0, ratios.min()))
             if theta <= 0.0 or not np.isfinite(theta):
-                # roundoff stall: evict the worst-weighted vertex outright
-                drop = int(np.argmin(alpha))
-                corral.pop(drop)
-                w = np.delete(w, drop)
+                # roundoff stall: evict the worst-weighted atom outright
+                keep = np.arange(len(corral)) != int(np.argmin(alpha))
             else:
                 w = (1.0 - theta) * w + theta * alpha
                 w[w < drop_eps] = 0.0
                 keep = w > 0.0
-                if not np.any(keep):  # numerical stalemate; keep best vertex
+                if not np.any(keep):  # numerical stalemate; keep best atom
                     keep[int(np.argmin(np.einsum("ij,ij->i", sub, sub)))] = True
-                corral = [c for c, k in zip(corral, keep) if k]
-                w = w[keep]
+            keys = [k for k, kept in zip(keys, keep) if kept]
+            corral = [a for a, kept in zip(corral, keep) if kept]
+            w = w[keep]
             w = w / w.sum()
-            x = w @ verts[corral]
+            x = w @ np.array(corral)
 
-    atoms = verts[corral]
+    atoms = np.array(corral)
     return _finish(s, w @ atoms, atoms, w, iters, tol)
-
-
-def _away_step_cg(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
-    """Away-step conditional gradient on ||x||^2 using the support oracle.
-
-    Handles Minkowski sums that mix balls with polytopes, where no direct
-    formula applies.  Exact line search per step; atoms returned by the
-    oracle certify feasibility of the final combination.
-    """
-    _, x = support(s, np.zeros(dim(s)))
-    atoms = [x.copy()]
-    weights = [1.0]
-    x = x.copy()
-
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        sval, fw_atom = support(s, -x)
-        sq = float(x @ x)
-        gap_fw = sq + float(sval)  # <x,x> - min_s <x,s>
-        if gap_fw <= tol * (1.0 + sq):
-            break
-        dots = np.array([a @ x for a in atoms])
-        ia = int(np.argmax(dots))
-        gap_away = float(dots[ia]) - sq
-        if gap_fw >= gap_away:
-            direction = fw_atom - x
-            gamma_max = 1.0
-            away = False
-        else:
-            direction = x - atoms[ia]
-            wa = weights[ia]
-            gamma_max = wa / (1.0 - wa) if wa < 1.0 else np.inf
-            away = True
-        dd = float(direction @ direction)
-        if dd == 0.0:
-            break
-        gamma = min(gamma_max, max(0.0, -float(x @ direction) / dd))
-        if gamma == 0.0:
-            break
-        if away:
-            weights = [wi * (1.0 + gamma) for wi in weights]
-            weights[ia] -= gamma
-        else:
-            weights = [wi * (1.0 - gamma) for wi in weights]
-            for k, a in enumerate(atoms):
-                if np.array_equal(a, fw_atom):
-                    weights[k] += gamma
-                    break
-            else:
-                atoms.append(fw_atom.copy())
-                weights.append(gamma)
-        x = x + gamma * direction
-        keep = [k for k, wi in enumerate(weights) if wi > 1e-14]
-        atoms = [atoms[k] for k in keep]
-        weights = [weights[k] for k in keep]
-
-    arr = np.asarray(atoms)
-    wts = np.asarray(weights)
-    wts = wts / wts.sum()
-    return _finish(s, wts @ arr, arr, wts, iters, tol)
 
 
 # ---------------------------------------------------------------------------

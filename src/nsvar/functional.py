@@ -67,8 +67,8 @@ from .integrand import (
     _TOL_ACT,
     EvalPoint,
     Expr,
-    ExprError,
     _raise_at_first,
+    check_depth,
     compile_line,
     compile_subdiff,
     eval_expr_grid,
@@ -101,9 +101,12 @@ class ProblemSpec:
 
     Subdifferentials and gradients are laid out in R^(2n) as
     (x-partials, z-partials).  xT must be present exactly when use_psi
-    is on.  use_phi defaults to whether the integrand mentions any z
-    variable; use_psi defaults to whether xT is given.  Equality
-    compares the mathematical content and ignores the display name.
+    is on.  use_psi defaults to whether xT is given; use_phi defaults to
+    on when use_psi is, else to whether the integrand mentions any z
+    variable, because psi reads z and without phi nothing ties x to it.
+    An integrand more than integrand.MAX_DEPTH nodes deep raises
+    ExprError.  Equality compares the mathematical content and ignores
+    the display name.
     """
 
     n: int
@@ -139,8 +142,9 @@ class ProblemSpec:
             self.use_psi = self.xT is not None
         if self.use_psi != (self.xT is not None):
             raise ValueError("xT must be given exactly when use_psi is set")
+        check_depth(self.integrand)
         if self.use_phi is None:
-            self.use_phi = uses_var_z(self.integrand)
+            self.use_phi = self.use_psi or uses_var_z(self.integrand)
         if self.initial_x is not None:
             self.initial_x = tuple(self.initial_x)
             if len(self.initial_x) != self.n:
@@ -189,11 +193,7 @@ class ProblemSpec:
             self._compiled = (self.integrand, {})
         done = self._compiled[1]
         if compiler not in done:
-            try:
-                done[compiler] = compiler(self.integrand)
-            except RecursionError:
-                raise ExprError(
-                    "integrand nested too deeply to compile") from None
+            done[compiler] = compiler(self.integrand)
         return done[compiler]
 
 

@@ -19,7 +19,8 @@ or ``sqrt`` are rejected when the expression is parsed, except for
 multiplication by a constant.  So is any negation, by unary minus, as
 the right side of ``-`` or by a negative constant factor, of an operand
 holding an ``abs``, ``max`` or ``norm`` over x or z, and any such
-operand inside ``abs``: it would be concave.
+operand inside ``abs`` or ``norm``: it would be concave.  A tree deeper
+than ``MAX_DEPTH`` nodes is rejected too.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
 by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
@@ -226,11 +227,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest expression tree accepted, in nodes from the root to a leaf.
+# Parsing, validation, compilation and evaluation walk trees recursively,
+# a few Python frames per level, and this bound keeps every walk inside
+# the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 200
+
+
+def check_depth(e: Expr) -> None:
+    """ExprError when e is more than MAX_DEPTH nodes deep.
+
+    The tree is walked one level at a time, without recursion; a subtree
+    shared between branches is visited once per level.
+    """
+    level = [e]
+    for _ in range(MAX_DEPTH):
+        level = list({id(a): a for node in level for a in _args(node)}.values())
+        if not level:
+            return
+    raise ExprError("expression nested too deeply")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open expr() calls: the top level, '(' and calls
 
     def peek(self):
         return self.tokens[self.i]
@@ -253,6 +276,9 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprError("expression nested too deeply")
         e = self.term()
         while True:
             kind, val, _ = self.peek()
@@ -261,6 +287,7 @@ class _Parser:
                 rhs = self.term()
                 e = Add(e, rhs) if val == "+" else Sub(e, rhs)
             else:
+                self.nesting -= 1
                 return e
 
     def term(self) -> Expr:
@@ -302,21 +329,19 @@ class _Parser:
                     raise ParseError(f"variable index must be >= 1: {val!r}", pos)
                 return VarX(idx) if m.group(1) == "x" else VarZ(idx)
             if val in _FUNCS:
-                return self.call(val, pos)
+                # The arguments are parsed here, not in call, so a nested
+                # call costs the stack as few frames as a parenthesis.
+                self.expect_sym("(")
+                args = [self.expr()]
+                while self.peek()[:2] == ("sym", ","):
+                    self.next()
+                    args.append(self.expr())
+                self.expect_sym(")")
+                return self.call(val, args, pos)
             raise ParseError(f"unknown identifier {val!r}", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def call(self, name: str, pos: int) -> Expr:
-        self.expect_sym("(")
-        args = [self.expr()]
-        while True:
-            kind, val, p2 = self.peek()
-            if kind == "sym" and val == ",":
-                self.next()
-                args.append(self.expr())
-            else:
-                break
-        self.expect_sym(")")
+    def call(self, name: str, args: list, pos: int) -> Expr:
         if name in ("sin", "cos", "exp", "sqrt", "abs"):
             if len(args) != 1:
                 raise ParseError(f"{name} takes exactly 1 argument", pos)
@@ -389,12 +414,14 @@ def _negated(e: Expr) -> tuple:
     A convex kink turned upside down is concave, and the set calculus
     would give it the hull of both sides, which holds 0: the method would
     stop on it.  So an operand that varies nonsmoothly in x or z may not
-    be negated, however the negation is spelled, nor sit inside abs,
-    which negates it where it is negative: abs(abs(x1) - 1) is concave
-    on [-1, 1].
+    be negated, however the negation is spelled, nor sit inside abs or
+    norm, which negate it where it is negative: abs(abs(x1) - 1) and
+    norm(abs(x1) - 1) are concave on [-1, 1].
     """
     if isinstance(e, Abs):
         return (e.arg,), "inside abs"
+    if isinstance(e, Norm):
+        return e.args, "inside norm"
     if isinstance(e, Neg):
         return (e.arg,), "negated"
     if isinstance(e, Sub):
@@ -429,11 +456,9 @@ def _validate(e: Expr, n: int, allow_vars: bool) -> None:
 
 def parse_expr(text: str, n: int, allow_vars: bool = True) -> Expr:
     """Parse and validate an integrand over x1..xn, z1..zn, t."""
-    try:
-        e = _Parser(text).parse()
-        _validate(e, n, allow_vars)
-    except RecursionError:
-        raise ExprError("expression nested too deeply") from None
+    e = _Parser(text).parse()
+    check_depth(e)
+    _validate(e, n, allow_vars)
     return e
 
 

@@ -157,6 +157,20 @@ def test_run_endpoint_error_matches_trajectory(tmp_path):
     assert np.allclose(x, integ, atol=1e-12)
 
 
+def test_run_summary_J_is_the_J_of_the_reported_trajectory(tmp_path):
+    # psi reads z, so phi must tie x to it even though the integrand
+    # reads no z: without phi the summary measured J on a free x = t
+    # while trajectory.csv reported x0 + int z.
+    f = tmp_path / "psi.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\nxT = 0.5\nintegrand = abs(x1 - t)\n")
+    out = tmp_path / "psi_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    _, rows = _read_csv(out / "trajectory.csv")
+    t, x = rows[:, 0], rows[:, 1]
+    assert summary["J"] == pytest.approx(np.trapezoid(np.abs(x - t), t), abs=5e-3)
+
+
 def test_run_exhausted_exit_code(tmp_path):
     out = tmp_path / "run3"
     code = run(["solve", "example2", "--out", str(out),
@@ -282,18 +296,18 @@ def test_run_rejects_an_unparseable_integrand_cleanly(tmp_path, capsys,
     assert message in err
 
 
-def test_run_too_deep_to_compile_leaves_a_failed_summary(tmp_path, capsys):
-    # A flat sum parses iteratively but nests one Add per term, and the
-    # compilers walk that tree recursively.
-    terms = " + ".join(f"abs(x1 - {k})" for k in range(300))
-    f = tmp_path / "long.prob"
-    f.write_text(f"n = 1\nT = 1\nx0 = 0\nintegrand = {terms}\n")
-    out = tmp_path / "long_run"
-    assert run(["solve", str(f), "--out", str(out)]) == 1
-    reason = "integrand nested too deeply to compile"
-    assert capsys.readouterr().err == f"nsvar: error: {reason}\n"
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary == {"problem": "long", "status": "failed", "reason": reason}
+def test_run_rejects_a_sum_too_deep_to_walk(tmp_path, capsys):
+    # A flat sum parses iteratively but nests one Add per term, and every
+    # later walk of the tree is recursive: the parse rejects it first.
+    for count in (300, 500, 900):
+        terms = " + ".join(f"abs(x1 - {k})" for k in range(count))
+        f = tmp_path / "long.prob"
+        f.write_text(f"n = 1\nT = 1\nx0 = 0\nintegrand = {terms}\n")
+        out = tmp_path / f"long_run_{count}"
+        assert run(["solve", str(f), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "nsvar: error: line 4: bad integrand: expression nested too deeply\n")
+        assert not out.exists()
 
 
 def test_run_survives_line_search_probe_that_overflows(tmp_path):

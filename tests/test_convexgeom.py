@@ -269,12 +269,35 @@ def test_min_norm_masked_ball_plus_segment():
 
 
 def test_min_norm_zonotope_over_vertex_cap():
-    # 13 segments blow past the vertex-product cap, forcing the
-    # conditional-gradient fallback; the answer is still exact here.
+    # 13 segments blow past the vertex-product cap, forcing Wolfe's
+    # method over the support function; the answer is still exact here.
     segs = tuple(Polytope(np.array([[-0.5, 0.0], [0.5, 0.0]])) for _ in range(13))
     r = min_norm_point(MinkowskiSum(segs + (Singleton([3.0, 2.0]),)))
     assert np.allclose(r.point, [0.0, 2.0], atol=1e-9)
     assert r.certified
+
+
+def test_min_norm_axis_zonotopes_over_vertex_cap_are_exact():
+    # 13-16 axis-parallel segments plus an offset q: each axis k is the
+    # interval q_k +- L_k, L_k the axis's total half-length, so the
+    # nearest point is sign(q_k) * max(|q_k| - L_k, 0) on every axis.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(13, 17))
+        axes = rng.integers(0, d, k)
+        halves = rng.random(k) * 0.5
+        q = rng.standard_normal(d) * 3.0
+        segs = []
+        for axis, h in zip(axes, halves):
+            end = np.zeros(d)
+            end[axis] = h
+            segs.append(Polytope(np.stack([end, -end])))
+        r = min_norm_point(MinkowskiSum(tuple(segs) + (Singleton(q),)))
+        length = np.bincount(axes, weights=halves, minlength=d)
+        exact = np.sign(q) * np.maximum(np.abs(q) - length, 0.0)
+        assert r.certified
+        assert np.abs(r.point - exact).max() <= 1e-9
 
 
 def test_min_norm_iteration_cap_reports_uncertified():

@@ -87,6 +87,9 @@ def test_problem_flag_inference():
     assert not p.use_psi and not p.use_phi
     p = _simple(xT=np.array([1.0]))
     assert p.use_psi
+    # psi reads z, so phi defaults on with it, whatever the integrand reads
+    assert p.use_phi
+    assert not _simple(xT=np.array([1.0]), use_phi=False).use_phi
     # consistency term defaults on as soon as the integrand mentions z
     p = _simple(integrand=parse_expr("abs(z1)", 1))
     assert p.use_phi
@@ -282,9 +285,10 @@ def test_eval_I_frozen_near_optimal_pair():
 
 
 def _psi_only():
-    """psi without phi: xT is given and the integrand reads no z."""
+    """psi without phi: xT is given, the integrand reads no z, phi is off."""
     return ProblemSpec(n=2, horizon=1.0, x0=[0.0, 1.0], xT=[1.0, 0.5],
-                       integrand=parse_expr("abs(x1 - t) + pow(x2, 2)", 2))
+                       integrand=parse_expr("abs(x1 - t) + pow(x2, 2)", 2),
+                       use_phi=False)
 
 
 def _one_pass_problems():

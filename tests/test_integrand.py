@@ -29,6 +29,7 @@ from nsvar.integrand import (
     Max,
     Mul,
     Neg,
+    Norm,
     ParseError,
     Pow,
     Sub,
@@ -116,6 +117,9 @@ def test_parse_errors():
     ("x1 - 2 * norm(x1, t)", "nonsmooth subexpression subtracted"),
     ("abs(abs(x1) - 1)", "nonsmooth subexpression inside abs"),
     ("abs(max(x1, z1))", "nonsmooth subexpression inside abs"),
+    # norm(u) is abs(u), and a norm of several operands flips each sign
+    ("norm(abs(x1) - 1)", "nonsmooth subexpression inside norm"),
+    ("norm(max(x1, z1), x2)", "nonsmooth subexpression inside norm"),
 ])
 def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     with pytest.raises(ExprError) as info:
@@ -134,6 +138,8 @@ def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     ("x1 - max(t - 0.5, 0)",
      Sub(VarX(1), Max((Sub(Time(), Const(0.5)), Const(0.0))))),
     ("-abs(t) + x1", Add(Neg(Abs(Time())), VarX(1))),
+    ("norm(max(t - 0.5, 0), x1)",
+     Norm((Max((Sub(Time(), Const(0.5)), Const(0.0))), VarX(1)))),
 ])
 def test_parse_accepts_constant_factors(text, tree):
     assert parse_expr(text, 1) == tree

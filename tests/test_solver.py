@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nsvar.convexgeom
 import nsvar.functional
 import nsvar.integrand
 import nsvar.solver
@@ -322,6 +323,56 @@ def test_penalty_ladder_member_does_not_jam():
     _, recs, status = solve(p, cfg)
     assert status == "converged"
     assert recs[-1].J <= -0.020
+
+
+def test_solve_norm_plus_segment_through_the_support_function(monkeypatch):
+    # Node 0 holds norm at its zero, a ball the grid pass masks, plus the
+    # segment of abs(x1 - t): no closed form and no vertex list, so those
+    # nodes take Wolfe's method over the support function.
+    calls = []
+    route = nsvar.convexgeom._wolfe_support
+
+    def counting(s, *args):
+        calls.append(s)
+        return route(s, *args)
+
+    monkeypatch.setattr(nsvar.convexgeom, "_wolfe_support", counting)
+    p = ProblemSpec(n=2, horizon=1.0, x0=np.zeros(2),
+                    integrand=nsvar.integrand.parse_expr(
+                        "norm(x1, x2) + abs(x1 - t) + pow(z1 - 1, 2) + pow(z2, 2)", 2))
+    _, recs, status = solve(p, SolverConfig())
+    assert calls
+    assert status == "converged"
+    assert recs[-1].k == 8
+    assert recs[-1].J == pytest.approx(0.505291, abs=1e-6)
+
+
+def test_trees_at_the_depth_bound_take_every_walk():
+    # Each tree is MAX_DEPTH nodes deep: the parse, the validation, both
+    # compiled passes and, at the zero of norm where every node starts,
+    # the per-node route all walk it recursively, inside the default
+    # recursion limit.  One level more is rejected.
+    bound = nsvar.integrand.MAX_DEPTH
+    parse = nsvar.integrand.parse_expr
+    k = bound - 2
+    nested = "norm(x1, z1) + " + "sin(" * k + "x1" + ")" * k
+    flat = "norm(x1, z1) + " + " + ".join(
+        f"abs(x1 - {j / k!r})" for j in range(bound - 3))
+    for text in (nested, flat):
+        p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1), integrand=parse(text, 1))
+        _, recs, _ = solve(p, SolverConfig(grid_sizes=(5,), max_iters=3))
+        assert recs
+    deeper = "norm(x1, z1) + " + "sin(" * (k + 1) + "x1" + ")" * (k + 1)
+    for text in (deeper, flat + " + abs(x1)"):
+        with pytest.raises(nsvar.integrand.ExprError,
+                           match="^expression nested too deeply$"):
+            parse(text, 1)
+    deep = nsvar.integrand.VarZ(1)
+    for _ in range(bound):
+        deep = nsvar.integrand.Add(deep, nsvar.integrand.Const(1.0))
+    with pytest.raises(nsvar.integrand.ExprError,
+                       match="^expression nested too deeply$"):
+        ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1), integrand=deep)
 
 
 def _recording(fn, slope):
