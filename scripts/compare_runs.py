@@ -33,11 +33,14 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # Problems that reach a route no built-in or pool member does.  Node 0 of
 # norm_plus_segment holds norm at its zero plus the segment of abs, which
 # has no closed form and no vertex list, so min_norm_point solves it by
-# Wolfe's method over the support function.
+# Wolfe's method over the support function.  abs_with_penalties is a
+# sweep line (eval_I_along) with the penalties' quadratic in gamma.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
         " + pow(z1 - 1, 2) + pow(z2, 2)\n"),
+    "abs_with_penalties": (
+        "n = 1\nT = 1\nx0 = 0\nxT = 0.5\nintegrand = abs(z1) + abs(x1 - t)\n"),
 }
 
 

@@ -19,7 +19,8 @@ budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
 summary.json lists the run's (grid, lambda) stages and why each ended:
 "stationary", "budget" (max_iters used up) or "ls_stall" (no decrease
 along the direction at the exact tie tolerance), with the tie tolerance
-each reached and the directions it took, retakes included.
+each reached, the directions it took, retakes included, and its line
+searches that started from the breakpoint sweep's exact minimizer.
 A solve that fails once the output directory exists leaves a summary.json
 with status "failed" and the reason; once it has a first pair, it also
 leaves that run's last pair in trajectory.csv and its records so far in
@@ -242,7 +243,8 @@ class RunSummary:
     npoints: int
     endpoint_error: float | None
     wall_time: float
-    # per (grid, lambda) stage: N, lambda, iterations, stop, eps, directions
+    # per (grid, lambda) stage: N, lambda, iterations, stop, eps, directions,
+    # sweeps
     stages: list
 
 
@@ -376,7 +378,8 @@ def run(argv: list[str]) -> int:
             endpoint_error=endpoint_error, wall_time=wall,
             stages=[{"N": st.npoints, "lambda": st.lam,
                      "iterations": st.iterations, "stop": st.stop,
-                     "eps": st.eps, "directions": st.directions}
+                     "eps": st.eps, "directions": st.directions,
+                     "sweeps": st.sweeps}
                     for st in stage_log],
         )
         _write_run(outdir, state, xz.z, records)

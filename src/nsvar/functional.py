@@ -31,7 +31,11 @@ folded along the line once too (compile_line): subtrees that are
 polynomials of degree <= 2 in gamma become coefficient arrays.  Each
 probe then evaluates only the compiled integrand's nodes that do not
 fold, with their one-sided slopes; its value matches eval_I at the
-stepped pair to roundoff, and it raises the same DomainError.
+stepped pair to roundoff, and it raises the same DomainError.  On a
+sweep line, where every kink is |a + b gamma| with a nonnegative weight
+and the gamma^2 coefficients sum to >= 0, I is convex piecewise
+quadratic along the line, and eval_I_along also gives its exact
+minimizer, by one sorted sweep of the breakpoints (_sweep_minimizer).
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
@@ -349,6 +353,13 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     its value equals that one to roundoff.  A subtree without x or z is
     evaluated when the line is built, if at all, so its DomainError comes
     from this call; eval_I raises it at every point of the line.
+
+    On a sweep line (compile_line's at.kinks) whose total gamma^2
+    coefficient, the smooth part's trapezoid sum plus c2, is >= 0, I is
+    convex piecewise quadratic in gamma, and probe.sweep is its first
+    minimizer over gamma >= 0 by one sweep of the breakpoints
+    (_sweep_minimizer): 0.0 where I does not fall, inf where it falls
+    without bound.  Everywhere else probe.sweep is None.
     """
     grid = xz.grid
     h, t = grid.h, grid.nodes
@@ -378,7 +389,66 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
         return (J + (c0 + gamma * (c1 + gamma * c2)),
                 dJ_left + slope, dJ + slope)
 
+    probe.sweep = None
+    if at.kinks is not None:
+        kinks, smooth = at.kinks
+        try:
+            s1 = c1 + (float(w @ smooth[1]) if len(smooth) > 1 else 0.0)
+            s2 = c2 + (float(w @ smooth[2]) if len(smooth) > 2 else 0.0)
+            a = b = weight = np.zeros(0)
+            if kinks:
+                a, b, factors = zip(*kinks)
+                a, b = np.concatenate(a), np.concatenate(b)
+                weight = np.concatenate([w * f for f in factors])
+            probe.sweep = _sweep_minimizer(a, b, weight, s1, s2)
+        except FloatingPointError:
+            pass  # an overflow under solve's errstate: search by slopes
     return probe
+
+
+def _sweep_minimizer(a, b, weight, s1: float, s2: float) -> float | None:
+    """First minimizer over gamma >= 0 of the convex piecewise quadratic
+    s1 gamma + s2 gamma^2 + sum_j weight_j |a_j + b_j gamma|, or None.
+
+    The breakpoint scan of L-BFGS-B's generalized Cauchy point (Byrd, Lu,
+    Nocedal and Zhu, SIAM J. Sci. Comput. 16, 1995) on one line: the right
+    slope at 0+ (a term with a = 0 counts weight |b|), the roots -a/b > 0
+    sorted once, and the slope's jumps 2 weight |b| there, plus 2 s2 gamma,
+    summed until the right slope reaches 0.  That is a root, or the
+    stationary point inside a piece when s2 > 0; where the slope is
+    exactly 0 across a whole piece the answer is that flat bottom's middle.
+    Returns 0.0 when the right slope at 0+ is >= 0, inf when the function
+    falls without bound, and None when it is not convex (s2 < 0 or a
+    negative weight) or its slope at 0+ is not finite.
+    """
+    if not (s2 >= 0.0 and (weight >= 0.0).all()):
+        return None
+    wb = weight * np.abs(b)
+    # the terms with a root > 0.  a * b underflows to 0 only where |b| <
+    # 1e-100 or the root is < 1e-120: such a term counts as rising from 0
+    ahead = a * b < 0.0
+    jumps = 2.0 * wb[ahead]
+    slope = s1 + float(wb.sum()) - float(jumps.sum())
+    if not math.isfinite(slope):
+        return None
+    if slope >= 0.0:
+        return 0.0
+    roots = -a[ahead] / b[ahead]
+    order = np.argsort(roots)
+    roots = roots[order]
+    # the right slope just past each root, without the quadratic's part
+    cum = slope + np.cumsum(jumps[order])
+    right = cum + 2.0 * s2 * roots if s2 > 0.0 else cum
+    m = int(np.searchsorted(right, 0.0))     # right is nondecreasing
+    if s2 > 0.0:
+        stationary = -(cum[m - 1] if m else slope) / (2.0 * s2)
+        if m == roots.size or stationary < roots[m]:
+            return stationary
+    elif m == roots.size:
+        return math.inf
+    if right[m] == 0.0 and s2 == 0.0 and m + 1 < roots.size:
+        return 0.5 * float(roots[m] + roots[m + 1])  # a flat bottom
+    return float(roots[m])
 
 
 def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:

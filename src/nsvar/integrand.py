@@ -571,6 +571,15 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     The values of a subtree without x or z are kept, keyed on the array
     t itself, and reused while later calls pass that t: once per grid.
     Only a read-only t is kept, as a Grid's nodes are.
+
+    at.kinks is the line's kink data, (kinks, smooth), on a sweep line:
+    one where every node that does not fold is an abs of a fold of degree
+    <= 1 in gamma, or a two-branch max of such folds, under only sums,
+    differences and constant factors.  There the nodal values are
+    smooth[0] + smooth[1] gamma + smooth[2] gamma^2 (a shorter tuple
+    means zero coefficients) plus factor * |a + b gamma| for each
+    (a, b, factor) in kinks; max(u1, u2) counts as (u1 + u2)/2 +
+    |u1 - u2|/2.  On every other line at.kinks is None.
     """
     fold = _compile_line(e)
 
@@ -578,8 +587,13 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
         r = fold(x, z, t, gx, gz)
         if _constant(r):
             zero = np.zeros(t.shape)
-            return lambda g: (r[0], zero, zero)
-        return _at(r)
+
+            def at(g):
+                return r[0], zero, zero
+        else:
+            at = _at(r)
+        at.kinks = _kinks(r)
+        return at
     return line
 
 
@@ -606,6 +620,23 @@ def _at(r: Folded) -> Callable[[float], tuple]:
 def _constant(r: Folded) -> bool:
     """True when a folded subtree does not change along the line."""
     return not callable(r) and len(r) == 1
+
+
+def _kinks(r: Folded) -> tuple | None:
+    """A folded subtree's kink data, as compile_line's at.kinks gives it:
+    a fold is all smooth, a node that does not fold has the kink data
+    its rule attached, if any."""
+    if callable(r):
+        return getattr(r, "kinks", None)
+    return (), r
+
+
+def _poly_add(op: Callable, a: tuple, b: tuple) -> tuple:
+    """op (add or sub) of two polynomials in gamma, coefficient-wise; a
+    coefficient only one side has is 0 on the other."""
+    m = min(len(a), len(b))
+    return (tuple(op(u, v) for u, v in zip(a, b)) + a[m:]
+            + tuple(op(0.0, v) for v in b[m:]))
 
 
 def _compile_line(e: Expr):
@@ -669,12 +700,14 @@ def _line_rule(e: Expr):
 
         def add(*point):
             r1, r2 = f(*point), g(*point)
-            if callable(r1) or callable(r2):
-                return _binary(op, lambda u1, u2, s1, s2: op(s1, s2), r1, r2)
-            # a coefficient only one side has is 0 on the other
-            m = min(len(r1), len(r2))
-            return (tuple(op(a, b) for a, b in zip(r1, r2)) + r1[m:]
-                    + tuple(op(0.0, b) for b in r2[m:]))
+            if not (callable(r1) or callable(r2)):
+                return _poly_add(op, r1, r2)
+            out = _binary(op, lambda u1, u2, s1, s2: op(s1, s2), r1, r2)
+            k1, k2 = _kinks(r1), _kinks(r2)
+            # a subtracted kink would be concave
+            if k1 and k2 and (op is operator.add or not k2[0]):
+                out.kinks = (k1[0] + k2[0], _poly_add(op, k1[1], k2[1]))
+            return out
         return add
     if isinstance(e, Mul):
         f, g = _line_operands((e.left, e.right))
@@ -683,8 +716,13 @@ def _line_rule(e: Expr):
             r1, r2 = f(*point), g(*point)
             if (callable(r1) or callable(r2)
                     or len(r1) + len(r2) - 2 > _LINE_DEGREE):
-                return _binary(operator.mul,
-                               lambda u1, u2, s1, s2: u1 * s2 + u2 * s1, r1, r2)
+                out = _binary(operator.mul,
+                              lambda u1, u2, s1, s2: u1 * s2 + u2 * s1, r1, r2)
+                c, k = (r1, _kinks(r2)) if callable(r2) else (r2, _kinks(r1))
+                if k and _constant(c):
+                    out.kinks = (tuple((a, b, c[0] * w) for a, b, w in k[0]),
+                                 tuple(c[0] * s for s in k[1]))
+                return out
             return _poly_mul(r1, r2)
         return mul
     if isinstance(e, Div):
@@ -841,6 +879,8 @@ def _abs(r: Folded) -> Folded:
             out_left = np.where(zero, -np.abs(left), out_left)
             out = np.where(zero, np.abs(right), out)
         return np.abs(u), out_left, out
+    if not callable(r) and len(r) == 2:
+        probe.kinks = (((r[0], r[1], 1.0),), ())
     return probe
 
 
@@ -862,6 +902,10 @@ def _max2(r1: Folded, r2: Folded) -> Folded:
             left = np.where(tie, np.minimum(l1, l2), left)
             right = np.where(tie, np.maximum(s1, s2), right)
         return np.maximum(u1, u2), left, right
+    if not (callable(r1) or callable(r2)) and max(len(r1), len(r2)) == 2:
+        a, b = _poly_add(operator.sub, r1, r2)
+        probe.kinks = (((a, b, 0.5),),
+                       tuple(0.5 * c for c in _poly_add(operator.add, r1, r2)))
     return probe
 
 

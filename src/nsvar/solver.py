@@ -3,11 +3,15 @@
 Each iteration computes the minimum-norm point of the pointwise
 subdifferential of I at every grid node, interpolates those nodal
 subgradients piecewise-linearly, and walks along the normalized negative
-field.  The step comes from a line search on I's value and its left and
-right slopes along the direction (line_search), with the polyhedral and
-quadratic steps of Lemarechal and Mifflin (Math. Programming 24, 1982)
-and Mifflin (Math. Programming 28, 1984), down to a probe where 0 lies
-between the two slopes or a bracket of _LS_TOL * (1 + gamma).  solve
+field.  The step comes from a line search (line_search).  Where I is
+convex piecewise quadratic along the direction, a sweep line, that is
+one probe at the exact minimizer eval_I_along found by sweeping the
+line's breakpoints.  Elsewhere, and where that probe does not decrease
+I, it searches on I's value and its left and right slopes along the
+direction, with the polyhedral and quadratic steps of Lemarechal and
+Mifflin (Math. Programming 24, 1982) and Mifflin (Math. Programming 28,
+1984), down to a probe where 0 lies between the two slopes or a bracket
+of _LS_TOL * (1 + gamma).  solve
 measures J and the penalties once per iterate; that I is the iteration
 record's value and f0 for the search on eval_I_along.  That builds the
 line once: the penalties become one quadratic in the step, and the
@@ -112,7 +116,9 @@ class StageRecord:
     there, and "budget" when the stage used its max_iters iterations.
     eps is the tie tolerance the stage reached, that of its last
     iteration, and directions counts its steepest_direction calls,
-    retakes at a smaller eps included.
+    retakes at a smaller eps included.  sweeps counts its line searches
+    on sweep lines, which line_search starts from the exact minimizer
+    (eval_I_along's probe.sweep).
     """
 
     npoints: int
@@ -121,6 +127,7 @@ class StageRecord:
     stop: str
     eps: float
     directions: int
+    sweeps: int
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -182,6 +189,13 @@ def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
     _LS_TOL * (1 + lo) wide, or when the tangents leave no value below the
     bracket's ends that a double could tell apart (_EPS).
 
+    Where f.sweep is not None, f is convex and f.sweep is its exact
+    minimizer over gamma >= 0 (eval_I_along's breakpoint sweep): 0.0
+    returns no decrease without a probe, as no probe could beat f0; any
+    other value is probed once, capped at _LS_MAX_STEP, and the search
+    ends there when that probe decreases f.  Otherwise the slope search
+    above runs on the same f.
+
     A probe that raises DomainError or FloatingPointError counts as +inf
     with no slopes, so it only shrinks the bracket.  Returns (gamma,
     accepted, calls of f): gamma is the lowest probe, or 0.0 with
@@ -206,6 +220,14 @@ def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
         if best[0] > 0.0:
             return best[0], True, probes
         return 0.0, False, probes
+
+    sweep = getattr(f, "sweep", None)
+    if sweep is not None:
+        if sweep == 0.0:
+            return result()
+        probe(min(sweep, _LS_MAX_STEP))
+        if best[0] > 0.0:
+            return result()
 
     # Points are (gamma, value, left slope, right slope).
     lo = None
@@ -323,6 +345,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
             k_start = k
             ei = 0
             directions = 0
+            sweeps = 0
             J = eval_J(p, xz)
             psi, phi = penalty_values(p, xz)
             for _ in range(cfg.max_iters):
@@ -337,9 +360,10 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     directions += 1
                     gamma, ok = 0.0, False
                     if direction is not None:
-                        gamma, ok, probes = line_search(
-                            eval_I_along(p, xz, direction, lam), I)
+                        along = eval_I_along(p, xz, direction, lam)
+                        gamma, ok, probes = line_search(along, I)
                         ls_evals += probes
+                        sweeps += along.sweep is not None
                     if ok or ei == floor:
                         break
                     ei += 1
@@ -366,7 +390,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
 
             if stage_log is not None:
                 stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start,
-                                             stop, eps, directions))
+                                             stop, eps, directions, sweeps))
             pen = psi + phi
             on_last_grid = gi + 1 == len(cfg.grid_sizes)
             if stop == "stationary" and on_last_grid and pen <= cfg.constraint_tol:

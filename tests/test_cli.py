@@ -204,7 +204,8 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
     _, rows = _read_csv(out / "convergence.csv")
     first = 0
     for s in stages:
-        assert set(s) == {"N", "lambda", "iterations", "stop", "eps", "directions"}
+        assert set(s) == {"N", "lambda", "iterations", "stop", "eps",
+                          "directions", "sweeps"}
         part = rows[first:first + s["iterations"]]
         assert len(part) == s["iterations"] >= 1
         assert (part[:, 8] == s["N"]).all() and (part[:, 6] == s["lambda"]).all()
@@ -215,6 +216,10 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
     assert first == len(rows)
     if stops == ["budget"] * 3:
         assert [s["iterations"] for s in stages] == [2, 2, 2]
+        # example2's lines are sweep lines, and every direction was searched
+        assert [s["sweeps"] for s in stages] == [s["directions"] for s in stages]
+    if problem == "example3":
+        assert [s["sweeps"] for s in stages] == [0, 0, 0]
 
 
 def test_run_missing_problem_is_error(tmp_path, capsys):

@@ -36,7 +36,7 @@ from nsvar.integrand import (
     parse_expr,
     subdiff_expr,
 )
-from nsvar.solver import SolverConfig, steepest_direction
+from nsvar.solver import _DECREASE_MARGIN, SolverConfig, line_search, steepest_direction
 from nsvar.trajectory import (
     Grid,
     PairTraj,
@@ -437,6 +437,65 @@ def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
                 for slope, step in ((right, h), (left, -h)):
                     diff = (along(gamma + step)[0] - value) / step
                     assert abs(slope - diff) <= 1e-4 * (1.0 + abs(slope))
+
+
+@pytest.mark.parametrize("name", [
+    "example1", "example2", "workload:kink_tracking", "abs_with_penalties",
+    "max(x1, z1) + 0.5 * pow(z1 - 1, 2)", "2 * abs(x1 - t) + pow(x1, 2)"])
+def test_eval_I_along_sweeps_to_the_slope_search_minimum(name, tmp_path, monkeypatch):
+    """On a sweep line one probe at probe.sweep reaches the slope search's
+    value, penalties' quadratic included."""
+    if name == "abs_with_penalties":
+        p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], xT=[0.5],
+                        integrand=parse_expr("abs(z1) + abs(x1 - t)", 1))
+    elif name.startswith(("example", "workload:")):
+        p = _reference_problem(name, tmp_path, monkeypatch)
+    else:
+        p = ProblemSpec(n=1, horizon=1.0, x0=[0.0],
+                        integrand=parse_expr(name, 1))
+    g = Grid(p.horizon, 21)
+    rng = np.random.default_rng(41)
+    for lam in (1.0, 20.0):
+        for _ in range(5):
+            xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
+                           rng.standard_normal((21, p.n))) for _ in range(2))
+            along = eval_I_along(p, xz, d, lam)
+            assert along.sweep is not None
+            f0 = along(0.0)[0]
+            swept = line_search(along, f0)
+            slopes = line_search(lambda gamma: along(gamma), f0)
+            assert swept[2] <= 1    # the probe at the sweep decides
+            low, high = sorted(along(gamma)[0] for gamma in (swept[0], slopes[0]))
+            assert high - low <= 1e-12 * (1.0 + abs(low)) or (
+                f0 - low <= _DECREASE_MARGIN)
+
+
+@pytest.mark.parametrize("name", ["example3", "example4",
+                                  "workload:penalty_ladder"])
+def test_lines_without_a_sweep(name, tmp_path, monkeypatch):
+    """A max of degree-2 branches and a norm keep the slope search."""
+    p = _reference_problem(name, tmp_path, monkeypatch)
+    g = Grid(p.horizon, 21)
+    rng = np.random.default_rng(43)
+    xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
+                   rng.standard_normal((21, p.n))) for _ in range(2))
+    at = p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
+                            d.x.values, d.z.values)
+    assert at.kinks is None
+    assert eval_I_along(p, xz, d, 20.0).sweep is None
+
+
+def test_sweep_waits_for_a_convex_line():
+    # abs(x1) - pow(x1, 2) folds, but its gamma^2 coefficient is negative
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0],
+                    integrand=parse_expr("abs(x1) - pow(x1, 2)", 1))
+    g = Grid(1.0, 5)
+    xz = _pair(p, g, np.zeros((5, 1)), np.zeros((5, 1)))
+    d = _pair(p, g, np.ones((5, 1)), np.zeros((5, 1)))
+    along = eval_I_along(p, xz, d, 1.0)
+    assert p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
+                              d.x.values, d.z.values).kinks is not None
+    assert along.sweep is None
 
 
 @pytest.mark.parametrize("text, message", [

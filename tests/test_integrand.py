@@ -325,6 +325,78 @@ def test_line_pass_matches_value_pass_on_every_node_type(text):
     assert inside >= 1
 
 
+def _kink_model(kinks, gamma):
+    """The nodal values compile_line's at.kinks describes at gamma."""
+    terms, smooth = kinks
+    out = sum(c * gamma ** k for k, c in enumerate(smooth))
+    return out + sum(w * np.abs(a + b * gamma) for a, b, w in terms)
+
+
+@pytest.mark.parametrize("text, kinks", [
+    ("abs(x1)", 1),
+    ("abs(x1) * 2 + 1", 1),
+    ("abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6 * t))", 2),
+    ("max(x1, z1) + 0.5 * pow(z1, 2)", 1),
+    ("2 * abs(x1 - 1) + 3 * (abs(x1) + pow(x1, 2)) - x2 - abs(t - 0.5)", 2),
+    ("pow(x1 - 1, 2) + z2", 0),
+    ("abs(x1 + x2) + max(t, z1) - max(2, 3)", 2),
+])
+def test_line_kink_data_is_the_line_pass(text, kinks):
+    e = parse_expr(text, 2)
+    rng = np.random.default_rng(29)
+    t = np.linspace(0.0, 1.0, 7)
+    x, z, gx, gz = rng.standard_normal((4, 7, 2))
+    at = compile_line(e)(x, z, t, gx, gz)
+    assert at.kinks is not None and len(at.kinks[0]) == kinks
+    assert all(w >= 0.0 for _, _, w in at.kinks[0])
+    for gamma in (0.0, 0.3, 2.0):
+        want = at(gamma)[0]
+        assert np.all(np.abs(_kink_model(at.kinks, gamma) - want)
+                      <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("text", [
+    "max(x1, z1, 0)",
+    "abs(pow(x1, 2) - 1)",
+    "max(pow(z1, 2) - pow(x1, 2) - 2 * t * x1, x2)",
+    "norm(z1 - 1, x2) + pow(x1 - x2 - sin(t), 2)",
+    "abs(x1) + sin(x1)",
+    "abs(x1) + pow(x1, 3)",
+    "max(x1, 0) + pow(x1, 2) * x2",
+])
+def test_lines_outside_the_sweep_class_have_no_kink_data(text):
+    # a max of three branches or of degree-2 branches, a kink of a
+    # degree-2 fold, a norm, a node that does not fold next to a kink
+    e = parse_expr(text, 2)
+    rng = np.random.default_rng(31)
+    t = np.linspace(0.0, 1.0, 7)
+    x, z, gx, gz = rng.standard_normal((4, 7, 2))
+    assert compile_line(e)(x, z, t, gx, gz).kinks is None
+
+
+def test_random_line_kink_data_is_the_line_pass():
+    rng = np.random.default_rng(37)
+    t = np.linspace(0.0, 1.0, 9)
+    swept = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 3))
+        e = random_expr(rng, n)
+        x, z, gx, gz = rng.standard_normal((4, 9, n))
+        try:
+            at = compile_line(e)(x, z, t, gx, gz)
+            at(0.7)
+        except DomainError:
+            continue
+        if at.kinks is None:
+            continue
+        swept += 1
+        for gamma in (0.0, 0.7):
+            want = at(gamma)[0]
+            assert np.all(np.abs(_kink_model(at.kinks, gamma) - want)
+                          <= 1e-12 * (1.0 + np.abs(want)))
+    assert swept >= 30
+
+
 def _check_slopes_against_the_node_route(e, x, z, t, gx, gz):
     """compile_line's left and right slopes are the per-node route's
     one-sided directional derivatives: right f'(p; g) and left

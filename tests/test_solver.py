@@ -536,6 +536,81 @@ def test_line_search_finds_the_minimum_of_convex_piecewise_quadratics(pieces, a,
     assert value - low <= 1e-12 * (1.0 + abs(low))
 
 
+def _sweep_line(rows, s1, s2):
+    """f(g) = s1 g + s2 g^2 + sum of w |a + b g| over rows (a, b, w), as
+    a line-search objective with its one-sided slopes, its terms as
+    arrays, and the candidates for its minimizer over [0, _LS_MAX_STEP]:
+    0, the cap, each root, and each piece's stationary point."""
+    a, b, w = (np.array([r[k] for r in rows], float) for k in range(3))
+
+    def f(g):
+        u = a + b * g
+        turn = np.where(u != 0.0, np.sign(u) * b, np.abs(b))
+        smooth = s1 + 2.0 * s2 * g
+        return (s1 * g + s2 * g * g + float(w @ np.abs(u)),
+                smooth + float(w @ np.where(u != 0.0, turn, -turn)),
+                smooth + float(w @ turn))
+
+    cap = nsvar.solver._LS_MAX_STEP
+    ends = sorted({0.0, cap} | {float(-ai / bi) for ai, bi in zip(a, b)
+                                if bi != 0.0 and 0.0 <= -ai / bi <= cap})
+    candidates = list(ends)
+    if s2 > 0.0:
+        for lo, hi in zip(ends, ends[1:]):
+            candidates.append(min(max(lo - f(lo)[2] / (2.0 * s2), lo), hi))
+    return f, (a, b, w), candidates
+
+
+_half = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(_half, st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                               st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=6),
+       s1=_half, s2=st.sampled_from([0.0, 0.0, 0.25, 1.0]))
+# a flat bottom on [1, 3] and one from 1 on; a kink at 0 that stops the
+# descent; a stationary point inside a piece; no kinks, falling forever
+@example([(-1.0, 1.0, 0.5), (-3.0, 1.0, 1.0)], 0.5, 0.0)
+@example([(-1.0, 1.0, 0.5)], -0.5, 0.0)
+@example([(0.0, 1.0, 1.0), (-1.0, 1.0, 2.0)], -0.5, 0.0)
+@example([(-1.0, 0.5, 1.0), (-1.0, 0.5, 0.5)], -0.5, 1.0)
+@example([], -1.0, 0.0)
+def test_sweep_reaches_the_minimum_of_convex_piecewise_quadratics(rows, s1, s2):
+    """The breakpoint sweep's step, the slope search's and the best of the
+    candidates have one value, on lines with kinks at 0, rows with b = 0,
+    repeated roots, flat bottoms, s2 > 0, no descent and no bottom."""
+    f, (a, b, w), candidates = _sweep_line(rows, s1, s2)
+    f0 = f(0.0)[0]
+    low = min(f(c)[0] for c in candidates)
+    tol = 1e-12 * (1.0 + abs(low))
+    sweep = nsvar.functional._sweep_minimizer(a, b, w, s1, s2)
+    assert sweep is not None and sweep >= 0.0
+    assert f(min(sweep, nsvar.solver._LS_MAX_STEP))[0] - low <= tol
+    if sweep == 0.0:
+        assert f0 - low <= tol
+
+    def swept(g):
+        calls.append(g)
+        return f(g)
+    swept.sweep = sweep
+    calls = []
+    gamma, accepted, evals = line_search(swept, f0)
+    assert evals == len(calls)
+    assert (evals == 0) == (sweep == 0.0)
+    if accepted and evals == 1:
+        assert gamma == min(sweep, nsvar.solver._LS_MAX_STEP)
+    slope_gamma, _, _ = line_search(f, f0)
+    for g in (gamma, slope_gamma):
+        assert f(g)[0] - low <= tol or f0 - low <= nsvar.solver._DECREASE_MARGIN
+
+
+def test_sweep_is_refused_where_the_line_is_not_convex():
+    one = np.ones(1)
+    assert nsvar.functional._sweep_minimizer(one, one, one, -1.0, -0.5) is None
+    assert nsvar.functional._sweep_minimizer(one, -one, -one, -1.0, 0.0) is None
+    assert nsvar.functional._sweep_minimizer(one, one, one, math.nan, 0.0) is None
+
+
 def test_records_count_every_line_search_probe(monkeypatch):
     evals = []
 
@@ -545,13 +620,40 @@ def test_records_count_every_line_search_probe(monkeypatch):
         return result
 
     monkeypatch.setattr(nsvar.solver, "line_search", counted)
-    p = load_problem("example2")
-    _, recs, status = solve(p, SolverConfig(grid_sizes=(11, 21)))
+    example3 = load_problem("example3")
+    for p, cfg, sweep_line in (
+            (load_problem("example2"), SolverConfig(grid_sizes=(11, 21)), True),
+            (example3, SolverConfig(lambda0=example3.lambda0,
+                                    **builtin_config_overrides("example3")), False)):
+        evals.clear()
+        _, recs, status = solve(p, cfg)
+        assert status == "converged"
+        assert sum(r.ls_evals for r in recs) == sum(evals)
+        steps = [r.ls_evals for r in recs if r.gamma > 0.0]
+        if sweep_line:
+            assert steps and steps == [1] * len(steps)  # the minimizer's probe
+        else:
+            assert min(steps) >= 2   # the accepted probe, the bracket end
+
+
+@pytest.mark.parametrize("name, swept", [("example2", True), ("example3", False)])
+def test_stages_count_the_searches_that_take_the_sweep(monkeypatch, name, swept):
+    searches = []
+
+    def counted(f, f0):
+        searches.append(f.sweep is not None)
+        return line_search(f, f0)
+
+    monkeypatch.setattr(nsvar.solver, "line_search", counted)
+    p = load_problem(name)
+    kw = builtin_config_overrides(name)
+    if p.lambda0 is not None:
+        kw["lambda0"] = p.lambda0
+    stages = []
+    _, _, status = solve(p, SolverConfig(**kw), stage_log=stages)
     assert status == "converged"
-    assert sum(r.ls_evals for r in recs) == sum(evals)
-    for r in recs:
-        if r.gamma > 0.0:
-            assert r.ls_evals >= 2   # the accepted probe, the bracket end
+    assert set(searches) == {swept}
+    assert sum(st.sweeps for st in stages) == (len(searches) if swept else 0)
 
 
 def test_records_count_the_probes_of_retaken_directions(monkeypatch):
