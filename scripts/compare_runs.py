@@ -7,7 +7,8 @@ Usage, from anywhere:
 OLD and NEW are the roots of two nsvar source trees.  With each tree's
 ``src`` on the path, a fresh interpreter runs ``nsvar solve`` on the
 built-ins example1..example4, on every pool member of each benchmark
-workload, with the workload's flags, and on the problems in ``EXTRA``.
+workload, with the workload's flags, and on the problems in ``EXTRA``,
+with their own flags.
 The workloads come from ``perfbench/workloads.py`` next to this script.
 For every run the script
 prints ``identical`` when both trees leave byte-identical trajectory.csv
@@ -30,17 +31,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUILTINS = ("example1", "example2", "example3", "example4")
 ARTIFACTS = ("trajectory.csv", "convergence.csv")
-# Problems that reach a route no built-in or pool member does.  Node 0 of
-# norm_plus_segment holds norm at its zero plus the segment of abs, which
-# has no closed form and no vertex list, so min_norm_point solves it by
-# Wolfe's method over the support function.  abs_with_penalties is a
-# sweep line (eval_I_along) with the penalties' quadratic in gamma.
+# Problems that reach a route no built-in or pool member does, as
+# (problem file text, solve flags).  Node 0 of norm_plus_segment holds
+# norm at its zero plus the segment of abs, which has no closed form and
+# no vertex list, so min_norm_point solves it by Wolfe's method over the
+# support function.  abs_with_penalties is a sweep line (eval_I_along)
+# with the penalties' quadratic in gamma.  stall asks for a stationarity
+# threshold it never reaches, so its last iteration's sweep probes fail
+# to decrease I, and the line search returns no decrease.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
-        " + pow(z1 - 1, 2) + pow(z2, 2)\n"),
+        " + pow(z1 - 1, 2) + pow(z2, 2)\n", []),
     "abs_with_penalties": (
-        "n = 1\nT = 1\nx0 = 0\nxT = 0.5\nintegrand = abs(z1) + abs(x1 - t)\n"),
+        "n = 1\nT = 1\nx0 = 0\nxT = 0.5\nintegrand = abs(z1) + abs(x1 - t)\n",
+        []),
+    "stall": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = (1 + t) * pow(x1 - t, 2)\n"
+        "initial_x = 0\n", ["--grid", "5", "--eps", "1e-300"]),
 }
 
 
@@ -61,10 +69,10 @@ def _runs(scratch: Path) -> list[tuple[str, list[str]]]:
             path = scratch / f"{w.name}_{seed}.txt"
             path.write_text(w.problem(w.params(seed)))
             runs.append((f"{w.name} member {seed}", [str(path), *w.flags]))
-    for name, text in EXTRA.items():
+    for name, (text, flags) in EXTRA.items():
         path = scratch / f"{name}.txt"
         path.write_text(text)
-        runs.append((name, [str(path)]))
+        runs.append((name, [str(path), *flags]))
     return runs
 
 

@@ -20,7 +20,7 @@ summary.json lists the run's (grid, lambda) stages and why each ended:
 "stationary", "budget" (max_iters used up) or "ls_stall" (no decrease
 along the direction at the exact tie tolerance), with the tie tolerance
 each reached, the directions it took, retakes included, and its line
-searches that started from the breakpoint sweep's exact minimizer.
+searches that the breakpoint sweep's exact minimizer decided.
 A solve that fails once the output directory exists leaves a summary.json
 with status "failed" and the reason; once it has a first pair, it also
 leaves that run's last pair in trajectory.csv and its records so far in
@@ -126,14 +126,6 @@ def _split_top_level(text: str) -> list[str]:
     return [s.strip() for s in parts]
 
 
-def _parse_bool(raw: str, n, lineno: int) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ProblemFileError(f"line {lineno}: expected true or false, got {raw!r}")
-
-
 def _floats(raw: str, n, lineno: int) -> list[float]:
     return [float(s) for s in _split_top_level(raw)]
 
@@ -149,8 +141,6 @@ _FIELDS = {
     "T": ("horizon", lambda raw, n, lineno: float(raw), True),
     "x0": ("x0", _floats, True),
     "xT": ("xT", _floats, False),
-    "use_psi": ("use_psi", _parse_bool, False),
-    "use_phi": ("use_phi", _parse_bool, False),
     "integrand": ("integrand", lambda raw, n, lineno: parse_expr(raw, n), True),
     "initial_x": ("initial_x", _time_exprs, False),
     "initial_z": ("initial_z", _time_exprs, False),
@@ -213,8 +203,6 @@ def write_problem(spec: ProblemSpec, path: str | Path) -> None:
     ]
     if spec.xT is not None:
         lines.append("xT = " + ", ".join(repr(float(v)) for v in spec.xT))
-    lines.append(f"use_psi = {'true' if spec.use_psi else 'false'}")
-    lines.append(f"use_phi = {'true' if spec.use_phi else 'false'}")
     lines.append(f"integrand = {format_expr(spec.integrand)}")
     if spec.initial_x is not None:
         lines.append("initial_x = " + ", ".join(format_expr(e) for e in spec.initial_x))

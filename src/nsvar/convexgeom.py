@@ -11,13 +11,14 @@ queries matter:
 * ``min_norm_point(S)``: the (unique) point of S closest to the origin,
   which is the steepest-descent generator.
 
-``min_norm_point`` picks the cheapest exact route available: direct
-formulas for points and offset balls, and otherwise Wolfe's minimum-norm
-algorithm (Wolfe, Math. Programming 11, 1976), which needs only a linear
-minimizer over the set.  Over a polytope the minimizer scans its vertex
-list (a polytope plus a full ball is a polytope's nearest point pulled
-in by the radius); over any other set, such as a ball on a coordinate
-subspace plus a polytope, it is the support function.  Every route
+``min_norm_point`` picks the cheapest exact route available: a point is
+its own answer, and otherwise Wolfe's minimum-norm algorithm (Wolfe,
+Math. Programming 11, 1976), which needs only a linear minimizer over
+the set.  Over a polytope the minimizer scans its vertex list.  One ball
+added to a point, or a full ball added to a polytope, has one rule: the
+rest's nearest point pulled toward the origin by the radius.  Over any
+other set, such as a ball on a coordinate subspace plus a polytope, the
+minimizer is the support function.  Every route
 reports the duality gap <v, v> - min_{s in S} <v, s> so callers can check
 the answer without trusting the solver.
 
@@ -296,14 +297,16 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
                    max_iter: int | None = None) -> MinNormResult:
     """Minimum Euclidean norm point of a compact convex set.
 
-    A point or a single ball has a formula.  A set with a vertex list of
-    at most _VERTEX_PRODUCT_CAP vertices, possibly plus one full ball,
-    takes Wolfe's method over that list; any other set takes Wolfe's
-    method over its support function, whose atoms are the points
-    ``support`` returns.  tol controls the duality-gap certificate: the
-    result is ``certified`` when gap <= tol * (1 + ||point||^2).
-    max_iter caps Wolfe's major iterations; the default grows with the
-    dimension and with the count of vertices and balls.
+    A point is its own answer.  A vertex list of at most
+    _VERTEX_PRODUCT_CAP vertices takes Wolfe's method over that list.
+    One ball added to a point, or a full ball added to such a list, pulls
+    the rest's nearest point toward the origin by the radius on the
+    ball's coordinates.  Any other set takes Wolfe's method over its
+    support function, whose atoms are the points ``support`` returns.
+    tol controls the duality-gap certificate: the result is
+    ``certified`` when gap <= tol * (1 + ||point||^2).  max_iter caps
+    Wolfe's major iterations; the default grows with the dimension and
+    with the count of vertices and balls.
     """
     d = dim(s)
     q = np.zeros(d)
@@ -311,37 +314,27 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
     balls: list = []
     _canonical(s, q, polys, balls)
     balls = _merge_balls(balls)
+    verts = _merge_polytopes(polys) if polys else None
 
-    if not balls:
-        if not polys:
-            return _finish(s, q, [q], [1.0], 0, tol)
-        verts = _merge_polytopes(polys)
-        if verts is not None:
-            verts = verts + q
-            if max_iter is None:
-                max_iter = 10 * d * (verts.shape[0] + 10)
-            return _wolfe_vertices(s, verts, tol, max_iter)
-    elif not polys and len(balls) == 1:
+    if not (balls or polys):
+        return _finish(s, q, [q], [1.0], 0, tol)
+    if not balls and verts is not None:
+        verts = verts + q
+        if max_iter is None:
+            max_iter = 10 * d * (verts.shape[0] + 10)
+        return _wolfe_vertices(s, verts, tol, max_iter)
+    if len(balls) == 1 and (not polys or verts is not None and balls[0][2].all()):
+        # Finite, unlike Wolfe's method over the ball's support.
         c, r, m = balls[0]
-        x = q + c
-        x = x.copy()
-        nm = float(np.linalg.norm(np.where(m, x, 0.0)))
-        factor = 0.0 if nm <= r else 1.0 - r / nm
-        x[m] *= factor
-        return _finish(s, x, [x], [1.0], 0, tol)
-    elif len(balls) == 1 and balls[0][2].all():
-        # Summing a full ball is an r-neighborhood: shift the polytope by
-        # the ball center, take its nearest point, and pull it toward the
-        # origin by r.  Finite, unlike Wolfe's method over a ball's support.
-        c, r, _ = balls[0]
-        verts = _merge_polytopes(polys)
-        if verts is not None:
-            verts = verts + (q + c)
+        x, iters = q + c, 0
+        if polys:
+            verts = verts + x
             inner_cap = 10 * d * (verts.shape[0] + 10) if max_iter is None else max_iter
             inner = _wolfe_vertices(Polytope(verts), verts, tol, inner_cap)
-            nm = float(np.linalg.norm(inner.point))
-            x = np.zeros(d) if nm <= r else (1.0 - r / nm) * inner.point
-            return _finish(s, x, [x], [1.0], inner.iterations, tol)
+            x, iters = inner.point, inner.iterations
+        nm = float(np.linalg.norm(np.where(m, x, 0.0)))
+        x[m] *= 0.0 if nm <= r else 1.0 - r / nm
+        return _finish(s, x, [x], [1.0], iters, tol)
 
     if max_iter is None:
         nverts = sum(p.shape[0] for p in polys)

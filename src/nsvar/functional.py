@@ -72,7 +72,7 @@ from .integrand import (
     EvalPoint,
     Expr,
     _raise_at_first,
-    check_depth,
+    check_expr,
     compile_line,
     compile_subdiff,
     eval_expr_grid,
@@ -99,18 +99,21 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """A variational problem instance.
+    """A variational problem instance, frozen once built.
 
     Subdifferentials and gradients are laid out in R^(2n) as
-    (x-partials, z-partials).  xT must be present exactly when use_psi
-    is on.  use_psi defaults to whether xT is given; use_phi defaults to
-    on when use_psi is, else to whether the integrand mentions any z
-    variable, because psi reads z and without phi nothing ties x to it.
-    An integrand more than integrand.MAX_DEPTH nodes deep raises
-    ExprError.  Equality compares the mathematical content and ignores
-    the display name.
+    (x-partials, z-partials).  The problem decides its penalties:
+    use_psi, the endpoint penalty, is on exactly when xT is given, and
+    use_phi, the consistency penalty, when use_psi is or the integrand
+    reads some z, because psi reads z and without phi nothing ties x to
+    it.  Neither can be set; dataclasses.replace derives both again.
+    The integrand and the initial guesses must pass the parser's checks
+    (parse_expr, and only t in the guesses), so a tree built in Python
+    that the parser would reject, one more than integrand.MAX_DEPTH
+    nodes deep included, raises the same ExprError.  Equality compares
+    the mathematical content and ignores the display name.
     """
 
     n: int
@@ -118,49 +121,48 @@ class ProblemSpec:
     x0: np.ndarray
     integrand: Expr
     xT: np.ndarray | None = None
-    use_psi: bool | None = None
-    use_phi: bool | None = None
     initial_x: tuple | None = None
     initial_z: tuple | None = None
     lambda0: float | None = None
     name: str = ""
-    # (integrand, {compiler: its output}), filled on first use
-    _compiled: tuple | None = field(default=None, init=False, repr=False)
+    use_psi: bool = field(init=False)
+    use_phi: bool = field(init=False)
+    # {compiler: its output for the integrand}, filled on first use
+    _compiled: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        put = object.__setattr__
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         require_finite("horizon", self.horizon)
-        self.x0 = np.atleast_1d(np.asarray(self.x0, float))
+        put(self, "x0", np.atleast_1d(np.asarray(self.x0, float)))
         if self.x0.shape != (self.n,):
             raise ValueError(f"x0 must have length n={self.n}")
         require_finite("x0", self.x0)
         if self.xT is not None:
-            self.xT = np.atleast_1d(np.asarray(self.xT, float))
+            put(self, "xT", np.atleast_1d(np.asarray(self.xT, float)))
             if self.xT.shape != (self.n,):
                 raise ValueError(f"xT must have length n={self.n}")
             require_finite("xT", self.xT)
-        if self.use_psi is None:
-            self.use_psi = self.xT is not None
-        if self.use_psi != (self.xT is not None):
-            raise ValueError("xT must be given exactly when use_psi is set")
-        check_depth(self.integrand)
-        if self.use_phi is None:
-            self.use_phi = self.use_psi or uses_var_z(self.integrand)
-        if self.initial_x is not None:
-            self.initial_x = tuple(self.initial_x)
-            if len(self.initial_x) != self.n:
-                raise ValueError("initial_x needs one expression per component")
-        if self.initial_z is not None:
-            self.initial_z = tuple(self.initial_z)
-            if len(self.initial_z) != self.n:
-                raise ValueError("initial_z needs one expression per component")
+        check_expr(self.integrand, self.n)
+        for label in ("initial_x", "initial_z"):
+            guess = getattr(self, label)
+            if guess is not None:
+                guess = tuple(guess)
+                put(self, label, guess)
+                if len(guess) != self.n:
+                    raise ValueError(f"{label} needs one expression per component")
+                for e in guess:
+                    check_expr(e, self.n, allow_vars=False)
         if self.lambda0 is not None:
             if not self.lambda0 > 0.0:
                 raise ValueError("lambda0 must be positive")
             require_finite("lambda0", self.lambda0)
+        put(self, "use_psi", self.xT is not None)
+        put(self, "use_phi", self.use_psi or uses_var_z(self.integrand))
+        put(self, "_compiled", {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProblemSpec):
@@ -172,8 +174,6 @@ class ProblemSpec:
             and self.horizon == other.horizon
             and np.array_equal(self.x0, other.x0)
             and same_xT
-            and self.use_psi == other.use_psi
-            and self.use_phi == other.use_phi
             and self.integrand == other.integrand
             and self.initial_x == other.initial_x
             and self.initial_z == other.initial_z
@@ -181,11 +181,8 @@ class ProblemSpec:
         )
 
     def integrand_line(self) -> Callable:
-        """The integrand compiled into a pass along lines (compile_line).
-
-        Compiled on first use and kept, keyed to the integrand object
-        itself, so assigning a new integrand compiles again.
-        """
+        """The integrand compiled into a pass along lines (compile_line),
+        on first use, and kept."""
         return self._compile(compile_line)
 
     def integrand_subdiff(self) -> Callable:
@@ -193,12 +190,9 @@ class ProblemSpec:
         return self._compile(compile_subdiff)
 
     def _compile(self, compiler: Callable) -> Callable:
-        if self._compiled is None or self._compiled[0] is not self.integrand:
-            self._compiled = (self.integrand, {})
-        done = self._compiled[1]
-        if compiler not in done:
-            done[compiler] = compiler(self.integrand)
-        return done[compiler]
+        if compiler not in self._compiled:
+            self._compiled[compiler] = compiler(self.integrand)
+        return self._compiled[compiler]
 
 
 def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
@@ -211,7 +205,7 @@ def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
     O(1/lambda).  Without penalties x itself is the decision variable
     and is returned unchanged.
     """
-    if p.use_phi or p.use_psi:
+    if p.use_phi:
         return cumulative_integral(xz.z, p.x0)
     return xz.x.copy()
 
@@ -487,7 +481,7 @@ def _node_set(p: ProblemSpec, xz: PairTraj, rows: np.ndarray, i: int,
     """Subdifferential of I at node i, given the penalty rows."""
     point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
     s = subdiff_expr(p.integrand, point, tol_act)
-    if p.use_psi or p.use_phi:
+    if p.use_phi:
         s = MinkowskiSum((s, Singleton(rows[i])))
     return s
 

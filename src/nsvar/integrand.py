@@ -234,20 +234,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_DEPTH = 200
 
 
-def check_depth(e: Expr) -> None:
-    """ExprError when e is more than MAX_DEPTH nodes deep.
-
-    The tree is walked one level at a time, without recursion; a subtree
-    shared between branches is visited once per level.
-    """
-    level = [e]
-    for _ in range(MAX_DEPTH):
-        level = list({id(a): a for node in level for a in _args(node)}.values())
-        if not level:
-            return
-    raise ExprError("expression nested too deeply")
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -454,11 +440,27 @@ def _validate(e: Expr, n: int, allow_vars: bool) -> None:
         _validate(a, n, allow_vars)
 
 
+def check_expr(e: Expr, n: int, allow_vars: bool = True) -> None:
+    """ExprError where parse_expr would reject the tree e.
+
+    The depth comes first, walked one level at a time without recursion
+    (a subtree shared between branches is visited once per level), so
+    the recursive _validate after it stays inside the recursion limit.
+    """
+    level = [e]
+    for _ in range(MAX_DEPTH):
+        level = list({id(a): a for node in level for a in _args(node)}.values())
+        if not level:
+            break
+    else:
+        raise ExprError("expression nested too deeply")
+    _validate(e, n, allow_vars)
+
+
 def parse_expr(text: str, n: int, allow_vars: bool = True) -> Expr:
     """Parse and validate an integrand over x1..xn, z1..zn, t."""
     e = _Parser(text).parse()
-    check_depth(e)
-    _validate(e, n, allow_vars)
+    check_expr(e, n, allow_vars)
     return e
 
 

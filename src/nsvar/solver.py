@@ -6,8 +6,8 @@ subgradients piecewise-linearly, and walks along the normalized negative
 field.  The step comes from a line search (line_search).  Where I is
 convex piecewise quadratic along the direction, a sweep line, that is
 one probe at the exact minimizer eval_I_along found by sweeping the
-line's breakpoints.  Elsewhere, and where that probe does not decrease
-I, it searches on I's value and its left and right slopes along the
+line's breakpoints, and no decrease there ends the search.  Elsewhere
+it searches on I's value and its left and right slopes along the
 direction, with the polyhedral and quadratic steps of Lemarechal and
 Mifflin (Math. Programming 24, 1982) and Mifflin (Math. Programming 28,
 1984), down to a probe where 0 lies between the two slopes or a bracket
@@ -117,8 +117,8 @@ class StageRecord:
     eps is the tie tolerance the stage reached, that of its last
     iteration, and directions counts its steepest_direction calls,
     retakes at a smaller eps included.  sweeps counts its line searches
-    on sweep lines, which line_search starts from the exact minimizer
-    (eval_I_along's probe.sweep).
+    on sweep lines, which the exact minimizer decides (eval_I_along's
+    probe.sweep).
     """
 
     npoints: int
@@ -190,11 +190,12 @@ def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
     bracket's ends that a double could tell apart (_EPS).
 
     Where f.sweep is not None, f is convex and f.sweep is its exact
-    minimizer over gamma >= 0 (eval_I_along's breakpoint sweep): 0.0
-    returns no decrease without a probe, as no probe could beat f0; any
-    other value is probed once, capped at _LS_MAX_STEP, and the search
-    ends there when that probe decreases f.  Otherwise the slope search
-    above runs on the same f.
+    minimizer over gamma >= 0 (eval_I_along's breakpoint sweep), and the
+    sweep decides: 0.0 returns no decrease without a probe, and any
+    other value is probed once, capped at _LS_MAX_STEP.  When that probe
+    does not beat f0 the search returns no decrease too, since by
+    convexity no other step can do better.  Only where f.sweep is None
+    does the slope search above run.
 
     A probe that raises DomainError or FloatingPointError counts as +inf
     with no slopes, so it only shrinks the bracket.  Returns (gamma,
@@ -223,11 +224,9 @@ def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
 
     sweep = getattr(f, "sweep", None)
     if sweep is not None:
-        if sweep == 0.0:
-            return result()
-        probe(min(sweep, _LS_MAX_STEP))
-        if best[0] > 0.0:
-            return result()
+        if sweep > 0.0:
+            probe(min(sweep, _LS_MAX_STEP))
+        return result()
 
     # Points are (gamma, value, left slope, right slope).
     lo = None

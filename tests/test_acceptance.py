@@ -205,7 +205,7 @@ def test_criterion_5_property_suite():
         n = int(rng.integers(1, 3))
         horizon = float(rng.random() * 2 + 0.5)
         p = ProblemSpec(n=n, horizon=horizon, x0=rng.standard_normal(n),
-                        xT=rng.standard_normal(n), use_phi=True,
+                        xT=rng.standard_normal(n),
                         integrand=random_smooth_expr(rng, n, 1))
         g = Grid(horizon, int(rng.integers(5, 25)))
         w = trapezoid_weights(g)

@@ -80,12 +80,13 @@ def test_problem_file_errors(tmp_path):
             "line 5: unknown key 'wibble'",
         "n = 1\nn = 2\nT = 1.0\nx0 = 0.0\nintegrand = abs(x1)\n":
             "line 2: duplicate key 'n'",
-        "n = 1\nT = 1.0\nx0 = 0.0\nuse_phi = maybe\nintegrand = abs(x1)\n":
-            "expected true or false",
+        # the problem decides its penalties: neither can be switched
+        "n = 1\nT = 1.0\nx0 = 0.0\nuse_phi = false\nintegrand = abs(z1)\n":
+            "line 4: unknown key 'use_phi'",
+        "n = 1\nT = 1.0\nx0 = 0.0\nxT = 1.0\nuse_psi = true\nintegrand = abs(x1)\n":
+            "line 5: unknown key 'use_psi'",
         "n = 1\nT = 1.0\nx0 = 0.0\nintegrand = abs(q1)\n":
             "unknown identifier",
-        "n = 1\nT = 1.0\nx0 = 0.0\nxT = 1.0\nuse_psi = false\nintegrand = abs(x1)\n":
-            "exactly when use_psi",
     }
     for i, (text, message) in enumerate(cases.items()):
         f = tmp_path / f"case{i}.prob"
@@ -220,6 +221,12 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
         assert [s["sweeps"] for s in stages] == [s["directions"] for s in stages]
     if problem == "example3":
         assert [s["sweeps"] for s in stages] == [0, 0, 0]
+    if stops == ["ls_stall"]:
+        # a smooth line is a sweep line, and the sweep decides: each of
+        # the last iteration's failed searches takes its one probe
+        (stage,) = stages
+        assert stage["sweeps"] == stage["directions"]
+        assert rows[-1, 10] == len(nsvar.solver._EPS_SCHEDULE)
 
 
 def test_run_missing_problem_is_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Objective, penalty terms, and per-node subdifferential field."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -62,10 +63,6 @@ def _pair(p, grid, x, z):
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError, match="exactly when use_psi"):
-        _simple(use_psi=True)
-    with pytest.raises(ValueError, match="exactly when use_psi"):
-        _simple(xT=np.array([1.0]), use_psi=False)
     with pytest.raises(ValueError, match="length n"):
         _simple(x0=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="positive"):
@@ -87,14 +84,35 @@ def test_problem_flag_inference():
     assert not p.use_psi and not p.use_phi
     p = _simple(xT=np.array([1.0]))
     assert p.use_psi
-    # psi reads z, so phi defaults on with it, whatever the integrand reads
+    # psi reads z, so phi is on with it, whatever the integrand reads
     assert p.use_phi
-    assert not _simple(xT=np.array([1.0]), use_phi=False).use_phi
-    # consistency term defaults on as soon as the integrand mentions z
+    # the consistency term is on as soon as the integrand mentions z
     p = _simple(integrand=parse_expr("abs(z1)", 1))
     assert p.use_phi
-    p = _simple(integrand=parse_expr("abs(z1)", 1), use_phi=False)
-    assert not p.use_phi
+    # neither flag can be passed in
+    for flag in ("use_psi", "use_phi"):
+        with pytest.raises(TypeError, match=flag):
+            _simple(**{flag: False})
+
+
+def test_problem_is_frozen():
+    p = _simple()
+    for name, value in (("integrand", parse_expr("abs(z1)", 1)),
+                        ("use_phi", True), ("xT", np.array([1.0]))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert not p.use_psi and not p.use_phi
+
+
+def test_problem_replace_derives_the_flags_again():
+    p = _simple()
+    line = p.integrand_line()
+    q = dataclasses.replace(p, integrand=parse_expr("abs(z1 - 1) + pow(x1, 2)", 1))
+    assert q.use_phi and not q.use_psi
+    assert q.integrand_line() is not line and p.integrand_line() is line
+    q = dataclasses.replace(p, xT=[1.0])
+    assert q.use_psi and q.use_phi
+    assert not dataclasses.replace(q, xT=None).use_psi
 
 
 def test_problem_equality_ignores_name():
@@ -182,7 +200,7 @@ def test_grad_psi_finite_difference():
 
 
 def test_eval_phi_zero_on_consistent_pair():
-    p = _simple(use_phi=True)
+    p = _simple(integrand=parse_expr("abs(z1)", 1))
     g = Grid(1.0, 9)
     z = Traj(g, np.cos(g.nodes))
     x = cumulative_integral(z, p.x0)
@@ -193,7 +211,7 @@ def test_eval_phi_zero_on_consistent_pair():
 def test_grad_phi_frozen_field():
     """Constant defect d = 1: the x rows equal d, the z rows equal the
     reverse cumulative integral with half-step end corrections."""
-    p = _simple(use_phi=True)
+    p = _simple(integrand=parse_expr("abs(z1)", 1))
     g = Grid(1.0, 5)
     xz = _pair(p, g, np.ones(5), np.zeros(5))
     assert eval_phi(p, xz) == 0.5
@@ -207,8 +225,8 @@ def test_grad_phi_finite_difference():
     """The gradient field is exact for the discrete phi under the
     trapezoid pairing sum_j w_j <row_j, direction_j>."""
     rng = np.random.default_rng(3)
-    p = ProblemSpec(n=2, horizon=1.5, x0=np.array([0.3, -0.2]), use_phi=True,
-                    integrand=parse_expr("abs(x1)", 2))
+    p = ProblemSpec(n=2, horizon=1.5, x0=np.array([0.3, -0.2]),
+                    integrand=parse_expr("abs(x1) + abs(z2)", 2))
     g = Grid(1.5, 17)
     w = trapezoid_weights(g)
     for _ in range(20):
@@ -238,7 +256,7 @@ def test_eval_I_consistent_pair_has_no_penalty():
     z = Traj(g, np.stack([np.sin(g.nodes), np.cos(g.nodes)], axis=1))
     x = cumulative_integral(z, p0.x0)
     p = ProblemSpec(n=2, horizon=1.0, x0=p0.x0, xT=x.values[-1].copy(),
-                    use_phi=True, integrand=p0.integrand)
+                    integrand=p0.integrand)
     xz = PairTraj(x, z)
     assert eval_I(p, xz, 300.0) == eval_J(p, xz)
 
@@ -284,19 +302,9 @@ def test_eval_I_frozen_near_optimal_pair():
     assert val == pytest.approx(-0.02175, abs=5e-4)
 
 
-def _psi_only():
-    """psi without phi: xT is given, the integrand reads no z, phi is off."""
-    return ProblemSpec(n=2, horizon=1.0, x0=[0.0, 1.0], xT=[1.0, 0.5],
-                       integrand=parse_expr("abs(x1 - t) + pow(x2, 2)", 2),
-                       use_phi=False)
-
-
 def _one_pass_problems():
-    """The built-ins, the two benchmark reference problems and psi alone."""
+    """The built-ins and the two benchmark reference problems."""
     yield from (load_problem(f"example{k}") for k in (1, 2, 3, 4))
-    p = _psi_only()
-    assert p.use_psi and not p.use_phi
-    yield p
     yield ProblemSpec(
         n=2, horizon=1.0, x0=[0.0, 0.0], xT=[0.0, 0.0],
         integrand=parse_expr("max(pow(z1, 2) - pow(x1, 2) - 2.0 * t * x1, x2)", 2))
@@ -389,10 +397,7 @@ def test_eval_I_hot_path_counts(monkeypatch):
 
 
 def _reference_problem(name, tmp_path, monkeypatch):
-    """A built-in, a benchmark workload's reference problem (seed 0), or
-    _psi_only."""
-    if name == "psi_only":
-        return _psi_only()
+    """A built-in or a benchmark workload's reference problem (seed 0)."""
     if not name.startswith("workload:"):
         return load_problem(name)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -411,8 +416,7 @@ def _reference_problem(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name, N", [("example3", 11), ("example3", 21),
                                      ("example4", 51), ("example2", 21),
                                      ("workload:penalty_ladder", 21),
-                                     ("workload:kink_tracking", 51),
-                                     ("psi_only", 21)])
+                                     ("workload:kink_tracking", 51)])
 def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
     """The penalties' quadratic in gamma plus the folded integrand is I."""
     p = _reference_problem(name, tmp_path, monkeypatch)
@@ -587,13 +591,12 @@ def test_subdiff_node_set_matches_expression_subdiff():
     while done < 60:
         n = int(rng.integers(1, 3))
         e = random_expr(rng, n)
-        p = ProblemSpec(n=n, horizon=1.0, x0=np.zeros(n), integrand=e,
-                        use_phi=False)
+        p = ProblemSpec(n=n, horizon=1.0, x0=np.zeros(n), integrand=e)
         g = Grid(1.0, 5)
         xz = _pair(p, g, rng.standard_normal((5, n)), rng.standard_normal((5, n)))
         i = int(rng.integers(0, 5))
         node = EvalPoint(xz.x.values[i], xz.z.values[i], g.nodes[i])
-        s1 = subdiff_I_at(p, xz, 1.0, i)
+        s1 = subdiff_I_at(p, xz, 0.0, i)
         s2 = subdiff_expr(e, node)
         for _ in range(4):
             d = rng.standard_normal(2 * n)
@@ -635,7 +638,7 @@ def test_min_norm_field_smooth_composition():
         n = int(rng.integers(1, 3))
         e = random_smooth_expr(rng, n, 2)
         p = ProblemSpec(n=n, horizon=1.0, x0=rng.standard_normal(n),
-                        xT=rng.standard_normal(n), use_phi=True, integrand=e)
+                        xT=rng.standard_normal(n), integrand=e)
         g = Grid(1.0, 6)
         xz = _pair(p, g, rng.standard_normal((6, n)), rng.standard_normal((6, n)))
         lam = float(rng.random() * 5 + 0.5)
@@ -719,10 +722,10 @@ def test_min_norm_field_matches_per_node_route(tol_act, penalties):
         n = int(rng.integers(1, 3))
         e = random_expr(rng, n)
         g, x, z = _half_integer_pair(rng, n, 7)
-        kw = dict(xT=0.5 * rng.integers(-2, 3, n).astype(float), use_phi=True) \
-            if penalties else dict(use_phi=False)
+        kw = dict(xT=0.5 * rng.integers(-2, 3, n).astype(float)) if penalties else {}
         p = ProblemSpec(n=n, horizon=g.horizon, x0=np.zeros(n), integrand=e, **kw)
-        compared += _assert_same_field(p, _pair(p, g, x, z), 3.0, tol_act)
+        lam = 3.0 if penalties else 0.0
+        compared += _assert_same_field(p, _pair(p, g, x, z), lam, tol_act)
     assert compared >= 60
 
 
@@ -740,7 +743,7 @@ def test_min_norm_field_matches_per_node_route(tol_act, penalties):
 def test_min_norm_field_takes_per_node_route(monkeypatch, text, node, penalties):
     """Sets that are not a point plus orthogonal segments go node by node."""
     p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2),
-                    **(dict(xT=[1.0, 0.5]) if penalties else dict(use_phi=False)))
+                    **(dict(xT=[1.0, 0.5]) if penalties else {}))
     g = Grid(1.0, 3)
     x = np.full((3, 2), 2.0)
     z = np.full((3, 2), 3.0)
@@ -753,7 +756,7 @@ def test_min_norm_field_takes_per_node_route(monkeypatch, text, node, penalties)
         per_node.append(s)
         return exact(s)
     monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
-    if _assert_same_field(p, xz, 2.0, 1e-9):
+    if _assert_same_field(p, xz, 2.0 if penalties else 0.0, 1e-9):
         assert len(per_node) == 1
 
 
@@ -765,7 +768,7 @@ def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
     closed form.  A negative tolerance fails every certificate of the
     route it is given to.
     """
-    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], use_phi=False,
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0],
                     integrand=parse_expr("max(x1, z1, t) + abs(x1 - 5)", 1))
     xz = _pair(p, Grid(1.0, 4), np.array([0.0, 5.0, 5.0, 1.0]), np.zeros(4))
     name = {"closed form": "zonotope_min_norm", "per node": "min_norm_point"}[cut]
@@ -773,7 +776,7 @@ def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
     monkeypatch.setattr(nsvar.functional, name,
                         lambda *args: exact(*args, tol=-1.0))
     with pytest.raises(MinNormUncertified) as err:
-        min_norm_field(p, xz, 1.0)
+        min_norm_field(p, xz, 0.0)
     assert err.value.node == node
     assert str(err.value).startswith(f"minimum-norm certificate failed at node {node} ")
 
@@ -810,7 +813,7 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
         per_node.append(s)
         return exact(s)
     want = min_norm_field(p, xz, 2.0).values
-    monkeypatch.setattr(p, "integrand_subdiff", lambda: poisoned)
+    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", lambda self: poisoned)
     monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
     with np.errstate(over="raise", invalid="raise"):
         got = min_norm_field(p, xz, 2.0).values

@@ -37,6 +37,7 @@ from nsvar.integrand import (
     Time,
     VarX,
     VarZ,
+    _Parser,
     _args,
     _leaf_rows,
     _uses_vars,
@@ -103,7 +104,8 @@ def test_parse_errors():
         parse_expr("x1 + t", 1, allow_vars=False)
 
 
-@pytest.mark.parametrize("text, message", [
+# Trees the grammar parses and the validation rejects, with the message.
+_REJECTED = [
     ("abs(x1) * x1", "nonsmooth subexpression inside a product"),
     ("x1 * max(x1, 0)", "nonsmooth subexpression inside a product"),
     ("x1 / abs(x1)", "nonsmooth subexpression inside a quotient"),
@@ -120,12 +122,30 @@ def test_parse_errors():
     # norm(u) is abs(u), and a norm of several operands flips each sign
     ("norm(abs(x1) - 1)", "nonsmooth subexpression inside norm"),
     ("norm(max(x1, z1), x2)", "nonsmooth subexpression inside norm"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _REJECTED)
 def test_parse_rejects_nonsmooth_in_smooth_only_context(text, message):
     with pytest.raises(ExprError) as info:
         parse_expr(text, 1)
     assert type(info.value) is ExprError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", _REJECTED + [
+    ("x1 + z3", "variable z3 out of range 1..1")])
+def test_problem_rejects_the_trees_the_parser_rejects(text, message):
+    """A tree built without the parser's checks meets them in ProblemSpec."""
+    tree = _Parser(text).parse()
+    with pytest.raises(ExprError) as info:
+        ProblemSpec(n=1, horizon=1.0, x0=[0.0], integrand=tree)
+    assert type(info.value) is ExprError
+    assert str(info.value) == message
+    # the initial guesses may use t alone
+    with pytest.raises(ExprError, match="^only t may appear in this expression$"):
+        ProblemSpec(n=1, horizon=1.0, x0=[0.0], integrand=parse_expr("abs(x1)", 1),
+                    initial_x=(_Parser("t + x1").parse(),))
 
 
 @pytest.mark.parametrize("text, tree", [
