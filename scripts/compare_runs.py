@@ -38,7 +38,10 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # support function.  abs_with_penalties is a sweep line (eval_I_along)
 # with the penalties' quadratic in gamma.  stall asks for a stationarity
 # threshold it never reaches, so its last iteration's sweep probes fail
-# to decrease I, and the line search returns no decrease.
+# to decrease I, and the line search returns no decrease.  oblique_ties
+# meets both kinks at once where x1 = 0 = z1 + x1: two oblique segments,
+# whose closed form the certificate mostly rejects, so those nodes fall
+# back to Wolfe's method on the zonotope.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -49,6 +52,8 @@ EXTRA = {
     "stall": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = (1 + t) * pow(x1 - t, 2)\n"
         "initial_x = 0\n", ["--grid", "5", "--eps", "1e-300"]),
+    "oblique_ties": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 + z1) + abs(x1 - t)\n", []),
 }
 
 

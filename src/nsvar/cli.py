@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +208,7 @@ def write_problem(spec: ProblemSpec, path: str | Path) -> None:
         lines.append("initial_x = " + ", ".join(format_expr(e) for e in spec.initial_x))
     if spec.initial_z is not None:
         lines.append("initial_z = " + ", ".join(format_expr(e) for e in spec.initial_z))
-    if spec.lambda0 is not None:
-        lines.append(f"lambda0 = {spec.lambda0!r}")
+    lines.append(f"lambda0 = {spec.lambda0!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -277,7 +276,6 @@ def _print_table(records: list[IterationRecord]) -> None:
 # directly; --grid is parsed on its own.
 _FLAG_FIELDS = {
     "eps": "eps_bar",
-    "lambda0": "lambda0",
     "lambda_factor": "lambda_factor",
     "lambda_max": "lambda_max",
     "constraint_tol": "constraint_tol",
@@ -285,12 +283,10 @@ _FLAG_FIELDS = {
 }
 
 
-def _build_config(spec: ProblemSpec, args) -> SolverConfig:
+def _build_config(args) -> SolverConfig:
     kw: dict = {}
     if args.problem in _BUILTINS:
         kw.update(builtin_config_overrides(args.problem))
-    if spec.lambda0 is not None:
-        kw["lambda0"] = spec.lambda0
     if args.grid is not None:
         try:
             kw["grid_sizes"] = tuple(int(s) for s in args.grid.split(","))
@@ -320,7 +316,8 @@ def run(argv: list[str]) -> int:
     sp.add_argument("--grid", help="comma separated grid ladder, e.g. 11,21,41")
     sp.add_argument("--eps", type=float,
                     help="stationarity threshold on the squared residual norm ||v||^2")
-    sp.add_argument("--lambda0", type=float, help="initial penalty weight")
+    sp.add_argument("--lambda0", type=float,
+                    help="initial penalty weight, in place of the problem's")
     sp.add_argument("--lambda-factor", type=float, dest="lambda_factor")
     sp.add_argument("--lambda-max", type=float, dest="lambda_max")
     sp.add_argument("--constraint-tol", type=float, dest="constraint_tol")
@@ -331,7 +328,9 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         spec = load_problem(args.problem)
-        cfg = _build_config(spec, args)
+        if args.lambda0 is not None:
+            spec = replace(spec, lambda0=args.lambda0)
+        cfg = _build_config(args)
         outdir = Path(args.out) if args.out else Path("runs") / spec.name
         outdir.mkdir(parents=True, exist_ok=True)
 

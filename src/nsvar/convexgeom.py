@@ -11,27 +11,22 @@ queries matter:
 * ``min_norm_point(S)``: the (unique) point of S closest to the origin,
   which is the steepest-descent generator.
 
-``min_norm_point`` picks the cheapest exact route available: a point is
-its own answer, and otherwise Wolfe's minimum-norm algorithm (Wolfe,
-Math. Programming 11, 1976), which needs only a linear minimizer over
-the set.  Over a polytope the minimizer scans its vertex list.  One ball
-added to a point, or a full ball added to a polytope, has one rule: the
-rest's nearest point pulled toward the origin by the radius.  Over any
-other set, such as a ball on a coordinate subspace plus a polytope, the
-minimizer is the support function.  Every route
-reports the duality gap <v, v> - min_{s in S} <v, s> so callers can check
-the answer without trusting the solver.
+``min_norm_point`` has three routes: a point is its own answer; one
+ball added to a point, or a full ball added to polytopes, takes the
+rest's nearest point pulled toward the origin by the radius; and every
+other set takes Wolfe's minimum-norm algorithm (Wolfe, Math.
+Programming 11, 1976), whose linear minimizer is the support function.
+Every route reports the duality gap <v, v> - min_{s in S} <v, s> so
+callers can check the answer without trusting the solver.
 
 ``zonotope_min_norm`` works on a whole grid at once: the zonotopes
 q + sum_i lambda_i a_i, lambda in [-1, 1]^k, one per row, in the form
 ``integrand.compile_subdiff`` gives nodal subdifferentials: a center q
-of shape (N, d) and a list of generators, each of shape (N, d).  When a
-row's generators are pairwise orthogonal (``orthogonal_generators``)
-its minimum-norm point is a clip in closed form, certified by the same
-gap rule as ``min_norm_point``.  Both take dot products of two (N, d)
-arrays row by row, and ``orthogonal_generators`` checks whole arrays
-first: a pair of generators is tested row by row only where it overlaps
-somewhere.
+of shape (N, d) and a list of generators, each of shape (N, d).  Each
+row's candidate is a clip in closed form, exact where the generators
+are pairwise orthogonal, and the same gap rule as ``min_norm_point``
+certifies it or not; the caller sends the rows it does not certify
+elsewhere.  It takes dot products of two (N, d) arrays row by row.
 """
 
 from __future__ import annotations
@@ -244,16 +239,6 @@ def _canonical(s: ConvexSet, q: np.ndarray, polys: list, balls: list):
 _VERTEX_PRODUCT_CAP = 4096
 
 
-def _merge_polytopes(polys: list) -> np.ndarray | None:
-    """Minkowski-sum vertex products, or None if the count would blow up."""
-    verts = polys[0]
-    for extra in polys[1:]:
-        if verts.shape[0] * extra.shape[0] > _VERTEX_PRODUCT_CAP:
-            return None
-        verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
-    return verts
-
-
 def vertex_list(s: ConvexSet) -> np.ndarray | None:
     """A (k, d) vertex list whose convex hull is S.
 
@@ -271,7 +256,12 @@ def vertex_list(s: ConvexSet) -> np.ndarray | None:
         lists = [vertex_list(m) for m in s.members]
         if any(v is None for v in lists):
             return None
-        return _merge_polytopes(lists)
+        verts = lists[0]
+        for extra in lists[1:]:
+            if verts.shape[0] * extra.shape[0] > _VERTEX_PRODUCT_CAP:
+                return None
+            verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
+        return verts
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -297,13 +287,12 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
                    max_iter: int | None = None) -> MinNormResult:
     """Minimum Euclidean norm point of a compact convex set.
 
-    A point is its own answer.  A vertex list of at most
-    _VERTEX_PRODUCT_CAP vertices takes Wolfe's method over that list.
-    One ball added to a point, or a full ball added to such a list, pulls
-    the rest's nearest point toward the origin by the radius on the
-    ball's coordinates.  Any other set takes Wolfe's method over its
-    support function, whose atoms are the points ``support`` returns.
-    tol controls the duality-gap certificate: the result is
+    A point is its own answer.  One ball added to a point, or a full
+    ball added to polytopes, pulls the rest's nearest point toward the
+    origin by the radius on the ball's coordinates.  Every other set,
+    and the rest of a full ball plus polytopes, takes Wolfe's method
+    over its support function, whose atoms are the points ``support``
+    returns.  tol controls the duality-gap certificate: the result is
     ``certified`` when gap <= tol * (1 + ||point||^2).  max_iter caps
     Wolfe's major iterations; the default grows with the dimension and
     with the count of vertices and balls.
@@ -314,31 +303,23 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
     balls: list = []
     _canonical(s, q, polys, balls)
     balls = _merge_balls(balls)
-    verts = _merge_polytopes(polys) if polys else None
+    if max_iter is None:
+        nverts = sum(p.shape[0] for p in polys)
+        max_iter = 10 * d * (nverts + 10 * max(1, len(balls)))
 
     if not (balls or polys):
         return _finish(s, q, [q], [1.0], 0, tol)
-    if not balls and verts is not None:
-        verts = verts + q
-        if max_iter is None:
-            max_iter = 10 * d * (verts.shape[0] + 10)
-        return _wolfe_vertices(s, verts, tol, max_iter)
-    if len(balls) == 1 and (not polys or verts is not None and balls[0][2].all()):
+    if len(balls) == 1 and (not polys or balls[0][2].all()):
         # Finite, unlike Wolfe's method over the ball's support.
         c, r, m = balls[0]
         x, iters = q + c, 0
         if polys:
-            verts = verts + x
-            inner_cap = 10 * d * (verts.shape[0] + 10) if max_iter is None else max_iter
-            inner = _wolfe_vertices(Polytope(verts), verts, tol, inner_cap)
+            rest = MinkowskiSum((Singleton(x), *map(Polytope, polys)))
+            inner = _wolfe_support(rest, tol, max_iter)
             x, iters = inner.point, inner.iterations
         nm = float(np.linalg.norm(np.where(m, x, 0.0)))
         x[m] *= 0.0 if nm <= r else 1.0 - r / nm
         return _finish(s, x, [x], [1.0], iters, tol)
-
-    if max_iter is None:
-        nverts = sum(p.shape[0] for p in polys)
-        max_iter = 10 * d * (nverts + 10 * max(1, len(balls)))
     return _wolfe_support(s, tol, max_iter)
 
 
@@ -359,47 +340,17 @@ def _affine_min_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w @ a, w
 
 
-def _wolfe_vertices(s: ConvexSet, verts: np.ndarray, tol: float,
-                    max_iter: int) -> MinNormResult:
-    """Wolfe's method over conv(verts), from the least-norm vertex.
-
-    The linear minimizer takes the lowest index among the argmins and
-    keys each vertex by its index.
-    """
-    def lmo(x):
-        dots = verts @ x
-        j = int(np.argmin(dots))
-        return j, float(dots[j]), verts[j]
-
-    i0 = int(np.argmin(np.einsum("ij,ij->i", verts, verts)))
-    return _wolfe(s, lmo, i0, verts[i0], tol, max_iter)
-
-
 def _wolfe_support(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
-    """Wolfe's method over S's support function, from support(S, 0)'s point.
+    """Wolfe's minimum-norm-point algorithm over S's support function.
 
-    The linear minimizer is support(S, -x), and each atom is keyed by its
-    bytes.
+    The linear minimizer is support(S, -x), each atom is keyed by its
+    bytes, and the run starts at support(S, 0)'s point.  Maintains a
+    corral (an affinely independent active atom set) whose affine
+    minimizer is the current iterate; finite in exact arithmetic over a
+    polytope.  An atom already in the corral ends the loop.
     """
-    def lmo(x):
-        sval, a = support(s, -x)
-        return a.tobytes(), -sval, a
-
     _, atom = support(s, np.zeros(dim(s)))
-    return _wolfe(s, lmo, atom.tobytes(), atom, tol, max_iter)
-
-
-def _wolfe(s: ConvexSet, lmo, key, atom: np.ndarray, tol: float,
-           max_iter: int) -> MinNormResult:
-    """Wolfe's minimum-norm-point algorithm over a linear minimizer.
-
-    lmo(x) returns (key, <x, a>, a) for a point a of S minimizing <x, a>;
-    the run starts at the atom given with its key.  Maintains a corral
-    (an affinely independent active atom set) whose affine minimizer is
-    the current iterate; finite in exact arithmetic over a vertex list.
-    An atom already in the corral ends the loop.
-    """
-    keys = [key]
+    keys = [atom.tobytes()]
     corral = [atom]
     w = np.array([1.0])
     x = atom.copy()
@@ -407,9 +358,10 @@ def _wolfe(s: ConvexSet, lmo, key, atom: np.ndarray, tol: float,
 
     iters = 0
     for iters in range(1, max_iter + 1):
-        key, dot, atom = lmo(x)
+        sval, atom = support(s, -x)
+        key = atom.tobytes()
         sq = float(x @ x)
-        if sq - dot <= tol * (1.0 + sq) or key in keys:
+        if sq + sval <= tol * (1.0 + sq) or key in keys:
             break
         keys.append(key)
         corral.append(atom)
@@ -452,37 +404,21 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", u, v)
 
 
-def orthogonal_generators(gens: list) -> np.ndarray:
-    """Rows whose nonzero generators are pairwise orthogonal.
-
-    gens is a list of k generators, each of shape (N, d).  Each pair is
-    checked on the whole array first: a pair whose product is zero
-    everywhere is orthogonal on every row, and only a pair that overlaps
-    somewhere takes a dot product per row.  The result broadcasts
-    against (N,): a bool array of shape () holding True when no pair
-    overlaps anywhere (always so for k < 2), else a bool (N,).
-    """
-    orthogonal = np.array(True)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if (a * b).any():
-                orthogonal = orthogonal & (_row_dots(a, b) == 0.0)
-    return orthogonal
-
-
 def zonotope_min_norm(q: np.ndarray, gens: list, tol: float = _CERT_TOL
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum-norm points of the zonotopes q + sum_i lambda_i a_i, one per row.
+    """Candidate minimum-norm points of the zonotopes q + sum_i lambda_i a_i,
+    one per row, each with its certificate.
 
     q has shape (N, d), gens is a list of generators a_i, each of shape
-    (N, d), and lambda ranges over [-1, 1]^k.  On rows whose generators
-    are pairwise orthogonal (see orthogonal_generators) ||x||^2
-    separates into one parabola per lambda_i, so
-    lambda_i = min(max(-<q, a_i> / ||a_i||^2, -1), 1) is exact; a zero
-    generator gets lambda_i = 0.  The generators are taken one at a
-    time, through dot products of two (N, d) arrays row by row, with no
-    (N, k, d) stack.  Returns (points, gaps, certified).  The
-    gap ||x||^2 - <q, x> + sum_i |<a_i, x>| is min_norm_point's
+    (N, d), and lambda ranges over [-1, 1]^k.  Each row's candidate is
+    the clip lambda_i = min(max(-<q, a_i> / ||a_i||^2, -1), 1); a zero
+    generator gets lambda_i = 0.  Where a row's generators are pairwise
+    orthogonal, ||x||^2 separates into one parabola per lambda_i and the
+    clip is exact; elsewhere it is a point of the zonotope that its gap
+    judges.  The generators are taken one at a time, through dot
+    products of two (N, d) arrays row by row, with no (N, k, d) stack.
+    Returns (points, gaps, certified).  The gap
+    ||x||^2 - <q, x> + sum_i |<a_i, x>| is min_norm_point's
     <x, x> - min_{s in S} <x, s>, taken from the zonotope's support
     function, and a row is certified under the same rule:
     gap <= tol * (1 + ||x||^2).

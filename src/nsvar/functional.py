@@ -39,11 +39,12 @@ minimizer, by one sorted sweep of the breakpoints (_sweep_minimizer).
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
-as a point plus a list of segment generators, and where the segments are
-pairwise orthogonal its minimum-norm point is zonotope_min_norm's closed
-form, dot products of (N, 2n) arrays row by row.  Only the
-other nodes build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go
-through min_norm_point.
+as a point plus a list of segment generators, and zonotope_min_norm's
+closed form, dot products of (N, 2n) arrays row by row, gives every
+node a candidate minimum-norm point with its certificate.  Only the
+nodes the pass masks and those whose candidate fails its certificate
+build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go through
+min_norm_point.
 
 Both compiled passes are kept on the ProblemSpec, and both evaluate
 subtrees without x or z once per grid (the subdifferential pass once per
@@ -64,7 +65,6 @@ from .convexgeom import (
     MinkowskiSum,
     Singleton,
     min_norm_point,
-    orthogonal_generators,
     zonotope_min_norm,
 )
 from .integrand import (
@@ -109,6 +109,8 @@ class ProblemSpec:
     use_phi, the consistency penalty, when use_psi is or the integrand
     reads some z, because psi reads z and without phi nothing ties x to
     it.  Neither can be set; dataclasses.replace derives both again.
+    x0 and xT are kept as read-only copies.  lambda0 is the penalty
+    weight a solve starts from.
     The integrand and the initial guesses must pass the parser's checks
     (parse_expr, and only t in the guesses), so a tree built in Python
     that the parser would reject, one more than integrand.MAX_DEPTH
@@ -123,7 +125,7 @@ class ProblemSpec:
     xT: np.ndarray | None = None
     initial_x: tuple | None = None
     initial_z: tuple | None = None
-    lambda0: float | None = None
+    lambda0: float = 1.0
     name: str = ""
     use_psi: bool = field(init=False)
     use_phi: bool = field(init=False)
@@ -137,15 +139,18 @@ class ProblemSpec:
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         require_finite("horizon", self.horizon)
-        put(self, "x0", np.atleast_1d(np.asarray(self.x0, float)))
-        if self.x0.shape != (self.n,):
-            raise ValueError(f"x0 must have length n={self.n}")
-        require_finite("x0", self.x0)
+
+        def vector(label: str) -> None:
+            # a read-only copy: neither the caller nor a reader changes it
+            value = np.atleast_1d(np.array(getattr(self, label), float))
+            value.flags.writeable = False
+            if value.shape != (self.n,):
+                raise ValueError(f"{label} must have length n={self.n}")
+            require_finite(label, value)
+            put(self, label, value)
+        vector("x0")
         if self.xT is not None:
-            put(self, "xT", np.atleast_1d(np.asarray(self.xT, float)))
-            if self.xT.shape != (self.n,):
-                raise ValueError(f"xT must have length n={self.n}")
-            require_finite("xT", self.xT)
+            vector("xT")
         check_expr(self.integrand, self.n)
         for label in ("initial_x", "initial_z"):
             guess = getattr(self, label)
@@ -156,10 +161,9 @@ class ProblemSpec:
                     raise ValueError(f"{label} needs one expression per component")
                 for e in guess:
                     check_expr(e, self.n, allow_vars=False)
-        if self.lambda0 is not None:
-            if not self.lambda0 > 0.0:
-                raise ValueError("lambda0 must be positive")
-            require_finite("lambda0", self.lambda0)
+        if not self.lambda0 > 0.0:
+            raise ValueError("lambda0 must be positive")
+        require_finite("lambda0", self.lambda0)
         put(self, "use_psi", self.xT is not None)
         put(self, "use_phi", self.use_psi or uses_var_z(self.integrand))
         put(self, "_compiled", {})
@@ -523,15 +527,15 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
     One compiled pass (compile_subdiff) gives every node's set as a
     point plus a list of segment generators, each an (N, 2n) array.
     Rows the pass masks, the non-finite ones included, are zeroed
-    before any product sees them (only when some row is masked).  Where
-    the segments are pairwise orthogonal the minimum-norm point is
-    zonotope_min_norm's closed form, with its own certificate; every
-    other node, and every node compile_subdiff masks, takes the
-    per-node route of subdiff_I_nodes and min_norm_point.  The route
-    follows from the node's set alone.
-    Errors are the per-node route's: a DomainError or SubdiffError of
-    the lowest node that has one, else MinNormUncertified naming the
-    lowest node, over both routes, whose certificate fails.
+    before any product sees them (only when some row is masked).
+    zonotope_min_norm's closed form then gives every row a candidate
+    with its certificate.  A row the pass masks, or whose candidate is
+    not certified, takes the per-node route of subdiff_I_nodes and
+    min_norm_point; the certificate, not the generators' shape, picks
+    the route.  Errors are the per-node route's, in node order: a
+    DomainError or SubdiffError of the lowest per-node row that has
+    one, else MinNormUncertified naming the lowest per-node row whose
+    certificate fails.
     """
     grid = xz.grid
     _, q, gens, per_node = p.integrand_subdiff()(
@@ -546,19 +550,12 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
         keep = ~per_node[:, None]
         q = np.where(keep, q, 0.0)
         gens = [np.where(keep, a, 0.0) for a in gens]
-    per_node = per_node | ~orthogonal_generators(gens)
-    out, gaps, certified = zonotope_min_norm(q, gens)
-    nodes = np.flatnonzero(per_node)
+    out, _, certified = zonotope_min_norm(q, gens)
+    nodes = np.flatnonzero(per_node | ~certified)
     sets = [_node_set(p, xz, rows, i, tol_act) for i in nodes]
-    failed = np.flatnonzero(~(certified | per_node))
-    first = int(failed[0]) if failed.size else grid.npoints
     for i, s in zip(nodes, sets):
-        if i > first:
-            break
         res = min_norm_point(s)
         if not res.certified:
             raise MinNormUncertified(int(i), res.gap)
         out[i] = res.point
-    if first < grid.npoints:
-        raise MinNormUncertified(first, float(gaps[first]))
     return Traj(grid, out)

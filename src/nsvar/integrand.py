@@ -336,17 +336,10 @@ class _Parser:
         if name == "pow":
             if len(args) != 2:
                 raise ParseError("pow takes exactly 2 arguments", pos)
-            exponent = args[1]
-            if not (isinstance(exponent, Const)
-                    and exponent.value.is_integer()):
-                raise ParseError("pow exponent must be an integer literal", pos)
-            k = int(exponent.value)
-            if k < 1:
-                raise ParseError(f"pow exponent must be >= 1, got {k}", pos)
-            return Pow(args[0], k)
+            # _validate judges the exponent: an integer literal >= 1
+            k = args[1].value if isinstance(args[1], Const) else args[1]
+            return Pow(args[0], int(k) if isinstance(k, float) and k.is_integer() else k)
         if name == "max":
-            if len(args) < 2:
-                raise ParseError("max takes at least 2 arguments", pos)
             return Max(tuple(args))
         if name == "norm":
             return Norm(tuple(args))
@@ -427,6 +420,16 @@ def _validate(e: Expr, n: int, allow_vars: bool) -> None:
             kind = "x" if isinstance(e, VarX) else "z"
             raise ExprError(f"variable {kind}{e.index} out of range 1..{n}")
         return
+    if isinstance(e, Pow):
+        k = e.exponent
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ExprError("pow exponent must be an integer literal")
+        if k < 1:
+            raise ExprError(f"pow exponent must be >= 1, got {k}")
+    if isinstance(e, Max) and len(e.args) < 2:
+        raise ExprError("max takes at least 2 arguments")
+    if isinstance(e, Norm) and not e.args:
+        raise ExprError("norm takes at least 1 argument")
     args = _args(e)
     context = _SMOOTH_ONLY.get(type(e))
     if isinstance(e, Mul) and any(isinstance(a, Const) for a in args):

@@ -62,7 +62,6 @@ __all__ = ["SolverConfig", "IterationRecord", "StageRecord",
 @dataclass
 class SolverConfig:
     eps_bar: float = 3e-2            # stop threshold on ||v||^2 (L2, squared)
-    lambda0: float = 1.0
     lambda_factor: float = 5.0
     lambda_max: float = 1000.0
     constraint_tol: float = 1e-5     # required psi + phi level at the end
@@ -80,9 +79,9 @@ class SolverConfig:
             raise ValueError("grids need at least 2 nodes")
         if self.lambda_factor <= 1.0:
             raise ValueError("lambda_factor must exceed 1")
-        if self.eps_bar <= 0.0 or self.lambda0 <= 0.0:
-            raise ValueError("eps_bar and lambda0 must be positive")
-        for name in ("eps_bar", "lambda0", "lambda_factor", "lambda_max",
+        if self.eps_bar <= 0.0:
+            raise ValueError("eps_bar must be positive")
+        for name in ("eps_bar", "lambda_factor", "lambda_max",
                      "constraint_tol"):
             require_finite(name, getattr(self, name))
         if self.constraint_tol < 0.0:
@@ -317,7 +316,8 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
           ) -> tuple[PairTraj, list[IterationRecord], str]:
     """Run the continuation ladder to a stationary, feasible iterate.
 
-    Returns the final pair, the per-iteration records, and a status:
+    The penalty weight starts at the problem's lambda0.  Returns the
+    final pair, the per-iteration records, and a status:
     "converged" when a stage on the finest grid went stationary with
     psi + phi below constraint_tol, otherwise "exhausted".  A given
     stage_log receives one StageRecord per stage as it ends, and a given
@@ -332,7 +332,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     """
     grid = Grid(p.horizon, cfg.grid_sizes[0])
     xz = initial_pair(p, grid)
-    lam = float(cfg.lambda0)
+    lam = float(p.lambda0)
     records: list[IterationRecord] = []
     k = 0
     gi = 0

@@ -36,10 +36,7 @@ from nsvar.trajectory import Grid, PairTraj, Traj, resample, trapezoid_weights
 
 
 def _builtin_config(name):
-    spec = load_problem(name)
-    over = builtin_config_overrides(name)
-    lam0 = spec.lambda0 if spec.lambda0 is not None else 1.0
-    return spec, SolverConfig(lambda0=lam0, **over)
+    return load_problem(name), SolverConfig(**builtin_config_overrides(name))
 
 
 def test_criterion_1_one_step_exact_solution():
@@ -134,7 +131,7 @@ def test_criterion_4_three_state_tracking():
     and the recovered state stays within 0.1 of (t, 0, t - sin t) in L2."""
     p, cfg = _builtin_config("example4")
     fine = Grid(5.0, cfg.grid_sizes[-1])
-    i0 = eval_I(p, initial_pair(p, fine), cfg.lambda0)
+    i0 = eval_I(p, initial_pair(p, fine), p.lambda0)
 
     t0 = time.perf_counter()
     xz, recs, status = solve(p, cfg)

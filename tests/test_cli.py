@@ -567,3 +567,14 @@ def test_solve_help_says_eps_bounds_the_squared_norm(capsys):
 def test_every_solver_setting_is_reachable_from_the_command_line():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == set(nsvar.cli._FLAG_FIELDS.values()) | {"grid_sizes"}
+
+
+def test_lambda0_flag_replaces_the_problems_value(tmp_path, capsys):
+    # example3's problem text sets lambda0 = 20; --lambda0 takes its place
+    for flags, lam in (([], 20.0), (["--lambda0", "7"], 7.0)):
+        out = tmp_path / f"run{lam}"
+        run(["solve", "example3", "--out", str(out), "--max-iters", "1", *flags])
+        _, rows = _read_csv(out / "convergence.csv")
+        assert rows[0, 6] == lam
+    assert run(["solve", "example3", "--lambda0", "0"]) == 1
+    assert capsys.readouterr().err.endswith("lambda0 must be positive\n")

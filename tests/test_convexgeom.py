@@ -17,7 +17,6 @@ from nsvar.convexgeom import (
     dim,
     min_norm_point,
     negate,
-    orthogonal_generators,
     scale,
     support,
     vertex_list,
@@ -415,7 +414,6 @@ def test_zonotope_min_norm_matches_polytope_route():
         a *= (rng.random(k) < 0.8)[:, None]
         q = rng.standard_normal(d) * rng.uniform(0.1, 4.0)
         x, gap, certified = zonotope_min_norm(q[None, :], _gens(a[None, :, :]))
-        assert orthogonal_generators(_gens(a[None, :, :])).all()
         ref = min_norm_point(_zonotope_polytope(q, a))
         assert ref.certified and certified[0]
         assert np.allclose(x[0], ref.point, rtol=0.0,
@@ -438,23 +436,11 @@ def test_zonotope_certificate_reports_a_wrong_point():
     # Non-orthogonal generators: the clip is not the minimizer, and the
     # gap says so instead of certifying it.
     a = np.array([[[1.0, 1.0], [1.0, 0.0]]])
-    assert not orthogonal_generators(_gens(a))[0]
     q = np.array([[0.0, 1.0]])
     x, gap, certified = zonotope_min_norm(q, _gens(a))
     assert np.array_equal(x, [[-0.5, 0.5]])  # lambda = (-0.5, 0)
     assert np.allclose(min_norm_point(_zonotope_polytope(q[0], a[0])).point, 0.0)
     assert gap[0] == 0.5 and not certified[0]
-
-
-def test_orthogonal_generators_ignores_zero_generators():
-    a = np.array([
-        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
-        [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    ])
-    assert orthogonal_generators(_gens(a)).tolist() == [True, False, True]
-    assert orthogonal_generators(_gens(np.zeros((4, 1, 3)))).all()
-    assert orthogonal_generators(_gens(np.zeros((4, 0, 3)))).all()
 
 
 def _stacked_min_norm(q, a, tol=1e-10):
@@ -485,25 +471,6 @@ def test_zonotope_min_norm_keeps_the_stacked_bits():
             assert g.tobytes() == w.tobytes()
 
 
-def test_orthogonal_generators_finds_one_skew_row_among_many():
-    # The generators overlap only on row 200, so the whole-array check
-    # falls back to the per-row test there.
-    rng = np.random.default_rng(5)
-    a = np.zeros((401, 3, 4))
-    a[:, 0, :2] = rng.standard_normal((401, 2))
-    a[:, 1, 2] = rng.standard_normal(401)
-    a[:, 2, 3] = rng.standard_normal(401)
-    a[200, 2, 0] = 0.25
-    got = orthogonal_generators(_gens(a))
-    assert got.shape == (401,) and got.dtype == bool
-    assert np.flatnonzero(~got).tolist() == [200]
-    # products that overlap but sum to zero leave the row orthogonal
-    a[200, 2, 0] = 0.0
-    a[7, 1, :2] = [a[7, 0, 1], -a[7, 0, 0]]
-    got = orthogonal_generators(_gens(a))
-    assert got.shape == (401,) and got.all()
-
-
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_zonotope_min_norm_on_k_generators(k):
     rng = np.random.default_rng(40 + k)
@@ -512,12 +479,6 @@ def test_zonotope_min_norm_on_k_generators(k):
     for i in range(k):  # generator i lives on coordinate i
         a[:, i, i] = rng.standard_normal(n) * (rng.random(n) < 0.8)
     q = rng.standard_normal((n, d)) * 2.0
-    orthogonal = orthogonal_generators(_gens(a))
-    if k < 2:
-        # a bool, so that ~ flips it: ~True would be -2
-        assert orthogonal.shape == () and orthogonal.dtype == bool
-        assert not ~orthogonal
-    assert orthogonal.all()
     x, gap, certified = zonotope_min_norm(q, _gens(a))
     assert x.shape == (n, d) and gap.shape == (n,) and certified.all()
     assert not np.shares_memory(x, q)

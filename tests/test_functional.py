@@ -31,6 +31,7 @@ from nsvar.functional import (
     subdiff_I_nodes,
 )
 from nsvar.integrand import (
+    _TOL_ACT,
     DomainError,
     EvalPoint,
     SubdiffError,
@@ -75,8 +76,12 @@ def test_problem_validation():
         _simple(xT=np.array([np.inf]))
     with pytest.raises(ValueError, match="^horizon must be finite$"):
         _simple(horizon=np.inf)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="^lambda0 must be positive$"):
+            _simple(lambda0=bad)
     with pytest.raises(ValueError, match="^lambda0 must be finite$"):
         _simple(lambda0=np.inf)
+    assert _simple().lambda0 == 1.0
 
 
 def test_problem_flag_inference():
@@ -102,6 +107,17 @@ def test_problem_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, value)
     assert not p.use_psi and not p.use_phi
+
+
+def test_problem_keeps_read_only_copies_of_x0_and_xT():
+    x0, xT = np.array([0.5]), np.array([1.0])
+    p = _simple(x0=x0, xT=xT)
+    for name in ("x0", "xT"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[0] = np.nan
+    x0[0] = xT[0] = np.nan
+    assert p.x0.tolist() == [0.5] and p.xT.tolist() == [1.0]
+    assert p == _simple(x0=[0.5], xT=[1.0])
 
 
 def test_problem_replace_derives_the_flags_again():
@@ -741,7 +757,8 @@ def test_min_norm_field_matches_per_node_route(tol_act, penalties):
 ])
 @pytest.mark.parametrize("penalties", [False, True])
 def test_min_norm_field_takes_per_node_route(monkeypatch, text, node, penalties):
-    """Sets that are not a point plus orthogonal segments go node by node."""
+    """Sets that are not a point plus segments go node by node, and so do
+    those whose closed form the certificate rejects."""
     p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2),
                     **(dict(xT=[1.0, 0.5]) if penalties else {}))
     g = Grid(1.0, 3)
@@ -757,24 +774,58 @@ def test_min_norm_field_takes_per_node_route(monkeypatch, text, node, penalties)
         return exact(s)
     monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
     if _assert_same_field(p, xz, 2.0 if penalties else 0.0, 1e-9):
-        assert len(per_node) == 1
+        # Oblique segments at q = 0: the clip is 0, exact and certified.
+        oblique_at_zero = text == "abs(x1 + z1) + abs(x1)" and not penalties
+        assert len(per_node) == (0 if oblique_at_zero else 1)
+
+
+def test_min_norm_field_sends_one_uncertified_row_node_by_node(monkeypatch):
+    """Among 401 rows, the one whose clip the certificate rejects, at
+    oblique segments, goes node by node; the field is the reference."""
+    p = ProblemSpec(n=1, horizon=1.0, x0=[0.0],
+                    integrand=parse_expr("abs(x1 + z1) + abs(x1) + pow(z1 - 1, 2)", 1))
+    g = Grid(1.0, 401)
+    x = np.where(np.arange(401) % 2 == 0, 0.0, 1.5)[:, None]
+    z = np.ones((401, 1))
+    x[200], z[200] = 0.0, 0.0    # both abs tie: segments (1, 1) and (1, 0)
+    xz = _pair(p, g, x, z)
+    _, q, gens, per_node = p.integrand_subdiff()(x, z, g.nodes, 1e-9)
+    _, _, certified = nsvar.functional.zonotope_min_norm(q, gens)
+    assert not per_node.any()
+    assert np.flatnonzero(~certified).tolist() == [200]
+    per_node_sets = []
+    exact = nsvar.functional.min_norm_point
+
+    def spy(s):
+        per_node_sets.append(s)
+        return exact(s)
+    monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
+    assert _assert_same_field(p, xz, 0.0, 1e-9)
+    assert len(per_node_sets) == 1
 
 
 @pytest.mark.parametrize("cut, node", [("closed form", 1), ("per node", 0)])
 def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
-    """MinNormUncertified names the lowest failing node over both routes.
+    """A closed form that fails its certificate falls back node by node;
+    MinNormUncertified names the lowest per-node node that fails.
 
-    Node 0 sits on a three-way tie (per-node route); the others take the
-    closed form.  A negative tolerance fails every certificate of the
-    route it is given to.
+    Node 0 sits on a three-way tie (per-node route); the others, from
+    node 1 on, take the closed form.  A negative tolerance fails every
+    certificate of the route it is given to.
     """
     p = ProblemSpec(n=1, horizon=1.0, x0=[0.0],
                     integrand=parse_expr("max(x1, z1, t) + abs(x1 - 5)", 1))
     xz = _pair(p, Grid(1.0, 4), np.array([0.0, 5.0, 5.0, 1.0]), np.zeros(4))
+    want = _per_node_field(p, xz, 0.0, _TOL_ACT)
     name = {"closed form": "zonotope_min_norm", "per node": "min_norm_point"}[cut]
     exact = getattr(nsvar.functional, name)
     monkeypatch.setattr(nsvar.functional, name,
                         lambda *args: exact(*args, tol=-1.0))
+    if cut == "closed form":
+        # every node from node 1 on falls back, and the per-node route
+        # certifies them all
+        assert np.array_equal(min_norm_field(p, xz, 0.0).values, want)
+        return
     with pytest.raises(MinNormUncertified) as err:
         min_norm_field(p, xz, 0.0)
     assert err.value.node == node

@@ -88,12 +88,6 @@ def test_parse_errors():
         parse_expr("x3", 2)
     with pytest.raises(ParseError, match="must be >= 1"):
         parse_expr("x0", 1)
-    with pytest.raises(ParseError, match="at least 2"):
-        parse_expr("max(x1)", 1)
-    with pytest.raises(ParseError, match="integer literal"):
-        parse_expr("pow(x1, t)", 1)
-    with pytest.raises(ParseError, match="integer literal"):
-        parse_expr("pow(x1, 1e400)", 1)
     with pytest.raises(ParseError, match="position 7"):
         parse_expr("(x1 + 1", 1)
     with pytest.raises(ParseError, match="unknown identifier"):
@@ -122,6 +116,11 @@ _REJECTED = [
     # norm(u) is abs(u), and a norm of several operands flips each sign
     ("norm(abs(x1) - 1)", "nonsmooth subexpression inside norm"),
     ("norm(max(x1, z1), x2)", "nonsmooth subexpression inside norm"),
+    ("max(x1)", "max takes at least 2 arguments"),
+    ("pow(x1, 0)", "pow exponent must be >= 1, got 0"),
+    ("pow(x1 + 1, -1)", "pow exponent must be >= 1, got -1"),
+    ("pow(x1, t)", "pow exponent must be an integer literal"),
+    ("pow(x1, 1e400)", "pow exponent must be an integer literal"),
 ]
 
 
@@ -146,6 +145,17 @@ def test_problem_rejects_the_trees_the_parser_rejects(text, message):
     with pytest.raises(ExprError, match="^only t may appear in this expression$"):
         ProblemSpec(n=1, horizon=1.0, x0=[0.0], integrand=parse_expr("abs(x1)", 1),
                     initial_x=(_Parser("t + x1").parse(),))
+
+
+@pytest.mark.parametrize("tree, message", [
+    (Pow(VarX(1), 2.5), "pow exponent must be an integer literal"),
+    (Norm(()), "norm takes at least 1 argument"),
+])
+def test_problem_rejects_trees_built_in_python(tree, message):
+    with pytest.raises(ExprError) as info:
+        ProblemSpec(n=1, horizon=1.0, x0=[0.0], integrand=tree)
+    assert type(info.value) is ExprError
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text, tree", [

@@ -33,16 +33,13 @@ def _flat(n, npoints, horizon=1.0):
 def test_config_validation():
     with pytest.raises(ValueError, match="must be positive"):
         SolverConfig(eps_bar=0.0)
-    with pytest.raises(ValueError, match="must be positive"):
-        SolverConfig(lambda0=0.0)
     with pytest.raises(ValueError, match="not be empty"):
         SolverConfig(grid_sizes=())
     with pytest.raises(ValueError, match="strictly increasing"):
         SolverConfig(grid_sizes=(21, 11))
     with pytest.raises(ValueError, match="exceed 1"):
         SolverConfig(lambda_factor=0.9)
-    for name in ("eps_bar", "lambda0", "lambda_factor", "lambda_max",
-                 "constraint_tol"):
+    for name in ("eps_bar", "lambda_factor", "lambda_max", "constraint_tol"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 SolverConfig(**{name: bad})
@@ -215,7 +212,7 @@ def test_solve_lambda_ladder_caps_and_exhausts():
     # never meet a 1e-12 tolerance, so lambda must climb to its cap
     p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1), xT=np.array([1.0]),
                     integrand=parse_expr("pow(z1, 2)", 1))
-    cfg = SolverConfig(grid_sizes=(5,), eps_bar=1e-3, lambda0=1.0,
+    cfg = SolverConfig(grid_sizes=(5,), eps_bar=1e-3,
                        lambda_factor=5.0, lambda_max=7.0,
                        constraint_tol=1e-12, max_iters=200)
     xz, recs, status = solve(p, cfg)
@@ -290,12 +287,10 @@ def _stages(recs):
 @pytest.mark.parametrize("name", ["example2", "example3"])
 def test_stages_end_stationary_only_at_the_exact_set(name):
     p = load_problem(name)
-    kw = builtin_config_overrides(name)
-    if p.lambda0 is not None:
-        kw["lambda0"] = p.lambda0
-    cfg = SolverConfig(**kw)
+    cfg = SolverConfig(**builtin_config_overrides(name))
     _, recs, status = solve(p, cfg)
     assert status == "converged"
+    assert recs[0].lam == p.lambda0    # the problem's own starting weight
     schedule = nsvar.solver._EPS_SCHEDULE
     stationary = 0
     for stage in _stages(recs):
@@ -318,7 +313,7 @@ def test_penalty_ladder_member_does_not_jam():
     c = 2.012899650019334
     p = dataclasses.replace(load_problem("example3"), integrand=nsvar.integrand.parse_expr(
         f"max(pow(z1, 2) - pow(x1, 2) - {c!r} * t * x1, x2)", 2))
-    cfg = SolverConfig(grid_sizes=(11, 21), lambda0=20.0, lambda_factor=5.0,
+    cfg = SolverConfig(grid_sizes=(11, 21), lambda_factor=5.0,
                        lambda_max=300.0, eps_bar=9e-3, constraint_tol=5e-5,
                        max_iters=400)
     _, recs, status = solve(p, cfg)
@@ -634,11 +629,10 @@ def test_records_count_every_line_search_probe(monkeypatch):
         return result
 
     monkeypatch.setattr(nsvar.solver, "line_search", counted)
-    example3 = load_problem("example3")
     for p, cfg, sweep_line in (
             (load_problem("example2"), SolverConfig(grid_sizes=(11, 21)), True),
-            (example3, SolverConfig(lambda0=example3.lambda0,
-                                    **builtin_config_overrides("example3")), False)):
+            (load_problem("example3"),
+             SolverConfig(**builtin_config_overrides("example3")), False)):
         evals.clear()
         _, recs, status = solve(p, cfg)
         assert status == "converged"
@@ -660,11 +654,9 @@ def test_stages_count_the_searches_that_take_the_sweep(monkeypatch, name, swept)
 
     monkeypatch.setattr(nsvar.solver, "line_search", counted)
     p = load_problem(name)
-    kw = builtin_config_overrides(name)
-    if p.lambda0 is not None:
-        kw["lambda0"] = p.lambda0
     stages = []
-    _, _, status = solve(p, SolverConfig(**kw), stage_log=stages)
+    _, _, status = solve(p, SolverConfig(**builtin_config_overrides(name)),
+                         stage_log=stages)
     assert status == "converged"
     assert set(searches) == {swept}
     assert sum(st.sweeps for st in stages) == (len(searches) if swept else 0)
@@ -708,9 +700,7 @@ def test_solve_measures_each_iterate_once(monkeypatch):
     monkeypatch.setattr(nsvar.solver, "line_search", spied)
 
     p = load_problem("example3")
-    kw = builtin_config_overrides("example3")
-    kw["lambda0"] = p.lambda0
-    _, recs, status = solve(p, SolverConfig(**kw))
+    _, recs, status = solve(p, SolverConfig(**builtin_config_overrides("example3")))
     assert status == "converged"
     accepted = sum(1 for r in recs if r.gamma > 0.0)
     assert calls == {"eval_J": len(_stages(recs)) + accepted,
