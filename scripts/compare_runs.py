@@ -15,8 +15,9 @@ prints ``identical`` when both trees leave byte-identical trajectory.csv
 and convergence.csv and the same exit code, else ``differs`` followed by
 one line per tree: its exit code, iterations, final J and psi + phi, and
 the mean probes per line search over the rows that searched (the
-``ls_evals`` column of convergence.csv).  It exits 1 when any run
-differs.
+``ls_evals`` column of convergence.csv).  A last line names what
+differs: the exit code, each artifact, and for convergence.csv its
+columns.  It exits 1 when any run differs.
 """
 
 from __future__ import annotations
@@ -110,6 +111,29 @@ def _describe(code: int, files: tuple) -> str:
             f"{probes:.1f} probes per search")
 
 
+def _columns_that_differ(old: bytes, new: bytes) -> list[str]:
+    """The convergence.csv columns whose values differ, or ["header"]."""
+    (head, *rows), (new_head, *new_rows) = (f.decode().splitlines()
+                                            for f in (old, new))
+    if head != new_head:
+        return ["header"]
+    cells, new_cells = ([line.split(",") for line in r] for r in (rows, new_rows))
+    return [name for j, name in enumerate(head.split(","))
+            if [r[j] for r in cells] != [r[j] for r in new_cells]]
+
+
+def _differences(old: tuple, new: tuple) -> str:
+    """What differs between two trees' (exit code, artifacts) of one run."""
+    parts = ["exit code"] if old[0] != new[0] else []
+    for name, a, b in zip(ARTIFACTS, old[1], new[1]):
+        if a == b:
+            continue
+        if name == "convergence.csv" and a is not None and b is not None:
+            name += f" (columns {', '.join(_columns_that_differ(a, b))})"
+        parts.append(name)
+    return "differs in " + ", ".join(parts)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -131,6 +155,7 @@ def main(argv: list[str]) -> int:
             if not same:
                 for side, result in zip(("old", "new"), sides):
                     print(f"  {side}: {_describe(*result)}", flush=True)
+                print(f"  {_differences(*sides)}", flush=True)
     print(f"{differ} of {i + 1} runs differ")
     return 1 if differ else 0
 

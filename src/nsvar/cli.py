@@ -19,8 +19,10 @@ budget, 1 on bad input, a failed minimum-norm certificate or an overflow.
 summary.json lists the run's (grid, lambda) stages and why each ended:
 "stationary", "budget" (max_iters used up) or "ls_stall" (no decrease
 along the direction at the exact tie tolerance), with the tie tolerance
-each reached, the directions it took, retakes included, and its line
-searches that the breakpoint sweep's exact minimizer decided.
+each reached, the directions it took, retakes included, the tolerances
+its retakes passed over because their field was the one already taken,
+and its line searches that the breakpoint sweep's exact minimizer
+decided.
 A solve that fails once the output directory exists leaves a summary.json
 with status "failed" and the reason; once it has a first pair, it also
 leaves that run's last pair in trajectory.csv and its records so far in
@@ -231,7 +233,7 @@ class RunSummary:
     endpoint_error: float | None
     wall_time: float
     # per (grid, lambda) stage: N, lambda, iterations, stop, eps, directions,
-    # sweeps
+    # skipped, sweeps
     stages: list
 
 
@@ -366,7 +368,7 @@ def run(argv: list[str]) -> int:
             stages=[{"N": st.npoints, "lambda": st.lam,
                      "iterations": st.iterations, "stop": st.stop,
                      "eps": st.eps, "directions": st.directions,
-                     "sweeps": st.sweeps}
+                     "skipped": st.skipped, "sweeps": st.sweeps}
                     for st in stage_log],
         )
         _write_run(outdir, state, xz.z, records)

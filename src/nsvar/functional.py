@@ -22,6 +22,12 @@ values, their gradients (r_psi, and _phi_rows, phi's adjoint, on r_phi)
 and the penalty rows of the nodal subdifferentials all read them, so
 eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly.
 
+measure(p, xz, lam) takes what an iterate decides for all of its
+directions and lines once, as a frozen Measurement: J, psi, phi, the
+residuals r0 = (r_psi, r_phi) and lam times the penalties' gradient
+rows.  min_norm_field reads its rows and eval_I_along its residuals and
+penalty values; neither takes them again.
+
 The line search's objective is eval_I_along: gamma -> I(xz + gamma * d)
 with its left and right derivatives in gamma.  Along the line the
 residuals are r0 + gamma * r1, r1 those of d with x0 = xT = 0, so
@@ -44,7 +50,8 @@ closed form, dot products of (N, 2n) arrays row by row, gives every
 node a candidate minimum-norm point with its certificate.  Only the
 nodes the pass masks and those whose candidate fails its certificate
 build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go through
-min_norm_point.
+min_norm_point.  The pass also hands out its tie tests, from which
+integrand.next_tolerance tells the tolerances that give the same field.
 
 Both compiled passes are kept on the ProblemSpec, and both evaluate
 subtrees without x or z once per grid (the subdifferential pass once per
@@ -94,8 +101,8 @@ from .trajectory import (
 __all__ = [
     "ProblemSpec", "MinNormUncertified", "initial_pair", "recovered_state",
     "eval_J", "eval_psi", "grad_psi", "eval_phi", "grad_phi", "eval_I",
-    "eval_I_along", "penalty_values", "subdiff_I_at", "subdiff_I_nodes",
-    "min_norm_field",
+    "eval_I_along", "penalty_values", "Measurement", "measure",
+    "subdiff_I_at", "subdiff_I_nodes", "min_norm_field",
 ]
 
 
@@ -268,6 +275,11 @@ def _residuals(p: ProblemSpec, x: np.ndarray | None, z: np.ndarray, h: float,
             x - xint if use_phi else None)
 
 
+def _pair_residuals(p: ProblemSpec, xz: PairTraj) -> tuple:
+    """_residuals at the pair xz."""
+    return _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+
+
 def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
     """The psi and phi parts of <r, s> for residual pairs: a dot product
     and the trapezoid integral of the row dots, 0.0 for a None entry."""
@@ -307,7 +319,7 @@ def grad_psi(p: ProblemSpec, z: Traj) -> np.ndarray:
 
 
 def eval_phi(p: ProblemSpec, xz: PairTraj) -> float:
-    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+    r = _pair_residuals(p, xz)
     return 0.5 * _inner(r, r, xz.grid.h)[1]
 
 
@@ -319,8 +331,7 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     """
     if not p.use_phi:
         return Traj(xz.grid, np.zeros((xz.grid.npoints, 2 * p.n)))
-    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
-    return Traj(xz.grid, _phi_rows(xz.grid, r[1]))
+    return Traj(xz.grid, _phi_rows(xz.grid, _pair_residuals(p, xz)[1]))
 
 
 def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
@@ -331,14 +342,15 @@ def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
 
 
 def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
-                 lam: float) -> Callable[[float], tuple[float, float, float]]:
+                 m: Measurement) -> Callable[[float], tuple[float, float, float]]:
     """gamma -> (I, I'(gamma-), I'(gamma+)) at xz + gamma * direction.
 
     The line search's objective: I's value and its left and right
-    derivatives along the line.  Along a line lam * (psi + phi) is a
-    quadratic c0 + c1 gamma + c2 gamma^2, (c0, c1, c2) =
-    lam * (<r0, r0>/2, <r0, r1>, <r1, r1>/2) for the residuals r0 at xz
-    and r1 of the direction (x0 = xT = 0), once per line.  The integrand
+    derivatives along the line, with m = measure(p, xz, lam).  Along a
+    line lam * (psi + phi) is a quadratic c0 + c1 gamma + c2 gamma^2,
+    (c0, c1, c2) = lam * (<r0, r0>/2, <r0, r1>, <r1, r1>/2) for the
+    residuals r0 at xz and r1 of the direction (x0 = xT = 0), once per
+    line: c0 is lam * (m.psi + m.phi) and r0 is m's.  The integrand
     is folded along the line once too (compile_line).  Each probe then
     evaluates only the compiled integrand's nodes that do not fold, on
     Horner values of the rest, with their one-sided slopes in the same
@@ -364,13 +376,13 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     xv, zv = xz.x.values, xz.z.values
     gx, gz = direction.x.values, direction.z.values
     zero = np.zeros(p.n)
-    r0 = _residuals(p, xv, zv, h, p.x0, p.xT)
+    r0, lam = m.residuals, m.lam
     r1 = _residuals(p, gx, gz, h, zero, zero)
 
     def coefficient(r, s, scale):
         psi, phi = _inner(r, s, h)
         return lam * (scale * psi + scale * phi)
-    c0, c1, c2 = (coefficient(r0, r0, 0.5), coefficient(r0, r1, 1.0),
+    c0, c1, c2 = (lam * (m.psi + m.phi), coefficient(r0, r1, 1.0),
                   coefficient(r1, r1, 0.5))
     at = p.integrand_line()(xv, zv, t, gx, gz)
     w = trapezoid_weights(grid)
@@ -454,27 +466,54 @@ def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
 
     Half the residuals' squared norms, as eval_psi and eval_phi take them.
     """
-    r = _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+    r = _pair_residuals(p, xz)
     psi, phi = _inner(r, r, xz.grid.h)
     return 0.5 * psi, 0.5 * phi
+
+
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """What an iterate decides for all of its directions and lines, taken
+    once (measure): J, psi and phi, the residual pair (r_psi, r_phi) of
+    _residuals, and rows, lam times the penalties' gradient rows, shape
+    (N, 2n), read-only.  I is J + lam * psi + lam * phi, eval_I's sum."""
+
+    lam: float
+    J: float
+    psi: float
+    phi: float
+    residuals: tuple
+    rows: np.ndarray
+
+    @property
+    def I(self) -> float:
+        return self.J + self.lam * self.psi + self.lam * self.phi
+
+
+def measure(p: ProblemSpec, xz: PairTraj, lam: float) -> Measurement:
+    """The iterate's Measurement, from one integral of z.  Its J, psi and
+    phi are eval_J's and penalty_values', to the bit, and it raises
+    their errors, J's first."""
+    J = eval_J(p, xz)
+    r = _pair_residuals(p, xz)
+    psi, phi = _inner(r, r, xz.grid.h)
+    rows = _penalty_rows(p, xz.grid, r, lam)
+    rows.flags.writeable = False
+    return Measurement(lam, J, 0.5 * psi, 0.5 * phi, r, rows)
 
 
 # ---------------------------------------------------------------------------
 # pointwise subdifferential of I
 
 
-def _penalty_rows(p: ProblemSpec, xz: PairTraj, lam: float) -> np.ndarray:
-    """lam * gradient rows of (psi + phi) at every node, shape (N, 2n).
-
-    One integral of z serves both gradients; the values are grad_phi's
-    and grad_psi's.
-    """
+def _penalty_rows(p: ProblemSpec, grid: Grid, r: tuple, lam: float) -> np.ndarray:
+    """lam * gradient rows of (psi + phi) at every node, shape (N, 2n),
+    from the residuals r; the values are grad_phi's and grad_psi's."""
     n = p.n
-    rows = np.zeros((xz.grid.npoints, 2 * n))
-    r_psi, r_phi = _residuals(p, xz.x.values, xz.z.values, xz.grid.h,
-                              p.x0, p.xT)
+    rows = np.zeros((grid.npoints, 2 * n))
+    r_psi, r_phi = r
     if r_phi is not None:
-        rows += lam * _phi_rows(xz.grid, r_phi)
+        rows += lam * _phi_rows(grid, r_phi)
     if r_psi is not None:
         rows[:, n:] += lam * r_psi
     return rows
@@ -496,7 +535,7 @@ def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
 
     tol_act is the integrand's tie tolerance; see subdiff_expr.
     """
-    rows = _penalty_rows(p, xz, lam)
+    rows = _penalty_rows(p, xz.grid, _pair_residuals(p, xz), lam)
     return [_node_set(p, xz, rows, i, tol_act) for i in range(xz.grid.npoints)]
 
 
@@ -504,7 +543,8 @@ def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int) -> ConvexSet:
     """Pointwise subdifferential of I at node i (0-based)."""
     if not 0 <= i < xz.grid.npoints:
         raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    return _node_set(p, xz, _penalty_rows(p, xz, lam), i, _TOL_ACT)
+    rows = _penalty_rows(p, xz.grid, _pair_residuals(p, xz), lam)
+    return _node_set(p, xz, rows, i, _TOL_ACT)
 
 
 class MinNormUncertified(RuntimeError):
@@ -516,13 +556,16 @@ class MinNormUncertified(RuntimeError):
         self.gap = gap
 
 
-def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
-                   tol_act: float = _TOL_ACT) -> Traj:
-    """Nodal minimum-norm subgradients of I, as a 2n-component field.
+def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
+                   tol_act: float = _TOL_ACT) -> tuple[Traj, list]:
+    """Nodal minimum-norm subgradients of I, as a 2n-component field,
+    and the pass's tie tests.
 
     Downstream code reads the field through its piecewise-linear
-    interpolant.  tol_act is the integrand's tie tolerance; see
-    subdiff_expr.
+    interpolant.  m = measure(p, xz, lam) gives the penalty rows.
+    tol_act is the integrand's tie tolerance; see subdiff_expr.  The
+    tie tests are compile_subdiff's ties, for next_tolerance: where it
+    skips a smaller tolerance, this call there gives the same field.
 
     One compiled pass (compile_subdiff) gives every node's set as a
     point plus a list of segment generators, each an (N, 2n) array.
@@ -538,9 +581,9 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
     certificate fails.
     """
     grid = xz.grid
-    _, q, gens, per_node = p.integrand_subdiff()(
+    _, q, gens, per_node, ties = p.integrand_subdiff()(
         xz.x.values, xz.z.values, grid.nodes, tol_act)
-    rows = _penalty_rows(p, xz, lam)
+    rows = m.rows
     # (0 + q) + rows is the per-node path's order of summation, so even
     # the signs of zeros match it.
     q = 0.0 + q + rows
@@ -558,4 +601,4 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, lam: float,
         if not res.certified:
             raise MinNormUncertified(int(i), res.gap)
         out[i] = res.point
-    return Traj(grid, out)
+    return Traj(grid, out), ties

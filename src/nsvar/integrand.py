@@ -31,6 +31,7 @@ point plus segments, and marks the nodes whose sets take another form.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -55,8 +56,8 @@ __all__ = [
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
     "parse_expr", "format_expr", "eval_expr", "compile_line", "eval_expr_grid",
-    "subdiff_expr", "compile_subdiff", "directional_derivative", "uses_var_z",
-    "is_smooth",
+    "subdiff_expr", "compile_subdiff", "next_tolerance",
+    "directional_derivative", "uses_var_z", "is_smooth",
 ]
 
 
@@ -1183,23 +1184,77 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     Masked rows mean nothing; subdiff_expr builds their sets.
 
     A subtree without x or z has a zero center and no generators.  Its
-    values, center and masks are kept, keyed on the array t itself, n
-    and, when it holds a tie, tol_act, and reused while later calls pass
-    them: once per grid (and tolerance).  Only a read-only t is kept, as
-    a Grid's nodes are.
+    values, center, masks and ties are kept, keyed on the array t itself,
+    n and, when it holds a tie, tol_act, and reused while later calls
+    pass them: once per grid (and tolerance).  Only a read-only t is
+    kept, as a Grid's nodes are.
+
+    A fifth item, ties, lists every tie test the pass made, on every row,
+    masked ones and kept subtrees included, as (top, values): abs(v) is
+    (|v|, (0.0,)) and a max is (its value, its branches' values).  They
+    do not depend on tol_act; next_tolerance reads them.
     """
     rec = _compile_sd(e)
 
     def subdiff(x, z, t, tol_act=_TOL_ACT):
-        v, q, gens, per_node, _ = rec(x, z, t, tol_act)
+        ties: list = []
+        v, q, gens, per_node, _ = rec(x, z, t, tol_act, ties)
         gens = [a for a in gens if a.any()]
         if all(np.isfinite(a).all() for a in (v, q, *gens)):
-            return v, q, gens, per_node
+            return v, q, gens, per_node, ties
         finite = np.isfinite(v) & np.isfinite(q).all(axis=1)
         for a in gens:
             finite &= np.isfinite(a).all(axis=1)
-        return v, q, gens, per_node | ~finite
+        return v, q, gens, per_node | ~finite, ties
     return subdiff
+
+
+# A tie margin's relative and absolute roundoff.  The tie tests round,
+# at most a few ulps of 1 in margin units, and the per-node route's
+# values may differ from the grid's in their last bits.
+_MARGIN_REL = 1e-9
+_MARGIN_ABS = 1e-15
+
+
+def next_tolerance(ties: list, schedule: tuple, i: int) -> int:
+    """The first index j > i at which a tie test of compile_subdiff's
+    pass may come out differently than at schedule[i], or len(schedule)
+    when none may.  schedule decreases.
+
+    The test of a value u in a tie (top, values) holds at eps when
+    u >= top - eps (1 + |top|), that is when its margin
+    (top - u) / (1 + |top|) is at most eps: for abs(v), |v| <= eps
+    (1 + |v|).  A test that fails at eps fails at every smaller eps', and
+    one that holds changes only where its margin exceeds eps'.  Margins
+    count as holding up to eps (1 + _MARGIN_REL) + _MARGIN_ABS, and a
+    smaller tolerance sees the same tests only when it is at least
+    m (1 + _MARGIN_REL) + _MARGIN_ABS for every margin m that holds.  A
+    margin that is not finite makes it i + 1.  The walk stops at the
+    first tie that sets it to i + 1, and takes the ties outermost first:
+    the pass lists a subtree's ties before its ancestors', and those of
+    subtrees without x or z, which do not move with the iterate, early.
+    """
+    held = schedule[i] * (1.0 + _MARGIN_REL) + _MARGIN_ABS
+    # a held margin above this may fail the test at schedule[i + 1]
+    kept = (schedule[i + 1] - _MARGIN_ABS) / (1.0 + _MARGIN_REL)
+    widest = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top, values in reversed(ties):
+            scale = 1.0 + np.abs(top)
+            for u in values:
+                m = (top - u) / scale
+                most = np.maximum.reduce(m)
+                if not most <= held:        # some test fails, or is nan
+                    if not most < math.inf:
+                        return i + 1
+                    m = m[m <= held]
+                    most = np.maximum.reduce(m) if m.size else 0.0
+                if most > kept:
+                    return i + 1
+                widest = max(widest, most)
+    widest = widest * (1.0 + _MARGIN_REL) + _MARGIN_ABS
+    return next((j for j in range(i + 1, len(schedule))
+                 if schedule[j] < widest), len(schedule))
 
 
 def _col(v) -> np.ndarray:
@@ -1209,18 +1264,26 @@ def _col(v) -> np.ndarray:
 
 # Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
 # nodes left to the per-node route, seg those where a tie in the subtree
-# holds, so that its set carries a segment there.  As in _compile_line,
-# every subtree without x or z is kept per grid.
+# holds, so that its set carries a segment there.  It appends its tie
+# tests to the list ties.  As in _compile_line, every subtree without x
+# or z is kept per grid, with its ties.
 def _compile_sd(e: Expr):
     if _uses_vars(e):
         return _sd_rule(e)
     f = _sd_rule(e)
 
     def constant(x, z, t, tol):
-        v, q, _, bad, seg = f(x, z, t, tol)
-        return v, q, [], bad, seg  # its generators are 0
-    ties = not is_smooth(e)  # only a tie reads tol
-    return _per_grid(constant, lambda x, tol: (tol if ties else None, x.shape[1]))
+        own: list = []
+        v, q, _, bad, seg = f(x, z, t, tol, own)
+        return (v, q, [], bad, seg), own  # its generators are 0
+    tied = not is_smooth(e)  # only a tie reads tol
+    kept = _per_grid(constant, lambda x, tol: (tol if tied else None, x.shape[1]))
+
+    def reuse(x, z, t, tol, ties):
+        out, own = kept(x, z, t, tol)
+        ties += own
+        return out
+    return reuse
 
 
 def _sd_rule(e: Expr):
@@ -1229,17 +1292,17 @@ def _sd_rule(e: Expr):
     if isinstance(e, Neg):
         f = _compile_sd(e.arg)
 
-        def neg(x, z, t, tol):
-            v, q, gens, bad, seg = f(x, z, t, tol)
+        def neg(x, z, t, tol, ties):
+            v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return -v, -q, [-a for a in gens], bad, seg
         return neg
     if isinstance(e, (Add, Sub)):
         f, g = _compile_sd(e.left), _compile_sd(e.right)
         plus = isinstance(e, Add)
 
-        def add(x, z, t, tol):
-            v1, q1, gens1, bad1, seg1 = f(x, z, t, tol)
-            v2, q2, gens2, bad2, seg2 = g(x, z, t, tol)
+        def add(x, z, t, tol, ties):
+            v1, q1, gens1, bad1, seg1 = f(x, z, t, tol, ties)
+            v2, q2, gens2, bad2, seg2 = g(x, z, t, tol, ties)
             bad, seg = bad1 | bad2, seg1 | seg2
             if plus:
                 return v1 + v2, q1 + q2, gens1 + gens2, bad, seg
@@ -1251,17 +1314,17 @@ def _sd_rule(e: Expr):
         c = e.left.value if left else e.right.value
         f = _compile_sd(e.right if left else e.left)
 
-        def scaled(x, z, t, tol):
-            v, q, gens, bad, seg = f(x, z, t, tol)
+        def scaled(x, z, t, tol, ties):
+            v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return c * v, c * q, [c * a for a in gens], bad, seg
         return scaled
     if isinstance(e, (Mul, Div)):
         f, g = _compile_sd(e.left), _compile_sd(e.right)
         div = isinstance(e, Div)
 
-        def product(x, z, t, tol):
-            v1, q1, _, bad1, seg1 = f(x, z, t, tol)
-            v2, q2, _, bad2, seg2 = g(x, z, t, tol)
+        def product(x, z, t, tol, ties):
+            v1, q1, _, bad1, seg1 = f(x, z, t, tol, ties)
+            v2, q2, _, bad2, seg2 = g(x, z, t, tol, ties)
             bad = bad1 | bad2 | seg1 | seg2
             none = np.zeros_like(bad)
             if not div:
@@ -1275,34 +1338,37 @@ def _sd_rule(e: Expr):
         chain = _chain(e)
         k = e.exponent if isinstance(e, Pow) else None
 
-        def smooth(x, z, t, tol):
-            v, q, _, bad, seg = f(x, z, t, tol)
+        def smooth(x, z, t, tol, ties):
+            v, q, _, bad, seg = f(x, z, t, tol, ties)
             val, dq, undefined = chain(v, q, k)
             return val, dq, [], bad | seg | undefined, np.zeros_like(seg)
         return smooth
     if isinstance(e, Abs):
         f = _compile_sd(e.arg)
 
-        def absolute(x, z, t, tol):
-            v, q, gens, bad, seg = f(x, z, t, tol)
-            act = tol * (1.0 + np.abs(v))
+        def absolute(x, z, t, tol, ties):
+            v, q, gens, bad, seg = f(x, z, t, tol, ties)
+            av = np.abs(v)
+            ties.append((av, (0.0,)))
+            act = tol * (1.0 + av)
             pos, neg = _col(v > act), _col(v < -act)
             tie = ~(pos | neg)
 
             def signed(a):
                 return np.where(pos, a, np.where(neg, -a, 0.0))
-            return (np.abs(v), signed(q),
+            return (av, signed(q),
                     [signed(a) for a in gens] + [np.where(tie, q, 0.0)],
                     bad | (tie[:, 0] & seg), seg | tie[:, 0])
         return absolute
     if isinstance(e, Max):
         fs = [_compile_sd(a) for a in e.args]
 
-        def maximum(x, z, t, tol):
-            parts = [f(x, z, t, tol) for f in fs]
+        def maximum(x, z, t, tol, ties):
+            parts = [f(x, z, t, tol, ties) for f in fs]
             vmax = parts[0][0]
             for part in parts[1:]:
                 vmax = np.maximum(vmax, part[0])
+            ties.append((vmax, [part[0] for part in parts]))
             floor = vmax - tol * (1.0 + np.abs(vmax))
             active = [part[0] >= floor for part in parts]
             count = sum(m.astype(int) for m in active)
@@ -1328,8 +1394,8 @@ def _sd_rule(e: Expr):
     if isinstance(e, Norm):
         fs = [_compile_sd(a) for a in e.args]
 
-        def norm(x, z, t, tol):
-            parts = [f(x, z, t, tol) for f in fs]
+        def norm(x, z, t, tol, ties):
+            parts = [f(x, z, t, tol, ties) for f in fs]
             nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1),
                                        np.stack([p[1] for p in parts], axis=1))
             bad = ~nonzero
@@ -1341,7 +1407,7 @@ def _sd_rule(e: Expr):
 
 
 def _sd_leaf(e: Expr):
-    def leaf(x, z, t, tol):
+    def leaf(x, z, t, tol, ties):
         n = x.shape[1]
         none = np.zeros(t.shape, bool)
         if isinstance(e, (Const, Time)):

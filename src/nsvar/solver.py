@@ -12,9 +12,11 @@ direction, with the polyhedral and quadratic steps of Lemarechal and
 Mifflin (Math. Programming 24, 1982) and Mifflin (Math. Programming 28,
 1984), down to a probe where 0 lies between the two slopes or a bracket
 of _LS_TOL * (1 + gamma).  solve
-measures J and the penalties once per iterate; that I is the iteration
-record's value and f0 for the search on eval_I_along.  That builds the
-line once: the penalties become one quadratic in the step, and the
+measures each iterate once (functional.measure): J, the penalties, their
+residuals and gradient rows.  That I is the iteration record's value and
+f0 for the search on eval_I_along, and every direction and line at the
+iterate reads the same measurement.  eval_I_along builds the line once:
+the penalties become one quadratic in the step, and the
 integrand is folded along the line (compile_line), so a probe evaluates
 only the integrand's nodes that do not fold (abs, max, norm, ...), with
 their one-sided slopes, on Horner values of the rest.
@@ -23,14 +25,19 @@ The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
 within eps * (1 + |value|) of the deciding value counts as active, so a
 node a hair off a kink already sees the gradients from its far side and
-the direction does not jam there.  Each stage walks _EPS_SCHEDULE from
-its start.  It moves one step down when the squared L2 norm of the field
-drops below eps_bar or the line search finds no decrease, and retakes
-the direction within the same iteration.  Only at the schedule's floor,
-the exact tie tolerance, do those two events end the stage, as does the
-iteration budget.  Between stages the trajectory is resampled onto the
-next finer grid and the penalty weight is multiplied up while the
-penalty terms remain above constraint_tol.
+the direction does not jam there.  Each stage walks _EPS_SCHEDULE down
+from its start.  When the squared L2 norm of the field drops below
+eps_bar or the line search finds no decrease, it retakes the direction
+within the same iteration at the next tolerance whose field may differ:
+the set at eps depends only on which tie tests hold, and a test's margin
+tells the tolerances at which it holds (integrand.next_tolerance), so
+the tolerances in between, whose field is provably the one already
+taken, are passed over.  Where that passes over the floor too, the
+field is the floor's and the stage ends without a retake.  Only at the
+schedule's floor, the exact tie tolerance, do those two events end the
+stage, as does the iteration budget.  Between stages the trajectory is
+resampled onto the next finer grid and the penalty weight is multiplied
+up while the penalty terms remain above constraint_tol.
 """
 
 from __future__ import annotations
@@ -42,16 +49,16 @@ from typing import Callable
 import numpy as np
 
 from .functional import (
+    Measurement,
     MinNormUncertified,
     ProblemSpec,
     eval_I,  # noqa: F401  unused; perfbench's tracer checks it is restored here
     eval_I_along,
-    eval_J,
     initial_pair,
+    measure,
     min_norm_field,
-    penalty_values,
 )
-from .integrand import _TOL_ACT, DomainError, ExprError
+from .integrand import _TOL_ACT, DomainError, ExprError, next_tolerance
 from .trajectory import (Grid, PairTraj, Traj, require_finite,
                          require_index, pl_l2_norm_sq, resample)
 
@@ -115,9 +122,12 @@ class StageRecord:
     there, and "budget" when the stage used its max_iters iterations.
     eps is the tie tolerance the stage reached, that of its last
     iteration, and directions counts its steepest_direction calls,
-    retakes at a smaller eps included.  sweeps counts its line searches
-    on sweep lines, which the exact minimizer decides (eval_I_along's
-    probe.sweep).
+    retakes at a smaller eps included.  skipped counts the tolerances
+    its retakes passed over because the tie margins showed their field
+    would be the one already taken (next_tolerance), so directions +
+    skipped is the count of a walk through every tolerance.  sweeps
+    counts its line searches on sweep lines, which the exact minimizer
+    decides (eval_I_along's probe.sweep).
     """
 
     npoints: int
@@ -127,6 +137,7 @@ class StageRecord:
     eps: float
     directions: int
     sweeps: int
+    skipped: int
 
 
 # Accepting a step requires at least this much decrease in I.
@@ -148,24 +159,27 @@ _EPS = float(np.finfo(float).eps)
 _EPS_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, _TOL_ACT)
 
 
-def steepest_direction(p: ProblemSpec, xz: PairTraj, lam: float,
+def steepest_direction(p: ProblemSpec, xz: PairTraj, m: Measurement,
                        cfg: SolverConfig, eps: float = _TOL_ACT
-                       ) -> tuple[PairTraj | None, float]:
-    """Normalized descent direction G = -v/||v|| and the field norm ||v||.
+                       ) -> tuple[PairTraj | None, float, list]:
+    """Normalized descent direction G = -v/||v||, the field norm ||v||
+    and the field's tie tests (min_norm_field).
 
     v is the minimum-norm field of the subdifferential at tie tolerance
-    eps.  Returns (None, ||v||) when ||v||^2 <= eps_bar, i.e. the iterate
-    is stationary to tolerance at that eps and no direction is defined.
+    eps, with m = measure(p, xz, lam).  The direction is None when
+    ||v||^2 <= eps_bar, i.e. the iterate is stationary to tolerance at
+    that eps and no direction is defined.
     """
-    v = min_norm_field(p, xz, lam, eps)
+    v, ties = min_norm_field(p, xz, m, eps)
     vsq = pl_l2_norm_sq(v)
     vnorm = float(np.sqrt(vsq))
     if vsq <= cfg.eps_bar:
-        return None, vnorm
+        return None, vnorm, ties
     gvals = -v.values / vnorm
     n = p.n
     grid = xz.grid
-    return PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])), vnorm
+    return (PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])),
+            vnorm, ties)
 
 
 def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
@@ -345,30 +359,36 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
             ei = 0
             directions = 0
             sweeps = 0
-            J = eval_J(p, xz)
-            psi, phi = penalty_values(p, xz)
+            skipped = 0
+            m = measure(p, xz, lam)
             for _ in range(cfg.max_iters):
                 k += 1
-                I = J + lam * psi + lam * phi
                 ls_evals = 0
-                # Retake the direction one tolerance down until it is a
-                # descent direction or the exact set has the last word.
+                # Retake the direction at a smaller tolerance until it is
+                # a descent direction or the exact set has the last word.
+                # Tolerances whose field is provably this one are passed
+                # over; where that reaches the floor, it has had its word.
                 while True:
                     eps = _EPS_SCHEDULE[ei]
-                    direction, vnorm = steepest_direction(p, xz, lam, cfg, eps)
+                    direction, vnorm, ties = steepest_direction(p, xz, m, cfg, eps)
                     directions += 1
                     gamma, ok = 0.0, False
                     if direction is not None:
-                        along = eval_I_along(p, xz, direction, lam)
-                        gamma, ok, probes = line_search(along, I)
+                        along = eval_I_along(p, xz, direction, m)
+                        gamma, ok, probes = line_search(along, m.I)
                         ls_evals += probes
                         sweeps += along.sweep is not None
                     if ok or ei == floor:
                         break
-                    ei += 1
+                    nxt = next_tolerance(ties, _EPS_SCHEDULE, ei)
+                    skipped += nxt - ei - 1
+                    if nxt > floor:     # the floor's field is this one
+                        ei, eps = floor, _EPS_SCHEDULE[floor]
+                        break
+                    ei = nxt
                 records.append(IterationRecord(
-                    k=k, I=I, J=J, psi=psi, phi=phi, vnorm=vnorm, lam=lam,
-                    gamma=gamma, npoints=xz.grid.npoints, eps=eps,
+                    k=k, I=m.I, J=m.J, psi=m.psi, phi=m.phi, vnorm=vnorm,
+                    lam=lam, gamma=gamma, npoints=xz.grid.npoints, eps=eps,
                     ls_evals=ls_evals,
                 ))
                 if direction is None:
@@ -384,13 +404,13 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     break
                 xz.x.values += gamma * direction.x.values
                 xz.z.values += gamma * direction.z.values
-                J = eval_J(p, xz)
-                psi, phi = penalty_values(p, xz)
+                m = measure(p, xz, lam)
 
             if stage_log is not None:
                 stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start,
-                                             stop, eps, directions, sweeps))
-            pen = psi + phi
+                                             stop, eps, directions, sweeps,
+                                             skipped))
+            pen = m.psi + m.phi
             on_last_grid = gi + 1 == len(cfg.grid_sizes)
             if stop == "stationary" and on_last_grid and pen <= cfg.constraint_tol:
                 status = "converged"

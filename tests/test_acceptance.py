@@ -26,6 +26,7 @@ from nsvar.functional import (
     grad_phi,
     grad_psi,
     initial_pair,
+    measure,
     min_norm_field,
     recovered_state,
     subdiff_I_at,
@@ -54,9 +55,9 @@ def test_criterion_1_one_step_exact_solution():
     assert isinstance(s2, Singleton) and np.allclose(s2.point, [1.0, 0.0])
 
     # min-norm field (-1, 0, 1), descent direction prop. to (1, 0, -1)
-    field = min_norm_field(p, xz0, 1.0)
+    field, _ = min_norm_field(p, xz0, measure(p, xz0, 1.0))
     assert np.array_equal(field.values[:, 0], [-1.0, 0.0, 1.0])
-    d, _ = steepest_direction(p, xz0, 1.0, cfg)
+    d, _, _ = steepest_direction(p, xz0, measure(p, xz0, 1.0), cfg)
     scaled = d.x.values[:, 0] / d.x.values[0, 0]
     assert np.allclose(scaled, [1.0, 0.0, -1.0], atol=1e-12)
 

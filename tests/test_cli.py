@@ -206,7 +206,7 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
     first = 0
     for s in stages:
         assert set(s) == {"N", "lambda", "iterations", "stop", "eps",
-                          "directions", "sweeps"}
+                          "directions", "skipped", "sweeps"}
         part = rows[first:first + s["iterations"]]
         assert len(part) == s["iterations"] >= 1
         assert (part[:, 8] == s["N"]).all() and (part[:, 6] == s["lambda"]).all()
@@ -222,11 +222,47 @@ def test_run_records_why_each_stage_stopped(tmp_path, problem, flags, stops):
     if problem == "example3":
         assert [s["sweeps"] for s in stages] == [0, 0, 0]
     if stops == ["ls_stall"]:
-        # a smooth line is a sweep line, and the sweep decides: each of
-        # the last iteration's failed searches takes its one probe
+        # a smooth line is a sweep line, and the sweep decides: the last
+        # iteration's failed search takes its one probe.  The integrand
+        # has no tie, so its field is the floor's: no direction is
+        # retaken, and every smaller tolerance is passed over.
         (stage,) = stages
-        assert stage["sweeps"] == stage["directions"]
-        assert rows[-1, 10] == len(nsvar.solver._EPS_SCHEDULE)
+        assert stage["sweeps"] == stage["directions"] == stage["iterations"]
+        assert stage["skipped"] == len(nsvar.solver._EPS_SCHEDULE) - 1
+        assert rows[-1, 10] == 1
+
+
+@pytest.mark.parametrize("problem, flags", [
+    ("example2", []),
+    ("stall", ["--grid", "5", "--eps", "1e-300"]),
+])
+def test_stages_skip_what_the_one_step_walk_retakes(tmp_path, monkeypatch,
+                                                    problem, flags):
+    """directions + skipped is the count of a walk one tolerance at a
+    time, and the two walks leave the same iterates: only ls_evals may
+    fall, where a failed search is no longer repeated."""
+    if problem == "stall":
+        problem = tmp_path / "stall.prob"
+        problem.write_text(_STALL)
+    runs = {}
+    for walk in ("margins", "one step"):
+        if walk == "one step":
+            monkeypatch.setattr(nsvar.solver, "next_tolerance",
+                                lambda ties, schedule, i: i + 1)
+        out = tmp_path / walk.replace(" ", "_")
+        run(["solve", str(problem), "--out", str(out), *flags])
+        runs[walk] = (json.loads((out / "summary.json").read_text())["stages"],
+                      _read_csv(out / "convergence.csv")[1],
+                      (out / "trajectory.csv").read_bytes())
+    (stages, rows, traj), (walked, walked_rows, walked_traj) = runs.values()
+    assert traj == walked_traj
+    assert np.array_equal(rows[:, :10], walked_rows[:, :10])
+    assert (rows[:, 10] <= walked_rows[:, 10]).all()
+    assert [(s["iterations"], s["stop"], s["eps"], s["directions"] + s["skipped"])
+            for s in stages] == [(s["iterations"], s["stop"], s["eps"], s["directions"])
+                                 for s in walked]
+    assert all(s["skipped"] == 0 for s in walked)
+    assert sum(s["skipped"] for s in stages) > 0
 
 
 def test_run_missing_problem_is_error(tmp_path, capsys):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import nsvar.functional
+import nsvar.solver
 import nsvar.trajectory
 from _oracles import dual_gradient, fd_directional, random_expr, random_smooth_expr
 from nsvar.cli import load_problem
-from nsvar.convexgeom import Polytope, Singleton, min_norm_point, support
+from nsvar.convexgeom import Polytope, Singleton, min_norm_point, support, vertex_list
 from nsvar.functional import (
     MinNormUncertified,
     ProblemSpec,
@@ -24,6 +25,7 @@ from nsvar.functional import (
     grad_phi,
     grad_psi,
     initial_pair,
+    measure,
     min_norm_field,
     penalty_values,
     recovered_state,
@@ -34,7 +36,10 @@ from nsvar.integrand import (
     _TOL_ACT,
     DomainError,
     EvalPoint,
+    ExprError,
     SubdiffError,
+    format_expr,
+    next_tolerance,
     parse_expr,
     subdiff_expr,
 )
@@ -57,6 +62,11 @@ def _simple(n=1, **kw):
 
 def _pair(p, grid, x, z):
     return PairTraj(Traj(grid, x), Traj(grid, z))
+
+
+def _field(p, xz, lam, tol_act=_TOL_ACT):
+    """min_norm_field's field at xz, measured with weight lam."""
+    return min_norm_field(p, xz, measure(p, xz, lam), tol_act)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +369,7 @@ def test_penalties_from_one_integral_keep_their_bits():
             want += lam * grad_phi(p, xz).values
         if p.use_psi:
             want[:, p.n:] += lam * grad_psi(p, xz.z)
-        assert np.array_equal(nsvar.functional._penalty_rows(p, xz, lam), want)
+        assert np.array_equal(measure(p, xz, lam).rows, want)
 
 
 @pytest.mark.parametrize("text, node, message", [
@@ -444,7 +454,7 @@ def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
                        rng.standard_normal((N, p.n)))
             d = _pair(p, g, rng.standard_normal((N, p.n)),
                       rng.standard_normal((N, p.n)))
-            along = eval_I_along(p, xz, d, lam)
+            along = eval_I_along(p, xz, d, measure(p, xz, lam))
             for gamma in (0.0, 1e-9, 1e-2, 1.0, 1e3):
                 stepped = _pair(p, g, xz.x.values + gamma * d.x.values,
                                 xz.z.values + gamma * d.z.values)
@@ -479,7 +489,7 @@ def test_eval_I_along_sweeps_to_the_slope_search_minimum(name, tmp_path, monkeyp
         for _ in range(5):
             xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
                            rng.standard_normal((21, p.n))) for _ in range(2))
-            along = eval_I_along(p, xz, d, lam)
+            along = eval_I_along(p, xz, d, measure(p, xz, lam))
             assert along.sweep is not None
             f0 = along(0.0)[0]
             swept = line_search(along, f0)
@@ -502,7 +512,7 @@ def test_lines_without_a_sweep(name, tmp_path, monkeypatch):
     at = p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
                             d.x.values, d.z.values)
     assert at.kinks is None
-    assert eval_I_along(p, xz, d, 20.0).sweep is None
+    assert eval_I_along(p, xz, d, measure(p, xz, 20.0)).sweep is None
 
 
 def test_sweep_waits_for_a_convex_line():
@@ -512,7 +522,7 @@ def test_sweep_waits_for_a_convex_line():
     g = Grid(1.0, 5)
     xz = _pair(p, g, np.zeros((5, 1)), np.zeros((5, 1)))
     d = _pair(p, g, np.ones((5, 1)), np.zeros((5, 1)))
-    along = eval_I_along(p, xz, d, 1.0)
+    along = eval_I_along(p, xz, d, measure(p, xz, 1.0))
     assert p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
                               d.x.values, d.z.values).kinks is not None
     assert along.sweep is None
@@ -536,7 +546,7 @@ def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
     stepped = _pair(p, g, xz.x.values + dx, xz.z.values)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
         eval_I(p, stepped, 20.0)
-    along = eval_I_along(p, xz, d, 20.0)
+    along = eval_I_along(p, xz, d, measure(p, xz, 20.0))
     with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
         along(1.0)
     assert str(got.value) == str(want.value)
@@ -552,7 +562,7 @@ def test_eval_I_along_names_the_first_non_finite_node(bad_nodes):
     xz = _pair(p, g, np.zeros((7, 1)), np.zeros((7, 1)))
     dx = np.zeros((7, 1))
     dx[list(bad_nodes)] = 1e3
-    along = eval_I_along(p, xz, _pair(p, g, dx, np.zeros((7, 1))), 1.0)
+    along = eval_I_along(p, xz, _pair(p, g, dx, np.zeros((7, 1))), measure(p, xz, 1.0))
     with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
         along(1.0)
     i = min(bad_nodes)
@@ -572,6 +582,7 @@ def test_eval_I_along_probes_integrate_nothing(monkeypatch):
     rng = np.random.default_rng(3)
     xz = _pair(p, g, rng.standard_normal((21, 2)), rng.standard_normal((21, 2)))
     d = _pair(p, g, rng.standard_normal((21, 2)), rng.standard_normal((21, 2)))
+    m = measure(p, xz, 20.0)
     counts = {"traj": 0, "cumulative": 0}
 
     def counting(key, fn):
@@ -584,11 +595,12 @@ def test_eval_I_along_probes_integrate_nothing(monkeypatch):
                         counting("traj", nsvar.trajectory.Traj.__init__))
     monkeypatch.setattr(nsvar.functional, "cumulative_trapezoid",
                         counting("cumulative", nsvar.functional.cumulative_trapezoid))
-    along = eval_I_along(p, xz, d, 20.0)
-    assert counts == {"traj": 0, "cumulative": 2}
+    # the iterate's residuals come from m: only the direction's integrate
+    along = eval_I_along(p, xz, d, m)
+    assert counts == {"traj": 0, "cumulative": 1}
     for gamma in (0.0, 0.1, 1.0, 10.0):
         along(gamma)
-    assert counts == {"traj": 0, "cumulative": 2}
+    assert counts == {"traj": 0, "cumulative": 1}
     assert not g.nodes.flags.writeable
     with pytest.raises(ValueError):
         g.nodes[0] = 1.0
@@ -627,7 +639,7 @@ def test_subdiff_field_example1_initial():
     s = subdiff_I_at(p, xz, 1.0, 1)
     assert isinstance(s, Polytope)
     assert np.allclose(sorted(s.vertices.tolist()), [[-1.0, 0.0], [1.0, 0.0]])
-    f = min_norm_field(p, xz, 1.0)
+    f = _field(p, xz, 1.0)
     assert np.array_equal(f.values, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
 
@@ -659,7 +671,7 @@ def test_min_norm_field_smooth_composition():
         xz = _pair(p, g, rng.standard_normal((6, n)), rng.standard_normal((6, n)))
         lam = float(rng.random() * 5 + 0.5)
         try:
-            field = min_norm_field(p, xz, lam).values
+            field = _field(p, xz, lam).values
         except Exception:  # noqa: BLE001 - domain errors from random exprs
             continue
         r = grad_psi(p, xz.z)
@@ -675,18 +687,19 @@ def test_min_norm_field_smooth_composition():
 def test_stationarity_residual_example1():
     p = load_problem("example1")
     xz = initial_pair(p, Grid(1.0, 3))
-    _, vnorm = steepest_direction(p, xz, 1.0, SolverConfig())
+    _, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 1.0), SolverConfig())
     assert vnorm ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
     flat = _pair(p, Grid(1.0, 3), np.zeros(3), np.zeros(3))
-    assert steepest_direction(p, flat, 1.0, SolverConfig()) == (None, 0.0)
+    assert steepest_direction(p, flat, measure(p, flat, 1.0),
+                              SolverConfig())[:2] == (None, 0.0)
 
 
 def test_min_norm_field_deterministic():
     p = load_problem("example3")
     g = Grid(1.0, 11)
     xz = initial_pair(p, g)
-    a = min_norm_field(p, xz, 20.0).values
-    b = min_norm_field(p, xz, 20.0).values
+    a = _field(p, xz, 20.0).values
+    b = _field(p, xz, 20.0).values
     assert np.array_equal(a, b)
 
 
@@ -697,7 +710,7 @@ def test_min_norm_field_uncertified_raises(monkeypatch):
     monkeypatch.setattr(nsvar.functional, "min_norm_point",
                         lambda s: exact(s, tol=0.0))
     with pytest.raises(MinNormUncertified, match="certificate failed"):
-        min_norm_field(p, xz, 2.0)
+        _field(p, xz, 2.0)
 
 
 def _per_node_field(p, xz, lam, tol_act):
@@ -712,9 +725,9 @@ def _assert_same_field(p, xz, lam, tol_act):
         want = _per_node_field(p, xz, lam, tol_act)
     except (DomainError, SubdiffError) as exc:
         with pytest.raises(type(exc)):
-            min_norm_field(p, xz, lam, tol_act)
+            _field(p, xz, lam, tol_act)
         return False
-    got = min_norm_field(p, xz, lam, tol_act).values
+    got = _field(p, xz, lam, tol_act).values
     tol = 1e-12 * (1.0 + np.linalg.norm(want, axis=1))
     assert (np.abs(got - want).max(axis=1) <= tol).all(), (got, want)
     return True
@@ -743,6 +756,63 @@ def test_min_norm_field_matches_per_node_route(tol_act, penalties):
         lam = 3.0 if penalties else 0.0
         compared += _assert_same_field(p, _pair(p, g, x, z), lam, tol_act)
     assert compared >= 60
+
+
+# Offsets from a half-integer lattice that put tie margins on both sides
+# of every tolerance of the schedule, and on the lattice itself.
+_NEAR_KINKS = (0.0, 0.0, 0.0, 4e-4, -3e-5, 2e-6, -6e-7, 5e-8, -2e-9, 7e-10)
+
+
+def _outcome(p, xz, m, tol_act):
+    """min_norm_field's field and each node's subdiff_expr vertex list at
+    tol_act, as bytes, or the error each raises."""
+    def attempt(f):
+        try:
+            out = f()
+        except (ExprError, MinNormUncertified) as exc:
+            return type(exc), str(exc)
+        return None if out is None else (out.shape, out.tobytes())
+
+    def vertices(i):
+        point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
+        return vertex_list(subdiff_expr(p.integrand, point, tol_act))
+    return (attempt(lambda: min_norm_field(p, xz, m, tol_act)[0].values),
+            [attempt(lambda i=i: vertices(i)) for i in range(xz.grid.npoints)])
+
+
+@pytest.mark.parametrize("penalties", [False, True])
+def test_skipped_tolerances_keep_every_set_and_the_field(penalties):
+    """At every tolerance next_tolerance passes over, each node's
+    subdiff_expr vertex list and min_norm_field are those at the
+    tolerance it starts from, bit for bit, on random draws near their
+    kinks."""
+    schedule = nsvar.solver._EPS_SCHEDULE
+    rng = np.random.default_rng(53 + int(penalties))
+    skipped = changed = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 3))
+        e = random_expr(rng, n)
+        g, x, z = _half_integer_pair(rng, n, 7)
+        x += rng.choice(_NEAR_KINKS, x.shape)
+        z += rng.choice(_NEAR_KINKS, z.shape)
+        kw = dict(xT=0.5 * rng.integers(-2, 3, n).astype(float)) if penalties else {}
+        p = ProblemSpec(n=n, horizon=g.horizon, x0=np.zeros(n), integrand=e, **kw)
+        xz = _pair(p, g, x, z)
+        try:
+            m = measure(p, xz, 3.0 if penalties else 0.0)
+        except DomainError:
+            continue
+        outcomes = [_outcome(p, xz, m, eps) for eps in schedule]
+        for i in range(len(schedule) - 1):
+            ties = p.integrand_subdiff()(x, z, g.nodes, schedule[i])[4]
+            j = next_tolerance(ties, schedule, i)
+            assert i < j <= len(schedule)
+            for k in range(i + 1, min(j, len(schedule))):
+                assert outcomes[k] == outcomes[i], (format_expr(e), i, k)
+            skipped += min(j, len(schedule)) - i - 1
+            changed += j < len(schedule) and outcomes[j] != outcomes[i]
+    # the draws exercise both sides of the rule
+    assert skipped >= 2000 and changed >= 25
 
 
 @pytest.mark.parametrize("text, node", [
@@ -789,7 +859,7 @@ def test_min_norm_field_sends_one_uncertified_row_node_by_node(monkeypatch):
     z = np.ones((401, 1))
     x[200], z[200] = 0.0, 0.0    # both abs tie: segments (1, 1) and (1, 0)
     xz = _pair(p, g, x, z)
-    _, q, gens, per_node = p.integrand_subdiff()(x, z, g.nodes, 1e-9)
+    _, q, gens, per_node, _ = p.integrand_subdiff()(x, z, g.nodes, 1e-9)
     _, _, certified = nsvar.functional.zonotope_min_norm(q, gens)
     assert not per_node.any()
     assert np.flatnonzero(~certified).tolist() == [200]
@@ -824,10 +894,10 @@ def test_min_norm_field_names_lowest_uncertified_node(monkeypatch, cut, node):
     if cut == "closed form":
         # every node from node 1 on falls back, and the per-node route
         # certifies them all
-        assert np.array_equal(min_norm_field(p, xz, 0.0).values, want)
+        assert np.array_equal(_field(p, xz, 0.0).values, want)
         return
     with pytest.raises(MinNormUncertified) as err:
-        min_norm_field(p, xz, 0.0)
+        _field(p, xz, 0.0)
     assert err.value.node == node
     assert str(err.value).startswith(f"minimum-norm certificate failed at node {node} ")
 
@@ -849,13 +919,13 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
     clean = p.integrand_subdiff()
 
     def poisoned(*args):
-        v, q, gens, per_node = clean(*args)
+        v, q, gens, per_node, ties = clean(*args)
         assert len(gens) == 2 and per_node.tolist() == [False, False, True, False, True]
         q, gens = q.copy(), [a.copy() for a in gens]
         q[2], q[4] = [np.inf, np.nan, 0.0, -np.inf], [np.nan, 1.0, np.inf, 0.0]
         gens[0][2], gens[1][2] = [np.inf, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]
         gens[0][4], gens[1][4] = [0.0, -np.inf, np.inf, 0.0], [np.nan, 0.0, 0.0, 2.0]
-        return v, q, gens, per_node
+        return v, q, gens, per_node, ties
 
     per_node = []
     exact = nsvar.functional.min_norm_point
@@ -863,11 +933,11 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
     def spy(s):
         per_node.append(s)
         return exact(s)
-    want = min_norm_field(p, xz, 2.0).values
+    want = _field(p, xz, 2.0).values
     monkeypatch.setattr(ProblemSpec, "integrand_subdiff", lambda self: poisoned)
     monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
     with np.errstate(over="raise", invalid="raise"):
-        got = min_norm_field(p, xz, 2.0).values
+        got = _field(p, xz, 2.0).values
     assert got.tobytes() == want.tobytes()
     assert len(per_node) == 2
 

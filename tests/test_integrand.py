@@ -49,6 +49,7 @@ from nsvar.integrand import (
     eval_expr_grid,
     format_expr,
     is_smooth,
+    next_tolerance,
     parse_expr,
     subdiff_expr,
     uses_var_z,
@@ -558,10 +559,13 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
 
 
 def _assert_same_bits(got, want):
-    """Two (value, q, gens, per_node) results agree bit for bit."""
-    (v1, q1, gens1, bad1), (v2, q2, gens2, bad2) = got, want
+    """Two (value, q, gens, per_node, ties) results agree bit for bit."""
+    (v1, q1, gens1, bad1, ties1), (v2, q2, gens2, bad2, ties2) = got, want
     assert len(gens1) == len(gens2)
-    for a, b in zip((v1, q1, bad1, *gens1), (v2, q2, bad2, *gens2)):
+    assert [len(u) for _, u in ties1] == [len(u) for _, u in ties2]
+    tied1 = [np.asarray(a) for top, u in ties1 for a in (top, *u)]
+    tied2 = [np.asarray(a) for top, u in ties2 for a in (top, *u)]
+    for a, b in zip((v1, q1, bad1, *gens1, *tied1), (v2, q2, bad2, *gens2, *tied2)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -622,7 +626,7 @@ def test_leaf_rows_are_built_once_and_read_only():
         rows[0, 0] = 1.0
     # a bare variable's pass hands the kept rows out as its center
     t = Grid(1.0, 9).nodes
-    _, q, _, _ = compile_subdiff(parse_expr("z2", 2))(np.zeros((9, 2)), np.zeros((9, 2)), t)
+    _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2))(np.zeros((9, 2)), np.zeros((9, 2)), t)
     assert q is rows
 
 
@@ -730,6 +734,61 @@ def test_subdiff_norm_keeps_exact_zero_test():
     assert exact.point.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+
+
+def test_next_tolerance_reads_the_tie_margins():
+    """abs(v) has margin |v| / (1 + |v|) and a max branch u
+    (vmax - u) / (1 + |vmax|); the next tolerance is the first one below
+    the widest margin that holds, else len(schedule)."""
+    def absolute(v):
+        return (np.abs(np.array(v, float)), (0.0,))
+
+    def maximum(*branches):
+        vals = [np.array(b, float) for b in branches]
+        return (np.maximum.reduce(vals), vals)
+
+    assert next_tolerance([], _SCHEDULE, 0) == 7
+    assert next_tolerance([absolute([5e-6, 0.0, -3.0])], _SCHEDULE, 0) == 3
+    assert next_tolerance([absolute([5e-6])], _SCHEDULE, 3) == 7   # no longer tied
+    assert next_tolerance([absolute([2e-3])], _SCHEDULE, 0) == 7   # never tied
+    assert next_tolerance([absolute([-5e-4])], _SCHEDULE, 0) == 1
+    # the branch at the top holds at every tolerance
+    assert next_tolerance([maximum([1.0], [1.0])], _SCHEDULE, 0) == 7
+    assert next_tolerance([maximum([1.0], [1.0 - 6e-8])], _SCHEDULE, 0) == 5
+    assert next_tolerance([maximum([1.0, 2.0], [3.0, 2.0 - 3e-9])], _SCHEDULE, 2) == 6
+    # a margin within roundoff of a tolerance counts as changing there
+    assert next_tolerance([absolute([1e-5 * (1.0 + 1e-5)])], _SCHEDULE, 0) == 2
+    # the widest margin over all ties decides
+    ties = [absolute([5e-8]), maximum([0.0], [-3e-6]), absolute([0.0])]
+    assert next_tolerance(ties, _SCHEDULE, 0) == 3
+    assert next_tolerance(ties, _SCHEDULE, 3) == 5
+
+
+def test_subtrees_kept_per_grid_hand_out_their_ties():
+    # at t = 0.5 the max without x or z is 5e-5 from its tie: it holds at
+    # 1e-3 and 1e-4, so the field may change at 1e-5, on every call
+    f = compile_subdiff(parse_expr("abs(x1 - max(t - 0.50005, 0))", 1))
+    t, x = Grid(1.0, 3).nodes, np.zeros((3, 1))
+    for _ in range(2):    # computed, then kept
+        assert next_tolerance(f(x, x, t, 1e-3)[4], _SCHEDULE, 0) == 2
+
+
+def test_next_tolerance_is_conservative_where_margins_are_not_finite():
+    with np.errstate(over="raise", invalid="raise"):
+        for ties in ([(np.array([np.inf]), (0.0,))],
+                     [(np.array([np.nan]), (0.0,))],
+                     [(np.array([1.0]), [np.array([1.0]), np.array([np.nan])])],
+                     [(np.array([1e308]), [np.array([1e308]), np.array([-1e308])])]):
+            assert next_tolerance(ties, _SCHEDULE, 2) == 3
+
+
+def test_next_tolerance_stops_at_the_first_tie_that_decides():
+    # the ties are read outermost, last listed, first: the first one
+    # listed is never read, since the last one already changes at 1e-4
+    assert next_tolerance([None, (np.array([5e-4]), (0.0,))], _SCHEDULE, 0) == 1
+
+
 def test_subdiff_max_over_ball_tie_raises():
     with pytest.raises(SubdiffError, match="not representable"):
         subdiff_expr(parse_expr("max(norm(x1), z1)", 1), _pt([0.0], [0.0]))
@@ -775,7 +834,7 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
         x = rng.standard_normal((6, n))
         z = rng.standard_normal((6, n))
         t = rng.random(6)
-        value, q, gens, per_node = compile_subdiff(e)(x, z, t, 1e-9)
+        value, q, gens, per_node, _ = compile_subdiff(e)(x, z, t, 1e-9)
         assert gens == [] and not per_node.any()
         assert np.allclose(value, eval_expr_grid(e, x, z, t), rtol=1e-14, atol=0.0)
         for i in range(6):
@@ -801,7 +860,7 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
         x, z = rng.standard_normal((2, 40, n))
         t = rng.random(40)
         x[::2], z[::2], t[::2] = (np.round(a[::2], 1) for a in (x, z, t))
-        value, q, gens, per_node = compile_subdiff(e)(x, z, t, tol_act)
+        value, q, gens, per_node, _ = compile_subdiff(e)(x, z, t, tol_act)
         for i in np.flatnonzero(~per_node):
             if any(a[i].any() for a in gens):
                 continue
@@ -816,7 +875,7 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     f = compile_subdiff(parse_expr("abs(x1) + 2 * max(x2, z1)", 2))
     x = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
     z = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
-    value, q, gens, per_node = f(x, z, np.zeros(3), 1e-9)
+    value, q, gens, per_node, _ = f(x, z, np.zeros(3), 1e-9)
     assert np.array_equal(value, [2.0, 3.0, 2.0])
     assert not per_node.any()
     # node 0: abs tie, x2 wins; node 1: max tie; node 2: neither
@@ -841,7 +900,7 @@ def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
     f = compile_subdiff(parse_expr(text, 2))
     xs = np.array([x, [2.0, 3.0]])
     zs = np.array([z, [4.0, 5.0]])
-    _, _, _, per_node = f(xs, zs, np.zeros(2), 1e-9)
+    _, _, _, per_node, _ = f(xs, zs, np.zeros(2), 1e-9)
     assert per_node.tolist() == [True, False]
 
 
@@ -852,13 +911,13 @@ def test_grid_subdiff_masks_rows_that_are_not_finite():
     x = np.array([[0.0, 1.0], [1e-300, 1.0], [1e-300, 1e120], [1e-300, np.nan],
                   [-1e-300, 3.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        value, q, gens, per_node = f(x, np.zeros((5, 2)), np.zeros(5), 1e-9)
+        value, q, gens, per_node, _ = f(x, np.zeros((5, 2)), np.zeros(5), 1e-9)
         # node 0 ties, and only the tie's generator (g1 - g2) / 2 overflows
         assert np.isfinite(value[0]) and np.isfinite(q[0]).all()
         assert np.isinf(gens[0][0, 0])
         assert per_node.tolist() == [True, False, True, True, False]
         # values and centers all finite: a generator alone masks node 0
-        _, _, _, per_node = f(x[[0, 1, 4]], np.zeros((3, 2)), np.zeros(3), 1e-9)
+        _, _, _, per_node, _ = f(x[[0, 1, 4]], np.zeros((3, 2)), np.zeros(3), 1e-9)
         assert per_node.tolist() == [True, False, False]
 
 
@@ -869,7 +928,7 @@ def test_sqrt_of_t_is_differentiable_at_its_zero():
     s = subdiff_expr(e, _pt([0.0], [0.0], 0.0))
     assert np.array_equal(sorted(s.vertices.tolist()), [[-1.0, 0.0], [1.0, 0.0]])
     t = np.array([0.0, 0.25])
-    value, q, gens, per_node = compile_subdiff(e)(np.zeros((2, 1)), np.zeros((2, 1)),
+    value, q, gens, per_node, _ = compile_subdiff(e)(np.zeros((2, 1)), np.zeros((2, 1)),
                                                   t, 1e-9)
     assert value.tolist() == [0.0, 0.5] and not per_node.any()
     assert q.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
@@ -879,7 +938,7 @@ def test_sqrt_of_t_is_differentiable_at_its_zero():
     shifted = parse_expr("abs(x1 - sqrt(t - 0.5))", 1)
     with pytest.raises(DomainError, match="sqrt of a negative value at t=0.25"):
         subdiff_expr(shifted, _pt([0.0], [0.0], 0.25))
-    _, _, _, per_node = compile_subdiff(shifted)(np.zeros((2, 1)), np.zeros((2, 1)),
+    _, _, _, per_node, _ = compile_subdiff(shifted)(np.zeros((2, 1)), np.zeros((2, 1)),
                                                  np.array([0.25, 0.5]), 1e-9)
     assert per_node.tolist() == [True, False]
 
@@ -895,7 +954,7 @@ def test_pow_ties_are_decided_alike_on_both_paths():
     assert v.size == 20
     for a, c in zip(v, cubes):
         e = parse_expr(f"abs(pow(x1, 3) - {float(c)!r})", 1)
-        value, q, gens, per_node = compile_subdiff(e)(
+        value, q, gens, per_node, _ = compile_subdiff(e)(
             np.array([[a]]), np.zeros((1, 1)), np.zeros(1), 0.0)
         assert value[0] == 0.0 and not per_node[0] and len(gens) == 1
         s = subdiff_expr(e, _pt([a], [0.0]), 0.0)

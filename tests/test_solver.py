@@ -17,7 +17,7 @@ from _oracles import random_smooth_expr
 from nsvar.cli import builtin_config_overrides, load_problem
 from nsvar.convexgeom import min_norm_point
 from nsvar.functional import (ProblemSpec, eval_I, eval_I_along, initial_pair,
-                              min_norm_field)
+                              measure, min_norm_field)
 from nsvar.integrand import DomainError, Max, format_expr
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
 from nsvar.trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq
@@ -88,7 +88,7 @@ def test_steepest_direction_example1():
     p = load_problem("example1")
     xz = initial_pair(p, Grid(1.0, 3))
     cfg = SolverConfig(grid_sizes=(3,))
-    d, vnorm = steepest_direction(p, xz, 1.0, cfg)
+    d, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 1.0), cfg)
     assert vnorm == pytest.approx(1.0 / ROOT3, abs=1e-12)
     assert np.allclose(d.x.values[:, 0], [ROOT3, 0.0, -ROOT3], atol=1e-12)
     assert np.allclose(d.z.values, 0.0)
@@ -98,7 +98,9 @@ def test_steepest_direction_example1():
 
 def test_steepest_direction_stationary_returns_none():
     p = load_problem("example1")
-    d, vnorm = steepest_direction(p, _flat(1, 3), 1.0, SolverConfig(grid_sizes=(3,)))
+    flat = _flat(1, 3)
+    d, vnorm, _ = steepest_direction(p, flat, measure(p, flat, 1.0),
+                                     SolverConfig(grid_sizes=(3,)))
     assert d is None and vnorm == 0.0
 
 
@@ -112,7 +114,8 @@ def test_steepest_direction_smooth_negative_gradient():
     rng = np.random.default_rng(1)
     xz = PairTraj(Traj(g, rng.standard_normal((5, 1))),
                   Traj(g, rng.standard_normal((5, 1))))
-    d, vnorm = steepest_direction(p, xz, 0.0, SolverConfig(grid_sizes=(5,)))
+    d, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 0.0),
+                                     SolverConfig(grid_sizes=(5,)))
     grad = 2.0 * np.hstack([xz.x.values, xz.z.values])
     got = vnorm * np.hstack([d.x.values, d.z.values])
     assert np.allclose(got, -grad, atol=1e-9)
@@ -127,8 +130,8 @@ def test_line_search_quadratic_minimizer():
                     integrand=parse_expr("pow(x1 - 1, 2)", 1))
     xz = _flat(1, 5)
     cfg = SolverConfig(grid_sizes=(5,))
-    d, vnorm = steepest_direction(p, xz, 1.0, cfg)
-    gamma, accepted, _ = line_search(eval_I_along(p, xz, d, 1.0),
+    d, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 1.0), cfg)
+    gamma, accepted, _ = line_search(eval_I_along(p, xz, d, measure(p, xz, 1.0)),
                                      eval_I(p, xz, 1.0))
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-9)
@@ -141,7 +144,7 @@ def test_line_search_rejects_non_descent():
     p = load_problem("example1")
     xz = _flat(1, 3)
     up = PairTraj(Traj(xz.grid, np.ones((3, 1))), Traj(xz.grid, np.zeros((3, 1))))
-    gamma, accepted, _ = line_search(eval_I_along(p, xz, up, 1.0),
+    gamma, accepted, _ = line_search(eval_I_along(p, xz, up, measure(p, xz, 1.0)),
                                      eval_I(p, xz, 1.0))
     assert gamma == 0.0 and not accepted
 
@@ -256,7 +259,7 @@ def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
     calls = []
 
     def counting_field(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[3])
         return min_norm_field(*args, **kwargs)
 
     monkeypatch.setattr(nsvar.solver, "min_norm_field", counting_field)
@@ -264,14 +267,55 @@ def test_failed_line_search_walks_the_schedule_to_the_floor(monkeypatch):
                         lambda f, f0: (0.0, False, 0))
     p = load_problem("example2")
     stages = []
-    _, recs, status = solve(p, SolverConfig(grid_sizes=(11,)), stage_log=stages)
+    xz, recs, status = solve(p, SolverConfig(grid_sizes=(11,)), stage_log=stages)
+    schedule = nsvar.solver._EPS_SCHEDULE
     assert status == "exhausted"
     assert recs[0].eps == nsvar.integrand._TOL_ACT
     assert recs[0].gamma == 0.0
-    assert len(calls) == len(nsvar.solver._EPS_SCHEDULE)
-    # one iteration, one direction per tolerance of the schedule
-    assert [(st.iterations, st.directions, st.eps, st.stop) for st in stages] == [
-        (1, len(calls), nsvar.integrand._TOL_ACT, "ls_stall")]
+    # No tie of the initial pair changes below 1e-3, so the field there
+    # is the floor's: one direction, and the other tolerances passed over.
+    assert calls == [schedule[0]]
+    m = measure(p, xz, p.lambda0)
+    field = min_norm_field(p, xz, m, schedule[0])[0].values
+    for eps in schedule[1:]:
+        assert min_norm_field(p, xz, m, eps)[0].values.tobytes() == field.tobytes()
+    assert [(st.iterations, st.directions, st.skipped, st.eps, st.stop)
+            for st in stages] == [
+        (1, 1, len(schedule) - 1, nsvar.integrand._TOL_ACT, "ls_stall")]
+
+
+# x1 = 0 sits 5e-6 from the kink of abs(x1 - 5e-6): tied at 1e-3 down to
+# 1e-5, not at 1e-6 or below.
+_MARGIN_BETWEEN = "abs(x1 - 5e-6) + pow(z1 - 1, 2)"
+
+
+def test_a_margin_between_two_tolerances_forces_the_retake(monkeypatch):
+    p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1),
+                    integrand=nsvar.integrand.parse_expr(_MARGIN_BETWEEN, 1))
+    schedule = nsvar.solver._EPS_SCHEDULE
+    xz = _flat(1, 11)
+    m = measure(p, xz, 1.0)
+    fields = [min_norm_field(p, xz, m, eps) for eps in schedule]
+    assert nsvar.integrand.next_tolerance(fields[0][1], schedule, 0) == 3
+    assert nsvar.integrand.next_tolerance(fields[3][1], schedule, 3) == len(schedule)
+    same = [f.values.tobytes() == fields[0][0].values.tobytes() for f, _ in fields]
+    assert same == [True, True, True, False, False, False, False]
+    assert all(f.values.tobytes() == fields[3][0].values.tobytes()
+               for f, _ in fields[3:])
+    # the solve retakes at 1e-6, the first tolerance whose field differs
+    calls = []
+
+    def counting_field(*args, **kwargs):
+        calls.append(args[3])
+        return min_norm_field(*args, **kwargs)
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", counting_field)
+    monkeypatch.setattr(nsvar.solver, "line_search",
+                        lambda f, f0: (0.0, False, 0))
+    stages = []
+    solve(p, SolverConfig(grid_sizes=(11,)), stage_log=stages)
+    assert calls == [1e-3, 1e-6]
+    assert [(st.directions, st.skipped) for st in stages] == [(2, 5)]
 
 
 def _stages(recs):
@@ -663,28 +707,35 @@ def test_stages_count_the_searches_that_take_the_sweep(monkeypatch, name, swept)
 
 
 def test_records_count_the_probes_of_retaken_directions(monkeypatch):
-    # Every line search fails, so the first iteration takes one direction
-    # per schedule entry and its record counts all of their probes.
+    # Every line search fails, so the first iteration retakes its
+    # direction at 1e-6, the first tolerance whose field differs, and
+    # ends at the floor; its record counts the probes of both directions
+    # taken, none for the tolerances passed over.
     monkeypatch.setattr(nsvar.solver, "line_search",
                         lambda f, f0: (0.0, False, 7))
-    p = load_problem("example2")
-    _, recs, _ = solve(p, SolverConfig(grid_sizes=(11,)))
-    assert [r.ls_evals for r in recs] == [7 * len(nsvar.solver._EPS_SCHEDULE)]
+    p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1),
+                    integrand=nsvar.integrand.parse_expr(_MARGIN_BETWEEN, 1))
+    stages = []
+    _, recs, _ = solve(p, SolverConfig(grid_sizes=(11,)), stage_log=stages)
+    assert [r.ls_evals for r in recs] == [7 * 2]
+    assert [(st.directions, st.skipped) for st in stages] == [(2, 5)]
 
 
 def test_solve_measures_each_iterate_once(monkeypatch):
-    # J and the penalties run once at each stage start and once after each
+    # The iterate is measured once at each stage start and once after each
     # accepted step; that measurement is the record's I and the f0 of the
-    # iterate's line searches, and the solver never calls eval_I.
-    calls = {"eval_J": 0, "penalty_values": 0}
+    # iterate's line searches, and the solver never calls eval_I.  Its
+    # residuals and penalty rows serve every direction and line: only a
+    # line's own direction integrates z again.
+    calls = {"measure": 0, "_residuals": 0, "_penalty_rows": 0}
     for name in calls:
-        original = getattr(nsvar.functional, name)
+        module = nsvar.solver if name == "measure" else nsvar.functional
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(nsvar.functional, name, counted)
-        monkeypatch.setattr(nsvar.solver, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def no_eval_I(*args):
         raise AssertionError("eval_I called")
@@ -702,9 +753,9 @@ def test_solve_measures_each_iterate_once(monkeypatch):
     p = load_problem("example3")
     _, recs, status = solve(p, SolverConfig(**builtin_config_overrides("example3")))
     assert status == "converged"
-    accepted = sum(1 for r in recs if r.gamma > 0.0)
-    assert calls == {"eval_J": len(_stages(recs)) + accepted,
-                     "penalty_values": len(_stages(recs)) + accepted}
+    measured = len(_stages(recs)) + sum(1 for r in recs if r.gamma > 0.0)
+    assert calls == {"measure": measured, "_residuals": measured + len(searches),
+                     "_penalty_rows": measured}
     # Each search makes at least one probe, so the records' ls_evals split
     # the searches into iterations.  I is eval_I's sum, to the bit.
     pending = iter(searches)
