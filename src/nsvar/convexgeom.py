@@ -22,11 +22,13 @@ callers can check the answer without trusting the solver.
 ``zonotope_min_norm`` works on a whole grid at once: the zonotopes
 q + sum_i lambda_i a_i, lambda in [-1, 1]^k, one per row, in the form
 ``integrand.compile_subdiff`` gives nodal subdifferentials: a center q
-of shape (N, d) and a list of generators, each of shape (N, d).  Each
-row's candidate is a clip in closed form, exact where the generators
-are pairwise orthogonal, and the same gap rule as ``min_norm_point``
-certifies it or not; the caller sends the rows it does not certify
-elsewhere.  It takes dot products of two (N, d) arrays row by row.
+of shape (N, d) and a list of generators, each a block over the columns
+it can touch.  Each row's candidate is a clip in closed form, exact
+where the generators are pairwise orthogonal, and the same gap rule as
+``min_norm_point`` certifies it or not; the caller sends the rows it
+does not certify elsewhere.  It takes a generator's dot products by
+column products over one or two columns, else row by row over (N, d)
+arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .trajectory import finite, trap_row_dots
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,10 @@ def _wolfe_support(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
                 w[w < drop_eps] = 0.0
                 keep = w > 0.0
                 if not np.any(keep):  # numerical stalemate; keep best atom
-                    keep[int(np.argmin(np.einsum("ij,ij->i", sub, sub)))] = True
+                    sq = np.einsum("ij,ij->i", sub, sub)
+                    if not finite(sq):
+                        trap_row_dots((sub, sub))
+                    keep[int(np.argmin(sq))] = True
             keys = [k for k, kept in zip(keys, keep) if kept]
             corral = [a for a, kept in zip(corral, keep) if kept]
             w = w[keep]
@@ -399,9 +406,19 @@ def _wolfe_support(s: ConvexSet, tol: float, max_iter: int) -> MinNormResult:
 # zonotopes, row by row
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u[n], v[n]> for every row n of two (N, d) arrays."""
-    return np.einsum("ij,ij->i", u, v)
+def _dots(cols, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<a, v> row by row for a generator block a over the columns cols of
+    a full v: np.einsum over whole rows where cols is None, else column
+    products over one or two columns, summed in column order.  These are
+    the einsum's bits over the full rows, whose other products are zeros,
+    up to the sign of a zero; a third column would change the order of
+    its sum."""
+    if cols is None:
+        return np.einsum("ij,ij->i", a, v)
+    out = a[:, 0] * v[:, cols[0]]
+    if len(cols) == 2:
+        out += a[:, 1] * v[:, cols[1]]
+    return out
 
 
 def zonotope_min_norm(q: np.ndarray, gens: list, tol: float = _CERT_TOL
@@ -409,32 +426,62 @@ def zonotope_min_norm(q: np.ndarray, gens: list, tol: float = _CERT_TOL
     """Candidate minimum-norm points of the zonotopes q + sum_i lambda_i a_i,
     one per row, each with its certificate.
 
-    q has shape (N, d), gens is a list of generators a_i, each of shape
-    (N, d), and lambda ranges over [-1, 1]^k.  Each row's candidate is
-    the clip lambda_i = min(max(-<q, a_i> / ||a_i||^2, -1), 1); a zero
-    generator gets lambda_i = 0.  Where a row's generators are pairwise
-    orthogonal, ||x||^2 separates into one parabola per lambda_i and the
-    clip is exact; elsewhere it is a point of the zonotope that its gap
-    judges.  The generators are taken one at a time, through dot
-    products of two (N, d) arrays row by row, with no (N, k, d) stack.
-    Returns (points, gaps, certified).  The gap
-    ||x||^2 - <q, x> + sum_i |<a_i, x>| is min_norm_point's
-    <x, x> - min_{s in S} <x, s>, taken from the zonotope's support
-    function, and a row is certified under the same rule:
-    gap <= tol * (1 + ||x||^2).
+    q has shape (N, d), gens is a list of generators a_i, each a pair
+    (columns, a) of increasing columns of R^d and a block a of shape
+    (N, len(columns)), zero on every other column, and lambda ranges over
+    [-1, 1]^k.  Each row's candidate is the clip
+    lambda_i = min(max(-<q, a_i> / ||a_i||^2, -1), 1); a zero generator
+    gets lambda_i = 0.  Where a row's generators are pairwise orthogonal,
+    ||x||^2 separates into one parabola per lambda_i and the clip is
+    exact; elsewhere it is a point of the zonotope that its gap judges.
+    The generators are taken one at a time, with no (N, k, d) stack: a
+    generator over one or two columns by column products, a wider one by
+    row dot products of (N, d) arrays.  Returns (points, gaps,
+    certified).  The gap ||x||^2 - <q, x> + sum_i |<a_i, x>| is
+    min_norm_point's <x, x> - min_{s in S} <x, s>, taken from the
+    zonotope's support function, and a row is certified under the same
+    rule: gap <= tol * (1 + ||x||^2).  The bits are those of row dots
+    of the full rows up to the signs of zeros, which neither the shift
+    nor the gap sees.
     """
+    # a generator over more than two columns is widened to whole rows
+    gens = [(None, _widened(q, cols, a)) if len(cols) > 2 else (cols, a)
+            for cols, a in gens]
     # The shift starts at +0, so a row whose terms are all zero gets +0
     # whatever their signs, as it does with no generators at all.
     shift = np.zeros_like(q)
-    for a in gens:
-        sq = _row_dots(a, a)
+    hidden = []     # the wide einsums the gap does not see
+    for cols, a in gens:
+        sq = _dots(None if cols is None else range(len(cols)), a, a)
+        qa = _dots(cols, a, q)
+        if cols is None:
+            hidden += [sq, qa]
         sq += sq == 0.0  # a zero generator divides by 1, for lambda = 0
-        lam = np.minimum(np.maximum(-_row_dots(q, a) / sq, -1.0), 1.0)
-        shift += lam[:, None] * a
+        lam = np.minimum(np.maximum(-qa / sq, -1.0), 1.0)
+        if cols is None:
+            shift += lam[:, None] * a
+        else:
+            for m, c in enumerate(cols):
+                shift[:, c] += lam * a[:, m]
     x = q + shift
-    xx = _row_dots(x, x)
+    xx = np.einsum("ij,ij->i", x, x)
     spread = 0.0
-    for a in gens:
-        spread = spread + np.abs(_row_dots(a, x))
-    gap = xx - _row_dots(q, x) + spread
+    for cols, a in gens:
+        spread = spread + np.abs(_dots(cols, a, x))
+    gap = xx - np.einsum("ij,ij->i", q, x) + spread
+    # einsum sets no floating-point flags; where an einsum, which the gap
+    # sums unless it is hidden, is not finite, trap_row_dots raises
+    if not finite(gap, *hidden):
+        trap_row_dots((x, x), (q, x), *[pair for cols, a in gens if cols is None
+                                         for pair in ((a, a), (q, a), (a, x))])
     return x, gap, gap <= tol * (1.0 + xx)
+
+
+def _widened(q: np.ndarray, cols: tuple, a: np.ndarray) -> np.ndarray:
+    """The block a over the columns cols as whole rows like q's."""
+    if len(cols) == q.shape[1]:
+        return a
+    full = np.zeros_like(q)
+    contiguous = cols[-1] - cols[0] == len(cols) - 1
+    full[:, slice(cols[0], cols[-1] + 1) if contiguous else list(cols)] = a
+    return full

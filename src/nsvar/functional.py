@@ -45,8 +45,8 @@ minimizer, by one sorted sweep of the breakpoints (_sweep_minimizer).
 
 min_norm_field, the steepest-descent generator, makes one compiled pass
 over the grid (compile_subdiff): every node's subdifferential comes out
-as a point plus a list of segment generators, and zonotope_min_norm's
-closed form, dot products of (N, 2n) arrays row by row, gives every
+as a point plus a list of segment generators, each a block over the
+columns it can touch, and zonotope_min_norm's closed form gives every
 node a candidate minimum-norm point with its certificate.  Only the
 nodes the pass masks and those whose candidate fails its certificate
 build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go through
@@ -95,7 +95,7 @@ from .trajectory import (
     require_finite,
     reverse_cumulative_integral,
     trapezoid,
-    trapezoid_weights,
+    trap_row_dots,
 )
 
 __all__ = [
@@ -282,11 +282,15 @@ def _pair_residuals(p: ProblemSpec, xz: PairTraj) -> tuple:
 
 def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
     """The psi and phi parts of <r, s> for residual pairs: a dot product
-    and the trapezoid integral of the row dots, 0.0 for a None entry."""
+    and the trapezoid integral of the row dots, 0.0 for a None entry.
+    A product that overflows raises under np.errstate (trap_row_dots)."""
     (r_psi, r_phi), (s_psi, s_phi) = r, s
     psi = 0.0 if r_psi is None else float(r_psi @ s_psi)
-    phi = (0.0 if r_phi is None
-           else trapezoid(np.einsum("ij,ij->i", r_phi, s_phi), h))
+    phi = 0.0
+    if r_phi is not None:
+        phi = trapezoid(np.einsum("ij,ij->i", r_phi, s_phi), h)
+        if not math.isfinite(phi):
+            trap_row_dots((r_phi, s_phi))
     return psi, phi
 
 
@@ -385,7 +389,7 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     c0, c1, c2 = (lam * (m.psi + m.phi), coefficient(r0, r1, 1.0),
                   coefficient(r1, r1, 0.5))
     at = p.integrand_line()(xv, zv, t, gx, gz)
-    w = trapezoid_weights(grid)
+    w = grid.weights
 
     def probe(gamma: float) -> tuple[float, float, float]:
         vals, left, right = at(gamma)
@@ -568,7 +572,8 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
     skips a smaller tolerance, this call there gives the same field.
 
     One compiled pass (compile_subdiff) gives every node's set as a
-    point plus a list of segment generators, each an (N, 2n) array.
+    point, an (N, 2n) array, plus a list of segment generators, each a
+    block over the columns it can touch.
     Rows the pass masks, the non-finite ones included, are zeroed
     before any product sees them (only when some row is masked).
     zonotope_min_norm's closed form then gives every row a candidate
@@ -584,15 +589,14 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
     _, q, gens, per_node, ties = p.integrand_subdiff()(
         xz.x.values, xz.z.values, grid.nodes, tol_act)
     rows = m.rows
-    # (0 + q) + rows is the per-node path's order of summation, so even
-    # the signs of zeros match it.
-    q = 0.0 + q + rows
-    if per_node.any():
+    if p.use_phi:     # else the rows are zero
+        q = q + rows
+    if np.count_nonzero(per_node):
         # Masked rows mean nothing and may hold inf or nan: zero them
         # before any product sees them.
         keep = ~per_node[:, None]
         q = np.where(keep, q, 0.0)
-        gens = [np.where(keep, a, 0.0) for a in gens]
+        gens = [(c, np.where(keep, a, 0.0)) for c, a in gens]
     out, _, certified = zonotope_min_norm(q, gens)
     nodes = np.flatnonzero(per_node | ~certified)
     sets = [_node_set(p, xz, rows, i, tol_act) for i in nodes]

@@ -50,6 +50,7 @@ from .convexgeom import (
     support,
     vertex_list,
 )
+from .trajectory import finite
 
 __all__ = [
     "Const", "Time", "VarX", "VarZ", "Neg", "Add", "Sub", "Mul", "Div",
@@ -1153,8 +1154,8 @@ def subdiff_expr(e: Expr, p: EvalPoint,
 
 
 # A subtree's subdifferential on the whole grid: values (N,), center q
-# (N, d), segment generators [(N, d), ...] and the nodes left to the
-# per-node route, bool (N,).
+# (N, 2n), segment generators [(columns, (N, |columns|)), ...] and the
+# nodes left to the per-node route, bool (N,).
 SubdiffFn = Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]
 
 
@@ -1164,14 +1165,21 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     x, z have shape (N, n) and t shape (N,).  The result is
     (value, q, gens, per_node) for every node at once: the value, shape
     (N,), equal to compile_line's up to roundoff; a center q, shape
-    (N, 2n); a list of segment generators, each of shape (N, 2n); and a
-    bool mask, shape (N,).  At a node outside the mask, subdiff_expr's
-    set is the zonotope q + sum_k lambda_k gens[k] with lambda in
-    [-1, 1]^k.  Gradients are carried in forward mode (Griewank and
-    Walther, Evaluating Derivatives, 2008) by the value and gradient
-    rules _value_and_set also calls, and with its tie rules: an abs tie
-    on a point g gives the generator g, a two-way max tie on points g1,
-    g2 gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
+    (N, 2n); a list of segment generators, each a pair (columns, a) of a
+    tuple of columns of R^(2n), increasing, and an array a of shape
+    (N, len(columns)), zero on every other column; and a bool mask, shape
+    (N,).  At a node outside the mask, subdiff_expr's set is the
+    zonotope q + sum_k lambda_k gens[k] with lambda in [-1, 1]^k.
+    Gradients are carried in forward mode (Griewank and Walther,
+    Evaluating Derivatives, 2008) by the value and gradient rules
+    _value_and_set also calls, and with its tie rules: an abs tie on a
+    point g gives the generator g, a two-way max tie on points g1, g2
+    gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
+
+    Each subtree's gradients are blocks over its column support, the
+    columns its leaves can reach, fixed when e is compiled (_Shape): a
+    variable's one column, none for a subtree without x or z, the union
+    above.  Only q is widened to R^(2n), at the end.
 
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
@@ -1184,29 +1192,45 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     Masked rows mean nothing; subdiff_expr builds their sets.
 
     A subtree without x or z has a zero center and no generators.  Its
-    values, center, masks and ties are kept, keyed on the array t itself,
-    n and, when it holds a tie, tol_act, and reused while later calls
-    pass them: once per grid (and tolerance).  Only a read-only t is
-    kept, as a Grid's nodes are.
+    values, masks and ties are kept, keyed on the array t itself, n and,
+    when it holds a tie, tol_act, and reused while later calls pass
+    them: once per grid (and tolerance).  Only a read-only t is kept, as
+    a Grid's nodes are.
 
     A fifth item, ties, lists every tie test the pass made, on every row,
     masked ones and kept subtrees included, as (top, values): abs(v) is
     (|v|, (0.0,)) and a max is (its value, its branches' values).  They
     do not depend on tol_act; next_tolerance reads them.
     """
-    rec = _compile_sd(e)
+    rec, shape = _compile_sd(e)
+    layouts: dict = {}
 
     def subdiff(x, z, t, tol_act=_TOL_ACT):
+        n = x.shape[1]
+        if n not in layouts:
+            cols = _columns(shape.support, n)
+            layouts[n] = (_positions(cols, tuple(range(2 * n))),
+                          [_columns(s, n) for s in shape.gens])
+        cols, gen_cols = layouts[n]
         ties: list = []
         v, q, gens, per_node, _ = rec(x, z, t, tol_act, ties)
-        gens = [a for a in gens if a.any()]
-        if all(np.isfinite(a).all() for a in (v, q, *gens)):
-            return v, q, gens, per_node, ties
-        finite = np.isfinite(v) & np.isfinite(q).all(axis=1)
-        for a in gens:
-            finite &= np.isfinite(a).all(axis=1)
-        return v, q, gens, per_node | ~finite, ties
+        gens = [(c, a) for c, a in zip(gen_cols, gens) if np.count_nonzero(a)]
+        if per_node is None:
+            per_node = np.zeros(t.shape, bool)
+        if not finite(v, q, *(a for _, a in gens)):
+            rows = np.isfinite(v) & np.isfinite(q).all(axis=1)
+            for _, a in gens:
+                rows &= np.isfinite(a).all(axis=1)
+            per_node = per_node | ~rows
+        full = np.zeros((t.shape[0], 2 * n))
+        full[:, cols] = q
+        return v, full, gens, per_node, ties
     return subdiff
+
+
+def _columns(support: tuple, n: int) -> tuple:
+    """The columns of R^(2n) of a support's slots."""
+    return tuple(kind * n + i for kind, i in support)
 
 
 # A tie margin's relative and absolute roundoff.  The tie tests round,
@@ -1262,19 +1286,85 @@ def _col(v) -> np.ndarray:
     return np.asarray(v)[..., None]
 
 
-# Each compiled subtree returns (value, q, gens, bad, seg): bad masks the
-# nodes left to the per-node route, seg those where a tie in the subtree
-# holds, so that its set carries a segment there.  It appends its tie
-# tests to the list ties.  As in _compile_line, every subtree without x
-# or z is kept per grid, with its ties.
+@dataclass(frozen=True)
+class _Shape:
+    """A compiled subtree's static structure.
+
+    support lists the slots its center's block covers: (0, i) for
+    x_(i+1) and (1, i) for z_(i+1), increasing, which is the order of
+    their columns in R^(2n) for every n.  gens holds each generator's
+    support, in the pass's order.  masks says whether the subtree can
+    mask a row, segs whether it can carry a segment; a subtree that
+    cannot returns None for that mask.
+    """
+
+    support: tuple = ()
+    gens: tuple = ()
+    masks: bool = False
+    segs: bool = False
+
+
+def _union(*supports: tuple) -> tuple:
+    return tuple(sorted(set().union(*supports)))
+
+
+def _placer(support: tuple, target: tuple) -> Callable:
+    """Widens a block over support to one over target, a superset, with
+    zeros on the other columns; a block already over target is returned
+    as it is."""
+    if support == target:
+        return lambda a: a
+    at = _positions(support, target)
+    width = len(target)
+
+    def place(a):
+        out = np.zeros((a.shape[0], width))
+        out[:, at] = a
+        return out
+    return place
+
+
+def _positions(support: tuple, target: tuple):
+    """support's places in target, as a slice where they are contiguous."""
+    at = [target.index(s) for s in support]
+    if at and at == list(range(at[0], at[0] + len(at))):
+        return slice(at[0], at[0] + len(at))
+    return at
+
+
+def _or(a, b):
+    """a | b for row masks, None standing for a mask that holds nowhere.
+    May return a or b itself: no rule writes into a mask it was given."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a | b
+
+
+# Each compiled subtree is a pair (rule, _Shape).  The rule returns
+# (value, q, gens, bad, seg): q and each generator a block over its
+# support, bad masking the nodes left to the per-node route and seg those
+# where a tie in the subtree holds, so that its set carries a segment
+# there, each None where the shape says it cannot hold.  The rule
+# appends its tie tests to the list ties.  As in _compile_line, every
+# subtree without x or z is kept per grid, with its ties.  Arithmetic
+# that the shapes prove zero is skipped: a block is widened only where
+# two supports differ, and a term of a subtree without x or z is left out
+# of a gradient.  On the columns it keeps, each rule does the arithmetic
+# of the full rows, so the blocks hold the full rows' bits up to the
+# signs of zeros.
 def _compile_sd(e: Expr):
+    f, shape = _sd_rule(e)
     if _uses_vars(e):
-        return _sd_rule(e)
-    f = _sd_rule(e)
+        return f, shape
 
     def constant(x, z, t, tol):
         own: list = []
         v, q, _, bad, seg = f(x, z, t, tol, own)
+        for mask in (bad, seg):     # shared by every later pass
+            if mask is not None:
+                mask.flags.writeable = False
         return (v, q, [], bad, seg), own  # its generators are 0
     tied = not is_smooth(e)  # only a tie reads tol
     kept = _per_grid(constant, lambda x, tol: (tol if tied else None, x.shape[1]))
@@ -1283,68 +1373,81 @@ def _compile_sd(e: Expr):
         out, own = kept(x, z, t, tol)
         ties += own
         return out
-    return reuse
+    return reuse, _Shape(masks=shape.masks, segs=shape.segs)
 
 
 def _sd_rule(e: Expr):
     if isinstance(e, (Const, Time, VarX, VarZ)):
         return _sd_leaf(e)
     if isinstance(e, Neg):
-        f = _compile_sd(e.arg)
+        f, shape = _compile_sd(e.arg)
 
         def neg(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return -v, -q, [-a for a in gens], bad, seg
-        return neg
+        return neg, shape
     if isinstance(e, (Add, Sub)):
-        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        (f, s1), (g, s2) = _compile_sd(e.left), _compile_sd(e.right)
         plus = isinstance(e, Add)
+        merge = _merger(s1.support, s2.support, plus)
 
         def add(x, z, t, tol, ties):
             v1, q1, gens1, bad1, seg1 = f(x, z, t, tol, ties)
             v2, q2, gens2, bad2, seg2 = g(x, z, t, tol, ties)
-            bad, seg = bad1 | bad2, seg1 | seg2
-            if plus:
-                return v1 + v2, q1 + q2, gens1 + gens2, bad, seg
-            return v1 - v2, q1 - q2, gens1 + [-a for a in gens2], bad, seg
-        return add
+            gens = gens1 + gens2 if plus else gens1 + [-a for a in gens2]
+            return (v1 + v2 if plus else v1 - v2, merge(q1, q2), gens,
+                    _or(bad1, bad2), _or(seg1, seg2))
+        return add, _Shape(_union(s1.support, s2.support), s1.gens + s2.gens,
+                           s1.masks or s2.masks, s1.segs or s2.segs)
     if isinstance(e, Mul) and (isinstance(e.left, Const)
                                or isinstance(e.right, Const)):
         left = isinstance(e.left, Const)
         c = e.left.value if left else e.right.value
-        f = _compile_sd(e.right if left else e.left)
+        f, shape = _compile_sd(e.right if left else e.left)
 
         def scaled(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return c * v, c * q, [c * a for a in gens], bad, seg
-        return scaled
+        return scaled, shape
     if isinstance(e, (Mul, Div)):
-        f, g = _compile_sd(e.left), _compile_sd(e.right)
+        (f, s1), (g, s2) = _compile_sd(e.left), _compile_sd(e.right)
+        support = _union(s1.support, s2.support)
+        place1, place2 = _placer(s1.support, support), _placer(s2.support, support)
         div = isinstance(e, Div)
+        left_vars, right_vars = bool(s1.support), bool(s2.support)
 
         def product(x, z, t, tol, ties):
             v1, q1, _, bad1, seg1 = f(x, z, t, tol, ties)
             v2, q2, _, bad2, seg2 = g(x, z, t, tol, ties)
-            bad = bad1 | bad2 | seg1 | seg2
-            none = np.zeros_like(bad)
-            if not div:
-                return *_product(v1, q1, v2, q2), [], bad, none
-            zero = v2 == 0.0
-            v, grad = _quotient(v1, q1, np.where(zero, 1.0, v2), q2)
-            return v, grad, [], bad | zero, none
-        return product
+            bad = _or(_or(bad1, bad2), _or(seg1, seg2))
+            if div:
+                zero = v2 == 0.0
+                v, grad = _quotient(v1, place1(q1), np.where(zero, 1.0, v2),
+                                    place2(q2))
+                return v, grad, [], _or(bad, zero), None
+            # a side without x or z has a zero gradient: its term is left out
+            if not left_vars:
+                return v1 * v2, _col(v1) * q2, [], bad, None
+            if not right_vars:
+                return v1 * v2, _col(v2) * q1, [], bad, None
+            return *_product(v1, place1(q1), v2, place2(q2)), [], bad, None
+        return product, _Shape(support, (), div or s1.masks or s2.masks
+                               or s1.segs or s2.segs, False)
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
-        f = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
+        f, shape = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
         chain = _chain(e)
         k = e.exponent if isinstance(e, Pow) else None
+        sqrt = isinstance(e, Sqrt)
 
         def smooth(x, z, t, tol, ties):
             v, q, _, bad, seg = f(x, z, t, tol, ties)
             val, dq, undefined = chain(v, q, k)
-            return val, dq, [], bad | seg | undefined, np.zeros_like(seg)
-        return smooth
+            bad = _or(bad, seg)
+            return val, dq, [], _or(bad, undefined) if sqrt else bad, None
+        return smooth, _Shape(shape.support, (),
+                              sqrt or shape.masks or shape.segs, False)
     if isinstance(e, Abs):
-        f = _compile_sd(e.arg)
+        f, shape = _compile_sd(e.arg)
 
         def absolute(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
@@ -1358,10 +1461,15 @@ def _sd_rule(e: Expr):
                 return np.where(pos, a, np.where(neg, -a, 0.0))
             return (av, signed(q),
                     [signed(a) for a in gens] + [np.where(tie, q, 0.0)],
-                    bad | (tie[:, 0] & seg), seg | tie[:, 0])
-        return absolute
+                    bad if seg is None else _or(bad, tie[:, 0] & seg),
+                    _or(seg, tie[:, 0]))
+        return absolute, _Shape(shape.support, shape.gens + (shape.support,),
+                                shape.masks or shape.segs, True)
     if isinstance(e, Max):
-        fs = [_compile_sd(a) for a in e.args]
+        compiled = [_compile_sd(a) for a in e.args]
+        fs = [f for f, _ in compiled]
+        support = _union(*(s.support for _, s in compiled))
+        places = [_placer(s.support, support) for _, s in compiled]
 
         def maximum(x, z, t, tol, ties):
             parts = [f(x, z, t, tol, ties) for f in fs]
@@ -1376,65 +1484,102 @@ def _sd_rule(e: Expr):
             tie = count == 2
             seg = tie.copy()
             # first and second active branch, in argument order
-            first = second = np.zeros_like(parts[0][1])
+            first = second = np.zeros((t.shape[0], len(support)))
             seen = np.zeros_like(count)
             gens = []
-            for (_, q, branch_gens, branch_bad, branch_seg), m in zip(parts, active):
+            for (_, q, branch_gens, branch_bad, branch_seg), m, place in zip(
+                    parts, active, places):
+                q = place(q)
                 first = np.where(_col(m & (seen == 0)), q, first)
                 second = np.where(_col(m & (seen == 1)), q, second)
                 seen += m
-                bad |= branch_bad | (m & tie & branch_seg)
+                if branch_bad is not None:
+                    bad |= branch_bad
                 sole = m & (count == 1)
-                seg |= sole & branch_seg
+                if branch_seg is not None:
+                    bad |= m & tie & branch_seg
+                    seg |= sole & branch_seg
                 gens += [np.where(_col(sole), a, 0.0) for a in branch_gens]
             q = np.where(_col(tie), (first + second) / 2.0, first)
             gens.append(np.where(_col(tie), (first - second) / 2.0, 0.0))
             return vmax, q, gens, bad, seg
-        return maximum
+        return maximum, _Shape(support, sum((s.gens for _, s in compiled), ())
+                               + (support,), True, True)
     if isinstance(e, Norm):
-        fs = [_compile_sd(a) for a in e.args]
+        compiled = [_compile_sd(a) for a in e.args]
+        fs = [f for f, _ in compiled]
+        support = _union(*(s.support for _, s in compiled))
+        layouts: dict = {}
 
         def norm(x, z, t, tol, ties):
             parts = [f(x, z, t, tol, ties) for f in fs]
-            nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1),
-                                       np.stack([p[1] for p in parts], axis=1))
+            # norm's matmul sums over its arguments on the full rows
+            n = x.shape[1]
+            if n not in layouts:
+                layouts[n] = ([list(_columns(s.support, n)) for _, s in compiled],
+                              list(_columns(support, n)))
+            cols, own = layouts[n]
+            rows = np.zeros((t.shape[0], len(parts), 2 * n))
+            for i, (p, c) in enumerate(zip(parts, cols)):
+                rows[:, i, c] = p[1]
+            nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1), rows)
             bad = ~nonzero
             for _, _, _, branch_bad, branch_seg in parts:
-                bad |= branch_bad | branch_seg
-            return nrm, grad, [], bad, np.zeros_like(bad)
-        return norm
+                bad = _or(_or(bad, branch_bad), branch_seg)
+            return nrm, grad[:, own], [], bad, None
+        return norm, _Shape(support, (), True, False)
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _merger(s1: tuple, s2: tuple, plus: bool) -> Callable:
+    """q1 + q2 (or q1 - q2) of blocks over s1 and s2, as a block over
+    their union."""
+    if not s2:
+        return lambda q1, q2: q1
+    if not s1:
+        return (lambda q1, q2: q2) if plus else (lambda q1, q2: -q2)
+    if s1[-1] < s2[0]:       # disjoint, s1's columns first
+        if plus:
+            return lambda q1, q2: np.concatenate((q1, q2), axis=1)
+        return lambda q1, q2: np.concatenate((q1, -q2), axis=1)
+    union = _union(s1, s2)
+    place1, place2 = _placer(s1, union), _placer(s2, union)
+    if plus:
+        return lambda q1, q2: place1(q1) + place2(q2)
+    return lambda q1, q2: place1(q1) - place2(q2)
+
+
 def _sd_leaf(e: Expr):
-    def leaf(x, z, t, tol, ties):
-        n = x.shape[1]
-        none = np.zeros(t.shape, bool)
-        if isinstance(e, (Const, Time)):
+    if isinstance(e, (Const, Time)):
+        def constant(x, z, t, tol, ties):
             value = np.full(t.shape, e.value) if isinstance(e, Const) else t
-            return value, _leaf_rows(t.shape[0], n, None), [], none, none
-        slot = e.index - 1 + (n if isinstance(e, VarZ) else 0)
-        value = (x if isinstance(e, VarX) else z)[:, e.index - 1]
-        return value, _leaf_rows(t.shape[0], n, slot), [], none, none
-    return leaf
+            return value, _leaf_block(t.shape[0], 0), [], None, None
+        return constant, _Shape()
+    column = e.index - 1
+    kind = int(isinstance(e, VarZ))
+
+    def leaf(x, z, t, tol, ties):
+        value = (z if kind else x)[:, column]
+        return value, _leaf_block(t.shape[0], 1), [], None, None
+    return leaf, _Shape(support=((kind, column),))
 
 
 @functools.lru_cache(maxsize=64)
-def _leaf_rows(npoints: int, n: int, slot: int | None) -> np.ndarray:
-    """A leaf's gradient rows, shape (npoints, 2n): zero, with a column of
-    ones at a variable's slot.  Built once per (npoints, n, slot) and
-    read-only, since every pass on such a grid shares it."""
-    q = np.zeros((npoints, 2 * n))
-    if slot is not None:
-        q[:, slot] = 1.0
+def _leaf_block(npoints: int, width: int) -> np.ndarray:
+    """A leaf's gradient block, shape (npoints, width): a variable's one
+    column of ones (width 1), or no column at all for Const and Time
+    (width 0).  Built once per (npoints, width) and read-only, since
+    every pass on such a grid shares it."""
+    q = np.ones((npoints, width))
     q.flags.writeable = False
     return q
 
 
 # The value and gradient rules of the smooth operations, the one copy
 # both routes call: _value_and_set with a value and a (d,) gradient per
-# argument, _compile_sd with (N,) values and (N, d) gradients.  The same
-# numpy operations on the same numbers give both routes the same bits.
+# argument, _compile_sd with (N,) values and (N, k) gradient blocks.  The
+# same numpy operations on the same numbers give both routes the same
+# bits, column by column.
 # The line pass takes its slopes from the chain rules too (_chain_slope),
 # with (N, 1) slopes for gradients.
 

@@ -8,6 +8,7 @@ by the dedicated piecewise-linear norm below).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,13 @@ class Grid:
     @property
     def h(self) -> float:
         return self.horizon / (self.npoints - 1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """trapezoid_weights of the grid, computed once and read-only."""
+        w = trapezoid_weights(self)
+        w.flags.writeable = False
+        return w
 
 
 @dataclass
@@ -168,7 +176,10 @@ def l2_inner(a: Traj, b: Traj) -> float:
         raise ValueError("trajectories live on different grids")
     if a.ncomp != b.ncomp:
         raise ValueError("component counts differ")
-    return trapezoid(np.einsum("ij,ij->i", a.values, b.values), a.grid.h)
+    total = trapezoid(np.einsum("ij,ij->i", a.values, b.values), a.grid.h)
+    if not math.isfinite(total):
+        trap_row_dots((a.values, b.values))
+    return total
 
 
 def pl_l2_norm_sq(a: Traj) -> float:
@@ -177,13 +188,37 @@ def pl_l2_norm_sq(a: Traj) -> float:
     On each cell with endpoint values u, v the interpolant is linear, so
     int |a|^2 = h/3 * (|u|^2 + <u, v> + |v|^2).  This differs from the
     trapezoid rule applied to the nodal squared norms, which would
-    overestimate the norm of kinky fields.
+    overestimate the norm of kinky fields.  A product that overflows
+    raises under np.errstate, as in trap_row_dots.
     """
     v = a.values
     sq = np.einsum("ij,ij->i", v, v)
     uu, vv = sq[:-1], sq[1:]
     uv = np.einsum("ij,ij->i", v[:-1], v[1:])
-    return float(a.grid.h / 3.0 * np.sum(uu + uv + vv))
+    total = float(a.grid.h / 3.0 * np.sum(uu + uv + vv))
+    if not math.isfinite(total):
+        trap_row_dots((v, v), (v[:-1], v[1:]))
+    return total
+
+
+def finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of every array is finite; count_nonzero is
+    cheaper than all() on the short arrays of a pass."""
+    return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
+
+
+def trap_row_dots(*pairs: tuple) -> None:
+    """Take each pair (u, v)'s row dot products again with ufuncs, for
+    their floating-point errors alone.
+
+    np.einsum sets no floating-point flags, so np.errstate cannot trap an
+    overflow inside it, nor an inf times 0.  A caller whose einsum came
+    out not finite calls this, and the products and row sums raise here
+    what np.errstate asks for, as ufuncs would have.  Nothing is returned:
+    the caller keeps einsum's bits, which a ufunc sum does not match.
+    """
+    for u, v in pairs:
+        np.add.reduce(u * v, axis=-1)
 
 
 def resample(a: Traj, new_grid: Grid) -> Traj:

@@ -212,6 +212,21 @@ def dual_gradient(e, x, z, t):
 
 
 # ---------------------------------------------------------------------------
+# generators over their columns
+
+
+def full_generators(gens: list, d: int) -> list:
+    """compile_subdiff's generators (columns, block) as (N, d) arrays,
+    zero off their columns."""
+    out = []
+    for cols, a in gens:
+        full = np.zeros((a.shape[0], d))
+        full[:, list(cols)] = a
+        out.append(full)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact min-norm point over a polytope by subset enumeration
 
 

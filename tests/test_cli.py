@@ -27,8 +27,9 @@ from nsvar.cli import (
     run,
     write_problem,
 )
-from nsvar.functional import MinNormUncertified, min_norm_field
+from nsvar.functional import MinNormUncertified, ProblemSpec, min_norm_field
 from nsvar.solver import SolverConfig
+from nsvar.trajectory import Traj
 
 
 def _read_csv(path):
@@ -371,6 +372,62 @@ def test_run_survives_line_search_probe_that_overflows(tmp_path):
         assert run(["solve", str(f), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
+
+
+def _assert_overflow_left_summary(out: Path) -> None:
+    """The solve stopped at an overflow and left a failed summary.json
+    with the last pair and the records so far, as every overflow does."""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    assert summary["reason"] == "overflow encountered in multiply"
+    assert (out / "trajectory.csv").exists() and (out / "convergence.csv").exists()
+
+
+# np.einsum sets no floating-point flags, so each of these products would
+# carry an inf on past solve's np.errstate traps without trap_row_dots.
+
+
+def test_overflow_in_the_field_norm_stops_the_solve(tmp_path, monkeypatch):
+    def huge(p, xz, m, eps):
+        return Traj(xz.grid, np.full((xz.grid.npoints, 2 * p.n), 1e200)), []
+
+    monkeypatch.setattr(nsvar.solver, "min_norm_field", huge)
+    out = tmp_path / "o"
+    assert run(["solve", "example1", "--out", str(out)]) == 1
+    _assert_overflow_left_summary(out)
+
+
+def test_overflow_in_a_closed_form_row_dot_stops_the_solve(tmp_path, monkeypatch):
+    # a generator over three of four columns takes the einsum; its squared
+    # norm overflows, and the clip hides that: lambda = -<q, a> / inf = 0
+    clean = ProblemSpec.integrand_subdiff
+
+    def widened(self):
+        subdiff = clean(self)
+
+        def with_huge_generator(x, z, t, tol):
+            v, q, gens, per_node, ties = subdiff(x, z, t, tol)
+            huge = np.full((t.shape[0], 3), 1e200)
+            return v, q, [*gens, ((0, 1, 2), huge)], per_node, ties
+        return with_huge_generator
+
+    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", widened)
+    f = tmp_path / "two.prob"
+    f.write_text("n = 2\nT = 1\nx0 = 1, 1\nintegrand = abs(x1) + abs(x2)\n")
+    out = tmp_path / "two_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 1
+    _assert_overflow_left_summary(out)
+
+
+def test_overflow_in_the_phi_residual_stops_the_solve(tmp_path):
+    # x - x0 - int z is about -1.6e159 sin(2 pi t): phi's row dots
+    # overflow inside (0, 1), not at its ends, while J stays finite
+    f = tmp_path / "steep.prob"
+    f.write_text("n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1) + abs(z1)\n"
+                 "initial_z = 1e160 * cos(6.283185307179586 * t)\n")
+    out = tmp_path / "steep_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 1
+    _assert_overflow_left_summary(out)
 
 
 def test_run_uncertified_min_norm_is_error(tmp_path, capsys, monkeypatch):

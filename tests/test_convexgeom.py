@@ -8,6 +8,7 @@ against a brute-force subset-enumeration QP in ``_oracles``.
 import numpy as np
 import pytest
 
+import nsvar.convexgeom
 from _oracles import qp_min_norm
 from nsvar.convexgeom import (
     Ball,
@@ -304,6 +305,23 @@ def test_min_norm_iteration_cap_reports_uncertified():
     assert not r.certified
 
 
+def test_wolfe_stalemate_norms_trap_overflow(monkeypatch):
+    """The corral's squared norms in Wolfe's stalemate branch are an
+    einsum, which sets no floating-point flags: an overflow there raises
+    under np.errstate as a ufunc's would.  Under solve the Gram matrix of
+    the same atoms overflows first, so the branch is driven here by an
+    affine step that gives up (nan weights)."""
+    def nan_step(a):
+        return np.full(a.shape[1], np.nan), np.full(a.shape[0], np.nan)
+    monkeypatch.setattr(nsvar.convexgeom, "_affine_min_norm", nan_step)
+    s = Polytope(np.array([[1.0, 0.0], [0.0, 1e200]]))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            min_norm_point(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_norm_point(s)     # untrapped, the stalemate keeps an atom
+
+
 # ---------------------------------------------------------------------------
 # randomized properties
 
@@ -397,8 +415,10 @@ def _zonotope_polytope(q, a):
 
 
 def _gens(a):
-    """The generator list of an (N, k, d) stack: k arrays of shape (N, d)."""
-    return list(a.transpose(1, 0, 2))
+    """The generator list of an (N, k, d) stack: k pairs of all d columns
+    and an array of shape (N, d)."""
+    cols = tuple(range(a.shape[2]))
+    return [(cols, g) for g in a.transpose(1, 0, 2)]
 
 
 def test_zonotope_min_norm_matches_polytope_route():
@@ -467,6 +487,27 @@ def test_zonotope_min_norm_keeps_the_stacked_bits():
             arr[rng.random(arr.shape) < 0.4] = 0.0
             arr[rng.random(arr.shape) < 0.2] = -0.0
         got = zonotope_min_norm(q, _gens(a))
+        for g, w in zip(got, _stacked_min_norm(q, a)):
+            assert g.tobytes() == w.tobytes()
+    # generators over their own columns, 1, 2, 3 or all d of them: the
+    # stack holds them widened with zeros
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n, d, k = int(rng.integers(1, 40)), 2 * int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        q = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3])
+        q[rng.random(q.shape) < 0.4] = 0.0
+        q[rng.random(q.shape) < 0.3] = -0.0
+        a = np.zeros((n, k, d))
+        gens = []
+        for i in range(k):
+            width = int(rng.choice([1, 1, 2, 3, d]))
+            cols = tuple(sorted(rng.choice(d, min(width, d), replace=False).tolist()))
+            block = rng.standard_normal((n, len(cols)))
+            block[rng.random(block.shape) < 0.3] = 0.0
+            block[rng.random(block.shape) < 0.2] = -0.0
+            a[:, i, list(cols)] = block
+            gens.append((cols, block))
+        got = zonotope_min_norm(q, gens)
         for g, w in zip(got, _stacked_min_norm(q, a)):
             assert g.tobytes() == w.tobytes()
 

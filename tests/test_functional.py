@@ -609,6 +609,25 @@ def test_eval_I_along_probes_integrate_nothing(monkeypatch):
     assert Grid(1.0, 5) != g
 
 
+def test_eval_I_along_builds_the_trapezoid_weights_once_per_grid(monkeypatch):
+    p = load_problem("example3")
+    g = Grid(1.0, 21)
+    rng = np.random.default_rng(4)
+    xz, d = (_pair(p, g, *rng.standard_normal((2, 21, 2))) for _ in range(2))
+    m = measure(p, xz, 20.0)
+    built = []
+
+    def spy(grid):
+        built.append(grid)
+        return trapezoid_weights(grid)
+    monkeypatch.setattr(nsvar.trajectory, "trapezoid_weights", spy)
+    probes = [eval_I_along(p, xz, d, m)(gamma) for gamma in (0.0, 0.5, 2.0)]
+    assert built == [g]
+    monkeypatch.undo()
+    # the bits of weights built afresh for every line
+    assert probes == [eval_I_along(p, xz, d, m)(gamma) for gamma in (0.0, 0.5, 2.0)]
+
+
 # ---------------------------------------------------------------------------
 # subdifferential field
 
@@ -921,10 +940,11 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
     def poisoned(*args):
         v, q, gens, per_node, ties = clean(*args)
         assert len(gens) == 2 and per_node.tolist() == [False, False, True, False, True]
-        q, gens = q.copy(), [a.copy() for a in gens]
+        assert [c for c, _ in gens] == [(0,), (1, 3)]
+        q, gens = q.copy(), [(c, a.copy()) for c, a in gens]
         q[2], q[4] = [np.inf, np.nan, 0.0, -np.inf], [np.nan, 1.0, np.inf, 0.0]
-        gens[0][2], gens[1][2] = [np.inf, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]
-        gens[0][4], gens[1][4] = [0.0, -np.inf, np.inf, 0.0], [np.nan, 0.0, 0.0, 2.0]
+        gens[0][1][2], gens[1][1][2] = [np.inf], [np.nan, 0.0]
+        gens[0][1][4], gens[1][1][4] = [-np.inf], [np.nan, 2.0]
         return v, q, gens, per_node, ties
 
     per_node = []

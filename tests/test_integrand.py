@@ -10,6 +10,7 @@ import pytest
 from _oracles import (
     dual_gradient,
     fd_directional,
+    full_generators,
     min_activity_margin,
     random_expr,
     random_smooth_expr,
@@ -39,7 +40,8 @@ from nsvar.integrand import (
     VarZ,
     _Parser,
     _args,
-    _leaf_rows,
+    _compile_sd,
+    _leaf_block,
     _uses_vars,
     _value_and_set,
     compile_line,
@@ -561,11 +563,12 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
 def _assert_same_bits(got, want):
     """Two (value, q, gens, per_node, ties) results agree bit for bit."""
     (v1, q1, gens1, bad1, ties1), (v2, q2, gens2, bad2, ties2) = got, want
-    assert len(gens1) == len(gens2)
+    assert [c for c, _ in gens1] == [c for c, _ in gens2]
     assert [len(u) for _, u in ties1] == [len(u) for _, u in ties2]
     tied1 = [np.asarray(a) for top, u in ties1 for a in (top, *u)]
     tied2 = [np.asarray(a) for top, u in ties2 for a in (top, *u)]
-    for a, b in zip((v1, q1, bad1, *gens1, *tied1), (v2, q2, bad2, *gens2, *tied2)):
+    blocks1, blocks2 = [a for _, a in gens1], [a for _, a in gens2]
+    for a, b in zip((v1, q1, bad1, *blocks1, *tied1), (v2, q2, bad2, *blocks2, *tied2)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -613,21 +616,26 @@ def test_leaf_rows_kept_per_grid_give_a_fresh_pass_bits():
         for t, n in ((grids[0], 1), (grids[1], 2), (grids[0], 2), (grids[1], 1)):
             x, z = rng.standard_normal((2, t.shape[0], n))
             got = subdiff(x, z, t, 1e-9)
-            _leaf_rows.cache_clear()
+            _leaf_block.cache_clear()
             _assert_same_bits(got, compile_subdiff(e)(x, z, t, 1e-9))
 
 
 def test_leaf_rows_are_built_once_and_read_only():
-    rows = _leaf_rows(9, 2, 3)
-    assert _leaf_rows(9, 2, 3) is rows
-    assert np.array_equal(rows, np.eye(4)[[3] * 9])
-    assert not rows.flags.writeable
+    block = _leaf_block(9, 1)
+    assert _leaf_block(9, 1) is block
+    assert np.array_equal(block, np.ones((9, 1)))
+    assert not block.flags.writeable
     with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
-    # a bare variable's pass hands the kept rows out as its center
+        block[0, 0] = 1.0
+    assert _leaf_block(9, 0).shape == (9, 0)
+    # a bare variable's rule hands the kept block out as its center, over
+    # the variable's one slot; the pass widens it to R^(2n)
     t = Grid(1.0, 9).nodes
+    rule, shape = _compile_sd(parse_expr("z2", 2))
+    assert rule(np.zeros((9, 2)), np.zeros((9, 2)), t, 1e-9, [])[1] is block
+    assert shape.support == ((1, 1),)
     _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2))(np.zeros((9, 2)), np.zeros((9, 2)), t)
-    assert q is rows
+    assert np.array_equal(q, np.eye(4)[[3] * 9])
 
 
 def test_format_round_trip_builtins():
@@ -842,6 +850,30 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
             assert np.allclose(q[i], ref, rtol=1e-10, atol=1e-10)
 
 
+def _subtrees(e):
+    yield e
+    for a in _args(e):
+        yield from _subtrees(a)
+
+
+def _assert_within_static_support(e, n: int, point: EvalPoint, tol_act: float) -> None:
+    """Every subtree with x or z: its per-node set at point has no extent
+    on a column outside the columns its compiled shape can reach."""
+    d = 2 * n
+    for u in _subtrees(e):
+        if not _uses_vars(u):
+            continue
+        shape = _compile_sd(u)[1]
+        reach = {kind * n + i for s in (shape.support, *shape.gens) for kind, i in s}
+        try:
+            _, s = _value_and_set(u, point, tol_act)
+        except ExprError:
+            continue
+        for j in set(range(d)) - reach:
+            for sign in (1.0, -1.0):
+                assert support(s, sign * np.eye(d)[j])[0] == 0.0
+
+
 @pytest.mark.parametrize("tol_act", [1e-9, 1e-3])
 @pytest.mark.parametrize("draw", [random_expr, random_smooth_expr])
 def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
@@ -850,9 +882,16 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
     both call the same value and gradient rules.  Half the nodes sit on
     a lattice of tenths, where ties hold exactly; a tie between equal
     gradients (abs(t - 0.5) at t = 0.5) is a polytope whose vertices
-    all equal the point."""
+    all equal the point.  Where it gives segments too, the same value,
+    and the zonotope of q and the generators' blocks widened to R^(2n)
+    is the per-node set: their support functions agree on every
+    coordinate direction and on random ones, up to the roundoff of a max
+    tie's (g1 + g2)/2 +- (g1 - g2)/2.  At those nodes, no subtree's
+    per-node set reaches a column outside its static support."""
     rng = np.random.default_rng(31)
-    checked = 0
+    # a second stream of nodes on a half-integer lattice, where more ties hold
+    lattice = np.random.default_rng(32)
+    checked = segments = 0
     for _ in range(150):
         n = int(rng.integers(1, 4))
         e = random_smooth_expr(rng, n, 3) if draw is random_smooth_expr \
@@ -860,15 +899,28 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
         x, z = rng.standard_normal((2, 40, n))
         t = rng.random(40)
         x[::2], z[::2], t[::2] = (np.round(a[::2], 1) for a in (x, z, t))
+        x, z = (np.vstack([a, 0.5 * lattice.integers(-2, 3, (20, n))]) for a in (x, z))
+        t = np.concatenate([t, 0.5 * lattice.integers(0, 3, 20)])
         value, q, gens, per_node, _ = compile_subdiff(e)(x, z, t, tol_act)
+        full = full_generators(gens, 2 * n)
+        directions = np.vstack([np.eye(2 * n), -np.eye(2 * n),
+                                lattice.standard_normal((4, 2 * n))])
         for i in np.flatnonzero(~per_node):
-            if any(a[i].any() for a in gens):
-                continue
-            v, s = _value_and_set(e, EvalPoint(x[i], z[i], float(t[i])), tol_act)
+            point = EvalPoint(x[i], z[i], float(t[i]))
+            v, s = _value_and_set(e, point, tol_act)
             assert v == value[i]
-            assert (vertex_list(s) == q[i]).all()
-            checked += 1
+            if not any(a[i].any() for a in full):
+                assert (vertex_list(s) == q[i]).all()
+                checked += 1
+                continue
+            for g in directions:
+                want = support(s, g)[0]
+                got = q[i] @ g + sum(abs(a[i] @ g) for a in full)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            _assert_within_static_support(e, n, point, tol_act)
+            segments += 1
     assert checked > 4000
+    assert segments > 200 if draw is random_expr else segments == 0
 
 
 def test_grid_subdiff_ties_are_a_point_plus_segments():
@@ -882,9 +934,10 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     assert np.array_equal(q, [[0.0, 2.0, 0.0, 0.0],
                               [1.0, 1.0, 1.0, 0.0],
                               [-1.0, 2.0, 0.0, 0.0]])
-    assert len(gens) == 2
-    assert np.array_equal(gens[0], [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
-    assert np.array_equal(gens[1], [[0.0] * 4, [0.0, 1.0, -1.0, 0.0], [0.0] * 4])
+    assert [c for c, _ in gens] == [(0,), (1, 2)]
+    full = full_generators(gens, 4)
+    assert np.array_equal(full[0], [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
+    assert np.array_equal(full[1], [[0.0] * 4, [0.0, 1.0, -1.0, 0.0], [0.0] * 4])
 
 
 @pytest.mark.parametrize("text, x, z", [
@@ -914,7 +967,7 @@ def test_grid_subdiff_masks_rows_that_are_not_finite():
         value, q, gens, per_node, _ = f(x, np.zeros((5, 2)), np.zeros(5), 1e-9)
         # node 0 ties, and only the tie's generator (g1 - g2) / 2 overflows
         assert np.isfinite(value[0]) and np.isfinite(q[0]).all()
-        assert np.isinf(gens[0][0, 0])
+        assert np.isinf(gens[0][1][0, 0])
         assert per_node.tolist() == [True, False, True, True, False]
         # values and centers all finite: a generator alone masks node 0
         _, _, _, per_node, _ = f(x[[0, 1, 4]], np.zeros((3, 2)), np.zeros(3), 1e-9)
@@ -932,7 +985,7 @@ def test_sqrt_of_t_is_differentiable_at_its_zero():
                                                   t, 1e-9)
     assert value.tolist() == [0.0, 0.5] and not per_node.any()
     assert q.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
-    assert [a.tolist() for a in gens] == [[[1.0, 0.0], [0.0, 0.0]]]
+    assert [a.tolist() for a in full_generators(gens, 2)] == [[[1.0, 0.0], [0.0, 0.0]]]
     with pytest.raises(DomainError, match="sqrt not differentiable at 0"):
         subdiff_expr(parse_expr("sqrt(x1 - t)", 1), _pt([0.0], [0.0], 0.0))
     shifted = parse_expr("abs(x1 - sqrt(t - 0.5))", 1)
@@ -959,7 +1012,8 @@ def test_pow_ties_are_decided_alike_on_both_paths():
         assert value[0] == 0.0 and not per_node[0] and len(gens) == 1
         s = subdiff_expr(e, _pt([a], [0.0]), 0.0)
         assert isinstance(s, Polytope)
-        assert np.array_equal(np.abs(s.vertices), np.abs(gens[0]).repeat(2, 0))
+        assert np.array_equal(np.abs(s.vertices),
+                              np.abs(full_generators(gens, 2)[0]).repeat(2, 0))
         assert eval_expr(parse_expr("pow(x1, 3)", 1), _pt([a], [0.0])) == c
 
 

@@ -57,6 +57,16 @@ def test_trapezoid_weights():
     assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_grid_weights_are_built_once_and_read_only():
+    g = Grid(1.0, 5)
+    w = g.weights
+    assert g.weights is w
+    assert w.tobytes() == trapezoid_weights(g).tobytes()
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_quadrature_linear_exact():
     g = Grid(1.0, 3)
     assert quadrature(Traj(g, g.nodes)) == pytest.approx(0.5, abs=1e-15)
