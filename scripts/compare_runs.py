@@ -42,7 +42,9 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # to decrease I, and the line search returns no decrease.  oblique_ties
 # meets both kinks at once where x1 = 0 = z1 + x1: two oblique segments,
 # whose closed form the certificate mostly rejects, so those nodes fall
-# back to Wolfe's method on the zonotope.
+# back to Wolfe's method on the zonotope.  var_free_quotient divides by a
+# subtree without x or z whose square underflows, at nodes that norm's
+# zero sends to the per-node route: its gradient must stay zero there.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -55,6 +57,9 @@ EXTRA = {
         "initial_x = 0\n", ["--grid", "5", "--eps", "1e-300"]),
     "oblique_ties": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 + z1) + abs(x1 - t)\n", []),
+    "var_free_quotient": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1) + 1 / (1e-200 * (t + 1))\n",
+        []),
 }
 
 

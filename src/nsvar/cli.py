@@ -128,25 +128,25 @@ def _split_top_level(text: str) -> list[str]:
     return [s.strip() for s in parts]
 
 
-def _floats(raw: str, n, lineno: int) -> list[float]:
+def _floats(raw: str, n: int) -> list[float]:
     return [float(s) for s in _split_top_level(raw)]
 
 
-def _time_exprs(raw: str, n: int, lineno: int) -> tuple:
+def _time_exprs(raw: str, n: int) -> tuple:
     return tuple(parse_expr(s, n, allow_vars=False) for s in _split_top_level(raw))
 
 
-# key -> (ProblemSpec field, converter(raw, n, lineno), required), in the
+# key -> (ProblemSpec field, converter(raw, n), required), in the
 # order the values are converted: the expressions need n first.
 _FIELDS = {
-    "n": ("n", lambda raw, n, lineno: int(raw), True),
-    "T": ("horizon", lambda raw, n, lineno: float(raw), True),
+    "n": ("n", lambda raw, n: int(raw), True),
+    "T": ("horizon", lambda raw, n: float(raw), True),
     "x0": ("x0", _floats, True),
     "xT": ("xT", _floats, False),
-    "integrand": ("integrand", lambda raw, n, lineno: parse_expr(raw, n), True),
+    "integrand": ("integrand", lambda raw, n: parse_expr(raw, n), True),
     "initial_x": ("initial_x", _time_exprs, False),
     "initial_z": ("initial_z", _time_exprs, False),
-    "lambda0": ("lambda0", lambda raw, n, lineno: float(raw), False),
+    "lambda0": ("lambda0", lambda raw, n: float(raw), False),
 }
 
 
@@ -186,7 +186,7 @@ def load_problem(source: str) -> ProblemSpec:
                 continue
             value, lineno = raw[key]
             try:
-                kw[field] = convert(value, kw.get("n"), lineno)
+                kw[field] = convert(value, kw.get("n"))
             except ExprError as exc:
                 raise ProblemFileError(f"line {lineno}: bad {key}: {exc}") from exc
         return ProblemSpec(**kw)

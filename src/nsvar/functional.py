@@ -61,6 +61,7 @@ one grid reuse those values, since a Grid's nodes are read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -136,8 +137,6 @@ class ProblemSpec:
     name: str = ""
     use_psi: bool = field(init=False)
     use_phi: bool = field(init=False)
-    # {compiler: its output for the integrand}, filled on first use
-    _compiled: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         put = object.__setattr__
@@ -173,7 +172,6 @@ class ProblemSpec:
         require_finite("lambda0", self.lambda0)
         put(self, "use_psi", self.xT is not None)
         put(self, "use_phi", self.use_psi or uses_var_z(self.integrand))
-        put(self, "_compiled", {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProblemSpec):
@@ -191,19 +189,17 @@ class ProblemSpec:
             and self.lambda0 == other.lambda0
         )
 
+    @functools.cached_property
     def integrand_line(self) -> Callable:
         """The integrand compiled into a pass along lines (compile_line),
         on first use, and kept."""
-        return self._compile(compile_line)
+        return compile_line(self.integrand)
 
+    @functools.cached_property
     def integrand_subdiff(self) -> Callable:
-        """The integrand compiled by compile_subdiff, kept like integrand_line."""
-        return self._compile(compile_subdiff)
-
-    def _compile(self, compiler: Callable) -> Callable:
-        if compiler not in self._compiled:
-            self._compiled[compiler] = compiler(self.integrand)
-        return self._compiled[compiler]
+        """The integrand compiled by compile_subdiff for n, kept like
+        integrand_line."""
+        return compile_subdiff(self.integrand, self.n)
 
 
 def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
@@ -306,7 +302,7 @@ def _phi_rows(grid: Grid, d: np.ndarray) -> np.ndarray:
 def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
     t = xz.grid.nodes
-    vals = p.integrand_line()(xz.x.values, xz.z.values, t)(0.0)[0]
+    vals = p.integrand_line(xz.x.values, xz.z.values, t)(0.0)[0]
     _check_finite(vals, t)
     return trapezoid(vals, xz.grid.h)
 
@@ -388,7 +384,7 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
         return lam * (scale * psi + scale * phi)
     c0, c1, c2 = (lam * (m.psi + m.phi), coefficient(r0, r1, 1.0),
                   coefficient(r1, r1, 0.5))
-    at = p.integrand_line()(xv, zv, t, gx, gz)
+    at = p.integrand_line(xv, zv, t, gx, gz)
     w = grid.weights
 
     def probe(gamma: float) -> tuple[float, float, float]:
@@ -586,7 +582,7 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
     certificate fails.
     """
     grid = xz.grid
-    _, q, gens, per_node, ties = p.integrand_subdiff()(
+    _, q, gens, per_node, ties = p.integrand_subdiff(
         xz.x.values, xz.z.values, grid.nodes, tol_act)
     rows = m.rows
     if p.use_phi:     # else the rows are zero

@@ -654,14 +654,14 @@ def _compile_line(e: Expr):
     """
     if _uses_vars(e):
         return _line_rule(e)
-    return _per_grid(_line_rule(e), lambda x, gx, gz: None)
+    return _per_grid(_line_rule(e), lambda gx, gz: None)
 
 
 def _per_grid(f: Callable, key: Callable) -> Callable:
     """f(x, z, t, *rest) of a subtree without x or z, run once per grid.
 
     One slot keeps the last result, for the array t itself and
-    key(x, *rest).  A writable t may change in place, so f runs on every
+    key(*rest).  A writable t may change in place, so f runs on every
     call with one.
     """
     slot = (None, None, None)
@@ -670,7 +670,7 @@ def _per_grid(f: Callable, key: Callable) -> Callable:
         nonlocal slot
         if t.flags.writeable:
             return f(x, z, t, *rest)
-        k = key(x, *rest)
+        k = key(*rest)
         if slot[0] is not t or slot[1] != k:
             slot = (t, k, f(x, z, t, *rest))
         return slot[2]
@@ -1049,55 +1049,67 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
 # Relative activity tolerance of abs, max and norm; see subdiff_expr.
 _TOL_ACT = 1e-9
 
+# The empty gradient a chain rule gets for a subtree without x or z.
+_NO_COLUMNS = np.zeros(0)
+
 
 def _value_and_set(e: Expr, p: EvalPoint,
                    tol_act: float = _TOL_ACT) -> tuple[float, ConvexSet]:
     n = p.x.shape[0]
     d = 2 * n
 
-    def singleton_basis(slot: int) -> ConvexSet:
+    def singleton_basis(column: int) -> ConvexSet:
         g = np.zeros(d)
-        g[slot] = 1.0
+        g[column] = 1.0
         return Singleton(g)
 
-    def rec(node: Expr) -> tuple[float, ConvexSet]:
+    # rec gives (value, set, whether the subtree reads x or z).  A
+    # subtree that does not has a zero gradient, as in the grid pass: its
+    # product and quotient rules are not run, and its chain rules run on
+    # an empty gradient, so a gradient that would be 0 / 0 cannot be nan.
+    def rec(node: Expr) -> tuple[float, ConvexSet, bool]:
         if isinstance(node, Const):
-            return node.value, Singleton(np.zeros(d))
+            return node.value, Singleton(np.zeros(d)), False
         if isinstance(node, Time):
-            return p.t, Singleton(np.zeros(d))
+            return p.t, Singleton(np.zeros(d)), False
         if isinstance(node, VarX):
-            return float(p.x[node.index - 1]), singleton_basis(node.index - 1)
+            return float(p.x[node.index - 1]), singleton_basis(node.index - 1), True
         if isinstance(node, VarZ):
-            return float(p.z[node.index - 1]), singleton_basis(n + node.index - 1)
+            return (float(p.z[node.index - 1]),
+                    singleton_basis(n + node.index - 1), True)
         if isinstance(node, Neg):
-            v, s = rec(node.arg)
-            return -v, negate(s)
+            v, s, reads = rec(node.arg)
+            return -v, negate(s), reads
         if isinstance(node, Add):
-            v1, s1 = rec(node.left)
-            v2, s2 = rec(node.right)
-            return v1 + v2, _msum(s1, s2)
+            v1, s1, r1 = rec(node.left)
+            v2, s2, r2 = rec(node.right)
+            return v1 + v2, _msum(s1, s2), r1 or r2
         if isinstance(node, Sub):
-            v1, s1 = rec(node.left)
-            v2, s2 = rec(node.right)
-            return v1 - v2, _msum(s1, negate(s2))
+            v1, s1, r1 = rec(node.left)
+            v2, s2, r2 = rec(node.right)
+            return v1 - v2, _msum(s1, negate(s2)), r1 or r2
         if isinstance(node, Mul):
-            v1, s1 = rec(node.left)
-            v2, s2 = rec(node.right)
+            v1, s1, r1 = rec(node.left)
+            v2, s2, r2 = rec(node.right)
             if isinstance(node.left, Const):
-                return v1 * v2, _scale_signed(v1, s2)
+                return v1 * v2, _scale_signed(v1, s2), r2
             if isinstance(node.right, Const):
-                return v1 * v2, _scale_signed(v2, s1)
+                return v1 * v2, _scale_signed(v2, s1), r1
+            if not (r1 or r2):
+                return v1 * v2, Singleton(np.zeros(d)), False
             v, g = _product(v1, _as_gradient(s1), v2, _as_gradient(s2))
-            return v, Singleton(g)
+            return v, Singleton(g), True
         if isinstance(node, Div):
-            v1, s1 = rec(node.left)
-            v2, s2 = rec(node.right)
+            v1, s1, r1 = rec(node.left)
+            v2, s2, r2 = rec(node.right)
             if v2 == 0.0:
                 raise DomainError("division by zero", p.t)
+            if not (r1 or r2):
+                return v1 / v2, Singleton(np.zeros(d)), False
             v, g = _quotient(v1, _as_gradient(s1), v2, _as_gradient(s2))
-            return v, Singleton(g)
+            return v, Singleton(g), True
         if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
-            v, s = rec(node.base if isinstance(node, Pow) else node.arg)
+            v, s, reads = rec(node.base if isinstance(node, Pow) else node.arg)
             chain = _chain(node)
             if isinstance(node, Sqrt):
                 if v < 0.0:
@@ -1105,37 +1117,43 @@ def _value_and_set(e: Expr, p: EvalPoint,
                 if v == 0.0 and chain is _chain_sqrt:
                     raise DomainError("sqrt not differentiable at 0", p.t)
             k = node.exponent if isinstance(node, Pow) else None
+            if not reads:
+                val, _, _ = chain(v, _NO_COLUMNS, k)
+                return float(val), Singleton(np.zeros(d)), False
             val, g, _ = chain(v, _as_gradient(s), k)
-            return float(val), Singleton(g)
+            return float(val), Singleton(g), True
         if isinstance(node, Abs):
-            v, s = rec(node.arg)
+            v, s, reads = rec(node.arg)
             act = tol_act * (1.0 + abs(v))
             if v > act:
-                return v, s
+                return v, s, reads
             if v < -act:
-                return -v, negate(s)
+                return -v, negate(s), reads
             verts = np.vstack([_tie_vertices(s), _tie_vertices(negate(s))])
-            return abs(v), Polytope(verts)
+            return abs(v), Polytope(verts), reads
         if isinstance(node, Max):
-            pairs = [rec(a) for a in node.args]
-            vals = np.array([v for v, _ in pairs])
+            triples = [rec(a) for a in node.args]
+            vals = np.array([v for v, _, _ in triples])
             vmax = float(vals.max())
             act = tol_act * (1.0 + abs(vmax))
-            active = [s for (v, s), va in zip(pairs, vals) if va >= vmax - act]
+            active = [s for (v, s, _), va in zip(triples, vals) if va >= vmax - act]
+            reads = any(r for _, _, r in triples)
             if len(active) == 1:
-                return vmax, active[0]
+                return vmax, active[0], reads
             verts = np.vstack([_tie_vertices(s) for s in active])
-            return vmax, Polytope(verts)
+            return vmax, Polytope(verts), reads
         if isinstance(node, Norm):
-            pairs = [rec(a) for a in node.args]
-            rows = np.vstack([_as_gradient(s, context="norm") for _, s in pairs])
-            nrm, g, nonzero = _norm(np.array([v for v, _ in pairs]), rows)
+            triples = [rec(a) for a in node.args]
+            rows = np.vstack([_as_gradient(s, context="norm") for _, s, _ in triples])
+            nrm, g, nonzero = _norm(np.array([v for v, _, _ in triples]), rows)
+            reads = any(r for _, _, r in triples)
             if nonzero:
-                return float(nrm), Singleton(g)
-            return float(nrm), _coordinate_ball(rows, d)
+                return float(nrm), Singleton(g), reads
+            return float(nrm), _coordinate_ball(rows, d), reads
         raise TypeError(f"not an Expr: {node!r}")
 
-    return rec(e)
+    v, s, _ = rec(e)
+    return v, s
 
 
 def subdiff_expr(e: Expr, p: EvalPoint,
@@ -1159,10 +1177,12 @@ def subdiff_expr(e: Expr, p: EvalPoint,
 SubdiffFn = Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]
 
 
-def compile_subdiff(e: Expr) -> SubdiffFn:
-    """Compile e once into a grid subdifferential f(x, z, t, tol_act).
+def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
+    """Compile e once, over x1..xn and z1..zn, into a grid subdifferential
+    f(x, z, t, tol_act).
 
-    x, z have shape (N, n) and t shape (N,).  The result is
+    x, z have shape (N, n) and t shape (N,); arrays of another width
+    raise ValueError.  The result is
     (value, q, gens, per_node) for every node at once: the value, shape
     (N,), equal to compile_line's up to roundoff; a center q, shape
     (N, 2n); a list of segment generators, each a pair (columns, a) of a
@@ -1177,9 +1197,10 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
 
     Each subtree's gradients are blocks over its column support, the
-    columns its leaves can reach, fixed when e is compiled (_Shape): a
-    variable's one column, none for a subtree without x or z, the union
-    above.  Only q is widened to R^(2n), at the end.
+    columns of R^(2n) its leaves can reach, fixed when e is compiled
+    (_Shape): x_i's column i - 1 or z_i's column n + i - 1 for a
+    variable, none for a subtree without x or z, the union above.  Only
+    q is widened to R^(2n), at the end.
 
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
@@ -1192,7 +1213,7 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     Masked rows mean nothing; subdiff_expr builds their sets.
 
     A subtree without x or z has a zero center and no generators.  Its
-    values, masks and ties are kept, keyed on the array t itself, n and,
+    values, masks and ties are kept, keyed on the array t itself and,
     when it holds a tie, tol_act, and reused while later calls pass
     them: once per grid (and tolerance).  Only a read-only t is kept, as
     a Grid's nodes are.
@@ -1202,19 +1223,16 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
     (|v|, (0.0,)) and a max is (its value, its branches' values).  They
     do not depend on tol_act; next_tolerance reads them.
     """
-    rec, shape = _compile_sd(e)
-    layouts: dict = {}
+    rec, shape = _compile_sd(e, n)
+    widen = _placer(shape.support, tuple(range(2 * n)))
 
     def subdiff(x, z, t, tol_act=_TOL_ACT):
-        n = x.shape[1]
-        if n not in layouts:
-            cols = _columns(shape.support, n)
-            layouts[n] = (_positions(cols, tuple(range(2 * n))),
-                          [_columns(s, n) for s in shape.gens])
-        cols, gen_cols = layouts[n]
+        if x.shape[1:] != (n,) or z.shape[1:] != (n,):
+            raise ValueError(f"x and z must have shape (N, {n}), got "
+                             f"{x.shape} and {z.shape}")
         ties: list = []
         v, q, gens, per_node, _ = rec(x, z, t, tol_act, ties)
-        gens = [(c, a) for c, a in zip(gen_cols, gens) if np.count_nonzero(a)]
+        gens = [(c, a) for c, a in zip(shape.gens, gens) if np.count_nonzero(a)]
         if per_node is None:
             per_node = np.zeros(t.shape, bool)
         if not finite(v, q, *(a for _, a in gens)):
@@ -1222,15 +1240,8 @@ def compile_subdiff(e: Expr) -> SubdiffFn:
             for _, a in gens:
                 rows &= np.isfinite(a).all(axis=1)
             per_node = per_node | ~rows
-        full = np.zeros((t.shape[0], 2 * n))
-        full[:, cols] = q
-        return v, full, gens, per_node, ties
+        return v, widen(q), gens, per_node, ties
     return subdiff
-
-
-def _columns(support: tuple, n: int) -> tuple:
-    """The columns of R^(2n) of a support's slots."""
-    return tuple(kind * n + i for kind, i in support)
 
 
 # A tie margin's relative and absolute roundoff.  The tie tests round,
@@ -1290,18 +1301,13 @@ def _col(v) -> np.ndarray:
 class _Shape:
     """A compiled subtree's static structure.
 
-    support lists the slots its center's block covers: (0, i) for
-    x_(i+1) and (1, i) for z_(i+1), increasing, which is the order of
-    their columns in R^(2n) for every n.  gens holds each generator's
-    support, in the pass's order.  masks says whether the subtree can
-    mask a row, segs whether it can carry a segment; a subtree that
-    cannot returns None for that mask.
+    support lists the columns of R^(2n) its center's block covers,
+    increasing: column i - 1 for x_i and n + i - 1 for z_i.  gens holds
+    each generator's support, in the pass's order.
     """
 
     support: tuple = ()
     gens: tuple = ()
-    masks: bool = False
-    segs: bool = False
 
 
 def _union(*supports: tuple) -> tuple:
@@ -1342,20 +1348,21 @@ def _or(a, b):
     return a | b
 
 
-# Each compiled subtree is a pair (rule, _Shape).  The rule returns
-# (value, q, gens, bad, seg): q and each generator a block over its
-# support, bad masking the nodes left to the per-node route and seg those
-# where a tie in the subtree holds, so that its set carries a segment
-# there, each None where the shape says it cannot hold.  The rule
-# appends its tie tests to the list ties.  As in _compile_line, every
-# subtree without x or z is kept per grid, with its ties.  Arithmetic
-# that the shapes prove zero is skipped: a block is widened only where
-# two supports differ, and a term of a subtree without x or z is left out
-# of a gradient.  On the columns it keeps, each rule does the arithmetic
-# of the full rows, so the blocks hold the full rows' bits up to the
-# signs of zeros.
-def _compile_sd(e: Expr):
-    f, shape = _sd_rule(e)
+# Each subtree compiles, for the problem's n, to a pair (rule, _Shape)
+# whose supports are columns of R^(2n), fixed from the leaves up.  The
+# rule returns (value, q, gens, bad, seg): q and each generator a block
+# over its support, bad masking the nodes left to the per-node route and
+# seg those where a tie in the subtree holds, so that its set carries a
+# segment there, each None where it cannot hold.  The rule appends its
+# tie tests to the list ties.  As in _compile_line, every subtree without
+# x or z is kept per grid, with its ties.  Arithmetic that the shapes
+# prove zero is skipped: a block is widened (_placer) only where two
+# supports differ, and a term of a subtree without x or z is left out of
+# a gradient.  On the columns it keeps, each rule does the arithmetic of
+# the full rows, so the blocks hold the full rows' bits up to the signs
+# of zeros.
+def _compile_sd(e: Expr, n: int):
+    f, shape = _sd_rule(e, n)
     if _uses_vars(e):
         return f, shape
 
@@ -1367,27 +1374,27 @@ def _compile_sd(e: Expr):
                 mask.flags.writeable = False
         return (v, q, [], bad, seg), own  # its generators are 0
     tied = not is_smooth(e)  # only a tie reads tol
-    kept = _per_grid(constant, lambda x, tol: (tol if tied else None, x.shape[1]))
+    kept = _per_grid(constant, lambda tol: tol if tied else None)
 
     def reuse(x, z, t, tol, ties):
         out, own = kept(x, z, t, tol)
         ties += own
         return out
-    return reuse, _Shape(masks=shape.masks, segs=shape.segs)
+    return reuse, _Shape()
 
 
-def _sd_rule(e: Expr):
+def _sd_rule(e: Expr, n: int):
     if isinstance(e, (Const, Time, VarX, VarZ)):
-        return _sd_leaf(e)
+        return _sd_leaf(e, n)
     if isinstance(e, Neg):
-        f, shape = _compile_sd(e.arg)
+        f, shape = _compile_sd(e.arg, n)
 
         def neg(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return -v, -q, [-a for a in gens], bad, seg
         return neg, shape
     if isinstance(e, (Add, Sub)):
-        (f, s1), (g, s2) = _compile_sd(e.left), _compile_sd(e.right)
+        (f, s1), (g, s2) = _compile_sd(e.left, n), _compile_sd(e.right, n)
         plus = isinstance(e, Add)
         merge = _merger(s1.support, s2.support, plus)
 
@@ -1397,20 +1404,19 @@ def _sd_rule(e: Expr):
             gens = gens1 + gens2 if plus else gens1 + [-a for a in gens2]
             return (v1 + v2 if plus else v1 - v2, merge(q1, q2), gens,
                     _or(bad1, bad2), _or(seg1, seg2))
-        return add, _Shape(_union(s1.support, s2.support), s1.gens + s2.gens,
-                           s1.masks or s2.masks, s1.segs or s2.segs)
+        return add, _Shape(_union(s1.support, s2.support), s1.gens + s2.gens)
     if isinstance(e, Mul) and (isinstance(e.left, Const)
                                or isinstance(e.right, Const)):
         left = isinstance(e.left, Const)
         c = e.left.value if left else e.right.value
-        f, shape = _compile_sd(e.right if left else e.left)
+        f, shape = _compile_sd(e.right if left else e.left, n)
 
         def scaled(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
             return c * v, c * q, [c * a for a in gens], bad, seg
         return scaled, shape
     if isinstance(e, (Mul, Div)):
-        (f, s1), (g, s2) = _compile_sd(e.left), _compile_sd(e.right)
+        (f, s1), (g, s2) = _compile_sd(e.left, n), _compile_sd(e.right, n)
         support = _union(s1.support, s2.support)
         place1, place2 = _placer(s1.support, support), _placer(s2.support, support)
         div = isinstance(e, Div)
@@ -1431,10 +1437,9 @@ def _sd_rule(e: Expr):
             if not right_vars:
                 return v1 * v2, _col(v2) * q1, [], bad, None
             return *_product(v1, place1(q1), v2, place2(q2)), [], bad, None
-        return product, _Shape(support, (), div or s1.masks or s2.masks
-                               or s1.segs or s2.segs, False)
+        return product, _Shape(support)
     if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
-        f, shape = _compile_sd(e.base if isinstance(e, Pow) else e.arg)
+        f, shape = _compile_sd(e.base if isinstance(e, Pow) else e.arg, n)
         chain = _chain(e)
         k = e.exponent if isinstance(e, Pow) else None
         sqrt = isinstance(e, Sqrt)
@@ -1444,10 +1449,9 @@ def _sd_rule(e: Expr):
             val, dq, undefined = chain(v, q, k)
             bad = _or(bad, seg)
             return val, dq, [], _or(bad, undefined) if sqrt else bad, None
-        return smooth, _Shape(shape.support, (),
-                              sqrt or shape.masks or shape.segs, False)
+        return smooth, _Shape(shape.support)
     if isinstance(e, Abs):
-        f, shape = _compile_sd(e.arg)
+        f, shape = _compile_sd(e.arg, n)
 
         def absolute(x, z, t, tol, ties):
             v, q, gens, bad, seg = f(x, z, t, tol, ties)
@@ -1463,10 +1467,9 @@ def _sd_rule(e: Expr):
                     [signed(a) for a in gens] + [np.where(tie, q, 0.0)],
                     bad if seg is None else _or(bad, tie[:, 0] & seg),
                     _or(seg, tie[:, 0]))
-        return absolute, _Shape(shape.support, shape.gens + (shape.support,),
-                                shape.masks or shape.segs, True)
+        return absolute, _Shape(shape.support, shape.gens + (shape.support,))
     if isinstance(e, Max):
-        compiled = [_compile_sd(a) for a in e.args]
+        compiled = [_compile_sd(a, n) for a in e.args]
         fs = [f for f, _ in compiled]
         support = _union(*(s.support for _, s in compiled))
         places = [_placer(s.support, support) for _, s in compiled]
@@ -1504,30 +1507,23 @@ def _sd_rule(e: Expr):
             gens.append(np.where(_col(tie), (first - second) / 2.0, 0.0))
             return vmax, q, gens, bad, seg
         return maximum, _Shape(support, sum((s.gens for _, s in compiled), ())
-                               + (support,), True, True)
+                               + (support,))
     if isinstance(e, Norm):
-        compiled = [_compile_sd(a) for a in e.args]
+        compiled = [_compile_sd(a, n) for a in e.args]
         fs = [f for f, _ in compiled]
         support = _union(*(s.support for _, s in compiled))
-        layouts: dict = {}
+        places = [_placer(s.support, support) for _, s in compiled]
 
         def norm(x, z, t, tol, ties):
             parts = [f(x, z, t, tol, ties) for f in fs]
-            # norm's matmul sums over its arguments on the full rows
-            n = x.shape[1]
-            if n not in layouts:
-                layouts[n] = ([list(_columns(s.support, n)) for _, s in compiled],
-                              list(_columns(support, n)))
-            cols, own = layouts[n]
-            rows = np.zeros((t.shape[0], len(parts), 2 * n))
-            for i, (p, c) in enumerate(zip(parts, cols)):
-                rows[:, i, c] = p[1]
+            # matmul sums over the arguments, column by column
+            rows = np.stack([place(p[1]) for p, place in zip(parts, places)], axis=1)
             nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1), rows)
             bad = ~nonzero
             for _, _, _, branch_bad, branch_seg in parts:
                 bad = _or(_or(bad, branch_bad), branch_seg)
-            return nrm, grad[:, own], [], bad, None
-        return norm, _Shape(support, (), True, False)
+            return nrm, grad, [], bad, None
+        return norm, _Shape(support)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -1549,19 +1545,17 @@ def _merger(s1: tuple, s2: tuple, plus: bool) -> Callable:
     return lambda q1, q2: place1(q1) - place2(q2)
 
 
-def _sd_leaf(e: Expr):
+def _sd_leaf(e: Expr, n: int):
     if isinstance(e, (Const, Time)):
         def constant(x, z, t, tol, ties):
             value = np.full(t.shape, e.value) if isinstance(e, Const) else t
             return value, _leaf_block(t.shape[0], 0), [], None, None
         return constant, _Shape()
-    column = e.index - 1
-    kind = int(isinstance(e, VarZ))
+    i, on_z = e.index - 1, isinstance(e, VarZ)
 
     def leaf(x, z, t, tol, ties):
-        value = (z if kind else x)[:, column]
-        return value, _leaf_block(t.shape[0], 1), [], None, None
-    return leaf, _Shape(support=((kind, column),))
+        return (z if on_z else x)[:, i], _leaf_block(t.shape[0], 1), [], None, None
+    return leaf, _Shape(support=(n * on_z + i,))
 
 
 @functools.lru_cache(maxsize=64)

@@ -28,6 +28,7 @@ from nsvar.cli import (
     write_problem,
 )
 from nsvar.functional import MinNormUncertified, ProblemSpec, min_norm_field
+from nsvar.integrand import compile_subdiff
 from nsvar.solver import SolverConfig
 from nsvar.trajectory import Traj
 
@@ -321,6 +322,19 @@ def test_run_solves_sqrt_of_t_through_its_zero(tmp_path):
     assert 0.0 <= summary["J"] < 1e-6
 
 
+@pytest.mark.parametrize("x0", ["0", "1"])
+def test_run_solves_through_a_quotient_without_x_or_z(tmp_path, x0):
+    # norm's zero sends nodes to the per-node route, where the divisor's
+    # square underflows to 0: its gradient is zero, not 0 / 0
+    f = tmp_path / "quotient.prob"
+    f.write_text(f"n = 1\nT = 1\nx0 = {x0}\n"
+                 "integrand = norm(x1) + 1 / (1e-200 * (t + 1))\n")
+    out = tmp_path / "quotient_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+
+
 def test_run_rejects_abs_over_a_kink(tmp_path, capsys):
     # |(|x1| - 1)| is concave on [-1, 1]: from x1 = 0 the set calculus
     # would report a stationary point at J = 1, though x1 = 1 gives 0
@@ -400,10 +414,8 @@ def test_overflow_in_the_field_norm_stops_the_solve(tmp_path, monkeypatch):
 def test_overflow_in_a_closed_form_row_dot_stops_the_solve(tmp_path, monkeypatch):
     # a generator over three of four columns takes the einsum; its squared
     # norm overflows, and the clip hides that: lambda = -<q, a> / inf = 0
-    clean = ProblemSpec.integrand_subdiff
-
     def widened(self):
-        subdiff = clean(self)
+        subdiff = compile_subdiff(self.integrand, self.n)
 
         def with_huge_generator(x, z, t, tol):
             v, q, gens, per_node, ties = subdiff(x, z, t, tol)
@@ -411,7 +423,7 @@ def test_overflow_in_a_closed_form_row_dot_stops_the_solve(tmp_path, monkeypatch
             return v, q, [*gens, ((0, 1, 2), huge)], per_node, ties
         return with_huge_generator
 
-    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", widened)
+    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", property(widened))
     f = tmp_path / "two.prob"
     f.write_text("n = 2\nT = 1\nx0 = 1, 1\nintegrand = abs(x1) + abs(x2)\n")
     out = tmp_path / "two_run"

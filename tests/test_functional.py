@@ -132,10 +132,10 @@ def test_problem_keeps_read_only_copies_of_x0_and_xT():
 
 def test_problem_replace_derives_the_flags_again():
     p = _simple()
-    line = p.integrand_line()
+    line = p.integrand_line
     q = dataclasses.replace(p, integrand=parse_expr("abs(z1 - 1) + pow(x1, 2)", 1))
     assert q.use_phi and not q.use_psi
-    assert q.integrand_line() is not line and p.integrand_line() is line
+    assert q.integrand_line is not line and p.integrand_line is line
     q = dataclasses.replace(p, xT=[1.0])
     assert q.use_psi and q.use_phi
     assert not dataclasses.replace(q, xT=None).use_psi
@@ -509,7 +509,7 @@ def test_lines_without_a_sweep(name, tmp_path, monkeypatch):
     rng = np.random.default_rng(43)
     xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
                    rng.standard_normal((21, p.n))) for _ in range(2))
-    at = p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
+    at = p.integrand_line(xz.x.values, xz.z.values, g.nodes,
                             d.x.values, d.z.values)
     assert at.kinks is None
     assert eval_I_along(p, xz, d, measure(p, xz, 20.0)).sweep is None
@@ -523,7 +523,7 @@ def test_sweep_waits_for_a_convex_line():
     xz = _pair(p, g, np.zeros((5, 1)), np.zeros((5, 1)))
     d = _pair(p, g, np.ones((5, 1)), np.zeros((5, 1)))
     along = eval_I_along(p, xz, d, measure(p, xz, 1.0))
-    assert p.integrand_line()(xz.x.values, xz.z.values, g.nodes,
+    assert p.integrand_line(xz.x.values, xz.z.values, g.nodes,
                               d.x.values, d.z.values).kinks is not None
     assert along.sweep is None
 
@@ -823,7 +823,7 @@ def test_skipped_tolerances_keep_every_set_and_the_field(penalties):
             continue
         outcomes = [_outcome(p, xz, m, eps) for eps in schedule]
         for i in range(len(schedule) - 1):
-            ties = p.integrand_subdiff()(x, z, g.nodes, schedule[i])[4]
+            ties = p.integrand_subdiff(x, z, g.nodes, schedule[i])[4]
             j = next_tolerance(ties, schedule, i)
             assert i < j <= len(schedule)
             for k in range(i + 1, min(j, len(schedule))):
@@ -878,7 +878,7 @@ def test_min_norm_field_sends_one_uncertified_row_node_by_node(monkeypatch):
     z = np.ones((401, 1))
     x[200], z[200] = 0.0, 0.0    # both abs tie: segments (1, 1) and (1, 0)
     xz = _pair(p, g, x, z)
-    _, q, gens, per_node, _ = p.integrand_subdiff()(x, z, g.nodes, 1e-9)
+    _, q, gens, per_node, _ = p.integrand_subdiff(x, z, g.nodes, 1e-9)
     _, _, certified = nsvar.functional.zonotope_min_norm(q, gens)
     assert not per_node.any()
     assert np.flatnonzero(~certified).tolist() == [200]
@@ -935,7 +935,7 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
     x = np.array([[0.0, 1.0], [0.0, 2.0], [0.5, 1.0], [0.0, 3.0], [1.0, -1.0]])
     z = np.array([[2.0, 1.0], [1.0, 2.0], [0.5, 1.0], [-1.0, 3.0], [1.0, -1.0]])
     xz = _pair(p, g, x, z)
-    clean = p.integrand_subdiff()
+    clean = p.integrand_subdiff
 
     def poisoned(*args):
         v, q, gens, per_node, ties = clean(*args)
@@ -954,7 +954,7 @@ def test_min_norm_field_zeroes_masked_rows_before_any_product(monkeypatch):
         per_node.append(s)
         return exact(s)
     want = _field(p, xz, 2.0).values
-    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", lambda self: poisoned)
+    monkeypatch.setattr(ProblemSpec, "integrand_subdiff", property(lambda self: poisoned))
     monkeypatch.setattr(nsvar.functional, "min_norm_point", spy)
     with np.errstate(over="raise", invalid="raise"):
         got = _field(p, xz, 2.0).values

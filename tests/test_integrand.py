@@ -531,7 +531,7 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
     monkeypatch.setattr(np, "abs", counting("abs", np.abs))
     text = "abs(x1 - max(t - 0.5, 0)) + abs(x2 - sin(6.0 * t))"
     p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2))
-    line, subdiff = p.integrand_line(), p.integrand_subdiff()
+    line, subdiff = p.integrand_line, p.integrand_subdiff
     rng = np.random.default_rng(29)
     x, z, gx, gz = rng.standard_normal((4, 51, 2))
     grid = Grid(1.0, 51)
@@ -556,7 +556,7 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
         t += shift
         assert np.array_equal(line(x, z, t)(0.0)[0],
                               eval_expr_grid(p.integrand, x, z, t.copy()))
-        fresh = compile_subdiff(p.integrand)(x, z, t.copy(), 1e-9)
+        fresh = compile_subdiff(p.integrand, p.n)(x, z, t.copy(), 1e-9)
         _assert_same_bits(subdiff(x, z, t, 1e-9), fresh)
 
 
@@ -593,31 +593,32 @@ def test_passes_kept_per_grid_match_fresh_passes():
         if _has_subtree_without_variables(e):
             cases.append((e, *(0.5 * rng.integers(-2, 3, (2, 9, n)))))
     for e, x, z in cases:
-        subdiff, line = compile_subdiff(e), compile_line(e)
+        n = x.shape[1]
+        subdiff, line = compile_subdiff(e, n), compile_line(e)
         for tol in (1e-9, 1e-3, 1e-9, 1e-3):
-            _assert_same_bits(subdiff(x, z, t, tol), compile_subdiff(e)(x, z, t, tol))
+            _assert_same_bits(subdiff(x, z, t, tol), compile_subdiff(e, n)(x, z, t, tol))
             assert line(x, z, t)(0.0)[0].tobytes() == compile_line(e)(x, z, t)(0.0)[0].tobytes()
     for e, masked in zip(kinks, ([True, True], [False, True])):
-        subdiff = compile_subdiff(e)
+        subdiffs = {n: compile_subdiff(e, n) for n in (1, 2)}
         for tol, mask in zip((1e-9, 1e-3), masked):
             for n in (1, 2, 1):
                 x = np.zeros((9, n))
-                assert subdiff(x, x, t, tol)[3][4] == mask
+                assert subdiffs[n](x, x, t, tol)[3][4] == mask
 
 
 def test_leaf_rows_kept_per_grid_give_a_fresh_pass_bits():
-    """A compiled pass called on two grids with both n, in turn, gives the
+    """Passes compiled for both n, called on two grids in turn, give the
     bits of a pass compiled and run with no leaf rows kept."""
     rng = np.random.default_rng(37)
     grids = (Grid(1.0, 9).nodes, Grid(1.0, 21).nodes)
     for _ in range(40):
         e = random_expr(rng, 1)
-        subdiff = compile_subdiff(e)
+        subdiffs = {n: compile_subdiff(e, n) for n in (1, 2)}
         for t, n in ((grids[0], 1), (grids[1], 2), (grids[0], 2), (grids[1], 1)):
             x, z = rng.standard_normal((2, t.shape[0], n))
-            got = subdiff(x, z, t, 1e-9)
+            got = subdiffs[n](x, z, t, 1e-9)
             _leaf_block.cache_clear()
-            _assert_same_bits(got, compile_subdiff(e)(x, z, t, 1e-9))
+            _assert_same_bits(got, compile_subdiff(e, n)(x, z, t, 1e-9))
 
 
 def test_leaf_rows_are_built_once_and_read_only():
@@ -629,12 +630,12 @@ def test_leaf_rows_are_built_once_and_read_only():
         block[0, 0] = 1.0
     assert _leaf_block(9, 0).shape == (9, 0)
     # a bare variable's rule hands the kept block out as its center, over
-    # the variable's one slot; the pass widens it to R^(2n)
+    # the variable's one column; the pass widens it to R^(2n)
     t = Grid(1.0, 9).nodes
-    rule, shape = _compile_sd(parse_expr("z2", 2))
+    rule, shape = _compile_sd(parse_expr("z2", 2), 2)
     assert rule(np.zeros((9, 2)), np.zeros((9, 2)), t, 1e-9, [])[1] is block
-    assert shape.support == ((1, 1),)
-    _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2))(np.zeros((9, 2)), np.zeros((9, 2)), t)
+    assert shape.support == (3,)
+    _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2), 2)(np.zeros((9, 2)), np.zeros((9, 2)), t)
     assert np.array_equal(q, np.eye(4)[[3] * 9])
 
 
@@ -776,7 +777,7 @@ def test_next_tolerance_reads_the_tie_margins():
 def test_subtrees_kept_per_grid_hand_out_their_ties():
     # at t = 0.5 the max without x or z is 5e-5 from its tie: it holds at
     # 1e-3 and 1e-4, so the field may change at 1e-5, on every call
-    f = compile_subdiff(parse_expr("abs(x1 - max(t - 0.50005, 0))", 1))
+    f = compile_subdiff(parse_expr("abs(x1 - max(t - 0.50005, 0))", 1), 1)
     t, x = Grid(1.0, 3).nodes, np.zeros((3, 1))
     for _ in range(2):    # computed, then kept
         assert next_tolerance(f(x, x, t, 1e-3)[4], _SCHEDULE, 0) == 2
@@ -842,7 +843,7 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
         x = rng.standard_normal((6, n))
         z = rng.standard_normal((6, n))
         t = rng.random(6)
-        value, q, gens, per_node, _ = compile_subdiff(e)(x, z, t, 1e-9)
+        value, q, gens, per_node, _ = compile_subdiff(e, n)(x, z, t, 1e-9)
         assert gens == [] and not per_node.any()
         assert np.allclose(value, eval_expr_grid(e, x, z, t), rtol=1e-14, atol=0.0)
         for i in range(6):
@@ -863,8 +864,8 @@ def _assert_within_static_support(e, n: int, point: EvalPoint, tol_act: float) -
     for u in _subtrees(e):
         if not _uses_vars(u):
             continue
-        shape = _compile_sd(u)[1]
-        reach = {kind * n + i for s in (shape.support, *shape.gens) for kind, i in s}
+        shape = _compile_sd(u, n)[1]
+        reach = {c for s in (shape.support, *shape.gens) for c in s}
         try:
             _, s = _value_and_set(u, point, tol_act)
         except ExprError:
@@ -901,7 +902,7 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
         x[::2], z[::2], t[::2] = (np.round(a[::2], 1) for a in (x, z, t))
         x, z = (np.vstack([a, 0.5 * lattice.integers(-2, 3, (20, n))]) for a in (x, z))
         t = np.concatenate([t, 0.5 * lattice.integers(0, 3, 20)])
-        value, q, gens, per_node, _ = compile_subdiff(e)(x, z, t, tol_act)
+        value, q, gens, per_node, _ = compile_subdiff(e, n)(x, z, t, tol_act)
         full = full_generators(gens, 2 * n)
         directions = np.vstack([np.eye(2 * n), -np.eye(2 * n),
                                 lattice.standard_normal((4, 2 * n))])
@@ -924,7 +925,7 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
 
 
 def test_grid_subdiff_ties_are_a_point_plus_segments():
-    f = compile_subdiff(parse_expr("abs(x1) + 2 * max(x2, z1)", 2))
+    f = compile_subdiff(parse_expr("abs(x1) + 2 * max(x2, z1)", 2), 2)
     x = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
     z = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
     value, q, gens, per_node, _ = f(x, z, np.zeros(3), 1e-9)
@@ -950,7 +951,7 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     ("1 / x1", [0.0, 0.0], [0.0, 0.0]),
 ])
 def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
-    f = compile_subdiff(parse_expr(text, 2))
+    f = compile_subdiff(parse_expr(text, 2), 2)
     xs = np.array([x, [2.0, 3.0]])
     zs = np.array([z, [4.0, 5.0]])
     _, _, _, per_node, _ = f(xs, zs, np.zeros(2), 1e-9)
@@ -960,7 +961,7 @@ def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
 def test_grid_subdiff_masks_rows_that_are_not_finite():
     """Finiteness is checked on whole arrays first, and then row by row:
     a row whose value, center or one generator is not finite is masked."""
-    f = compile_subdiff(parse_expr("max(1e308 * x1, -1e308 * x1) + pow(x2, 3)", 2))
+    f = compile_subdiff(parse_expr("max(1e308 * x1, -1e308 * x1) + pow(x2, 3)", 2), 2)
     x = np.array([[0.0, 1.0], [1e-300, 1.0], [1e-300, 1e120], [1e-300, np.nan],
                   [-1e-300, 3.0]])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -981,8 +982,8 @@ def test_sqrt_of_t_is_differentiable_at_its_zero():
     s = subdiff_expr(e, _pt([0.0], [0.0], 0.0))
     assert np.array_equal(sorted(s.vertices.tolist()), [[-1.0, 0.0], [1.0, 0.0]])
     t = np.array([0.0, 0.25])
-    value, q, gens, per_node, _ = compile_subdiff(e)(np.zeros((2, 1)), np.zeros((2, 1)),
-                                                  t, 1e-9)
+    value, q, gens, per_node, _ = compile_subdiff(e, 1)(np.zeros((2, 1)), np.zeros((2, 1)),
+                                                     t, 1e-9)
     assert value.tolist() == [0.0, 0.5] and not per_node.any()
     assert q.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
     assert [a.tolist() for a in full_generators(gens, 2)] == [[[1.0, 0.0], [0.0, 0.0]]]
@@ -991,9 +992,31 @@ def test_sqrt_of_t_is_differentiable_at_its_zero():
     shifted = parse_expr("abs(x1 - sqrt(t - 0.5))", 1)
     with pytest.raises(DomainError, match="sqrt of a negative value at t=0.25"):
         subdiff_expr(shifted, _pt([0.0], [0.0], 0.25))
-    _, _, _, per_node, _ = compile_subdiff(shifted)(np.zeros((2, 1)), np.zeros((2, 1)),
-                                                 np.array([0.25, 0.5]), 1e-9)
+    _, _, _, per_node, _ = compile_subdiff(shifted, 1)(np.zeros((2, 1)), np.zeros((2, 1)),
+                                                    np.array([0.25, 0.5]), 1e-9)
     assert per_node.tolist() == [True, False]
+
+
+def test_per_node_route_gives_a_quotient_without_x_or_z_a_zero_gradient():
+    """The divisor's square underflows to 0, so the quotient rule would
+    give 0 / 0; a subtree without x or z skips it, as the grid pass does."""
+    e = parse_expr("norm(x1) + 1 / (1e-200 * (t + 1))", 1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        v, s = _value_and_set(e, _pt([0.0], [0.0], 0.5))
+        _, _, _, per_node, _ = compile_subdiff(e, 1)(
+            np.zeros((1, 1)), np.zeros((1, 1)), np.array([0.5]), 1e-9)
+    assert v == 1.0 / (1e-200 * 1.5) and per_node.tolist() == [True]
+    assert [support(s, g)[0] for g in np.eye(2)] == [1.0, 0.0]
+
+
+def test_a_pass_rejects_arrays_of_another_width():
+    f = compile_subdiff(parse_expr("abs(x1) + z2", 2), 2)
+    t = np.zeros(3)
+    for width in (1, 3):
+        other, right = np.zeros((3, width)), np.zeros((3, 2))
+        for x, z in ((other, right), (right, other), (other, other)):
+            with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+                f(x, z, t, 1e-9)
 
 
 def test_pow_ties_are_decided_alike_on_both_paths():
@@ -1007,7 +1030,7 @@ def test_pow_ties_are_decided_alike_on_both_paths():
     assert v.size == 20
     for a, c in zip(v, cubes):
         e = parse_expr(f"abs(pow(x1, 3) - {float(c)!r})", 1)
-        value, q, gens, per_node, _ = compile_subdiff(e)(
+        value, q, gens, per_node, _ = compile_subdiff(e, 1)(
             np.array([[a]]), np.zeros((1, 1)), np.zeros(1), 0.0)
         assert value[0] == 0.0 and not per_node[0] and len(gens) == 1
         s = subdiff_expr(e, _pt([a], [0.0]), 0.0)
