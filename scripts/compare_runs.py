@@ -45,6 +45,9 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # back to Wolfe's method on the zonotope.  var_free_quotient divides by a
 # subtree without x or z whose square underflows, at nodes that norm's
 # zero sends to the per-node route: its gradient must stay zero there.
+# ball_tie starts at norm's zero, where max ties the ball with the point
+# 0: the per-node set is a convexgeom.Hull.  shared_norm's two norm
+# arguments touch one coordinate, whose rows merge into one ball there.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -59,6 +62,12 @@ EXTRA = {
         "n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 + z1) + abs(x1 - t)\n", []),
     "var_free_quotient": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1) + 1 / (1e-200 * (t + 1))\n",
+        []),
+    "ball_tie": (
+        "n = 2\nT = 1\nx0 = 0, 0\nintegrand = max(norm(x1, x2), 0)"
+        " + pow(z1 - 1, 2)\n", []),
+    "shared_norm": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1, x1) + pow(z1 - 1, 2)\n",
         []),
 }
 

@@ -2,9 +2,9 @@
 
 The sets that show up as pointwise subdifferentials are built from a
 handful of primitives: points, polytopes given by vertex lists, balls
-restricted to a coordinate subspace, and Minkowski sums.  Nonnegative
-scalings are applied eagerly to the primitives by ``scale``.  Two
-queries matter:
+restricted to a coordinate subspace, Minkowski sums and hulls.
+Nonnegative scalings are applied eagerly to the primitives by ``scale``.
+Two queries matter:
 
 * ``support(S, d)``: the support value max_{v in S} <v, d> together with
   a maximizing point, and
@@ -14,8 +14,9 @@ queries matter:
 ``min_norm_point`` has three routes: a point is its own answer; one
 ball added to a point, or a full ball added to polytopes, takes the
 rest's nearest point pulled toward the origin by the radius; and every
-other set takes Wolfe's minimum-norm algorithm (Wolfe, Math.
-Programming 11, 1976), whose linear minimizer is the support function.
+other set, any set holding a hull included, takes Wolfe's minimum-norm
+algorithm (Wolfe, Math. Programming 11, 1976), whose linear minimizer is
+the support function.
 Every route reports the duality gap <v, v> - min_{s in S} <v, s> so
 callers can check the answer without trusting the solver.
 
@@ -86,21 +87,31 @@ class Ball:
         object.__setattr__(self, "mask", m)
 
 
+def _check_members(s) -> None:
+    members = tuple(s.members)
+    if not members:
+        raise ValueError(f"{type(s).__name__} needs at least one member")
+    d = dim(members[0])
+    if any(dim(m) != d for m in members[1:]):
+        raise ValueError("members have mismatched dimensions")
+    object.__setattr__(s, "members", members)
+
+
 @dataclass(frozen=True, eq=False)
 class MinkowskiSum:
     members: tuple
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("MinkowskiSum needs at least one member")
-        d = dim(members[0])
-        if any(dim(m) != d for m in members[1:]):
-            raise ValueError("members have mismatched dimensions")
-        object.__setattr__(self, "members", members)
+    __post_init__ = _check_members
 
 
-ConvexSet = Union[Singleton, Polytope, Ball, MinkowskiSum]
+@dataclass(frozen=True, eq=False)
+class Hull:
+    """Convex hull of the union of its members."""
+
+    members: tuple
+    __post_init__ = _check_members
+
+
+ConvexSet = Union[Singleton, Polytope, Ball, MinkowskiSum, Hull]
 
 
 def dim(s: ConvexSet) -> int:
@@ -110,7 +121,7 @@ def dim(s: ConvexSet) -> int:
         return s.vertices.shape[1]
     if isinstance(s, Ball):
         return s.center.shape[0]
-    if isinstance(s, MinkowskiSum):
+    if isinstance(s, (MinkowskiSum, Hull)):
         return dim(s.members[0])
     raise TypeError(f"not a ConvexSet: {s!r}")
 
@@ -123,8 +134,8 @@ def negate(s: ConvexSet) -> ConvexSet:
         return Polytope(-s.vertices)
     if isinstance(s, Ball):
         return Ball(-s.center, s.radius, s.mask)
-    if isinstance(s, MinkowskiSum):
-        return MinkowskiSum(tuple(negate(m) for m in s.members))
+    if isinstance(s, (MinkowskiSum, Hull)):
+        return type(s)(tuple(negate(m) for m in s.members))
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -138,8 +149,8 @@ def scale(c: float, s: ConvexSet) -> ConvexSet:
         return Polytope(c * s.vertices)
     if isinstance(s, Ball):
         return Ball(c * s.center, c * s.radius, s.mask)
-    if isinstance(s, MinkowskiSum):
-        return MinkowskiSum(tuple(scale(c, m) for m in s.members))
+    if isinstance(s, (MinkowskiSum, Hull)):
+        return type(s)(tuple(scale(c, m) for m in s.members))
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -150,8 +161,9 @@ def scale(c: float, s: ConvexSet) -> ConvexSet:
 def support(s: ConvexSet, d: np.ndarray) -> tuple[float, np.ndarray]:
     """Support value and a maximizing point of S in direction d.
 
-    Ties between polytope vertices break toward the lowest index, so the
-    oracle is deterministic.  d = 0 returns (0, some point of S).
+    A hull's support is its largest member's.  Ties between polytope
+    vertices, and between hull members, break toward the lowest index,
+    so the oracle is deterministic.  d = 0 returns (0, some point of S).
     """
     d = np.asarray(d, float)
     if isinstance(s, Singleton):
@@ -175,6 +187,9 @@ def support(s: ConvexSet, d: np.ndarray) -> tuple[float, np.ndarray]:
             val += v
             w += p
         return val, w
+    if isinstance(s, Hull):
+        # max keeps the first of equal values: the lowest index
+        return max((support(m, d) for m in s.members), key=lambda vp: vp[0])
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
@@ -219,8 +234,10 @@ def _finish(s, x, atoms, weights, iters, tol) -> MinNormResult:
     )
 
 
-def _canonical(s: ConvexSet, q: np.ndarray, polys: list, balls: list):
-    """Flatten into offset + polytopes + balls."""
+def _canonical(s: ConvexSet, q: np.ndarray, polys: list, balls: list,
+               hulls: list):
+    """Flatten into offset + polytopes + balls, and list the hulls.  A
+    hull's members go in with an offset of their own: they only count."""
     if isinstance(s, Singleton):
         q += s.point
     elif isinstance(s, Polytope):
@@ -235,38 +252,13 @@ def _canonical(s: ConvexSet, q: np.ndarray, polys: list, balls: list):
             balls.append((s.center, s.radius, s.mask))
     elif isinstance(s, MinkowskiSum):
         for m in s.members:
-            _canonical(m, q, polys, balls)
+            _canonical(m, q, polys, balls, hulls)
+    elif isinstance(s, Hull):
+        hulls.append(s)
+        for m in s.members:
+            _canonical(m, np.zeros_like(q), polys, balls, hulls)
     else:
         raise TypeError(f"not a ConvexSet: {s!r}")
-
-
-_VERTEX_PRODUCT_CAP = 4096
-
-
-def vertex_list(s: ConvexSet) -> np.ndarray | None:
-    """A (k, d) vertex list whose convex hull is S.
-
-    None when S holds a ball of positive radius, or when a Minkowski
-    sum's vertex product would exceed _VERTEX_PRODUCT_CAP.  Sums are
-    expanded in member order.
-    """
-    if isinstance(s, Singleton):
-        return s.point[None, :]
-    if isinstance(s, Polytope):
-        return s.vertices
-    if isinstance(s, Ball):
-        return s.center[None, :] if s.radius == 0.0 else None
-    if isinstance(s, MinkowskiSum):
-        lists = [vertex_list(m) for m in s.members]
-        if any(v is None for v in lists):
-            return None
-        verts = lists[0]
-        for extra in lists[1:]:
-            if verts.shape[0] * extra.shape[0] > _VERTEX_PRODUCT_CAP:
-                return None
-            verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
-        return verts
-    raise TypeError(f"not a ConvexSet: {s!r}")
 
 
 def _merge_balls(balls: list) -> list:
@@ -294,23 +286,27 @@ def min_norm_point(s: ConvexSet, tol: float = _CERT_TOL,
     A point is its own answer.  One ball added to a point, or a full
     ball added to polytopes, pulls the rest's nearest point toward the
     origin by the radius on the ball's coordinates.  Every other set,
-    and the rest of a full ball plus polytopes, takes Wolfe's method
-    over its support function, whose atoms are the points ``support``
-    returns.  tol controls the duality-gap certificate: the result is
-    ``certified`` when gap <= tol * (1 + ||point||^2).  max_iter caps
-    Wolfe's major iterations; the default grows with the dimension and
-    with the count of vertices and balls.
+    any set holding a Hull, and the rest of a full ball plus polytopes,
+    take Wolfe's method over the support function, whose atoms are the
+    points ``support`` returns.  tol controls the duality-gap
+    certificate: the result is ``certified`` when
+    gap <= tol * (1 + ||point||^2).  max_iter caps Wolfe's major
+    iterations; the default grows with the dimension and with the count
+    of vertices, balls and hull members, those inside hulls included.
     """
     d = dim(s)
     q = np.zeros(d)
     polys: list = []
     balls: list = []
-    _canonical(s, q, polys, balls)
+    hulls: list = []
+    _canonical(s, q, polys, balls, hulls)
     balls = _merge_balls(balls)
     if max_iter is None:
-        nverts = sum(p.shape[0] for p in polys)
+        nverts = sum(p.shape[0] for p in polys) + sum(len(h.members) for h in hulls)
         max_iter = 10 * d * (nverts + 10 * max(1, len(balls)))
 
+    if hulls:
+        return _wolfe_support(s, tol, max_iter)
     if not (balls or polys):
         return _finish(s, q, [q], [1.0], 0, tol)
     if len(balls) == 1 and (not polys or balls[0][2].all()):

@@ -7,11 +7,12 @@ and the Euclidean ``norm``.  The grammar deliberately restricts where
 the nonsmooth constructs may appear so that an exact convex
 subdifferential is available at every point:
 
-* smooth subtrees contribute singleton gradients,
+* smooth subtrees contribute singleton gradients, and subtrees without
+  x or z the point 0, ``abs`` and ``max`` among them,
 * sums add subdifferentials (Minkowski sum),
 * nonnegative constant factors scale them,
 * ``abs``/``max`` at a tie contribute the convex hull of the active
-  branch gradients, and ``norm`` at a zero of its argument contributes a
+  branches' sets, and ``norm`` at a zero of its argument contributes a
   ball in the spanned coordinate subspace.
 
 Nonsmooth nodes inside ``*``, ``/``, ``pow``, ``sin``, ``cos``, ``exp``
@@ -24,7 +25,8 @@ than ``MAX_DEPTH`` nodes is rejected too.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
 by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
-convex sets; ``compile_subdiff`` gives every grid node's set at once, as a
+convex sets, whose ties are hulls under the support function, not vertex
+lists; ``compile_subdiff`` gives every grid node's set at once, as a
 point plus segments, and marks the nodes whose sets take another form.
 """
 
@@ -42,13 +44,13 @@ import numpy as np
 from .convexgeom import (
     Ball,
     ConvexSet,
+    Hull,
     MinkowskiSum,
     Polytope,
     Singleton,
     negate,
     scale,
     support,
-    vertex_list,
 )
 from .trajectory import finite
 
@@ -976,34 +978,17 @@ def eval_expr(e: Expr, p: EvalPoint) -> float:
 # subdifferential
 
 
-def _tie_vertices(s: ConvexSet) -> np.ndarray:
-    """Vertex list generating s, for polytope-like sets only."""
-    verts = vertex_list(s)
-    if verts is None:
-        raise SubdiffError(
-            "tie between subdifferentials holding a ball or too many "
-            "vertices is not representable"
-        )
-    return verts
-
-
 def _scale_signed(c: float, s: ConvexSet) -> ConvexSet:
     return scale(c, s) if c >= 0.0 else negate(scale(-c, s))
 
 
-def _as_gradient(s: ConvexSet, context: str = "smooth") -> np.ndarray:
-    """Collapse a set to its unique point; fail if it is genuinely fat."""
-    if isinstance(s, Singleton):
-        return s.point
-    verts = _tie_vertices(s)
-    if verts.shape[0] == 1:
-        return verts[0]
-    spread = np.max(np.abs(verts - verts[0]))
-    if spread <= 1e-14 * (1.0 + np.max(np.abs(verts))):
-        return verts[0]
-    raise SubdiffError(
-        f"argument of a {context} operation is nonsmooth at a tie point"
-    )
+def _tie(sets: list) -> ConvexSet:
+    """The convex hull of the active branches' sets: a Polytope of their
+    stacked vertices when each is a point or a polytope, else a Hull."""
+    if all(isinstance(s, (Singleton, Polytope)) for s in sets):
+        return Polytope(np.vstack([s.point if isinstance(s, Singleton)
+                                   else s.vertices for s in sets]))
+    return Hull(tuple(sets))
 
 
 def _msum(s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
@@ -1019,12 +1004,12 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
     """Image of the unit ball under J^T when J has scaled coordinate rows.
 
     rows is the (m, d) Jacobian of the norm arguments.  Zero rows drop
-    out; the remaining rows must each touch a single distinct coordinate
-    with a common magnitude c, giving a radius-c ball on those
-    coordinates.  Anything else has no representation here.
+    out; the remaining rows must each touch a single coordinate, whose
+    radius is the norm of its rows, and the radii must share a common
+    value c, giving a radius-c ball on those coordinates.  Anything else
+    has no representation here.
     """
-    mask = np.zeros(d, bool)
-    mags = []
+    mags = np.zeros(d)
     for row in rows:
         scale_row = float(np.max(np.abs(row)))
         if scale_row == 0.0:
@@ -1035,15 +1020,14 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
                 "norm vanishes but its Jacobian is not coordinate-aligned"
             )
         j = int(nz[0])
-        if mask[j]:
-            raise SubdiffError("norm arguments share a coordinate at a zero")
-        mask[j] = True
-        mags.append(abs(float(row[j])))
-    if not mags:
+        mags[j] = math.hypot(mags[j], float(row[j]))
+    mask = mags > 0.0
+    if not mask.any():
         return Singleton(np.zeros(d))
-    if max(mags) - min(mags) > 1e-9 * (1.0 + max(mags)):
+    r = mags[mask]
+    if r.max() - r.min() > 1e-9 * (1.0 + r.max()):
         raise SubdiffError("norm arguments have mismatched scales at a zero")
-    return Ball(np.zeros(d), mags[0], mask)
+    return Ball(np.zeros(d), float(r[0]), mask)
 
 
 # Relative activity tolerance of abs, max and norm; see subdiff_expr.
@@ -1064,9 +1048,11 @@ def _value_and_set(e: Expr, p: EvalPoint,
         return Singleton(g)
 
     # rec gives (value, set, whether the subtree reads x or z).  A
-    # subtree that does not has a zero gradient, as in the grid pass: its
-    # product and quotient rules are not run, and its chain rules run on
-    # an empty gradient, so a gradient that would be 0 / 0 cannot be nan.
+    # subtree that does not has the set {0}, as in the grid pass: its
+    # product and quotient rules are not run, its chain rules run on an
+    # empty gradient, so a gradient that would be 0 / 0 cannot be nan,
+    # and its abs and max return the point.  By the grammar, a product,
+    # quotient, smooth function or norm then sees only points.
     def rec(node: Expr) -> tuple[float, ConvexSet, bool]:
         if isinstance(node, Const):
             return node.value, Singleton(np.zeros(d)), False
@@ -1097,7 +1083,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
                 return v1 * v2, _scale_signed(v2, s1), r1
             if not (r1 or r2):
                 return v1 * v2, Singleton(np.zeros(d)), False
-            v, g = _product(v1, _as_gradient(s1), v2, _as_gradient(s2))
+            v, g = _product(v1, s1.point, v2, s2.point)
             return v, Singleton(g), True
         if isinstance(node, Div):
             v1, s1, r1 = rec(node.left)
@@ -1106,7 +1092,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
                 raise DomainError("division by zero", p.t)
             if not (r1 or r2):
                 return v1 / v2, Singleton(np.zeros(d)), False
-            v, g = _quotient(v1, _as_gradient(s1), v2, _as_gradient(s2))
+            v, g = _quotient(v1, s1.point, v2, s2.point)
             return v, Singleton(g), True
         if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
             v, s, reads = rec(node.base if isinstance(node, Pow) else node.arg)
@@ -1120,7 +1106,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
             if not reads:
                 val, _, _ = chain(v, _NO_COLUMNS, k)
                 return float(val), Singleton(np.zeros(d)), False
-            val, g, _ = chain(v, _as_gradient(s), k)
+            val, g, _ = chain(v, s.point, k)
             return float(val), Singleton(g), True
         if isinstance(node, Abs):
             v, s, reads = rec(node.arg)
@@ -1129,8 +1115,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
                 return v, s, reads
             if v < -act:
                 return -v, negate(s), reads
-            verts = np.vstack([_tie_vertices(s), _tie_vertices(negate(s))])
-            return abs(v), Polytope(verts), reads
+            return abs(v), _tie([s, negate(s)]) if reads else s, reads
         if isinstance(node, Max):
             triples = [rec(a) for a in node.args]
             vals = np.array([v for v, _, _ in triples])
@@ -1138,13 +1123,12 @@ def _value_and_set(e: Expr, p: EvalPoint,
             act = tol_act * (1.0 + abs(vmax))
             active = [s for (v, s, _), va in zip(triples, vals) if va >= vmax - act]
             reads = any(r for _, _, r in triples)
-            if len(active) == 1:
+            if len(active) == 1 or not reads:
                 return vmax, active[0], reads
-            verts = np.vstack([_tie_vertices(s) for s in active])
-            return vmax, Polytope(verts), reads
+            return vmax, _tie(active), reads
         if isinstance(node, Norm):
             triples = [rec(a) for a in node.args]
-            rows = np.vstack([_as_gradient(s, context="norm") for _, s, _ in triples])
+            rows = np.vstack([s.point for _, s, _ in triples])
             nrm, g, nonzero = _norm(np.array([v for v, _, _ in triples]), rows)
             reads = any(r for _, _, r in triples)
             if nonzero:
@@ -1159,6 +1143,11 @@ def _value_and_set(e: Expr, p: EvalPoint,
 def subdiff_expr(e: Expr, p: EvalPoint,
                  tol_act: float = _TOL_ACT) -> ConvexSet:
     """Convex subdifferential of the integrand at p, as a set in R^(2n).
+
+    A tie is the convex hull of its active branches' sets (_tie), and a
+    subtree without x or z the point 0.  SubdiffError is left to norm at
+    a zero whose set is no ball: rows that are not coordinate-aligned,
+    or coordinates with unequal radii.
 
     An abs or max branch counts as active when it is within
     tol_act * (1 + |value|) of the deciding value.  The default gives the

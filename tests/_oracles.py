@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from nsvar.convexgeom import Ball, Hull, MinkowskiSum, Polytope, Singleton
 from nsvar.integrand import (
     Abs,
     Add,
@@ -224,6 +225,37 @@ def full_generators(gens: list, d: int) -> list:
         full[:, list(cols)] = a
         out.append(full)
     return out
+
+
+# ---------------------------------------------------------------------------
+# vertex lists of sets
+
+
+def vertex_list(s) -> np.ndarray | None:
+    """A (k, d) vertex list whose convex hull is the set s, or None when s
+    holds a ball of positive radius.
+
+    A Minkowski sum takes every sum of one vertex per member, the first
+    member's index varying slowest; a hull concatenates its members'
+    lists.  No cap: the list of a sum is the product of its members'.
+    """
+    if isinstance(s, Singleton):
+        return s.point[None, :]
+    if isinstance(s, Polytope):
+        return s.vertices
+    if isinstance(s, Ball):
+        return s.center[None, :] if s.radius == 0.0 else None
+    if not isinstance(s, (MinkowskiSum, Hull)):
+        raise TypeError(f"not a convex set: {s!r}")
+    lists = [vertex_list(m) for m in s.members]
+    if any(v is None for v in lists):
+        return None
+    if isinstance(s, Hull):
+        return np.vstack(lists)
+    verts = lists[0]
+    for extra in lists[1:]:
+        verts = (verts[:, None, :] + extra[None, :, :]).reshape(-1, verts.shape[1])
+    return verts
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,37 @@ def test_run_solves_through_a_quotient_without_x_or_z(tmp_path, x0):
     assert summary["status"] == "converged"
 
 
+@pytest.mark.parametrize("n, x0, integrand, optimum", [
+    # a tie over a ball: the hull of the ball and a point, or a segment
+    (2, "0, 0", "max(norm(x1, x2), 0) + pow(z1 - 1, 2)", 5 / 12),
+    (2, "0, 0", "max(norm(x1, x2), abs(x1)) + pow(z1 - 1, 2)", 5 / 12),
+    # norm's rows on one coordinate: a ball of radius sqrt(2) there
+    (1, "0", "norm(x1, x1)", 0.0),
+    (1, "0", "norm(x1, x1) + pow(z1 - 1, 2)", 0.5404),
+])
+def test_run_solves_through_ties_over_balls(tmp_path, n, x0, integrand, optimum):
+    # from x = 0 the first iterate's nodes sit at norm's zero; the
+    # optimum is the continuous problem's, which the grid's J nears
+    f = tmp_path / "ball.prob"
+    f.write_text(f"n = {n}\nT = 1\nx0 = {x0}\nintegrand = {integrand}\n")
+    out = tmp_path / "ball_run"
+    assert run(["solve", str(f), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert summary["J"] == pytest.approx(optimum, abs=0.01)
+
+
+def test_run_norm_with_unequal_radii_still_fails(tmp_path, capsys):
+    # the image of the unit ball under J^T is an ellipse here, which no
+    # set type represents
+    f = tmp_path / "ellipse.prob"
+    f.write_text("n = 2\nT = 1\nx0 = 1, 0\n"
+                 "integrand = norm(2 * x1, x2) + pow(z1 - 1, 2)\n")
+    assert run(["solve", str(f), "--out", str(tmp_path / "ellipse_run")]) == 1
+    assert capsys.readouterr().err == (
+        "nsvar: error: norm arguments have mismatched scales at a zero\n")
+
+
 def test_run_rejects_abs_over_a_kink(tmp_path, capsys):
     # |(|x1| - 1)| is concave on [-1, 1]: from x1 = 0 the set calculus
     # would report a stationary point at J = 1, though x1 = 1 gives 0

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import nsvar.convexgeom
-from _oracles import qp_min_norm
+from _oracles import qp_min_norm, vertex_list
 from nsvar.convexgeom import (
     Ball,
+    Hull,
     MinkowskiSum,
     Polytope,
     Singleton,
@@ -20,7 +21,6 @@ from nsvar.convexgeom import (
     negate,
     scale,
     support,
-    vertex_list,
     zonotope_min_norm,
 )
 
@@ -68,12 +68,20 @@ def test_minkowski_sum_validation():
         MinkowskiSum((Singleton(np.zeros(2)), Singleton(np.zeros(3))))
 
 
+def test_hull_validation():
+    with pytest.raises(ValueError):
+        Hull(())
+    with pytest.raises(ValueError):
+        Hull((Singleton(np.zeros(2)), Ball(np.zeros(3), 1.0)))
+
+
 def test_dim():
     assert dim(Singleton([1.0, 2.0, 3.0])) == 3
     assert dim(Polytope(np.zeros((4, 2)))) == 2
     assert dim(Ball(np.zeros(5), 1.0)) == 5
     st = MinkowskiSum((Singleton(np.zeros(2)), Ball(np.zeros(2), 1.0)))
     assert dim(st) == 2
+    assert dim(Hull((st, Singleton(np.zeros(2))))) == 2
 
 
 def test_scale_applies_eagerly():
@@ -87,15 +95,18 @@ def test_scale_applies_eagerly():
 
 
 def test_vertex_list_expands_sums_in_member_order():
+    """The tests' reference vertex list (_oracles.vertex_list)."""
     a = Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
     b = Polytope(np.array([[0.0, 0.0], [0.0, 1.0]]))
     s = MinkowskiSum((a, b, Singleton([2.0, 2.0]), Ball([0.0, 1.0], 0.0)))
     assert np.array_equal(vertex_list(s),
                           [[2.0, 3.0], [2.0, 4.0], [3.0, 3.0], [3.0, 4.0]])
     assert vertex_list(MinkowskiSum((a, Ball([0.0, 0.0], 1.0)))) is None
-    k64 = Polytope(np.zeros((64, 2)))
-    assert vertex_list(MinkowskiSum((k64, k64))).shape == (4096, 2)
-    assert vertex_list(MinkowskiSum((k64, k64, a))) is None
+    # a hull concatenates its members' lists, in member order
+    assert np.array_equal(vertex_list(Hull((s, Singleton([5.0, 5.0]), a))),
+                          [[2.0, 3.0], [2.0, 4.0], [3.0, 3.0], [3.0, 4.0],
+                           [5.0, 5.0], [0.0, 0.0], [1.0, 0.0]])
+    assert vertex_list(Hull((a, Ball([0.0, 0.0], 1.0)))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +136,17 @@ def test_support_masked_ball():
     assert np.allclose(wit, [4.0, 4.0], atol=1e-12)
 
 
+def test_support_hull_is_the_largest_member_support():
+    seg = Polytope(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    ball = Ball([0.0, 0.0], 1.0, np.array([False, True]))
+    h = Hull((seg, ball, Singleton([0.5, 0.5])))
+    assert support(h, np.array([2.0, 1.0]))[0] == 2.0
+    assert support(h, np.array([0.0, -3.0]))[0] == 3.0
+    val, wit = support(h, np.array([1.0, 1.0]))
+    assert val == 1.0 and np.array_equal(wit, [1.0, 0.0])  # lowest index wins
+    assert support(Hull((ball, seg)), np.array([1.0, 1.0]))[1].tolist() == [0.0, 1.0]
+
+
 def test_support_zero_direction_is_zero():
     assert support(Polytope(np.array([[3.0, 0.0], [0.0, 4.0]])), np.zeros(2))[0] == 0.0
     assert support(Ball([3.0, 4.0], 1.0, np.array([True, False])), np.zeros(2))[0] == 0.0
@@ -142,6 +164,19 @@ def test_support_additivity_and_witnesses():
         assert total == pytest.approx(sum(v for v, _ in pieces), abs=1e-10)
         assert wit @ direction == pytest.approx(total, abs=1e-10)
         assert np.allclose(wit, sum(w for _, w in pieces), atol=1e-10)
+
+
+def test_hull_support_negate_and_scale_identities():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        d = int(rng.integers(1, 5))
+        h = Hull(tuple(_random_set(rng, d) for _ in range(int(rng.integers(1, 4)))))
+        c = float(rng.random() * 3)
+        for g in rng.standard_normal((4, d)):
+            want = max(support(m, g)[0] for m in h.members)
+            assert support(h, g)[0] == want
+            assert support(negate(h), g)[0] == pytest.approx(support(h, -g)[0], abs=1e-12)
+            assert support(scale(c, h), g)[0] == pytest.approx(c * want, abs=1e-12)
 
 
 def test_support_negate_and_scale_identities():
@@ -338,6 +373,67 @@ def test_min_norm_matches_enumeration_oracle():
         ref = qp_min_norm(verts)
         assert r.certified
         assert np.linalg.norm(r.point - ref) <= 1e-6
+
+
+def _segment_sum(rng, d, k):
+    """k random segments through the origin plus a random point."""
+    segs = tuple(Polytope(np.stack([g, -g])) for g in 0.5 * rng.standard_normal((k, d)))
+    return MinkowskiSum(segs + (Singleton(rng.standard_normal(d)),))
+
+
+def _hull_member(rng, d):
+    """A random polytope or Minkowski sum of segments."""
+    if rng.random() < 0.5:
+        return Polytope(rng.standard_normal((int(rng.integers(1, 5)), d)))
+    return _segment_sum(rng, d, int(rng.integers(1, 3)))
+
+
+def test_min_norm_hull_matches_enumeration_oracle():
+    """Hulls of polytopes and of Minkowski sums of segments: Wolfe's
+    method over the hull's support lands within 1e-6 of the subset
+    enumeration on the oracle's vertex list."""
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        d = int(rng.integers(1, 5))
+        h = Hull(tuple(_hull_member(rng, d) for _ in range(int(rng.integers(2, 4)))))
+        if rng.random() < 0.3 and d < 4:    # keeps the enumeration small
+            h = MinkowskiSum((h, _segment_sum(rng, d, 1)))
+        r = min_norm_point(h)
+        ref = qp_min_norm(vertex_list(h))
+        assert r.certified
+        assert np.linalg.norm(r.point - ref) <= 1e-6
+
+
+def test_min_norm_hull_holding_a_ball():
+    """Hulls of a ball with polytopes, sums of segments and points.
+    Wolfe's method may stop at its budget on a ball's curved face, so the
+    count that certifies is only bounded below.  Where the certificate
+    passes, its gap is the one the support function gives at the point,
+    the point is a convex combination of its atoms, and no member's own
+    minimum-norm point is shorter."""
+    rng = np.random.default_rng(47)
+    certified = 0
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        mask = rng.random(d) < 0.7
+        mask[rng.integers(0, d)] = True
+        ball = Ball(rng.standard_normal(d), float(rng.random() + 0.1), mask)
+        members = [ball] + [_hull_member(rng, d) if rng.random() < 0.8
+                            else Singleton(rng.standard_normal(d))
+                            for _ in range(int(rng.integers(1, 3)))]
+        members.insert(int(rng.integers(0, len(members))), members.pop(0))
+        s = Hull(tuple(members))
+        r = min_norm_point(s)
+        if not r.certified:
+            continue
+        certified += 1
+        sval, _ = support(s, -r.point)
+        assert r.gap == float(r.point @ r.point) + sval
+        assert r.gap <= 1e-10 * (1.0 + r.sqnorm)
+        assert np.allclose(r.weights @ r.atoms, r.point, atol=1e-10)
+        for m in members:
+            assert r.sqnorm <= min_norm_point(m).sqnorm + 1e-9
+    assert certified >= 180, certified
 
 
 def test_min_norm_certificate_is_sound():

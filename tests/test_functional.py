@@ -11,9 +11,15 @@ import pytest
 import nsvar.functional
 import nsvar.solver
 import nsvar.trajectory
-from _oracles import dual_gradient, fd_directional, random_expr, random_smooth_expr
+from _oracles import (
+    dual_gradient,
+    fd_directional,
+    random_expr,
+    random_smooth_expr,
+    vertex_list,
+)
 from nsvar.cli import load_problem
-from nsvar.convexgeom import Polytope, Singleton, min_norm_point, support, vertex_list
+from nsvar.convexgeom import Polytope, min_norm_point, support
 from nsvar.functional import (
     MinNormUncertified,
     ProblemSpec,

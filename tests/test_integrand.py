@@ -15,9 +15,10 @@ from _oracles import (
     random_expr,
     random_smooth_expr,
     scalar_eval,
+    vertex_list,
 )
 from nsvar.convexgeom import (
-    Ball, MinkowskiSum, Polytope, Singleton, support, vertex_list,
+    Ball, Hull, MinkowskiSum, Polytope, Singleton, min_norm_point, support,
 )
 from nsvar.functional import ProblemSpec, eval_J
 from nsvar.integrand import (
@@ -798,9 +799,58 @@ def test_next_tolerance_stops_at_the_first_tie_that_decides():
     assert next_tolerance([None, (np.array([5e-4]), (0.0,))], _SCHEDULE, 0) == 1
 
 
-def test_subdiff_max_over_ball_tie_raises():
-    with pytest.raises(SubdiffError, match="not representable"):
-        subdiff_expr(parse_expr("max(norm(x1), z1)", 1), _pt([0.0], [0.0]))
+def test_subdiff_max_over_ball_tie_is_a_hull():
+    s = subdiff_expr(parse_expr("max(norm(x1), z1)", 1), _pt([0.0], [0.0]))
+    assert isinstance(s, Hull)
+    ball, point = Ball([0.0, 0.0], 1.0, np.array([True, False])), Singleton([0.0, 1.0])
+    directions = np.vstack([np.eye(2), -np.eye(2),
+                            np.random.default_rng(5).standard_normal((20, 2))])
+    for g in directions:
+        assert support(s, g)[0] == max(support(ball, g)[0], support(point, g)[0])
+    r = min_norm_point(s)
+    assert r.certified and np.array_equal(r.point, [0.0, 0.0])
+
+
+def test_subdiff_ties_over_points_are_polytopes_in_branch_order():
+    s = subdiff_expr(parse_expr("max(x1, z1, 2 * x1)", 1), _pt([0.0], [0.0]))
+    assert isinstance(s, Polytope)
+    assert np.array_equal(s.vertices, [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    s = subdiff_expr(parse_expr("abs(x1 + z1)", 1), _pt([1.0], [-1.0]))
+    assert np.array_equal(s.vertices, [[1.0, 1.0], [-1.0, -1.0]])
+
+
+def test_subdiff_nested_tie_hull_gives_the_vertex_product_point():
+    """A tie over a sum of ties is a hull of the sum and the other branch;
+    its minimum-norm point is that of the vertex product's polytope."""
+    for text, x, z in [("max(abs(x1) + abs(x2), z1)", [0.0, 0.0], [0.0, 0.0]),
+                       ("max(abs(x1 - 1) + abs(x2), z1 - 1, z2 + 1)", [1.0, 0.0], [1.0, -1.0]),
+                       ("max(abs(x1) + abs(z1 - 2), 0.5 * z1 + x2 - 1)", [0.0, 0.0], [2.0, 0.0])]:
+        s = subdiff_expr(parse_expr(text, 2), _pt(x, z))
+        assert isinstance(s, Hull)
+        got = min_norm_point(s)
+        want = min_norm_point(Polytope(vertex_list(s)))
+        assert got.certified
+        assert np.abs(got.point - want.point).max() <= 1e-12, text
+
+
+def test_subdiff_of_a_subtree_without_x_or_z_is_a_point():
+    # max(t - 0.5, 0) ties at t = 0.5, and abs(t - 0.5) too: both are {0}
+    for text in ("x1 - max(t - 0.5, 0)", "x1 + abs(t - 0.5)",
+                 "norm(x1 - max(t - 0.5, 0))"):
+        s = subdiff_expr(parse_expr(text, 1), _pt([0.3], [0.0], 0.5))
+        assert isinstance(s, Singleton), text
+    s = subdiff_expr(parse_expr("abs(x1 - max(t - 0.5, 0))", 1), _pt([0.0], [0.0], 0.5))
+    assert np.array_equal(s.vertices, [[1.0, 0.0], [-1.0, 0.0]])
+
+
+def test_subdiff_norm_rows_on_one_coordinate_add_their_squares():
+    s = subdiff_expr(parse_expr("norm(x1, x1)", 1), _pt([0.0], [0.0]))
+    assert isinstance(s, Ball)
+    assert s.radius == np.sqrt(2.0) and s.mask.tolist() == [True, False]
+    s = subdiff_expr(parse_expr("norm(x1, z1, -x1, -z1)", 1), _pt([0.0], [0.0]))
+    assert s.radius == np.sqrt(2.0) and s.mask.all()
+    with pytest.raises(SubdiffError, match="mismatched scales"):
+        subdiff_expr(parse_expr("norm(x1, x1, x2)", 2), _pt([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_subdiff_norm_mismatched_scales_raises():
