@@ -48,6 +48,11 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # ball_tie starts at norm's zero, where max ties the ball with the point
 # 0: the per-node set is a convexgeom.Hull.  shared_norm's two norm
 # arguments touch one coordinate, whose rows merge into one ball there.
+# The last seven reach rules of the line and grid passes that no run
+# above reaches: the chain rules of cos, exp and sqrt and the sqrt of a
+# subtree without x or z, both passes' negation, the line pass's
+# quotient of subtrees that change along the line, and both passes'
+# max of three branches.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -69,6 +74,23 @@ EXTRA = {
     "shared_norm": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1, x1) + pow(z1 - 1, 2)\n",
         []),
+    "cos_term": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = pow(z1 - 1, 2) + 0.1 * cos(3 * x1)\n",
+        []),
+    "exp_term": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = pow(z1 - 1, 2) + 0.1 * exp(x1)\n", []),
+    "sqrt_term": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = sqrt(1 + pow(x1, 2)) + pow(z1 - 1, 2)\n",
+        []),
+    "sqrt_of_t": ("n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 - sqrt(t))\n", []),
+    "negated": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = abs(-x1 + t) + pow(-z1, 2)\n", []),
+    "moving_quotient": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = pow(z1 - 1, 2)"
+        " + pow(x1, 2) / (1 + pow(x1, 2))\n", []),
+    "three_way_max": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = max(x1 - t, t - x1, 0.1)"
+        " + pow(z1, 2)\n", []),
 }
 
 
