@@ -515,6 +515,155 @@ def format_expr(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the compiled node list
+
+
+@dataclass(frozen=True, slots=True)
+class _Node:
+    """One occurrence of a subexpression in a compiled integrand.
+
+    A compiled integrand (_compile) is the tuple of its nodes in
+    post-order, one per occurrence, equal subtrees not shared, with a
+    quotient's divisor before its numerator, as a walk of the expression
+    takes them.  So every subtree is a contiguous run that ends at its
+    root: nodes[start:slot + 1].
+
+    op is the node's Expr class and args its arguments' slots, in the
+    expression's order.  value is a Const's value, a variable's 0-based
+    index, pow's exponent, and for a product with a constant factor the
+    pair (factor, slot of the other operand); else None.  reads tells
+    whether the subtree reads x or z, tied whether it holds an abs or
+    max.
+
+    Compiled for a problem's n, each node has the grid pass's static
+    layout.  support lists the columns of R^(2n) its center's block
+    covers, increasing: column i - 1 for x_i and n + i - 1 for z_i, none
+    without x or z.  gens holds each generator's support, in the pass's
+    order, none without x or z, and places, per argument, where that
+    argument's block goes in support: None where the supports are equal,
+    else a slice or a list of positions.
+    """
+
+    op: type
+    args: tuple
+    start: int
+    value: object
+    reads: bool
+    tied: bool
+    support: tuple = ()
+    gens: tuple = ()
+    places: tuple = ()
+
+
+def _compile(e: Expr, n: int | None = None) -> tuple:
+    """e's node list, with the grid pass's layout when n is given."""
+    nodes: list = []
+
+    def visit(e: Expr) -> int:
+        start, kids = len(nodes), _args(e)
+        slots = [0] * len(kids)
+        for k in (1, 0) if isinstance(e, Div) else range(len(kids)):
+            slots[k] = visit(kids[k])
+        args = [nodes[s] for s in slots]
+        op = type(e)
+        value = None
+        if op is Const:
+            value = e.value
+        elif op in (VarX, VarZ):
+            value = e.index - 1
+        elif op is Pow:
+            value = e.exponent
+        elif op is Mul and (args[0].op is Const or args[1].op is Const):
+            left = args[0].op is Const
+            value = ((e.left if left else e.right).value, slots[left])
+        reads = op in (VarX, VarZ) or any(a.reads for a in args)
+        tied = op in (Abs, Max) or any(a.tied for a in args)
+        layout = {}
+        if n is not None:
+            support = ((n * (op is VarZ) + value,) if op in (VarX, VarZ)
+                       else _union(*(a.support for a in args)))
+            gens = ()
+            if reads and (op in (Neg, Add, Sub, Abs, Max)
+                          or (op is Mul and value is not None)):
+                gens = sum((a.gens for a in args), ())
+                if op in (Abs, Max):
+                    gens += (support,)
+            places = tuple(None if a.support == support
+                           else _positions(a.support, support) for a in args)
+            layout = dict(support=support, gens=gens, places=places)
+        nodes.append(_Node(op, tuple(slots), start, value, reads, tied, **layout))
+        return len(nodes) - 1
+
+    visit(e)
+    return tuple(nodes)
+
+
+def _union(*supports: tuple) -> tuple:
+    return tuple(sorted(set().union(*supports)))
+
+
+def _positions(support: tuple, target: tuple):
+    """support's places in target, as a slice where they are contiguous."""
+    at = [target.index(s) for s in support]
+    if at and at == list(range(at[0], at[0] + len(at))):
+        return slice(at[0], at[0] + len(at))
+    return at
+
+
+def _widen(a: np.ndarray, at, width: int) -> np.ndarray:
+    """A block placed at positions at of a wider one, zeros elsewhere;
+    with at None, the block itself."""
+    if at is None:
+        return a
+    out = np.zeros((a.shape[0], width))
+    out[:, at] = a
+    return out
+
+
+def _steps(nodes: tuple, rules: list) -> list:
+    """The (slot, node, rule) a pass runs on each call, in order.
+
+    Every node that reads x or z runs its rule.  Each largest subtree
+    without x or z is skipped whole but for its root, whose rule is
+    None: the pass reads that subtree from its store (_Store).
+    """
+    steps, i = [], len(nodes) - 1
+    while i >= 0:
+        node = nodes[i]
+        steps.append((i, node, rules[i] if node.reads else None))
+        i = i - 1 if node.reads else node.start - 1
+    return steps[::-1]
+
+
+def _walk(nodes: tuple, rules: list, root: int, out: list, *point):
+    """Run the rule of every node of the subtree ending at slot root."""
+    for i in range(nodes[root].start, root + 1):
+        out[i] = rules[i](nodes[i], out, *point)
+    return out[root]
+
+
+class _Store:
+    """A pass's results of its subtrees without x or z, kept for one t.
+
+    at(t) is the dict of results a call on the array t reads and fills,
+    kept while later calls pass t itself: each result is computed once
+    per grid.  Only a read-only t is kept, as a Grid's nodes are; a
+    writable t may change in place, so each call with one gets a new
+    dict.
+    """
+
+    def __init__(self) -> None:
+        self.t, self.results = None, {}
+
+    def at(self, t: np.ndarray) -> dict:
+        if t.flags.writeable:
+            return {}
+        if self.t is not t:
+            self.t, self.results = t, {}
+        return self.results
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -548,8 +697,9 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     call returns at(gamma) = (values, left, right): the nodal values at
     x + gamma * gx, z + gamma * gz and their left and right derivatives
     in gamma, each of shape (N,); left is right (one array) where no node
-    meets a kink at gamma.  The call folds every subtree that is a
-    polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
+    meets a kink at gamma.  The call walks e's node list (_compile) with
+    one rule per node type (_LINE_RULES).  It folds every subtree that is
+    a polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
     arrays, in truncated Taylor arithmetic (Griewank and Walther,
     Evaluating Derivatives, 2008, ch. 13): a subtree without x or z is
     evaluated there, once per line.  at(gamma) evaluates only the nodes
@@ -570,16 +720,18 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     Without a direction every subtree has degree 0: the call makes the
     numpy calls a recursive walk would, in the same order, and at returns
     the values, bit-for-bit those of the expression, and zero slopes, for
-    any gamma.
+    any gamma.  A constant operand of an arithmetic, max or norm node
+    beside one that is not is a numpy scalar rather than an array of
+    copies; it gives the same bits.
 
     A zero divisor or a negative sqrt argument raises DomainError naming
     the first offending node: at(gamma) raises it, or the call itself
     when the subtree does not change along the line (every subtree,
-    without a direction).
+    without a direction).  A divisor that does not change is checked
+    before its numerator runs.
 
-    The values of a subtree without x or z are kept, keyed on the array
-    t itself, and reused while later calls pass that t: once per grid.
-    Only a read-only t is kept, as a Grid's nodes are.
+    The values of a subtree without x or z come from the pass's store
+    (_Store): once per grid.
 
     at.kinks is the line's kink data, (kinks, smooth), on a sweep line:
     one where every node that does not fold is an abs of a fold of degree
@@ -590,10 +742,30 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     (a, b, factor) in kinks; max(u1, u2) counts as (u1 + u2)/2 +
     |u1 - u2|/2.  On every other line at.kinks is None.
     """
-    fold = _compile_line(e)
+    nodes = _compile(e)
+    rules = [_LINE_RULES[node.op] for node in nodes]
+    for node in nodes:
+        if node.op in (Add, Sub, Mul, Div, Max, Norm):
+            consts = [a for a in node.args if nodes[a].op is Const]
+            if len(consts) < len(node.args):
+                for a in consts:
+                    rules[a] = _line_scalar
+        if node.op is Div:
+            rules[node.args[1]] = functools.partial(_divisor, rules[node.args[1]])
+    steps = _steps(nodes, rules)
+    store = _Store()
 
     def line(x, z, t, gx=None, gz=None):
-        r = fold(x, z, t, gx, gz)
+        out, kept = [None] * len(nodes), store.at(t)
+        for i, node, rule in steps:
+            if rule is not None:
+                out[i] = rule(node, out, x, z, t, gx, gz)
+            else:
+                r = kept.get(i)
+                if r is None:
+                    r = kept[i] = _walk(nodes, rules, i, out, x, z, t, gx, gz)
+                out[i] = r
+        r = out[-1]
         if _constant(r):
             zero = np.zeros(t.shape)
 
@@ -648,175 +820,6 @@ def _poly_add(op: Callable, a: tuple, b: tuple) -> tuple:
             + tuple(op(0.0, v) for v in b[m:]))
 
 
-def _compile_line(e: Expr):
-    """The fold of e: (x, z, t, gx, gz) -> Folded.
-
-    Every subtree without x or z is kept per grid; one inside another is
-    not called while the outer one is kept.
-    """
-    if _uses_vars(e):
-        return _line_rule(e)
-    return _per_grid(_line_rule(e), lambda gx, gz: None)
-
-
-def _per_grid(f: Callable, key: Callable) -> Callable:
-    """f(x, z, t, *rest) of a subtree without x or z, run once per grid.
-
-    One slot keeps the last result, for the array t itself and
-    key(*rest).  A writable t may change in place, so f runs on every
-    call with one.
-    """
-    slot = (None, None, None)
-
-    def once(x, z, t, *rest):
-        nonlocal slot
-        if t.flags.writeable:
-            return f(x, z, t, *rest)
-        k = key(*rest)
-        if slot[0] is not t or slot[1] != k:
-            slot = (t, k, f(x, z, t, *rest))
-        return slot[2]
-    return once
-
-
-def _line_rule(e: Expr):
-    if isinstance(e, Const):
-        value = e.value
-        return lambda x, z, t, gx, gz: (np.full(t.shape, value),)
-    if isinstance(e, Time):
-        return lambda x, z, t, gx, gz: (t,)
-    if isinstance(e, (VarX, VarZ)):
-        j, on_z = e.index - 1, isinstance(e, VarZ)
-
-        def leaf(x, z, t, gx, gz):
-            v = (z if on_z else x)[:, j]
-            if gx is None:
-                return (v,)
-            return v, (gz if on_z else gx)[:, j]
-        return leaf
-    if isinstance(e, Neg):
-        f = _compile_line(e.arg)
-
-        def neg(*point):
-            r = f(*point)
-            if callable(r):
-                return _smooth(operator.neg, lambda u, s: -s, r)
-            return tuple(-c for c in r)
-        return neg
-    if isinstance(e, (Add, Sub)):
-        f, g = _line_operands((e.left, e.right))
-        op = operator.add if isinstance(e, Add) else operator.sub
-
-        def add(*point):
-            r1, r2 = f(*point), g(*point)
-            if not (callable(r1) or callable(r2)):
-                return _poly_add(op, r1, r2)
-            out = _binary(op, lambda u1, u2, s1, s2: op(s1, s2), r1, r2)
-            k1, k2 = _kinks(r1), _kinks(r2)
-            # a subtracted kink would be concave
-            if k1 and k2 and (op is operator.add or not k2[0]):
-                out.kinks = (k1[0] + k2[0], _poly_add(op, k1[1], k2[1]))
-            return out
-        return add
-    if isinstance(e, Mul):
-        f, g = _line_operands((e.left, e.right))
-
-        def mul(*point):
-            r1, r2 = f(*point), g(*point)
-            if (callable(r1) or callable(r2)
-                    or len(r1) + len(r2) - 2 > _LINE_DEGREE):
-                out = _binary(operator.mul,
-                              lambda u1, u2, s1, s2: u1 * s2 + u2 * s1, r1, r2)
-                c, k = (r1, _kinks(r2)) if callable(r2) else (r2, _kinks(r1))
-                if k and _constant(c):
-                    out.kinks = (tuple((a, b, c[0] * w) for a, b, w in k[0]),
-                                 tuple(c[0] * s for s in k[1]))
-                return out
-            return _poly_mul(r1, r2)
-        return mul
-    if isinstance(e, Div):
-        f, g = _line_operands((e.left, e.right))
-
-        def div(x, z, t, gx, gz):
-            # the divisor first, as a walk of the expression takes it
-            r2 = g(x, z, t, gx, gz)
-            if _constant(r2):
-                den = r2[0]
-                _raise_at_first(den == 0.0, "division by zero", t)
-                r1 = f(x, z, t, gx, gz)
-                if callable(r1):
-                    return _smooth(lambda u: u / den, lambda u, s: s / den, r1)
-                return tuple(c / den for c in r1)
-            fden, fnum = _at(r2), _at(f(x, z, t, gx, gz))
-
-            def quotient(gamma):
-                den, dl, dr = fden(gamma)
-                _raise_at_first(den == 0.0, "division by zero", t)
-                num, nl, nr = fnum(gamma)
-                v = num / den
-                right = (nr - v * dr) / den
-                left = right if nl is nr and dl is dr else (nl - v * dl) / den
-                return v, left, right
-            return quotient
-        return div
-    if isinstance(e, Pow):
-        f, k = _compile_line(e.base), e.exponent
-        slope = _chain_slope(e)
-
-        def power(*point):
-            r = f(*point)
-            if callable(r) or (len(r) - 1) * k > _LINE_DEGREE:
-                return _smooth(lambda u: _power(u, k), slope, r)
-            if len(r) == 1 or k == 1:
-                return tuple(_power(c, k) for c in r)
-            c0, c1 = r  # degree 1, squared
-            return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
-        return power
-    if isinstance(e, (Sqrt, Sin, Cos, Exp)):
-        f = _compile_line(e.arg)
-        ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp}.get(type(e))
-        slope = _chain_slope(e)
-
-        def elementwise(x, z, t, gx, gz):
-            op = ufunc or (lambda u: _checked_sqrt(u, t))
-            return _smooth(op, slope, f(x, z, t, gx, gz))
-        return elementwise
-    if isinstance(e, Abs):
-        f = _compile_line(e.arg)
-        return lambda *point: _abs(f(*point))
-    if isinstance(e, Max):
-        fs = _line_operands(e.args)
-
-        def maximum(*point):
-            out = fs[0](*point)
-            for f in fs[1:]:
-                out = _max2(out, f(*point))
-            return out
-        return maximum
-    if isinstance(e, Norm):
-        fs = _line_operands(e.args)
-        return lambda *point: _norm_line([f(*point) for f in fs])
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _line_operands(args: tuple) -> list:
-    """Folds of the operands of an arithmetic, max or norm node.
-
-    A constant operand folds to a numpy scalar rather than an array of
-    copies; it gives the same bits.  When every operand is constant, all
-    of them stay arrays, so the node's result is still an array.
-    """
-    if all(isinstance(a, Const) for a in args):
-        return [_compile_line(a) for a in args]
-    return [_scalar(a.value) if isinstance(a, Const) else _compile_line(a)
-            for a in args]
-
-
-def _scalar(value: float):
-    c = (np.float64(value),)
-    return lambda x, z, t, gx, gz: c
-
-
 def _poly_mul(a: tuple, b: tuple) -> tuple:
     """Coefficients of the product of two polynomials in gamma."""
     out = [None] * (len(a) + len(b) - 1)
@@ -825,6 +828,152 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
             term = ai * bj
             out[i + j] = term if out[i + j] is None else out[i + j] + term
     return tuple(out)
+
+
+# The line pass's rules: rule(node, out, x, z, t, gx, gz) is the node's
+# Folded, from its arguments' in out.
+
+
+def _line_const(node, out, x, z, t, gx, gz):
+    return (np.full(t.shape, node.value),)
+
+
+def _line_scalar(node, out, x, z, t, gx, gz):
+    return (np.float64(node.value),)
+
+
+def _line_time(node, out, x, z, t, gx, gz):
+    return (t,)
+
+
+def _line_var(node, out, x, z, t, gx, gz):
+    on_z = node.op is VarZ
+    v = (z if on_z else x)[:, node.value]
+    if gx is None:
+        return (v,)
+    return v, (gz if on_z else gx)[:, node.value]
+
+
+def _line_neg(node, out, x, z, t, gx, gz):
+    r = out[node.args[0]]
+    if callable(r):
+        return _smooth(operator.neg, lambda u, s: -s, r)
+    return tuple(-c for c in r)
+
+
+def _line_add(node, out, x, z, t, gx, gz):
+    r1, r2 = out[node.args[0]], out[node.args[1]]
+    op = operator.add if node.op is Add else operator.sub
+    if not (callable(r1) or callable(r2)):
+        return _poly_add(op, r1, r2)
+    result = _binary(op, lambda u1, u2, s1, s2: op(s1, s2), r1, r2)
+    k1, k2 = _kinks(r1), _kinks(r2)
+    # a subtracted kink would be concave
+    if k1 and k2 and (op is operator.add or not k2[0]):
+        result.kinks = (k1[0] + k2[0], _poly_add(op, k1[1], k2[1]))
+    return result
+
+
+def _line_mul(node, out, x, z, t, gx, gz):
+    r1, r2 = out[node.args[0]], out[node.args[1]]
+    if not (callable(r1) or callable(r2)
+            or len(r1) + len(r2) - 2 > _LINE_DEGREE):
+        return _poly_mul(r1, r2)
+    result = _binary(operator.mul, lambda u1, u2, s1, s2: u1 * s2 + u2 * s1,
+                     r1, r2)
+    c, k = (r1, _kinks(r2)) if callable(r2) else (r2, _kinks(r1))
+    if k and _constant(c):
+        result.kinks = (tuple((a, b, c[0] * w) for a, b, w in k[0]),
+                        tuple(c[0] * s for s in k[1]))
+    return result
+
+
+def _divisor(rule, node, out, x, z, t, gx, gz):
+    """The rule of a quotient's divisor, which raises DomainError at the
+    divisor's first zero when it does not change along the line."""
+    r = rule(node, out, x, z, t, gx, gz)
+    if _constant(r):
+        _raise_at_first(r[0] == 0.0, "division by zero", t)
+    return r
+
+
+def _line_div(node, out, x, z, t, gx, gz):
+    r1, r2 = out[node.args[0]], out[node.args[1]]
+    if _constant(r2):       # without a zero: _divisor checked it
+        den = r2[0]
+        if callable(r1):
+            return _smooth(lambda u: u / den, lambda u, s: s / den, r1)
+        return tuple(c / den for c in r1)
+    fden, fnum = _at(r2), _at(r1)
+
+    def quotient(gamma):
+        den, dl, dr = fden(gamma)
+        _raise_at_first(den == 0.0, "division by zero", t)
+        num, nl, nr = fnum(gamma)
+        v = num / den
+        right = (nr - v * dr) / den
+        left = right if nl is nr and dl is dr else (nl - v * dl) / den
+        return v, left, right
+    return quotient
+
+
+def _line_pow(node, out, x, z, t, gx, gz):
+    r, k = out[node.args[0]], node.value
+    if callable(r) or (len(r) - 1) * k > _LINE_DEGREE:
+        return _line_smooth(node, out, x, z, t, gx, gz)
+    if len(r) == 1 or k == 1:
+        return tuple(_power(c, k) for c in r)
+    c0, c1 = r  # degree 1, squared
+    return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
+
+
+# The values of the smooth functions along a line, (u, exponent, t) ->
+# values; the slopes come from their chain rules (_slope).
+_LINE_VALUES = {
+    Pow: lambda u, k, t: _power(u, k),
+    Sin: lambda u, k, t: np.sin(u),
+    Cos: lambda u, k, t: np.cos(u),
+    Exp: lambda u, k, t: np.exp(u),
+    Sqrt: lambda u, k, t: _checked_sqrt(u, t),
+}
+
+
+def _line_smooth(node, out, x, z, t, gx, gz):
+    value = _LINE_VALUES[node.op]
+    return _smooth(lambda u: value(u, node.value, t),
+                   lambda u, s: _slope(node, u, s), out[node.args[0]])
+
+
+def _slope(node: _Node, u, s):
+    """The slope of a smooth node along a line, by its chain rule on the
+    argument's value u and slope s: infinite, with the sign of s, where
+    the rule leaves it undefined, sqrt at 0."""
+    _, ds, undefined = _chain(node.op, node.reads)(u, _col(s), node.value)
+    return np.where(undefined, np.copysign(np.inf, s), ds[..., 0])
+
+
+def _line_abs(node, out, x, z, t, gx, gz):
+    return _abs(out[node.args[0]])
+
+
+def _line_max(node, out, x, z, t, gx, gz):
+    result = out[node.args[0]]
+    for a in node.args[1:]:
+        result = _max2(result, out[a])
+    return result
+
+
+def _line_norm(node, out, x, z, t, gx, gz):
+    return _norm_line([out[a] for a in node.args])
+
+
+_LINE_RULES = {
+    Const: _line_const, Time: _line_time, VarX: _line_var, VarZ: _line_var,
+    Neg: _line_neg, Add: _line_add, Sub: _line_add, Mul: _line_mul,
+    Div: _line_div, Pow: _line_pow, Sin: _line_smooth, Cos: _line_smooth,
+    Exp: _line_smooth, Sqrt: _line_smooth, Abs: _line_abs, Max: _line_max,
+    Norm: _line_norm,
+}
 
 
 def _smooth(op: Callable, slope: Callable, r: Folded) -> Folded:
@@ -841,18 +990,6 @@ def _smooth(op: Callable, slope: Callable, r: Folded) -> Folded:
     return probe
 
 
-def _chain_slope(e: Expr) -> Callable:
-    """slope(u, s) of a smooth node e along a line, by its chain rule
-    (_chain) on the argument's value u and slope s: infinite, with the
-    sign of s, where the rule leaves it undefined, sqrt at 0."""
-    chain, k = _chain(e), getattr(e, "exponent", None)
-
-    def slope(u, s):
-        _, ds, undefined = chain(u, _col(s), k)
-        return np.where(undefined, np.copysign(np.inf, s), ds[..., 0])
-    return slope
-
-
 def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
     """op of two folded subtrees, at least one of them changing along the
     line, with slope(u1, u2, u1's slope, u2's slope) on each side."""
@@ -865,7 +1002,6 @@ def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
         left = right if l1 is s1 and l2 is s2 else slope(u1, u2, l1, l2)
         return op(u1, u2), left, right
     return probe
-
 
 def _abs(r: Folded) -> Folded:
     """abs of a folded subtree: its slopes times its sign, and at a zero
@@ -1096,7 +1232,7 @@ def _value_and_set(e: Expr, p: EvalPoint,
             return v, Singleton(g), True
         if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
             v, s, reads = rec(node.base if isinstance(node, Pow) else node.arg)
-            chain = _chain(node)
+            chain = _chain(type(node), reads)
             if isinstance(node, Sqrt):
                 if v < 0.0:
                     raise DomainError("sqrt of a negative value", p.t)
@@ -1185,11 +1321,16 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
     point g gives the generator g, a two-way max tie on points g1, g2
     gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
 
-    Each subtree's gradients are blocks over its column support, the
-    columns of R^(2n) its leaves can reach, fixed when e is compiled
-    (_Shape): x_i's column i - 1 or z_i's column n + i - 1 for a
-    variable, none for a subtree without x or z, the union above.  Only
-    q is widened to R^(2n), at the end.
+    A call walks e's node list, compiled for n (_compile), with one rule
+    per node type (_SD_RULES).  Each subtree's gradients are blocks over
+    its column support, the columns of R^(2n) its leaves can reach, fixed
+    in the node list: x_i's column i - 1 or z_i's column n + i - 1 for a
+    variable, none for a subtree without x or z, the union above.  A
+    block is widened only where two supports differ, and a term of a
+    subtree without x or z is left out of a gradient; on the columns it
+    keeps, each rule does the arithmetic of the full rows, so the blocks
+    hold the full rows' bits up to the signs of zeros.  Only q is widened
+    to R^(2n), at the end.
 
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
@@ -1202,26 +1343,48 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
     Masked rows mean nothing; subdiff_expr builds their sets.
 
     A subtree without x or z has a zero center and no generators.  Its
-    values, masks and ties are kept, keyed on the array t itself and,
-    when it holds a tie, tol_act, and reused while later calls pass
-    them: once per grid (and tolerance).  Only a read-only t is kept, as
-    a Grid's nodes are.
+    values, masks and ties come from the pass's store (_Store): once per
+    grid, and once per tolerance when it holds an abs or max.
 
     A fifth item, ties, lists every tie test the pass made, on every row,
     masked ones and kept subtrees included, as (top, values): abs(v) is
-    (|v|, (0.0,)) and a max is (its value, its branches' values).  They
-    do not depend on tol_act; next_tolerance reads them.
+    (|v|, (0.0,)) and a max is (its value, its branches' values), in the
+    node list's order.  They do not depend on tol_act; next_tolerance
+    reads them.
     """
-    rec, shape = _compile_sd(e, n)
-    widen = _placer(shape.support, tuple(range(2 * n)))
+    nodes = _compile(e, n)
+    rules = [_SD_RULES[node.op] for node in nodes]
+    steps = _steps(nodes, rules)
+    store = _Store()
+    root, full = nodes[-1], tuple(range(2 * n))
+    at = None if root.support == full else _positions(root.support, full)
+
+    def walk(i, out, x, z, t, tol):
+        own: list = []
+        v, q, _, bad, seg = _walk(nodes, rules, i, out, x, z, t, tol, own)
+        for mask in (bad, seg):     # shared by every later call
+            if mask is not None:
+                mask.flags.writeable = False
+        return (v, q, [], bad, seg), own
 
     def subdiff(x, z, t, tol_act=_TOL_ACT):
         if x.shape[1:] != (n,) or z.shape[1:] != (n,):
             raise ValueError(f"x and z must have shape (N, {n}), got "
                              f"{x.shape} and {z.shape}")
         ties: list = []
-        v, q, gens, per_node, _ = rec(x, z, t, tol_act, ties)
-        gens = [(c, a) for c, a in zip(shape.gens, gens) if np.count_nonzero(a)]
+        out, kept = [None] * len(nodes), store.at(t)
+        for i, node, rule in steps:
+            if rule is not None:
+                out[i] = rule(node, out, x, z, t, tol_act, ties)
+                continue
+            key = (i, tol_act) if node.tied else i
+            hit = kept.get(key)
+            if hit is None:
+                hit = kept[key] = walk(i, out, x, z, t, tol_act)
+            out[i], own = hit
+            ties += own
+        v, q, gens, per_node, _ = out[-1]
+        gens = [(c, a) for c, a in zip(root.gens, gens) if np.count_nonzero(a)]
         if per_node is None:
             per_node = np.zeros(t.shape, bool)
         if not finite(v, q, *(a for _, a in gens)):
@@ -1229,7 +1392,7 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
             for _, a in gens:
                 rows &= np.isfinite(a).all(axis=1)
             per_node = per_node | ~rows
-        return v, widen(q), gens, per_node, ties
+        return v, _widen(q, at, 2 * n), gens, per_node, ties
     return subdiff
 
 
@@ -1286,47 +1449,6 @@ def _col(v) -> np.ndarray:
     return np.asarray(v)[..., None]
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """A compiled subtree's static structure.
-
-    support lists the columns of R^(2n) its center's block covers,
-    increasing: column i - 1 for x_i and n + i - 1 for z_i.  gens holds
-    each generator's support, in the pass's order.
-    """
-
-    support: tuple = ()
-    gens: tuple = ()
-
-
-def _union(*supports: tuple) -> tuple:
-    return tuple(sorted(set().union(*supports)))
-
-
-def _placer(support: tuple, target: tuple) -> Callable:
-    """Widens a block over support to one over target, a superset, with
-    zeros on the other columns; a block already over target is returned
-    as it is."""
-    if support == target:
-        return lambda a: a
-    at = _positions(support, target)
-    width = len(target)
-
-    def place(a):
-        out = np.zeros((a.shape[0], width))
-        out[:, at] = a
-        return out
-    return place
-
-
-def _positions(support: tuple, target: tuple):
-    """support's places in target, as a slice where they are contiguous."""
-    at = [target.index(s) for s in support]
-    if at and at == list(range(at[0], at[0] + len(at))):
-        return slice(at[0], at[0] + len(at))
-    return at
-
-
 def _or(a, b):
     """a | b for row masks, None standing for a mask that holds nowhere.
     May return a or b itself: no rule writes into a mask it was given."""
@@ -1337,214 +1459,167 @@ def _or(a, b):
     return a | b
 
 
-# Each subtree compiles, for the problem's n, to a pair (rule, _Shape)
-# whose supports are columns of R^(2n), fixed from the leaves up.  The
-# rule returns (value, q, gens, bad, seg): q and each generator a block
-# over its support, bad masking the nodes left to the per-node route and
-# seg those where a tie in the subtree holds, so that its set carries a
-# segment there, each None where it cannot hold.  The rule appends its
-# tie tests to the list ties.  As in _compile_line, every subtree without
-# x or z is kept per grid, with its ties.  Arithmetic that the shapes
-# prove zero is skipped: a block is widened (_placer) only where two
-# supports differ, and a term of a subtree without x or z is left out of
-# a gradient.  On the columns it keeps, each rule does the arithmetic of
-# the full rows, so the blocks hold the full rows' bits up to the signs
-# of zeros.
-def _compile_sd(e: Expr, n: int):
-    f, shape = _sd_rule(e, n)
-    if _uses_vars(e):
-        return f, shape
-
-    def constant(x, z, t, tol):
-        own: list = []
-        v, q, _, bad, seg = f(x, z, t, tol, own)
-        for mask in (bad, seg):     # shared by every later pass
-            if mask is not None:
-                mask.flags.writeable = False
-        return (v, q, [], bad, seg), own  # its generators are 0
-    tied = not is_smooth(e)  # only a tie reads tol
-    kept = _per_grid(constant, lambda tol: tol if tied else None)
-
-    def reuse(x, z, t, tol, ties):
-        out, own = kept(x, z, t, tol)
-        ties += own
-        return out
-    return reuse, _Shape()
+# The grid pass's rules: rule(node, out, x, z, t, tol, ties) gives the
+# node's (value, q, gens, bad, seg) from its arguments' in out: q and
+# each generator a block over its support (_Node), bad masking the nodes
+# left to the per-node route and seg those where a tie in the subtree
+# holds, so that its set carries a segment there, each None where it
+# cannot hold.  A rule appends its tie tests to ties.  A subtree without
+# x or z has no generators.
 
 
-def _sd_rule(e: Expr, n: int):
-    if isinstance(e, (Const, Time, VarX, VarZ)):
-        return _sd_leaf(e, n)
-    if isinstance(e, Neg):
-        f, shape = _compile_sd(e.arg, n)
-
-        def neg(x, z, t, tol, ties):
-            v, q, gens, bad, seg = f(x, z, t, tol, ties)
-            return -v, -q, [-a for a in gens], bad, seg
-        return neg, shape
-    if isinstance(e, (Add, Sub)):
-        (f, s1), (g, s2) = _compile_sd(e.left, n), _compile_sd(e.right, n)
-        plus = isinstance(e, Add)
-        merge = _merger(s1.support, s2.support, plus)
-
-        def add(x, z, t, tol, ties):
-            v1, q1, gens1, bad1, seg1 = f(x, z, t, tol, ties)
-            v2, q2, gens2, bad2, seg2 = g(x, z, t, tol, ties)
-            gens = gens1 + gens2 if plus else gens1 + [-a for a in gens2]
-            return (v1 + v2 if plus else v1 - v2, merge(q1, q2), gens,
-                    _or(bad1, bad2), _or(seg1, seg2))
-        return add, _Shape(_union(s1.support, s2.support), s1.gens + s2.gens)
-    if isinstance(e, Mul) and (isinstance(e.left, Const)
-                               or isinstance(e.right, Const)):
-        left = isinstance(e.left, Const)
-        c = e.left.value if left else e.right.value
-        f, shape = _compile_sd(e.right if left else e.left, n)
-
-        def scaled(x, z, t, tol, ties):
-            v, q, gens, bad, seg = f(x, z, t, tol, ties)
-            return c * v, c * q, [c * a for a in gens], bad, seg
-        return scaled, shape
-    if isinstance(e, (Mul, Div)):
-        (f, s1), (g, s2) = _compile_sd(e.left, n), _compile_sd(e.right, n)
-        support = _union(s1.support, s2.support)
-        place1, place2 = _placer(s1.support, support), _placer(s2.support, support)
-        div = isinstance(e, Div)
-        left_vars, right_vars = bool(s1.support), bool(s2.support)
-
-        def product(x, z, t, tol, ties):
-            v1, q1, _, bad1, seg1 = f(x, z, t, tol, ties)
-            v2, q2, _, bad2, seg2 = g(x, z, t, tol, ties)
-            bad = _or(_or(bad1, bad2), _or(seg1, seg2))
-            if div:
-                zero = v2 == 0.0
-                v, grad = _quotient(v1, place1(q1), np.where(zero, 1.0, v2),
-                                    place2(q2))
-                return v, grad, [], _or(bad, zero), None
-            # a side without x or z has a zero gradient: its term is left out
-            if not left_vars:
-                return v1 * v2, _col(v1) * q2, [], bad, None
-            if not right_vars:
-                return v1 * v2, _col(v2) * q1, [], bad, None
-            return *_product(v1, place1(q1), v2, place2(q2)), [], bad, None
-        return product, _Shape(support)
-    if isinstance(e, (Pow, Sin, Cos, Exp, Sqrt)):
-        f, shape = _compile_sd(e.base if isinstance(e, Pow) else e.arg, n)
-        chain = _chain(e)
-        k = e.exponent if isinstance(e, Pow) else None
-        sqrt = isinstance(e, Sqrt)
-
-        def smooth(x, z, t, tol, ties):
-            v, q, _, bad, seg = f(x, z, t, tol, ties)
-            val, dq, undefined = chain(v, q, k)
-            bad = _or(bad, seg)
-            return val, dq, [], _or(bad, undefined) if sqrt else bad, None
-        return smooth, _Shape(shape.support)
-    if isinstance(e, Abs):
-        f, shape = _compile_sd(e.arg, n)
-
-        def absolute(x, z, t, tol, ties):
-            v, q, gens, bad, seg = f(x, z, t, tol, ties)
-            av = np.abs(v)
-            ties.append((av, (0.0,)))
-            act = tol * (1.0 + av)
-            pos, neg = _col(v > act), _col(v < -act)
-            tie = ~(pos | neg)
-
-            def signed(a):
-                return np.where(pos, a, np.where(neg, -a, 0.0))
-            return (av, signed(q),
-                    [signed(a) for a in gens] + [np.where(tie, q, 0.0)],
-                    bad if seg is None else _or(bad, tie[:, 0] & seg),
-                    _or(seg, tie[:, 0]))
-        return absolute, _Shape(shape.support, shape.gens + (shape.support,))
-    if isinstance(e, Max):
-        compiled = [_compile_sd(a, n) for a in e.args]
-        fs = [f for f, _ in compiled]
-        support = _union(*(s.support for _, s in compiled))
-        places = [_placer(s.support, support) for _, s in compiled]
-
-        def maximum(x, z, t, tol, ties):
-            parts = [f(x, z, t, tol, ties) for f in fs]
-            vmax = parts[0][0]
-            for part in parts[1:]:
-                vmax = np.maximum(vmax, part[0])
-            ties.append((vmax, [part[0] for part in parts]))
-            floor = vmax - tol * (1.0 + np.abs(vmax))
-            active = [part[0] >= floor for part in parts]
-            count = sum(m.astype(int) for m in active)
-            bad = (count < 1) | (count > 2)
-            tie = count == 2
-            seg = tie.copy()
-            # first and second active branch, in argument order
-            first = second = np.zeros((t.shape[0], len(support)))
-            seen = np.zeros_like(count)
-            gens = []
-            for (_, q, branch_gens, branch_bad, branch_seg), m, place in zip(
-                    parts, active, places):
-                q = place(q)
-                first = np.where(_col(m & (seen == 0)), q, first)
-                second = np.where(_col(m & (seen == 1)), q, second)
-                seen += m
-                if branch_bad is not None:
-                    bad |= branch_bad
-                sole = m & (count == 1)
-                if branch_seg is not None:
-                    bad |= m & tie & branch_seg
-                    seg |= sole & branch_seg
-                gens += [np.where(_col(sole), a, 0.0) for a in branch_gens]
-            q = np.where(_col(tie), (first + second) / 2.0, first)
-            gens.append(np.where(_col(tie), (first - second) / 2.0, 0.0))
-            return vmax, q, gens, bad, seg
-        return maximum, _Shape(support, sum((s.gens for _, s in compiled), ())
-                               + (support,))
-    if isinstance(e, Norm):
-        compiled = [_compile_sd(a, n) for a in e.args]
-        fs = [f for f, _ in compiled]
-        support = _union(*(s.support for _, s in compiled))
-        places = [_placer(s.support, support) for _, s in compiled]
-
-        def norm(x, z, t, tol, ties):
-            parts = [f(x, z, t, tol, ties) for f in fs]
-            # matmul sums over the arguments, column by column
-            rows = np.stack([place(p[1]) for p, place in zip(parts, places)], axis=1)
-            nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1), rows)
-            bad = ~nonzero
-            for _, _, _, branch_bad, branch_seg in parts:
-                bad = _or(_or(bad, branch_bad), branch_seg)
-            return nrm, grad, [], bad, None
-        return norm, _Shape(support)
-    raise TypeError(f"not an Expr: {e!r}")
+def _sd_const(node, out, x, z, t, tol, ties):
+    value = np.full(t.shape, node.value) if node.op is Const else t
+    return value, _leaf_block(t.shape[0], 0), [], None, None
 
 
-def _merger(s1: tuple, s2: tuple, plus: bool) -> Callable:
-    """q1 + q2 (or q1 - q2) of blocks over s1 and s2, as a block over
-    their union."""
-    if not s2:
-        return lambda q1, q2: q1
-    if not s1:
-        return (lambda q1, q2: q2) if plus else (lambda q1, q2: -q2)
-    if s1[-1] < s2[0]:       # disjoint, s1's columns first
-        if plus:
-            return lambda q1, q2: np.concatenate((q1, q2), axis=1)
-        return lambda q1, q2: np.concatenate((q1, -q2), axis=1)
-    union = _union(s1, s2)
-    place1, place2 = _placer(s1, union), _placer(s2, union)
-    if plus:
-        return lambda q1, q2: place1(q1) + place2(q2)
-    return lambda q1, q2: place1(q1) - place2(q2)
+def _sd_var(node, out, x, z, t, tol, ties):
+    v = (z if node.op is VarZ else x)[:, node.value]
+    return v, _leaf_block(t.shape[0], 1), [], None, None
 
 
-def _sd_leaf(e: Expr, n: int):
-    if isinstance(e, (Const, Time)):
-        def constant(x, z, t, tol, ties):
-            value = np.full(t.shape, e.value) if isinstance(e, Const) else t
-            return value, _leaf_block(t.shape[0], 0), [], None, None
-        return constant, _Shape()
-    i, on_z = e.index - 1, isinstance(e, VarZ)
+def _sd_neg(node, out, x, z, t, tol, ties):
+    v, q, gens, bad, seg = out[node.args[0]]
+    return -v, -q, [-a for a in gens], bad, seg
 
-    def leaf(x, z, t, tol, ties):
-        return (z if on_z else x)[:, i], _leaf_block(t.shape[0], 1), [], None, None
-    return leaf, _Shape(support=(n * on_z + i,))
+
+def _sd_add(node, out, x, z, t, tol, ties):
+    v1, q1, gens1, bad1, seg1 = out[node.args[0]]
+    v2, q2, gens2, bad2, seg2 = out[node.args[1]]
+    plus = node.op is Add
+    k1, k2, width = q1.shape[1], q2.shape[1], len(node.support)
+    if not k2:
+        q = q1
+    elif not k1:
+        q = q2 if plus else -q2
+    elif k1 + k2 == width and node.places[0] == slice(0, k1):
+        # disjoint supports, q1's columns first
+        q = np.concatenate((q1, q2 if plus else -q2), axis=1)
+    else:
+        (at1, at2) = node.places
+        q1, q2 = _widen(q1, at1, width), _widen(q2, at2, width)
+        q = q1 + q2 if plus else q1 - q2
+    gens = gens1 + (gens2 if plus else [-a for a in gens2])
+    return (v1 + v2 if plus else v1 - v2, q, gens, _or(bad1, bad2),
+            _or(seg1, seg2))
+
+
+def _sd_mul(node, out, x, z, t, tol, ties):
+    if node.value is None:
+        return _sd_product(node, out, x, z, t, tol, ties)
+    c, other = node.value       # a constant factor scales the other side
+    v, q, gens, bad, seg = out[other]
+    return c * v, c * q, [c * a for a in gens], bad, seg
+
+
+def _sd_product(node, out, x, z, t, tol, ties):
+    v1, q1, _, bad1, seg1 = out[node.args[0]]
+    v2, q2, _, bad2, seg2 = out[node.args[1]]
+    bad = _or(_or(bad1, bad2), _or(seg1, seg2))
+    (at1, at2), width = node.places, len(node.support)
+    if node.op is Div:
+        zero = v2 == 0.0
+        v, grad = _quotient(v1, _widen(q1, at1, width), np.where(zero, 1.0, v2),
+                            _widen(q2, at2, width))
+        return v, grad, [], _or(bad, zero), None
+    # a side without x or z has a zero gradient: its term is left out
+    if not q1.shape[1]:
+        return v1 * v2, _col(v1) * q2, [], bad, None
+    if not q2.shape[1]:
+        return v1 * v2, _col(v2) * q1, [], bad, None
+    return (*_product(v1, _widen(q1, at1, width), v2, _widen(q2, at2, width)),
+            [], bad, None)
+
+
+def _sd_smooth(node, out, x, z, t, tol, ties):
+    v, q, _, bad, seg = out[node.args[0]]
+    val, dq, undefined = _chain(node.op, node.reads)(v, q, node.value)
+    bad = _or(bad, seg)
+    return val, dq, [], _or(bad, undefined) if node.op is Sqrt else bad, None
+
+
+def _sd_abs(node, out, x, z, t, tol, ties):
+    v, q, gens, bad, seg = out[node.args[0]]
+    av = np.abs(v)
+    ties.append((av, (0.0,)))
+    act = tol * (1.0 + av)
+    pos, neg = v > act, v < -act
+    tie = ~(pos | neg)
+    pos, neg = pos[:, None], neg[:, None]
+    gens = [np.where(pos, a, np.where(neg, -a, 0.0)) for a in gens]
+    if node.reads:
+        gens.append(np.where(tie[:, None], q, 0.0))
+    q = np.where(pos, q, np.where(neg, -q, 0.0))
+    return (av, q, gens, bad if seg is None else _or(bad, tie & seg),
+            _or(seg, tie))
+
+
+def _sd_max(node, out, x, z, t, tol, ties):
+    parts = [out[a] for a in node.args]
+    vmax = parts[0][0]
+    for part in parts[1:]:
+        vmax = np.maximum(vmax, part[0])
+    ties.append((vmax, [part[0] for part in parts]))
+    floor = vmax - tol * (1.0 + np.abs(vmax))
+    active = [part[0] >= floor for part in parts]
+    width = len(node.support)
+    qs = [_widen(part[1], at, width) for part, at in zip(parts, node.places)]
+    if len(parts) == 2:
+        tie = active[0] & active[1]
+        bad = ~(active[0] | active[1])
+        seg = tie
+        sole = [active[0] & ~tie, active[1] & ~tie]
+        # where one branch is active, its center; where none is, a
+        # masked row
+        first = np.where(_col(active[0]), qs[0], qs[1])
+        second = qs[1]
+    else:
+        count = sum(m.astype(int) for m in active)
+        bad = (count < 1) | (count > 2)
+        tie = count == 2
+        seg = tie
+        sole = [m & (count == 1) for m in active]
+        # first and second active branch, in argument order
+        first = second = np.zeros((t.shape[0], width))
+        seen = np.zeros_like(count)
+        for q, m in zip(qs, active):
+            first = np.where(_col(m & (seen == 0)), q, first)
+            second = np.where(_col(m & (seen == 1)), q, second)
+            seen += m
+    gens = []
+    for (_, _, branch_gens, branch_bad, branch_seg), m, alone in zip(
+            parts, active, sole):
+        if branch_bad is not None:
+            bad |= branch_bad
+        if branch_seg is not None:
+            bad |= m & tie & branch_seg
+            seg = seg | (alone & branch_seg)
+        gens += [np.where(_col(alone), a, 0.0) for a in branch_gens]
+    q = np.where(_col(tie), (first + second) / 2.0, first)
+    if node.reads:
+        gens.append(np.where(_col(tie), (first - second) / 2.0, 0.0))
+    return vmax, q, gens, bad, seg
+
+
+def _sd_norm(node, out, x, z, t, tol, ties):
+    parts = [out[a] for a in node.args]
+    width = len(node.support)
+    # matmul sums over the arguments, column by column
+    rows = np.stack([_widen(p[1], at, width) for p, at in zip(parts, node.places)],
+                    axis=1)
+    nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1), rows)
+    bad = ~nonzero
+    for _, _, _, branch_bad, branch_seg in parts:
+        bad = _or(_or(bad, branch_bad), branch_seg)
+    return nrm, grad, [], bad, None
+
+
+_SD_RULES = {
+    Const: _sd_const, Time: _sd_const, VarX: _sd_var, VarZ: _sd_var,
+    Neg: _sd_neg, Add: _sd_add, Sub: _sd_add, Mul: _sd_mul, Div: _sd_product,
+    Pow: _sd_smooth, Sin: _sd_smooth, Cos: _sd_smooth, Exp: _sd_smooth,
+    Sqrt: _sd_smooth, Abs: _sd_abs, Max: _sd_max, Norm: _sd_norm,
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -1560,11 +1635,10 @@ def _leaf_block(npoints: int, width: int) -> np.ndarray:
 
 # The value and gradient rules of the smooth operations, the one copy
 # both routes call: _value_and_set with a value and a (d,) gradient per
-# argument, _compile_sd with (N,) values and (N, k) gradient blocks.  The
-# same numpy operations on the same numbers give both routes the same
-# bits, column by column.
-# The line pass takes its slopes from the chain rules too (_chain_slope),
-# with (N, 1) slopes for gradients.
+# argument, the grid pass with (N,) values and (N, k) gradient blocks.
+# The same numpy operations on the same numbers give both routes the same
+# bits, column by column.  The line pass takes its slopes from the chain
+# rules too (_slope), with (N, 1) slopes for gradients.
 
 
 def _product(v1, q1, v2, q2):
@@ -1581,12 +1655,17 @@ def _norm(vals, rows):
 
     vals holds the arguments' values, shape (..., m), and rows their
     gradients, shape (..., m, d).  Where the norm is zero (within
-    _TOL_ACT) the gradient means nothing: the set is a ball there.
+    _TOL_ACT) the gradient means nothing: the set is a ball there.  The
+    gradient sums the rows' terms one by one: matmul's kernel, and with
+    it the last bit, depends on d, which is the node's support on the
+    grid and 2n per node.
     """
     nrm = np.sqrt(np.matmul(vals[..., None, :], vals[..., :, None])[..., 0, 0])
     nonzero = nrm > _TOL_ACT * (1.0 + nrm)
     w = vals / _col(np.where(nonzero, nrm, 1.0))
-    grad = np.matmul(np.swapaxes(rows, -1, -2), w[..., :, None])[..., 0]
+    grad = rows[..., 0, :] * w[..., :1]
+    for k in range(1, vals.shape[-1]):
+        grad = grad + rows[..., k, :] * w[..., k:k + 1]
     return nrm, grad, nonzero
 
 
@@ -1611,7 +1690,7 @@ def _chain_exp(v, q, k):
 
 
 def _chain_sqrt(v, q, k):
-    undefined = ~(v > 0.0)
+    undefined = np.logical_not(v > 0.0)  # not ~: v may be a Python float
     r = np.sqrt(np.where(v <= 0.0, 1.0, v))  # a nan argument gives a nan
     return r, q / _col(2.0 * r), undefined
 
@@ -1620,7 +1699,7 @@ def _chain_sqrt_of_t(v, q, k):
     """sqrt of a subtree without x or z: with a zero gradient, 0 lies in
     its domain, and its value is the value pass's."""
     _, dq, _ = _chain_sqrt(v, q, k)
-    undefined = ~(v >= 0.0)
+    undefined = np.logical_not(v >= 0.0)
     return np.sqrt(np.where(undefined, 0.0, v)), dq, undefined
 
 
@@ -1628,11 +1707,12 @@ _SD_CHAIN = {Pow: _chain_pow, Sin: _chain_sin, Cos: _chain_cos,
              Exp: _chain_exp, Sqrt: _chain_sqrt}
 
 
-def _chain(e: Expr) -> Callable:
-    """The chain rule of a smooth node e."""
-    if isinstance(e, Sqrt) and not _uses_vars(e.arg):
+def _chain(op: type, reads: bool) -> Callable:
+    """The chain rule of a smooth node of type op, whose argument reads x
+    or z when reads is true."""
+    if op is Sqrt and not reads:
         return _chain_sqrt_of_t
-    return _SD_CHAIN[type(e)]
+    return _SD_CHAIN[op]
 
 
 def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray) -> float:

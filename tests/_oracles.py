@@ -320,7 +320,7 @@ def random_smooth_expr(rng: np.random.Generator, n: int, depth: int):
         if kind == 2:
             return VarX(int(rng.integers(1, n + 1)))
         return VarZ(int(rng.integers(1, n + 1)))
-    kind = rng.integers(0, 8)
+    kind = rng.integers(0, 10)
     a = random_smooth_expr(rng, n, depth - 1)
     if kind == 0:
         return Add(a, random_smooth_expr(rng, n, depth - 1))
@@ -336,9 +336,14 @@ def random_smooth_expr(rng: np.random.Generator, n: int, depth: int):
         return Cos(a)
     if kind == 6:
         return Pow(a, int(rng.integers(2, 4)))
-    # bounded-denominator division keeps values and derivatives tame
-    return Div(a, Add(Const(round(float(rng.uniform(1.0, 3.0)), 3)),
-                      Pow(random_smooth_expr(rng, n, 0), 2)))
+    if kind == 7:
+        # bounded-denominator division keeps values and derivatives tame
+        return Div(a, Add(Const(round(float(rng.uniform(1.0, 3.0)), 3)),
+                          Pow(random_smooth_expr(rng, n, 0), 2)))
+    if kind == 8:
+        return Exp(random_smooth_expr(rng, n, 0))  # of a leaf: no exp of an exp
+    # an argument bounded away from 0 keeps sqrt differentiable
+    return Sqrt(Add(Const(round(float(rng.uniform(1.0, 3.0)), 3)), Pow(a, 2)))
 
 
 def random_expr(rng: np.random.Generator, n: int):

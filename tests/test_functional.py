@@ -814,7 +814,7 @@ def test_skipped_tolerances_keep_every_set_and_the_field(penalties):
     schedule = nsvar.solver._EPS_SCHEDULE
     rng = np.random.default_rng(53 + int(penalties))
     skipped = changed = 0
-    for _ in range(150):
+    for _ in range(250):
         n = int(rng.integers(1, 3))
         e = random_expr(rng, n)
         g, x, z = _half_integer_pair(rng, n, 7)

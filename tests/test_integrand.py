@@ -25,6 +25,7 @@ from nsvar.integrand import (
     Abs,
     Add,
     Const,
+    Div,
     DomainError,
     EvalPoint,
     ExprError,
@@ -40,8 +41,9 @@ from nsvar.integrand import (
     VarX,
     VarZ,
     _Parser,
+    _SD_RULES,
     _args,
-    _compile_sd,
+    _compile,
     _leaf_block,
     _uses_vars,
     _value_and_set,
@@ -633,9 +635,10 @@ def test_leaf_rows_are_built_once_and_read_only():
     # a bare variable's rule hands the kept block out as its center, over
     # the variable's one column; the pass widens it to R^(2n)
     t = Grid(1.0, 9).nodes
-    rule, shape = _compile_sd(parse_expr("z2", 2), 2)
-    assert rule(np.zeros((9, 2)), np.zeros((9, 2)), t, 1e-9, [])[1] is block
-    assert shape.support == (3,)
+    node, = _compile(parse_expr("z2", 2), 2)
+    rule = _SD_RULES[node.op]
+    assert rule(node, [None], np.zeros((9, 2)), np.zeros((9, 2)), t, 1e-9, [])[1] is block
+    assert node.support == (3,)
     _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2), 2)(np.zeros((9, 2)), np.zeros((9, 2)), t)
     assert np.array_equal(q, np.eye(4)[[3] * 9])
 
@@ -901,21 +904,27 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
             assert np.allclose(q[i], ref, rtol=1e-10, atol=1e-10)
 
 
-def _subtrees(e):
+def _post_order(e):
+    """e's subtrees in the order of its node list: post-order, with a
+    quotient's divisor first."""
+    kids = _args(e)
+    for a in kids[::-1] if isinstance(e, Div) else kids:
+        yield from _post_order(a)
     yield e
-    for a in _args(e):
-        yield from _subtrees(a)
 
 
 def _assert_within_static_support(e, n: int, point: EvalPoint, tol_act: float) -> None:
     """Every subtree with x or z: its per-node set at point has no extent
-    on a column outside the columns its compiled shape can reach."""
+    on a column outside the columns its node in e's node list can reach."""
     d = 2 * n
-    for u in _subtrees(e):
-        if not _uses_vars(u):
+    nodes = _compile(e, n)
+    subtrees = list(_post_order(e))
+    assert [type(u) for u in subtrees] == [node.op for node in nodes]
+    for u, node in zip(subtrees, nodes):
+        assert node.reads == _uses_vars(u)
+        if not node.reads:
             continue
-        shape = _compile_sd(u, n)[1]
-        reach = {c for s in (shape.support, *shape.gens) for c in s}
+        reach = {c for s in (node.support, *node.gens) for c in s}
         try:
             _, s = _value_and_set(u, point, tol_act)
         except ExprError:
@@ -943,7 +952,7 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
     # a second stream of nodes on a half-integer lattice, where more ties hold
     lattice = np.random.default_rng(32)
     checked = segments = 0
-    for _ in range(150):
+    for _ in range(350):
         n = int(rng.integers(1, 4))
         e = random_smooth_expr(rng, n, 3) if draw is random_smooth_expr \
             else random_expr(rng, n)
@@ -1057,6 +1066,17 @@ def test_per_node_route_gives_a_quotient_without_x_or_z_a_zero_gradient():
             np.zeros((1, 1)), np.zeros((1, 1)), np.array([0.5]), 1e-9)
     assert v == 1.0 / (1e-200 * 1.5) and per_node.tolist() == [True]
     assert [support(s, g)[0] for g in np.eye(2)] == [1.0, 0.0]
+
+
+def test_per_node_route_gives_sqrt_without_x_or_z_its_value():
+    """The per-node route runs its chain rules on Python floats: sqrt(t)
+    at t = 0.0625 is 0.25, so x1 = 0.25 ties and x1 = 0 does not."""
+    assert _value_and_set(parse_expr("sqrt(t)", 1), _pt([0.0], [0.0], 0.0625))[0] == 0.25
+    e = parse_expr("abs(x1 - sqrt(t))", 1)
+    s = subdiff_expr(e, _pt([0.25], [0.0], 0.0625))
+    assert np.array_equal(s.vertices, [[1.0, 0.0], [-1.0, 0.0]])
+    s = subdiff_expr(e, _pt([0.0], [0.0], 0.0625))
+    assert isinstance(s, Singleton) and np.array_equal(s.point, [-1.0, 0.0])
 
 
 def test_a_pass_rejects_arrays_of_another_width():
