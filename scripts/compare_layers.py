@@ -1,4 +1,5 @@
-"""Time one layer of two source trees side by side in one interpreter.
+"""Time one layer, and whole solves, of two source trees side by side in
+one interpreter.
 
 Usage, from anywhere:
 
@@ -7,14 +8,21 @@ Usage, from anywhere:
 OLD and NEW are the roots of two nsvar source trees.  Each tree's
 ``src/nsvar`` is copied into a temporary directory under a package name
 of its own, so both import into this one interpreter.  For each
-benchmark workload (``perfbench/workloads.py`` next to this script) the
-script solves pool member 1 with each tree and captures the arguments of
-every ``min_norm_field`` call the solve makes.  It then times each
-tree's ``min_norm_field`` plus ``pl_l2_norm_sq`` on its own captured
-iterates, once over all of them per round, for ROUNDS rounds, with the
-two trees taking turns at going first.  It prints, per workload and
-tree, the median and quartiles of a round in ms and the median's ratio
-to OLD.
+benchmark workload (``perfbench/workloads.py`` next to this script):
+
+* the field: the script solves pool member 1 with each tree and
+  captures the arguments of every ``min_norm_field`` call the solve
+  makes.  It then times each tree's ``min_norm_field`` plus
+  ``pl_l2_norm_sq`` on its own captured iterates, once over all of them
+  per round, for ROUNDS rounds, in wall time;
+* whole solves: each round runs ``nsvar.cli.run`` on every member of
+  the workload's seed-0 panel, with the workload's flags, for
+  SOLVE_ROUNDS rounds, in CPU time.
+
+The two trees take turns at going first, round by round.  Each mode
+prints, per workload and tree, the median and quartiles of a round in
+ms, the median's ratio to OLD, and in how many rounds NEW took less
+time than OLD.
 
 The machine's speed can drift by tens of percent between processes and
 within one; alternating rounds inside one process cancel most of that
@@ -36,6 +44,7 @@ from pathlib import Path
 from compare_runs import _workloads
 
 ROUNDS = 40
+SOLVE_ROUNDS = 20
 MEMBER = 1  # the pool member solved, with no node on the per-node route
 
 
@@ -79,6 +88,41 @@ def _round(pkg: dict, calls: list[tuple]) -> float:
     return time.perf_counter() - t0
 
 
+def _solves(pkg: dict, runs: list[list[str]]) -> float:
+    """CPU seconds for one cli.run solve of each argument list in runs."""
+    run = pkg["cli"].run
+    with contextlib.redirect_stdout(io.StringIO()):
+        c0 = time.process_time()
+        for args in runs:
+            if run(args) != 0:
+                raise SystemExit(f"{args[1]}: solve failed")
+        return time.process_time() - c0
+
+
+def _alternate(pkgs: list, rounds: int, timed, *per_tree) -> list[list[float]]:
+    """Each tree's time of timed(pkg, its argument) per round, the trees
+    taking turns at going first."""
+    times: list[list[float]] = [[], []]
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[side].append(timed(pkgs[side], *(a[side] for a in per_tree)))
+    return times
+
+
+def _report(title: str, times: list[list[float]], sizes: list[str]) -> None:
+    medians = [statistics.median(t) for t in times]
+    wins = sum(new < old for old, new in zip(*times))
+    print(title)
+    for side, (t, size) in enumerate(zip(times, sizes)):
+        q1, _, q3 = statistics.quantiles(t, n=4)
+        line = (f"  {('old', 'new')[side]}: {size}median {1e3 * medians[side]:.3f} "
+                f"[{1e3 * q1:.3f}, {1e3 * q3:.3f}], ratio to old "
+                f"{medians[side] / medians[0]:.3f}")
+        if side:
+            line += f", lower in {wins} of {len(t)} rounds"
+        print(line, flush=True)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -98,19 +142,21 @@ def main(argv: list[str]) -> int:
             problem.write_text(w.problem(w.params(MEMBER)))
             calls = [_capture(pkg, problem, w.flags, scratch / f"{w.name}_{side}")
                      for pkg, side in zip(pkgs, ("old", "new"))]
-            times: list[list[float]] = [[], []]
-            for r in range(ROUNDS):
-                order = (0, 1) if r % 2 == 0 else (1, 0)
-                for side in order:
-                    times[side].append(_round(pkgs[side], calls[side]))
-            medians = [statistics.median(t) for t in times]
-            print(f"{w.name} member {MEMBER}: min_norm_field + pl_l2_norm_sq, "
-                  f"{ROUNDS} rounds, ms per round")
-            for side, (t, n) in enumerate(zip(times, calls)):
-                q1, _, q3 = statistics.quantiles(t, n=4)
-                print(f"  {('old', 'new')[side]}: {len(n)} calls, median "
-                      f"{1e3 * medians[side]:.3f} [{1e3 * q1:.3f}, {1e3 * q3:.3f}], "
-                      f"ratio to old {medians[side] / medians[0]:.3f}", flush=True)
+            _report(f"{w.name} member {MEMBER}: min_norm_field + pl_l2_norm_sq, "
+                    f"{ROUNDS} rounds, ms per round",
+                    _alternate(pkgs, ROUNDS, _round, calls),
+                    [f"{len(c)} calls, " for c in calls])
+            panel = w.panel(0)
+            runs = [[], []]
+            for seed, text in panel:
+                path = scratch / f"{w.name}_panel_{seed}.txt"
+                path.write_text(text)
+                for side, name in enumerate(("old", "new")):
+                    out = scratch / f"{w.name}_{seed}_{name}"
+                    runs[side].append(["solve", str(path), *w.flags, "--out", str(out)])
+            _report(f"{w.name} seed-0 panel, {len(panel)} members: cli.run solves, "
+                    f"{SOLVE_ROUNDS} rounds, CPU ms per round",
+                    _alternate(pkgs, SOLVE_ROUNDS, _solves, runs), ["", ""])
     return 0
 
 

@@ -25,9 +25,12 @@ than ``MAX_DEPTH`` nodes is rejected too.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
 by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
-convex sets, whose ties are hulls under the support function, not vertex
-lists; ``compile_subdiff`` gives every grid node's set at once, as a
-point plus segments, and marks the nodes whose sets take another form.
+convex sets, whose ties are hulls under the support function.  The grid
+passes compile the tree once into a post-order node list (``_compile``)
+and walk it with one rule table each: ``compile_line`` folds the
+integrand along a line, and ``compile_subdiff`` gives every grid node's
+set at once, as a point plus segments, and marks the nodes whose sets
+take another form.
 """
 
 from __future__ import annotations
@@ -520,28 +523,17 @@ def format_expr(e: Expr) -> str:
 
 @dataclass(frozen=True, slots=True)
 class _Node:
-    """One occurrence of a subexpression in a compiled integrand.
+    """One node of a compiled integrand (_compile), one per occurrence.
 
-    A compiled integrand (_compile) is the tuple of its nodes in
-    post-order, one per occurrence, equal subtrees not shared, with a
-    quotient's divisor before its numerator, as a walk of the expression
-    takes them.  So every subtree is a contiguous run that ends at its
-    root: nodes[start:slot + 1].
-
-    op is the node's Expr class and args its arguments' slots, in the
-    expression's order.  value is a Const's value, a variable's 0-based
-    index, pow's exponent, and for a product with a constant factor the
-    pair (factor, slot of the other operand); else None.  reads tells
-    whether the subtree reads x or z, tied whether it holds an abs or
-    max.
-
-    Compiled for a problem's n, each node has the grid pass's static
-    layout.  support lists the columns of R^(2n) its center's block
-    covers, increasing: column i - 1 for x_i and n + i - 1 for z_i, none
-    without x or z.  gens holds each generator's support, in the pass's
-    order, none without x or z, and places, per argument, where that
-    argument's block goes in support: None where the supports are equal,
-    else a slice or a list of positions.
+    op is its Expr class, args its arguments' slots and start the slot
+    where its subtree begins.  value is a Const's value, a variable's
+    0-based index, pow's exponent, or for a product with a constant
+    factor (factor, slot of the other operand).  reads: the subtree reads
+    x or z; tied: it holds an abs or max.  For the grid pass at n,
+    support lists the columns of R^(2n) the center's block covers (x_i's
+    column i - 1, z_i's n + i - 1, none without x or z), gens each
+    generator's support, and places where each argument's block goes in
+    support: None where the supports are equal, else a slice or a list.
     """
 
     op: type
@@ -556,7 +548,10 @@ class _Node:
 
 
 def _compile(e: Expr, n: int | None = None) -> tuple:
-    """e's node list, with the grid pass's layout when n is given."""
+    """e's nodes in post-order, a quotient's divisor before its numerator
+    as a walk of the expression takes them, so that each subtree is the
+    run nodes[start:slot + 1]; with the grid pass's layout when n is
+    given."""
     nodes: list = []
 
     def visit(e: Expr) -> int:
@@ -566,22 +561,18 @@ def _compile(e: Expr, n: int | None = None) -> tuple:
             slots[k] = visit(kids[k])
         args = [nodes[s] for s in slots]
         op = type(e)
-        value = None
-        if op is Const:
-            value = e.value
-        elif op in (VarX, VarZ):
+        value = getattr(e, "value", getattr(e, "exponent", None))
+        if op in (VarX, VarZ):
             value = e.index - 1
-        elif op is Pow:
-            value = e.exponent
-        elif op is Mul and (args[0].op is Const or args[1].op is Const):
-            left = args[0].op is Const
-            value = ((e.left if left else e.right).value, slots[left])
+        elif op is Mul and Const in (args[0].op, args[1].op):
+            c = 0 if args[0].op is Const else 1     # the left one first
+            value = (kids[c].value, slots[1 - c])
         reads = op in (VarX, VarZ) or any(a.reads for a in args)
         tied = op in (Abs, Max) or any(a.tied for a in args)
         layout = {}
         if n is not None:
             support = ((n * (op is VarZ) + value,) if op in (VarX, VarZ)
-                       else _union(*(a.support for a in args)))
+                       else tuple(sorted(set().union(*(a.support for a in args)))))
             gens = ()
             if reads and (op in (Neg, Add, Sub, Abs, Max)
                           or (op is Mul and value is not None)):
@@ -598,10 +589,6 @@ def _compile(e: Expr, n: int | None = None) -> tuple:
     return tuple(nodes)
 
 
-def _union(*supports: tuple) -> tuple:
-    return tuple(sorted(set().union(*supports)))
-
-
 def _positions(support: tuple, target: tuple):
     """support's places in target, as a slice where they are contiguous."""
     at = [target.index(s) for s in support]
@@ -611,8 +598,7 @@ def _positions(support: tuple, target: tuple):
 
 
 def _widen(a: np.ndarray, at, width: int) -> np.ndarray:
-    """A block placed at positions at of a wider one, zeros elsewhere;
-    with at None, the block itself."""
+    """Block a placed at positions at of a wider one, zeros elsewhere."""
     if at is None:
         return a
     out = np.zeros((a.shape[0], width))
@@ -621,12 +607,9 @@ def _widen(a: np.ndarray, at, width: int) -> np.ndarray:
 
 
 def _steps(nodes: tuple, rules: list) -> list:
-    """The (slot, node, rule) a pass runs on each call, in order.
-
-    Every node that reads x or z runs its rule.  Each largest subtree
-    without x or z is skipped whole but for its root, whose rule is
-    None: the pass reads that subtree from its store (_Store).
-    """
+    """The (slot, node, rule) a pass runs per call, in order: every node
+    that reads x or z, and of each largest subtree without them only its
+    root, with rule None, which the pass reads from its store (_kept)."""
     steps, i = [], len(nodes) - 1
     while i >= 0:
         node = nodes[i]
@@ -642,25 +625,15 @@ def _walk(nodes: tuple, rules: list, root: int, out: list, *point):
     return out[root]
 
 
-class _Store:
-    """A pass's results of its subtrees without x or z, kept for one t.
-
-    at(t) is the dict of results a call on the array t reads and fills,
-    kept while later calls pass t itself: each result is computed once
-    per grid.  Only a read-only t is kept, as a Grid's nodes are; a
-    writable t may change in place, so each call with one gets a new
-    dict.
-    """
-
-    def __init__(self) -> None:
-        self.t, self.results = None, {}
-
-    def at(self, t: np.ndarray) -> dict:
-        if t.flags.writeable:
-            return {}
-        if self.t is not t:
-            self.t, self.results = t, {}
-        return self.results
+def _kept(store: list, t: np.ndarray) -> dict:
+    """The results a pass keeps in store, [t, results], for a call on t:
+    kept while calls pass the array t itself, so each is computed once
+    per grid.  A writable t may change in place and gets a new dict."""
+    if t.flags.writeable:
+        return {}
+    if store[0] is not t:
+        store[:] = t, {}
+    return store[1]
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +674,8 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     one rule per node type (_LINE_RULES).  It folds every subtree that is
     a polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
     arrays, in truncated Taylor arithmetic (Griewank and Walther,
-    Evaluating Derivatives, 2008, ch. 13): a subtree without x or z is
-    evaluated there, once per line.  at(gamma) evaluates only the nodes
+    Evaluating Derivatives, 2008, ch. 13); a subtree without x or z is
+    kept (_kept), once per grid.  at(gamma) evaluates only the nodes
     that do not fold (abs, max, norm, sqrt, smooth functions and division
     by subtrees that change along the line, products and powers above
     degree 2), on Horner values of their folded children, so it matches
@@ -721,17 +694,12 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     numpy calls a recursive walk would, in the same order, and at returns
     the values, bit-for-bit those of the expression, and zero slopes, for
     any gamma.  A constant operand of an arithmetic, max or norm node
-    beside one that is not is a numpy scalar rather than an array of
-    copies; it gives the same bits.
+    beside one that is not is a numpy scalar: the same bits.
 
     A zero divisor or a negative sqrt argument raises DomainError naming
     the first offending node: at(gamma) raises it, or the call itself
     when the subtree does not change along the line (every subtree,
-    without a direction).  A divisor that does not change is checked
-    before its numerator runs.
-
-    The values of a subtree without x or z come from the pass's store
-    (_Store): once per grid.
+    without a direction), a divisor before its numerator.
 
     at.kinks is the line's kink data, (kinks, smooth), on a sweep line:
     one where every node that does not fold is an abs of a fold of degree
@@ -752,19 +720,17 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
                     rules[a] = _line_scalar
         if node.op is Div:
             rules[node.args[1]] = functools.partial(_divisor, rules[node.args[1]])
-    steps = _steps(nodes, rules)
-    store = _Store()
+    steps, store = _steps(nodes, rules), [None, {}]
 
     def line(x, z, t, gx=None, gz=None):
-        out, kept = [None] * len(nodes), store.at(t)
+        out, kept = [None] * len(nodes), _kept(store, t)
         for i, node, rule in steps:
             if rule is not None:
                 out[i] = rule(node, out, x, z, t, gx, gz)
+            elif i in kept:
+                out[i] = kept[i]
             else:
-                r = kept.get(i)
-                if r is None:
-                    r = kept[i] = _walk(nodes, rules, i, out, x, z, t, gx, gz)
-                out[i] = r
+                out[i] = kept[i] = _walk(nodes, rules, i, out, x, z, t, gx, gz)
         r = out[-1]
         if _constant(r):
             zero = np.zeros(t.shape)
@@ -835,15 +801,11 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _line_const(node, out, x, z, t, gx, gz):
-    return (np.full(t.shape, node.value),)
+    return (t,) if node.op is Time else (np.full(t.shape, node.value),)
 
 
 def _line_scalar(node, out, x, z, t, gx, gz):
     return (np.float64(node.value),)
-
-
-def _line_time(node, out, x, z, t, gx, gz):
-    return (t,)
 
 
 def _line_var(node, out, x, z, t, gx, gz):
@@ -889,8 +851,7 @@ def _line_mul(node, out, x, z, t, gx, gz):
 
 
 def _divisor(rule, node, out, x, z, t, gx, gz):
-    """The rule of a quotient's divisor, which raises DomainError at the
-    divisor's first zero when it does not change along the line."""
+    """A divisor's rule, raising at its first zero if it is constant."""
     r = rule(node, out, x, z, t, gx, gz)
     if _constant(r):
         _raise_at_first(r[0] == 0.0, "division by zero", t)
@@ -927,33 +888,18 @@ def _line_pow(node, out, x, z, t, gx, gz):
     return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
 
 
-# The values of the smooth functions along a line, (u, exponent, t) ->
-# values; the slopes come from their chain rules (_slope).
-_LINE_VALUES = {
-    Pow: lambda u, k, t: _power(u, k),
-    Sin: lambda u, k, t: np.sin(u),
-    Cos: lambda u, k, t: np.cos(u),
-    Exp: lambda u, k, t: np.exp(u),
-    Sqrt: lambda u, k, t: _checked_sqrt(u, t),
-}
-
-
 def _line_smooth(node, out, x, z, t, gx, gz):
-    value = _LINE_VALUES[node.op]
-    return _smooth(lambda u: value(u, node.value, t),
-                   lambda u, s: _slope(node, u, s), out[node.args[0]])
+    """A smooth function of a folded subtree, its slope by the chain rule
+    on the argument's value u and slope s: infinite, with the sign of s,
+    where the rule leaves it undefined, sqrt at 0."""
+    chain, k = _chain(node.op, node.reads), node.value
+    value = {Pow: lambda u: _power(u, k), Sqrt: lambda u: _checked_sqrt(u, t),
+             Sin: np.sin, Cos: np.cos, Exp: np.exp}[node.op]
 
-
-def _slope(node: _Node, u, s):
-    """The slope of a smooth node along a line, by its chain rule on the
-    argument's value u and slope s: infinite, with the sign of s, where
-    the rule leaves it undefined, sqrt at 0."""
-    _, ds, undefined = _chain(node.op, node.reads)(u, _col(s), node.value)
-    return np.where(undefined, np.copysign(np.inf, s), ds[..., 0])
-
-
-def _line_abs(node, out, x, z, t, gx, gz):
-    return _abs(out[node.args[0]])
+    def slope(u, s):
+        _, ds, undefined = chain(u, _col(s), k)
+        return np.where(undefined, np.copysign(np.inf, s), ds[..., 0])
+    return _smooth(value, slope, out[node.args[0]])
 
 
 def _line_max(node, out, x, z, t, gx, gz):
@@ -961,19 +907,6 @@ def _line_max(node, out, x, z, t, gx, gz):
     for a in node.args[1:]:
         result = _max2(result, out[a])
     return result
-
-
-def _line_norm(node, out, x, z, t, gx, gz):
-    return _norm_line([out[a] for a in node.args])
-
-
-_LINE_RULES = {
-    Const: _line_const, Time: _line_time, VarX: _line_var, VarZ: _line_var,
-    Neg: _line_neg, Add: _line_add, Sub: _line_add, Mul: _line_mul,
-    Div: _line_div, Pow: _line_pow, Sin: _line_smooth, Cos: _line_smooth,
-    Exp: _line_smooth, Sqrt: _line_smooth, Abs: _line_abs, Max: _line_max,
-    Norm: _line_norm,
-}
 
 
 def _smooth(op: Callable, slope: Callable, r: Folded) -> Folded:
@@ -1003,9 +936,10 @@ def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
         return op(u1, u2), left, right
     return probe
 
-def _abs(r: Folded) -> Folded:
+def _line_abs(node, out, x, z, t, gx, gz):
     """abs of a folded subtree: its slopes times its sign, and at a zero
     -|u'(gamma-)| on the left and |u'(gamma+)| on the right."""
+    r = out[node.args[0]]
     if _constant(r):
         return (np.abs(r[0]),)
     f = _at(r)
@@ -1054,10 +988,11 @@ def _max2(r1: Folded, r2: Folded) -> Folded:
     return probe
 
 
-def _norm_line(parts: list) -> Folded:
+def _line_norm(node, out, x, z, t, gx, gz):
     """norm of folded subtrees: u . u' / |u| on each side, and at a zero
     -|u'(gamma-)| on the left and |u'(gamma+)| on the right, where u is
     the vector of the arguments."""
+    parts = [out[a] for a in node.args]
     if all(map(_constant, parts)):
         return (_norm_value(*[r[0] for r in parts]),)
     fs = [_at(r) for r in parts]
@@ -1078,6 +1013,15 @@ def _norm_line(parts: list) -> Folded:
             left = side(-1.0, [tg[1] for tg in tgs])
         return nrm, left, right
     return probe
+
+
+_LINE_RULES = {
+    Const: _line_const, Time: _line_const, VarX: _line_var, VarZ: _line_var,
+    Neg: _line_neg, Add: _line_add, Sub: _line_add, Mul: _line_mul,
+    Div: _line_div, Pow: _line_pow, Sin: _line_smooth, Cos: _line_smooth,
+    Exp: _line_smooth, Sqrt: _line_smooth, Abs: _line_abs, Max: _line_max,
+    Norm: _line_norm,
+}
 
 
 def _raise_at_first(bad, message: str, t: np.ndarray) -> None:
@@ -1296,25 +1240,19 @@ def subdiff_expr(e: Expr, p: EvalPoint,
     return s
 
 
-# A subtree's subdifferential on the whole grid: values (N,), center q
-# (N, 2n), segment generators [(columns, (N, |columns|)), ...] and the
-# nodes left to the per-node route, bool (N,).
-SubdiffFn = Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]
-
-
-def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
+def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
     """Compile e once, over x1..xn and z1..zn, into a grid subdifferential
     f(x, z, t, tol_act).
 
     x, z have shape (N, n) and t shape (N,); arrays of another width
-    raise ValueError.  The result is
-    (value, q, gens, per_node) for every node at once: the value, shape
-    (N,), equal to compile_line's up to roundoff; a center q, shape
-    (N, 2n); a list of segment generators, each a pair (columns, a) of a
-    tuple of columns of R^(2n), increasing, and an array a of shape
-    (N, len(columns)), zero on every other column; and a bool mask, shape
-    (N,).  At a node outside the mask, subdiff_expr's set is the
-    zonotope q + sum_k lambda_k gens[k] with lambda in [-1, 1]^k.
+    raise ValueError.  The result is (value, q, gens, per_node) for every
+    node at once: the value, shape (N,), equal to compile_line's up to
+    roundoff; a center q, shape (N, 2n); a list of segment generators,
+    each a pair (columns, a) of a tuple of columns of R^(2n), increasing,
+    and an array a of shape (N, len(columns)), zero on every other
+    column; and a bool mask, shape (N,).  At a node outside the mask,
+    subdiff_expr's set is the zonotope q + sum_k lambda_k gens[k] with
+    lambda in [-1, 1]^k.
     Gradients are carried in forward mode (Griewank and Walther,
     Evaluating Derivatives, 2008) by the value and gradient rules
     _value_and_set also calls, and with its tie rules: an abs tie on a
@@ -1323,14 +1261,11 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
 
     A call walks e's node list, compiled for n (_compile), with one rule
     per node type (_SD_RULES).  Each subtree's gradients are blocks over
-    its column support, the columns of R^(2n) its leaves can reach, fixed
-    in the node list: x_i's column i - 1 or z_i's column n + i - 1 for a
-    variable, none for a subtree without x or z, the union above.  A
-    block is widened only where two supports differ, and a term of a
-    subtree without x or z is left out of a gradient; on the columns it
-    keeps, each rule does the arithmetic of the full rows, so the blocks
-    hold the full rows' bits up to the signs of zeros.  Only q is widened
-    to R^(2n), at the end.
+    its column support (_Node), widened only where two supports differ;
+    a term of a subtree without x or z is left out of a gradient.  On the
+    columns it keeps, each rule does the arithmetic of the full rows, so
+    the blocks hold the full rows' bits up to the signs of zeros.  Only q
+    is widened to R^(2n), at the end.
 
     The mask holds the nodes where the set is not such a zonotope, or
     where subdiff_expr raises: norm at a zero, three or more active max
@@ -1342,20 +1277,16 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
     generator is zero (a max tie between branches of equal gradient).
     Masked rows mean nothing; subdiff_expr builds their sets.
 
-    A subtree without x or z has a zero center and no generators.  Its
-    values, masks and ties come from the pass's store (_Store): once per
-    grid, and once per tolerance when it holds an abs or max.
-
-    A fifth item, ties, lists every tie test the pass made, on every row,
-    masked ones and kept subtrees included, as (top, values): abs(v) is
-    (|v|, (0.0,)) and a max is (its value, its branches' values), in the
-    node list's order.  They do not depend on tol_act; next_tolerance
-    reads them.
+    A subtree without x or z has a zero center and no generators; its
+    values, masks and ties are kept (_kept), per tolerance when it holds
+    an abs or max.  A fifth item, ties, lists every tie test the pass
+    made, on every row, in the node list's order, as (top, values):
+    abs(v) is (|v|, (0.0,)) and a max is (its value, its branches'
+    values).  They do not depend on tol_act; next_tolerance reads them.
     """
     nodes = _compile(e, n)
     rules = [_SD_RULES[node.op] for node in nodes]
-    steps = _steps(nodes, rules)
-    store = _Store()
+    steps, store = _steps(nodes, rules), [None, {}]
     root, full = nodes[-1], tuple(range(2 * n))
     at = None if root.support == full else _positions(root.support, full)
 
@@ -1372,7 +1303,7 @@ def compile_subdiff(e: Expr, n: int) -> SubdiffFn:
             raise ValueError(f"x and z must have shape (N, {n}), got "
                              f"{x.shape} and {z.shape}")
         ties: list = []
-        out, kept = [None] * len(nodes), store.at(t)
+        out, kept = [None] * len(nodes), _kept(store, t)
         for i, node, rule in steps:
             if rule is not None:
                 out[i] = rule(node, out, x, z, t, tol_act, ties)
@@ -1463,9 +1394,8 @@ def _or(a, b):
 # node's (value, q, gens, bad, seg) from its arguments' in out: q and
 # each generator a block over its support (_Node), bad masking the nodes
 # left to the per-node route and seg those where a tie in the subtree
-# holds, so that its set carries a segment there, each None where it
-# cannot hold.  A rule appends its tie tests to ties.  A subtree without
-# x or z has no generators.
+# holds, each None where it cannot hold.  A rule appends its tie tests
+# to ties.
 
 
 def _sd_const(node, out, x, z, t, tol, ties):
@@ -1504,15 +1434,11 @@ def _sd_add(node, out, x, z, t, tol, ties):
             _or(seg1, seg2))
 
 
-def _sd_mul(node, out, x, z, t, tol, ties):
-    if node.value is None:
-        return _sd_product(node, out, x, z, t, tol, ties)
-    c, other = node.value       # a constant factor scales the other side
-    v, q, gens, bad, seg = out[other]
-    return c * v, c * q, [c * a for a in gens], bad, seg
-
-
 def _sd_product(node, out, x, z, t, tol, ties):
+    if node.value is not None:  # a constant factor scales the other side
+        c, other = node.value
+        v, q, gens, bad, seg = out[other]
+        return c * v, c * q, [c * a for a in gens], bad, seg
     v1, q1, _, bad1, seg1 = out[node.args[0]]
     v2, q2, _, bad2, seg2 = out[node.args[1]]
     bad = _or(_or(bad1, bad2), _or(seg1, seg2))
@@ -1565,19 +1491,13 @@ def _sd_max(node, out, x, z, t, tol, ties):
     width = len(node.support)
     qs = [_widen(part[1], at, width) for part, at in zip(parts, node.places)]
     if len(parts) == 2:
-        tie = active[0] & active[1]
-        bad = ~(active[0] | active[1])
-        seg = tie
-        sole = [active[0] & ~tie, active[1] & ~tie]
-        # where one branch is active, its center; where none is, a
-        # masked row
-        first = np.where(_col(active[0]), qs[0], qs[1])
-        second = qs[1]
+        tie, bad = active[0] & active[1], ~(active[0] | active[1])
+        sole = [m & ~tie for m in active]
+        # the active branch's center; a row where none is is masked
+        first, second = np.where(_col(active[0]), qs[0], qs[1]), qs[1]
     else:
         count = sum(m.astype(int) for m in active)
-        bad = (count < 1) | (count > 2)
-        tie = count == 2
-        seg = tie
+        tie, bad = count == 2, (count < 1) | (count > 2)
         sole = [m & (count == 1) for m in active]
         # first and second active branch, in argument order
         first = second = np.zeros((t.shape[0], width))
@@ -1586,7 +1506,7 @@ def _sd_max(node, out, x, z, t, tol, ties):
             first = np.where(_col(m & (seen == 0)), q, first)
             second = np.where(_col(m & (seen == 1)), q, second)
             seen += m
-    gens = []
+    seg, gens = tie, []
     for (_, _, branch_gens, branch_bad, branch_seg), m, alone in zip(
             parts, active, sole):
         if branch_bad is not None:
@@ -1616,7 +1536,7 @@ def _sd_norm(node, out, x, z, t, tol, ties):
 
 _SD_RULES = {
     Const: _sd_const, Time: _sd_const, VarX: _sd_var, VarZ: _sd_var,
-    Neg: _sd_neg, Add: _sd_add, Sub: _sd_add, Mul: _sd_mul, Div: _sd_product,
+    Neg: _sd_neg, Add: _sd_add, Sub: _sd_add, Mul: _sd_product, Div: _sd_product,
     Pow: _sd_smooth, Sin: _sd_smooth, Cos: _sd_smooth, Exp: _sd_smooth,
     Sqrt: _sd_smooth, Abs: _sd_abs, Max: _sd_max, Norm: _sd_norm,
 }
@@ -1708,8 +1628,7 @@ _SD_CHAIN = {Pow: _chain_pow, Sin: _chain_sin, Cos: _chain_cos,
 
 
 def _chain(op: type, reads: bool) -> Callable:
-    """The chain rule of a smooth node of type op, whose argument reads x
-    or z when reads is true."""
+    """The chain rule of a smooth node op whose argument reads x or z."""
     if op is Sqrt and not reads:
         return _chain_sqrt_of_t
     return _SD_CHAIN[op]
