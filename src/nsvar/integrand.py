@@ -811,9 +811,7 @@ def _line_scalar(node, out, x, z, t, gx, gz):
 def _line_var(node, out, x, z, t, gx, gz):
     on_z = node.op is VarZ
     v = (z if on_z else x)[:, node.value]
-    if gx is None:
-        return (v,)
-    return v, (gz if on_z else gx)[:, node.value]
+    return (v,) if gx is None else (v, (gz if on_z else gx)[:, node.value])
 
 
 def _line_neg(node, out, x, z, t, gx, gz):
@@ -935,6 +933,7 @@ def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
         left = right if l1 is s1 and l2 is s2 else slope(u1, u2, l1, l2)
         return op(u1, u2), left, right
     return probe
+
 
 def _line_abs(node, out, x, z, t, gx, gz):
     """abs of a folded subtree: its slopes times its sign, and at a zero
@@ -1293,7 +1292,11 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
     def walk(i, out, x, z, t, tol):
         own: list = []
         v, q, _, bad, seg = _walk(nodes, rules, i, out, x, z, t, tol, own)
-        for mask in (bad, seg):     # shared by every later call
+        # shared by every later call: read-only, and None where they hold
+        # nowhere, so that no later rule combines them
+        bad, seg = (None if m is None or not np.count_nonzero(m) else m
+                    for m in (bad, seg))
+        for mask in (bad, seg):
             if mask is not None:
                 mask.flags.writeable = False
         return (v, q, [], bad, seg), own
@@ -1309,10 +1312,9 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
                 out[i] = rule(node, out, x, z, t, tol_act, ties)
                 continue
             key = (i, tol_act) if node.tied else i
-            hit = kept.get(key)
-            if hit is None:
-                hit = kept[key] = walk(i, out, x, z, t, tol_act)
-            out[i], own = hit
+            if key not in kept:
+                kept[key] = walk(i, out, x, z, t, tol_act)
+            out[i], own = kept[key]
             ties += own
         v, q, gens, per_node, _ = out[-1]
         gens = [(c, a) for c, a in zip(root.gens, gens) if np.count_nonzero(a)]
