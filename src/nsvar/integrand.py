@@ -569,11 +569,10 @@ def _compile(e: Expr, n: int | None = None) -> tuple:
             value = (kids[c].value, slots[1 - c])
         reads = op in (VarX, VarZ) or any(a.reads for a in args)
         tied = op in (Abs, Max) or any(a.tied for a in args)
-        layout = {}
+        support = gens = places = ()
         if n is not None:
             support = ((n * (op is VarZ) + value,) if op in (VarX, VarZ)
                        else tuple(sorted(set().union(*(a.support for a in args)))))
-            gens = ()
             if reads and (op in (Neg, Add, Sub, Abs, Max)
                           or (op is Mul and value is not None)):
                 gens = sum((a.gens for a in args), ())
@@ -581,8 +580,8 @@ def _compile(e: Expr, n: int | None = None) -> tuple:
                     gens += (support,)
             places = tuple(None if a.support == support
                            else _positions(a.support, support) for a in args)
-            layout = dict(support=support, gens=gens, places=places)
-        nodes.append(_Node(op, tuple(slots), start, value, reads, tied, **layout))
+        nodes.append(_Node(op, tuple(slots), start, value, reads, tied,
+                           support, gens, places))
         return len(nodes) - 1
 
     visit(e)
@@ -901,10 +900,7 @@ def _line_smooth(node, out, x, z, t, gx, gz):
 
 
 def _line_max(node, out, x, z, t, gx, gz):
-    result = out[node.args[0]]
-    for a in node.args[1:]:
-        result = _max2(result, out[a])
-    return result
+    return functools.reduce(_max2, [out[a] for a in node.args])
 
 
 def _smooth(op: Callable, slope: Callable, r: Folded) -> Folded:
@@ -1484,12 +1480,11 @@ def _sd_abs(node, out, x, z, t, tol, ties):
 
 def _sd_max(node, out, x, z, t, tol, ties):
     parts = [out[a] for a in node.args]
-    vmax = parts[0][0]
-    for part in parts[1:]:
-        vmax = np.maximum(vmax, part[0])
-    ties.append((vmax, [part[0] for part in parts]))
+    values = [part[0] for part in parts]
+    vmax = functools.reduce(np.maximum, values)
+    ties.append((vmax, values))
     floor = vmax - tol * (1.0 + np.abs(vmax))
-    active = [part[0] >= floor for part in parts]
+    active = [v >= floor for v in values]
     width = len(node.support)
     qs = [_widen(part[1], at, width) for part, at in zip(parts, node.places)]
     if len(parts) == 2:
