@@ -109,13 +109,15 @@ def _alternate(pkgs: list, rounds: int, timed, *per_tree) -> list[list[float]]:
     return times
 
 
-def _report(title: str, times: list[list[float]], sizes: list[str]) -> None:
+def _report(title: str, times: list[list[float]], notes: list[str]) -> None:
+    """Each tree's median and quartiles in ms, after its note, the ratio
+    to OLD, and the rounds in which NEW took less time."""
     medians = [statistics.median(t) for t in times]
     wins = sum(new < old for old, new in zip(*times))
     print(title)
-    for side, (t, size) in enumerate(zip(times, sizes)):
+    for side, (t, note) in enumerate(zip(times, notes)):
         q1, _, q3 = statistics.quantiles(t, n=4)
-        line = (f"  {('old', 'new')[side]}: {size}median {1e3 * medians[side]:.3f} "
+        line = (f"  {('old', 'new')[side]}: {note}median {1e3 * medians[side]:.3f} "
                 f"[{1e3 * q1:.3f}, {1e3 * q3:.3f}], ratio to old "
                 f"{medians[side] / medians[0]:.3f}")
         if side:
