@@ -542,9 +542,9 @@ class _Node:
     value: object
     reads: bool
     tied: bool
-    support: tuple = ()
-    gens: tuple = ()
-    places: tuple = ()
+    support: tuple
+    gens: tuple
+    places: tuple
 
 
 def _compile(e: Expr, n: int | None = None) -> tuple:
