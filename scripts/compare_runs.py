@@ -52,7 +52,16 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # above reaches: the chain rules of cos, exp and sqrt and the sqrt of a
 # subtree without x or z, both passes' negation, the line pass's
 # quotient of subtrees that change along the line, and both passes'
-# max of three branches.
+# max of three branches.  The last four reach the rest of the calculus
+# (scripts/reached.py lists what no run reaches).  per_node_smooth sends
+# norm's zero at t = 0 to the per-node route with a product, a quotient,
+# a negation, a constant factor on the right, a sqrt and a product
+# without x or z below it; on the grid it multiplies two subtrees that
+# both read x or z.  line_rules scales the line pass's kinks, negates a
+# subtree and divides one that does not fold by a constant.
+# per_node_norm holds norms away from their zero at nodes the per-node
+# route builds, and zero Jacobian rows at their zeros.  tie_in_tie takes
+# a max over a branch whose abs ties.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -91,6 +100,19 @@ EXTRA = {
     "three_way_max": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = max(x1 - t, t - x1, 0.1)"
         " + pow(z1, 2)\n", []),
+    "per_node_smooth": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1) + 0.5 * pow(x1 * z1 - t, 2)"
+        " + pow(-z1 + 1, 2) * 0.5 + sqrt(1 + pow(z1, 2))"
+        " + pow(x1, 2) / (1 + pow(z1, 2)) + pow(z1, 2) * (t * t)\n", []),
+    "line_rules": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = 2 * abs(x1 - t)"
+        " + 0.1 * (-sin(3 * x1)) + sin(x1) / 2 + pow(z1, 2)\n", []),
+    "per_node_norm": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1, t - 0.5)"
+        " + norm(z1 - 1, x1 - t) + norm(t - 0.5)\n", []),
+    "tie_in_tie": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = max(abs(x1 - t), 0)"
+        " + max(abs(x1 - 0.5 * t), -1) + pow(z1 - 0.7, 2)\n", []),
 }
 
 
