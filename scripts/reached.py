@@ -32,14 +32,15 @@ sys.path.insert(0, str(SRC))
 
 from nsvar import cli, integrand  # noqa: E402
 
-TABLES = ("_LINE_RULES", "_SD_RULES", "_SD_CHAIN")
+TABLES = ("_LINE_RULES", "_SD_RULES", "_NODE_RULES", "_SD_CHAIN")
 # The calculus's helpers: the rules call them, and the tables do not name
 # them.
 HELPERS = (
-    "_value_and_set", "_tie", "_msum", "_coordinate_ball", "_scale_signed",
-    "_product", "_quotient", "_norm", "_chain", "_at", "_constant", "_kinks",
-    "_poly_add", "_poly_mul", "_divisor", "_smooth", "_binary", "_max2",
-    "_checked_sqrt", "_norm_value", "_power", "_col", "_or", "_widen",
+    "_value_and_set", "_zero", "_tie", "_msum", "_coordinate_ball",
+    "_scale_signed", "_product", "_quotient", "_norm", "_chain", "_at",
+    "_constant", "_kinks", "_poly_add", "_poly_mul", "_divisor", "_smooth",
+    "_binary", "_max2", "_checked_sqrt", "_norm_value", "_power", "_col",
+    "_or", "_widen",
 )
 
 

@@ -24,13 +24,15 @@ operand inside ``abs`` or ``norm``: it would be concave.  A tree deeper
 than ``MAX_DEPTH`` nodes is rejected too.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
-by the n z-partials.  ``subdiff_expr`` builds one node's set as a tree of
-convex sets, whose ties are hulls under the support function.  The grid
-passes compile the tree once into a post-order node list (``_compile``)
-and walk it with one rule table each: ``compile_line`` folds the
-integrand along a line, and ``compile_subdiff`` gives every grid node's
-set at once, as a point plus segments, and marks the nodes whose sets
-take another form.
+by the n z-partials.  Every pass compiles the tree once into a post-order
+node list (``_compile``), which holds each node's facts: whether it
+reads x or z, its constant factor, its variable's column.  Each walks
+the list with one rule table: ``compile_line`` folds the integrand along
+a line, ``compile_subdiff`` gives every grid node's set at once, as a
+point plus segments, and marks the nodes whose sets take another form,
+and ``subdiff_expr`` builds one node's set as a tree of convex sets,
+whose ties are hulls under the support function.  ``format_expr`` writes
+the tree back in one loop over the same list.
 """
 
 from __future__ import annotations
@@ -235,8 +237,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # The deepest expression tree accepted, in nodes from the root to a leaf.
-# Parsing, validation, compilation and evaluation walk trees recursively,
-# a few Python frames per level, and this bound keeps every walk inside
+# Parsing, validation and compilation walk trees recursively, a few
+# Python frames per level, and this bound keeps every walk inside
 # the interpreter's default recursion limit of 1000.
 MAX_DEPTH = 200
 
@@ -298,10 +300,9 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "sym" and val == "-":
             self.next()
-            inner = self.atom()
-            if isinstance(inner, Const):
-                return Const(-inner.value)  # fold literal sign
-            return Neg(inner)
+            if self.peek()[0] == "num":     # fold the sign into a number
+                return Const(-float(self.next()[1]))
+            return Neg(self.atom())
         return self.atom()
 
     def atom(self) -> Expr:
@@ -474,47 +475,49 @@ def parse_expr(text: str, n: int, allow_vars: bool = True) -> Expr:
     return e
 
 
+# format_expr's infix operators: the text between the operands and the
+# binding level, 1 for sums and 3 for products.  Unary minus binds at 1,
+# a constant at 4 and a variable, t or a call at 5.
+_INFIX = {Add: (" + ", 1), Sub: (" - ", 1), Mul: (" * ", 3), Div: (" / ", 3)}
+
+
+def _wrap(text: str, wrap: bool) -> str:
+    return f"({text})" if wrap else text
+
+
 def format_expr(e: Expr) -> str:
-    """Render an expression in the input grammar (reparseable)."""
+    """Render an expression in the input grammar (reparseable).
 
-    def fmt(node: Expr, prec: int) -> str:
-        if isinstance(node, Const):
-            s = repr(node.value)
-            return s
-        if isinstance(node, Time):
-            return "t"
-        if isinstance(node, VarX):
-            return f"x{node.index}"
-        if isinstance(node, VarZ):
-            return f"z{node.index}"
-        if isinstance(node, Neg):
-            inner = fmt(node.arg, 9)
-            if inner.startswith("-") or not isinstance(
-                    node.arg, (Const, Time, VarX, VarZ, Sin, Cos, Exp,
-                               Sqrt, Abs, Max, Norm, Pow)):
-                inner = f"({inner})"
-            s = f"-{inner}"
-            return f"({s})" if prec > 1 else s
-        if isinstance(node, (Add, Sub)):
-            op = " + " if isinstance(node, Add) else " - "
-            s = fmt(node.left, 1) + op + fmt(node.right, 2)
-            return f"({s})" if prec > 1 else s
-        if isinstance(node, (Mul, Div)):
-            op = " * " if isinstance(node, Mul) else " / "
-            s = fmt(node.left, 3) + op + fmt(node.right, 4)
-            return f"({s})" if prec > 3 else s
-        if isinstance(node, Pow):
-            return f"pow({fmt(node.base, 0)}, {node.exponent})"
-        if isinstance(node, (Sin, Cos, Exp, Sqrt, Abs)):
-            name = type(node).__name__.lower()
-            return f"{name}({fmt(node.arg, 0)})"
-        if isinstance(node, Max):
-            return "max(" + ", ".join(fmt(a, 0) for a in node.args) + ")"
-        if isinstance(node, Norm):
-            return "norm(" + ", ".join(fmt(a, 0) for a in node.args) + ")"
-        raise TypeError(f"not an Expr: {node!r}")
-
-    return fmt(e, 0)
+    One loop over e's node list (_compile) writes each node from its
+    arguments' (text, level): an infix operand gets one pair of
+    parentheses when it binds more loosely than its operator (on the
+    right, also when as loosely), and a negated operand unless it is a
+    variable, t or a call.  So a negated constant reads -(c), which
+    parses back to the same tree: the parser folds a sign only into a
+    number.
+    """
+    out: list = []
+    for node in _compile(e):
+        args = [out[a] for a in node.args]
+        op, level = node.op, 5
+        if op in _INFIX:
+            sym, level = _INFIX[op]
+            (left, l1), (right, l2) = args
+            text = _wrap(left, l1 < level) + sym + _wrap(right, l2 <= level)
+        elif op is Neg:
+            (arg, l1), = args
+            text, level = "-" + _wrap(arg, l1 < 5), 1
+        elif op is Const:
+            text, level = repr(node.value), 4
+        elif op is Time:
+            text = "t"
+        elif op in (VarX, VarZ):
+            text = f"{'x' if op is VarX else 'z'}{node.value + 1}"
+        else:
+            params = [a for a, _ in args] + ([f"{node.value}"] if op is Pow else [])
+            text = f"{op.__name__.lower()}({', '.join(params)})"
+        out.append((text, level))
+    return out[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +550,19 @@ class _Node:
     places: tuple
 
 
-def _compile(e: Expr, n: int | None = None) -> tuple:
-    """e's nodes in post-order, a quotient's divisor before its numerator
-    as a walk of the expression takes them, so that each subtree is the
-    run nodes[start:slot + 1]; with the grid pass's layout when n is
+def _compile(e: Expr, n: int | None = None, divisor_first: bool = True) -> tuple:
+    """e's nodes in post-order, so that each subtree is the run
+    nodes[start:slot + 1]; a quotient's divisor before its numerator
+    unless divisor_first is false; with the grid pass's layout when n is
     given."""
     nodes: list = []
 
     def visit(e: Expr) -> int:
-        start, kids = len(nodes), _args(e)
+        start, kids, op = len(nodes), _args(e), type(e)
         slots = [0] * len(kids)
-        for k in (1, 0) if isinstance(e, Div) else range(len(kids)):
+        for k in (1, 0) if op is Div and divisor_first else range(len(kids)):
             slots[k] = visit(kids[k])
         args = [nodes[s] for s in slots]
-        op = type(e)
         value = getattr(e, "value", getattr(e, "exponent", None))
         if op in (VarX, VarZ):
             value = e.index - 1
@@ -1112,107 +1114,138 @@ _TOL_ACT = 1e-9
 _NO_COLUMNS = np.zeros(0)
 
 
+# The per-node route's node list, compiled for the tree and n of the last
+# call, kept while calls pass that tree object itself: [tree, n, steps].
+# Trees need not hash (their arguments may be lists), so none is a key.
+_per_node: list = [None, 0, ()]
+
+
 def _value_and_set(e: Expr, p: EvalPoint,
                    tol_act: float = _TOL_ACT) -> tuple[float, ConvexSet]:
+    """The integrand's value and subdifferential at p (subdiff_expr).
+
+    The call walks e's node list, compiled for n = len(p.x) (_compile),
+    with one rule per node type (_NODE_RULES), on Python floats.  The
+    list takes each quotient's numerator before its divisor, so the first
+    node that raises is the first in a left-to-right walk of the tree.
+    """
     n = p.x.shape[0]
-    d = 2 * n
+    if _per_node[0] is not e or _per_node[1] != n:
+        nodes = _compile(e, n, divisor_first=False)
+        _per_node[:] = e, n, [(node, _NODE_RULES[node.op]) for node in nodes]
+    steps = _per_node[2]
+    out = [None] * len(steps)
+    for i, (node, rule) in enumerate(steps):
+        out[i] = rule(node, out, p, tol_act)
+    return out[-1]
 
-    def singleton_basis(column: int) -> ConvexSet:
-        g = np.zeros(d)
-        g[column] = 1.0
-        return Singleton(g)
 
-    # rec gives (value, set, whether the subtree reads x or z).  A
-    # subtree that does not has the set {0}, as in the grid pass: its
-    # product and quotient rules are not run, its chain rules run on an
-    # empty gradient, so a gradient that would be 0 / 0 cannot be nan,
-    # and its abs and max return the point.  By the grammar, a product,
-    # quotient, smooth function or norm then sees only points.
-    def rec(node: Expr) -> tuple[float, ConvexSet, bool]:
-        if isinstance(node, Const):
-            return node.value, Singleton(np.zeros(d)), False
-        if isinstance(node, Time):
-            return p.t, Singleton(np.zeros(d)), False
-        if isinstance(node, VarX):
-            return float(p.x[node.index - 1]), singleton_basis(node.index - 1), True
-        if isinstance(node, VarZ):
-            return (float(p.z[node.index - 1]),
-                    singleton_basis(n + node.index - 1), True)
-        if isinstance(node, Neg):
-            v, s, reads = rec(node.arg)
-            return -v, negate(s), reads
-        if isinstance(node, Add):
-            v1, s1, r1 = rec(node.left)
-            v2, s2, r2 = rec(node.right)
-            return v1 + v2, _msum(s1, s2), r1 or r2
-        if isinstance(node, Sub):
-            v1, s1, r1 = rec(node.left)
-            v2, s2, r2 = rec(node.right)
-            return v1 - v2, _msum(s1, negate(s2)), r1 or r2
-        if isinstance(node, Mul):
-            v1, s1, r1 = rec(node.left)
-            v2, s2, r2 = rec(node.right)
-            if isinstance(node.left, Const):
-                return v1 * v2, _scale_signed(v1, s2), r2
-            if isinstance(node.right, Const):
-                return v1 * v2, _scale_signed(v2, s1), r1
-            if not (r1 or r2):
-                return v1 * v2, Singleton(np.zeros(d)), False
-            v, g = _product(v1, s1.point, v2, s2.point)
-            return v, Singleton(g), True
-        if isinstance(node, Div):
-            v1, s1, r1 = rec(node.left)
-            v2, s2, r2 = rec(node.right)
-            if v2 == 0.0:
-                raise DomainError("division by zero", p.t)
-            if not (r1 or r2):
-                return v1 / v2, Singleton(np.zeros(d)), False
-            v, g = _quotient(v1, s1.point, v2, s2.point)
-            return v, Singleton(g), True
-        if isinstance(node, (Pow, Sin, Cos, Exp, Sqrt)):
-            v, s, reads = rec(node.base if isinstance(node, Pow) else node.arg)
-            chain = _chain(type(node), reads)
-            if isinstance(node, Sqrt):
-                if v < 0.0:
-                    raise DomainError("sqrt of a negative value", p.t)
-                if v == 0.0 and chain is _chain_sqrt:
-                    raise DomainError("sqrt not differentiable at 0", p.t)
-            k = node.exponent if isinstance(node, Pow) else None
-            if not reads:
-                val, _, _ = chain(v, _NO_COLUMNS, k)
-                return float(val), Singleton(np.zeros(d)), False
-            val, g, _ = chain(v, s.point, k)
-            return float(val), Singleton(g), True
-        if isinstance(node, Abs):
-            v, s, reads = rec(node.arg)
-            act = tol_act * (1.0 + abs(v))
-            if v > act:
-                return v, s, reads
-            if v < -act:
-                return -v, negate(s), reads
-            return abs(v), _tie([s, negate(s)]) if reads else s, reads
-        if isinstance(node, Max):
-            triples = [rec(a) for a in node.args]
-            vals = np.array([v for v, _, _ in triples])
-            vmax = float(vals.max())
-            act = tol_act * (1.0 + abs(vmax))
-            active = [s for (v, s, _), va in zip(triples, vals) if va >= vmax - act]
-            reads = any(r for _, _, r in triples)
-            if len(active) == 1 or not reads:
-                return vmax, active[0], reads
-            return vmax, _tie(active), reads
-        if isinstance(node, Norm):
-            triples = [rec(a) for a in node.args]
-            rows = np.vstack([s.point for _, s, _ in triples])
-            nrm, g, nonzero = _norm(np.array([v for v, _, _ in triples]), rows)
-            reads = any(r for _, _, r in triples)
-            if nonzero:
-                return float(nrm), Singleton(g), reads
-            return float(nrm), _coordinate_ball(rows, d), reads
-        raise TypeError(f"not an Expr: {node!r}")
+# The per-node route's rules: rule(node, out, p, tol) gives the node's
+# (value, set) at the point p from its arguments' in out, the set in
+# R^(2n).  A node without x or z has the set {0}, as on the grid: its
+# product and quotient rules are not run, its chain rules run on an empty
+# gradient, so a gradient that would be 0 / 0 cannot be nan, and its abs
+# and max return the point.  By the grammar, a product, quotient, smooth
+# function or norm then sees only points.
 
-    v, s, _ = rec(e)
-    return v, s
+
+def _zero(p: EvalPoint) -> ConvexSet:
+    return Singleton(np.zeros(2 * p.x.shape[0]))
+
+
+def _node_const(node, out, p, tol):
+    return (node.value if node.op is Const else p.t), _zero(p)
+
+
+def _node_var(node, out, p, tol):
+    v = float((p.z if node.op is VarZ else p.x)[node.value])
+    g = np.zeros(2 * p.x.shape[0])
+    g[node.support[0]] = 1.0
+    return v, Singleton(g)
+
+
+def _node_neg(node, out, p, tol):
+    v, s = out[node.args[0]]
+    return -v, negate(s)
+
+
+def _node_add(node, out, p, tol):
+    (v1, s1), (v2, s2) = out[node.args[0]], out[node.args[1]]
+    if node.op is Add:
+        return v1 + v2, _msum(s1, s2)
+    return v1 - v2, _msum(s1, negate(s2))
+
+
+def _node_product(node, out, p, tol):
+    (v1, s1), (v2, s2) = out[node.args[0]], out[node.args[1]]
+    if node.op is Div:
+        if v2 == 0.0:
+            raise DomainError("division by zero", p.t)
+        if not node.reads:
+            return v1 / v2, _zero(p)
+        v, g = _quotient(v1, s1.point, v2, s2.point)
+        return v, Singleton(g)
+    if node.value is not None:  # a constant factor scales the other side
+        c, other = node.value
+        return v1 * v2, _scale_signed(c, out[other][1])
+    if not node.reads:
+        return v1 * v2, _zero(p)
+    v, g = _product(v1, s1.point, v2, s2.point)
+    return v, Singleton(g)
+
+
+def _node_smooth(node, out, p, tol):
+    v, s = out[node.args[0]]
+    chain = _chain(node.op, node.reads)
+    if node.op is Sqrt:
+        if v < 0.0:
+            raise DomainError("sqrt of a negative value", p.t)
+        if v == 0.0 and chain is _chain_sqrt:
+            raise DomainError("sqrt not differentiable at 0", p.t)
+    if not node.reads:
+        val, _, _ = chain(v, _NO_COLUMNS, node.value)
+        return float(val), _zero(p)
+    val, g, _ = chain(v, s.point, node.value)
+    return float(val), Singleton(g)
+
+
+def _node_abs(node, out, p, tol):
+    v, s = out[node.args[0]]
+    act = tol * (1.0 + abs(v))
+    if v > act:
+        return v, s
+    if v < -act:
+        return -v, negate(s)
+    return abs(v), _tie([s, negate(s)]) if node.reads else s
+
+
+def _node_max(node, out, p, tol):
+    pairs = [out[a] for a in node.args]
+    vals = np.array([v for v, _ in pairs])
+    vmax = float(vals.max())
+    act = tol * (1.0 + abs(vmax))
+    active = [s for (_, s), va in zip(pairs, vals) if va >= vmax - act]
+    if len(active) == 1 or not node.reads:
+        return vmax, active[0]
+    return vmax, _tie(active)
+
+
+def _node_norm(node, out, p, tol):
+    pairs = [out[a] for a in node.args]
+    rows = np.vstack([s.point for _, s in pairs])
+    nrm, g, nonzero = _norm(np.array([v for v, _ in pairs]), rows)
+    if nonzero:
+        return float(nrm), Singleton(g)
+    return float(nrm), _coordinate_ball(rows, rows.shape[1])
+
+
+_NODE_RULES = {
+    Const: _node_const, Time: _node_const, VarX: _node_var, VarZ: _node_var,
+    Neg: _node_neg, Add: _node_add, Sub: _node_add, Mul: _node_product,
+    Div: _node_product, Pow: _node_smooth, Sin: _node_smooth, Cos: _node_smooth,
+    Exp: _node_smooth, Sqrt: _node_smooth, Abs: _node_abs, Max: _node_max,
+    Norm: _node_norm,
+}
 
 
 def subdiff_expr(e: Expr, p: EvalPoint,
@@ -1230,6 +1263,10 @@ def subdiff_expr(e: Expr, p: EvalPoint,
     epsilon-subdifferential of epsilon-steepest descent, which already
     holds the gradients from the far side of a nearby kink.  norm always
     tests its zero at _TOL_ACT: it stays exact.
+
+    The set is built by one walk of e's node list (_value_and_set), which
+    is compiled once and kept while calls pass the same tree object e, as
+    the grid passes keep their results per grid; nothing hashes e.
     """
     _, s = _value_and_set(e, p, tol_act)
     return s
@@ -1249,8 +1286,8 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
     subdiff_expr's set is the zonotope q + sum_k lambda_k gens[k] with
     lambda in [-1, 1]^k.
     Gradients are carried in forward mode (Griewank and Walther,
-    Evaluating Derivatives, 2008) by the value and gradient rules
-    _value_and_set also calls, and with its tie rules: an abs tie on a
+    Evaluating Derivatives, 2008) by the value and gradient rules the
+    per-node route also calls, and with its tie rules: an abs tie on a
     point g gives the generator g, a two-way max tie on points g1, g2
     gives the center (g1 + g2)/2 and the generator (g1 - g2)/2.
 
@@ -1551,11 +1588,12 @@ def _leaf_block(npoints: int, width: int) -> np.ndarray:
 
 
 # The value and gradient rules of the smooth operations, the one copy
-# both routes call: _value_and_set with a value and a (d,) gradient per
-# argument, the grid pass with (N,) values and (N, k) gradient blocks.
+# both routes call: the per-node rules (_NODE_RULES) with a value and a
+# (d,) gradient per argument, the grid pass with (N,) values and (N, k)
+# gradient blocks.
 # The same numpy operations on the same numbers give both routes the same
 # bits, column by column.  The line pass takes its slopes from the chain
-# rules too (_slope), with (N, 1) slopes for gradients.
+# rules too (_line_smooth), with (N, 1) slopes for gradients.
 
 
 def _product(v1, q1, v2, q2):

@@ -4,8 +4,15 @@ Layout convention checked throughout: gradients and subdifferential sets
 live in R^{2n} ordered (x1..xn, z1..zn).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import nsvar
 
 from _oracles import (
     dual_gradient,
@@ -672,6 +679,28 @@ def test_format_round_trip_random():
             assert eval_expr(e2, p) == pytest.approx(a, rel=1e-14, abs=1e-14)
 
 
+def test_format_round_trip_is_exact_on_random_trees():
+    """format_expr writes a negated constant as -(c), which parses back to
+    the same tree: the parser folds a sign only into a number."""
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        e = random_expr(rng, n)
+        assert parse_expr(format_expr(e), n) == e, format_expr(e)
+    assert format_expr(Neg(Const(2.0))) == "-(2.0)"
+    assert parse_expr("-(2.0)", 1) == Neg(Const(2.0))
+    assert parse_expr("-2.0", 1) == Const(-2.0)
+
+
+def test_format_puts_one_pair_of_parentheses_around_an_operand():
+    assert format_expr(Neg(Add(VarX(1), VarX(2)))) == "-(x1 + x2)"
+    assert format_expr(Neg(Neg(VarX(1)))) == "-(-x1)"
+    assert format_expr(Neg(Const(-2.0))) == "-(-2.0)"
+    assert format_expr(Sub(VarX(1), Neg(VarZ(1)))) == "x1 - (-z1)"
+    assert format_expr(Mul(Neg(VarX(1)), Div(Time(), Add(VarX(1), Const(1.0))))) == \
+        "(-x1) * (t / (x1 + 1.0))"
+
+
 def test_is_smooth_and_uses_z():
     assert not is_smooth(parse_expr("abs(x1)", 1))
     assert is_smooth(parse_expr("sin(t) * x1 + pow(z1, 2)", 1))
@@ -1077,6 +1106,40 @@ def test_per_node_route_gives_sqrt_without_x_or_z_its_value():
     assert np.array_equal(s.vertices, [[1.0, 0.0], [-1.0, 0.0]])
     s = subdiff_expr(e, _pt([0.0], [0.0], 0.0625))
     assert isinstance(s, Singleton) and np.array_equal(s.point, [-1.0, 0.0])
+
+
+def test_per_node_route_raises_at_the_first_node_left_to_right():
+    """Both sides of the quotient raise at x1 = 0; the numerator's comes
+    first, as in a walk of the tree from the left."""
+    with pytest.raises(DomainError, match="sqrt not differentiable at 0"):
+        subdiff_expr(parse_expr("sqrt(x1) / sqrt(x1 - 1)", 1), _pt([0.0], [0.0]))
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        subdiff_expr(parse_expr("sqrt(x1 - 1) / (1 / (t - t))", 1), _pt([0.0], [0.0]))
+
+
+def test_per_node_route_keeps_no_stale_tree():
+    """Calls on tree A, then B over the same n, then A again each give the
+    set that a fresh interpreter gives for that tree."""
+    texts = ("max(x1, z1) + norm(x2)", "abs(x1 - z2) + 2 * max(z1, x2)")
+    point = "EvalPoint(np.zeros(2), np.zeros(2), 0.0)"
+    directions = np.vstack([np.eye(4), -np.eye(4),
+                            np.random.default_rng(5).standard_normal((4, 4))])
+    script = (
+        "import sys, numpy as np\n"
+        "from nsvar.convexgeom import support\n"
+        "from nsvar.integrand import EvalPoint, parse_expr, subdiff_expr\n"
+        "g = np.array(eval(sys.argv[2]))\n"
+        f"s = subdiff_expr(parse_expr(sys.argv[1], 2), {point})\n"
+        "print(repr([support(s, d)[0] for d in g]))\n")
+    src = str(Path(nsvar.__file__).parents[1])
+    fresh = [subprocess.run(
+        [sys.executable, "-c", script, text, repr(directions.tolist())],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True).stdout.strip() for text in texts]
+    trees = [parse_expr(text, 2) for text in texts]
+    for k in (0, 1, 0):
+        s = subdiff_expr(trees[k], EvalPoint(np.zeros(2), np.zeros(2), 0.0))
+        assert repr([support(s, d)[0] for d in directions]) == fresh[k]
 
 
 def test_a_pass_rejects_arrays_of_another_width():

@@ -18,7 +18,8 @@ from nsvar.cli import builtin_config_overrides, load_problem
 from nsvar.convexgeom import min_norm_point
 from nsvar.functional import (ProblemSpec, eval_I, eval_I_along, initial_pair,
                               measure, min_norm_field)
-from nsvar.integrand import DomainError, Max, format_expr
+from nsvar.integrand import (Add, Const, DomainError, Max, Norm, Pow, Sub, VarX,
+                             VarZ, format_expr)
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
 from nsvar.trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq
 
@@ -241,6 +242,15 @@ def test_solve_deterministic():
     assert np.array_equal(xz1.x.values, xz2.x.values)
     assert np.array_equal(xz1.z.values, xz2.z.values)
     assert recs1 == recs2
+
+
+def test_a_tree_with_list_arguments_solves():
+    """Nothing hashes the integrand: a tree built in Python may hold its
+    max and norm arguments in lists."""
+    e = Add(Max([Norm([VarX(1)]), Const(0.0)]), Pow(Sub(VarZ(1), Const(1.0)), 2))
+    p = ProblemSpec(n=1, horizon=1.0, x0=np.zeros(1), integrand=e)
+    _, recs, status = solve(p, SolverConfig())
+    assert status == "converged" and recs
 
 
 def test_solve_direction_log():
