@@ -1115,9 +1115,11 @@ _NO_COLUMNS = np.zeros(0)
 
 
 # The per-node route's node list, compiled for the tree and n of the last
-# call, kept while calls pass that tree object itself: [tree, n, steps].
+# call, kept while calls pass that tree object itself: (tree, n, steps).
 # Trees need not hash (their arguments may be lists), so none is a key.
-_per_node: list = [None, 0, ()]
+# A call reads the tuple once, so a call on another tree in between
+# costs a compile, never a wrong list.
+_per_node: tuple = (None, 0, ())
 
 
 def _value_and_set(e: Expr, p: EvalPoint,
@@ -1129,11 +1131,13 @@ def _value_and_set(e: Expr, p: EvalPoint,
     list takes each quotient's numerator before its divisor, so the first
     node that raises is the first in a left-to-right walk of the tree.
     """
+    global _per_node
     n = p.x.shape[0]
-    if _per_node[0] is not e or _per_node[1] != n:
-        nodes = _compile(e, n, divisor_first=False)
-        _per_node[:] = e, n, [(node, _NODE_RULES[node.op]) for node in nodes]
-    steps = _per_node[2]
+    tree, kept_n, steps = _per_node
+    if tree is not e or kept_n != n:
+        steps = [(node, _NODE_RULES[node.op])
+                 for node in _compile(e, n, divisor_first=False)]
+        _per_node = e, n, steps
     out = [None] * len(steps)
     for i, (node, rule) in enumerate(steps):
         out[i] = rule(node, out, p, tol_act)
