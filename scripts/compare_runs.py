@@ -48,20 +48,20 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # ball_tie starts at norm's zero, where max ties the ball with the point
 # 0: the per-node set is a convexgeom.Hull.  shared_norm's two norm
 # arguments touch one coordinate, whose rows merge into one ball there.
-# The last seven reach rules of the line and grid passes that no run
-# above reaches: the chain rules of cos, exp and sqrt and the sqrt of a
+# cos_term to three_way_max reach rules of the line and grid passes that
+# no run above reaches: the chain rules of cos, exp and sqrt and the sqrt of a
 # subtree without x or z, both passes' negation, the line pass's
 # quotient of subtrees that change along the line, and both passes'
 # max of three branches.  The last four reach the rest of the calculus
-# (scripts/reached.py lists what no run reaches).  per_node_smooth sends
-# norm's zero at t = 0 to the per-node route with a product, a quotient,
-# a negation, a constant factor on the right, a sqrt and a product
-# without x or z below it; on the grid it multiplies two subtrees that
-# both read x or z.  line_rules scales the line pass's kinks, negates a
-# subtree and divides one that does not fold by a constant.
-# per_node_norm holds norms away from their zero at nodes the per-node
-# route builds, and zero Jacobian rows at their zeros.  tie_in_tie takes
-# a max over a branch whose abs ties.
+# (scripts/reached.py lists what no run reaches).  In per_node_smooth,
+# norm(x1) at its zero (always at t = 0) sends nodes to the per-node
+# route, which there runs a product, a quotient, a negation, a constant
+# factor on the right, a sqrt and a product without x or z; on the grid
+# it multiplies two subtrees that both read x or z.  line_rules scales
+# the line pass's kinks, negates a subtree and divides one that does not
+# fold by a constant.  per_node_norm holds norms away from their zero at
+# nodes the per-node route builds, and zero Jacobian rows at their
+# zeros.  tie_in_tie takes a max over a branch whose abs ties.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"

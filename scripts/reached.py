@@ -55,17 +55,18 @@ def _calculus() -> set:
 def _statements(tree: ast.Module, names: set) -> list:
     """(first line, last line) of every statement in the named functions
     and the functions nested in them: a compound statement's header only,
-    without docstrings or raise statements."""
+    without docstrings, raise statements or global declarations."""
     spans = []
 
     def visit(body: list) -> None:
         for i, stmt in enumerate(body):
             docstring = (i == 0 and isinstance(stmt, ast.Expr)
                          and isinstance(stmt.value, ast.Constant))
-            if docstring or isinstance(stmt, ast.Raise):
+            # raise statements are left out, and declarations run no code
+            if docstring or isinstance(stmt, (ast.Raise, ast.Global, ast.Nonlocal)):
                 continue
-            inner = [b for field in ("body", "orelse", "finalbody")
-                     for b in [getattr(stmt, field, None)] if b]
+            inner = [b for b in (getattr(stmt, "body", None),
+                                 getattr(stmt, "orelse", None)) if b]
             end = inner[0][0].lineno - 1 if inner else stmt.end_lineno
             spans.append((stmt.lineno, max(stmt.lineno, end)))
             for b in inner:
@@ -80,7 +81,7 @@ def _statements(tree: ast.Module, names: set) -> list:
 def _lambdas(names: set) -> list:
     """The code objects of the lambdas in the named functions."""
     found, stack = [], [getattr(integrand, name) for name in names]
-    stack = [getattr(f, "__wrapped__", f).__code__ for f in stack]
+    stack = [f.__code__ for f in stack]
     while stack:
         inner = [c for c in stack.pop().co_consts if hasattr(c, "co_code")]
         found += [c for c in inner if c.co_name == "<lambda>"]

@@ -4,6 +4,7 @@ Layout convention checked throughout: gradients and subdifferential sets
 live in R^{2n} ordered (x1..xn, z1..zn).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -1125,15 +1126,14 @@ def test_per_node_route_keeps_no_stale_tree():
     directions = np.vstack([np.eye(4), -np.eye(4),
                             np.random.default_rng(5).standard_normal((4, 4))])
     script = (
-        "import sys, numpy as np\n"
+        "import json, sys\nimport numpy as np\n"
         "from nsvar.convexgeom import support\n"
         "from nsvar.integrand import EvalPoint, parse_expr, subdiff_expr\n"
-        "g = np.array(eval(sys.argv[2]))\n"
         f"s = subdiff_expr(parse_expr(sys.argv[1], 2), {point})\n"
-        "print(repr([support(s, d)[0] for d in g]))\n")
+        "print(repr([support(s, d)[0] for d in np.array(json.loads(sys.argv[2]))]))\n")
     src = str(Path(nsvar.__file__).parents[1])
     fresh = [subprocess.run(
-        [sys.executable, "-c", script, text, repr(directions.tolist())],
+        [sys.executable, "-c", script, text, json.dumps(directions.tolist())],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True).stdout.strip() for text in texts]
     trees = [parse_expr(text, 2) for text in texts]
