@@ -80,8 +80,7 @@ def _statements(tree: ast.Module, names: set) -> list:
 
 def _lambdas(names: set) -> list:
     """The code objects of the lambdas in the named functions."""
-    found, stack = [], [getattr(integrand, name) for name in names]
-    stack = [f.__code__ for f in stack]
+    found, stack = [], [getattr(integrand, name).__code__ for name in names]
     while stack:
         inner = [c for c in stack.pop().co_consts if hasattr(c, "co_code")]
         found += [c for c in inner if c.co_name == "<lambda>"]
@@ -124,13 +123,13 @@ def main() -> int:
     lines = source_path.read_text().splitlines()
     names = _calculus()
     here = {line for code, line in events if code.co_filename == str(source_path)}
-    missed = [first for first, last in _statements(ast.parse("\n".join(lines)), names)
-              if not here.intersection(range(first, last + 1))]
+    missed = {first for first, last in _statements(ast.parse("\n".join(lines)), names)
+              if not here.intersection(range(first, last + 1))}
     ran = {code for code, _ in events}
-    missed += [c.co_firstlineno for c in _lambdas(names) if c not in ran]
-    for line in sorted(set(missed)):
+    missed |= {c.co_firstlineno for c in _lambdas(names) if c not in ran}
+    for line in sorted(missed):
         print(f"{source_path.name}:{line}: {lines[line - 1].strip()}")
-    print(f"{len(set(missed))} lines of the calculus hold a statement or"
+    print(f"{len(missed)} lines of the calculus hold a statement or"
           " lambda that no run reaches")
     return 1 if missed else 0
 
