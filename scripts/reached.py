@@ -8,12 +8,16 @@ In one interpreter, with this tree's ``src`` on the path, the script runs
 ``nsvar.cli.run`` on every run of ``scripts/compare_runs.py`` (the
 built-ins, each benchmark pool member and ``EXTRA``), under a line
 tracer that follows only frames of ``src/nsvar``.  The calculus is every
-rule of the rule tables and ``_SD_CHAIN`` in ``nsvar.integrand``, the
-functions they build, and the helpers in ``HELPERS``.  The script prints
-each line of ``integrand.py`` that holds a statement (``raise``
-statements excepted) or a lambda of the calculus that no run executed,
-as ``integrand.py:LINE: source``, and exits 1 if there is any.  A compound
-statement counts as executed when its header is.
+function of ``nsvar.integrand`` that takes a node rule's ``node`` and
+``out`` (the rules of the rule tables and the wrappers the passes put
+around them), the chain rules of ``_SD_CHAIN``, every function of the
+module that one of these names, transitively, and the functions they
+build.  The script prints each line of ``integrand.py`` that holds a
+statement or a lambda of the calculus that no run executed, as
+``integrand.py:LINE: source``, and exits 1 if there is any.  Error paths
+are left out: ``raise`` statements, and every statement of a block that
+ends in one.  A compound statement counts as executed when its header
+is.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import importlib.util
 import io
 import sys
+import types
 import tempfile
 from pathlib import Path
 
@@ -32,38 +37,48 @@ sys.path.insert(0, str(SRC))
 
 from nsvar import cli, integrand  # noqa: E402
 
-TABLES = ("_LINE_RULES", "_SD_RULES", "_NODE_RULES", "_SD_CHAIN")
-# The calculus's helpers: the rules call them, and the tables do not name
-# them.
-HELPERS = (
-    "_value_and_set", "_zero", "_tie", "_msum", "_coordinate_ball",
-    "_scale_signed", "_product", "_quotient", "_norm", "_chain", "_at",
-    "_constant", "_kinks", "_poly_add", "_poly_mul", "_divisor", "_smooth",
-    "_binary", "_max2", "_checked_sqrt", "_norm_value", "_power", "_col",
-    "_or", "_widen",
-)
+def _codes(code: types.CodeType) -> list:
+    """code and the code objects nested in it."""
+    found, stack = [], [code]
+    while stack:
+        found.append(stack.pop())
+        stack += [c for c in found[-1].co_consts if isinstance(c, types.CodeType)]
+    return found
 
 
 def _calculus() -> set:
-    """The names of the calculus's module-level functions."""
-    names = set(HELPERS)
-    for table in TABLES:
-        names |= {f.__name__ for f in getattr(integrand, table).values()}
+    """The names of the calculus's module-level functions: those that take
+    a node rule's node and out, the chain rules, and every function of
+    integrand that one of these names, transitively."""
+    functions = {name: f for name, f in vars(integrand).items()
+                 if isinstance(f, types.FunctionType)
+                 and f.__module__ == integrand.__name__}
+    names = {f.__name__ for f in integrand._SD_CHAIN.values()}
+    names |= {name for name, f in functions.items() if {"node", "out"}
+              <= set(f.__code__.co_varnames[:f.__code__.co_argcount])}
+    stack = list(names)
+    while stack:
+        for code in _codes(functions[stack.pop()].__code__):
+            new = functions.keys() & set(code.co_names) - names
+            names |= new
+            stack += new
     return names
 
 
 def _statements(tree: ast.Module, names: set) -> list:
     """(first line, last line) of every statement in the named functions
     and the functions nested in them: a compound statement's header only,
-    without docstrings, raise statements or global declarations."""
+    without docstrings, error paths or global declarations."""
     spans = []
 
     def visit(body: list) -> None:
+        if isinstance(body[-1], ast.Raise):    # an error path
+            return
         for i, stmt in enumerate(body):
             docstring = (i == 0 and isinstance(stmt, ast.Expr)
                          and isinstance(stmt.value, ast.Constant))
-            # raise statements are left out, and declarations run no code
-            if docstring or isinstance(stmt, (ast.Raise, ast.Global, ast.Nonlocal)):
+            # declarations run no code
+            if docstring or isinstance(stmt, (ast.Global, ast.Nonlocal)):
                 continue
             inner = [b for b in (getattr(stmt, "body", None),
                                  getattr(stmt, "orelse", None)) if b]
@@ -80,12 +95,8 @@ def _statements(tree: ast.Module, names: set) -> list:
 
 def _lambdas(names: set) -> list:
     """The code objects of the lambdas in the named functions."""
-    found, stack = [], [getattr(integrand, name).__code__ for name in names]
-    while stack:
-        inner = [c for c in stack.pop().co_consts if hasattr(c, "co_code")]
-        found += [c for c in inner if c.co_name == "<lambda>"]
-        stack += inner
-    return found
+    return [c for name in names for c in _codes(getattr(integrand, name).__code__)
+            if c.co_name == "<lambda>"]
 
 
 def _runs(scratch: Path) -> list:

@@ -550,17 +550,17 @@ class _Node:
     places: tuple
 
 
-def _compile(e: Expr, n: int | None = None, divisor_first: bool = True) -> tuple:
-    """e's nodes in post-order, so that each subtree is the run
-    nodes[start:slot + 1]; a quotient's divisor before its numerator
-    unless divisor_first is false; with the grid pass's layout when n is
+def _compile(e: Expr, n: int | None = None) -> tuple:
+    """e's nodes in post-order, a quotient's divisor before its numerator
+    as a walk of the expression takes them, so that each subtree is the
+    run nodes[start:slot + 1]; with the grid pass's layout when n is
     given."""
     nodes: list = []
 
     def visit(e: Expr) -> int:
         start, kids, op = len(nodes), _args(e), type(e)
         slots = [0] * len(kids)
-        for k in (1, 0) if op is Div and divisor_first else range(len(kids)):
+        for k in (1, 0) if op is Div else range(len(kids)):
             slots[k] = visit(kids[k])
         args = [nodes[s] for s in slots]
         value = getattr(e, "value", getattr(e, "exponent", None))
@@ -1127,16 +1127,22 @@ def _value_and_set(e: Expr, p: EvalPoint,
     """The integrand's value and subdifferential at p (subdiff_expr).
 
     The call walks e's node list, compiled for n = len(p.x) (_compile),
-    with one rule per node type (_NODE_RULES), on Python floats.  The
-    list takes each quotient's numerator before its divisor, so the first
-    node that raises is the first in a left-to-right walk of the tree.
+    with one rule per node type (_NODE_RULES), on Python floats.  As in
+    the line pass, a quotient's divisor comes before its numerator and
+    raises at its zero before the numerator runs, so both report the same
+    first DomainError.
     """
     global _per_node
     n = p.x.shape[0]
     tree, kept_n, steps = _per_node
     if tree is not e or kept_n != n:
-        steps = [(node, _NODE_RULES[node.op])
-                 for node in _compile(e, n, divisor_first=False)]
+        nodes = _compile(e, n)
+        rules = [_NODE_RULES[node.op] for node in nodes]
+        for node in nodes:
+            if node.op is Div:
+                rules[node.args[1]] = functools.partial(_node_divisor,
+                                                        rules[node.args[1]])
+        steps = list(zip(nodes, rules))
         _per_node = e, n, steps
     out = [None] * len(steps)
     for i, (node, rule) in enumerate(steps):
@@ -1180,11 +1186,17 @@ def _node_add(node, out, p, tol):
     return v1 - v2, _msum(s1, negate(s2))
 
 
+def _node_divisor(rule, node, out, p, tol):
+    """A divisor's rule, raising at its zero."""
+    v, s = rule(node, out, p, tol)
+    if v == 0.0:
+        raise DomainError("division by zero", p.t)
+    return v, s
+
+
 def _node_product(node, out, p, tol):
     (v1, s1), (v2, s2) = out[node.args[0]], out[node.args[1]]
-    if node.op is Div:
-        if v2 == 0.0:
-            raise DomainError("division by zero", p.t)
+    if node.op is Div:     # without a zero divisor: _node_divisor checked it
         if not node.reads:
             return v1 / v2, _zero(p)
         v, g = _quotient(v1, s1.point, v2, s2.point)

@@ -693,6 +693,18 @@ def test_format_round_trip_is_exact_on_random_trees():
     assert parse_expr("-2.0", 1) == Const(-2.0)
 
 
+def test_a_negated_constant_in_parentheses_is_no_constant_factor():
+    """A sign folds only into a number, so -(c) stays a negation: it is
+    neither a product's constant factor nor a pow exponent."""
+    assert parse_expr("0.5 * abs(x1)", 1) == Mul(Const(0.5), Abs(VarX(1)))
+    with pytest.raises(ExprError, match="nonsmooth subexpression inside a product"):
+        parse_expr("-(-0.5) * abs(x1)", 1)
+    with pytest.raises(ExprError, match="nonsmooth subexpression inside a product"):
+        parse_expr("-(2) * abs(x1)", 1)
+    with pytest.raises(ExprError, match="pow exponent must be an integer literal"):
+        parse_expr("pow(x1, -(-2))", 1)
+
+
 def test_format_puts_one_pair_of_parentheses_around_an_operand():
     assert format_expr(Neg(Add(VarX(1), VarX(2)))) == "-(x1 + x2)"
     assert format_expr(Neg(Neg(VarX(1)))) == "-(-x1)"
@@ -1109,13 +1121,19 @@ def test_per_node_route_gives_sqrt_without_x_or_z_its_value():
     assert isinstance(s, Singleton) and np.array_equal(s.point, [-1.0, 0.0])
 
 
-def test_per_node_route_raises_at_the_first_node_left_to_right():
-    """Both sides of the quotient raise at x1 = 0; the numerator's comes
-    first, as in a walk of the tree from the left."""
-    with pytest.raises(DomainError, match="sqrt not differentiable at 0"):
-        subdiff_expr(parse_expr("sqrt(x1) / sqrt(x1 - 1)", 1), _pt([0.0], [0.0]))
-    with pytest.raises(DomainError, match="sqrt of a negative value"):
-        subdiff_expr(parse_expr("sqrt(x1 - 1) / (1 / (t - t))", 1), _pt([0.0], [0.0]))
+def test_per_node_route_raises_where_the_line_pass_does():
+    """Where both sides of a quotient fail at a point, the per-node route
+    and the line pass raise the same first DomainError: the divisor's
+    subtree and its zero before the numerator."""
+    for text, message in (("sqrt(x1) / sqrt(x1 - 1)", "sqrt of a negative value"),
+                          ("sqrt(x1) / (t - t)", "division by zero"),
+                          ("sqrt(x1 - 1) / (t - t)", "division by zero"),
+                          ("sqrt(x1 - 1) / (1 / (t - t))", "division by zero")):
+        e, p = parse_expr(text, 1), _pt([0.0], [0.0])
+        with pytest.raises(DomainError, match=message):
+            eval_expr(e, p)
+        with pytest.raises(DomainError, match=message):
+            subdiff_expr(e, p)
 
 
 def test_per_node_route_keeps_no_stale_tree():
