@@ -61,7 +61,9 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # the line pass's kinks, negates a subtree and divides one that does not
 # fold by a constant.  per_node_norm holds norms away from their zero at
 # nodes the per-node route builds, and zero Jacobian rows at their
-# zeros.  tie_in_tie takes a max over a branch whose abs ties.
+# zeros.  tie_in_tie takes a max over a branch whose abs ties.  At node
+# 0 of scaled_tie, norm(x1) is at its zero and abs ties, so the per-node
+# route scales the tie's polytope by the constant factor 2.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -113,6 +115,9 @@ EXTRA = {
     "tie_in_tie": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = max(abs(x1 - t), 0)"
         " + max(abs(x1 - 0.5 * t), -1) + pow(z1 - 0.7, 2)\n", []),
+    "scaled_tie": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1) + 2 * abs(x1 - t)"
+        " + pow(z1 - 1, 2)\n", []),
 }
 
 
