@@ -126,19 +126,6 @@ def dim(s: ConvexSet) -> int:
     raise TypeError(f"not a ConvexSet: {s!r}")
 
 
-def negate(s: ConvexSet) -> ConvexSet:
-    """The reflected set -S = {-v : v in S}."""
-    if isinstance(s, Singleton):
-        return Singleton(-s.point)
-    if isinstance(s, Polytope):
-        return Polytope(-s.vertices)
-    if isinstance(s, Ball):
-        return Ball(-s.center, s.radius, s.mask)
-    if isinstance(s, (MinkowskiSum, Hull)):
-        return type(s)(tuple(negate(m) for m in s.members))
-    raise TypeError(f"not a ConvexSet: {s!r}")
-
-
 def scale(c: float, s: ConvexSet) -> ConvexSet:
     """c * S for c >= 0, applied eagerly to the primitives."""
     if c < 0.0:

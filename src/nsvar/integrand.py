@@ -7,8 +7,8 @@ and the Euclidean ``norm``.  The grammar deliberately restricts where
 the nonsmooth constructs may appear so that an exact convex
 subdifferential is available at every point:
 
-* smooth subtrees contribute singleton gradients, and subtrees without
-  x or z the point 0, ``abs`` and ``max`` among them,
+* smooth subtrees contribute their gradients, and subtrees without x
+  or z the gradient 0, ``abs`` and ``max`` among them,
 * sums add subdifferentials (Minkowski sum),
 * nonnegative constant factors scale them,
 * ``abs``/``max`` at a tie contribute the convex hull of the active
@@ -30,9 +30,10 @@ reads x or z, its constant factor, its variable's column.  Each walks
 the list with one rule table: ``compile_line`` folds the integrand along
 a line, ``compile_subdiff`` gives every grid node's set at once, as a
 point plus segments, and marks the nodes whose sets take another form,
-and ``subdiff_expr`` builds one node's set as a tree of convex sets,
-whose ties are hulls under the support function.  ``format_expr`` writes
-the tree back in one loop over the same list.
+and ``subdiff_expr`` builds one node's set, a gradient except at ties
+and norm zeros, where it becomes a tree of convex sets whose ties are
+hulls under the support function.  ``format_expr`` writes the tree back
+in one loop over the same list.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .convexgeom import (
     MinkowskiSum,
     Polytope,
     Singleton,
-    negate,
     scale,
     support,
 )
@@ -1055,36 +1055,38 @@ def eval_expr(e: Expr, p: EvalPoint) -> float:
 # subdifferential
 
 
-def _scale_signed(c: float, s: ConvexSet) -> ConvexSet:
-    return scale(c, s) if c >= 0.0 else negate(scale(-c, s))
+def _as_set(g) -> ConvexSet:
+    """A per-node rule's gradient or set as a set: a gradient, a (2n,)
+    array, as its point."""
+    return Singleton(g) if isinstance(g, np.ndarray) else g
 
 
 def _tie(sets: list) -> ConvexSet:
-    """The convex hull of the active branches' sets: a Polytope of their
-    stacked vertices when each is a point or a polytope, else a Hull."""
-    if all(isinstance(s, (Singleton, Polytope)) for s in sets):
-        return Polytope(np.vstack([s.point if isinstance(s, Singleton)
+    """The convex hull of the active branches' gradients or sets: a
+    Polytope of their stacked vertices when each is a point or a
+    polytope, else a Hull."""
+    if all(isinstance(s, (np.ndarray, Polytope)) for s in sets):
+        return Polytope(np.vstack([s if isinstance(s, np.ndarray)
                                    else s.vertices for s in sets]))
-    return Hull(tuple(sets))
+    return Hull(tuple(map(_as_set, sets)))
 
 
-def _msum(s1: ConvexSet, s2: ConvexSet) -> ConvexSet:
-    if isinstance(s1, Singleton) and isinstance(s2, Singleton):
-        return Singleton(s1.point + s2.point)
-    parts = []
-    for s in (s1, s2):
-        parts.extend(s.members if isinstance(s, MinkowskiSum) else (s,))
-    return MinkowskiSum(tuple(parts))
+def _msum(g1, g2):
+    """The sum of two gradients or sets: a gradient for two gradients."""
+    if isinstance(g1, np.ndarray) and isinstance(g2, np.ndarray):
+        return g1 + g2
+    return MinkowskiSum((_as_set(g1), _as_set(g2)))
 
 
-def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
+def _coordinate_ball(rows: np.ndarray, d: int):
     """Image of the unit ball under J^T when J has scaled coordinate rows.
 
     rows is the (m, d) Jacobian of the norm arguments.  Zero rows drop
     out; the remaining rows must each touch a single coordinate, whose
     radius is the norm of its rows, and the radii must share a common
-    value c, giving a radius-c ball on those coordinates.  Anything else
-    has no representation here.
+    value c, giving a radius-c ball on those coordinates, or the zero
+    gradient where every row is zero.  Anything else has no
+    representation here.
     """
     mags = np.zeros(d)
     for row in rows:
@@ -1100,7 +1102,7 @@ def _coordinate_ball(rows: np.ndarray, d: int) -> ConvexSet:
         mags[j] = math.hypot(mags[j], float(row[j]))
     mask = mags > 0.0
     if not mask.any():
-        return Singleton(np.zeros(d))
+        return np.zeros(d)
     r = mags[mask]
     if r.max() - r.min() > 1e-9 * (1.0 + r.max()):
         raise SubdiffError("norm arguments have mismatched scales at a zero")
@@ -1124,13 +1126,15 @@ _per_node: tuple = (None, 0, ())
 
 def _value_and_set(e: Expr, p: EvalPoint,
                    tol_act: float = _TOL_ACT) -> tuple[float, ConvexSet]:
-    """The integrand's value and subdifferential at p (subdiff_expr).
+    """The integrand's value and subdifferential at p (subdiff_expr), for
+    a tree e that passes check_expr.
 
     The call walks e's node list, compiled for n = len(p.x) (_compile),
-    with one rule per node type (_NODE_RULES), on Python floats.  As in
-    the line pass, a quotient's divisor comes before its numerator and
-    raises at its zero before the numerator runs, so both report the same
-    first DomainError.
+    with one rule per node type (_NODE_RULES), on Python floats, and
+    wraps the root's gradient, if it is one, as a Singleton.  As in the
+    line pass, a quotient's divisor comes before its numerator and raises
+    at its zero before the numerator runs, so both report the same first
+    DomainError.
     """
     global _per_node
     n = p.x.shape[0]
@@ -1147,71 +1151,69 @@ def _value_and_set(e: Expr, p: EvalPoint,
     out = [None] * len(steps)
     for i, (node, rule) in enumerate(steps):
         out[i] = rule(node, out, p, tol_act)
-    return out[-1]
+    v, g = out[-1]
+    return v, _as_set(g)
 
 
 # The per-node route's rules: rule(node, out, p, tol) gives the node's
-# (value, set) at the point p from its arguments' in out, the set in
-# R^(2n).  A node without x or z has the set {0}, as on the grid: its
-# product and quotient rules are not run, its chain rules run on an empty
-# gradient, so a gradient that would be 0 / 0 cannot be nan, and its abs
-# and max return the point.  By the grammar, a product, quotient, smooth
-# function or norm then sees only points.
-
-
-def _zero(p: EvalPoint) -> ConvexSet:
-    return Singleton(np.zeros(2 * p.x.shape[0]))
+# (value, g) at the point p from its arguments' in out.  g is a set in
+# R^(2n) only where an abs or max over x or z ties or a norm is at its
+# zero, and in the sums, hulls and nonnegative multiples of such sets;
+# everywhere else it is the gradient, a (2n,) array.  A tree that passes
+# check_expr negates no set and hands none to a product, quotient,
+# smooth function, abs or norm, so those rules see gradients alone.  A
+# node without x or z has the gradient 0, as on the grid: its product and
+# quotient rules are not run, its chain rules run on an empty gradient,
+# so a gradient that would be 0 / 0 cannot be nan, and its abs and max
+# return the point.
 
 
 def _node_const(node, out, p, tol):
-    return (node.value if node.op is Const else p.t), _zero(p)
+    return (node.value if node.op is Const else p.t), np.zeros(2 * p.x.shape[0])
 
 
 def _node_var(node, out, p, tol):
     v = float((p.z if node.op is VarZ else p.x)[node.value])
     g = np.zeros(2 * p.x.shape[0])
     g[node.support[0]] = 1.0
-    return v, Singleton(g)
+    return v, g
 
 
 def _node_neg(node, out, p, tol):
-    v, s = out[node.args[0]]
-    return -v, negate(s)
+    v, g = out[node.args[0]]
+    return -v, -g
 
 
 def _node_add(node, out, p, tol):
-    (v1, s1), (v2, s2) = out[node.args[0]], out[node.args[1]]
+    (v1, g1), (v2, g2) = out[node.args[0]], out[node.args[1]]
     if node.op is Add:
-        return v1 + v2, _msum(s1, s2)
-    return v1 - v2, _msum(s1, negate(s2))
+        return v1 + v2, _msum(g1, g2)
+    return v1 - v2, _msum(g1, -g2)
 
 
 def _node_divisor(rule, node, out, p, tol):
     """A divisor's rule, raising at its zero."""
-    v, s = rule(node, out, p, tol)
+    v, g = rule(node, out, p, tol)
     if v == 0.0:
         raise DomainError("division by zero", p.t)
-    return v, s
+    return v, g
 
 
 def _node_product(node, out, p, tol):
-    (v1, s1), (v2, s2) = out[node.args[0]], out[node.args[1]]
-    if node.op is Div:     # without a zero divisor: _node_divisor checked it
-        if not node.reads:
-            return v1 / v2, _zero(p)
-        v, g = _quotient(v1, s1.point, v2, s2.point)
-        return v, Singleton(g)
+    (v1, g1), (v2, g2) = out[node.args[0]], out[node.args[1]]
     if node.value is not None:  # a constant factor scales the other side
         c, other = node.value
-        return v1 * v2, _scale_signed(c, out[other][1])
+        g = out[other][1]
+        return v1 * v2, c * g if isinstance(g, np.ndarray) else scale(c, g)
     if not node.reads:
-        return v1 * v2, _zero(p)
-    v, g = _product(v1, s1.point, v2, s2.point)
-    return v, Singleton(g)
+        return (v1 / v2 if node.op is Div else v1 * v2), np.zeros_like(g1)
+    if node.op is Div:     # without a zero divisor: _node_divisor checked it
+        return _quotient(v1, g1, v2, g2)
+    return _product(v1, g1, v2, g2)
 
 
 def _node_smooth(node, out, p, tol):
-    v, s = out[node.args[0]]
+    v, g = out[node.args[0]]
     chain = _chain(node.op, node.reads)
     if node.op is Sqrt:
         if v < 0.0:
@@ -1220,19 +1222,19 @@ def _node_smooth(node, out, p, tol):
             raise DomainError("sqrt not differentiable at 0", p.t)
     if not node.reads:
         val, _, _ = chain(v, _NO_COLUMNS, node.value)
-        return float(val), _zero(p)
-    val, g, _ = chain(v, s.point, node.value)
-    return float(val), Singleton(g)
+        return float(val), np.zeros_like(g)
+    val, g, _ = chain(v, g, node.value)
+    return float(val), g
 
 
 def _node_abs(node, out, p, tol):
-    v, s = out[node.args[0]]
+    v, g = out[node.args[0]]
     act = tol * (1.0 + abs(v))
     if v > act:
-        return v, s
+        return v, g
     if v < -act:
-        return -v, negate(s)
-    return abs(v), _tie([s, negate(s)]) if node.reads else s
+        return -v, -g
+    return abs(v), _tie([g, -g]) if node.reads else g
 
 
 def _node_max(node, out, p, tol):
@@ -1240,7 +1242,7 @@ def _node_max(node, out, p, tol):
     vals = np.array([v for v, _ in pairs])
     vmax = float(vals.max())
     act = tol * (1.0 + abs(vmax))
-    active = [s for (_, s), va in zip(pairs, vals) if va >= vmax - act]
+    active = [g for (_, g), va in zip(pairs, vals) if va >= vmax - act]
     if len(active) == 1 or not node.reads:
         return vmax, active[0]
     return vmax, _tie(active)
@@ -1248,11 +1250,9 @@ def _node_max(node, out, p, tol):
 
 def _node_norm(node, out, p, tol):
     pairs = [out[a] for a in node.args]
-    rows = np.vstack([s.point for _, s in pairs])
+    rows = np.vstack([g for _, g in pairs])
     nrm, g, nonzero = _norm(np.array([v for v, _ in pairs]), rows)
-    if nonzero:
-        return float(nrm), Singleton(g)
-    return float(nrm), _coordinate_ball(rows, rows.shape[1])
+    return float(nrm), g if nonzero else _coordinate_ball(rows, rows.shape[1])
 
 
 _NODE_RULES = {
@@ -1268,10 +1268,11 @@ def subdiff_expr(e: Expr, p: EvalPoint,
                  tol_act: float = _TOL_ACT) -> ConvexSet:
     """Convex subdifferential of the integrand at p, as a set in R^(2n).
 
-    A tie is the convex hull of its active branches' sets (_tie), and a
-    subtree without x or z the point 0.  SubdiffError is left to norm at
-    a zero whose set is no ball: rows that are not coordinate-aligned,
-    or coordinates with unequal radii.
+    e must pass check_expr, as every ProblemSpec integrand does; the call
+    does not check it again.  A tie is the convex hull of its active
+    branches' sets (_tie), and a subtree without x or z the point 0.
+    SubdiffError is left to norm at a zero whose set is no ball: rows
+    that are not coordinate-aligned, or coordinates with unequal radii.
 
     An abs or max branch counts as active when it is within
     tol_act * (1 + |value|) of the deciding value.  The default gives the
@@ -1282,7 +1283,9 @@ def subdiff_expr(e: Expr, p: EvalPoint,
 
     The set is built by one walk of e's node list (_value_and_set), which
     is compiled once and kept while calls pass the same tree object e, as
-    the grid passes keep their results per grid; nothing hashes e.
+    the grid passes keep their results per grid; nothing hashes e.  The
+    walk carries a plain gradient wherever the integrand is
+    differentiable and builds sets only at ties and norm zeros.
     """
     _, s = _value_and_set(e, p, tol_act)
     return s
