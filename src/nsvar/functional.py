@@ -94,6 +94,7 @@ from .trajectory import (
     cumulative_integral,
     cumulative_trapezoid,
     require_finite,
+    require_index,
     reverse_cumulative_integral,
     trapezoid,
     trap_row_dots,
@@ -117,8 +118,9 @@ class ProblemSpec:
     use_phi, the consistency penalty, when use_psi is or the integrand
     reads some z, because psi reads z and without phi nothing ties x to
     it.  Neither can be set; dataclasses.replace derives both again.
-    x0 and xT are kept as read-only copies.  lambda0 is the penalty
-    weight a solve starts from.
+    x0 and xT are kept as read-only copies, n as an int, and horizon
+    and lambda0 as Python floats, so numpy scalars write out as plain
+    numbers.  lambda0 is the penalty weight a solve starts from.
     The integrand and the initial guesses must pass the parser's checks
     (parse_expr, and only t in the guesses), so a tree built in Python
     that the parser would reject, one more than integrand.MAX_DEPTH
@@ -140,11 +142,13 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         put = object.__setattr__
+        put(self, "n", require_index("n", self.n))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         require_finite("horizon", self.horizon)
+        put(self, "horizon", float(self.horizon))
 
         def vector(label: str) -> None:
             # a read-only copy: neither the caller nor a reader changes it
@@ -170,6 +174,7 @@ class ProblemSpec:
         if not self.lambda0 > 0.0:
             raise ValueError("lambda0 must be positive")
         require_finite("lambda0", self.lambda0)
+        put(self, "lambda0", float(self.lambda0))
         put(self, "use_psi", self.xT is not None)
         put(self, "use_phi", self.use_psi or uses_var_z(self.integrand))
 

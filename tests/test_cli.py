@@ -75,6 +75,14 @@ def test_problem_file_round_trip(tmp_path):
         assert back.name == f"{name}_copy"
 
 
+def test_problem_file_round_trip_with_numpy_scalars(tmp_path):
+    spec = dataclasses.replace(load_problem("example1"), n=np.int64(1),
+                               horizon=np.float64(2.0), lambda0=np.float64(3.0))
+    f = tmp_path / "numpy.prob"
+    write_problem(spec, f)
+    assert load_problem(str(f)) == spec
+
+
 def test_problem_file_errors(tmp_path):
     cases = {
         "T = 1.0\nx0 = 0.0\nintegrand = abs(x1)\n": "missing key 'n'",

@@ -100,6 +100,11 @@ def test_problem_validation():
     assert _simple().lambda0 == 1.0
 
 
+def test_problem_rejects_a_float_n():
+    with pytest.raises(ValueError, match="^n must be an integer, got 1.0$"):
+        ProblemSpec(n=1.0, horizon=1.0, x0=[0.0], integrand=parse_expr("abs(x1)", 1))
+
+
 def test_problem_flag_inference():
     p = _simple()
     assert not p.use_psi and not p.use_phi
