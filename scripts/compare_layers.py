@@ -19,6 +19,12 @@ benchmark workload (``perfbench/workloads.py`` next to this script):
   the workload's seed-0 panel, with the workload's flags, for
   SOLVE_ROUNDS rounds, in CPU time.
 
+Then, per node: at each point of NODE_POINTS, each tree's
+``integrand.subdiff_expr`` on its own parse of the problem's integrand,
+NODE_CALLS calls per round, for ROUNDS rounds, in wall time.  Both
+points take the per-node route, which the field of pool member 1 never
+takes.
+
 The two trees take turns at going first, round by round.  Each mode
 prints, per workload and tree, the median and quartiles of a round in
 ms, the median's ratio to OLD, and in how many rounds NEW took less
@@ -46,6 +52,15 @@ from compare_runs import _workloads
 ROUNDS = 40
 SOLVE_ROUNDS = 20
 MEMBER = 1  # the pool member solved, with no node on the per-node route
+NODE_CALLS = 200
+# (label, built-in name or workload, x, z, t): example4 at its initial
+# iterate, where norm(z1 - 1, x2) is at its zero, and kink_tracking's
+# reference member where both abs and the max in the first one tie.
+NODE_POINTS = (
+    ("example4 at its norm's zero", "example4", (0, 0, 0), (1, 0, 0), 0.0),
+    ("kink_tracking member 0 at t = 0.5, x1 = 0", "kink_tracking",
+     (0, 0), (0, 0), 0.5),
+)
 
 
 def _import_tree(tree: Path, name: str, scratch: Path):
@@ -53,7 +68,7 @@ def _import_tree(tree: Path, name: str, scratch: Path):
     shutil.copytree(tree / "src" / "nsvar", scratch / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cli", "solver", "functional", "trajectory")}
+            for mod in ("cli", "solver", "functional", "trajectory", "integrand")}
 
 
 def _capture(pkg: dict, problem: Path, flags: tuple, out: Path) -> list[tuple]:
@@ -99,6 +114,15 @@ def _solves(pkg: dict, runs: list[list[str]]) -> float:
         return time.process_time() - c0
 
 
+def _nodes(pkg: dict, e, point) -> float:
+    """Seconds for NODE_CALLS calls of subdiff_expr at one point."""
+    subdiff = pkg["integrand"].subdiff_expr
+    t0 = time.perf_counter()
+    for _ in range(NODE_CALLS):
+        subdiff(e, point)
+    return time.perf_counter() - t0
+
+
 def _alternate(pkgs: list, rounds: int, timed, *per_tree) -> list[list[float]]:
     """Each tree's time of timed(pkg, its argument) per round, the trees
     taking turns at going first."""
@@ -139,7 +163,8 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(scratch))
         pkgs = [_import_tree(tree, f"_nsvar_{side}", scratch)
                 for tree, side in zip(trees, ("old", "new"))]
-        for w in _workloads().values():
+        workloads = _workloads()
+        for w in workloads.values():
             problem = scratch / f"{w.name}_{MEMBER}.txt"
             problem.write_text(w.problem(w.params(MEMBER)))
             calls = [_capture(pkg, problem, w.flags, scratch / f"{w.name}_{side}")
@@ -159,6 +184,17 @@ def main(argv: list[str]) -> int:
             _report(f"{w.name} seed-0 panel, {len(panel)} members: cli.run solves, "
                     f"{SOLVE_ROUNDS} rounds, CPU ms per round",
                     _alternate(pkgs, SOLVE_ROUNDS, _solves, runs), ["", ""])
+        for label, source, x, z, t in NODE_POINTS:
+            if source in workloads:
+                w = workloads[source]
+                path = scratch / f"{source}_0.txt"
+                path.write_text(w.problem(w.params(0)))
+                source = str(path)
+            trees = [pkg["cli"].load_problem(source).integrand for pkg in pkgs]
+            points = [pkg["integrand"].EvalPoint(x, z, t) for pkg in pkgs]
+            _report(f"{label}: subdiff_expr, {NODE_CALLS} calls, "
+                    f"{ROUNDS} rounds, ms per round",
+                    _alternate(pkgs, ROUNDS, _nodes, trees, points), ["", ""])
     return 0
 
 
