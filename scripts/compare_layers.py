@@ -190,11 +190,11 @@ def main(argv: list[str]) -> int:
                 path = scratch / f"{source}_0.txt"
                 path.write_text(w.problem(w.params(0)))
                 source = str(path)
-            trees = [pkg["cli"].load_problem(source).integrand for pkg in pkgs]
+            exprs = [pkg["cli"].load_problem(source).integrand for pkg in pkgs]
             points = [pkg["integrand"].EvalPoint(x, z, t) for pkg in pkgs]
             _report(f"{label}: subdiff_expr, {NODE_CALLS} calls, "
                     f"{ROUNDS} rounds, ms per round",
-                    _alternate(pkgs, ROUNDS, _nodes, trees, points), ["", ""])
+                    _alternate(pkgs, ROUNDS, _nodes, exprs, points), ["", ""])
     return 0
 
 

@@ -660,9 +660,11 @@ def test_format_round_trip_builtins():
 def test_format_round_trip_random():
     """Formatting preserves meaning; on parser output it round-trips exactly.
 
-    Generated trees may contain shapes the parser normalizes away (it folds
-    a negated literal into the constant), so the structural check runs on
-    the reparsed form.
+    The parser folds a sign only into a number token, so a generated
+    tree's negated constant comes back as the same tree;
+    test_format_round_trip_is_exact_on_random_trees pins that exact round
+    trip on generated trees, and this test checks the reparsed form and
+    the values.
     """
     rng = np.random.default_rng(9)
     for _ in range(200):
