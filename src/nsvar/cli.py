@@ -24,9 +24,9 @@ its retakes passed over because their field was the one already taken,
 and its line searches that the breakpoint sweep's exact minimizer
 decided.
 A solve that fails once the output directory exists leaves a summary.json
-with status "failed" and the reason; once it has a first pair, it also
-leaves that run's last pair in trajectory.csv and its records so far in
-convergence.csv (a header only when there are none).
+with status "failed" and the reason; once it has a first iterate, it
+also leaves that run's last iterate in trajectory.csv and its records so
+far in convergence.csv (a header only when there are none).
 """
 
 from __future__ import annotations
@@ -164,8 +164,9 @@ def load_problem(source: str) -> ProblemSpec:
         text, name = path.read_text(), path.stem
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        # no value in the grammar holds a '#', so it starts a comment
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ProblemFileError(f"line {lineno}: expected 'key = value'")
@@ -253,11 +254,12 @@ def _columns(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{j + 1}" for j in range(n)]
 
 
-def _write_run(outdir: Path, state, z, records: list[IterationRecord]) -> None:
-    """trajectory.csv (the reported state and z) and convergence.csv."""
+def _write_run(outdir: Path, state, xz, records: list[IterationRecord]) -> None:
+    """trajectory.csv (the reported state and the iterate's z) and
+    convergence.csv."""
     n = state.ncomp
     _write_csv(outdir / "trajectory.csv", ["t", *_columns("x", n), *_columns("z", n)],
-               np.column_stack([state.grid.nodes, state.values, z.values]))
+               np.column_stack([state.grid.nodes, state.values, xz.values[:, n:]]))
     _write_csv(outdir / "convergence.csv",
                ["k", "I", "J", "psi", "phi", "vnorm", "lambda", "gamma", "N",
                 "eps", "ls_evals"],
@@ -347,10 +349,10 @@ def run(argv: list[str]) -> int:
             (outdir / "summary.json").write_text(json.dumps(failed, indent=2) + "\n")
             if hasattr(exc, "last_run"):
                 xz, records = exc.last_run
-                # The last pair may hold the inf that stopped the solve.
+                # The last iterate may hold the inf that stopped the solve.
                 with np.errstate(all="ignore"):
                     state = recovered_state(spec, xz)
-                _write_run(outdir, state, xz.z, records)
+                _write_run(outdir, state, xz, records)
             raise
         wall = time.perf_counter() - t0
 
@@ -371,7 +373,7 @@ def run(argv: list[str]) -> int:
                      "skipped": st.skipped, "sweeps": st.sweeps}
                     for st in stage_log],
         )
-        _write_run(outdir, state, xz.z, records)
+        _write_run(outdir, state, xz, records)
         (outdir / "summary.json").write_text(
             json.dumps(asdict(summary), indent=2) + "\n")
         if direction_log is not None:

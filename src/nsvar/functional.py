@@ -49,7 +49,7 @@ as a point plus a list of segment generators, each a block over the
 columns it can touch, and zonotope_min_norm's closed form gives every
 node a candidate minimum-norm point with its certificate.  Only the
 nodes the pass masks and those whose candidate fails its certificate
-build a ConvexSet (subdiff_I_nodes, subdiff_I_at) and go through
+build a ConvexSet (subdiff_I_nodes) and go through
 min_norm_point.  The pass also hands out its tie tests, from which
 integrand.next_tolerance tells the tolerances that give the same field.
 
@@ -89,13 +89,12 @@ from .integrand import (
 )
 from .trajectory import (
     Grid,
-    PairTraj,
     Traj,
     cumulative_integral,
     cumulative_trapezoid,
     require_finite,
     require_index,
-    reverse_cumulative_integral,
+    reverse_cumulative_trapezoid,
     trapezoid,
     trap_row_dots,
 )
@@ -104,7 +103,7 @@ __all__ = [
     "ProblemSpec", "MinNormUncertified", "initial_pair", "recovered_state",
     "eval_J", "eval_psi", "grad_psi", "eval_phi", "grad_phi", "eval_I",
     "eval_I_along", "penalty_values", "Measurement", "measure",
-    "subdiff_I_at", "subdiff_I_nodes", "min_norm_field",
+    "subdiff_I_nodes", "min_norm_field",
 ]
 
 
@@ -112,7 +111,8 @@ __all__ = [
 class ProblemSpec:
     """A variational problem instance, frozen once built.
 
-    Subdifferentials and gradients are laid out in R^(2n) as
+    Iterates, subdifferentials and gradients are laid out in R^(2n):
+    an iterate is one (N, 2n) Traj, x1..xn then z1..zn, and a gradient
     (x-partials, z-partials).  The problem decides its penalties:
     use_psi, the endpoint penalty, is on exactly when xT is given, and
     use_phi, the consistency penalty, when use_psi is or the integrand
@@ -207,7 +207,7 @@ class ProblemSpec:
         return compile_subdiff(self.integrand, self.n)
 
 
-def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
+def recovered_state(p: ProblemSpec, xz: Traj) -> Traj:
     """The solution trajectory a run reports.
 
     When the problem treats z as a live variable (phi or psi active) the
@@ -218,12 +218,12 @@ def recovered_state(p: ProblemSpec, xz: PairTraj) -> Traj:
     and is returned unchanged.
     """
     if p.use_phi:
-        return cumulative_integral(xz.z, p.x0)
-    return xz.x.copy()
+        return cumulative_integral(Traj(xz.grid, xz.values[:, p.n:]), p.x0)
+    return Traj(xz.grid, xz.values[:, :p.n].copy())
 
 
-def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
-    """Nodal starting trajectories.
+def initial_pair(p: ProblemSpec, grid: Grid) -> Traj:
+    """Nodal starting trajectories, as one (N, 2n) iterate.
 
     initial_x defaults to the constant x0.  A missing initial_z is filled
     with nodal finite differences of the x samples.  A guess that is not
@@ -249,7 +249,7 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> PairTraj:
         zvals = sampled("initial_z", p.initial_z)
     else:
         zvals = np.gradient(xvals, grid.h, axis=0)
-    return PairTraj(Traj(grid, xvals), Traj(grid, zvals))
+    return Traj(grid, np.hstack([xvals, zvals]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,10 @@ def _residuals(p: ProblemSpec, x: np.ndarray | None, z: np.ndarray, h: float,
             x - xint if use_phi else None)
 
 
-def _pair_residuals(p: ProblemSpec, xz: PairTraj) -> tuple:
-    """_residuals at the pair xz."""
-    return _residuals(p, xz.x.values, xz.z.values, xz.grid.h, p.x0, p.xT)
+def _pair_residuals(p: ProblemSpec, xz: Traj) -> tuple:
+    """_residuals at the iterate xz."""
+    return _residuals(p, xz.values[:, :p.n], xz.values[:, p.n:], xz.grid.h,
+                      p.x0, p.xT)
 
 
 def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
@@ -297,38 +298,38 @@ def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
 
 def _phi_rows(grid: Grid, d: np.ndarray) -> np.ndarray:
     """grad_phi's values, the adjoint of the discrete phi at residual d."""
-    zpart = -reverse_cumulative_integral(Traj(grid, d)).values
+    zpart = -reverse_cumulative_trapezoid(d, grid.h)
     half_h = 0.5 * grid.h
     zpart[0] += half_h * d[0]
     zpart[-1] = -half_h * d[-1]
     return np.hstack([d, zpart])
 
 
-def eval_J(p: ProblemSpec, xz: PairTraj) -> float:
-    """Trapezoid value of int f(x, z, t) dt on the pair's grid."""
+def eval_J(p: ProblemSpec, xz: Traj) -> float:
+    """Trapezoid value of int f(x, z, t) dt on the iterate's grid."""
     t = xz.grid.nodes
-    vals = p.integrand_line(xz.x.values, xz.z.values, t)(0.0)[0]
+    vals = p.integrand_line(xz.values[:, :p.n], xz.values[:, p.n:], t)(0.0)[0]
     _check_finite(vals, t)
     return trapezoid(vals, xz.grid.h)
 
 
-def eval_psi(p: ProblemSpec, z: Traj) -> float:
-    r = _residuals(p, None, z.values, z.grid.h, p.x0, p.xT)
-    return 0.5 * _inner(r, r, z.grid.h)[0]
+def eval_psi(p: ProblemSpec, xz: Traj) -> float:
+    r = _pair_residuals(p, xz)
+    return 0.5 * _inner(r, r, xz.grid.h)[0]
 
 
-def grad_psi(p: ProblemSpec, z: Traj) -> np.ndarray:
+def grad_psi(p: ProblemSpec, xz: Traj) -> np.ndarray:
     """Gateaux gradient of psi wrt z: the constant field x0 + int z - xT."""
-    r_psi = _residuals(p, None, z.values, z.grid.h, p.x0, p.xT)[0]
+    r_psi = _pair_residuals(p, xz)[0]
     return np.zeros(p.n) if r_psi is None else r_psi
 
 
-def eval_phi(p: ProblemSpec, xz: PairTraj) -> float:
+def eval_phi(p: ProblemSpec, xz: Traj) -> float:
     r = _pair_residuals(p, xz)
     return 0.5 * _inner(r, r, xz.grid.h)[1]
 
 
-def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
+def grad_phi(p: ProblemSpec, xz: Traj) -> Traj:
     """Gradient field of phi in R^(2n): x-part d(t), z-part -int_t^T d.
 
     The z-part is the exact adjoint of the discrete phi: the reverse
@@ -339,14 +340,14 @@ def grad_phi(p: ProblemSpec, xz: PairTraj) -> Traj:
     return Traj(xz.grid, _phi_rows(xz.grid, _pair_residuals(p, xz)[1]))
 
 
-def eval_I(p: ProblemSpec, xz: PairTraj, lam: float) -> float:
+def eval_I(p: ProblemSpec, xz: Traj, lam: float) -> float:
     """I = J + lam * psi + lam * phi."""
     J = eval_J(p, xz)
     psi, phi = penalty_values(p, xz)
     return J + lam * psi + lam * phi
 
 
-def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
+def eval_I_along(p: ProblemSpec, xz: Traj, direction: Traj,
                  m: Measurement) -> Callable[[float], tuple[float, float, float]]:
     """gamma -> (I, I'(gamma-), I'(gamma+)) at xz + gamma * direction.
 
@@ -362,7 +363,7 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     pass; it takes one trapezoid sum per quantity (a dot product with the
     trapezoid weights, nonnegative, so each side stays a side), adds the
     quadratic and its slope c1 + 2 c2 gamma, and builds no Traj and no
-    stepped copy of the pair.  Only a sum that is not finite sends the
+    stepped copy of the iterate.  Only a sum that is not finite sends the
     probe through the nodal values, to name the first one that is not.
     A probe raises DomainError where eval_I at the stepped pair would;
     its value equals that one to roundoff.  A subtree without x or z is
@@ -378,9 +379,10 @@ def eval_I_along(p: ProblemSpec, xz: PairTraj, direction: PairTraj,
     """
     grid = xz.grid
     h, t = grid.h, grid.nodes
-    xv, zv = xz.x.values, xz.z.values
-    gx, gz = direction.x.values, direction.z.values
-    zero = np.zeros(p.n)
+    n = p.n
+    xv, zv = xz.values[:, :n], xz.values[:, n:]
+    gx, gz = direction.values[:, :n], direction.values[:, n:]
+    zero = np.zeros(n)
     r0, lam = m.residuals, m.lam
     r1 = _residuals(p, gx, gz, h, zero, zero)
 
@@ -466,7 +468,7 @@ def _sweep_minimizer(a, b, weight, s1: float, s2: float) -> float | None:
     return float(roots[m])
 
 
-def penalty_values(p: ProblemSpec, xz: PairTraj) -> tuple[float, float]:
+def penalty_values(p: ProblemSpec, xz: Traj) -> tuple[float, float]:
     """(psi, phi) without the lambda weighting, from one integral of z.
 
     Half the residuals' squared norms, as eval_psi and eval_phi take them.
@@ -495,7 +497,7 @@ class Measurement:
         return self.J + self.lam * self.psi + self.lam * self.phi
 
 
-def measure(p: ProblemSpec, xz: PairTraj, lam: float) -> Measurement:
+def measure(p: ProblemSpec, xz: Traj, lam: float) -> Measurement:
     """The iterate's Measurement, from one integral of z.  Its J, psi and
     phi are eval_J's and penalty_values', to the bit, and it raises
     their errors, J's first."""
@@ -524,17 +526,18 @@ def _penalty_rows(p: ProblemSpec, grid: Grid, r: tuple, lam: float) -> np.ndarra
     return rows
 
 
-def _node_set(p: ProblemSpec, xz: PairTraj, rows: np.ndarray, i: int,
+def _node_set(p: ProblemSpec, xz: Traj, rows: np.ndarray, i: int,
               tol_act: float) -> ConvexSet:
     """Subdifferential of I at node i, given the penalty rows."""
-    point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
+    point = EvalPoint(xz.values[i, :p.n], xz.values[i, p.n:],
+                      float(xz.grid.nodes[i]))
     s = subdiff_expr(p.integrand, point, tol_act)
     if p.use_phi:
         s = MinkowskiSum((s, Singleton(rows[i])))
     return s
 
 
-def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
+def subdiff_I_nodes(p: ProblemSpec, xz: Traj, lam: float,
                     tol_act: float = _TOL_ACT) -> list[ConvexSet]:
     """Pointwise subdifferential of I at every grid node.
 
@@ -542,14 +545,6 @@ def subdiff_I_nodes(p: ProblemSpec, xz: PairTraj, lam: float,
     """
     rows = _penalty_rows(p, xz.grid, _pair_residuals(p, xz), lam)
     return [_node_set(p, xz, rows, i, tol_act) for i in range(xz.grid.npoints)]
-
-
-def subdiff_I_at(p: ProblemSpec, xz: PairTraj, lam: float, i: int) -> ConvexSet:
-    """Pointwise subdifferential of I at node i (0-based)."""
-    if not 0 <= i < xz.grid.npoints:
-        raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    rows = _penalty_rows(p, xz.grid, _pair_residuals(p, xz), lam)
-    return _node_set(p, xz, rows, i, _TOL_ACT)
 
 
 class MinNormUncertified(RuntimeError):
@@ -561,7 +556,7 @@ class MinNormUncertified(RuntimeError):
         self.gap = gap
 
 
-def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
+def min_norm_field(p: ProblemSpec, xz: Traj, m: Measurement,
                    tol_act: float = _TOL_ACT) -> tuple[Traj, list]:
     """Nodal minimum-norm subgradients of I, as a 2n-component field,
     and the pass's tie tests.
@@ -588,7 +583,7 @@ def min_norm_field(p: ProblemSpec, xz: PairTraj, m: Measurement,
     """
     grid = xz.grid
     _, q, gens, per_node, ties = p.integrand_subdiff(
-        xz.x.values, xz.z.values, grid.nodes, tol_act)
+        xz.values[:, :p.n], xz.values[:, p.n:], grid.nodes, tol_act)
     rows = m.rows
     if p.use_phi:     # else the rows are zero
         q = q + rows

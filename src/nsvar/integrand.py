@@ -55,7 +55,6 @@ from .convexgeom import (
     Polytope,
     Singleton,
     scale,
-    support,
 )
 from .trajectory import finite
 
@@ -63,9 +62,9 @@ __all__ = [
     "Const", "Time", "VarX", "VarZ", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
     "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
-    "parse_expr", "format_expr", "eval_expr", "compile_line", "eval_expr_grid",
-    "subdiff_expr", "compile_subdiff", "next_tolerance",
-    "directional_derivative", "uses_var_z", "is_smooth",
+    "parse_expr", "format_expr", "compile_line", "eval_expr_grid",
+    "subdiff_expr", "compile_subdiff", "next_tolerance", "uses_var_z",
+    "is_smooth",
 ]
 
 
@@ -1045,12 +1044,6 @@ def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.n
     return compile_line(e)(x, z, t)(0.0)[0]
 
 
-def eval_expr(e: Expr, p: EvalPoint) -> float:
-    """Evaluate the integrand at one point."""
-    out = eval_expr_grid(e, p.x[None, :], p.z[None, :], np.array([p.t]))
-    return float(out[0])
-
-
 # ---------------------------------------------------------------------------
 # subdifferential
 
@@ -1686,10 +1679,3 @@ def _chain(op: type, reads: bool) -> Callable:
     if op is Sqrt and not reads:
         return _chain_sqrt_of_t
     return _SD_CHAIN[op]
-
-
-def directional_derivative(e: Expr, p: EvalPoint, g: np.ndarray) -> float:
-    """f'(p; g) = max over the subdifferential of <v, g>, g in R^(2n)."""
-    s = subdiff_expr(e, p)
-    val, _ = support(s, np.asarray(g, float))
-    return val

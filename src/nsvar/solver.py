@@ -59,8 +59,8 @@ from .functional import (
     min_norm_field,
 )
 from .integrand import _TOL_ACT, DomainError, ExprError, next_tolerance
-from .trajectory import (Grid, PairTraj, Traj, require_finite,
-                         require_index, pl_l2_norm_sq, resample)
+from .trajectory import (Grid, Traj, require_finite, require_index,
+                         pl_l2_norm_sq, resample)
 
 __all__ = ["SolverConfig", "IterationRecord", "StageRecord",
            "steepest_direction", "line_search", "solve"]
@@ -159,11 +159,12 @@ _EPS = float(np.finfo(float).eps)
 _EPS_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, _TOL_ACT)
 
 
-def steepest_direction(p: ProblemSpec, xz: PairTraj, m: Measurement,
+def steepest_direction(p: ProblemSpec, xz: Traj, m: Measurement,
                        cfg: SolverConfig, eps: float = _TOL_ACT
-                       ) -> tuple[PairTraj | None, float, list]:
+                       ) -> tuple[Traj | None, float, list]:
     """Normalized descent direction G = -v/||v||, the field norm ||v||
-    and the field's tie tests (min_norm_field).
+    and the field's tie tests (min_norm_field).  G is laid out as the
+    iterate, (N, 2n).
 
     v is the minimum-norm field of the subdifferential at tie tolerance
     eps, with m = measure(p, xz, lam).  The direction is None when
@@ -175,11 +176,7 @@ def steepest_direction(p: ProblemSpec, xz: PairTraj, m: Measurement,
     vnorm = float(np.sqrt(vsq))
     if vsq <= cfg.eps_bar:
         return None, vnorm, ties
-    gvals = -v.values / vnorm
-    n = p.n
-    grid = xz.grid
-    return (PairTraj(Traj(grid, gvals[:, :n]), Traj(grid, gvals[:, n:])),
-            vnorm, ties)
+    return Traj(xz.grid, -v.values / vnorm), vnorm, ties
 
 
 def line_search(f: Callable[[float], tuple[float, float, float]], f0: float
@@ -327,11 +324,12 @@ def _step(lo: tuple, hi: tuple, bend_lo: float | None, bend_hi: float | None
 def solve(p: ProblemSpec, cfg: SolverConfig,
           direction_log: list | None = None,
           stage_log: list | None = None
-          ) -> tuple[PairTraj, list[IterationRecord], str]:
+          ) -> tuple[Traj, list[IterationRecord], str]:
     """Run the continuation ladder to a stationary, feasible iterate.
 
     The penalty weight starts at the problem's lambda0.  Returns the
-    final pair, the per-iteration records, and a status:
+    final iterate, one (N, 2n) Traj, the per-iteration records, and a
+    status:
     "converged" when a stage on the finest grid went stationary with
     psi + phi below constraint_tol, otherwise "exhausted".  A given
     stage_log receives one StageRecord per stage as it ends, and a given
@@ -341,8 +339,8 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
     data too large for double precision raises FloatingPointError at the
     first overflow instead of carrying inf and nan on.  An ExprError,
     MinNormUncertified or FloatingPointError raised after the initial
-    pair is built leaves with last_run = (the last pair, the records so
-    far) set on it.
+    iterate is built leaves with last_run = (the last iterate, the
+    records so far) set on it.
     """
     grid = Grid(p.horizon, cfg.grid_sizes[0])
     xz = initial_pair(p, grid)
@@ -396,14 +394,11 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     break
                 if direction_log is not None:
                     direction_log.append(
-                        (k, xz.grid.nodes.copy(),
-                         np.hstack([direction.x.values, direction.z.values]))
-                    )
+                        (k, xz.grid.nodes.copy(), direction.values.copy()))
                 if not ok:
                     stop = "ls_stall"
                     break
-                xz.x.values += gamma * direction.x.values
-                xz.z.values += gamma * direction.z.values
+                xz.values += gamma * direction.values
                 m = measure(p, xz, lam)
 
             if stage_log is not None:
@@ -421,7 +416,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                 # coarse iterate warm-starts the next resolution.
                 gi += 1
                 finer = Grid(p.horizon, cfg.grid_sizes[gi])
-                xz = PairTraj(resample(xz.x, finer), resample(xz.z, finer))
+                xz = resample(xz, finer)
                 advanced = True
             if pen > cfg.constraint_tol and lam < cfg.lambda_max:
                 lam = min(lam * cfg.lambda_factor, cfg.lambda_max)

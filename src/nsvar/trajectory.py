@@ -69,7 +69,9 @@ class Grid:
 class Traj:
     """Nodal values of an R^m-valued trajectory on a uniform grid.
 
-    values has shape (N, m); column j is component j.
+    values has shape (N, m); column j is component j.  An iterate (x, z)
+    of an n-dimensional problem is one Traj with m = 2n, x1..xn then
+    z1..zn, the column layout of the gradients.
     """
 
     grid: Grid
@@ -91,27 +93,6 @@ class Traj:
 
     def copy(self) -> "Traj":
         return Traj(self.grid, self.values.copy())
-
-
-@dataclass
-class PairTraj:
-    """State/derivative pair (x, z) sharing one grid."""
-
-    x: Traj
-    z: Traj
-
-    def __post_init__(self) -> None:
-        if self.x.grid != self.z.grid:
-            raise ValueError("x and z must live on the same grid")
-        if self.x.ncomp != self.z.ncomp:
-            raise ValueError("x and z must have the same number of components")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x.grid
-
-    def copy(self) -> "PairTraj":
-        return PairTraj(self.x.copy(), self.z.copy())
 
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -142,6 +123,18 @@ def cumulative_trapezoid(v: np.ndarray, h: float, x0: np.ndarray) -> np.ndarray:
     return out
 
 
+def reverse_cumulative_trapezoid(v: np.ndarray, h: float) -> np.ndarray:
+    """int_{t_i}^{T} of nodal values v, shape (N, m), node by node.
+
+    Returns a new (N, m) array.
+    """
+    steps = 0.5 * h * (v[:-1] + v[1:])
+    out = np.empty_like(v)
+    out[-1] = 0.0
+    out[:-1] = np.cumsum(steps[::-1], axis=0)[::-1]
+    return out
+
+
 def quadrature(a: Traj) -> float:
     """Trapezoid integral of a scalar trajectory over [0, T].
 
@@ -161,25 +154,7 @@ def cumulative_integral(z: Traj, x0: np.ndarray) -> Traj:
 
 def reverse_cumulative_integral(a: Traj) -> Traj:
     """R(t_i) = int_{t_i}^{T} a, by the trapezoid rule on each tail."""
-    v = a.values
-    h = a.grid.h
-    steps = 0.5 * h * (v[:-1] + v[1:])
-    out = np.empty_like(v)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(steps[::-1], axis=0)[::-1]
-    return Traj(a.grid, out)
-
-
-def l2_inner(a: Traj, b: Traj) -> float:
-    """L2 pairing <a, b> = int_0^T sum_j a_j(t) b_j(t) dt (trapezoid)."""
-    if a.grid != b.grid:
-        raise ValueError("trajectories live on different grids")
-    if a.ncomp != b.ncomp:
-        raise ValueError("component counts differ")
-    total = trapezoid(np.einsum("ij,ij->i", a.values, b.values), a.grid.h)
-    if not math.isfinite(total):
-        trap_row_dots((a.values, b.values))
-    return total
+    return Traj(a.grid, reverse_cumulative_trapezoid(a.values, a.grid.h))
 
 
 def pl_l2_norm_sq(a: Traj) -> float:

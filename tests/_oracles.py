@@ -3,7 +3,10 @@
 Everything here is deliberately written from scratch against the
 mathematical definitions (finite differences, forward-mode duals, brute
 force subset enumeration) so that agreement with the library is a real
-check and not a tautology.
+check and not a tautology.  The exception is the last section: one-point
+and one-node forms of the library's own passes (eval_expr,
+directional_derivative, subdiff_I_at) and the trapezoid L2 pairing
+l2_inner, which the tests use and no solve does.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ from itertools import combinations
 
 import numpy as np
 
-from nsvar.convexgeom import Ball, Hull, MinkowskiSum, Polytope, Singleton
+from nsvar.convexgeom import Ball, Hull, MinkowskiSum, Polytope, Singleton, support
+from nsvar.functional import grad_phi, grad_psi
 from nsvar.integrand import (
     Abs,
     Add,
     Const,
     Cos,
     Div,
+    EvalPoint,
     Exp,
     Max,
     Mul,
@@ -32,8 +37,10 @@ from nsvar.integrand import (
     Time,
     VarX,
     VarZ,
-    eval_expr,
+    eval_expr_grid,
+    subdiff_expr,
 )
+from nsvar.trajectory import trapezoid
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +402,43 @@ def min_activity_margin(e, p) -> float:
 
     visit(e)
     return float(min(margins))
+
+
+# ---------------------------------------------------------------------------
+# the library's passes at one point, and the trapezoid L2 pairing
+
+
+def eval_expr(e, p: EvalPoint) -> float:
+    """The integrand at one point, by eval_expr_grid on one node."""
+    out = eval_expr_grid(e, p.x[None, :], p.z[None, :], np.array([p.t]))
+    return float(out[0])
+
+
+def directional_derivative(e, p: EvalPoint, g) -> float:
+    """f'(p; g) = max over the subdifferential of <v, g>, g in R^(2n)."""
+    return support(subdiff_expr(e, p), np.asarray(g, float))[0]
+
+
+def subdiff_I_at(p, xz, lam: float, i: int):
+    """Pointwise subdifferential of I at node i (0-based) of the (N, 2n)
+    iterate xz: the integrand's set plus lam times the penalties' row
+    from grad_phi and grad_psi, where the problem has penalties."""
+    if not 0 <= i < xz.grid.npoints:
+        raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
+    n = p.n
+    point = EvalPoint(xz.values[i, :n], xz.values[i, n:], float(xz.grid.nodes[i]))
+    s = subdiff_expr(p.integrand, point)
+    if not p.use_phi:
+        return s
+    row = lam * grad_phi(p, xz).values[i]
+    row[n:] += lam * grad_psi(p, xz)
+    return MinkowskiSum((s, Singleton(row)))
+
+
+def l2_inner(a, b) -> float:
+    """L2 pairing <a, b> = int_0^T sum_j a_j(t) b_j(t) dt (trapezoid)."""
+    if a.grid != b.grid:
+        raise ValueError("trajectories live on different grids")
+    if a.ncomp != b.ncomp:
+        raise ValueError("component counts differ")
+    return trapezoid(np.einsum("ij,ij->i", a.values, b.values), a.grid.h)

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    directional_derivative,
+    eval_expr,
     fd_directional,
     min_activity_margin,
     qp_min_norm,
     random_expr,
     random_smooth_expr,
+    subdiff_I_at,
 )
 from nsvar.cli import builtin_config_overrides, load_problem
 from nsvar.convexgeom import Polytope, Singleton, min_norm_point, support
@@ -29,11 +32,10 @@ from nsvar.functional import (
     measure,
     min_norm_field,
     recovered_state,
-    subdiff_I_at,
 )
-from nsvar.integrand import EvalPoint, Max, directional_derivative, eval_expr, format_expr
+from nsvar.integrand import EvalPoint, Max, format_expr
 from nsvar.solver import SolverConfig, solve, steepest_direction
-from nsvar.trajectory import Grid, PairTraj, Traj, resample, trapezoid_weights
+from nsvar.trajectory import Grid, Traj, resample, trapezoid_weights
 
 
 def _builtin_config(name):
@@ -58,7 +60,7 @@ def test_criterion_1_one_step_exact_solution():
     field, _ = min_norm_field(p, xz0, measure(p, xz0, 1.0))
     assert np.array_equal(field.values[:, 0], [-1.0, 0.0, 1.0])
     d, _, _ = steepest_direction(p, xz0, measure(p, xz0, 1.0), cfg)
-    scaled = d.x.values[:, 0] / d.x.values[0, 0]
+    scaled = d.values[:, 0] / d.values[0, 0]
     assert np.allclose(scaled, [1.0, 0.0, -1.0], atol=1e-12)
 
     t0 = time.perf_counter()
@@ -67,7 +69,7 @@ def test_criterion_1_one_step_exact_solution():
 
     descents = sum(1 for r in recs if r.gamma > 0)
     final_j = recs[-1].J
-    max_x = float(np.max(np.abs(xz.x.values)))
+    max_x = float(np.max(np.abs(xz.values[:, 0])))
     print(f"criterion 1: status={status} descents={descents} "
           f"J={final_j:.3e} max|x|={max_x:.3e} time={dt:.2f}s")
     assert status == "converged"
@@ -213,16 +215,17 @@ def test_criterion_5_property_suite():
         ex = rng.standard_normal((N, n))
         ez = rng.standard_normal((N, n))
 
-        zt = Traj(g, zv)
-        r = grad_psi(p, zt)
+        xz = Traj(g, np.hstack([xv, zv]))
+        r = grad_psi(p, xz)
         want = float(r @ np.trapezoid(ez, g.nodes, axis=0))
-        got = fd_directional(lambda a: eval_psi(p, Traj(g, zv + a * ez)))
+        got = fd_directional(lambda a: eval_psi(
+            p, Traj(g, np.hstack([xv, zv + a * ez]))))
         assert got == pytest.approx(want, abs=1e-5 * (1.0 + abs(want)))
 
-        gp = grad_phi(p, PairTraj(Traj(g, xv), zt)).values
+        gp = grad_phi(p, xz).values
         want = float(np.sum(w[:, None] * (gp[:, :n] * ex + gp[:, n:] * ez)))
         got = fd_directional(lambda a: eval_phi(
-            p, PairTraj(Traj(g, xv + a * ex), Traj(g, zv + a * ez))))
+            p, Traj(g, np.hstack([xv + a * ex, zv + a * ez]))))
         assert got == pytest.approx(want, abs=1e-5 * (1.0 + abs(want)))
 
     # (d) within-stage monotone descent on random smooth+max problems

@@ -83,6 +83,21 @@ def test_problem_file_round_trip_with_numpy_scalars(tmp_path):
     assert load_problem(str(f)) == spec
 
 
+def test_problem_file_comments_may_end_any_line(tmp_path):
+    """'#' starts a comment anywhere on a line: a comment after every key
+    leaves the spec as the file without them gives."""
+    text = ("n = 2\nT = 1.0\nx0 = 0, 0\nxT = 0, 0\n"
+            "integrand = max(pow(z1, 2) - pow(x1, 2) - 2 * t * x1, x2)\n"
+            "initial_x = 0, 0\ninitial_z = 0, 0\nlambda0 = 20\n")
+    plain = tmp_path / "plain.prob"
+    plain.write_text(text)
+    commented = tmp_path / "commented.prob"
+    commented.write_text("# whole line\n" + "".join(
+        f"{line}  # note {i}: x(0) = 1, 2\n"
+        for i, line in enumerate(text.splitlines())) + "   # indented\n")
+    assert load_problem(str(commented)) == load_problem(str(plain))
+
+
 def test_problem_file_errors(tmp_path):
     cases = {
         "T = 1.0\nx0 = 0.0\nintegrand = abs(x1)\n": "missing key 'n'",
@@ -536,8 +551,7 @@ def test_run_failed_solve_keeps_its_last_pair_and_records(tmp_path, monkeypatch)
     _, trows = _read_csv(out / "trajectory.csv")
     last = calls[-1]
     assert np.array_equal(trows[:, 0], last.grid.nodes)
-    assert np.array_equal(trows[:, 1], last.x.values[:, 0])
-    assert np.array_equal(trows[:, 2], last.z.values[:, 0])
+    assert np.array_equal(trows[:, 1:], last.values)
 
 
 def test_run_non_finite_initial_guess_leaves_summary(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Objective, penalty terms, and per-node subdifferential field."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsvar.cli
 import nsvar.functional
 import nsvar.solver
 import nsvar.trajectory
@@ -16,9 +19,10 @@ from _oracles import (
     fd_directional,
     random_expr,
     random_smooth_expr,
+    subdiff_I_at,
     vertex_list,
 )
-from nsvar.cli import load_problem
+from nsvar.cli import builtin_names, load_problem, run
 from nsvar.convexgeom import Polytope, min_norm_point, support
 from nsvar.functional import (
     MinNormUncertified,
@@ -35,7 +39,6 @@ from nsvar.functional import (
     min_norm_field,
     penalty_values,
     recovered_state,
-    subdiff_I_at,
     subdiff_I_nodes,
 )
 from nsvar.integrand import (
@@ -52,7 +55,6 @@ from nsvar.integrand import (
 from nsvar.solver import _DECREASE_MARGIN, SolverConfig, line_search, steepest_direction
 from nsvar.trajectory import (
     Grid,
-    PairTraj,
     Traj,
     cumulative_integral,
     trapezoid_weights,
@@ -67,7 +69,8 @@ def _simple(n=1, **kw):
 
 
 def _pair(p, grid, x, z):
-    return PairTraj(Traj(grid, x), Traj(grid, z))
+    """The iterate with nodal x and z, as one (N, 2n) Traj."""
+    return Traj(grid, np.column_stack([x, z]))
 
 
 def _field(p, xz, lam, tol_act=_TOL_ACT):
@@ -167,22 +170,22 @@ def test_problem_equality_ignores_name():
 def test_initial_pair_defaults_to_rest():
     p = _simple(n=2, x0=np.array([0.3, -0.1]), integrand=parse_expr("abs(x1)", 2))
     xz = initial_pair(p, Grid(1.0, 4))
-    assert np.allclose(xz.x.values, [[0.3, -0.1]] * 4)
-    assert np.array_equal(xz.z.values, np.zeros((4, 2)))
+    assert np.allclose(xz.values[:, :2], [[0.3, -0.1]] * 4)
+    assert np.array_equal(xz.values[:, 2:], np.zeros((4, 2)))
 
 
 def test_initial_pair_derives_z_from_x():
     p = _simple(initial_x=(parse_expr("2 * t - 1", 1, allow_vars=False),))
     xz = initial_pair(p, Grid(1.0, 3))
-    assert np.allclose(xz.x.values[:, 0], [-1.0, 0.0, 1.0])
-    assert np.allclose(xz.z.values[:, 0], [2.0, 2.0, 2.0])
+    assert np.allclose(xz.values[:, 0], [-1.0, 0.0, 1.0])
+    assert np.allclose(xz.values[:, 1], [2.0, 2.0, 2.0])
 
 
 def test_initial_pair_explicit_z():
     p = _simple(initial_x=(parse_expr("t", 1, allow_vars=False),),
                 initial_z=(parse_expr("t + 1", 1, allow_vars=False),))
     xz = initial_pair(p, Grid(1.0, 3))
-    assert np.allclose(xz.z.values[:, 0], [1.0, 1.5, 2.0])
+    assert np.allclose(xz.values[:, 1], [1.0, 1.5, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +216,10 @@ def test_eval_J_vanishes_on_example4_solution():
 def test_eval_psi_and_gradient():
     p = _simple(xT=np.array([1.0]))
     g = Grid(1.0, 5)
-    z0 = Traj(g, np.zeros(5))
+    z0 = _pair(p, g, np.zeros(5), np.zeros(5))
     assert eval_psi(p, z0) == 0.5
     assert np.allclose(grad_psi(p, z0), [-1.0])
-    z1 = Traj(g, np.ones(5))
+    z1 = _pair(p, g, np.zeros(5), np.ones(5))
     assert eval_psi(p, z1) == 0.0
     assert np.allclose(grad_psi(p, z1), [0.0])
 
@@ -227,12 +230,13 @@ def test_grad_psi_finite_difference():
                     xT=np.array([0.25, 0.75]),
                     integrand=parse_expr("abs(x1)", 2))
     g = Grid(2.0, 31)
+    x = np.zeros((31, 2))
     for _ in range(20):
-        z = Traj(g, rng.standard_normal((31, 2)))
+        z = rng.standard_normal((31, 2))
         eta = rng.standard_normal((31, 2))
-        r = grad_psi(p, z)
+        r = grad_psi(p, _pair(p, g, x, z))
         expected = float(r @ np.trapezoid(eta, g.nodes, axis=0))
-        est = fd_directional(lambda a: eval_psi(p, Traj(g, z.values + a * eta)))
+        est = fd_directional(lambda a: eval_psi(p, _pair(p, g, x, z + a * eta)))
         assert est == pytest.approx(expected, abs=1e-8 * (1.0 + abs(expected)))
 
 
@@ -241,8 +245,9 @@ def test_eval_phi_zero_on_consistent_pair():
     g = Grid(1.0, 9)
     z = Traj(g, np.cos(g.nodes))
     x = cumulative_integral(z, p.x0)
-    assert eval_phi(p, PairTraj(x, z)) == 0.0
-    assert penalty_values(p, PairTraj(x, z)) == (0.0, 0.0)
+    xz = _pair(p, g, x.values, z.values)
+    assert eval_phi(p, xz) == 0.0
+    assert penalty_values(p, xz) == (0.0, 0.0)
 
 
 def test_grad_phi_frozen_field():
@@ -294,7 +299,7 @@ def test_eval_I_consistent_pair_has_no_penalty():
     x = cumulative_integral(z, p0.x0)
     p = ProblemSpec(n=2, horizon=1.0, x0=p0.x0, xT=x.values[-1].copy(),
                     integrand=p0.integrand)
-    xz = PairTraj(x, z)
+    xz = _pair(p, g, x.values, z.values)
     assert eval_I(p, xz, 300.0) == eval_J(p, xz)
 
 
@@ -360,7 +365,7 @@ def test_eval_I_is_exactly_the_sum_of_its_terms():
                 xz = _pair(p, g, rng.standard_normal((N, p.n)),
                            rng.standard_normal((N, p.n)))
                 lam = float(rng.uniform(0.1, 500.0))
-                want = (eval_J(p, xz) + lam * eval_psi(p, xz.z)
+                want = (eval_J(p, xz) + lam * eval_psi(p, xz)
                         + lam * eval_phi(p, xz))
                 assert eval_I(p, xz, lam) == want
 
@@ -374,12 +379,12 @@ def test_penalties_from_one_integral_keep_their_bits():
         xz = _pair(p, g, rng.standard_normal((21, p.n)),
                    rng.standard_normal((21, p.n)))
         lam = float(rng.uniform(0.1, 500.0))
-        assert penalty_values(p, xz) == (eval_psi(p, xz.z), eval_phi(p, xz))
+        assert penalty_values(p, xz) == (eval_psi(p, xz), eval_phi(p, xz))
         want = np.zeros((21, 2 * p.n))
         if p.use_phi:
             want += lam * grad_phi(p, xz).values
         if p.use_psi:
-            want[:, p.n:] += lam * grad_psi(p, xz.z)
+            want[:, p.n:] += lam * grad_psi(p, xz)
         assert np.array_equal(measure(p, xz, lam).rows, want)
 
 
@@ -467,8 +472,7 @@ def test_eval_I_along_is_eval_I_on_the_line(name, N, tmp_path, monkeypatch):
                       rng.standard_normal((N, p.n)))
             along = eval_I_along(p, xz, d, measure(p, xz, lam))
             for gamma in (0.0, 1e-9, 1e-2, 1.0, 1e3):
-                stepped = _pair(p, g, xz.x.values + gamma * d.x.values,
-                                xz.z.values + gamma * d.z.values)
+                stepped = Traj(g, xz.values + gamma * d.values)
                 want = eval_I(p, stepped, lam)
                 value, left, right = along(gamma)
                 assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
@@ -520,8 +524,9 @@ def test_lines_without_a_sweep(name, tmp_path, monkeypatch):
     rng = np.random.default_rng(43)
     xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
                    rng.standard_normal((21, p.n))) for _ in range(2))
-    at = p.integrand_line(xz.x.values, xz.z.values, g.nodes,
-                            d.x.values, d.z.values)
+    n = p.n
+    at = p.integrand_line(xz.values[:, :n], xz.values[:, n:], g.nodes,
+                          d.values[:, :n], d.values[:, n:])
     assert at.kinks is None
     assert eval_I_along(p, xz, d, measure(p, xz, 20.0)).sweep is None
 
@@ -534,8 +539,8 @@ def test_sweep_waits_for_a_convex_line():
     xz = _pair(p, g, np.zeros((5, 1)), np.zeros((5, 1)))
     d = _pair(p, g, np.ones((5, 1)), np.zeros((5, 1)))
     along = eval_I_along(p, xz, d, measure(p, xz, 1.0))
-    assert p.integrand_line(xz.x.values, xz.z.values, g.nodes,
-                              d.x.values, d.z.values).kinks is not None
+    assert p.integrand_line(xz.values[:, :1], xz.values[:, 1:], g.nodes,
+                            d.values[:, :1], d.values[:, 1:]).kinks is not None
     assert along.sweep is None
 
 
@@ -554,7 +559,7 @@ def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
     dx = np.zeros((7, 1))
     dx[3] = bad - 0.5
     d = _pair(p, g, dx, np.zeros((7, 1)))
-    stepped = _pair(p, g, xz.x.values + dx, xz.z.values)
+    stepped = Traj(g, xz.values + d.values)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
         eval_I(p, stepped, 20.0)
     along = eval_I_along(p, xz, d, measure(p, xz, 20.0))
@@ -562,7 +567,7 @@ def test_eval_I_along_raises_the_domain_error_of_eval_I(text, message):
         along(1.0)
     assert str(got.value) == str(want.value)
     assert got.value.node_index == want.value.node_index == 3
-    inside = _pair(p, g, xz.x.values + 0.25 * dx, xz.z.values)
+    inside = Traj(g, xz.values + 0.25 * d.values)
     assert along(0.25)[0] == pytest.approx(eval_I(p, inside, 20.0), rel=1e-12)
 
 
@@ -653,7 +658,7 @@ def test_subdiff_node_set_matches_expression_subdiff():
         g = Grid(1.0, 5)
         xz = _pair(p, g, rng.standard_normal((5, n)), rng.standard_normal((5, n)))
         i = int(rng.integers(0, 5))
-        node = EvalPoint(xz.x.values[i], xz.z.values[i], g.nodes[i])
+        node = EvalPoint(xz.values[i, :n], xz.values[i, n:], g.nodes[i])
         s1 = subdiff_I_at(p, xz, 0.0, i)
         s2 = subdiff_expr(e, node)
         for _ in range(4):
@@ -704,14 +709,45 @@ def test_min_norm_field_smooth_composition():
             field = _field(p, xz, lam).values
         except Exception:  # noqa: BLE001 - domain errors from random exprs
             continue
-        r = grad_psi(p, xz.z)
+        r = grad_psi(p, xz)
         gp = grad_phi(p, xz).values
         for i in range(6):
-            node = EvalPoint(xz.x.values[i], xz.z.values[i], g.nodes[i])
+            node = EvalPoint(xz.values[i, :n], xz.values[i, n:], g.nodes[i])
             expect = dual_gradient(e, node.x, node.z, node.t)
             expect = expect + lam * gp[i]
             expect[n:] += lam * r
             assert np.allclose(field[i], expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["example3", "workload:kink_tracking"])
+def test_iterate_and_direction_share_the_field_layout(name, tmp_path, monkeypatch):
+    """The iterate and its direction are each one (N, 2n) Traj, x1..xn
+    then z1..zn, the columns of min_norm_field: the direction is -v/||v||
+    to the bit, and a cli solve's returned iterate holds the z columns
+    of its trajectory.csv."""
+    p = _reference_problem(name, tmp_path, monkeypatch)
+    xz = initial_pair(p, Grid(p.horizon, 11))
+    m = measure(p, xz, p.lambda0)
+    d, vnorm, _ = steepest_direction(p, xz, m, SolverConfig())
+    v, _ = min_norm_field(p, xz, m)
+    assert isinstance(d, Traj) and d.values.shape == (11, 2 * p.n)
+    assert d.values.tobytes() == (-v.values / vnorm).tobytes()
+
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(nsvar.solver.solve(*args, **kwargs))
+        return returned[-1]
+    monkeypatch.setattr(nsvar.cli, "solve", spy)
+    source = name if name in builtin_names() else str(tmp_path / "reference.prob")
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["solve", source, "--out", str(out)]) in (0, 2)
+    xz = returned[0][0]
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    rows = np.array([[float(s) for s in line.split(",")] for line in lines[1:]])
+    assert xz.values.shape == (rows.shape[0], 2 * p.n)
+    assert np.array_equal(rows[:, 1 + p.n:], xz.values[:, p.n:])
 
 
 def test_stationarity_residual_example1():
@@ -804,7 +840,8 @@ def _outcome(p, xz, m, tol_act):
         return None if out is None else (out.shape, out.tobytes())
 
     def vertices(i):
-        point = EvalPoint(xz.x.values[i], xz.z.values[i], float(xz.grid.nodes[i]))
+        point = EvalPoint(xz.values[i, :p.n], xz.values[i, p.n:],
+                          float(xz.grid.nodes[i]))
         return vertex_list(subdiff_expr(p.integrand, point, tol_act))
     return (attempt(lambda: min_norm_field(p, xz, m, tol_act)[0].values),
             [attempt(lambda i=i: vertices(i)) for i in range(xz.grid.npoints)])
@@ -981,9 +1018,9 @@ def test_recovered_state_integrates_z():
     p = load_problem("example3")
     g = Grid(1.0, 9)
     rng = np.random.default_rng(13)
-    z = Traj(g, rng.standard_normal((9, 2)))
-    xz = PairTraj(Traj(g, rng.standard_normal((9, 2))), z)
+    xz = Traj(g, rng.standard_normal((9, 4)))
     rec = recovered_state(p, xz)
+    z = Traj(g, xz.values[:, 2:].copy())
     assert np.array_equal(rec.values, cumulative_integral(z, p.x0).values)
 
 
@@ -991,6 +1028,6 @@ def test_recovered_state_plain_problem_copies_x():
     p = load_problem("example1")
     xz = initial_pair(p, Grid(1.0, 3))
     rec = recovered_state(p, xz)
-    assert np.array_equal(rec.values, xz.x.values)
+    assert np.array_equal(rec.values, xz.values[:, :1])
     rec.values[0, 0] = 99.0
-    assert xz.x.values[0, 0] != 99.0
+    assert xz.values[0, 0] != 99.0

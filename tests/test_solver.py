@@ -21,14 +21,14 @@ from nsvar.functional import (ProblemSpec, eval_I, eval_I_along, initial_pair,
 from nsvar.integrand import (Add, Const, DomainError, Max, Norm, Pow, Sub, VarX,
                              VarZ, format_expr)
 from nsvar.solver import SolverConfig, line_search, solve, steepest_direction
-from nsvar.trajectory import Grid, PairTraj, Traj, pl_l2_norm_sq
+from nsvar.trajectory import Grid, Traj, pl_l2_norm_sq
 
 ROOT3 = np.sqrt(3.0)
 
 
 def _flat(n, npoints, horizon=1.0):
     g = Grid(horizon, npoints)
-    return PairTraj(Traj(g, np.zeros((npoints, n))), Traj(g, np.zeros((npoints, n))))
+    return Traj(g, np.zeros((npoints, 2 * n)))
 
 
 def test_config_validation():
@@ -91,10 +91,9 @@ def test_steepest_direction_example1():
     cfg = SolverConfig(grid_sizes=(3,))
     d, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 1.0), cfg)
     assert vnorm == pytest.approx(1.0 / ROOT3, abs=1e-12)
-    assert np.allclose(d.x.values[:, 0], [ROOT3, 0.0, -ROOT3], atol=1e-12)
-    assert np.allclose(d.z.values, 0.0)
-    joint = Traj(xz.grid, np.hstack([d.x.values, d.z.values]))
-    assert pl_l2_norm_sq(joint) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(d.values[:, 0], [ROOT3, 0.0, -ROOT3], atol=1e-12)
+    assert np.allclose(d.values[:, 1], 0.0)
+    assert pl_l2_norm_sq(d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_steepest_direction_stationary_returns_none():
@@ -113,13 +112,10 @@ def test_steepest_direction_smooth_negative_gradient():
                     integrand=parse_expr("pow(x1, 2) + pow(z1, 2)", 1))
     g = Grid(1.0, 5)
     rng = np.random.default_rng(1)
-    xz = PairTraj(Traj(g, rng.standard_normal((5, 1))),
-                  Traj(g, rng.standard_normal((5, 1))))
+    xz = Traj(g, rng.standard_normal((5, 2)))
     d, vnorm, _ = steepest_direction(p, xz, measure(p, xz, 0.0),
                                      SolverConfig(grid_sizes=(5,)))
-    grad = 2.0 * np.hstack([xz.x.values, xz.z.values])
-    got = vnorm * np.hstack([d.x.values, d.z.values])
-    assert np.allclose(got, -grad, atol=1e-9)
+    assert np.allclose(vnorm * d.values, -2.0 * xz.values, atol=1e-9)
 
 
 def test_line_search_quadratic_minimizer():
@@ -136,15 +132,14 @@ def test_line_search_quadratic_minimizer():
                                      eval_I(p, xz, 1.0))
     assert accepted
     assert gamma == pytest.approx(1.0, abs=1e-9)
-    stepped = PairTraj(Traj(xz.grid, xz.x.values + gamma * d.x.values),
-                       Traj(xz.grid, xz.z.values + gamma * d.z.values))
+    stepped = Traj(xz.grid, xz.values + gamma * d.values)
     assert eval_I(p, stepped, 1.0) <= 1e-12
 
 
 def test_line_search_rejects_non_descent():
     p = load_problem("example1")
     xz = _flat(1, 3)
-    up = PairTraj(Traj(xz.grid, np.ones((3, 1))), Traj(xz.grid, np.zeros((3, 1))))
+    up = Traj(xz.grid, [[1.0, 0.0]] * 3)
     gamma, accepted, _ = line_search(eval_I_along(p, xz, up, measure(p, xz, 1.0)),
                                      eval_I(p, xz, 1.0))
     assert gamma == 0.0 and not accepted
@@ -159,7 +154,7 @@ def test_solve_example1_single_descent_step():
     assert recs[0].vnorm == pytest.approx(1.0 / ROOT3, abs=1e-12)
     assert recs[0].gamma == pytest.approx(1.0 / ROOT3, abs=1e-9)
     assert recs[-1].J <= 1e-12
-    assert np.max(np.abs(xz.x.values)) <= 1e-12
+    assert np.max(np.abs(xz.values[:, 0])) <= 1e-12
 
 
 def test_solve_example2_grid_ladder():
@@ -174,7 +169,7 @@ def test_solve_example2_grid_ladder():
     assert recs[-1].J <= 5e-3
     # piecewise-linear iterates trace x* = max(t - 0.5, 0)
     tt = xz.grid.nodes
-    assert np.max(np.abs(xz.x.values[:, 0] - np.maximum(tt - 0.5, 0.0))) <= 0.05
+    assert np.max(np.abs(xz.values[:, 0] - np.maximum(tt - 0.5, 0.0))) <= 0.05
 
 
 def test_solve_monotone_descent_random_problems():
@@ -239,8 +234,7 @@ def test_solve_deterministic():
     xz1, recs1, s1 = solve(p, cfg)
     xz2, recs2, s2 = solve(p, cfg)
     assert s1 == s2
-    assert np.array_equal(xz1.x.values, xz2.x.values)
-    assert np.array_equal(xz1.z.values, xz2.z.values)
+    assert np.array_equal(xz1.values, xz2.values)
     assert recs1 == recs2
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from _oracles import l2_inner
 from nsvar.trajectory import (
     Grid,
-    PairTraj,
     Traj,
     cumulative_integral,
-    l2_inner,
     pl_l2_norm_sq,
     quadrature,
     resample,
@@ -42,13 +41,6 @@ def test_traj_shape_and_promotion():
     assert a.ncomp == 1
     with pytest.raises(ValueError):
         Traj(g, np.zeros((4, 1)))
-
-
-def test_pairtraj_same_grid_required():
-    a = Traj(Grid(1.0, 3), np.zeros((3, 1)))
-    b = Traj(Grid(1.0, 5), np.zeros((5, 1)))
-    with pytest.raises(ValueError):
-        PairTraj(a, b)
 
 
 def test_trapezoid_weights():
