@@ -12,18 +12,22 @@ benchmark workload (``perfbench/workloads.py`` next to this script):
 
 * the field: the script solves pool member 1 with each tree and
   captures the arguments of every ``min_norm_field`` call the solve
-  makes.  It then times each tree's ``min_norm_field`` plus
-  ``pl_l2_norm_sq`` on its own captured iterates, once over all of them
-  per round, for ROUNDS rounds, in wall time;
+  makes.  It then times each tree's ``measure`` plus ``min_norm_field``
+  plus ``pl_l2_norm_sq`` on its own captured iterates, once over all of
+  them per round, for ROUNDS rounds, in wall time.  The measurement is
+  taken again per call, at the call's tolerance where the tree's
+  ``measure`` takes one, since a tree whose field reads the
+  measurement's grid pass would otherwise time only part of its work;
 * whole solves: each round runs ``nsvar.cli.run`` on every member of
   the workload's seed-0 panel, with the workload's flags, for
   SOLVE_ROUNDS rounds, in CPU time.
 
 Then, per node: at each point of NODE_POINTS, each tree's
 ``integrand.subdiff_expr`` on its own parse of the problem's integrand,
-NODE_CALLS calls per round, for ROUNDS rounds, in wall time.  Both
-points take the per-node route, which the field of pool member 1 never
-takes.
+NODE_CALLS calls per round, for ROUNDS rounds, in wall time, at the
+point as that tree takes it: an ``EvalPoint`` where the tree has one,
+else the node's row (x, z) and t.  Both points take the per-node route,
+which the field of pool member 1 never takes.
 
 The two trees take turns at going first, round by round.  Each mode
 prints, per workload and tree, the median and quartiles of a round in
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import io
 import shutil
 import statistics
@@ -46,6 +51,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from compare_runs import _workloads
 
@@ -93,12 +100,17 @@ def _capture(pkg: dict, problem: Path, flags: tuple, out: Path) -> list[tuple]:
 
 
 def _round(pkg: dict, calls: list[tuple]) -> float:
-    """Seconds for min_norm_field + pl_l2_norm_sq over every captured call."""
-    field, norm_sq = pkg["functional"].min_norm_field, pkg["trajectory"].pl_l2_norm_sq
+    """Seconds for measure + min_norm_field + pl_l2_norm_sq over every
+    captured call (p, xz, m, tol)."""
+    functional = pkg["functional"]
+    measure, field = functional.measure, functional.min_norm_field
+    norm_sq = pkg["trajectory"].pl_l2_norm_sq
+    at_tol = "tol" in inspect.signature(measure).parameters
     t0 = time.perf_counter()
-    for args in calls:
+    for p, xz, m, tol in calls:
+        m = measure(p, xz, m.lam, tol) if at_tol else measure(p, xz, m.lam)
         # a tree whose field comes with its tie tests returns a pair
-        v = field(*args)
+        v = field(p, xz, m, tol)
         norm_sq(v[0] if isinstance(v, tuple) else v)
     return time.perf_counter() - t0
 
@@ -114,12 +126,20 @@ def _solves(pkg: dict, runs: list[list[str]]) -> float:
         return time.process_time() - c0
 
 
-def _nodes(pkg: dict, e, point) -> float:
+def _point(integrand, x, z, t) -> tuple:
+    """subdiff_expr's arguments after the tree for the node (x, z, t):
+    an EvalPoint where the tree has one, else the row and t."""
+    if hasattr(integrand, "EvalPoint"):
+        return (integrand.EvalPoint(x, z, t),)
+    return np.concatenate([x, z]).astype(float), t
+
+
+def _nodes(pkg: dict, e, point: tuple) -> float:
     """Seconds for NODE_CALLS calls of subdiff_expr at one point."""
     subdiff = pkg["integrand"].subdiff_expr
     t0 = time.perf_counter()
     for _ in range(NODE_CALLS):
-        subdiff(e, point)
+        subdiff(e, *point)
     return time.perf_counter() - t0
 
 
@@ -169,8 +189,8 @@ def main(argv: list[str]) -> int:
             problem.write_text(w.problem(w.params(MEMBER)))
             calls = [_capture(pkg, problem, w.flags, scratch / f"{w.name}_{side}")
                      for pkg, side in zip(pkgs, ("old", "new"))]
-            _report(f"{w.name} member {MEMBER}: min_norm_field + pl_l2_norm_sq, "
-                    f"{ROUNDS} rounds, ms per round",
+            _report(f"{w.name} member {MEMBER}: measure + min_norm_field"
+                    f" + pl_l2_norm_sq, {ROUNDS} rounds, ms per round",
                     _alternate(pkgs, ROUNDS, _round, calls),
                     [f"{len(c)} calls, " for c in calls])
             panel = w.panel(0)
@@ -191,7 +211,7 @@ def main(argv: list[str]) -> int:
                 path.write_text(w.problem(w.params(0)))
                 source = str(path)
             exprs = [pkg["cli"].load_problem(source).integrand for pkg in pkgs]
-            points = [pkg["integrand"].EvalPoint(x, z, t) for pkg in pkgs]
+            points = [_point(pkg["integrand"], x, z, t) for pkg in pkgs]
             _report(f"{label}: subdiff_expr, {NODE_CALLS} calls, "
                     f"{ROUNDS} rounds, ms per round",
                     _alternate(pkgs, ROUNDS, _nodes, exprs, points), ["", ""])

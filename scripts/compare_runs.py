@@ -63,7 +63,10 @@ ARTIFACTS = ("trajectory.csv", "convergence.csv")
 # nodes the per-node route builds, and zero Jacobian rows at their
 # zeros.  tie_in_tie takes a max over a branch whose abs ties.  At node
 # 0 of scaled_tie, norm(x1) is at its zero and abs ties, so the per-node
-# route scales the tie's polytope by the constant factor 2.
+# route scales the tie's polytope by the constant factor 2.  A solve
+# walks the line pass only along a direction, where subtrees of t alone
+# are folded once per grid: folded_t's lines take an abs and a power of
+# such subtrees and divide by one.
 EXTRA = {
     "norm_plus_segment": (
         "n = 2\nT = 1\nx0 = 0, 0\nintegrand = norm(x1, x2) + abs(x1 - t)"
@@ -118,6 +121,9 @@ EXTRA = {
     "scaled_tie": (
         "n = 1\nT = 1\nx0 = 0\nintegrand = norm(x1) + 2 * abs(x1 - t)"
         " + pow(z1 - 1, 2)\n", []),
+    "folded_t": (
+        "n = 1\nT = 1\nx0 = 0\nintegrand = abs(x1 - abs(t - 0.5))"
+        " + pow(z1 - 1, 2) + x1 * pow(t, 2) / (1 + t)\n", []),
 }
 
 

@@ -22,10 +22,11 @@ values, their gradients (r_psi, and _phi_rows, phi's adjoint, on r_phi)
 and the penalty rows of the nodal subdifferentials all read them, so
 eval_I == eval_J + lam*eval_psi + lam*eval_phi holds exactly.
 
-measure(p, xz, lam) takes what an iterate decides for all of its
-directions and lines once, as a frozen Measurement: J, psi, phi, the
-residuals r0 = (r_psi, r_phi) and lam times the penalties' gradient
-rows.  min_norm_field reads its rows and eval_I_along its residuals and
+measure(p, xz, lam, tol) takes what an iterate decides for all of its
+directions and lines once, as a frozen Measurement: the grid pass at
+tie tolerance tol, J as the sum of its values, psi, phi, the residuals
+r0 = (r_psi, r_phi) and lam times the penalties' gradient rows.
+min_norm_field reads its rows and pass, eval_I_along its residuals and
 penalty values; neither takes them again.
 
 The line search's objective is eval_I_along: gamma -> I(xz + gamma * d)
@@ -53,10 +54,11 @@ build a ConvexSet (subdiff_I_nodes) and go through
 min_norm_point.  The pass also hands out its tie tests, from which
 integrand.next_tolerance tells the tolerances that give the same field.
 
-Both compiled passes are kept on the ProblemSpec, and both evaluate
-subtrees without x or z once per grid (the subdifferential pass once per
-grid and tie tolerance): eval_J, every line and every min_norm_field on
-one grid reuse those values, since a Grid's nodes are read-only.
+Both compiled passes are kept on the ProblemSpec, read the iterate's
+(N, 2n) columns, and evaluate subtrees without x or z once per grid
+(the subdifferential pass once per grid and tie tolerance): every
+measure, line and min_norm_field on one grid reuse those values, since
+a Grid's nodes are read-only.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .convexgeom import (
 )
 from .integrand import (
     _TOL_ACT,
-    EvalPoint,
     Expr,
     _raise_at_first,
     check_expr,
@@ -198,7 +199,7 @@ class ProblemSpec:
     def integrand_line(self) -> Callable:
         """The integrand compiled into a pass along lines (compile_line),
         on first use, and kept."""
-        return compile_line(self.integrand)
+        return compile_line(self.integrand, self.n)
 
     @functools.cached_property
     def integrand_subdiff(self) -> Callable:
@@ -229,27 +230,26 @@ def initial_pair(p: ProblemSpec, grid: Grid) -> Traj:
     with nodal finite differences of the x samples.  A guess that is not
     finite at some node raises DomainError naming the component and node.
     """
-    t = grid.nodes
-    dummy = np.zeros((grid.npoints, p.n))
+    t, n = grid.nodes, p.n
+    xz = np.zeros((grid.npoints, 2 * n))
 
-    def sampled(label: str, exprs: tuple) -> np.ndarray:
-        vals = np.empty((grid.npoints, p.n))
+    def sample(label: str, exprs: tuple, first: int) -> None:
+        # a guess reads only t, so no column of xz
         for j, e in enumerate(exprs):
             with np.errstate(over="ignore", invalid="ignore"):
-                vals[:, j] = eval_expr_grid(e, dummy, dummy, t)
-            _raise_at_first(~np.isfinite(vals[:, j]),
+                xz[:, first + j] = eval_expr_grid(e, xz, t)
+            _raise_at_first(~np.isfinite(xz[:, first + j]),
                             f"{label} component {j + 1} is not finite", t)
-        return vals
 
     if p.initial_x is None:
-        xvals = np.tile(p.x0, (grid.npoints, 1))
+        xz[:, :n] = p.x0
     else:
-        xvals = sampled("initial_x", p.initial_x)
+        sample("initial_x", p.initial_x, 0)
     if p.initial_z is not None:
-        zvals = sampled("initial_z", p.initial_z)
+        sample("initial_z", p.initial_z, n)
     else:
-        zvals = np.gradient(xvals, grid.h, axis=0)
-    return Traj(grid, np.hstack([xvals, zvals]))
+        xz[:, n:] = np.gradient(xz[:, :n], grid.h, axis=0)
+    return Traj(grid, xz)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +261,14 @@ def _check_finite(vals: np.ndarray, t: np.ndarray) -> None:
     _raise_at_first(~np.isfinite(vals), "integrand is not finite", t)
 
 
-def _residuals(p: ProblemSpec, x: np.ndarray | None, z: np.ndarray, h: float,
-               x0: np.ndarray, xT) -> tuple:
-    """(r_psi, r_phi) at nodal x and z: shapes (n,) and (N, n).
-
-    An entry is None when p does not use that penalty, r_phi also when x
-    is None.  x0 + int_0^t z is taken here and nowhere else.
-    """
-    use_phi = p.use_phi and x is not None
-    if not (p.use_psi or use_phi):
+def _residuals(p: ProblemSpec, xz: Traj, x0: np.ndarray, xT) -> tuple:
+    """(r_psi, r_phi) of xz with end values x0 and xT: shapes (n,) and
+    (N, n), each None when p does not use that penalty (use_psi implies
+    use_phi).  x0 + int_0^t z is taken here and nowhere else."""
+    if not p.use_phi:
         return None, None
-    xint = cumulative_trapezoid(z, h, x0)
-    return (xint[-1] - xT if p.use_psi else None,
-            x - xint if use_phi else None)
-
-
-def _pair_residuals(p: ProblemSpec, xz: Traj) -> tuple:
-    """_residuals at the iterate xz."""
-    return _residuals(p, xz.values[:, :p.n], xz.values[:, p.n:], xz.grid.h,
-                      p.x0, p.xT)
+    xint = cumulative_trapezoid(xz.values[:, p.n:], xz.grid.h, x0)
+    return (xint[-1] - xT if p.use_psi else None, xz.values[:, :p.n] - xint)
 
 
 def _inner(r: tuple, s: tuple, h: float) -> tuple[float, float]:
@@ -308,24 +297,24 @@ def _phi_rows(grid: Grid, d: np.ndarray) -> np.ndarray:
 def eval_J(p: ProblemSpec, xz: Traj) -> float:
     """Trapezoid value of int f(x, z, t) dt on the iterate's grid."""
     t = xz.grid.nodes
-    vals = p.integrand_line(xz.values[:, :p.n], xz.values[:, p.n:], t)(0.0)[0]
+    vals = p.integrand_line(xz.values, t)(0.0)[0]
     _check_finite(vals, t)
     return trapezoid(vals, xz.grid.h)
 
 
 def eval_psi(p: ProblemSpec, xz: Traj) -> float:
-    r = _pair_residuals(p, xz)
+    r = _residuals(p, xz, p.x0, p.xT)
     return 0.5 * _inner(r, r, xz.grid.h)[0]
 
 
 def grad_psi(p: ProblemSpec, xz: Traj) -> np.ndarray:
     """Gateaux gradient of psi wrt z: the constant field x0 + int z - xT."""
-    r_psi = _pair_residuals(p, xz)[0]
+    r_psi = _residuals(p, xz, p.x0, p.xT)[0]
     return np.zeros(p.n) if r_psi is None else r_psi
 
 
 def eval_phi(p: ProblemSpec, xz: Traj) -> float:
-    r = _pair_residuals(p, xz)
+    r = _residuals(p, xz, p.x0, p.xT)
     return 0.5 * _inner(r, r, xz.grid.h)[1]
 
 
@@ -337,7 +326,7 @@ def grad_phi(p: ProblemSpec, xz: Traj) -> Traj:
     """
     if not p.use_phi:
         return Traj(xz.grid, np.zeros((xz.grid.npoints, 2 * p.n)))
-    return Traj(xz.grid, _phi_rows(xz.grid, _pair_residuals(p, xz)[1]))
+    return Traj(xz.grid, _phi_rows(xz.grid, _residuals(p, xz, p.x0, p.xT)[1]))
 
 
 def eval_I(p: ProblemSpec, xz: Traj, lam: float) -> float:
@@ -379,19 +368,16 @@ def eval_I_along(p: ProblemSpec, xz: Traj, direction: Traj,
     """
     grid = xz.grid
     h, t = grid.h, grid.nodes
-    n = p.n
-    xv, zv = xz.values[:, :n], xz.values[:, n:]
-    gx, gz = direction.values[:, :n], direction.values[:, n:]
-    zero = np.zeros(n)
+    zero = np.zeros(p.n)
     r0, lam = m.residuals, m.lam
-    r1 = _residuals(p, gx, gz, h, zero, zero)
+    r1 = _residuals(p, direction, zero, zero)
 
     def coefficient(r, s, scale):
         psi, phi = _inner(r, s, h)
         return lam * (scale * psi + scale * phi)
     c0, c1, c2 = (lam * (m.psi + m.phi), coefficient(r0, r1, 1.0),
                   coefficient(r1, r1, 0.5))
-    at = p.integrand_line(xv, zv, t, gx, gz)
+    at = p.integrand_line(xz.values, t, direction.values)
     w = grid.weights
 
     def probe(gamma: float) -> tuple[float, float, float]:
@@ -473,7 +459,7 @@ def penalty_values(p: ProblemSpec, xz: Traj) -> tuple[float, float]:
 
     Half the residuals' squared norms, as eval_psi and eval_phi take them.
     """
-    r = _pair_residuals(p, xz)
+    r = _residuals(p, xz, p.x0, p.xT)
     psi, phi = _inner(r, r, xz.grid.h)
     return 0.5 * psi, 0.5 * phi
 
@@ -482,8 +468,9 @@ def penalty_values(p: ProblemSpec, xz: Traj) -> tuple[float, float]:
 class Measurement:
     """What an iterate decides for all of its directions and lines, taken
     once (measure): J, psi and phi, the residual pair (r_psi, r_phi) of
-    _residuals, and rows, lam times the penalties' gradient rows, shape
-    (N, 2n), read-only.  I is J + lam * psi + lam * phi, eval_I's sum."""
+    _residuals, rows, lam times the penalties' gradient rows, shape
+    (N, 2n), read-only, and nodal, compile_subdiff's output at tie
+    tolerance tol.  I is J + lam * psi + lam * phi, eval_I's sum."""
 
     lam: float
     J: float
@@ -491,22 +478,29 @@ class Measurement:
     phi: float
     residuals: tuple
     rows: np.ndarray
+    tol: float
+    nodal: tuple
 
     @property
     def I(self) -> float:
         return self.J + self.lam * self.psi + self.lam * self.phi
 
 
-def measure(p: ProblemSpec, xz: Traj, lam: float) -> Measurement:
-    """The iterate's Measurement, from one integral of z.  Its J, psi and
-    phi are eval_J's and penalty_values', to the bit, and it raises
-    their errors, J's first."""
-    J = eval_J(p, xz)
-    r = _pair_residuals(p, xz)
+def measure(p: ProblemSpec, xz: Traj, lam: float,
+            tol: float = _TOL_ACT) -> Measurement:
+    """The iterate's Measurement, from one grid pass at tie tolerance tol,
+    whose values J sums, and one integral of z.  Its J, psi and phi are
+    eval_J's and penalty_values', to the bit, and it raises their
+    errors, J's first."""
+    t = xz.grid.nodes
+    nodal = p.integrand_subdiff(xz.values, t, tol)
+    _check_finite(nodal[0], t)
+    r = _residuals(p, xz, p.x0, p.xT)
     psi, phi = _inner(r, r, xz.grid.h)
     rows = _penalty_rows(p, xz.grid, r, lam)
     rows.flags.writeable = False
-    return Measurement(lam, J, 0.5 * psi, 0.5 * phi, r, rows)
+    return Measurement(lam, trapezoid(nodal[0], xz.grid.h), 0.5 * psi,
+                       0.5 * phi, r, rows, tol, nodal)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +523,7 @@ def _penalty_rows(p: ProblemSpec, grid: Grid, r: tuple, lam: float) -> np.ndarra
 def _node_set(p: ProblemSpec, xz: Traj, rows: np.ndarray, i: int,
               tol_act: float) -> ConvexSet:
     """Subdifferential of I at node i, given the penalty rows."""
-    point = EvalPoint(xz.values[i, :p.n], xz.values[i, p.n:],
-                      float(xz.grid.nodes[i]))
-    s = subdiff_expr(p.integrand, point, tol_act)
+    s = subdiff_expr(p.integrand, xz.values[i], float(xz.grid.nodes[i]), tol_act)
     if p.use_phi:
         s = MinkowskiSum((s, Singleton(rows[i])))
     return s
@@ -543,7 +535,7 @@ def subdiff_I_nodes(p: ProblemSpec, xz: Traj, lam: float,
 
     tol_act is the integrand's tie tolerance; see subdiff_expr.
     """
-    rows = _penalty_rows(p, xz.grid, _pair_residuals(p, xz), lam)
+    rows = _penalty_rows(p, xz.grid, _residuals(p, xz, p.x0, p.xT), lam)
     return [_node_set(p, xz, rows, i, tol_act) for i in range(xz.grid.npoints)]
 
 
@@ -562,14 +554,14 @@ def min_norm_field(p: ProblemSpec, xz: Traj, m: Measurement,
     and the pass's tie tests.
 
     Downstream code reads the field through its piecewise-linear
-    interpolant.  m = measure(p, xz, lam) gives the penalty rows.
+    interpolant.  m = measure(p, xz, lam, tol) gives the penalty rows.
     tol_act is the integrand's tie tolerance; see subdiff_expr.  The
     tie tests are compile_subdiff's ties, for next_tolerance: where it
     skips a smaller tolerance, this call there gives the same field.
 
-    One compiled pass (compile_subdiff) gives every node's set as a
-    point, an (N, 2n) array, plus a list of segment generators, each a
-    block over the columns it can touch.
+    One compiled pass (compile_subdiff), m's at tol_act == tol, gives
+    every node's set as a point, an (N, 2n) array, plus a list of
+    segment generators, each a block over the columns it can touch.
     Rows the pass masks, the non-finite ones included, are zeroed
     before any product sees them (only when some row is masked).
     zonotope_min_norm's closed form then gives every row a candidate
@@ -582,8 +574,9 @@ def min_norm_field(p: ProblemSpec, xz: Traj, m: Measurement,
     certificate fails.
     """
     grid = xz.grid
-    _, q, gens, per_node, ties = p.integrand_subdiff(
-        xz.values[:, :p.n], xz.values[:, p.n:], grid.nodes, tol_act)
+    _, q, gens, per_node, ties = (
+        m.nodal if tol_act == m.tol
+        else p.integrand_subdiff(xz.values, grid.nodes, tol_act))
     rows = m.rows
     if p.use_phi:     # else the rows are zero
         q = q + rows

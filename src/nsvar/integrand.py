@@ -24,9 +24,10 @@ operand inside ``abs`` or ``norm``: it would be concave.  A tree deeper
 than ``MAX_DEPTH`` nodes is rejected too.
 
 Subdifferentials live in R^(2n), laid out as the n x-partials followed
-by the n z-partials.  Every pass compiles the tree once into a post-order
-node list (``_compile``), which holds each node's facts: whether it
-reads x or z, its constant factor, its variable's column.  Each walks
+by the n z-partials, as is the iterate every pass reads, (N, 2n) or a
+(2n,) row.  Every pass compiles the tree once into a post-order node
+list (``_compile``), which holds each node's facts: whether it reads x
+or z, its constant factor, its column in R^(2n).  Each walks
 the list with one rule table: ``compile_line`` folds the integrand along
 a line, ``compile_subdiff`` gives every grid node's set at once, as a
 point plus segments, and marks the nodes whose sets take another form,
@@ -61,7 +62,7 @@ from .trajectory import finite
 __all__ = [
     "Const", "Time", "VarX", "VarZ", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Sin", "Cos", "Exp", "Sqrt", "Abs", "Max", "Norm", "Expr",
-    "EvalPoint", "ExprError", "ParseError", "DomainError", "SubdiffError",
+    "ExprError", "ParseError", "DomainError", "SubdiffError",
     "parse_expr", "format_expr", "compile_line", "eval_expr_grid",
     "subdiff_expr", "compile_subdiff", "next_tolerance", "uses_var_z",
     "is_smooth",
@@ -188,21 +189,6 @@ Expr = (
     Const | Time | VarX | VarZ | Neg | Add | Sub | Mul | Div | Pow
     | Sin | Cos | Exp | Sqrt | Abs | Max | Norm
 )
-
-
-@dataclass
-class EvalPoint:
-    """A point (x, z, t) at which to evaluate an integrand."""
-
-    x: np.ndarray
-    z: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        self.x = np.atleast_1d(np.asarray(self.x, float))
-        self.z = np.atleast_1d(np.asarray(self.z, float))
-        if self.x.shape != self.z.shape:
-            raise ValueError("x and z must have the same length")
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +517,8 @@ class _Node:
     where its subtree begins.  value is a Const's value, a variable's
     0-based index, pow's exponent, or for a product with a constant
     factor (factor, slot of the other operand).  reads: the subtree reads
-    x or z; tied: it holds an abs or max.  For the grid pass at n,
-    support lists the columns of R^(2n) the center's block covers (x_i's
+    x or z; tied: it holds an abs or max.  For the passes at n, support
+    lists the columns of R^(2n) the center's block covers (x_i's
     column i - 1, z_i's n + i - 1, none without x or z), gens each
     generator's support, and places where each argument's block goes in
     support: None where the supports are equal, else a slice or a list.
@@ -552,7 +538,7 @@ class _Node:
 def _compile(e: Expr, n: int | None = None) -> tuple:
     """e's nodes in post-order, a quotient's divisor before its numerator
     as a walk of the expression takes them, so that each subtree is the
-    run nodes[start:slot + 1]; with the grid pass's layout when n is
+    run nodes[start:slot + 1]; with the columns of R^(2n) when n is
     given."""
     nodes: list = []
 
@@ -618,6 +604,15 @@ def _steps(nodes: tuple, rules: list) -> list:
     return steps[::-1]
 
 
+def _with_divisors(nodes: tuple, rules: list, divisor: Callable) -> list:
+    """rules with each divisor's rule wrapped in divisor, which raises at
+    its zero before the numerator, later in the list, runs."""
+    for node in nodes:
+        if node.op is Div:
+            rules[node.args[1]] = functools.partial(divisor, rules[node.args[1]])
+    return rules
+
+
 def _walk(nodes: tuple, rules: list, root: int, out: list, *point):
     """Run the rule of every node of the subtree ending at slot root."""
     for i in range(nodes[root].start, root + 1):
@@ -663,23 +658,24 @@ _LINE_DEGREE = 2
 Folded = tuple | Callable[[float], tuple]
 
 
-def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
-    """Compile e once into a pass along lines, line(x, z, t, gx=None, gz=None).
+def compile_line(e: Expr, n: int) -> Callable[..., Callable[[float], tuple]]:
+    """Compile e over x1..xn, z1..zn once into a pass along lines,
+    line(xz, t, d=None).
 
-    x, z and the direction gx, gz have shape (N, n) and t shape (N,).  A
-    call returns at(gamma) = (values, left, right): the nodal values at
-    x + gamma * gx, z + gamma * gz and their left and right derivatives
-    in gamma, each of shape (N,); left is right (one array) where no node
-    meets a kink at gamma.  The call walks e's node list (_compile) with
-    one rule per node type (_LINE_RULES).  It folds every subtree that is
-    a polynomial of degree <= _LINE_DEGREE in gamma into its coefficient
-    arrays, in truncated Taylor arithmetic (Griewank and Walther,
-    Evaluating Derivatives, 2008, ch. 13); a subtree without x or z is
-    kept (_kept), once per grid.  at(gamma) evaluates only the nodes
-    that do not fold (abs, max, norm, sqrt, smooth functions and division
-    by subtrees that change along the line, products and powers above
-    degree 2), on Horner values of their folded children, so it matches
-    the values at the stepped point to roundoff.
+    The iterate xz and the direction d have shape (N, 2n) and t shape
+    (N,).  A call returns at(gamma) = (values, left, right): the nodal
+    values at xz + gamma * d and their left and right derivatives in
+    gamma, each of shape (N,); left is right (one array) where no node
+    meets a kink at gamma.  The call walks e's node list, compiled for n
+    (_compile), with one rule per node type (_LINE_RULES).  It folds
+    every subtree that is a polynomial of degree <= _LINE_DEGREE in gamma
+    into its coefficient arrays, in truncated Taylor arithmetic (Griewank
+    and Walther, Evaluating Derivatives, 2008, ch. 13); a subtree without
+    x or z is kept (_kept), once per grid.  at(gamma) evaluates only the
+    nodes that do not fold (abs, max, norm, sqrt, smooth functions and
+    division by subtrees that change along the line, products and powers
+    above degree 2), on Horner values of their folded children, so it
+    matches the values at the stepped point to roundoff.
 
     The slopes ride in the same pass, one left and one right array per
     node that does not fold: a folded subtree's slope is c1 + 2 c2 gamma,
@@ -710,7 +706,7 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
     (a, b, factor) in kinks; max(u1, u2) counts as (u1 + u2)/2 +
     |u1 - u2|/2.  On every other line at.kinks is None.
     """
-    nodes = _compile(e)
+    nodes = _compile(e, n)
     rules = [_LINE_RULES[node.op] for node in nodes]
     for node in nodes:
         if node.op in (Add, Sub, Mul, Div, Max, Norm):
@@ -718,19 +714,17 @@ def compile_line(e: Expr) -> Callable[..., Callable[[float], tuple]]:
             if len(consts) < len(node.args):
                 for a in consts:
                     rules[a] = _line_scalar
-        if node.op is Div:
-            rules[node.args[1]] = functools.partial(_divisor, rules[node.args[1]])
-    steps, store = _steps(nodes, rules), [None, {}]
+    steps, store = _steps(nodes, _with_divisors(nodes, rules, _divisor)), [None, {}]
 
-    def line(x, z, t, gx=None, gz=None):
+    def line(xz, t, d=None):
         out, kept = [None] * len(nodes), _kept(store, t)
         for i, node, rule in steps:
             if rule is not None:
-                out[i] = rule(node, out, x, z, t, gx, gz)
+                out[i] = rule(node, out, xz, t, d)
             elif i in kept:
                 out[i] = kept[i]
             else:
-                out[i] = kept[i] = _walk(nodes, rules, i, out, x, z, t, gx, gz)
+                out[i] = kept[i] = _walk(nodes, rules, i, out, xz, t, d)
         r = out[-1]
         if _constant(r):
             zero = np.zeros(t.shape)
@@ -796,32 +790,31 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-# The line pass's rules: rule(node, out, x, z, t, gx, gz) is the node's
+# The line pass's rules: rule(node, out, xz, t, d) is the node's
 # Folded, from its arguments' in out.
 
 
-def _line_const(node, out, x, z, t, gx, gz):
+def _line_const(node, out, xz, t, d):
     return (t,) if node.op is Time else (np.full(t.shape, node.value),)
 
 
-def _line_scalar(node, out, x, z, t, gx, gz):
+def _line_scalar(node, out, xz, t, d):
     return (np.float64(node.value),)
 
 
-def _line_var(node, out, x, z, t, gx, gz):
-    on_z = node.op is VarZ
-    v = (z if on_z else x)[:, node.value]
-    return (v,) if gx is None else (v, (gz if on_z else gx)[:, node.value])
+def _line_var(node, out, xz, t, d):
+    col = node.support[0]
+    return (xz[:, col],) if d is None else (xz[:, col], d[:, col])
 
 
-def _line_neg(node, out, x, z, t, gx, gz):
+def _line_neg(node, out, xz, t, d):
     r = out[node.args[0]]
     if callable(r):
         return _smooth(operator.neg, lambda u, s: -s, r)
     return tuple(-c for c in r)
 
 
-def _line_add(node, out, x, z, t, gx, gz):
+def _line_add(node, out, xz, t, d):
     r1, r2 = out[node.args[0]], out[node.args[1]]
     op = operator.add if node.op is Add else operator.sub
     if not (callable(r1) or callable(r2)):
@@ -834,7 +827,7 @@ def _line_add(node, out, x, z, t, gx, gz):
     return result
 
 
-def _line_mul(node, out, x, z, t, gx, gz):
+def _line_mul(node, out, xz, t, d):
     r1, r2 = out[node.args[0]], out[node.args[1]]
     if not (callable(r1) or callable(r2)
             or len(r1) + len(r2) - 2 > _LINE_DEGREE):
@@ -848,15 +841,15 @@ def _line_mul(node, out, x, z, t, gx, gz):
     return result
 
 
-def _divisor(rule, node, out, x, z, t, gx, gz):
+def _divisor(rule, node, out, xz, t, d):
     """A divisor's rule, raising at its first zero if it is constant."""
-    r = rule(node, out, x, z, t, gx, gz)
+    r = rule(node, out, xz, t, d)
     if _constant(r):
         _raise_at_first(r[0] == 0.0, "division by zero", t)
     return r
 
 
-def _line_div(node, out, x, z, t, gx, gz):
+def _line_div(node, out, xz, t, d):
     r1, r2 = out[node.args[0]], out[node.args[1]]
     if _constant(r2):       # without a zero: _divisor checked it
         den = r2[0]
@@ -876,21 +869,21 @@ def _line_div(node, out, x, z, t, gx, gz):
     return quotient
 
 
-def _line_pow(node, out, x, z, t, gx, gz):
+def _line_pow(node, out, xz, t, d):
     r, k = out[node.args[0]], node.value
     if callable(r) or (len(r) - 1) * k > _LINE_DEGREE:
-        return _line_smooth(node, out, x, z, t, gx, gz)
+        return _line_smooth(node, out, xz, t, d)
     if len(r) == 1 or k == 1:
         return tuple(_power(c, k) for c in r)
     c0, c1 = r  # degree 1, squared
     return _power(c0, 2), 2.0 * c0 * c1, _power(c1, 2)
 
 
-def _line_smooth(node, out, x, z, t, gx, gz):
+def _line_smooth(node, out, xz, t, d):
     """A smooth function of a folded subtree, its slope by the chain rule
     on the argument's value u and slope s: infinite, with the sign of s,
     where the rule leaves it undefined, sqrt at 0."""
-    chain, k = _chain(node.op, node.reads), node.value
+    chain, k = _SD_CHAIN[node.op], node.value
     value = {Pow: lambda u: _power(u, k), Sqrt: lambda u: _checked_sqrt(u, t),
              Sin: np.sin, Cos: np.cos, Exp: np.exp}[node.op]
 
@@ -900,7 +893,7 @@ def _line_smooth(node, out, x, z, t, gx, gz):
     return _smooth(value, slope, out[node.args[0]])
 
 
-def _line_max(node, out, x, z, t, gx, gz):
+def _line_max(node, out, xz, t, d):
     return functools.reduce(_max2, [out[a] for a in node.args])
 
 
@@ -932,7 +925,7 @@ def _binary(op: Callable, slope: Callable, r1: Folded, r2: Folded) -> Folded:
     return probe
 
 
-def _line_abs(node, out, x, z, t, gx, gz):
+def _line_abs(node, out, xz, t, d):
     """abs of a folded subtree: its slopes times its sign, and at a zero
     -|u'(gamma-)| on the left and |u'(gamma+)| on the right."""
     r = out[node.args[0]]
@@ -984,7 +977,7 @@ def _max2(r1: Folded, r2: Folded) -> Folded:
     return probe
 
 
-def _line_norm(node, out, x, z, t, gx, gz):
+def _line_norm(node, out, xz, t, d):
     """norm of folded subtrees: u . u' / |u| on each side, and at a zero
     -|u'(gamma-)| on the left and |u'(gamma+)| on the right, where u is
     the vector of the arguments."""
@@ -1039,9 +1032,9 @@ def _norm_value(*vals) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def eval_expr_grid(e: Expr, x: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at N points: x, z have shape (N, n), t (N,)."""
-    return compile_line(e)(x, z, t)(0.0)[0]
+def eval_expr_grid(e: Expr, xz: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation at N points: xz has shape (N, 2n), t (N,)."""
+    return compile_line(e, xz.shape[1] // 2)(xz, t)(0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,39 +1110,39 @@ _NO_COLUMNS = np.zeros(0)
 _per_node: tuple = (None, 0, ())
 
 
-def _value_and_set(e: Expr, p: EvalPoint,
+def _value_and_set(e: Expr, row, t: float,
                    tol_act: float = _TOL_ACT) -> tuple[float, ConvexSet]:
-    """The integrand's value and subdifferential at p (subdiff_expr), for
-    a tree e that passes check_expr.
+    """The integrand's value and subdifferential at the node (row, t)
+    (subdiff_expr), for a tree e that passes check_expr.
 
-    The call walks e's node list, compiled for n = len(p.x) (_compile),
-    with one rule per node type (_NODE_RULES), on Python floats, and
-    wraps the root's gradient, if it is one, as a Singleton.  As in the
-    line pass, a quotient's divisor comes before its numerator and raises
-    at its zero before the numerator runs, so both report the same first
-    DomainError.
+    The call walks e's node list, compiled for n = len(row) / 2
+    (_compile), with one rule per node type (_NODE_RULES), on Python
+    floats, and wraps the root's gradient, if it is one, as a Singleton.
+    As in the other passes, a quotient's divisor comes before its
+    numerator and raises at its zero before the numerator runs, so all
+    report the same first DomainError.
     """
     global _per_node
-    n = p.x.shape[0]
+    row = np.asarray(row, float)
+    if row.ndim != 1 or not row.shape[0] or row.shape[0] % 2:
+        raise ValueError(f"a row must have shape (2n,), got {row.shape}")
+    n = row.shape[0] // 2
     tree, kept_n, steps = _per_node
     if tree is not e or kept_n != n:
         nodes = _compile(e, n)
-        rules = [_NODE_RULES[node.op] for node in nodes]
-        for node in nodes:
-            if node.op is Div:
-                rules[node.args[1]] = functools.partial(_node_divisor,
-                                                        rules[node.args[1]])
+        rules = _with_divisors(nodes, [_NODE_RULES[node.op] for node in nodes],
+                               _node_divisor)
         steps = list(zip(nodes, rules))
         _per_node = e, n, steps
     out = [None] * len(steps)
     for i, (node, rule) in enumerate(steps):
-        out[i] = rule(node, out, p, tol_act)
+        out[i] = rule(node, out, row, t, tol_act)
     v, g = out[-1]
     return v, _as_set(g)
 
 
-# The per-node route's rules: rule(node, out, p, tol) gives the node's
-# (value, g) at the point p from its arguments' in out.  g is a set in
+# The per-node route's rules: rule(node, out, row, t, tol) gives the
+# node's (value, g) at (row, t) from its arguments' in out.  g is a set in
 # R^(2n) only where an abs or max over x or z ties or a norm is at its
 # zero, and in the sums, hulls and nonnegative multiples of such sets;
 # everywhere else it is the gradient, a (2n,) array.  A tree that passes
@@ -1161,38 +1154,37 @@ def _value_and_set(e: Expr, p: EvalPoint,
 # return the point.
 
 
-def _node_const(node, out, p, tol):
-    return (node.value if node.op is Const else p.t), np.zeros(2 * p.x.shape[0])
+def _node_const(node, out, row, t, tol):
+    return (node.value if node.op is Const else t), np.zeros(row.shape[0])
 
 
-def _node_var(node, out, p, tol):
-    v = float((p.z if node.op is VarZ else p.x)[node.value])
-    g = np.zeros(2 * p.x.shape[0])
+def _node_var(node, out, row, t, tol):
+    g = np.zeros(row.shape[0])
     g[node.support[0]] = 1.0
-    return v, g
+    return float(row[node.support[0]]), g
 
 
-def _node_neg(node, out, p, tol):
+def _node_neg(node, out, row, t, tol):
     v, g = out[node.args[0]]
     return -v, -g
 
 
-def _node_add(node, out, p, tol):
+def _node_add(node, out, row, t, tol):
     (v1, g1), (v2, g2) = out[node.args[0]], out[node.args[1]]
     if node.op is Add:
         return v1 + v2, _msum(g1, g2)
     return v1 - v2, _msum(g1, -g2)
 
 
-def _node_divisor(rule, node, out, p, tol):
+def _node_divisor(rule, node, out, row, t, tol):
     """A divisor's rule, raising at its zero."""
-    v, g = rule(node, out, p, tol)
+    v, g = rule(node, out, row, t, tol)
     if v == 0.0:
-        raise DomainError("division by zero", p.t)
+        raise DomainError("division by zero", t)
     return v, g
 
 
-def _node_product(node, out, p, tol):
+def _node_product(node, out, row, t, tol):
     (v1, g1), (v2, g2) = out[node.args[0]], out[node.args[1]]
     if node.value is not None:  # a constant factor scales the other side
         c, other = node.value
@@ -1205,14 +1197,14 @@ def _node_product(node, out, p, tol):
     return _product(v1, g1, v2, g2)
 
 
-def _node_smooth(node, out, p, tol):
+def _node_smooth(node, out, row, t, tol):
     v, g = out[node.args[0]]
-    chain = _chain(node.op, node.reads)
+    chain = _SD_CHAIN[node.op]
     if node.op is Sqrt:
         if v < 0.0:
-            raise DomainError("sqrt of a negative value", p.t)
-        if v == 0.0 and chain is _chain_sqrt:
-            raise DomainError("sqrt not differentiable at 0", p.t)
+            raise DomainError("sqrt of a negative value", t)
+        if v == 0.0 and node.reads:
+            raise DomainError("sqrt not differentiable at 0", t)
     if not node.reads:
         val, _, _ = chain(v, _NO_COLUMNS, node.value)
         return float(val), np.zeros_like(g)
@@ -1220,7 +1212,7 @@ def _node_smooth(node, out, p, tol):
     return float(val), g
 
 
-def _node_abs(node, out, p, tol):
+def _node_abs(node, out, row, t, tol):
     v, g = out[node.args[0]]
     act = tol * (1.0 + abs(v))
     if v > act:
@@ -1230,7 +1222,7 @@ def _node_abs(node, out, p, tol):
     return abs(v), _tie([g, -g]) if node.reads else g
 
 
-def _node_max(node, out, p, tol):
+def _node_max(node, out, row, t, tol):
     pairs = [out[a] for a in node.args]
     vals = np.array([v for v, _ in pairs])
     vmax = float(vals.max())
@@ -1241,7 +1233,7 @@ def _node_max(node, out, p, tol):
     return vmax, _tie(active)
 
 
-def _node_norm(node, out, p, tol):
+def _node_norm(node, out, row, t, tol):
     pairs = [out[a] for a in node.args]
     rows = np.vstack([g for _, g in pairs])
     nrm, g, nonzero = _norm(np.array([v for v, _ in pairs]), rows)
@@ -1257,9 +1249,11 @@ _NODE_RULES = {
 }
 
 
-def subdiff_expr(e: Expr, p: EvalPoint,
+def subdiff_expr(e: Expr, row, t: float,
                  tol_act: float = _TOL_ACT) -> ConvexSet:
-    """Convex subdifferential of the integrand at p, as a set in R^(2n).
+    """Convex subdifferential of the integrand at one node, as a set in
+    R^(2n): row is its (2n,) row of the iterate, t its time; a row of
+    another shape raises ValueError.
 
     e must pass check_expr, as every ProblemSpec integrand does; the call
     does not check it again.  A tie is the convex hull of its active
@@ -1280,18 +1274,18 @@ def subdiff_expr(e: Expr, p: EvalPoint,
     walk carries a plain gradient wherever the integrand is
     differentiable and builds sets only at ties and norm zeros.
     """
-    _, s = _value_and_set(e, p, tol_act)
+    _, s = _value_and_set(e, row, t, tol_act)
     return s
 
 
 def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
-    """Compile e once, over x1..xn and z1..zn, into a grid subdifferential
-    f(x, z, t, tol_act).
+    """Compile e over x1..xn, z1..zn once into a grid subdifferential
+    subdiff(xz, t, tol_act).
 
-    x, z have shape (N, n) and t shape (N,); arrays of another width
-    raise ValueError.  The result is (value, q, gens, per_node) for every
-    node at once: the value, shape (N,), equal to compile_line's up to
-    roundoff; a center q, shape (N, 2n); a list of segment generators,
+    xz has shape (N, 2n) and t shape (N,); another width raises
+    ValueError.  The result is (value, q, gens, per_node) for every node
+    at once: the value, shape (N,), compile_line's without a direction
+    to the bit; a center q, shape (N, 2n); a list of segment generators,
     each a pair (columns, a) of a tuple of columns of R^(2n), increasing,
     and an array a of shape (N, len(columns)), zero on every other
     column; and a bool mask, shape (N,).  At a node outside the mask,
@@ -1311,14 +1305,16 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
     the blocks hold the full rows' bits up to the signs of zeros.  Only q
     is widened to R^(2n), at the end.
 
-    The mask holds the nodes where the set is not such a zonotope, or
-    where subdiff_expr raises: norm at a zero, three or more active max
-    branches, a tie or a smooth operation over a set already carrying a
-    segment, a zero divisor, a sqrt argument <= 0 (< 0 without x or z),
-    and anything not finite (checked on whole arrays, and row by row only
-    when some value is not).  A set carries a segment where a tie below
-    it holds at that node, as in subdiff_expr's tree, even when the
-    generator is zero (a max tie between branches of equal gradient).
+    A zero divisor or a negative sqrt argument raises compile_line's
+    DomainError at the first such node.  The mask holds the nodes where
+    the set is not such a zonotope, or where subdiff_expr raises: norm
+    at a zero, three or more active max branches, a tie or a smooth
+    operation over a set already carrying a segment, sqrt(0) over x or
+    z, and anything not finite (checked on whole arrays, and row by row
+    only when some value is not).  A set carries a segment where a tie
+    below it holds at that node, as in subdiff_expr's tree, even when
+    the generator is zero (a max tie between branches of equal
+    gradient).
     Masked rows mean nothing; subdiff_expr builds their sets.
 
     A subtree without x or z has a zero center and no generators; its
@@ -1329,14 +1325,15 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
     values).  They do not depend on tol_act; next_tolerance reads them.
     """
     nodes = _compile(e, n)
-    rules = [_SD_RULES[node.op] for node in nodes]
+    rules = _with_divisors(nodes, [_SD_RULES[node.op] for node in nodes],
+                           _sd_divisor)
     steps, store = _steps(nodes, rules), [None, {}]
     root, full = nodes[-1], tuple(range(2 * n))
     at = None if root.support == full else _positions(root.support, full)
 
-    def walk(i, out, x, z, t, tol):
+    def walk(i, out, xz, t, tol):
         own: list = []
-        v, q, _, bad, seg = _walk(nodes, rules, i, out, x, z, t, tol, own)
+        v, q, _, bad, seg = _walk(nodes, rules, i, out, xz, t, tol, own)
         # shared by every later call: read-only, and None where they hold
         # nowhere, so that no later rule combines them
         bad, seg = (None if m is None or not np.count_nonzero(m) else m
@@ -1346,19 +1343,19 @@ def compile_subdiff(e: Expr, n: int) -> Callable[..., tuple]:
                 mask.flags.writeable = False
         return (v, q, [], bad, seg), own
 
-    def subdiff(x, z, t, tol_act=_TOL_ACT):
-        if x.shape[1:] != (n,) or z.shape[1:] != (n,):
-            raise ValueError(f"x and z must have shape (N, {n}), got "
-                             f"{x.shape} and {z.shape}")
+    def subdiff(xz, t, tol_act=_TOL_ACT):
+        if xz.shape[1:] != (2 * n,):
+            raise ValueError(f"the iterate must have shape (N, {2 * n}), "
+                             f"got {xz.shape}")
         ties: list = []
         out, kept = [None] * len(nodes), _kept(store, t)
         for i, node, rule in steps:
             if rule is not None:
-                out[i] = rule(node, out, x, z, t, tol_act, ties)
+                out[i] = rule(node, out, xz, t, tol_act, ties)
                 continue
             key = (i, tol_act) if node.tied else i
             if key not in kept:
-                kept[key] = walk(i, out, x, z, t, tol_act)
+                kept[key] = walk(i, out, xz, t, tol_act)
             out[i], own = kept[key]
             ties += own
         v, q, gens, per_node, _ = out[-1]
@@ -1437,7 +1434,7 @@ def _or(a, b):
     return a | b
 
 
-# The grid pass's rules: rule(node, out, x, z, t, tol, ties) gives the
+# The grid pass's rules: rule(node, out, xz, t, tol, ties) gives the
 # node's (value, q, gens, bad, seg) from its arguments' in out: q and
 # each generator a block over its support (_Node), bad masking the nodes
 # left to the per-node route and seg those where a tie in the subtree
@@ -1445,22 +1442,21 @@ def _or(a, b):
 # to ties.
 
 
-def _sd_const(node, out, x, z, t, tol, ties):
+def _sd_const(node, out, xz, t, tol, ties):
     value = np.full(t.shape, node.value) if node.op is Const else t
     return value, _leaf_block(t.shape[0], 0), [], None, None
 
 
-def _sd_var(node, out, x, z, t, tol, ties):
-    v = (z if node.op is VarZ else x)[:, node.value]
-    return v, _leaf_block(t.shape[0], 1), [], None, None
+def _sd_var(node, out, xz, t, tol, ties):
+    return xz[:, node.support[0]], _leaf_block(t.shape[0], 1), [], None, None
 
 
-def _sd_neg(node, out, x, z, t, tol, ties):
+def _sd_neg(node, out, xz, t, tol, ties):
     v, q, gens, bad, seg = out[node.args[0]]
     return -v, -q, [-a for a in gens], bad, seg
 
 
-def _sd_add(node, out, x, z, t, tol, ties):
+def _sd_add(node, out, xz, t, tol, ties):
     v1, q1, gens1, bad1, seg1 = out[node.args[0]]
     v2, q2, gens2, bad2, seg2 = out[node.args[1]]
     plus = node.op is Add
@@ -1481,7 +1477,7 @@ def _sd_add(node, out, x, z, t, tol, ties):
             _or(seg1, seg2))
 
 
-def _sd_product(node, out, x, z, t, tol, ties):
+def _sd_product(node, out, xz, t, tol, ties):
     if node.value is not None:  # a constant factor scales the other side
         c, other = node.value
         v, q, gens, bad, seg = out[other]
@@ -1490,11 +1486,9 @@ def _sd_product(node, out, x, z, t, tol, ties):
     v2, q2, _, bad2, seg2 = out[node.args[1]]
     bad = _or(_or(bad1, bad2), _or(seg1, seg2))
     (at1, at2), width = node.places, len(node.support)
-    if node.op is Div:
-        zero = v2 == 0.0
-        v, grad = _quotient(v1, _widen(q1, at1, width), np.where(zero, 1.0, v2),
-                            _widen(q2, at2, width))
-        return v, grad, [], _or(bad, zero), None
+    if node.op is Div:     # without a zero divisor: _sd_divisor checked it
+        return (*_quotient(v1, _widen(q1, at1, width), v2, _widen(q2, at2, width)),
+                [], bad, None)
     # a side without x or z has a zero gradient: its term is left out
     if not q1.shape[1]:
         return v1 * v2, _col(v1) * q2, [], bad, None
@@ -1504,14 +1498,24 @@ def _sd_product(node, out, x, z, t, tol, ties):
             [], bad, None)
 
 
-def _sd_smooth(node, out, x, z, t, tol, ties):
+def _sd_divisor(rule, node, out, xz, t, tol, ties):
+    """A divisor's rule, raising at its first zero."""
+    r = rule(node, out, xz, t, tol, ties)
+    _raise_at_first(r[0] == 0.0, "division by zero", t)
+    return r
+
+
+def _sd_smooth(node, out, xz, t, tol, ties):
     v, q, _, bad, seg = out[node.args[0]]
-    val, dq, undefined = _chain(node.op, node.reads)(v, q, node.value)
-    bad = _or(bad, seg)
-    return val, dq, [], _or(bad, undefined) if node.op is Sqrt else bad, None
+    if node.op is Sqrt:
+        _raise_at_first(v < 0.0, "sqrt of a negative value", t)
+    val, dq, undefined = _SD_CHAIN[node.op](v, q, node.value)
+    if node.op is Sqrt and node.reads:
+        bad = _or(bad, undefined)
+    return val, dq, [], _or(bad, seg), None
 
 
-def _sd_abs(node, out, x, z, t, tol, ties):
+def _sd_abs(node, out, xz, t, tol, ties):
     v, q, gens, bad, seg = out[node.args[0]]
     av = np.abs(v)
     ties.append((av, (0.0,)))
@@ -1527,7 +1531,7 @@ def _sd_abs(node, out, x, z, t, tol, ties):
             _or(seg, tie))
 
 
-def _sd_max(node, out, x, z, t, tol, ties):
+def _sd_max(node, out, xz, t, tol, ties):
     parts = [out[a] for a in node.args]
     values = [part[0] for part in parts]
     vmax = functools.reduce(np.maximum, values)
@@ -1567,10 +1571,9 @@ def _sd_max(node, out, x, z, t, tol, ties):
     return vmax, q, gens, bad, seg
 
 
-def _sd_norm(node, out, x, z, t, tol, ties):
+def _sd_norm(node, out, xz, t, tol, ties):
     parts = [out[a] for a in node.args]
     width = len(node.support)
-    # matmul sums over the arguments, column by column
     rows = np.stack([_widen(p[1], at, width) for p, at in zip(parts, node.places)],
                     axis=1)
     nrm, grad, nonzero = _norm(np.stack([p[0] for p in parts], axis=1), rows)
@@ -1623,11 +1626,12 @@ def _norm(vals, rows):
     vals holds the arguments' values, shape (..., m), and rows their
     gradients, shape (..., m, d).  Where the norm is zero (within
     _TOL_ACT) the gradient means nothing: the set is a ball there.  The
-    gradient sums the rows' terms one by one: matmul's kernel, and with
-    it the last bit, depends on d, which is the node's support on the
-    grid and 2n per node.
+    value is the line pass's (_norm_value), and the gradient too sums
+    the rows' terms one by one: matmul's kernel, and with it the last
+    bit, depends on d, which is the node's support on the grid and 2n
+    per node.
     """
-    nrm = np.sqrt(np.matmul(vals[..., None, :], vals[..., :, None])[..., 0, 0])
+    nrm = _norm_value(*vals.T)
     nonzero = nrm > _TOL_ACT * (1.0 + nrm)
     w = vals / _col(np.where(nonzero, nrm, 1.0))
     grad = rows[..., 0, :] * w[..., :1]
@@ -1657,25 +1661,13 @@ def _chain_exp(v, q, k):
 
 
 def _chain_sqrt(v, q, k):
+    """sqrt of v >= 0 (every pass raises at v < 0): undefined at 0 over x
+    or z, where the gradient divides by 1 instead.  A sqrt without x or
+    z has a zero gradient, so its zero lies in the domain."""
     undefined = np.logical_not(v > 0.0)  # not ~: v may be a Python float
-    r = np.sqrt(np.where(v <= 0.0, 1.0, v))  # a nan argument gives a nan
-    return r, q / _col(2.0 * r), undefined
-
-
-def _chain_sqrt_of_t(v, q, k):
-    """sqrt of a subtree without x or z: with a zero gradient, 0 lies in
-    its domain, and its value is the value pass's."""
-    _, dq, _ = _chain_sqrt(v, q, k)
-    undefined = np.logical_not(v >= 0.0)
-    return np.sqrt(np.where(undefined, 0.0, v)), dq, undefined
+    r = np.sqrt(v)  # a nan argument gives a nan
+    return r, q / _col(2.0 * np.where(undefined, 1.0, r)), undefined
 
 
 _SD_CHAIN = {Pow: _chain_pow, Sin: _chain_sin, Cos: _chain_cos,
              Exp: _chain_exp, Sqrt: _chain_sqrt}
-
-
-def _chain(op: type, reads: bool) -> Callable:
-    """The chain rule of a smooth node op whose argument reads x or z."""
-    if op is Sqrt and not reads:
-        return _chain_sqrt_of_t
-    return _SD_CHAIN[op]

@@ -11,15 +11,17 @@ it searches on I's value and its left and right slopes along the
 direction, with the polyhedral and quadratic steps of Lemarechal and
 Mifflin (Math. Programming 24, 1982) and Mifflin (Math. Programming 28,
 1984), down to a probe where 0 lies between the two slopes or a bracket
-of _LS_TOL * (1 + gamma).  solve
-measures each iterate once (functional.measure): J, the penalties, their
-residuals and gradient rows.  That I is the iteration record's value and
-f0 for the search on eval_I_along, and every direction and line at the
-iterate reads the same measurement.  eval_I_along builds the line once:
-the penalties become one quadratic in the step, and the
-integrand is folded along the line (compile_line), so a probe evaluates
-only the integrand's nodes that do not fold (abs, max, norm, ...), with
-their one-sided slopes, on Horner values of the rest.
+of _LS_TOL * (1 + gamma).  solve measures each iterate once
+(functional.measure): the grid pass at the tolerance of its first
+direction, whose values give J, the penalties, their residuals and
+gradient rows.  That I is the iteration record's value and f0 for the
+search on eval_I_along, and every direction and line at the iterate
+reads the same measurement; only a retake walks the grid again.
+eval_I_along builds the line once: the penalties become one quadratic
+in the step, and the integrand is folded along the line
+(compile_line), so a probe evaluates only the integrand's nodes that do
+not fold (abs, max, norm, ...), with their one-sided slopes, on Horner
+values of the rest.
 
 The subdifferential is widened to an epsilon-subdifferential, as in
 Demyanov and Malozemov's epsilon-steepest descent: an abs or max branch
@@ -167,7 +169,7 @@ def steepest_direction(p: ProblemSpec, xz: Traj, m: Measurement,
     iterate, (N, 2n).
 
     v is the minimum-norm field of the subdifferential at tie tolerance
-    eps, with m = measure(p, xz, lam).  The direction is None when
+    eps, with m = measure(p, xz, lam, tol).  The direction is None when
     ||v||^2 <= eps_bar, i.e. the iterate is stationary to tolerance at
     that eps and no direction is defined.
     """
@@ -358,7 +360,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
             directions = 0
             sweeps = 0
             skipped = 0
-            m = measure(p, xz, lam)
+            m = measure(p, xz, lam, _EPS_SCHEDULE[ei])
             for _ in range(cfg.max_iters):
                 k += 1
                 ls_evals = 0
@@ -399,7 +401,7 @@ def solve(p: ProblemSpec, cfg: SolverConfig,
                     stop = "ls_stall"
                     break
                 xz.values += gamma * direction.values
-                m = measure(p, xz, lam)
+                m = measure(p, xz, lam, _EPS_SCHEDULE[ei])
 
             if stage_log is not None:
                 stage_log.append(StageRecord(xz.grid.npoints, lam, k - k_start,

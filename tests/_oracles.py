@@ -4,14 +4,15 @@ Everything here is deliberately written from scratch against the
 mathematical definitions (finite differences, forward-mode duals, brute
 force subset enumeration) so that agreement with the library is a real
 check and not a tautology.  The exception is the last section: one-point
-and one-node forms of the library's own passes (eval_expr,
-directional_derivative, subdiff_I_at) and the trapezoid L2 pairing
-l2_inner, which the tests use and no solve does.
+and one-node forms of the library's own passes (eval_expr and
+directional_derivative at an EvalPoint of their own, subdiff_I_at) and
+the trapezoid L2 pairing l2_inner, which the tests use and no solve does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,6 @@ from nsvar.integrand import (
     Const,
     Cos,
     Div,
-    EvalPoint,
     Exp,
     Max,
     Mul,
@@ -376,6 +376,16 @@ def random_expr(rng: np.random.Generator, n: int):
                     random_smooth_expr(rng, n, 1))))
 
 
+def random_iterates(seed: int, count: int, npoints: int = 21):
+    """count seeded draws (e, n, xz): a random_expr over n = 1..3 and a
+    standard normal (npoints, 2n) iterate, x columns then z columns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        e = random_expr(rng, n)
+        yield e, n, rng.standard_normal((npoints, 2 * n))
+
+
 def min_activity_margin(e, p) -> float:
     """Smallest distance to a branch tie over all abs/max/norm sites."""
     margins = [np.inf]
@@ -408,15 +418,34 @@ def min_activity_margin(e, p) -> float:
 # the library's passes at one point, and the trapezoid L2 pairing
 
 
+@dataclass
+class EvalPoint:
+    """A point (x, z, t) at which the one-point forms below evaluate an
+    integrand; row is its (2n,) row, x then z, as the passes read it."""
+
+    x: np.ndarray
+    z: np.ndarray
+    t: float
+
+    def __post_init__(self) -> None:
+        self.x = np.atleast_1d(np.asarray(self.x, float))
+        self.z = np.atleast_1d(np.asarray(self.z, float))
+        if self.x.shape != self.z.shape:
+            raise ValueError("x and z must have the same length")
+
+    @property
+    def row(self) -> np.ndarray:
+        return np.concatenate([self.x, self.z])
+
+
 def eval_expr(e, p: EvalPoint) -> float:
     """The integrand at one point, by eval_expr_grid on one node."""
-    out = eval_expr_grid(e, p.x[None, :], p.z[None, :], np.array([p.t]))
-    return float(out[0])
+    return float(eval_expr_grid(e, p.row[None, :], np.array([p.t]))[0])
 
 
 def directional_derivative(e, p: EvalPoint, g) -> float:
     """f'(p; g) = max over the subdifferential of <v, g>, g in R^(2n)."""
-    return support(subdiff_expr(e, p), np.asarray(g, float))[0]
+    return support(subdiff_expr(e, p.row, p.t), np.asarray(g, float))[0]
 
 
 def subdiff_I_at(p, xz, lam: float, i: int):
@@ -425,13 +454,11 @@ def subdiff_I_at(p, xz, lam: float, i: int):
     from grad_phi and grad_psi, where the problem has penalties."""
     if not 0 <= i < xz.grid.npoints:
         raise IndexError(f"node index {i} outside 0..{xz.grid.npoints - 1}")
-    n = p.n
-    point = EvalPoint(xz.values[i, :n], xz.values[i, n:], float(xz.grid.nodes[i]))
-    s = subdiff_expr(p.integrand, point)
+    s = subdiff_expr(p.integrand, xz.values[i], float(xz.grid.nodes[i]))
     if not p.use_phi:
         return s
     row = lam * grad_phi(p, xz).values[i]
-    row[n:] += lam * grad_psi(p, xz)
+    row[p.n:] += lam * grad_psi(p, xz)
     return MinkowskiSum((s, Singleton(row)))
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    EvalPoint,
     directional_derivative,
     eval_expr,
     fd_directional,
@@ -33,7 +34,7 @@ from nsvar.functional import (
     min_norm_field,
     recovered_state,
 )
-from nsvar.integrand import EvalPoint, Max, format_expr
+from nsvar.integrand import Max, format_expr
 from nsvar.solver import SolverConfig, solve, steepest_direction
 from nsvar.trajectory import Grid, Traj, resample, trapezoid_weights
 

@@ -471,8 +471,8 @@ def test_overflow_in_a_closed_form_row_dot_stops_the_solve(tmp_path, monkeypatch
     def widened(self):
         subdiff = compile_subdiff(self.integrand, self.n)
 
-        def with_huge_generator(x, z, t, tol):
-            v, q, gens, per_node, ties = subdiff(x, z, t, tol)
+        def with_huge_generator(xz, t, tol):
+            v, q, gens, per_node, ties = subdiff(xz, t, tol)
             huge = np.full((t.shape[0], 3), 1e200)
             return v, q, [*gens, ((0, 1, 2), huge)], per_node, ties
         return with_huge_generator

@@ -18,6 +18,7 @@ from _oracles import (
     dual_gradient,
     fd_directional,
     random_expr,
+    random_iterates,
     random_smooth_expr,
     subdiff_I_at,
     vertex_list,
@@ -44,7 +45,6 @@ from nsvar.functional import (
 from nsvar.integrand import (
     _TOL_ACT,
     DomainError,
-    EvalPoint,
     ExprError,
     SubdiffError,
     format_expr,
@@ -388,12 +388,16 @@ def test_penalties_from_one_integral_keep_their_bits():
         assert np.array_equal(measure(p, xz, lam).rows, want)
 
 
-@pytest.mark.parametrize("text, node, message", [
+_EVAL_J_DOMAIN_ERRORS = [
     ("pow(z1, 2) + exp(x1)", 4, "integrand is not finite"),
     ("pow(z1, 2) + sqrt(x1)", 2, "sqrt of a negative value"),
     ("pow(z1, 2) + 1 / x1", 5, "division by zero"),
-])
-def test_eval_I_raises_the_domain_error_of_eval_J(text, node, message):
+]
+
+
+def _domain_error_case(text, node, message):
+    """A problem with both penalties and an iterate at which eval_J
+    raises message at node."""
     p = ProblemSpec(n=1, horizon=1.0, x0=[0.0], xT=[1.0],
                     integrand=parse_expr(text, 1))
     assert p.use_psi and p.use_phi
@@ -401,13 +405,47 @@ def test_eval_I_raises_the_domain_error_of_eval_J(text, node, message):
     x = np.full((7, 1), 0.5)
     x[node] = {"integrand is not finite": 1e3, "sqrt of a negative value": -1.0,
                "division by zero": 0.0}[message]
-    xz = _pair(p, g, x, np.ones((7, 1)))
+    return p, _pair(p, g, x, np.ones((7, 1)))
+
+
+@pytest.mark.parametrize("text, node, message", _EVAL_J_DOMAIN_ERRORS)
+def test_eval_I_raises_the_domain_error_of_eval_J(text, node, message):
+    p, xz = _domain_error_case(text, node, message)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
         eval_J(p, xz)
     with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
         eval_I(p, xz, 20.0)
     assert str(got.value) == str(want.value)
     assert got.value.node_index == want.value.node_index == node
+
+
+@pytest.mark.parametrize("text, node, message", _EVAL_J_DOMAIN_ERRORS)
+def test_measure_raises_the_domain_error_of_eval_J(text, node, message):
+    """measure takes J from the grid pass, which raises eval_J's errors,
+    at every tolerance a solve measures at."""
+    p, xz = _domain_error_case(text, node, message)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message) as want:
+        eval_J(p, xz)
+    for tol in nsvar.solver._EPS_SCHEDULE:
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as got:
+            measure(p, xz, 20.0, tol)
+        assert str(got.value) == str(want.value)
+        assert got.value.node_index == want.value.node_index == node
+
+
+def test_measure_takes_eval_J_from_one_walk_of_the_grid_pass():
+    """On seeded random draws a measurement's J is eval_J's, bit for bit,
+    at the widest and the exact tie tolerance: it is the trapezoid sum
+    of the grid pass's values, which min_norm_field then reads."""
+    grid = Grid(1.0, 21)
+    for e, n, xz in random_iterates(61, 400):
+        p = ProblemSpec(n=n, horizon=1.0, x0=np.zeros(n), integrand=e)
+        iterate = Traj(grid, xz)
+        want = np.float64(eval_J(p, iterate)).tobytes()
+        for tol in (1e-3, _TOL_ACT):
+            m = measure(p, iterate, 1.0, tol)
+            assert np.float64(m.J).tobytes() == want, format_expr(e)
+            assert m.tol == tol and m.nodal[0].shape == (21,)
 
 
 def test_eval_I_hot_path_counts(monkeypatch):
@@ -524,9 +562,7 @@ def test_lines_without_a_sweep(name, tmp_path, monkeypatch):
     rng = np.random.default_rng(43)
     xz, d = (_pair(p, g, rng.standard_normal((21, p.n)),
                    rng.standard_normal((21, p.n))) for _ in range(2))
-    n = p.n
-    at = p.integrand_line(xz.values[:, :n], xz.values[:, n:], g.nodes,
-                          d.values[:, :n], d.values[:, n:])
+    at = p.integrand_line(xz.values, g.nodes, d.values)
     assert at.kinks is None
     assert eval_I_along(p, xz, d, measure(p, xz, 20.0)).sweep is None
 
@@ -539,8 +575,7 @@ def test_sweep_waits_for_a_convex_line():
     xz = _pair(p, g, np.zeros((5, 1)), np.zeros((5, 1)))
     d = _pair(p, g, np.ones((5, 1)), np.zeros((5, 1)))
     along = eval_I_along(p, xz, d, measure(p, xz, 1.0))
-    assert p.integrand_line(xz.values[:, :1], xz.values[:, 1:], g.nodes,
-                            d.values[:, :1], d.values[:, 1:]).kinks is not None
+    assert p.integrand_line(xz.values, g.nodes, d.values).kinks is not None
     assert along.sweep is None
 
 
@@ -658,9 +693,8 @@ def test_subdiff_node_set_matches_expression_subdiff():
         g = Grid(1.0, 5)
         xz = _pair(p, g, rng.standard_normal((5, n)), rng.standard_normal((5, n)))
         i = int(rng.integers(0, 5))
-        node = EvalPoint(xz.values[i, :n], xz.values[i, n:], g.nodes[i])
         s1 = subdiff_I_at(p, xz, 0.0, i)
-        s2 = subdiff_expr(e, node)
+        s2 = subdiff_expr(e, xz.values[i], g.nodes[i])
         for _ in range(4):
             d = rng.standard_normal(2 * n)
             assert support(s1, d)[0] == pytest.approx(
@@ -712,8 +746,7 @@ def test_min_norm_field_smooth_composition():
         r = grad_psi(p, xz)
         gp = grad_phi(p, xz).values
         for i in range(6):
-            node = EvalPoint(xz.values[i, :n], xz.values[i, n:], g.nodes[i])
-            expect = dual_gradient(e, node.x, node.z, node.t)
+            expect = dual_gradient(e, xz.values[i, :n], xz.values[i, n:], g.nodes[i])
             expect = expect + lam * gp[i]
             expect[n:] += lam * r
             assert np.allclose(field[i], expect, atol=1e-10)
@@ -840,9 +873,8 @@ def _outcome(p, xz, m, tol_act):
         return None if out is None else (out.shape, out.tobytes())
 
     def vertices(i):
-        point = EvalPoint(xz.values[i, :p.n], xz.values[i, p.n:],
-                          float(xz.grid.nodes[i]))
-        return vertex_list(subdiff_expr(p.integrand, point, tol_act))
+        return vertex_list(subdiff_expr(p.integrand, xz.values[i],
+                                        float(xz.grid.nodes[i]), tol_act))
     return (attempt(lambda: min_norm_field(p, xz, m, tol_act)[0].values),
             [attempt(lambda i=i: vertices(i)) for i in range(xz.grid.npoints)])
 
@@ -871,7 +903,7 @@ def test_skipped_tolerances_keep_every_set_and_the_field(penalties):
             continue
         outcomes = [_outcome(p, xz, m, eps) for eps in schedule]
         for i in range(len(schedule) - 1):
-            ties = p.integrand_subdiff(x, z, g.nodes, schedule[i])[4]
+            ties = p.integrand_subdiff(xz.values, g.nodes, schedule[i])[4]
             j = next_tolerance(ties, schedule, i)
             assert i < j <= len(schedule)
             for k in range(i + 1, min(j, len(schedule))):
@@ -926,7 +958,7 @@ def test_min_norm_field_sends_one_uncertified_row_node_by_node(monkeypatch):
     z = np.ones((401, 1))
     x[200], z[200] = 0.0, 0.0    # both abs tie: segments (1, 1) and (1, 0)
     xz = _pair(p, g, x, z)
-    _, q, gens, per_node, _ = p.integrand_subdiff(x, z, g.nodes, 1e-9)
+    _, q, gens, per_node, _ = p.integrand_subdiff(xz.values, g.nodes, 1e-9)
     _, _, certified = nsvar.functional.zonotope_min_norm(q, gens)
     assert not per_node.any()
     assert np.flatnonzero(~certified).tolist() == [200]

@@ -16,6 +16,7 @@ import pytest
 import nsvar
 
 from _oracles import (
+    EvalPoint,
     directional_derivative,
     dual_gradient,
     eval_expr,
@@ -23,6 +24,7 @@ from _oracles import (
     full_generators,
     min_activity_margin,
     random_expr,
+    random_iterates,
     random_smooth_expr,
     scalar_eval,
     vertex_list,
@@ -37,7 +39,6 @@ from nsvar.integrand import (
     Const,
     Div,
     DomainError,
-    EvalPoint,
     ExprError,
     Max,
     Mul,
@@ -77,6 +78,11 @@ EX4 = "norm(z1 - 1, x2) + pow(x1 - x3 - sin(t), 2)"
 def _pt(x, z, t=0.0):
     return EvalPoint(np.atleast_1d(np.asarray(x, float)),
                      np.atleast_1d(np.asarray(z, float)), t)
+
+
+def _node(x, z, t=0.0):
+    """The (row, t) of one node that subdiff_expr takes, x then z."""
+    return _pt(x, z, t).row, t
 
 
 def test_parse_structural():
@@ -220,7 +226,7 @@ def test_eval_grid_matches_scalar_loop():
         z = rng.standard_normal((7, n))
         t = np.linspace(0.0, 1.0, 7)
         try:
-            vec = eval_expr_grid(e, x, z, t)
+            vec = eval_expr_grid(e, np.hstack([x, z]), t)
             ref = [eval_expr(e, EvalPoint(x[i], z[i], t[i])) for i in range(7)]
         except DomainError:
             continue
@@ -237,9 +243,9 @@ def _check_against_scalar_oracle(e, x, z, t):
         ref = [scalar_eval(e, x[i], z[i], t[i]) for i in range(t.shape[0])]
     except (ZeroDivisionError, ValueError):
         with pytest.raises(DomainError):
-            eval_expr_grid(e, x, z, t)
+            eval_expr_grid(e, np.hstack([x, z]), t)
         return False
-    vec = eval_expr_grid(e, x, z, t)
+    vec = eval_expr_grid(e, np.hstack([x, z]), t)
     assert vec.shape == t.shape
     assert vec == pytest.approx(ref, rel=1e-12, abs=1e-12)
     return True
@@ -288,12 +294,12 @@ def test_eval_grid_domain_errors_match_oracle():
     x[3, 1] = 0.0
     assert not _check_against_scalar_oracle(e, x, z, t)
     with pytest.raises(DomainError, match="division by zero") as exc:
-        eval_expr_grid(e, x, z, t)
+        eval_expr_grid(e, np.hstack([x, z]), t)
     assert exc.value.node_index == 3
     x[1, 0] = -1.0
     assert not _check_against_scalar_oracle(e, x, z, t)
     with pytest.raises(DomainError, match="sqrt of a negative") as exc:
-        eval_expr_grid(e, x, z, t)
+        eval_expr_grid(e, np.hstack([x, z]), t)
     assert exc.value.node_index == 1
 
 
@@ -302,23 +308,22 @@ def test_eval_grid_domain_error_reports_node():
     x = np.array([[1.0], [1.0], [0.0], [1.0]])
     z = np.zeros((4, 1))
     with pytest.raises(DomainError, match="node 2"):
-        eval_expr_grid(e, x, z, np.linspace(0.0, 1.0, 4))
+        eval_expr_grid(e, np.hstack([x, z]), np.linspace(0.0, 1.0, 4))
 
 
 def test_eval_grid_constant_operands():
     # A constant operand is a scalar inside the evaluator; results are
     # still one value per node, with the bits of a constant array.
     t = np.linspace(0.0, 1.0, 4)
-    x = np.array([[0.5], [-1.0], [2.0], [0.25]])
-    z = np.zeros((4, 1))
-    got = eval_expr_grid(parse_expr("2 * t * x1", 1), x, z, t)
-    assert np.array_equal(got, np.full(4, 2.0) * t * x[:, 0])
+    xz = np.array([[0.5, 0.0], [-1.0, 0.0], [2.0, 0.0], [0.25, 0.0]])
+    got = eval_expr_grid(parse_expr("2 * t * x1", 1), xz, t)
+    assert np.array_equal(got, np.full(4, 2.0) * t * xz[:, 0])
     for text in ("2", "1 + 2", "max(1, 2)", "norm(3, 4)", "max(x1, 0) - 1"):
-        assert eval_expr_grid(parse_expr(text, 1), x, z, t).shape == (4,)
+        assert eval_expr_grid(parse_expr(text, 1), xz, t).shape == (4,)
     for text, message in (("x1 / 0", "division by zero"),
                           ("sqrt(-1)", "sqrt of a negative value")):
         with pytest.raises(DomainError) as exc:
-            eval_expr_grid(parse_expr(text, 1), x, z, t)
+            eval_expr_grid(parse_expr(text, 1), xz, t)
         assert str(exc.value) == f"{message} at t=0.0 (node 0)"
         assert exc.value.node_index == 0
 
@@ -330,11 +335,12 @@ def _check_line_against_value_pass(e, x, z, t, gx, gz):
     domain both raise the same DomainError, naming the same node.
     Returns how many of the three steps were inside the domain.
     """
-    at = compile_line(e)(x, z, t, gx, gz)
+    xz, d = np.hstack([x, z]), np.hstack([gx, gz])
+    at = compile_line(e, x.shape[1])(xz, t, d)
     inside = 0
     for gamma in (0.0, 1e-3, 0.5):
         try:
-            want = eval_expr_grid(e, x + gamma * gx, z + gamma * gz, t)
+            want = eval_expr_grid(e, xz + gamma * d, t)
         except DomainError as exc:
             with pytest.raises(DomainError) as got:
                 at(gamma)
@@ -389,8 +395,8 @@ def test_line_kink_data_is_the_line_pass(text, kinks):
     e = parse_expr(text, 2)
     rng = np.random.default_rng(29)
     t = np.linspace(0.0, 1.0, 7)
-    x, z, gx, gz = rng.standard_normal((4, 7, 2))
-    at = compile_line(e)(x, z, t, gx, gz)
+    xz, d = rng.standard_normal((2, 7, 4))
+    at = compile_line(e, 2)(xz, t, d)
     assert at.kinks is not None and len(at.kinks[0]) == kinks
     assert all(w >= 0.0 for _, _, w in at.kinks[0])
     for gamma in (0.0, 0.3, 2.0):
@@ -414,8 +420,8 @@ def test_lines_outside_the_sweep_class_have_no_kink_data(text):
     e = parse_expr(text, 2)
     rng = np.random.default_rng(31)
     t = np.linspace(0.0, 1.0, 7)
-    x, z, gx, gz = rng.standard_normal((4, 7, 2))
-    assert compile_line(e)(x, z, t, gx, gz).kinks is None
+    xz, d = rng.standard_normal((2, 7, 4))
+    assert compile_line(e, 2)(xz, t, d).kinks is None
 
 
 def test_random_line_kink_data_is_the_line_pass():
@@ -425,9 +431,9 @@ def test_random_line_kink_data_is_the_line_pass():
     for _ in range(300):
         n = int(rng.integers(1, 3))
         e = random_expr(rng, n)
-        x, z, gx, gz = rng.standard_normal((4, 9, n))
+        xz, d = rng.standard_normal((2, 9, 2 * n))
         try:
-            at = compile_line(e)(x, z, t, gx, gz)
+            at = compile_line(e, n)(xz, t, d)
             at(0.7)
         except DomainError:
             continue
@@ -450,7 +456,7 @@ def _check_slopes_against_the_node_route(e, x, z, t, gx, gz):
     (sqrt at 0, a ball it cannot represent) are skipped.  Returns how
     many nodes were checked and how many of them sat on a kink.
     """
-    at = compile_line(e)(x, z, t, gx, gz)
+    at = compile_line(e, x.shape[1])(np.hstack([x, z]), t, np.hstack([gx, gz]))
     checked = kinks = 0
     for gamma in (0.0, 0.5, 1.0):
         try:
@@ -515,16 +521,16 @@ def test_line_pass_domain_errors_name_the_node_of_the_value_pass():
     x[4, 1], gx[4, 1] = -1.0, 2.0
     assert _check_line_against_value_pass(e, x, z, t, gx, gz) == 2
     with pytest.raises(DomainError, match="division by zero at t=0.8 "):
-        compile_line(e)(x, z, t, gx, gz)(0.5)
+        compile_line(e, 2)(np.hstack([x, z]), t, np.hstack([gx, gz]))(0.5)
     x[1, 0], gx[1, 0] = 0.5, -2.0
     assert _check_line_against_value_pass(e, x, z, t, gx, gz) == 2
     with pytest.raises(DomainError, match="sqrt of a negative value at t=0.2 "):
-        compile_line(e)(x, z, t, gx, gz)(0.5)
+        compile_line(e, 2)(np.hstack([x, z]), t, np.hstack([gx, gz]))(0.5)
     # a quotient takes its divisor first
     quotient = parse_expr("sqrt(x1) / x2", 2)
     assert _check_line_against_value_pass(quotient, x, z, t, gx, gz) == 2
     with pytest.raises(DomainError, match="division by zero at t=0.8 "):
-        compile_line(quotient)(x, z, t, gx, gz)(0.5)
+        compile_line(quotient, 2)(np.hstack([x, z]), t, np.hstack([gx, gz]))(0.5)
 
 
 def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
@@ -544,31 +550,47 @@ def test_line_pass_evaluates_subtrees_without_variables_once(monkeypatch):
     p = ProblemSpec(n=2, horizon=1.0, x0=[0.0, 0.0], integrand=parse_expr(text, 2))
     line, subdiff = p.integrand_line, p.integrand_subdiff
     rng = np.random.default_rng(29)
-    x, z, gx, gz = rng.standard_normal((4, 51, 2))
+    xz, d = rng.standard_normal((2, 51, 4))
     grid = Grid(1.0, 51)
-    at = line(x, z, grid.nodes, gx, gz)
+    at = line(xz, grid.nodes, d)
     assert calls == {"sin": 1, "abs": 0}
     for gamma in np.linspace(0.0, 2.0, 10):
         at(gamma)
     assert calls == {"sin": 1, "abs": 20}
-    line(x, z, grid.nodes, -gx, gz)
-    eval_J(p, Traj(grid, np.hstack([x, z])))
+    line(xz, grid.nodes, -d)
+    eval_J(p, Traj(grid, xz))
     assert calls["sin"] == 1
     for tol in (1e-9, 1e-3, 1e-9):
-        subdiff(x, z, grid.nodes, tol)
+        subdiff(xz, grid.nodes, tol)
     assert calls["sin"] == 2
     other = Grid(1.0, 51)
-    line(x, z, other.nodes)
-    subdiff(x, z, other.nodes, 1e-9)
+    line(xz, other.nodes)
+    subdiff(xz, other.nodes, 1e-9)
     assert calls["sin"] == 4
     # a writable t is evaluated on every call, so it can change in place
     t = np.linspace(0.0, 1.0, 51)
     for shift in (0.0, 0.25):
         t += shift
-        assert np.array_equal(line(x, z, t)(0.0)[0],
-                              eval_expr_grid(p.integrand, x, z, t.copy()))
-        fresh = compile_subdiff(p.integrand, p.n)(x, z, t.copy(), 1e-9)
-        _assert_same_bits(subdiff(x, z, t, 1e-9), fresh)
+        assert np.array_equal(line(xz, t)(0.0)[0],
+                              eval_expr_grid(p.integrand, xz, t.copy()))
+        fresh = compile_subdiff(p.integrand, p.n)(xz, t.copy(), 1e-9)
+        _assert_same_bits(subdiff(xz, t, 1e-9), fresh)
+
+
+def test_grid_pass_values_are_the_line_pass_bits():
+    """On seeded random draws the grid pass's values are the line pass's
+    without a direction, bit for bit, on every row, masked or not, so
+    that a measurement's J can sum them: norm takes its value term by
+    term in both (_norm_value)."""
+    t = Grid(1.0, 21).nodes
+    masked = norms = 0
+    for e, n, xz in random_iterates(61, 400):
+        want = compile_line(e, n)(xz, t)(0.0)[0]
+        value, _, _, per_node, _ = compile_subdiff(e, n)(xz, t)
+        assert value.tobytes() == want.tobytes(), format_expr(e)
+        masked += per_node.any()
+        norms += "norm" in format_expr(e)
+    assert masked >= 5 and norms >= 50
 
 
 def _assert_same_bits(got, want):
@@ -597,24 +619,24 @@ def test_passes_kept_per_grid_match_fresh_passes():
     # at t = 0.5, x1 = 0 meets max(t - a, 0)'s kink: a tie over a segment
     # for a = 0.5, and for a = 0.5005 at the looser tolerance only
     kinks = [parse_expr(f"abs(x1 - max(t - {a}, 0))", 1) for a in (0.5, 0.5005)]
-    cases = [(e, np.zeros((9, n)), np.zeros((9, n))) for e in kinks for n in (1, 2)]
+    cases = [(e, np.zeros((9, 2 * n))) for e in kinks for n in (1, 2)]
     while len(cases) < 150:
         n = int(rng.integers(1, 3))
         e = random_expr(rng, n)
         if _has_subtree_without_variables(e):
-            cases.append((e, *(0.5 * rng.integers(-2, 3, (2, 9, n)))))
-    for e, x, z in cases:
-        n = x.shape[1]
-        subdiff, line = compile_subdiff(e, n), compile_line(e)
+            cases.append((e, 0.5 * rng.integers(-2, 3, (9, 2 * n))))
+    for e, xz in cases:
+        n = xz.shape[1] // 2
+        subdiff, line = compile_subdiff(e, n), compile_line(e, n)
         for tol in (1e-9, 1e-3, 1e-9, 1e-3):
-            _assert_same_bits(subdiff(x, z, t, tol), compile_subdiff(e, n)(x, z, t, tol))
-            assert line(x, z, t)(0.0)[0].tobytes() == compile_line(e)(x, z, t)(0.0)[0].tobytes()
+            _assert_same_bits(subdiff(xz, t, tol), compile_subdiff(e, n)(xz, t, tol))
+            fresh = compile_line(e, n)(xz, t)(0.0)[0]
+            assert line(xz, t)(0.0)[0].tobytes() == fresh.tobytes()
     for e, masked in zip(kinks, ([True, True], [False, True])):
         subdiffs = {n: compile_subdiff(e, n) for n in (1, 2)}
         for tol, mask in zip((1e-9, 1e-3), masked):
             for n in (1, 2, 1):
-                x = np.zeros((9, n))
-                assert subdiffs[n](x, x, t, tol)[3][4] == mask
+                assert subdiffs[n](np.zeros((9, 2 * n)), t, tol)[3][4] == mask
 
 
 def test_leaf_rows_kept_per_grid_give_a_fresh_pass_bits():
@@ -626,10 +648,10 @@ def test_leaf_rows_kept_per_grid_give_a_fresh_pass_bits():
         e = random_expr(rng, 1)
         subdiffs = {n: compile_subdiff(e, n) for n in (1, 2)}
         for t, n in ((grids[0], 1), (grids[1], 2), (grids[0], 2), (grids[1], 1)):
-            x, z = rng.standard_normal((2, t.shape[0], n))
-            got = subdiffs[n](x, z, t, 1e-9)
+            xz = rng.standard_normal((t.shape[0], 2 * n))
+            got = subdiffs[n](xz, t, 1e-9)
             _leaf_block.cache_clear()
-            _assert_same_bits(got, compile_subdiff(e, n)(x, z, t, 1e-9))
+            _assert_same_bits(got, compile_subdiff(e, n)(xz, t, 1e-9))
 
 
 def test_leaf_rows_are_built_once_and_read_only():
@@ -645,9 +667,9 @@ def test_leaf_rows_are_built_once_and_read_only():
     t = Grid(1.0, 9).nodes
     node, = _compile(parse_expr("z2", 2), 2)
     rule = _SD_RULES[node.op]
-    assert rule(node, [None], np.zeros((9, 2)), np.zeros((9, 2)), t, 1e-9, [])[1] is block
+    assert rule(node, [None], np.zeros((9, 4)), t, 1e-9, [])[1] is block
     assert node.support == (3,)
-    _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2), 2)(np.zeros((9, 2)), np.zeros((9, 2)), t)
+    _, q, _, _, _ = compile_subdiff(parse_expr("z2", 2), 2)(np.zeros((9, 4)), t)
     assert np.array_equal(q, np.eye(4)[[3] * 9])
 
 
@@ -724,20 +746,20 @@ def test_is_smooth_and_uses_z():
 
 
 def test_subdiff_abs_at_kink():
-    s = subdiff_expr(parse_expr("abs(x1)", 1), _pt([0.0], [0.0]))
+    s = subdiff_expr(parse_expr("abs(x1)", 1), *_node([0.0], [0.0]))
     assert isinstance(s, Polytope)
     rows = sorted(s.vertices.tolist())
     assert np.allclose(rows, [[-1.0, 0.0], [1.0, 0.0]])
 
 
 def test_subdiff_abs_off_kink():
-    s = subdiff_expr(parse_expr("abs(x1)", 1), _pt([-1.0], [0.0]))
+    s = subdiff_expr(parse_expr("abs(x1)", 1), *_node([-1.0], [0.0]))
     assert isinstance(s, Singleton)
     assert np.allclose(s.point, [-1.0, 0.0])
 
 
 def test_subdiff_norm_at_kink_is_masked_ball():
-    s = subdiff_expr(parse_expr("norm(z1 - 1, x2)", 2), _pt([0.0, 0.0], [1.0, 0.0]))
+    s = subdiff_expr(parse_expr("norm(z1 - 1, x2)", 2), *_node([0.0, 0.0], [1.0, 0.0]))
     assert isinstance(s, Ball)
     assert s.radius == 1.0
     assert np.allclose(s.center, 0.0)
@@ -746,13 +768,13 @@ def test_subdiff_norm_at_kink_is_masked_ball():
 
 def test_subdiff_norm_off_kink():
     s = subdiff_expr(parse_expr("norm(z1 - 1, x2)", 3),
-                     _pt([0.0, 3.0, 0.0], [5.0, 0.0, 0.0]))
+                     *_node([0.0, 3.0, 0.0], [5.0, 0.0, 0.0]))
     assert isinstance(s, Singleton)
     assert np.allclose(s.point, [0.0, 0.6, 0.0, 0.8, 0.0, 0.0], atol=1e-15)
 
 
 def test_subdiff_smooth_plus_norm_is_sum():
-    s = subdiff_expr(parse_expr(EX4, 3), _pt([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+    s = subdiff_expr(parse_expr(EX4, 3), *_node([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
     assert isinstance(s, MinkowskiSum)
     balls = [m for m in s.members if isinstance(m, Ball)]
     assert len(balls) == 1
@@ -760,7 +782,7 @@ def test_subdiff_smooth_plus_norm_is_sum():
 
 
 def test_subdiff_max_tie_hull():
-    s = subdiff_expr(parse_expr("max(x1, z1, t)", 1), _pt([0.5], [0.5], 0.5))
+    s = subdiff_expr(parse_expr("max(x1, z1, t)", 1), *_node([0.5], [0.5], 0.5))
     assert isinstance(s, Polytope)
     rows = sorted(s.vertices.tolist())
     assert np.allclose(rows, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -772,20 +794,20 @@ def test_subdiff_max_tie_hull():
 ])
 def test_subdiff_widened_tie(text, widened):
     e = parse_expr(text, 1)
-    near = _pt([1e-5], [0.0])
-    s = subdiff_expr(e, near, tol_act=1e-3)
+    near = _node([1e-5], [0.0])
+    s = subdiff_expr(e, *near, tol_act=1e-3)
     assert isinstance(s, Polytope)
     assert sorted(s.vertices.tolist()) == widened
-    s = subdiff_expr(e, near)
+    s = subdiff_expr(e, *near)
     assert isinstance(s, Singleton)
     assert s.point.tolist() == [1.0, 0.0]
 
 
 def test_subdiff_norm_keeps_exact_zero_test():
     e = parse_expr("norm(x1, x2)", 2)
-    near = _pt([1e-5, 0.0], [0.0, 0.0])
-    wide = subdiff_expr(e, near, tol_act=1e-3)
-    exact = subdiff_expr(e, near)
+    near = _node([1e-5, 0.0], [0.0, 0.0])
+    wide = subdiff_expr(e, *near, tol_act=1e-3)
+    exact = subdiff_expr(e, *near)
     assert isinstance(wide, Singleton) and isinstance(exact, Singleton)
     assert np.array_equal(wide.point, exact.point)
     assert exact.point.tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -828,7 +850,7 @@ def test_subtrees_kept_per_grid_hand_out_their_ties():
     f = compile_subdiff(parse_expr("abs(x1 - max(t - 0.50005, 0))", 1), 1)
     t, x = Grid(1.0, 3).nodes, np.zeros((3, 1))
     for _ in range(2):    # computed, then kept
-        assert next_tolerance(f(x, x, t, 1e-3)[4], _SCHEDULE, 0) == 2
+        assert next_tolerance(f(np.hstack([x, x]), t, 1e-3)[4], _SCHEDULE, 0) == 2
 
 
 def test_next_tolerance_is_conservative_where_margins_are_not_finite():
@@ -847,7 +869,7 @@ def test_next_tolerance_stops_at_the_first_tie_that_decides():
 
 
 def test_subdiff_max_over_ball_tie_is_a_hull():
-    s = subdiff_expr(parse_expr("max(norm(x1), z1)", 1), _pt([0.0], [0.0]))
+    s = subdiff_expr(parse_expr("max(norm(x1), z1)", 1), *_node([0.0], [0.0]))
     assert isinstance(s, Hull)
     ball, point = Ball([0.0, 0.0], 1.0, np.array([True, False])), Singleton([0.0, 1.0])
     directions = np.vstack([np.eye(2), -np.eye(2),
@@ -859,10 +881,10 @@ def test_subdiff_max_over_ball_tie_is_a_hull():
 
 
 def test_subdiff_ties_over_points_are_polytopes_in_branch_order():
-    s = subdiff_expr(parse_expr("max(x1, z1, 2 * x1)", 1), _pt([0.0], [0.0]))
+    s = subdiff_expr(parse_expr("max(x1, z1, 2 * x1)", 1), *_node([0.0], [0.0]))
     assert isinstance(s, Polytope)
     assert np.array_equal(s.vertices, [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-    s = subdiff_expr(parse_expr("abs(x1 + z1)", 1), _pt([1.0], [-1.0]))
+    s = subdiff_expr(parse_expr("abs(x1 + z1)", 1), *_node([1.0], [-1.0]))
     assert np.array_equal(s.vertices, [[1.0, 1.0], [-1.0, -1.0]])
 
 
@@ -872,7 +894,7 @@ def test_subdiff_nested_tie_hull_gives_the_vertex_product_point():
     for text, x, z in [("max(abs(x1) + abs(x2), z1)", [0.0, 0.0], [0.0, 0.0]),
                        ("max(abs(x1 - 1) + abs(x2), z1 - 1, z2 + 1)", [1.0, 0.0], [1.0, -1.0]),
                        ("max(abs(x1) + abs(z1 - 2), 0.5 * z1 + x2 - 1)", [0.0, 0.0], [2.0, 0.0])]:
-        s = subdiff_expr(parse_expr(text, 2), _pt(x, z))
+        s = subdiff_expr(parse_expr(text, 2), *_node(x, z))
         assert isinstance(s, Hull)
         got = min_norm_point(s)
         want = min_norm_point(Polytope(vertex_list(s)))
@@ -884,29 +906,30 @@ def test_subdiff_of_a_subtree_without_x_or_z_is_a_point():
     # max(t - 0.5, 0) ties at t = 0.5, and abs(t - 0.5) too: both are {0}
     for text in ("x1 - max(t - 0.5, 0)", "x1 + abs(t - 0.5)",
                  "norm(x1 - max(t - 0.5, 0))"):
-        s = subdiff_expr(parse_expr(text, 1), _pt([0.3], [0.0], 0.5))
+        s = subdiff_expr(parse_expr(text, 1), *_node([0.3], [0.0], 0.5))
         assert isinstance(s, Singleton), text
-    s = subdiff_expr(parse_expr("abs(x1 - max(t - 0.5, 0))", 1), _pt([0.0], [0.0], 0.5))
+    s = subdiff_expr(parse_expr("abs(x1 - max(t - 0.5, 0))", 1),
+                     *_node([0.0], [0.0], 0.5))
     assert np.array_equal(s.vertices, [[1.0, 0.0], [-1.0, 0.0]])
 
 
 def test_subdiff_norm_rows_on_one_coordinate_add_their_squares():
-    s = subdiff_expr(parse_expr("norm(x1, x1)", 1), _pt([0.0], [0.0]))
+    s = subdiff_expr(parse_expr("norm(x1, x1)", 1), *_node([0.0], [0.0]))
     assert isinstance(s, Ball)
     assert s.radius == np.sqrt(2.0) and s.mask.tolist() == [True, False]
-    s = subdiff_expr(parse_expr("norm(x1, z1, -x1, -z1)", 1), _pt([0.0], [0.0]))
+    s = subdiff_expr(parse_expr("norm(x1, z1, -x1, -z1)", 1), *_node([0.0], [0.0]))
     assert s.radius == np.sqrt(2.0) and s.mask.all()
     with pytest.raises(SubdiffError, match="mismatched scales"):
-        subdiff_expr(parse_expr("norm(x1, x1, x2)", 2), _pt([0.0, 0.0], [0.0, 0.0]))
+        subdiff_expr(parse_expr("norm(x1, x1, x2)", 2), *_node([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_subdiff_norm_mismatched_scales_raises():
     with pytest.raises(SubdiffError, match="mismatched scales"):
-        subdiff_expr(parse_expr("norm(2 * x1, x2)", 2), _pt([0.0, 0.0], [0.0, 0.0]))
+        subdiff_expr(parse_expr("norm(2 * x1, x2)", 2), *_node([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_subdiff_scaled_max_support():
-    s = subdiff_expr(parse_expr("0.5 * max(x1, z1)", 1), _pt([0.3], [0.3]))
+    s = subdiff_expr(parse_expr("0.5 * max(x1, z1)", 1), *_node([0.3], [0.3]))
     val, _ = support(s, np.array([1.0, 0.0]))
     assert val == pytest.approx(0.5, abs=1e-12)
     val, _ = support(s, np.array([-1.0, -1.0]))
@@ -923,7 +946,7 @@ def test_smooth_gradient_matches_dual_numbers():
         z = rng.standard_normal(n)
         t = float(rng.random())
         try:
-            s = subdiff_expr(e, EvalPoint(x, z, t))
+            s = subdiff_expr(e, np.concatenate([x, z]), t)
             ref = dual_gradient(e, x, z, t)
         except DomainError:
             continue
@@ -940,9 +963,10 @@ def test_grid_subdiff_smooth_gradient_matches_dual_numbers():
         x = rng.standard_normal((6, n))
         z = rng.standard_normal((6, n))
         t = rng.random(6)
-        value, q, gens, per_node, _ = compile_subdiff(e, n)(x, z, t, 1e-9)
+        xz = np.hstack([x, z])
+        value, q, gens, per_node, _ = compile_subdiff(e, n)(xz, t, 1e-9)
         assert gens == [] and not per_node.any()
-        assert np.allclose(value, eval_expr_grid(e, x, z, t), rtol=1e-14, atol=0.0)
+        assert np.allclose(value, eval_expr_grid(e, xz, t), rtol=1e-14, atol=0.0)
         for i in range(6):
             ref = dual_gradient(e, x[i], z[i], t[i])
             assert np.allclose(q[i], ref, rtol=1e-10, atol=1e-10)
@@ -957,9 +981,10 @@ def _post_order(e):
     yield e
 
 
-def _assert_within_static_support(e, n: int, point: EvalPoint, tol_act: float) -> None:
-    """Every subtree with x or z: its per-node set at point has no extent
-    on a column outside the columns its node in e's node list can reach."""
+def _assert_within_static_support(e, n: int, row, t: float, tol_act: float) -> None:
+    """Every subtree with x or z: its per-node set at the node (row, t)
+    has no extent on a column outside the columns its node in e's node
+    list can reach."""
     d = 2 * n
     nodes = _compile(e, n)
     subtrees = list(_post_order(e))
@@ -970,7 +995,7 @@ def _assert_within_static_support(e, n: int, point: EvalPoint, tol_act: float) -
             continue
         reach = {c for s in (node.support, *node.gens) for c in s}
         try:
-            _, s = _value_and_set(u, point, tol_act)
+            _, s = _value_and_set(u, row, t, tol_act)
         except ExprError:
             continue
         for j in set(range(d)) - reach:
@@ -1005,13 +1030,13 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
         x[::2], z[::2], t[::2] = (np.round(a[::2], 1) for a in (x, z, t))
         x, z = (np.vstack([a, 0.5 * lattice.integers(-2, 3, (20, n))]) for a in (x, z))
         t = np.concatenate([t, 0.5 * lattice.integers(0, 3, 20)])
-        value, q, gens, per_node, _ = compile_subdiff(e, n)(x, z, t, tol_act)
+        xz = np.hstack([x, z])
+        value, q, gens, per_node, _ = compile_subdiff(e, n)(xz, t, tol_act)
         full = full_generators(gens, 2 * n)
         directions = np.vstack([np.eye(2 * n), -np.eye(2 * n),
                                 lattice.standard_normal((4, 2 * n))])
         for i in np.flatnonzero(~per_node):
-            point = EvalPoint(x[i], z[i], float(t[i]))
-            v, s = _value_and_set(e, point, tol_act)
+            v, s = _value_and_set(e, xz[i], float(t[i]), tol_act)
             assert v == value[i]
             if not any(a[i].any() for a in full):
                 assert (vertex_list(s) == q[i]).all()
@@ -1021,7 +1046,7 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
                 want = support(s, g)[0]
                 got = q[i] @ g + sum(abs(a[i] @ g) for a in full)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-            _assert_within_static_support(e, n, point, tol_act)
+            _assert_within_static_support(e, n, xz[i], float(t[i]), tol_act)
             segments += 1
     assert checked > 4000
     assert segments > 200 if draw is random_expr else segments == 0
@@ -1029,9 +1054,8 @@ def test_grid_and_per_node_routes_agree_bit_for_bit(draw, tol_act):
 
 def test_grid_subdiff_ties_are_a_point_plus_segments():
     f = compile_subdiff(parse_expr("abs(x1) + 2 * max(x2, z1)", 2), 2)
-    x = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
-    z = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
-    value, q, gens, per_node, _ = f(x, z, np.zeros(3), 1e-9)
+    xz = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [-1.0, 0.5, 0.25, 0.0]])
+    value, q, gens, per_node, _ = f(xz, np.zeros(3), 1e-9)
     assert np.array_equal(value, [2.0, 3.0, 2.0])
     assert not per_node.any()
     # node 0: abs tie, x2 wins; node 1: max tie; node 2: neither
@@ -1051,14 +1075,32 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     ("max(abs(x1) + x2, z1)", [0.0, 0.0], [0.0, 0.0]),
     ("abs(x1 - max(t, 0))", [0.0, 0.0], [0.0, 0.0]),   # tie over a zero segment
     ("sqrt(x1)", [0.0, 0.0], [0.0, 0.0]),
-    ("1 / x1", [0.0, 0.0], [0.0, 0.0]),
 ])
 def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
     f = compile_subdiff(parse_expr(text, 2), 2)
-    xs = np.array([x, [2.0, 3.0]])
-    zs = np.array([z, [4.0, 5.0]])
-    _, _, _, per_node, _ = f(xs, zs, np.zeros(2), 1e-9)
+    xz = np.array([x + z, [2.0, 3.0, 4.0, 5.0]])
+    _, _, _, per_node, _ = f(xz, np.zeros(2), 1e-9)
     assert per_node.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 / x1", "division by zero"),
+    ("sqrt(x2 - 3) / x1", "division by zero"),     # the divisor first
+    ("x2 / (1 + sqrt(x1 - 1))", "sqrt of a negative value"),
+])
+def test_grid_subdiff_raises_the_domain_error_of_the_line_pass(text, message):
+    """Where the line pass raises, at a zero divisor or a negative sqrt
+    argument, the grid pass raises the same DomainError, naming the same
+    first node, and masks no such row."""
+    e = parse_expr(text, 2)
+    xz = np.array([[2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    t = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(DomainError, match=message) as want:
+        compile_line(e, 2)(xz, t)
+    with pytest.raises(DomainError) as got:
+        compile_subdiff(e, 2)(xz, t, 1e-9)
+    assert str(got.value) == str(want.value)
+    assert got.value.node_index == want.value.node_index == 1
 
 
 def test_grid_subdiff_masks_rows_that_are_not_finite():
@@ -1067,37 +1109,43 @@ def test_grid_subdiff_masks_rows_that_are_not_finite():
     f = compile_subdiff(parse_expr("max(1e308 * x1, -1e308 * x1) + pow(x2, 3)", 2), 2)
     x = np.array([[0.0, 1.0], [1e-300, 1.0], [1e-300, 1e120], [1e-300, np.nan],
                   [-1e-300, 3.0]])
+    xz = np.hstack([x, np.zeros((5, 2))])
     with np.errstate(over="ignore", invalid="ignore"):
-        value, q, gens, per_node, _ = f(x, np.zeros((5, 2)), np.zeros(5), 1e-9)
+        value, q, gens, per_node, _ = f(xz, np.zeros(5), 1e-9)
         # node 0 ties, and only the tie's generator (g1 - g2) / 2 overflows
         assert np.isfinite(value[0]) and np.isfinite(q[0]).all()
         assert np.isinf(gens[0][1][0, 0])
         assert per_node.tolist() == [True, False, True, True, False]
         # values and centers all finite: a generator alone masks node 0
-        _, _, _, per_node, _ = f(x[[0, 1, 4]], np.zeros((3, 2)), np.zeros(3), 1e-9)
+        _, _, _, per_node, _ = f(xz[[0, 1, 4]], np.zeros(3), 1e-9)
         assert per_node.tolist() == [True, False, False]
 
 
 def test_sqrt_of_t_is_differentiable_at_its_zero():
     """sqrt of a subtree without x or z has a zero gradient, so its zero
-    lies in the domain on both routes; a negative argument does not."""
+    lies in the domain on both routes; a negative argument does not, and
+    the grid pass raises the line pass's DomainError there."""
     e = parse_expr("abs(x1 - sqrt(t))", 1)
-    s = subdiff_expr(e, _pt([0.0], [0.0], 0.0))
+    s = subdiff_expr(e, *_node([0.0], [0.0], 0.0))
     assert np.array_equal(sorted(s.vertices.tolist()), [[-1.0, 0.0], [1.0, 0.0]])
     t = np.array([0.0, 0.25])
-    value, q, gens, per_node, _ = compile_subdiff(e, 1)(np.zeros((2, 1)), np.zeros((2, 1)),
-                                                     t, 1e-9)
+    value, q, gens, per_node, _ = compile_subdiff(e, 1)(np.zeros((2, 2)), t, 1e-9)
     assert value.tolist() == [0.0, 0.5] and not per_node.any()
     assert q.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
     assert [a.tolist() for a in full_generators(gens, 2)] == [[[1.0, 0.0], [0.0, 0.0]]]
     with pytest.raises(DomainError, match="sqrt not differentiable at 0"):
-        subdiff_expr(parse_expr("sqrt(x1 - t)", 1), _pt([0.0], [0.0], 0.0))
+        subdiff_expr(parse_expr("sqrt(x1 - t)", 1), *_node([0.0], [0.0], 0.0))
     shifted = parse_expr("abs(x1 - sqrt(t - 0.5))", 1)
     with pytest.raises(DomainError, match="sqrt of a negative value at t=0.25"):
-        subdiff_expr(shifted, _pt([0.0], [0.0], 0.25))
-    _, _, _, per_node, _ = compile_subdiff(shifted, 1)(np.zeros((2, 1)), np.zeros((2, 1)),
-                                                    np.array([0.25, 0.5]), 1e-9)
-    assert per_node.tolist() == [True, False]
+        subdiff_expr(shifted, *_node([0.0], [0.0], 0.25))
+    t = np.array([0.5, 0.25])
+    with pytest.raises(DomainError) as want:
+        compile_line(shifted, 1)(np.zeros((2, 2)), t)
+    with pytest.raises(DomainError) as got:
+        compile_subdiff(shifted, 1)(np.zeros((2, 2)), t, 1e-9)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "sqrt of a negative value at t=0.25 (node 1)"
+    assert got.value.node_index == want.value.node_index == 1
 
 
 def test_per_node_route_gives_a_quotient_without_x_or_z_a_zero_gradient():
@@ -1105,9 +1153,9 @@ def test_per_node_route_gives_a_quotient_without_x_or_z_a_zero_gradient():
     give 0 / 0; a subtree without x or z skips it, as the grid pass does."""
     e = parse_expr("norm(x1) + 1 / (1e-200 * (t + 1))", 1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        v, s = _value_and_set(e, _pt([0.0], [0.0], 0.5))
-        _, _, _, per_node, _ = compile_subdiff(e, 1)(
-            np.zeros((1, 1)), np.zeros((1, 1)), np.array([0.5]), 1e-9)
+        v, s = _value_and_set(e, *_node([0.0], [0.0], 0.5))
+        _, _, _, per_node, _ = compile_subdiff(e, 1)(np.zeros((1, 2)), np.array([0.5]),
+                                                     1e-9)
     assert v == 1.0 / (1e-200 * 1.5) and per_node.tolist() == [True]
     assert [support(s, g)[0] for g in np.eye(2)] == [1.0, 0.0]
 
@@ -1115,11 +1163,12 @@ def test_per_node_route_gives_a_quotient_without_x_or_z_a_zero_gradient():
 def test_per_node_route_gives_sqrt_without_x_or_z_its_value():
     """The per-node route runs its chain rules on Python floats: sqrt(t)
     at t = 0.0625 is 0.25, so x1 = 0.25 ties and x1 = 0 does not."""
-    assert _value_and_set(parse_expr("sqrt(t)", 1), _pt([0.0], [0.0], 0.0625))[0] == 0.25
+    e = parse_expr("sqrt(t)", 1)
+    assert _value_and_set(e, *_node([0.0], [0.0], 0.0625))[0] == 0.25
     e = parse_expr("abs(x1 - sqrt(t))", 1)
-    s = subdiff_expr(e, _pt([0.25], [0.0], 0.0625))
+    s = subdiff_expr(e, *_node([0.25], [0.0], 0.0625))
     assert np.array_equal(s.vertices, [[1.0, 0.0], [-1.0, 0.0]])
-    s = subdiff_expr(e, _pt([0.0], [0.0], 0.0625))
+    s = subdiff_expr(e, *_node([0.0], [0.0], 0.0625))
     assert isinstance(s, Singleton) and np.array_equal(s.point, [-1.0, 0.0])
 
 
@@ -1135,20 +1184,20 @@ def test_per_node_route_raises_where_the_line_pass_does():
         with pytest.raises(DomainError, match=message):
             eval_expr(e, p)
         with pytest.raises(DomainError, match=message):
-            subdiff_expr(e, p)
+            subdiff_expr(e, p.row, p.t)
 
 
 def test_per_node_route_keeps_no_stale_tree():
     """Calls on tree A, then B over the same n, then A again each give the
     set that a fresh interpreter gives for that tree."""
     texts = ("max(x1, z1) + norm(x2)", "abs(x1 - z2) + 2 * max(z1, x2)")
-    point = "EvalPoint(np.zeros(2), np.zeros(2), 0.0)"
+    point = "np.zeros(4), 0.0"
     directions = np.vstack([np.eye(4), -np.eye(4),
                             np.random.default_rng(5).standard_normal((4, 4))])
     script = (
         "import json, sys\nimport numpy as np\n"
         "from nsvar.convexgeom import support\n"
-        "from nsvar.integrand import EvalPoint, parse_expr, subdiff_expr\n"
+        "from nsvar.integrand import parse_expr, subdiff_expr\n"
         f"s = subdiff_expr(parse_expr(sys.argv[1], 2), {point})\n"
         "print(repr([support(s, d)[0] for d in np.array(json.loads(sys.argv[2]))]))\n")
     src = str(Path(nsvar.__file__).parents[1])
@@ -1158,18 +1207,21 @@ def test_per_node_route_keeps_no_stale_tree():
         check=True).stdout.strip() for text in texts]
     trees = [parse_expr(text, 2) for text in texts]
     for k in (0, 1, 0):
-        s = subdiff_expr(trees[k], EvalPoint(np.zeros(2), np.zeros(2), 0.0))
+        s = subdiff_expr(trees[k], np.zeros(4), 0.0)
         assert repr([support(s, d)[0] for d in directions]) == fresh[k]
 
 
 def test_a_pass_rejects_arrays_of_another_width():
     f = compile_subdiff(parse_expr("abs(x1) + z2", 2), 2)
     t = np.zeros(3)
-    for width in (1, 3):
-        other, right = np.zeros((3, width)), np.zeros((3, 2))
-        for x, z in ((other, right), (right, other), (other, other)):
-            with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
-                f(x, z, t, 1e-9)
+    for width in (1, 2, 3, 5, 6):
+        with pytest.raises(ValueError, match=r"shape \(N, 4\)"):
+            f(np.zeros((3, width)), t, 1e-9)
+    # the per-node route takes one row of an even, nonzero length
+    e = parse_expr("abs(x1)", 1)
+    for row in (np.zeros(1), np.zeros(3), np.zeros(0), np.zeros((1, 2)), 0.0):
+        with pytest.raises(ValueError, match=r"shape \(2n,\)"):
+            subdiff_expr(e, row, 0.0)
 
 
 def test_pow_ties_are_decided_alike_on_both_paths():
@@ -1184,9 +1236,9 @@ def test_pow_ties_are_decided_alike_on_both_paths():
     for a, c in zip(v, cubes):
         e = parse_expr(f"abs(pow(x1, 3) - {float(c)!r})", 1)
         value, q, gens, per_node, _ = compile_subdiff(e, 1)(
-            np.array([[a]]), np.zeros((1, 1)), np.zeros(1), 0.0)
+            np.array([[a, 0.0]]), np.zeros(1), 0.0)
         assert value[0] == 0.0 and not per_node[0] and len(gens) == 1
-        s = subdiff_expr(e, _pt([a], [0.0]), 0.0)
+        s = subdiff_expr(e, *_node([a], [0.0]), 0.0)
         assert isinstance(s, Polytope)
         assert np.array_equal(np.abs(s.vertices),
                               np.abs(full_generators(gens, 2)[0]).repeat(2, 0))
@@ -1222,7 +1274,7 @@ def test_directional_derivative_is_support_value():
         g = rng.standard_normal(2 * n)
         try:
             dd = directional_derivative(e, p, g)
-            val, _ = support(subdiff_expr(e, p), g)
+            val, _ = support(subdiff_expr(e, p.row, p.t), g)
         except DomainError:
             continue
         assert dd == pytest.approx(val, abs=1e-9 * (1.0 + abs(val)))

@@ -725,6 +725,24 @@ def test_records_count_the_probes_of_retaken_directions(monkeypatch):
     assert [(st.directions, st.skipped) for st in stages] == [(2, 5)]
 
 
+def test_solve_walks_the_line_pass_only_along_a_direction():
+    """A measurement takes J from the grid pass, so a solve runs the line
+    pass only to build a line: every call passes a direction laid out as
+    the iterate."""
+    p = load_problem("example3")
+    line = p.integrand_line
+    directions = []
+
+    def spy(xz, t, d=None):
+        directions.append(d)
+        return line(xz, t, d)
+    p.__dict__["integrand_line"] = spy     # over the cached compile
+    _, recs, status = solve(p, SolverConfig(**builtin_config_overrides("example3")))
+    assert status == "converged"
+    assert len(directions) >= sum(1 for r in recs if r.gamma > 0.0) > 0
+    assert all(d is not None and d.shape[1:] == (2 * p.n,) for d in directions)
+
+
 def test_solve_measures_each_iterate_once(monkeypatch):
     # The iterate is measured once at each stage start and once after each
     # accepted step; that measurement is the record's I and the f0 of the
