@@ -1075,11 +1075,15 @@ def test_grid_subdiff_ties_are_a_point_plus_segments():
     ("max(abs(x1) + x2, z1)", [0.0, 0.0], [0.0, 0.0]),
     ("abs(x1 - max(t, 0))", [0.0, 0.0], [0.0, 0.0]),   # tie over a zero segment
     ("sqrt(x1)", [0.0, 0.0], [0.0, 0.0]),
+    ("1 / x1", [1e-155, 0.0], [0.0, 0.0]),   # finite value, gradient overflows
 ])
 def test_grid_subdiff_masks_what_it_cannot_represent(text, x, z):
+    """A zero divisor raises (see the test below); a divisor so small that
+    the quotient's gradient overflows is masked like any non-finite row."""
     f = compile_subdiff(parse_expr(text, 2), 2)
     xz = np.array([x + z, [2.0, 3.0, 4.0, 5.0]])
-    _, _, _, per_node, _ = f(xz, np.zeros(2), 1e-9)
+    with np.errstate(over="ignore"):
+        _, _, _, per_node, _ = f(xz, np.zeros(2), 1e-9)
     assert per_node.tolist() == [True, False]
 
 
